@@ -11,6 +11,14 @@ on that invariant.  The composite-Simpson reading of the mass is logged as
 well but wobbles by O(h^2 |[f']|) while a support front crosses nodes, which
 is quadrature error at the kink rather than leakage.  Runs abort if the
 support (or the 1e-10 mass tail) reaches the domain edge.
+
+One kernel, :class:`_Kernel`, holds the update arithmetic and the CFL rule;
+:func:`step`, :func:`stable_dt` and :func:`evolve` all call it, and it works
+in place on buffers allocated once per run.  After every step, values more
+negative than NEGATIVE_CLAMP_REL times the peak raise StabilityError and
+smaller negatives are clamped to zero; the clamp is skipped only when the
+minimum is strictly positive, so it never changes a bit it would not have
+changed.  evolve() refuses runs that would take more than MAX_STEPS steps.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from .reports import VerificationReport, identity_report
 
 #: CFL safety factor for the explicit step
 CFL_SAFETY = 0.25
+#: most explicit steps one evolve() call may take
+MAX_STEPS = 10**6
 #: roundoff negatives are clamped to zero down to this magnitude (relative to
 #: the solution peak); anything more negative is a stability failure
 NEGATIVE_CLAMP_REL = 1e-13
@@ -85,67 +95,108 @@ class TrajectoryLog:
             raise ValueError("log times must be strictly increasing")
 
 
-def _face_flux(d: np.ndarray, beta: float) -> np.ndarray:
-    """|d|^(beta-2) d for the face differences d = D(f^m)."""
-    if beta == 2.0:
-        return d
-    if beta > 2.0:
-        return np.abs(d) ** (beta - 2.0) * d
-    return (d * d + GRAD_EPS * GRAD_EPS) ** ((beta - 2.0) / 2.0) * d
+class _Kernel:
+    """The explicit conservative update on one n-node grid, done in place.
 
+    Scratch buffers are allocated once per run: ``w`` = v^m (n; v itself when
+    m = 1), ``d`` = D(v^m) / h (n-1), ``a`` = |d| and then the powered flux
+    (n-1), ``fl`` = the flux divergence (n).  The face fluxes sit in ``fpad``
+    (n+1) between two zero fluxes at the outer faces, the no-flux boundary,
+    so one difference gives the divergence at every node.  Elementwise, the
+    operations and their order are those of ``d = diff(v**m) / h``,
+    ``F = |d|^(beta-2) d`` (regularized by GRAD_EPS for beta < 2),
+    ``v[0] += dt/h F[0]``, ``v[-1] -= dt/h F[-1]``, ``v[1:-1] += dt/h diff(F)``
+    and the clamp, so results are bit for bit those of that allocating form.
+    (At v[-1] the two can differ only in the sign of a zero sum, which the
+    clamp then makes +0.0 either way.)
+    """
 
-def _max_diffusivity(v: np.ndarray, d: np.ndarray, p: DiffusionParams) -> float:
-    """Upper bound on the linearized diffusivity (beta-1) m f^(m-1)
-    |grad f^m|^(beta-2) (node and face maxima bounded separately)."""
-    if p.beta == 2.0:
-        gfac = 1.0
-    elif p.beta > 2.0:
-        gfac = float(np.max(np.abs(d))) ** (p.beta - 2.0)
-    else:
-        dmin = float(np.min(np.abs(d)))
-        gfac = (dmin * dmin + GRAD_EPS * GRAD_EPS) ** ((p.beta - 2.0) / 2.0)
-    ffac = 1.0 if p.m == 1.0 else float(np.max(v)) ** (p.m - 1.0)
-    return (p.beta - 1.0) * p.m * ffac * gfac
+    def __init__(self, p: DiffusionParams, h: float, n: int):
+        self.p = p
+        self.h = h
+        self.w = None if p.m == 1.0 else np.empty(n)
+        self.fpad = np.zeros(n + 1)
+        if p.beta == 2.0:
+            self.d = self.fpad[1:-1]
+        else:
+            self.d = np.empty(n - 1)
+            self.a = self.fpad[1:-1]
+        self.fl = np.empty(n)
+
+    def cfl_dt(self, v: np.ndarray) -> float:
+        """Puts the face fluxes of v in ``fpad`` and returns CFL_SAFETY h^2 /
+        (bound on the linearized diffusivity (beta-1) m f^(m-1)
+        |grad f^m|^(beta-2), node and face maxima bounded separately), or inf
+        when the bound vanishes (a uniform state)."""
+        p, h, d = self.p, self.h, self.d
+        w = v if self.w is None else np.power(v, p.m, out=self.w)
+        np.subtract(w[1:], w[:-1], out=d)
+        np.divide(d, h, out=d)
+        if p.beta == 2.0:
+            gfac = 1.0
+        else:
+            a = self.a
+            np.abs(d, out=a)
+            if p.beta > 2.0:
+                gfac = float(a.max()) ** (p.beta - 2.0)
+                np.power(a, p.beta - 2.0, out=a)
+            else:
+                dmin = float(a.min())
+                gfac = (dmin * dmin + GRAD_EPS * GRAD_EPS) ** ((p.beta - 2.0) / 2.0)
+                np.multiply(d, d, out=a)
+                np.add(a, GRAD_EPS * GRAD_EPS, out=a)
+                np.power(a, (p.beta - 2.0) / 2.0, out=a)
+            np.multiply(a, d, out=a)
+        ffac = 1.0 if p.m == 1.0 else float(v.max()) ** (p.m - 1.0)
+        dmax = (p.beta - 1.0) * p.m * ffac * gfac
+        if dmax <= 0:
+            return math.inf
+        return CFL_SAFETY * h * h / dmax
+
+    def limiting_node(self, v: np.ndarray) -> int:
+        """Node that sets the bound of the last :meth:`cfl_dt`: the face of
+        extreme |D f^m| (its left node) when beta != 2, else the peak."""
+        if self.p.beta > 2.0:
+            return int(np.argmax(np.abs(self.d)))
+        if self.p.beta < 2.0:
+            return int(np.argmin(np.abs(self.d)))
+        return int(np.argmax(v))
+
+    def advance(self, v: np.ndarray, dt: float, t: float):
+        """v += dt/h div(flux) in place, then the negativity abort and the
+        roundoff clamp.  Both are skipped when min(v) > 0 strictly, where they
+        cannot change a bit (np.maximum turns -0.0 into +0.0); max(v) is read
+        only to judge a negative minimum."""
+        fpad, fl = self.fpad, self.fl
+        np.subtract(fpad[1:], fpad[:-1], out=fl)
+        np.multiply(fl, dt / self.h, out=fl)
+        np.add(v, fl, out=v)
+        worst = float(v.min())
+        if worst > 0.0:
+            return
+        if worst < 0.0 and worst < -NEGATIVE_CLAMP_REL * max(float(v.max()), 1.0):
+            raise StabilityError(
+                f"negative value {worst:g} beyond clamp tolerance at t = {t:g} "
+                f"(dt = {dt:g}); reduce dt or refine the grid"
+            )
+        np.maximum(v, 0.0, out=v)
 
 
 def stable_dt(state: DiffusionState) -> float:
     """dt = CFL_SAFETY * h^2 / max(linearized diffusivity)."""
-    p = state.params
     v = state.f.values
-    h = state.f.axes[0].step
-    d = np.diff(v ** p.m) / h
-    dmax = _max_diffusivity(v, d, p)
-    if dmax <= 0:
-        return math.inf  # uniform state: any dt keeps it stationary
-    return CFL_SAFETY * h * h / dmax
-
-
-def _advance(v: np.ndarray, flux: np.ndarray, h: float, dt: float, t: float) -> np.ndarray:
-    """One conservative update; clamps roundoff negatives, rejects larger ones."""
-    vn = v.copy()
-    vn[0] += dt / h * flux[0]
-    vn[-1] -= dt / h * flux[-1]
-    vn[1:-1] += dt / h * np.diff(flux)
-    worst = float(np.min(vn))
-    if worst < -NEGATIVE_CLAMP_REL * max(float(np.max(vn)), 1.0):
-        raise StabilityError(
-            f"negative value {worst:g} beyond clamp tolerance at t = {t:g} "
-            f"(dt = {dt:g}); reduce dt or refine the grid"
-        )
-    np.maximum(vn, 0.0, out=vn)
-    return vn
+    return _Kernel(state.params, state.f.axes[0].step, v.size).cfl_dt(v)
 
 
 def step(state: DiffusionState, dt: float) -> DiffusionState:
     """One explicit conservative step of size dt."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    p = state.params
-    v = state.f.values
-    h = state.f.axes[0].step
-    d = np.diff(v ** p.m) / h
-    vn = _advance(v, _face_flux(d, p.beta), h, dt, state.t)
-    new = DiffusionState(p, state.t + dt, GridDensity(state.f.axes, vn),
+    v = state.f.values.copy()
+    kernel = _Kernel(state.params, state.f.axes[0].step, v.size)
+    kernel.cfl_dt(v)
+    kernel.advance(v, dt, state.t)
+    new = DiffusionState(state.params, state.t + dt, GridDensity(state.f.axes, v),
                          state.step_count + 1, state.mass0)
     drift = abs(new.discrete_mass - state.discrete_mass)
     if drift > MASS_DRIFT_TOL:
@@ -168,8 +219,13 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     """March to t_end with automatic stable dt, logging the functionals on a
     uniform time grid of n_logs rows (dt_log ~ span/200 by default).
 
-    The arithmetic per step is identical to :func:`step`; the loop merely
-    avoids re-wrapping arrays between steps.
+    Each step is the kernel :func:`step` uses, with dt = min(:func:`stable_dt`,
+    time to the next log row), applied in place to one copy of
+    ``state.f.values`` (the caller's array is never written).  The clamp runs
+    on every step; mass drift and boundary contact are checked at each log
+    row.  A run whose step count, estimated from the initial dt, would exceed
+    MAX_STEPS is refused before the first step, and the march aborts if it
+    takes more than MAX_STEPS steps; both raise StabilityError.
     """
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} precedes current t = {state.t}")
@@ -187,21 +243,33 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
                                     np.array([s]), np.array([mq_]),
                                     np.array([phi]), np.array([mass]))
 
+    v = state.f.values.copy()
+    kernel = _Kernel(p, h, v.size)
+    dt0 = kernel.cfl_dt(v)
+    estimate = (t_end - state.t) / dt0 if dt0 > 0 else math.inf
+    if estimate > MAX_STEPS:
+        raise StabilityError(
+            f"about {estimate:.3g} steps of dt = {dt0:g} needed to reach t = {t_end:g}, "
+            f"over the budget of {MAX_STEPS} (dt is limited at node "
+            f"{kernel.limiting_node(v)}); coarsen the grid or shorten the run"
+        )
     log_times = np.linspace(state.t, t_end, n_logs)
-    _check_boundary_clear(state.f.values, state.t)
+    _check_boundary_clear(v, state.t)
     rows = [log_row(state.f)]
-    v = state.f.values
     t = state.t
     nsteps = state.step_count
+    budget = nsteps + MAX_STEPS
     mass_ref = h * float(np.sum(v))
     for target in log_times[1:]:
-        while t < target - 1e-15 * max(1.0, abs(target)):
-            d = np.diff(v ** p.m) / h
-            dmax = _max_diffusivity(v, d, p)
-            dt = target - t if dmax <= 0 else min(CFL_SAFETY * h * h / dmax, target - t)
-            v = _advance(v, _face_flux(d, p.beta), h, dt, t)
+        stop = target - 1e-15 * max(1.0, abs(target))
+        while t < stop:
+            dt = min(kernel.cfl_dt(v), target - t)
+            kernel.advance(v, dt, t)
             t += dt
             nsteps += 1
+            if nsteps > budget:
+                raise StabilityError(
+                    f"step budget of {MAX_STEPS} exhausted at t = {t:g} (dt = {dt:g})")
         _check_boundary_clear(v, t)
         drift = abs(h * float(np.sum(v)) - mass_ref)
         if drift > MASS_DRIFT_TOL:

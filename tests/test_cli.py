@@ -1,6 +1,7 @@
 """CLI: config resolution, report formats, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -106,6 +107,16 @@ class TestNumericalErrors:
                                "-o", str(tmp_path / "t.csv"))
         assert code == EXIT_NUMERICAL
         assert "fast-diffusion" in err
+
+    def test_step_budget_exit_code(self, capsys, tmp_path):
+        # (m, beta) = (2, 1.5) needs ~3e7 steps at the default grid: refused, not run
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "diffuse", "--m", "2", "--beta", "1.5",
+                               "-o", str(tmp_path / "t.csv"))
+        assert code == EXIT_NUMERICAL
+        assert time.perf_counter() - start < 5.0
+        assert "budget" in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_nonintegrable_params_exit_code(self, capsys):
         # q < 1 needs alpha/(1-q) > n: violated at n = 2, q = 0.2, alpha = 1.5

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from qfisher.core import Axis, Tolerances, density_from_callable, integrate
+from qfisher import diffusion
+from qfisher.core import Axis, GridDensity, Tolerances, density_from_callable, integrate
 from qfisher.diffusion import (
+    CFL_SAFETY,
+    GRAD_EPS,
+    NEGATIVE_CLAMP_REL,
     DiffusionState,
     StabilityError,
     TrajectoryLog,
@@ -15,6 +19,7 @@ from qfisher.diffusion import (
     step,
     trajectory_csv_rows,
 )
+from qfisher.info_measures import m_q, phi_fisher, tsallis_entropy
 from qfisher.qgaussian import DiffusionParams, barenblatt, barenblatt_density, barenblatt_mass_constant
 
 HEAT = DiffusionParams(1.0, 2.0, 1)
@@ -196,3 +201,190 @@ def test_barenblatt_l1_tracking_short():
     exact = barenblatt(PME, C, ax.nodes(), 1.5)
     l1 = integrate(st.f, np.abs(st.f.values - exact))
     assert l1 < 1e-2
+
+
+# --- the allocating update the in-place kernel must reproduce bit for bit ---
+# (a verbatim transcription of the solver before the kernel reused buffers)
+
+def _ref_face_flux(d, beta):
+    if beta == 2.0:
+        return d
+    if beta > 2.0:
+        return np.abs(d) ** (beta - 2.0) * d
+    return (d * d + GRAD_EPS * GRAD_EPS) ** ((beta - 2.0) / 2.0) * d
+
+
+def _ref_max_diffusivity(v, d, p):
+    if p.beta == 2.0:
+        gfac = 1.0
+    elif p.beta > 2.0:
+        gfac = float(np.max(np.abs(d))) ** (p.beta - 2.0)
+    else:
+        dmin = float(np.min(np.abs(d)))
+        gfac = (dmin * dmin + GRAD_EPS * GRAD_EPS) ** ((p.beta - 2.0) / 2.0)
+    ffac = 1.0 if p.m == 1.0 else float(np.max(v)) ** (p.m - 1.0)
+    return (p.beta - 1.0) * p.m * ffac * gfac
+
+
+def _ref_advance(v, flux, h, dt, t):
+    vn = v.copy()
+    vn[0] += dt / h * flux[0]
+    vn[-1] -= dt / h * flux[-1]
+    vn[1:-1] += dt / h * np.diff(flux)
+    worst = float(np.min(vn))
+    if worst < -NEGATIVE_CLAMP_REL * max(float(np.max(vn)), 1.0):
+        raise StabilityError(f"negative value {worst:g} at t = {t:g} (dt = {dt:g})")
+    np.maximum(vn, 0.0, out=vn)
+    return vn
+
+
+def _ref_stable_dt(state):
+    p = state.params
+    v = state.f.values
+    h = state.f.axes[0].step
+    d = np.diff(v ** p.m) / h
+    dmax = _ref_max_diffusivity(v, d, p)
+    if dmax <= 0:
+        return np.inf
+    return CFL_SAFETY * h * h / dmax
+
+
+def _ref_step(state, dt):
+    p = state.params
+    v = state.f.values
+    h = state.f.axes[0].step
+    d = np.diff(v ** p.m) / h
+    vn = _ref_advance(v, _ref_face_flux(d, p.beta), h, dt, state.t)
+    return DiffusionState(p, state.t + dt, GridDensity(state.f.axes, vn),
+                          state.step_count + 1, state.mass0)
+
+
+def _ref_evolve(state, t_end, n_logs):
+    p = state.params
+    h = state.f.axes[0].step
+    axes = state.f.axes
+
+    def log_row(dens):
+        return (tsallis_entropy(dens, p.q), m_q(dens, p.q),
+                phi_fisher(dens, p.q, p.beta), integrate(dens))
+
+    log_times = np.linspace(state.t, t_end, n_logs)
+    rows = [log_row(state.f)]
+    v = state.f.values
+    t = state.t
+    nsteps = state.step_count
+    for target in log_times[1:]:
+        while t < target - 1e-15 * max(1.0, abs(target)):
+            d = np.diff(v ** p.m) / h
+            dmax = _ref_max_diffusivity(v, d, p)
+            dt = target - t if dmax <= 0 else min(CFL_SAFETY * h * h / dmax, target - t)
+            v = _ref_advance(v, _ref_face_flux(d, p.beta), h, dt, t)
+            t += dt
+            nsteps += 1
+        rows.append(log_row(GridDensity(axes, v)))
+    arr = np.array(rows)
+    log = TrajectoryLog(p.q, p.beta, p.m, log_times, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+    return DiffusionState(p, t_end, GridDensity(axes, v), nsteps, state.mass0), log
+
+
+def _oracle_state(m, beta):
+    """Initial data with exact zeros outside a compact support (for beta < 2
+    the porous-medium profile: the run's own Barenblatt profile is not compact),
+    except for the heat case, a Gaussian positive everywhere (the clamp-skip path)."""
+    dp = DiffusionParams(m, beta, 1)
+    if (m, beta) == (1.0, 2.0):
+        ax = Axis(-10.0, 10.0, 201)
+        f = density_from_callable(ax, lambda x: np.exp(-x * x / 2) / np.sqrt(2 * np.pi))
+        return DiffusionState(dp, 0.0, f)
+    ax = Axis(-4.0, 4.0, 201)
+    return DiffusionState(dp, 1.0, barenblatt_density(PME if beta < 2 else dp, 1.0, ax))
+
+
+# (m, beta, span): beta < 2 has dt ~ 1e-9 here, so only a short span
+ORACLE_CASES = [(1.0, 2.0, 0.3), (2.0, 2.0, 0.5), (1.0, 3.0, 0.5), (2.0, 3.0, 0.5),
+                (1.5, 2.5, 0.5), (2.0, 1.5, 2e-6)]
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("m,beta,span", ORACLE_CASES)
+    def test_evolve_bit_identical(self, m, beta, span):
+        st = _oracle_state(m, beta)
+        ref, ref_log = _ref_evolve(st, st.t + span, 6)
+        out, log = evolve(st, st.t + span, 6)
+        assert out.step_count == ref.step_count > 0
+        assert out.f.values.tobytes() == ref.f.values.tobytes()
+        for col in ("times", "S_q", "M_q", "phi", "mass"):
+            assert getattr(log, col).tobytes() == getattr(ref_log, col).tobytes(), col
+
+    @pytest.mark.parametrize("m,beta,span", ORACLE_CASES)
+    def test_step_bit_identical(self, m, beta, span):
+        st = ref = _oracle_state(m, beta)
+        for _ in range(40):
+            dt = stable_dt(st)
+            assert dt == _ref_stable_dt(ref)
+            st, ref = step(st, dt), _ref_step(ref, dt)
+        assert st.f.values.tobytes() == ref.f.values.tobytes()
+
+    def test_clamp_runs_on_negative_zero_minimum(self):
+        # -0.0 plus a divergence that underflows to -0.0 stays -0.0; the clamp
+        # must still run (min is not > 0) and make it +0.0, as the reference does
+        h, dt = 1.0, 0.1
+        v = np.array([-0.0, 1.0, 1.0, 1.0])
+        flux = np.array([-5e-324, 0.0, 0.0])
+        ref = _ref_advance(v, flux, h, dt, 0.0)
+        kernel = diffusion._Kernel(HEAT, h, v.size)
+        kernel.fpad[1:-1] = flux
+        out = v.copy()
+        kernel.advance(out, dt, 0.0)
+        assert out.tobytes() == ref.tobytes()
+        assert not np.signbit(out[0])
+
+
+class TestAliasing:
+    def test_input_untouched_and_outputs_independent(self):
+        st = _oracle_state(2.0, 2.0)
+        before = st.f.values.tobytes()
+        out1, log1 = evolve(st, 1.2, n_logs=5)
+        assert st.f.values.tobytes() == before
+        snapshot = out1.f.values.tobytes()
+        out2, log2 = evolve(st, 1.2, n_logs=5)
+        assert not np.shares_memory(out1.f.values, out2.f.values)
+        assert not np.shares_memory(out1.f.values, st.f.values)
+        assert out1.f.values.tobytes() == snapshot == out2.f.values.tobytes()
+        assert log1.S_q.tobytes() == log2.S_q.tobytes()
+        evolve(out1, 1.3, n_logs=3)  # continuing from a result leaves it alone
+        assert out1.f.values.tobytes() == snapshot
+
+    def test_step_leaves_input_untouched(self):
+        st = _oracle_state(1.0, 3.0)
+        before = st.f.values.tobytes()
+        out = step(st, stable_dt(st))
+        assert st.f.values.tobytes() == before
+        assert not np.shares_memory(out.f.values, st.f.values)
+
+
+def _no_step(self, v, dt, t):
+    raise AssertionError("the budget check must come before the first step")
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize("m", [2.0, 3.0])
+    def test_fast_gradient_regularization_refused_up_front(self, m, monkeypatch):
+        # beta < 2 pairs GRAD_EPS^(beta-2) with the peak: ~3.79e6 steps at m = 2,
+        # ~2.78e9 at m = 3 for t = 1 -> 2 on 501 nodes
+        dp = DiffusionParams(m, 1.5, 1)
+        st = DiffusionState(dp, 1.0, barenblatt_density(dp, 1.0, Axis(-3.5, 3.5, 501)))
+        monkeypatch.setattr(diffusion._Kernel, "advance", _no_step)
+        with pytest.raises(StabilityError, match=r"steps of dt = .* budget of 1000000 .*node \d+"):
+            evolve(st, 2.0)
+
+    def test_march_budget(self, monkeypatch):
+        # the estimate from the first dt is 120 steps; landing on 8 log rows
+        # takes 126, so a budget of 121 passes the up-front check and trips the march
+        st = _oracle_state(1.0, 2.0)
+        assert (0.3 - 0.0) / stable_dt(st) == pytest.approx(120.0)
+        assert evolve(st, 0.3, n_logs=8)[0].step_count == 126
+        monkeypatch.setattr(diffusion, "MAX_STEPS", 121)
+        with pytest.raises(StabilityError, match="step budget of 121 exhausted"):
+            evolve(st, 0.3, n_logs=8)
+
