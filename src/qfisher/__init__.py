@@ -5,6 +5,7 @@ the identities and inequalities tying them together."""
 from .core import (
     Axis,
     GridDensity,
+    NonFiniteError,
     Tolerances,
     density_from_callable,
     gradient,

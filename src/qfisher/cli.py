@@ -42,8 +42,6 @@ EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-STOCHASTIC_COMMANDS = {"crbound", "stam", "minimize"}
-
 
 class UsageError(ValueError):
     pass

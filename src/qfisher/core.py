@@ -17,6 +17,10 @@ import numpy as np
 EPS_NORM = 1e-10
 
 
+class NonFiniteError(ValueError):
+    """A grid array holds NaN or inf (raised by the finiteness checks)."""
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Tolerance bundle used by the verification reports.
@@ -130,7 +134,7 @@ def _check_finite(arr, axes):
         return
     idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
     coords = tuple(float(a.nodes()[i]) for a, i in zip(axes, idx))
-    raise ValueError(f"non-finite value {arr[idx]} at node index {idx}, x = {coords}")
+    raise NonFiniteError(f"non-finite value {arr[idx]} at node index {idx}, x = {coords}")
 
 
 def simpson_weights(axis: Axis) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Axis, GridDensity, Tolerances, quad_weights
+from .core import Axis, GridDensity, NonFiniteError, Tolerances, quad_weights
 from .info_measures import i_fisher, moment_abs, recenter
 from .qgaussian import QGaussianParams, pdf as qpdf, sample as qsample, support_radius, tail_radius
 from .reports import VerificationReport, inequality_report
@@ -351,9 +351,7 @@ def qcr_product(g: GridDensity, q: float, alpha: float,
     m_a = moment_abs(g, alpha)
     try:
         i_val = i_fisher(g, q, beta)
-    except ValueError as exc:
-        if "non-finite" not in str(exc):
-            raise
+    except NonFiniteError:
         i_val = float("inf")  # Fisher integrand overflowed on the grid
     if not np.isfinite(i_val):
         return VerificationReport("qcr-product", float("nan"), float(g.dim), float("nan"),

@@ -9,6 +9,7 @@ from scipy.stats import norm
 from qfisher.core import (
     Axis,
     GridDensity,
+    NonFiniteError,
     Tolerances,
     density_from_callable,
     gradient,
@@ -63,6 +64,12 @@ class TestIntegrate:
         bad[3] = np.inf
         with pytest.raises(ValueError, match=r"node index \(3,\)"):
             integrate(f, bad)
+
+    def test_non_finite_error_is_typed(self):
+        ax = Axis(0.0, 1.0, 11)
+        with pytest.raises(NonFiniteError, match=r"non-finite value nan at node index \(4,\)"):
+            GridDensity((ax,), np.where(np.arange(11) == 4, np.nan, 1.0))
+        assert issubclass(NonFiniteError, ValueError)
 
     def test_integrand_shape_mismatch(self):
         f = density_from_callable(Axis(0.0, 1.0, 11), lambda x: np.ones_like(x))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from qfisher.core import Axis, GridDensity, Tolerances, density_from_callable, gradient
+from qfisher import estimation
+from qfisher.core import Axis, GridDensity, NonFiniteError, Tolerances, density_from_callable, gradient
 from qfisher.estimation import (
     EstimatorSpec,
     MODEL_REGISTRY,
@@ -363,6 +364,24 @@ class TestQcrProduct:
         rep = qcr_product(f, 0.01, 2.0)
         assert rep.extras["flag"] == "divergent-fisher"
         assert not rep.passed
+
+    def test_divergent_fisher_flag_comes_from_typed_error(self):
+        ax = Axis(-2.0, 2.0, 1601)
+        f = density_from_callable(
+            ax, lambda x: np.clip(1 - x * x, 0, None) ** 40 + 1e-280, normalized=True)
+        with pytest.raises(NonFiniteError):
+            i_fisher(f, 0.01, 2.0)
+        assert qcr_product(f, 0.01, 2.0).extras == {"flag": "divergent-fisher"}
+
+    def test_unrelated_value_error_propagates(self, monkeypatch):
+        # the message mentions "non-finite", but only the type decides
+        def broken(g, q, beta):
+            raise ValueError("non-finite lookalike from another check")
+
+        monkeypatch.setattr(estimation, "i_fisher", broken)
+        g = grid_density(QGaussianParams(2.0, 2.0, 1.0, 1), count=2001)
+        with pytest.raises(ValueError, match="lookalike"):
+            qcr_product(g, 2.0, 2.0)
 
 
 class TestRegistry:
