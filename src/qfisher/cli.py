@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -34,7 +33,7 @@ from .estimation import (
 )
 from .inequalities import min_fisher_fixed_entropy, min_fisher_fixed_moment, stam_ratio
 from .info_measures import entropy_power, m_q, phi_fisher_refined, renyi_entropy, tsallis_entropy
-from .perturb import amplitude_ladder, fourier_bump, perturbed_density
+from .perturb import perturbation_batch
 from .qgaussian import QGaussianParams, grid_density, moment_alpha
 
 EXIT_PASS = 0
@@ -110,11 +109,6 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
             cfg["beta"] = cfg["alpha"] / (cfg["alpha"] - 1.0)
         elif "beta" in explicit:
             cfg["alpha"] = cfg["beta"] / (cfg["beta"] - 1.0)
-    raw_threads = os.environ.get("QFISHER_THREADS", "1")
-    try:
-        cfg["threads"] = max(1, int(raw_threads))
-    except ValueError:
-        raise UsageError(f"QFISHER_THREADS must be an integer, got {raw_threads!r}") from None
     return cfg
 
 
@@ -144,7 +138,6 @@ def _json_report(payload: dict, cfg: dict) -> str:
 
 def _tolerances(cfg: dict) -> Tolerances:
     return Tolerances(
-        quadrature_rel=cfg.get("quadrature_rel", 1e-8),
         identity_rel=cfg.get("identity_rel", 1e-6),
         inequality_slack=cfg.get("inequality_slack", 1e-9),
     )
@@ -195,7 +188,7 @@ DIFFUSE_DEFAULTS = {
     "m": 2.0, "beta": 2.0, "alpha": 2.0, "n": 1, "init": "barenblatt",
     "t0": 1.0, "t_end": 2.0, "sigma0": 1.0,
     "grid_lo": -3.5, "grid_hi": 3.5, "grid_count": 1001, "n_logs": 201,
-    "identity_rel": 1e-2, "inequality_slack": 1e-9, "quadrature_rel": 1e-8,
+    "identity_rel": 1e-2, "inequality_slack": 1e-9,
 }
 
 
@@ -219,8 +212,7 @@ def cmd_diffuse(args) -> int:
         raise UsageError(f"unknown init {cfg['init']!r} (barenblatt, gaussian)")
     state, log = evolve(DiffusionState(dp, cfg["t0"], f0), cfg["t_end"], cfg["n_logs"])
     tol = Tolerances(identity_rel=cfg["identity_rel"],
-                     inequality_slack=cfg["inequality_slack"],
-                     quadrature_rel=cfg["quadrature_rel"])
+                     inequality_slack=cfg["inequality_slack"])
     reports = debruijn_check(log, dp, tol)
     verdicts = [r.passed for r in reports]
     summary = {
@@ -246,7 +238,7 @@ CRBOUND_DEFAULTS = {
     "model": "gaussian-location", "n": 1, "sigma": 1.0,
     "q": 2.0, "alpha": 2.0, "beta": 2.0, "gamma": 1.0,
     "theta": 0.0, "trials": 0, "grid_count": 4001,
-    "inequality_slack": 1e-9, "identity_rel": 1e-6, "quadrature_rel": 1e-8,
+    "inequality_slack": 1e-9, "identity_rel": 1e-6,
 }
 
 
@@ -288,7 +280,7 @@ def cmd_crbound(args) -> int:
 
 QCR_DEFAULTS = {
     "q": 2.0, "alpha": 2.0, "beta": 2.0, "gamma": 1.0, "n": 1, "grid_count": 8001,
-    "inequality_slack": 1e-6, "identity_rel": 1e-6, "quadrature_rel": 1e-8,
+    "inequality_slack": 1e-6, "identity_rel": 1e-6,
 }
 
 
@@ -306,7 +298,7 @@ def cmd_qcr(args) -> int:
 STAM_DEFAULTS = {
     "q": 1.0, "alpha": 2.0, "beta": 2.0, "gamma": 0.5, "n": 1,
     "grid_count": 8001, "perturbations": 0,
-    "inequality_slack": 1e-4, "identity_rel": 1e-6, "quadrature_rel": 1e-8,
+    "inequality_slack": 1e-4, "identity_rel": 1e-6,
 }
 
 
@@ -321,21 +313,10 @@ def cmd_stam(args) -> int:
     if cfg["perturbations"]:
         if "seed" not in cfg:
             raise UsageError("--seed is mandatory when perturbations > 0")
-        rng = np.random.default_rng(int(cfg["seed"]))
-        target = moment_alpha(p)
-        ratios = []
-        amps = amplitude_ladder(5)
-        made = 0
-        while made < int(cfg["perturbations"]):
-            bump = fourier_bump(rng)
-            for a in amps:
-                if made >= int(cfg["perturbations"]):
-                    break
-                fp = perturbed_density(p, bump, float(a), "moment", target,
-                                       min(cfg["grid_count"], 4001))
-                ratios.append(stam_ratio(fp, cfg["q"], cfg["beta"], tol).lhs)
-                made += 1
-        min_perturbed = min(ratios)
+        batch = perturbation_batch(p, np.random.default_rng(int(cfg["seed"])),
+                                   int(cfg["perturbations"]), 5, "moment", moment_alpha(p),
+                                   min(cfg["grid_count"], 4001))
+        min_perturbed = min(stam_ratio(fp, cfg["q"], cfg["beta"], tol).lhs for _, _, fp in batch)
         verdict = verdict and min_perturbed > 1.0
     payload = {
         "value_G": rep.extras["product_ref"],
@@ -352,7 +333,7 @@ def cmd_stam(args) -> int:
 MINIMIZE_DEFAULTS = {
     "constraint": "moment", "q": 2.0, "alpha": 2.0, "beta": 2.0, "target": 0.2,
     "n": 1, "perturbations": 50, "grid_count": 4001,
-    "inequality_slack": 1e-6, "identity_rel": 1e-6, "quadrature_rel": 1e-8,
+    "inequality_slack": 1e-6, "identity_rel": 1e-6,
 }
 
 
@@ -386,10 +367,10 @@ REPRODUCE_DEFAULTS = {}
 
 
 def cmd_reproduce(args) -> int:
-    cfg = resolve_config(args, REPRODUCE_DEFAULTS)
+    resolve_config(args, REPRODUCE_DEFAULTS)
     suite = AcceptanceSuite()
     results = suite.run_all()
-    header = f"# config: seed={suite.seed} threads={cfg['threads']}\n"
+    header = f"# config: seed={suite.seed}\n"
     _emit(header + render_summary(results), args.output)
     return EXIT_PASS if all(r.passed for r in results) else EXIT_VERDICT
 
@@ -409,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="RNG seed (mandatory for stochastic runs)")
         p.add_argument("--identity-rel", dest="identity_rel", type=float)
         p.add_argument("--inequality-slack", dest="inequality_slack", type=float)
-        p.add_argument("--quadrature-rel", dest="quadrature_rel", type=float)
 
     p = sub.add_parser("info", help="scalar information functionals of a density")
     add_common(p)

@@ -25,18 +25,16 @@ class NonFiniteError(ValueError):
 class Tolerances:
     """Tolerance bundle used by the verification reports.
 
-    quadrature_rel: relative quadrature error target.
     identity_rel:   relative tolerance for identity checks (1e-2 for checks
                     coupled to the PDE solver, 1e-6 for pure quadrature).
     inequality_slack: additive slack for inequality checks near equality.
     """
 
-    quadrature_rel: float = 1e-8
     identity_rel: float = 1e-6
     inequality_slack: float = 1e-9
 
     def __post_init__(self):
-        if min(self.quadrature_rel, self.identity_rel, self.inequality_slack) <= 0:
+        if min(self.identity_rel, self.inequality_slack) <= 0:
             raise ValueError("tolerances must be strictly positive")
 
     @classmethod

@@ -11,11 +11,13 @@ perturbation batches.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .core import Axis, GridDensity, Tolerances
 from .info_measures import entropy_power, i_fisher, moment_abs
-from .perturb import amplitude_ladder, fourier_bump, perturbed_density
+from .perturb import perturbation_batch
 from .qgaussian import (
     QGaussianParams,
     closed_form_entropy_power,
@@ -100,29 +102,18 @@ FIT_AMPLITUDES = tuple(np.geomspace(0.003, 0.03, 4))
 def _perturbation_sweep(ref: QGaussianParams, constraint: str, target: float,
                         q: float, beta: float, n_perturb: int,
                         seed: int, grid_count: int):
-    """(n_dirs x n_amps) lattice of perturbed densities (same direction set at
-    every amplitude level), plus a small-amplitude sweep of the same
-    directions for the gap-vs-amplitude exponent fit."""
-    n_amps = min(5, n_perturb)
-    n_dirs = max(1, int(np.ceil(n_perturb / n_amps)))
-    amps = amplitude_ladder(n_amps)
-    rng = np.random.default_rng(seed)
-    bumps = [fourier_bump(rng) for _ in range(n_dirs)]
-    rows = []  # (amplitude, dir_index, I_perturbed)
-    made = 0
-    for bi, bump in enumerate(bumps):
-        for a in amps:
-            if made >= n_perturb:
-                break
-            fp = perturbed_density(ref, bump, float(a), constraint, target, grid_count)
-            rows.append((float(a), bi, i_fisher(fp, q, beta)))
-            made += 1
-    fit_rows = []
-    for bump in bumps:
-        for a in FIT_AMPLITUDES:
-            fp = perturbed_density(ref, bump, float(a), constraint, target, grid_count)
-            fit_rows.append((float(a), i_fisher(fp, q, beta)))
-    return amps, rows, fit_rows
+    """Rows (amplitude, dir_index, I) of n_perturb perturbed densities, 5 or
+    fewer amplitude levels per direction, and fit_rows (amplitude, I) of the
+    same directions at FIT_AMPLITUDES for the gap-vs-amplitude fit."""
+    rows, fit_rows = [], []
+    batch = perturbation_batch(ref, np.random.default_rng(seed), n_perturb, min(5, n_perturb),
+                               constraint, target, grid_count, extra=FIT_AMPLITUDES)
+    # each direction yields its ladder rungs, then the FIT_AMPLITUDES
+    for bi, items in itertools.groupby(batch, key=lambda item: item[0]):
+        values = [(a, i_fisher(fp, q, beta)) for _, a, fp in items]
+        rows += [(a, bi, v) for a, v in values[:-len(FIT_AMPLITUDES)]]
+        fit_rows += values[-len(FIT_AMPLITUDES):]
+    return rows, fit_rows
 
 
 def _gap_exponent(fit_rows, i_ref):
@@ -155,8 +146,8 @@ def min_fisher_fixed_moment(q: float, alpha: float, target_m: float, n: int = 1,
         raise ArithmeticError(f"gamma root-find missed the moment by {moment_err:g}")
     g_ref = grid_density(ref, grid_count)
     i_ref = i_fisher(g_ref, q, beta)
-    amps, rows, fit_rows = _perturbation_sweep(ref, "moment", target_m, q, beta,
-                                               perturbation_count, seed, grid_count)
+    rows, fit_rows = _perturbation_sweep(ref, "moment", target_m, q, beta,
+                                         perturbation_count, seed, grid_count)
     i_min = min(r[2] for r in rows)
     return inequality_report("min-fisher-fixed-moment", i_min, i_ref, tol.inequality_slack,
                              extras={"value_G": i_ref,
@@ -181,8 +172,8 @@ def min_fisher_fixed_entropy(q: float, beta: float, target_n: float, n: int = 1,
     ref = QGaussianParams(q, alpha, gamma, n)
     g_ref = grid_density(ref, grid_count)
     i_ref = i_fisher(g_ref, q, beta)
-    amps, rows, fit_rows = _perturbation_sweep(ref, "entropy_power", target_n, q, beta,
-                                               perturbation_count, seed, grid_count)
+    rows, fit_rows = _perturbation_sweep(ref, "entropy_power", target_n, q, beta,
+                                         perturbation_count, seed, grid_count)
     i_min = min(r[2] for r in rows)
     return inequality_report("min-fisher-fixed-entropy", i_min, i_ref, tol.inequality_slack,
                              extras={"value_G": i_ref,

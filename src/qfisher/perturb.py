@@ -6,18 +6,21 @@ inside the (effective) support, renormalize, then restore the constraint
 (alpha-moment or entropy power) exactly by dilation, both constraints having
 known scaling laws (moment ~ c^alpha, N_q ~ c^2 under x -> c x).
 
-Batches run one bump over a ladder of amplitudes.  The base-grid samples
-pdf(p, x) and b(x / R_eff) do not depend on the amplitude, so the last
-(p, bump, count) triple's samples are kept, read-only, and reused across the
-ladder.  The dilated grid is evaluated afresh for every amplitude: the
-dilation factor c depends on it, and the abscissae x_c / c differ from the
-base nodes by rounding.  A bump is evaluated only inside its window
-|u| < 1 and is exactly zero outside.
+Every batch comes from perturbation_batch: one fourier_bump draw from the
+caller's rng per direction, in order, taken over the amplitude ladder (the
+last ladder cut short at `count`) and then over any `extra` amplitudes
+before the next draw.  While a bump is current, its base-grid samples
+pdf(p, x) and b(x / R_eff), which do not depend on the amplitude, are kept
+read-only and reused.  The dilated grid is evaluated afresh for every
+amplitude: the dilation factor c depends on it, and the abscissae x_c / c
+differ from the base nodes by rounding.  A bump is evaluated only inside
+its window |u| < 1 and is exactly zero outside.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -64,6 +67,22 @@ def fourier_bump(rng: np.random.Generator, n_modes: int = N_MODES):
 def amplitude_ladder(n_levels: int, lo: float = AMPLITUDE_RANGE[0],
                      hi: float = AMPLITUDE_RANGE[1]) -> np.ndarray:
     return np.geomspace(lo, hi, n_levels)
+
+
+def perturbation_batch(p: QGaussianParams, rng: np.random.Generator, count: int,
+                       n_levels: int, constraint: str, target: float, grid_count: int,
+                       extra=()):
+    """Yield (direction, amplitude, density): direction k is the k-th
+    fourier_bump(rng) draw, taken over amplitude_ladder(n_levels) (the last
+    ladder cut short at `count` ladder densities in all) and then over the
+    `extra` amplitudes.  Draws ceil(count / n_levels) bumps."""
+    if count < 1 or n_levels < 1:
+        raise ValueError(f"need count >= 1 and n_levels >= 1, got {count} and {n_levels}")
+    ladder = [float(a) for a in amplitude_ladder(n_levels)]
+    for direction in range(math.ceil(count / n_levels)):
+        bump = fourier_bump(rng)
+        for a in ladder[:count - direction * n_levels] + [float(a) for a in extra]:
+            yield direction, a, perturbed_density(p, bump, a, constraint, target, grid_count)
 
 
 def perturbed_density(p: QGaussianParams, bump, amplitude: float, constraint: str,

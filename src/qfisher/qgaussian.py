@@ -208,23 +208,6 @@ def _radial_inverse_cdf(p: QGaussianParams):
     return sp_interpolate.PchipInterpolator(cdf[keep], r[keep])
 
 
-def params_to_config(p: QGaussianParams) -> str:
-    """Flat key = value text block (the CLI configuration format)."""
-    return f"q = {p.q!r}\nalpha = {p.alpha!r}\ngamma = {p.gamma!r}\nn = {p.dim}\n"
-
-
-def params_from_config(text: str) -> QGaussianParams:
-    fields = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, val = (t.strip() for t in line.split("=", 1))
-        fields[key] = val
-    return QGaussianParams(q=float(fields["q"]), alpha=float(fields["alpha"]),
-                           gamma=float(fields["gamma"]), dim=int(fields.get("n", 1)))
-
-
 def samples_to_csv(points: np.ndarray) -> str:
     """One point per row, 17 significant digits."""
     points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -66,7 +66,7 @@ class TestConfigFile:
         d = json.loads(out)
         assert d["config"]["q"] == 1.5       # from file
         assert d["config"]["gamma"] == 0.5   # flag wins
-        assert d["config"]["threads"] == 1
+        assert "threads" not in d["config"]
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.conf"
@@ -76,10 +76,11 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"
-        cfg.write_text("volume = 3\n")
-        code, _, err = run_cli(capsys, "qcr", "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert "unknown config keys" in err
+        for line in ("volume = 3", "quadrature_rel = 1e-8"):
+            cfg.write_text(line + "\n")
+            code, _, err = run_cli(capsys, "qcr", "--config", str(cfg))
+            assert code == EXIT_USAGE
+            assert "unknown config keys" in err
 
 
 class TestUsageErrors:

@@ -198,7 +198,7 @@ class TestGridDensity:
 class TestTolerances:
     def test_defaults(self):
         t = Tolerances()
-        assert t.quadrature_rel == 1e-8 and t.inequality_slack == 1e-9
+        assert t.identity_rel == 1e-6 and t.inequality_slack == 1e-9
         assert Tolerances.for_pde().identity_rel == 1e-2
         assert Tolerances.for_quadrature().identity_rel == 1e-6
 

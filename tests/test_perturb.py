@@ -1,17 +1,29 @@
 """Perturbation families: bit identity with the plain per-call evaluation,
-the base-grid sample reuse, and the windowed bump."""
+the base-grid sample reuse, the windowed bump, and the batch generator
+against the hand-written loops it replaced."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfisher import perturb
 from qfisher.acceptance import QCR_POINTS
 from qfisher.core import Axis, GridDensity, normalize
-from qfisher.inequalities import FIT_AMPLITUDES
-from qfisher.info_measures import entropy_power, moment_abs
-from qfisher.perturb import BUMP_TAIL, N_MODES, amplitude_ladder, fourier_bump, perturbed_density
+from qfisher import inequalities
+from qfisher.inequalities import FIT_AMPLITUDES, _perturbation_sweep, min_fisher_fixed_moment
+from qfisher.info_measures import entropy_power, i_fisher, moment_abs
+from qfisher.perturb import (
+    BUMP_TAIL,
+    N_MODES,
+    amplitude_ladder,
+    fourier_bump,
+    perturbation_batch,
+    perturbed_density,
+)
 from qfisher.qgaussian import (
     QGaussianParams,
     closed_form_entropy_power,
@@ -243,3 +255,214 @@ class TestFourierBump:
         ref_fourier_bump(ref_rng, n_modes)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rng.random(8).tobytes() == ref_rng.random(8).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Reference: the four "bumps x amplitude ladder" loops that perturbation_batch
+# replaced (kept verbatim, except that where a loop computed its metric from
+# a density it now collects the density).
+# ---------------------------------------------------------------------------
+
+
+def ref_criterion_6_loop(p, rng, n_dirs=20):
+    target = moment_alpha(p)
+    amps = amplitude_ladder(5)
+    out = []
+    for _ in range(n_dirs):
+        bump = fourier_bump(rng)
+        for a in amps:
+            fp = perturbed_density(p, bump, float(a), "moment", target, 4001)
+            out.append((float(a), fp))
+    return out
+
+
+def ref_criterion_7_loop(p, rng, n_dirs=10):
+    target = moment_alpha(p)
+    out = []
+    for _ in range(n_dirs):
+        bump = fourier_bump(rng)
+        for a in amplitude_ladder(3):
+            fp = perturbed_density(p, bump, float(a), "moment", target, 4001)
+            out.append((float(a), fp))
+    return out
+
+
+def ref_cmd_stam_loop(p, rng, perturbations, grid_count):
+    target = moment_alpha(p)
+    out = []
+    amps = amplitude_ladder(5)
+    made = 0
+    while made < int(perturbations):
+        bump = fourier_bump(rng)
+        for a in amps:
+            if made >= int(perturbations):
+                break
+            fp = perturbed_density(p, bump, float(a), "moment", target,
+                                   min(grid_count, 4001))
+            out.append((float(a), fp))
+            made += 1
+    return out
+
+
+def ref_perturbation_sweep(ref, constraint, target, n_perturb, seed, grid_count):
+    n_amps = min(5, n_perturb)
+    n_dirs = max(1, int(np.ceil(n_perturb / n_amps)))
+    amps = amplitude_ladder(n_amps)
+    rng = np.random.default_rng(seed)
+    bumps = [fourier_bump(rng) for _ in range(n_dirs)]
+    rows = []  # (amplitude, dir_index, density)
+    made = 0
+    for bi, bump in enumerate(bumps):
+        for a in amps:
+            if made >= n_perturb:
+                break
+            fp = perturbed_density(ref, bump, float(a), constraint, target, grid_count)
+            rows.append((float(a), bi, fp))
+            made += 1
+    fit_rows = []
+    for bump in bumps:
+        for a in FIT_AMPLITUDES:
+            fp = perturbed_density(ref, bump, float(a), constraint, target, grid_count)
+            fit_rows.append((float(a), fp))
+    return amps, rows, fit_rows, rng
+
+
+# ---------------------------------------------------------------------------
+
+COUNTS = (1, 3, 5, 7, 12, 20)
+P_QCR = QGaussianParams(*QCR_POINTS[0], 1.0, 1)
+
+
+def assert_same_batch(got, want):
+    """got: (direction, amplitude, density) items; want: (amplitude, density)."""
+    assert len(got) == len(want)
+    for (_, a, fp), (ref_a, ref_fp) in zip(got, want):
+        assert a == ref_a and type(a) is float
+        assert_same_density(fp, ref_fp)
+
+
+def assert_same_stream(rng, ref_rng):
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestPerturbationBatchOracle:
+    @pytest.mark.parametrize("n_dirs", COUNTS)
+    def test_criterion_6_shape(self, n_dirs):
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = list(perturbation_batch(P_QCR, rng, 5 * n_dirs, 5, "moment", moment_alpha(P_QCR), 4001))
+        assert_same_batch(got, ref_criterion_6_loop(P_QCR, ref_rng, n_dirs))
+        assert_same_stream(rng, ref_rng)
+
+    @pytest.mark.parametrize("n_dirs", COUNTS)
+    def test_criterion_7_shape(self, n_dirs):
+        # both parameter points draw from one generator, one after the other
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for q, beta in ((1.0, 2.0), (2.0, 2.0)):
+            p = QGaussianParams(q, beta / (beta - 1.0), 1.0, 1)
+            got = list(perturbation_batch(p, rng, 3 * n_dirs, 3, "moment", moment_alpha(p), 4001))
+            assert_same_batch(got, ref_criterion_7_loop(p, ref_rng, n_dirs))
+            assert_same_stream(rng, ref_rng)
+
+    @pytest.mark.parametrize("grid_count", [2001, 8001])
+    @pytest.mark.parametrize("count", COUNTS + (13,))
+    def test_cmd_stam_shape(self, count, grid_count):
+        p = QGaussianParams(2.0, 2.0, 1.0, 1)
+        rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+        got = list(perturbation_batch(p, rng, count, 5, "moment", moment_alpha(p),
+                                      min(grid_count, 4001)))
+        assert_same_batch(got, ref_cmd_stam_loop(p, ref_rng, count, grid_count))
+        assert_same_stream(rng, ref_rng)
+
+    @pytest.mark.parametrize("constraint", ["moment", "entropy_power"])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_sweep_shape(self, count, constraint):
+        p = QGaussianParams(1.5, 2.0, 1.0, 1)
+        target = target_for(p, constraint)
+        rng = np.random.default_rng(80 + count)
+        got = list(perturbation_batch(p, rng, count, min(5, count), constraint, target, 1001,
+                                      extra=FIT_AMPLITUDES))
+        _, rows, fit_rows, ref_rng = ref_perturbation_sweep(p, constraint, target, count,
+                                                         80 + count, 1001)
+        # the generator's order: each direction's ladder rows, then its fit rows
+        n_fit = len(FIT_AMPLITUDES)
+        want = []
+        for bi in range(len(fit_rows) // n_fit):
+            want += [(bi, a, fp) for a, d, fp in rows if d == bi]
+            want += [(bi, a, fp) for a, fp in fit_rows[bi * n_fit:(bi + 1) * n_fit]]
+        assert [d for d, _, _ in got] == [d for d, _, _ in want]
+        assert_same_batch(got, [(a, fp) for _, a, fp in want])
+        assert_same_stream(rng, ref_rng)
+
+    @pytest.mark.parametrize("constraint", ["moment", "entropy_power"])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_sweep_rows(self, count, constraint):
+        q, alpha = 2.0, 3.0
+        beta = alpha / (alpha - 1.0)
+        p = QGaussianParams(q, alpha, 1.0, 1)
+        target = target_for(p, constraint)
+        _, ref_rows, ref_fit_rows, _ = ref_perturbation_sweep(p, constraint, target, count,
+                                                           90 + count, 1001)
+        rows, fit_rows = _perturbation_sweep(p, constraint, target, q, beta, count, 90 + count, 1001)
+        assert rows == [(a, bi, i_fisher(fp, q, beta)) for a, bi, fp in ref_rows]
+        assert fit_rows == [(a, i_fisher(fp, q, beta)) for a, fp in ref_fit_rows]
+
+    def test_rejects_empty_batch(self):
+        rng = np.random.default_rng(0)
+        for count, n_levels in ((0, 5), (5, 0), (-1, 3)):
+            with pytest.raises(ValueError, match="count >= 1 and n_levels >= 1"):
+                next(perturbation_batch(P_QCR, rng, count, n_levels, "moment", 0.2, 201))
+        assert_same_stream(rng, np.random.default_rng(0))
+
+
+class TestBatchBaseSampleReuse:
+    def test_sweep_evaluates_each_bump_once_on_the_base_grid(self, monkeypatch):
+        drawn = []
+
+        def counting_bump(rng, n_modes=N_MODES):
+            bump = fourier_bump(rng, n_modes)
+            calls = [0]
+
+            def counted(u):
+                calls[0] += 1
+                return bump(u)
+
+            drawn.append(calls)
+            return counted
+
+        # also where a module binds fourier_bump itself, so that a loop
+        # outside perturb is counted the same way
+        monkeypatch.setattr(perturb, "fourier_bump", counting_bump)
+        monkeypatch.setattr(inequalities, "fourier_bump", counting_bump, raising=False)
+        p = QGaussianParams(2.0, 2.0, 1.0, 1)
+        rep = min_fisher_fixed_moment(2.0, 2.0, moment_alpha(p), perturbation_count=50,
+                                      seed=3, grid_count=1001)
+        assert rep.extras["perturbations"] == 50
+        assert len(drawn) == 10
+        # 5 ladder and 4 fit amplitudes on the dilated grid, once on the base grid
+        per_density = 5 + len(FIT_AMPLITUDES)
+        assert [c[0] for c in drawn] == [1 + per_density] * 10
+
+
+class TestBatchProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(1, 40), n_levels=st.integers(1, 5), n_extra=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_yields_count_ladder_items(self, count, n_levels, n_extra, seed):
+        p = QGaussianParams(2.0, 2.0, 1.0, 1)
+        extra = FIT_AMPLITUDES[:n_extra]
+        rng = np.random.default_rng(seed)
+        got = list(perturbation_batch(p, rng, count, n_levels, "moment", moment_alpha(p), 201,
+                                      extra=extra))
+        n_dirs = math.ceil(count / n_levels)
+        ladder = [float(a) for a in amplitude_ladder(n_levels)]
+        want = []
+        for d in range(n_dirs):
+            want += [(d, a) for a in ladder[:count - d * n_levels]]
+            want += [(d, float(a)) for a in extra]
+        assert [(d, a) for d, a, _ in got] == want
+        assert len(got) - n_dirs * n_extra == count
+        # one fourier_bump draw per direction, nothing else from the stream
+        ref_rng = np.random.default_rng(seed)
+        for _ in range(n_dirs):
+            ref_rng.uniform(-1.0, 1.0, size=(2, N_MODES))
+        assert_same_stream(rng, ref_rng)

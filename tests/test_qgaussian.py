@@ -22,8 +22,6 @@ from qfisher.qgaussian import (
     grid_density,
     moment_alpha,
     normalization,
-    params_from_config,
-    params_to_config,
     pdf,
     sample,
     samples_to_csv,
@@ -287,10 +285,6 @@ class TestBarenblatt:
 
 
 class TestSerialization:
-    def test_params_config_round_trip(self):
-        p = QGaussianParams(1.5, 2.5, 0.75, 2)
-        assert params_from_config(params_to_config(p)) == p
-
     def test_samples_csv(self):
         pts = sample(P_COMPACT, seed=5, count=3)
         text = samples_to_csv(pts)
