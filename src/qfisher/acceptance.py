@@ -52,7 +52,6 @@ class CriterionResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
-    elapsed: float = 0.0  # informational; never rendered into the summary
 
 
 def _fmt(v) -> str:
@@ -129,7 +128,7 @@ class AcceptanceSuite:
         passed = worst < 1e-2 and elapsed < 30.0
         return CriterionResult(1, "classical de Bruijn (heat, m=1 beta=2)", passed,
                                {"worst_rel_err_vs_1/(1+2t)": worst, "rows": len(reports),
-                                "runtime_ok": elapsed < 30.0}, elapsed)
+                                "runtime_ok": elapsed < 30.0})
 
     def criterion_2(self) -> CriterionResult:
         """Extended de Bruijn on the porous medium run (m=2, beta=2, q=2):
@@ -147,8 +146,7 @@ class AcceptanceSuite:
         passed = mids[0] < 1e-2 and ratio < 0.5 and elapsed < 120.0
         return CriterionResult(2, "extended de Bruijn (porous medium, q=2)", passed,
                                {"mid_rel_err": mids[0], "mid_rel_err_refined": mids[1],
-                                "refinement_ratio": ratio, "runtime_ok": elapsed < 120.0},
-                               elapsed)
+                                "refinement_ratio": ratio, "runtime_ok": elapsed < 120.0})
 
     def criterion_3(self) -> CriterionResult:
         """Barenblatt self-similarity over a time doubling: relative L1
@@ -297,15 +295,9 @@ class AcceptanceSuite:
 
     def run_core(self) -> list[CriterionResult]:
         """Criteria 1-9 (everything except the determinism re-run)."""
-        results = []
-        for fn in (self.criterion_1, self.criterion_2, self.criterion_3,
-                   self.criterion_4, self.criterion_5, self.criterion_6,
-                   self.criterion_7, self.criterion_8, self.criterion_9):
-            t0 = time.perf_counter()
-            res = fn()
-            if res.elapsed == 0.0:
-                res.elapsed = time.perf_counter() - t0
-            results.append(res)
+        results = [fn() for fn in (self.criterion_1, self.criterion_2, self.criterion_3,
+                                   self.criterion_4, self.criterion_5, self.criterion_6,
+                                   self.criterion_7, self.criterion_8, self.criterion_9)]
         self._results_1_9 = results
         return results
 

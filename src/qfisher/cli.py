@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Subcommands: info, diffuse, crbound, qcr, stam, minimize, reproduce.
-Configuration comes from a flat key = value file (--config) overridden by
-command-line flags; every report embeds the fully resolved configuration.
+Subcommands: info, diffuse, crbound, qcr, stam, minimize, reproduce.  A
+subcommand's *_DEFAULTS dict is the one declaration of its options: key
+`some_key` is the flag `--some-key` and the config-file key `some_key`, and
+a value from either takes the default's type.  No other flag or key is
+accepted; `--seed` exists only on crbound, stam and minimize, and
+`reproduce` (pinned suite seed) takes only -o.  A flat key = value file
+(--config) is overridden by flags; every report embeds the fully resolved
+configuration.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
 emitted with sorted keys and shortest round-trip floats, CSV with 17
 significant digits and '.' decimal.
@@ -52,18 +57,8 @@ def _fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _parse_scalar(text: str):
-    t = text.strip()
-    for cast in (int, float):
-        try:
-            return cast(t)
-        except ValueError:
-            continue
-    return t
-
-
 def read_config_file(path: str) -> dict:
-    """Flat `key = value` lines; '#' starts a comment."""
+    """Flat `key = value` lines; '#' starts a comment.  Values stay strings."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -73,30 +68,35 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = _parse_scalar(val)
+            out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
+def _option_type(default):
+    """An option's values take its default's type; a None default (the
+    seed, unset) stands for an int."""
+    return int if default is None else type(default)
+
+
 def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags; the Hoelder pair (alpha, beta)
-    is cross-validated when both are given explicitly and derived from the
-    other when only one is."""
+    """defaults < config file < explicit flags, every value of its default's
+    type; an option still None (the unset seed) is left out.  The Hoelder
+    pair (alpha, beta) is cross-validated when both are given explicitly and
+    derived from the other when only one is."""
     cfg = dict(defaults)
-    explicit = set()
-    if getattr(args, "config", None):
-        file_cfg = read_config_file(args.config)
-        unknown = set(file_cfg) - set(defaults) - {"seed"}
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-        explicit |= set(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-            explicit.add(key)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
+    file_cfg = read_config_file(args.config) if args.config else {}
+    unknown = set(file_cfg) - set(defaults)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, text in file_cfg.items():
+        typ = _option_type(defaults[key])
+        try:
+            cfg[key] = typ(text)
+        except ValueError:
+            raise UsageError(f"config key {key!r}: expected {typ.__name__}, got {text!r}") from None
+    flags = {key: val for key, val in vars(args).items() if key in defaults and val is not None}
+    cfg.update(flags)
+    explicit = set(file_cfg) | set(flags)
     if "alpha" in defaults and "beta" in defaults:
         for key in ("alpha", "beta"):
             if key in explicit and cfg[key] <= 1:
@@ -109,7 +109,7 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
             cfg["beta"] = cfg["alpha"] / (cfg["alpha"] - 1.0)
         elif "beta" in explicit:
             cfg["alpha"] = cfg["beta"] / (cfg["beta"] - 1.0)
-    return cfg
+    return {k: v for k, v in cfg.items() if v is not None}
 
 
 def _emit(text: str, output_path):
@@ -134,13 +134,6 @@ def _json_report(payload: dict, cfg: dict) -> str:
     payload = dict(payload)
     payload["config"] = {k: cfg[k] for k in sorted(cfg)}
     return json.dumps(_canonical(payload), sort_keys=True, allow_nan=True) + "\n"
-
-
-def _tolerances(cfg: dict) -> Tolerances:
-    return Tolerances(
-        identity_rel=cfg.get("identity_rel", 1e-6),
-        inequality_slack=cfg.get("inequality_slack", 1e-9),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +231,7 @@ CRBOUND_DEFAULTS = {
     "model": "gaussian-location", "n": 1, "sigma": 1.0,
     "q": 2.0, "alpha": 2.0, "beta": 2.0, "gamma": 1.0,
     "theta": 0.0, "trials": 0, "grid_count": 4001,
-    "inequality_slack": 1e-9, "identity_rel": 1e-6,
+    "inequality_slack": 1e-9, "seed": None,
 }
 
 
@@ -257,7 +250,8 @@ def cmd_crbound(args) -> int:
         est = EstimatorSpec(T=lambda coords: coords[0], h=lambda th: float(th[0]),
                             alpha=cfg["alpha"])
     theta = [cfg["theta"]]
-    rep = crm_bound_scalar(model, est, theta, _tolerances(cfg))
+    rep = crm_bound_scalar(model, est, theta,
+                           Tolerances(inequality_slack=cfg["inequality_slack"]))
     payload = {
         "lhs": rep.lhs,
         "rhs": rep.rhs,
@@ -271,7 +265,7 @@ def cmd_crbound(args) -> int:
     if cfg["trials"]:
         if "seed" not in cfg:
             raise UsageError("--seed is mandatory when trials > 0")
-        mc, se = mc_error_moment(model, est, theta, int(cfg["trials"]), int(cfg["seed"]))
+        mc, se = mc_error_moment(model, est, theta, cfg["trials"], cfg["seed"])
         payload["mc"], payload["mc_se"] = mc, se
         payload["mc_consistent"] = bool(mc > rep.rhs - 3.0 * se)
     _emit(_json_report(payload, cfg), args.output)
@@ -280,7 +274,7 @@ def cmd_crbound(args) -> int:
 
 QCR_DEFAULTS = {
     "q": 2.0, "alpha": 2.0, "beta": 2.0, "gamma": 1.0, "n": 1, "grid_count": 8001,
-    "inequality_slack": 1e-6, "identity_rel": 1e-6,
+    "inequality_slack": 1e-6,
 }
 
 
@@ -288,7 +282,8 @@ def cmd_qcr(args) -> int:
     cfg = resolve_config(args, QCR_DEFAULTS)
     g = grid_density(QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"]),
                      cfg["grid_count"])
-    rep = qcr_product(g, cfg["q"], cfg["alpha"], _tolerances(cfg))
+    rep = qcr_product(g, cfg["q"], cfg["alpha"],
+                      Tolerances(inequality_slack=cfg["inequality_slack"]))
     payload = {"product": rep.lhs, "dim": rep.rhs, "gap": rep.gap, "passed": rep.passed}
     payload.update(rep.extras)
     _emit(_json_report(payload, cfg), args.output)
@@ -298,7 +293,7 @@ def cmd_qcr(args) -> int:
 STAM_DEFAULTS = {
     "q": 1.0, "alpha": 2.0, "beta": 2.0, "gamma": 0.5, "n": 1,
     "grid_count": 8001, "perturbations": 0,
-    "inequality_slack": 1e-4, "identity_rel": 1e-6,
+    "inequality_slack": 1e-4, "seed": None,
 }
 
 
@@ -306,15 +301,15 @@ def cmd_stam(args) -> int:
     cfg = resolve_config(args, STAM_DEFAULTS)
     p = QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"])
     f = grid_density(p, cfg["grid_count"])
-    tol = _tolerances(cfg)
+    tol = Tolerances(inequality_slack=cfg["inequality_slack"])
     rep = stam_ratio(f, cfg["q"], cfg["beta"], tol)
     min_perturbed = None
     verdict = rep.passed
     if cfg["perturbations"]:
         if "seed" not in cfg:
             raise UsageError("--seed is mandatory when perturbations > 0")
-        batch = perturbation_batch(p, np.random.default_rng(int(cfg["seed"])),
-                                   int(cfg["perturbations"]), 5, "moment", moment_alpha(p),
+        batch = perturbation_batch(p, np.random.default_rng(cfg["seed"]),
+                                   cfg["perturbations"], 5, "moment", moment_alpha(p),
                                    min(cfg["grid_count"], 4001))
         min_perturbed = min(stam_ratio(fp, cfg["q"], cfg["beta"], tol).lhs for _, _, fp in batch)
         verdict = verdict and min_perturbed > 1.0
@@ -333,7 +328,7 @@ def cmd_stam(args) -> int:
 MINIMIZE_DEFAULTS = {
     "constraint": "moment", "q": 2.0, "alpha": 2.0, "beta": 2.0, "target": 0.2,
     "n": 1, "perturbations": 50, "grid_count": 4001,
-    "inequality_slack": 1e-6, "identity_rel": 1e-6,
+    "inequality_slack": 1e-6, "seed": None,
 }
 
 
@@ -341,14 +336,14 @@ def cmd_minimize(args) -> int:
     cfg = resolve_config(args, MINIMIZE_DEFAULTS)
     if "seed" not in cfg:
         raise UsageError("--seed is mandatory for minimize")
-    tol = _tolerances(cfg)
+    tol = Tolerances(inequality_slack=cfg["inequality_slack"])
     if cfg["constraint"] == "moment":
         rep = min_fisher_fixed_moment(cfg["q"], cfg["alpha"], cfg["target"], cfg["n"],
-                                      int(cfg["perturbations"]), int(cfg["seed"]),
+                                      cfg["perturbations"], cfg["seed"],
                                       cfg["grid_count"], tol)
     elif cfg["constraint"] in ("entropy-power", "entropy_power"):
         rep = min_fisher_fixed_entropy(cfg["q"], cfg["beta"], cfg["target"], cfg["n"],
-                                       int(cfg["perturbations"]), int(cfg["seed"]),
+                                       cfg["perturbations"], cfg["seed"],
                                        cfg["grid_count"], tol)
     else:
         raise UsageError(f"unknown constraint {cfg['constraint']!r} (moment, entropy-power)")
@@ -363,11 +358,7 @@ def cmd_minimize(args) -> int:
     return EXIT_PASS if rep.passed else EXIT_VERDICT
 
 
-REPRODUCE_DEFAULTS = {}
-
-
 def cmd_reproduce(args) -> int:
-    resolve_config(args, REPRODUCE_DEFAULTS)
     suite = AcceptanceSuite()
     results = suite.run_all()
     header = f"# config: seed={suite.seed}\n"
@@ -377,87 +368,32 @@ def cmd_reproduce(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+#: subcommand -> (handler, options table, help)
+SUBCOMMANDS = {
+    "info": (cmd_info, INFO_DEFAULTS, "scalar information functionals of a density"),
+    "diffuse": (cmd_diffuse, DIFFUSE_DEFAULTS, "doubly nonlinear diffusion run + de Bruijn check"),
+    "crbound": (cmd_crbound, CRBOUND_DEFAULTS, "generalized Cramer-Rao bound report"),
+    "qcr": (cmd_qcr, QCR_DEFAULTS, "q-Cramer-Rao product report"),
+    "stam": (cmd_stam, STAM_DEFAULTS, "generalized Stam inequality report"),
+    "minimize": (cmd_minimize, MINIMIZE_DEFAULTS, "minimum-Fisher variational certification"),
+    "reproduce": (cmd_reproduce, {}, "run the full acceptance suite"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfisher",
         description="q-entropies, generalized Fisher information, q-Gaussians, "
                     "nonlinear diffusion, and their identity/inequality checks.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="flat key = value configuration file")
+    for name, (handler, defaults, help_text) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--output", "-o", help="report path (default stdout)")
-        p.add_argument("--seed", type=int, help="RNG seed (mandatory for stochastic runs)")
-        p.add_argument("--identity-rel", dest="identity_rel", type=float)
-        p.add_argument("--inequality-slack", dest="inequality_slack", type=float)
-
-    p = sub.add_parser("info", help="scalar information functionals of a density")
-    add_common(p)
-    p.add_argument("--family", choices=["uniform", "gaussian", "qgaussian"])
-    for flag, typ in (("--q", float), ("--alpha", float), ("--beta", float),
-                      ("--gamma", float), ("--sigma", float), ("--lo", float),
-                      ("--hi", float)):
-        p.add_argument(flag, type=typ)
-    p.add_argument("--n", type=int)
-    p.add_argument("--grid-count", dest="grid_count", type=int)
-    p.set_defaults(handler=cmd_info)
-
-    p = sub.add_parser("diffuse", help="doubly nonlinear diffusion run + de Bruijn check")
-    add_common(p)
-    for flag, typ in (("--m", float), ("--beta", float), ("--alpha", float),
-                      ("--t0", float), ("--t-end", float), ("--sigma0", float),
-                      ("--grid-lo", float), ("--grid-hi", float)):
-        p.add_argument(flag, dest=flag.strip("-").replace("-", "_"), type=typ)
-    p.add_argument("--n", type=int)
-    p.add_argument("--init", choices=["barenblatt", "gaussian"])
-    p.add_argument("--grid-count", dest="grid_count", type=int)
-    p.add_argument("--n-logs", dest="n_logs", type=int)
-    p.set_defaults(handler=cmd_diffuse)
-
-    p = sub.add_parser("crbound", help="generalized Cramer-Rao bound report")
-    add_common(p)
-    p.add_argument("--model", choices=sorted(MODEL_REGISTRY))
-    for flag, typ in (("--sigma", float), ("--q", float), ("--alpha", float),
-                      ("--beta", float), ("--gamma", float), ("--theta", float)):
-        p.add_argument(flag, type=typ)
-    p.add_argument("--n", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--grid-count", dest="grid_count", type=int)
-    p.set_defaults(handler=cmd_crbound)
-
-    p = sub.add_parser("qcr", help="q-Cramer-Rao product report")
-    add_common(p)
-    for flag, typ in (("--q", float), ("--alpha", float), ("--beta", float),
-                      ("--gamma", float)):
-        p.add_argument(flag, type=typ)
-    p.add_argument("--n", type=int)
-    p.add_argument("--grid-count", dest="grid_count", type=int)
-    p.set_defaults(handler=cmd_qcr)
-
-    p = sub.add_parser("stam", help="generalized Stam inequality report")
-    add_common(p)
-    for flag, typ in (("--q", float), ("--alpha", float), ("--beta", float),
-                      ("--gamma", float)):
-        p.add_argument(flag, type=typ)
-    p.add_argument("--n", type=int)
-    p.add_argument("--grid-count", dest="grid_count", type=int)
-    p.add_argument("--perturbations", type=int)
-    p.set_defaults(handler=cmd_stam)
-
-    p = sub.add_parser("minimize", help="minimum-Fisher variational certification")
-    add_common(p)
-    p.add_argument("--constraint", choices=["moment", "entropy-power"])
-    for flag, typ in (("--q", float), ("--alpha", float), ("--beta", float),
-                      ("--target", float)):
-        p.add_argument(flag, type=typ)
-    p.add_argument("--n", type=int)
-    p.add_argument("--perturbations", type=int)
-    p.add_argument("--grid-count", dest="grid_count", type=int)
-    p.set_defaults(handler=cmd_minimize)
-
-    p = sub.add_parser("reproduce", help="run the full acceptance suite")
-    add_common(p)
-    p.set_defaults(handler=cmd_reproduce)
+        if defaults:
+            p.add_argument("--config", help="flat key = value configuration file")
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), type=_option_type(default))
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -38,10 +38,6 @@ class Tolerances:
             raise ValueError("tolerances must be strictly positive")
 
     @classmethod
-    def for_quadrature(cls) -> "Tolerances":
-        return cls(identity_rel=1e-6)
-
-    @classmethod
     def for_pde(cls) -> "Tolerances":
         return cls(identity_rel=1e-2)
 

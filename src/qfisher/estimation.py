@@ -198,7 +198,7 @@ def _equality_residual_scalar(model, est, theta, psi, g):
 
 
 def crm_bound_scalar(model: ParametricModel, est: EstimatorSpec, theta,
-                     tol: Tolerances | None = None) -> VerificationReport:
+                     tol: Tolerances = Tolerances()) -> VerificationReport:
     """Scalar bound: E_g[|T-h|^alpha]^(1/alpha) >= |eta'| / E_g[|psi|^beta]^(1/beta).
 
     Reports the two sides, their gap, the optimal equality-condition
@@ -206,7 +206,6 @@ def crm_bound_scalar(model: ParametricModel, est: EstimatorSpec, theta,
     """
     if model.dim_theta != 1:
         raise ValueError("scalar bound requires dim_theta = 1")
-    tol = tol or Tolerances.for_quadrature()
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     g = model.g_values(theta)
     psi = score_g(model, theta)[0]
@@ -253,13 +252,12 @@ def _inv_fisher(J: np.ndarray) -> np.ndarray:
 
 
 def crm_bound_quadratic(model: ParametricModel, est: EstimatorSpec, theta,
-                        tol: Tolerances | None = None) -> VerificationReport:
+                        tol: Tolerances = Tolerances()) -> VerificationReport:
     """Quadratic multivariate bound E_g[|T-h|^2] >= eta'^T J_g^-1 eta'
     (alpha = beta = 2), with the equality-condition residual of
     |T-h| = k |eta'^T J^-1 psi| minimized over k > 0."""
     if est.alpha != 2.0:
         raise ValueError("quadratic bound requires alpha = 2")
-    tol = tol or Tolerances.for_quadrature()
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     g = model.g_values(theta)
     psi = score_g(model, theta)
@@ -333,7 +331,7 @@ def mc_error_moment(model: ParametricModel, est: EstimatorSpec, theta,
 
 
 def qcr_product(g: GridDensity, q: float, alpha: float,
-                tol: Tolerances | None = None) -> VerificationReport:
+                tol: Tolerances = Tolerances()) -> VerificationReport:
     """q-Cramer-Rao product q E_g[||X||^alpha]^(1/alpha) I(beta,q)[g]^(1/beta),
     asserted >= n (= dim of g); equality holds exactly at generalized
     q-Gaussians.  The density is recentered (with a warning) if its mean is
@@ -341,7 +339,6 @@ def qcr_product(g: GridDensity, q: float, alpha: float,
     outside the 1/beta power and the discrepancy factor between the two."""
     if alpha <= 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    tol = tol or Tolerances.for_quadrature()
     beta = alpha / (alpha - 1.0)
     g, shift = recenter(g)
     if np.any(shift != 0):

@@ -46,7 +46,7 @@ def stam_product(f: GridDensity, q: float, beta: float) -> float:
 
 
 def stam_ratio(f: GridDensity, q: float, beta: float,
-               tol: Tolerances | None = None) -> VerificationReport:
+               tol: Tolerances = Tolerances()) -> VerificationReport:
     """Stam product of f over the product of the reference q-Gaussian,
     asserted >= 1 (equality exactly on the q-Gaussian family).
 
@@ -57,7 +57,6 @@ def stam_ratio(f: GridDensity, q: float, beta: float,
     exact equality point the verdict is quadrature-limited, so pass a slack
     at the quadrature error level rather than the default 1e-9.
     """
-    tol = tol or Tolerances.for_quadrature()
     n = f.dim
     alpha = beta / (beta - 1.0)
     if not stam_hypothesis_ok(q, beta, n):
@@ -132,11 +131,10 @@ def _gap_exponent(fit_rows, i_ref):
 def min_fisher_fixed_moment(q: float, alpha: float, target_m: float, n: int = 1,
                             perturbation_count: int = 50, seed: int = 0,
                             grid_count: int = 8001,
-                            tol: Tolerances | None = None) -> VerificationReport:
+                            tol: Tolerances = Tolerances()) -> VerificationReport:
     """q-Gaussians minimize I(beta, q) among densities with a fixed
     alpha-moment: solve gamma for the target moment, then check
     I[G] <= I[perturbed] + slack over a randomized same-moment batch."""
-    tol = tol or Tolerances.for_quadrature()
     beta = alpha / (alpha - 1.0)
     base = QGaussianParams(q, alpha, 1.0, n)
     gamma = gamma_for_moment(base, target_m)
@@ -162,10 +160,9 @@ def min_fisher_fixed_moment(q: float, alpha: float, target_m: float, n: int = 1,
 def min_fisher_fixed_entropy(q: float, beta: float, target_n: float, n: int = 1,
                              perturbation_count: int = 50, seed: int = 0,
                              grid_count: int = 8001,
-                             tol: Tolerances | None = None) -> VerificationReport:
+                             tol: Tolerances = Tolerances()) -> VerificationReport:
     """q-Gaussians minimize I(beta, q) among densities with a fixed q-entropy
     power (the constraint is restored by dilation, N_q ~ c^2)."""
-    tol = tol or Tolerances.for_quadrature()
     alpha = beta / (beta - 1.0)
     base = QGaussianParams(q, alpha, 1.0, n)
     gamma = gamma_for_entropy_power(base, target_n)

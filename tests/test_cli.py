@@ -9,6 +9,8 @@ from qfisher.cli import (
     EXIT_NUMERICAL,
     EXIT_PASS,
     EXIT_USAGE,
+    SUBCOMMANDS,
+    build_parser,
     main,
     read_config_file,
 )
@@ -81,6 +83,106 @@ class TestConfigFile:
             code, _, err = run_cli(capsys, "qcr", "--config", str(cfg))
             assert code == EXIT_USAGE
             assert "unknown config keys" in err
+
+
+    def test_file_values_take_the_flag_types(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("q = 2\ngamma = 1\n")
+        from_file = run_cli(capsys, "qcr", "--config", str(cfg), "--grid-count", "2001")
+        from_flags = run_cli(capsys, "qcr", "--q", "2", "--gamma", "1", "--grid-count", "2001")
+        assert from_file == from_flags and from_file[0] == EXIT_PASS
+        assert json.loads(from_file[1])["config"]["q"] == 2.0
+
+    @pytest.mark.parametrize("line", ["q = abc", "n = 1.5", "grid_count = 2e3"])
+    def test_unconvertible_value_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "qcr", "--config", str(cfg))
+        key = line.split(" =")[0]
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and repr(key) in err
+
+    def test_seed_key_only_where_read(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.conf"
+        cfg.write_text("seed = 5\n")
+        code, _, err = run_cli(capsys, "qcr", "--config", str(cfg))
+        assert code == EXIT_USAGE and "unknown config keys" in err
+        code, out, _ = run_cli(capsys, "stam", "--config", str(cfg), "--grid-count", "2001")
+        assert code == EXIT_PASS and json.loads(out)["config"]["seed"] == 5
+        code, out, _ = run_cli(capsys, "stam", "--grid-count", "2001")
+        assert code == EXIT_PASS and "seed" not in json.loads(out)["config"]
+
+
+F, I, S = float, int, str
+#: every subcommand's options and their value types
+OPTIONS = {
+    "info": dict(family=S, q=F, alpha=F, beta=F, gamma=F, n=I, lo=F, hi=F, sigma=F,
+                 grid_count=I),
+    "diffuse": dict(m=F, beta=F, alpha=F, n=I, init=S, t0=F, t_end=F, sigma0=F, grid_lo=F,
+                    grid_hi=F, grid_count=I, n_logs=I, identity_rel=F, inequality_slack=F),
+    "crbound": dict(model=S, n=I, sigma=F, q=F, alpha=F, beta=F, gamma=F, theta=F, trials=I,
+                    grid_count=I, inequality_slack=F, seed=I),
+    "qcr": dict(q=F, alpha=F, beta=F, gamma=F, n=I, grid_count=I, inequality_slack=F),
+    "stam": dict(q=F, alpha=F, beta=F, gamma=F, n=I, grid_count=I, perturbations=I,
+                 inequality_slack=F, seed=I),
+    "minimize": dict(constraint=S, q=F, alpha=F, beta=F, target=F, n=I, perturbations=I,
+                     grid_count=I, inequality_slack=F, seed=I),
+    "reproduce": {},
+}
+SAMPLE = {F: "0.5", I: "3", S: "x"}
+ALL_KEYS = set().union(*OPTIONS.values(), {"config", "seed", "identity_rel", "inequality_slack"})
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS))
+class TestOptionsTable:
+    """A subcommand accepts exactly the keys of its options table, plus
+    --output and, where it has options, --config."""
+
+    def test_table_is_the_option_list(self, name):
+        assert set(SUBCOMMANDS[name][1]) == set(OPTIONS[name])
+
+    def test_accepts_table_keys_with_their_types(self, name):
+        parser = build_parser()
+        assert parser.parse_args([name, "-o", "r.json"]).output == "r.json"
+        if OPTIONS[name]:
+            assert parser.parse_args([name, "--config", "f"]).config == "f"
+        for key, typ in OPTIONS[name].items():
+            value = getattr(parser.parse_args([name, flag(key), SAMPLE[typ]]), key)
+            assert type(value) is typ and value == typ(SAMPLE[typ])
+
+    def test_rejects_every_other_key(self, name):
+        parser = build_parser()
+        others = ALL_KEYS - set(OPTIONS[name]) - ({"config"} if OPTIONS[name] else set())
+        abbreviations = ({flag(k)[:-1] for k in OPTIONS[name] if len(k) > 2}
+                         - {flag(k) for k in ALL_KEYS})
+        for option in sorted({flag(k) for k in others} | abbreviations):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([name, option, "1"])
+            assert exc.value.code == EXIT_USAGE, option
+        for key, typ in OPTIONS[name].items():
+            if typ is I:
+                with pytest.raises(SystemExit):
+                    parser.parse_args([name, flag(key), "1.5"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--inequality-slack", "5"],
+    ["qcr", "--identity-rel", "0.5"],
+    ["qcr", "--seed", "5"],
+    ["diffuse", "--seed", "5"],
+    ["reproduce", "--seed", "5"],
+    ["reproduce", "--config", "f"],
+], ids=" ".join)
+def test_unread_option_rejected(argv, capsys, tmp_path):
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "-o", str(out_path))
+    assert code == EXIT_USAGE and out == ""
+    assert "unrecognized arguments" in err
+    assert not out_path.exists()
 
 
 class TestUsageErrors:

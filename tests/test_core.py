@@ -200,7 +200,6 @@ class TestTolerances:
         t = Tolerances()
         assert t.identity_rel == 1e-6 and t.inequality_slack == 1e-9
         assert Tolerances.for_pde().identity_rel == 1e-2
-        assert Tolerances.for_quadrature().identity_rel == 1e-6
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
