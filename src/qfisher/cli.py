@@ -4,8 +4,9 @@ Subcommands: info, diffuse, crbound, qcr, stam, minimize, reproduce.  A
 subcommand's *_DEFAULTS dict is the one declaration of its options: key
 `some_key` is the flag `--some-key` and the config-file key `some_key`, and
 a value from either takes the default's type.  No other flag or key is
-accepted; `--seed` exists only on crbound, stam and minimize, and
-`reproduce` (pinned suite seed) takes only -o.  A flat key = value file
+accepted; `--seed` exists only on crbound, stam and minimize (on the first
+two, exactly when trials or perturbations > 0), and `reproduce` (pinned
+suite seed) takes only -o.  A flat key = value file
 (--config) is overridden by flags; every report embeds the fully resolved
 configuration.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
@@ -112,6 +113,15 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     return {k: v for k, v in cfg.items() if v is not None}
 
 
+def _check_seed(cfg: dict, count_key: str):
+    """A seed is given exactly when cfg[count_key] > 0 draws random numbers:
+    missing then, or given when nothing reads it, is a usage error."""
+    if cfg[count_key] and "seed" not in cfg:
+        raise UsageError(f"--seed is mandatory when {count_key} > 0")
+    if not cfg[count_key] and "seed" in cfg:
+        raise UsageError(f"seed = {cfg['seed']} is never read: {count_key} = 0 draws nothing")
+
+
 def _emit(text: str, output_path):
     if output_path:
         with open(output_path, "w", newline="\n") as fh:
@@ -191,6 +201,8 @@ def cmd_diffuse(args) -> int:
     cfg = resolve_config(args, DIFFUSE_DEFAULTS)
     if not args.output:
         raise UsageError("diffuse requires --output for the trajectory CSV")
+    if cfg["n"] != 1:
+        raise UsageError(f"diffuse runs on a 1-D grid only, got n = {cfg['n']}")
     dp = DiffusionParams(cfg["m"], cfg["beta"], cfg["n"])
     ax = Axis(cfg["grid_lo"], cfg["grid_hi"], cfg["grid_count"])
     if cfg["init"] == "barenblatt":
@@ -237,6 +249,7 @@ CRBOUND_DEFAULTS = {
 
 def cmd_crbound(args) -> int:
     cfg = resolve_config(args, CRBOUND_DEFAULTS)
+    _check_seed(cfg, "trials")
     name = cfg["model"]
     if name not in MODEL_REGISTRY:
         raise UsageError(f"unknown model {name!r}; registry: {sorted(MODEL_REGISTRY)}")
@@ -263,8 +276,6 @@ def cmd_crbound(args) -> int:
         "mc_se": None,
     }
     if cfg["trials"]:
-        if "seed" not in cfg:
-            raise UsageError("--seed is mandatory when trials > 0")
         mc, se = mc_error_moment(model, est, theta, cfg["trials"], cfg["seed"])
         payload["mc"], payload["mc_se"] = mc, se
         payload["mc_consistent"] = bool(mc > rep.rhs - 3.0 * se)
@@ -299,6 +310,7 @@ STAM_DEFAULTS = {
 
 def cmd_stam(args) -> int:
     cfg = resolve_config(args, STAM_DEFAULTS)
+    _check_seed(cfg, "perturbations")
     p = QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"])
     f = grid_density(p, cfg["grid_count"])
     tol = Tolerances(inequality_slack=cfg["inequality_slack"])
@@ -306,8 +318,6 @@ def cmd_stam(args) -> int:
     min_perturbed = None
     verdict = rep.passed
     if cfg["perturbations"]:
-        if "seed" not in cfg:
-            raise UsageError("--seed is mandatory when perturbations > 0")
         batch = perturbation_batch(p, np.random.default_rng(cfg["seed"]),
                                    cfg["perturbations"], 5, "moment", moment_alpha(p),
                                    min(cfg["grid_count"], 4001))

@@ -8,8 +8,15 @@ gamma > 0:
 
 Compact support for q > 1, power tails for q < 1 (integrable when
 alpha/(1-q) > n), stretched exponential at q = 1.  Normalizations and
-alpha-moments are closed Beta/Gamma integrals; every closed form is
-cross-checked against adaptive radial quadrature.
+alpha-moments are closed Beta/Gamma integrals; every normalization is
+cross-checked against a double-exponential radial rule (tanh-sinh on the
+support for q > 1, exp-sinh on [0, inf) for q <= 1) on a fixed node set.
+The Barenblatt constant C and the reference scales from `gamma_for_*` keep
+scipy's `quad` and `brentq`: their exact bits are pinned by the `reproduce`
+summary.
+
+scipy is imported inside the functions that use it, so that a command
+loads only the submodules its path reaches.
 """
 
 from __future__ import annotations
@@ -19,10 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as sp_integrate
-from scipy import interpolate as sp_interpolate
-from scipy import optimize as sp_optimize
-from scipy import special as sp_special
 
 from .core import Axis, GridDensity, normalize, sphere_surface
 
@@ -72,6 +75,8 @@ def support_radius(p: QGaussianParams) -> float:
 def tail_radius(p: QGaussianParams, tail_mass: float = DEFAULT_TAIL_MASS) -> float:
     """Radius enclosing all probability mass except `tail_mass`, from the
     analytic radial CDF (incomplete Beta/Gamma)."""
+    from scipy import special as sp_special
+
     n_a = p.dim / p.alpha
     if p.q > 1:
         u = sp_special.betaincinv(n_a, 1.0 / (p.q - 1.0) + 1.0, 1.0 - tail_mass)
@@ -97,7 +102,9 @@ def radial_profile(p: QGaussianParams, r) -> np.ndarray:
 @lru_cache(maxsize=256)
 def normalization(p: QGaussianParams) -> float:
     """Normalization constant Z = int (profile) dx, in closed Beta/Gamma form,
-    cross-checked against adaptive radial quadrature to 1e-8 relative."""
+    cross-checked against the double-exponential radial rule to 1e-8 relative."""
+    from scipy import special as sp_special
+
     n, a, g, q = p.dim, p.alpha, p.gamma, p.q
     omega = sphere_surface(n)
     if q > 1:
@@ -108,24 +115,64 @@ def normalization(p: QGaussianParams) -> float:
         s_bar = 1.0 / (1.0 - q)
         z = omega / a * ((1.0 - q) * g) ** (-n / a) * sp_special.beta(n / a, s_bar - n / a)
     z_quad = _radial_mass_quad(p)
-    if abs(z - z_quad) > 1e-8 * abs(z):
+    if not abs(z - z_quad) <= 1e-8 * abs(z):  # a NaN fails too
         raise ArithmeticError(
             f"normalization cross-check failed: closed form {z!r} vs quadrature {z_quad!r}"
         )
     return float(z)
 
 
+#: log of y^alpha past which (1 + y^alpha)^-s is y^(-alpha s) to 1e-17 relative
+_FAR_LOG = 17.0 * math.log(10.0)
+
+
+def _double_exponential_rules():
+    """Fixed nodes of two double-exponential rules, u = (pi/2) sinh t on a
+    uniform t-grid of step 1/64.
+
+    tanh-sinh on [0, 1]: x = (1 + tanh u)/2 for |t| <= 3.2, dropping the
+    nodes that round onto 1.  exp-sinh on [0, inf): y = e^u for
+    -4 <= t <= 10, with y tabulated only while u < _FAR_LOG (which covers
+    y^alpha < 1e17 for every alpha > 1), so that no node overflows; past
+    that the caller works with u alone.  Returns (x, x weights, u, y,
+    u weights), the u weights being step du/dt."""
+    step = 1.0 / 64
+    t = step * np.arange(round(-3.2 / step), round(3.2 / step) + 1)
+    u = 0.5 * np.pi * np.sinh(t)
+    x = 1.0 / (1.0 + np.exp(-2.0 * u))
+    wx = step * 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    t = step * np.arange(round(-4.0 / step), round(10.0 / step) + 1)
+    u = 0.5 * np.pi * np.sinh(t)
+    return x[x < 1.0], wx[x < 1.0], u, np.exp(u[u < _FAR_LOG]), step * 0.5 * np.pi * np.cosh(t)
+
+
+_TS_X, _TS_W, _ES_U, _ES_Y, _ES_DU = _double_exponential_rules()
+
+
 def _radial_mass_quad(p: QGaussianParams) -> float:
-    omega = sphere_surface(p.dim)
-    upper = support_radius(p)
-    if not math.isfinite(upper):
-        upper = np.inf
+    """Z by a double-exponential rule: tanh-sinh on [0, R] for q > 1, and
+    exp-sinh on [0, inf) for q <= 1 in the variable y = r / r_s, where
+    c r_s^alpha = 1 for c the coefficient of r^alpha in the profile.
 
-    def integrand(r):
-        return radial_profile(p, r) * r ** (p.dim - 1)
-
-    val, _ = sp_integrate.quad(integrand, 0.0, upper, limit=200)
-    return omega * val
+    Past y^alpha = 1e17 the q < 1 profile is its power tail y^(-alpha s),
+    s = 1/(1-q), to 1e-17 relative; those nodes are summed in log form,
+    since the profile underflows long before a heavy tail's mass is spent.
+    The q = 1 profile is exp(-1e17) = 0 there."""
+    tail = 0.0
+    if p.q > 1:
+        radius = support_radius(p)
+        r, w = radius * _TS_X, radius * _TS_W
+    else:
+        c = (1.0 - p.q) * p.gamma if p.q < 1 else p.gamma
+        radius = c ** (-1.0 / p.alpha)
+        near = np.searchsorted(_ES_U, _FAR_LOG / p.alpha)
+        r = radius * _ES_Y[:near]
+        w = r * _ES_DU[:near]
+        if p.q < 1:
+            decay = p.alpha / (1.0 - p.q) - p.dim
+            tail = radius ** p.dim * np.sum(_ES_DU[near:] * np.exp(-decay * _ES_U[near:]))
+    bulk = np.sum(w * radial_profile(p, r) * r ** (p.dim - 1))
+    return float(sphere_surface(p.dim) * (bulk + tail))
 
 
 def pdf(p: QGaussianParams, x) -> np.ndarray:
@@ -159,7 +206,10 @@ def moment_alpha(p: QGaussianParams) -> float:
 
 def gamma_for_moment(p: QGaussianParams, target_moment: float) -> float:
     """Scale gamma such that E||X||^alpha = target (root find on the monotone
-    map gamma -> moment; the scaling law moment ~ 1/gamma makes this 1-D)."""
+    map gamma -> moment; the scaling law moment ~ 1/gamma makes this 1-D).
+    The root find is scipy's `brentq`, whose bits reach `reproduce`."""
+    from scipy import optimize as sp_optimize
+
     if target_moment <= 0:
         raise ValueError("target moment must be positive")
     base = moment_alpha(QGaussianParams(p.q, p.alpha, 1.0, p.dim))
@@ -198,6 +248,9 @@ def grid_density(p: QGaussianParams, count: int = 4001, tail_mass: float = DEFAU
 
 def _radial_inverse_cdf(p: QGaussianParams):
     """Monotone-cubic inverse of the radial CDF, tabulated on CDF_KNOTS."""
+    from scipy import integrate as sp_integrate
+    from scipy import interpolate as sp_interpolate
+
     r_max = tail_radius(p, DEFAULT_TAIL_MASS)
     r = np.linspace(0.0, r_max, CDF_KNOTS)
     dens = radial_profile(p, r) * r ** (p.dim - 1)
@@ -277,7 +330,10 @@ def closed_form_stam_product(p: QGaussianParams) -> float:
 
 
 def gamma_for_entropy_power(p: QGaussianParams, target_n: float) -> float:
-    """Scale gamma so N_q[G] = target (root find; N ~ gamma^(-2/alpha))."""
+    """Scale gamma so N_q[G] = target (root find; N ~ gamma^(-2/alpha)),
+    by scipy's `brentq` as in `gamma_for_moment`."""
+    from scipy import optimize as sp_optimize
+
     if target_n <= 0:
         raise ValueError("target entropy power must be positive")
     base = closed_form_entropy_power(QGaussianParams(p.q, p.alpha, 1.0, p.dim))
@@ -379,7 +435,12 @@ def barenblatt(dp: DiffusionParams, C: float, x, t: float) -> np.ndarray:
 
 
 def barenblatt_mass(dp: DiffusionParams, C: float) -> float:
-    """Total mass of the profile B, by adaptive radial quadrature."""
+    """Total mass of the profile B, by adaptive radial quadrature.  This is
+    scipy's `quad`, not the double-exponential rule of `normalization`: the
+    constant C found from it reaches the `reproduce` summary, whose bytes
+    are pinned."""
+    from scipy import integrate as sp_integrate
+
     if C <= 0:
         raise ValueError("C must be positive")
     omega = sphere_surface(dp.dim)
@@ -398,6 +459,8 @@ def barenblatt_mass(dp: DiffusionParams, C: float) -> float:
 def barenblatt_mass_constant(dp: DiffusionParams, mass: float = 1.0) -> float:
     """The constant C giving the profile total mass `mass`, by 1-D root
     finding on the monotone map C -> mass(C) (tolerance 1e-10 on mass)."""
+    from scipy import optimize as sp_optimize
+
     if mass <= 0:
         raise ValueError("mass must be positive")
 

@@ -107,7 +107,8 @@ class TestConfigFile:
         cfg.write_text("seed = 5\n")
         code, _, err = run_cli(capsys, "qcr", "--config", str(cfg))
         assert code == EXIT_USAGE and "unknown config keys" in err
-        code, out, _ = run_cli(capsys, "stam", "--config", str(cfg), "--grid-count", "2001")
+        code, out, _ = run_cli(capsys, "stam", "--config", str(cfg), "--grid-count", "2001",
+                               "--perturbations", "2")
         assert code == EXIT_PASS and json.loads(out)["config"]["seed"] == 5
         code, out, _ = run_cli(capsys, "stam", "--grid-count", "2001")
         assert code == EXIT_PASS and "seed" not in json.loads(out)["config"]
@@ -185,6 +186,25 @@ def test_unread_option_rejected(argv, capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, count_key", [
+    (["stam", "--grid-count", "2001"], "perturbations"),
+    (["crbound"], "trials"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_seed_refused_when_nothing_draws(argv, count_key, source, capsys, tmp_path):
+    out_path = tmp_path / "out"
+    if source == "flag":
+        extra = ["--seed", "5"]
+    else:
+        cfg = tmp_path / "seed.conf"
+        cfg.write_text(f"seed = 5\n{count_key} = 0\n")
+        extra = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv, *extra, "-o", str(out_path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error:") and "seed = 5" in err and count_key in err
+    assert not out_path.exists()
+
+
 class TestUsageErrors:
     def test_missing_seed_for_mc(self, capsys):
         code, _, err = run_cli(capsys, "crbound", "--trials", "100")
@@ -246,6 +266,17 @@ class TestDiffuse:
     def test_requires_output(self, capsys):
         code, _, err = run_cli(capsys, "diffuse")
         assert code == EXIT_USAGE and "output" in err
+
+    def test_refuses_n_other_than_1(self, capsys, tmp_path):
+        # the grid is 1-D whatever n says: n = 2 used to run the 1-D problem
+        out_path = tmp_path / "traj.csv"
+        code, out, err = run_cli(capsys, "diffuse", "--n", "2", "--init", "gaussian",
+                                 "--t0", "0", "--t-end", "0.1", "--grid-lo", "-10",
+                                 "--grid-hi", "10", "--grid-count", "401",
+                                 "-o", str(out_path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and "n = 2" in err
+        assert not out_path.exists()
 
 
 class TestCrbound:

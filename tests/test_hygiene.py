@@ -1,12 +1,19 @@
 """Source hygiene: no module of the package imports a name it never uses or
-defines a private module-level name it never references."""
+defines a private module-level name it never references, and no command
+loads scipy submodules its path does not use."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qfisher"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qfisher"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -75,3 +82,82 @@ def test_detects_unused_private_name():
 
 def test_modules_found():
     assert {"perturb.py", "cli.py", "acceptance.py"} <= {p.name for p in MODULES}
+
+
+def import_time_imports(source: str) -> list[str]:
+    """Modules imported when the module itself is imported: every import
+    outside a function body (module level, under if/try, in class bodies)."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append(child.module)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    # scipy is imported inside the functions that use it
+    assert [m for m in import_time_imports(path.read_text()) if m.split(".")[0] == "scipy"] == []
+
+
+def test_detects_module_level_import():
+    source = ("import numpy as np\nfrom scipy import special\n"
+              "try:\n    import scipy.optimize\nexcept ImportError:\n    pass\n"
+              "class K:\n    from scipy.integrate import quad\n"
+              "def f():\n    from scipy import interpolate\n")
+    assert import_time_imports(source) == ["numpy", "scipy", "scipy.optimize", "scipy.integrate"]
+
+
+#: prints, as JSON, the scipy modules loaded by the command in argv[1:]
+#: (an empty argv: by importing qfisher and qfisher.cli alone)
+_PROBE = """
+import contextlib, io, json, sys
+import qfisher, qfisher.cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qfisher.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_modules_loaded(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+def readme_command(name: str) -> list[str]:
+    """The argv of the README's example line for subcommand `name`."""
+    match = re.search(rf"^qfisher ({name} .*)$", (ROOT / "README.md").read_text(), re.M)
+    return match.group(1).split()
+
+
+def test_bare_import_loads_no_scipy():
+    assert scipy_modules_loaded() == set()
+
+
+@pytest.mark.parametrize("name", ["info", "qcr", "stam"])
+def test_closed_form_commands_load_only_scipy_special(name):
+    loaded = scipy_modules_loaded(*readme_command(name))
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+
+
+def test_gaussian_location_crbound_loads_no_scipy():
+    argv = readme_command("crbound")
+    assert argv[argv.index("--model") + 1] == "gaussian-location"
+    assert scipy_modules_loaded(*argv) == set()

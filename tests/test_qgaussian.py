@@ -1,10 +1,13 @@
 """q-Gaussian family and Barenblatt profile tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 from scipy import stats
 
+from qfisher import qgaussian
 from qfisher.core import Axis, integrate
 from qfisher.qgaussian import (
     DiffusionParams,
@@ -21,6 +24,7 @@ from qfisher.qgaussian import (
     gamma_for_moment,
     grid_density,
     moment_alpha,
+    _radial_mass_quad,
     normalization,
     pdf,
     sample,
@@ -83,6 +87,74 @@ class TestPdfAndNormalization:
             kwargs.update(bad)
             with pytest.raises(ValueError):
                 QGaussianParams(**kwargs)
+
+
+class TestCrossCheckQuadrature:
+    """The double-exponential rule behind the normalization cross-check,
+    against the closed form and against scipy's adaptive quad."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95, 1.0, 1.05, 1.5, 2.0, 5.0, 11.0])
+    def test_sweep_matches_closed_form_and_quad(self, q):
+        worst_closed = worst_quad = 0.0
+        for alpha, n, gamma in itertools.product([1.1, 2.0, 3.5, 8.0], [1, 2, 3, 5],
+                                                 [0.01, 1.0, 100.0]):
+            try:
+                p = QGaussianParams(q, alpha, gamma, n)
+            except ValueError:  # not integrable
+                continue
+            # no node may overflow or meet 0 * inf on the way to the sum
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                z_de = _radial_mass_quad(p)
+            z = normalization(p)
+            worst_closed = max(worst_closed, abs(z_de - z) / z)
+            # quad itself misses by up to 2e-4 on the steepest profiles
+            # (gamma = 100) and its oracle here knows n <= 3 only
+            if gamma < 100 and n <= 3:
+                worst_quad = max(worst_quad, abs(z_de - quad_oracle(p)) / z)
+        assert worst_closed < 1e-12
+        assert worst_quad < 1e-8
+
+    @pytest.mark.parametrize("q, alpha, n", [
+        (0.01, 1.001, 1),   # alpha/(1-q) = 1.011: tail ~ r^-1.011
+        (0.35, 2.0, 3),     # alpha/(1-q) = 3.08 against n = 3
+        (0.5, 1.1, 2),      # alpha/(1-q) = 2.2 against n = 2
+    ])
+    def test_heavy_tail_near_the_integrability_bound(self, q, alpha, n):
+        # most of the mass lies where the profile underflows: summed from
+        # the power tail in log form
+        p = QGaussianParams(q, alpha, 1.0, n)
+        z = normalization(p)
+        assert _radial_mass_quad(p) == pytest.approx(z, rel=1e-12)
+        assert quad_oracle(p) == pytest.approx(z, rel=1e-8)
+
+    def test_steep_compact_profile_accepted(self):
+        # scipy's quad missed this Z by 9e-7, so the check refused valid parameters
+        p = QGaussianParams(5.0, 1.1, 100.0, 2)
+        assert _radial_mass_quad(p) == pytest.approx(normalization(p), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [P_COMPACT, P_GAUSS, QGaussianParams(0.5, 1.1, 1.0, 2)],
+                             ids=["compact", "gauss", "heavy"])
+    @pytest.mark.parametrize("fault", [1.0 + 1e-7, np.nan], ids=["scaled", "nan"])
+    def test_faulty_profile_fails_the_check(self, monkeypatch, p, fault):
+        # negative control: a profile off by 1e-7 relative, or NaN at one
+        # node, must not pass for the closed form
+        profile = qgaussian.radial_profile
+
+        def faulty(params, r):
+            values = np.array(profile(params, r), dtype=float)
+            if np.isnan(fault):
+                values.flat[values.size // 2] = np.nan
+            else:
+                values *= fault
+            return values
+
+        normalization.cache_clear()
+        monkeypatch.setattr(qgaussian, "radial_profile", faulty)
+        try:
+            with pytest.raises(ArithmeticError, match="cross-check failed"):
+                normalization(p)
+        finally:
+            normalization.cache_clear()
 
 
 class TestMoments:
