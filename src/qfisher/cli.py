@@ -6,9 +6,10 @@ subcommand's *_DEFAULTS dict is the one declaration of its options: key
 a value from either takes the default's type.  No other flag or key is
 accepted; `--seed` exists only on crbound, stam and minimize (on the first
 two, exactly when trials or perturbations > 0), and `reproduce` (pinned
-suite seed) takes only -o.  A flat key = value file
-(--config) is overridden by flags; every report embeds the fully resolved
-configuration.
+suite seed) takes only -o.  A count below its least value (LEAST_COUNT;
+minimize needs perturbations >= 1) or an even grid count is refused.  A
+flat key = value file (--config) is overridden by flags; every report
+embeds the fully resolved configuration.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
 emitted with sorted keys and shortest round-trip floats, CSV with 17
 significant digits and '.' decimal.
@@ -110,7 +111,22 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
             cfg["beta"] = cfg["alpha"] / (cfg["alpha"] - 1.0)
         elif "beta" in explicit:
             cfg["alpha"] = cfg["beta"] / (cfg["beta"] - 1.0)
+    _check_counts(cfg)
     return {k: v for k, v in cfg.items() if v is not None}
+
+
+#: least value of each count option; a grid count must also be odd
+#: (composite Simpson) and n_logs gives the centered differences of dS/dt
+LEAST_COUNT = {"grid_count": 3, "n_logs": 3, "perturbations": 0, "trials": 0}
+
+
+def _check_counts(cfg: dict, least: dict = LEAST_COUNT):
+    """A count option below its least value, or an even grid count, is a
+    usage error naming the key."""
+    for key, low in least.items():
+        if key in cfg and (cfg[key] < low or key == "grid_count" and cfg[key] % 2 == 0):
+            odd = "odd and " if key == "grid_count" else ""
+            raise UsageError(f"{key} must be {odd}>= {low}, got {cfg[key]}")
 
 
 def _check_seed(cfg: dict, count_key: str):
@@ -344,6 +360,7 @@ MINIMIZE_DEFAULTS = {
 
 def cmd_minimize(args) -> int:
     cfg = resolve_config(args, MINIMIZE_DEFAULTS)
+    _check_counts(cfg, {"perturbations": 1})
     if "seed" not in cfg:
         raise UsageError("--seed is mandatory for minimize")
     tol = Tolerances(inequality_slack=cfg["inequality_slack"])

@@ -8,6 +8,7 @@ through radially symmetric reduction (see :func:`integrate_radial`).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -131,12 +132,20 @@ def _check_finite(arr, axes):
     raise NonFiniteError(f"non-finite value {arr[idx]} at node index {idx}, x = {coords}")
 
 
+@functools.lru_cache(maxsize=3)
 def simpson_weights(axis: Axis) -> np.ndarray:
-    """Composite Simpson weights (h/3)*[1, 4, 2, 4, ..., 2, 4, 1]."""
+    """Composite Simpson weights (h/3)*[1, 4, 2, 4, ..., 2, 4, 1].
+
+    Cached for the last three axes (a perturbed density's base and dilated
+    grids, and the grid it is compared with) and read-only: one array
+    serves every integral on a grid.
+    """
     w = np.full(axis.count, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    return w * (axis.step / 3.0)
+    w *= axis.step / 3.0
+    w.flags.writeable = False
+    return w
 
 
 def quad_weights(axes) -> np.ndarray:
@@ -189,63 +198,52 @@ def integrate_radial(r_axis: Axis, values: np.ndarray, dim: int) -> float:
 def gradient(f: GridDensity) -> list[np.ndarray]:
     """Per-axis gradient: central differences in the interior, second-order
     one-sided at domain edges, one-sided from the interior at the boundary of
-    the support.  Nodes outside the support get gradient 0."""
+    the support.  Nodes outside the support get gradient 0.
+
+    At a support edge away from the domain edges the one-sided difference
+    is 2nd order where two interior neighbours exist, 1st order where one
+    does, and 0 at an isolated support node.  Only the nodes where the
+    support mask changes along the axis are visited, in 1-D and 2-D alike.
+    """
     out = []
     for ax in range(f.dim):
         g = np.gradient(f.values, f.axes[ax].step, axis=ax)
-        g = _fix_support_edges(f.values, g, f.support_mask, f.axes[ax].step, ax)
+        _fix_support_edges(f.values, g, f.support_mask, f.axes[ax].step, ax)
         out.append(g)
     return out
 
 
 def _fix_support_edges(v, g, mask, h, ax):
-    """Replace differences straddling the support boundary by one-sided ones
-    taken from the interior side (2nd order where two interior neighbours
-    exist, else 1st order)."""
-    v = np.moveaxis(v, ax, 0)
-    g = np.moveaxis(g.copy(), ax, 0)
-    m = np.moveaxis(mask, ax, 0)
-    n = v.shape[0]
+    """Overwrite, in g, the differences straddling the support boundary
+    along axis `ax` by one-sided ones from the interior side, and zero g
+    outside the support."""
+    v, g, m = (a.swapaxes(0, ax) for a in (v, g, mask))
+    n = m.shape[0]
+    # the mask and two False rows, n and n + 1, which -1 and -2 also reach
+    m_pad = np.zeros((n + 2,) + m.shape[1:], bool)
+    m_pad[:n] = m
+    # where the mask changes between nodes i and i + 1, the edge node e is
+    # the one in the support, and its interior lies in direction d (never
+    # the domain's first or last node: np.gradient is one-sided there)
+    i, *rest = np.nonzero(m[:-1] != m[1:])
+    d = np.where(m[(i, *rest)], -1, 1)
+    e = i + (d > 0)
+    near, far = m_pad[(e + d, *rest)], m_pad[(e + 2 * d, *rest)]
 
-    def shifted(a, k, fill):
-        out = np.full_like(a, fill)
-        if k > 0:
-            out[k:] = a[:-k]
-        elif k < 0:
-            out[:k] = a[-k:]
-        else:
-            out[...] = a
-        return out
-
-    m_prev = shifted(m, 1, False)
-    m_prev2 = shifted(m, 2, False)
-    m_next = shifted(m, -1, False)
-    m_next2 = shifted(m, -2, False)
-    v_prev = shifted(v, 1, 0.0)
-    v_prev2 = shifted(v, 2, 0.0)
-    v_next = shifted(v, -1, 0.0)
-    v_next2 = shifted(v, -2, 0.0)
-
-    # right edge of a support run: node in support, next node not
-    right = m & ~m_next
-    # exclude the domain edge itself: np.gradient already did one-sided there
-    right[-1] = False
-    use2 = right & m_prev & m_prev2
-    use1 = right & m_prev & ~m_prev2
-    g[use2] = (3.0 * v[use2] - 4.0 * v_prev[use2] + v_prev2[use2]) / (2.0 * h)
-    g[use1] = (v[use1] - v_prev[use1]) / h
-
-    left = m & ~m_prev
-    left[0] = False
-    use2 = left & m_next & m_next2
-    use1 = left & m_next & ~m_next2
-    g[use2] = (-3.0 * v[use2] + 4.0 * v_next[use2] - v_next2[use2]) / (2.0 * h)
-    g[use1] = (v_next[use1] - v[use1]) / h
-
-    # isolated support nodes and everything outside the support
-    g[right & ~m_prev] = 0.0
+    # 2nd order: d (-3 v[e] + 4 v[e + d] - v[e + 2d]) / 2h with d folded
+    # into the coefficients, which rounds exactly as each edge's own stencil
+    k = near & far
+    at, dk = (e[k], *(r[k] for r in rest)), d[k]
+    g[at] = (-3.0 * dk * v[at] + 4.0 * dk * v[(at[0] + dk, *at[1:])]
+             + -dk * v[(at[0] + 2 * dk, *at[1:])]) / (2.0 * h)
+    # 1st order: (v[lo + 1] - v[lo]) / h with lo the lower of the two nodes
+    k = near & ~far
+    lo = (np.minimum(e[k], e[k] + d[k]), *(r[k] for r in rest))
+    g[(e[k], *lo[1:])] = (v[(lo[0] + 1, *lo[1:])] - v[lo]) / h
+    # an isolated support node, taken as a right edge
+    k = ~near & (d < 0)
+    g[(e[k], *(r[k] for r in rest))] = 0.0
     g[~m] = 0.0
-    return np.moveaxis(g, 0, ax)
 
 
 def normalize(f: GridDensity) -> GridDensity:

@@ -9,18 +9,30 @@ known scaling laws (moment ~ c^alpha, N_q ~ c^2 under x -> c x).
 Every batch comes from perturbation_batch: one fourier_bump draw from the
 caller's rng per direction, in order, taken over the amplitude ladder (the
 last ladder cut short at `count`) and then over any `extra` amplitudes
-before the next draw.  While a bump is current, its base-grid samples
-pdf(p, x) and b(x / R_eff), which do not depend on the amplitude, are kept
-read-only and reused.  The dilated grid is evaluated afresh for every
-amplitude: the dilation factor c depends on it, and the abscissae x_c / c
-differ from the base nodes by rounding.  A bump is evaluated only inside
-its window |u| < 1 and is exactly zero outside.
+before the next draw.  The base grid of the current (p, count) and its
+samples pdf(p, x) are kept read-only, and so, while a bump is current, are
+its samples b(x / R_eff), which do not depend on the amplitude.  The
+dilated grid is evaluated afresh for every amplitude: the dilation factor c
+depends on it, and the abscissae x_c / c differ from the base nodes by
+rounding.  A bump is evaluated only inside its window |u| < 1 and is
+exactly zero outside.
+
+The cos/sin tables of the bump modes and the window depend on the
+abscissae, not on the draw.  Two tables are kept, read-only, and shared by
+every bump: the one of the fixed 4001-point peak probe and the one of the
+current base grid's nodes / R_eff; a new base grid replaces the old one, so
+at most two tables of N_MODES rows are held.  A bump then only sums its
+modes, in the same order, against the table.  Dilated grids are tabulated
+afresh on every call and never kept: each amplitude has its own abscissae,
+and rescaling a shared table by 1/c would change the values in the last
+bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,28 +52,69 @@ def fourier_bump(rng: np.random.Generator, n_modes: int = N_MODES):
     """Random smooth bump on [-1, 1]: the first n_modes cos and sin modes
     under a cos^2 window vanishing at the ends, normalized to max |b| = 1."""
     coef = rng.uniform(-1.0, 1.0, size=(2, n_modes))
-    freqs = np.arange(1, n_modes + 1) * np.pi
 
     def raw(u):
         u = np.asarray(u, dtype=float)
-        inside = np.abs(u) < 1.0
-        u_in = u[inside]
-        phase = np.multiply.outer(freqs, u_in)
-        cos, sin = np.cos(phase), np.sin(phase)
-        acc = np.zeros_like(u_in)
+        table = _trig_table(u, n_modes)
+        acc = np.zeros(table.window.shape)
         # summed mode by mode in order; a matrix product would round
         # differently in the last bits
         for j in range(n_modes):
-            acc += coef[0, j] * cos[j] + coef[1, j] * sin[j]
+            acc += coef[0, j] * table.cos[j] + coef[1, j] * table.sin[j]
         out = np.zeros_like(u)
-        out[inside] = np.cos(np.pi * u_in / 2.0) ** 2 * acc
+        out[table.inside] = table.window * acc
         return out
 
-    probe = np.linspace(-1.0, 1.0, 4001)
-    peak = float(np.max(np.abs(raw(probe))))
+    peak = float(np.max(np.abs(raw(_probe()))))
     if peak <= 0:  # pragma: no cover - measure-zero draw
         return lambda u: np.zeros_like(np.asarray(u, dtype=float))
     return lambda u: raw(u) / peak
+
+
+class _TrigTable(NamedTuple):
+    """The draw-independent part of a bump at the abscissae u: the window
+    mask |u| < 1, cos and sin of (j pi u) for j = 1..n_modes at the nodes
+    inside it (one row per mode), and the cos^2 window there."""
+
+    u: np.ndarray
+    inside: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    window: np.ndarray
+
+
+def _trig_table(u: np.ndarray, n_modes: int) -> _TrigTable:
+    """The kept table of the very array u (not of an equal one), else a
+    table built afresh."""
+    for table in _KEPT.values():
+        if table.u is u and len(table.cos) == n_modes:
+            return table
+    inside = np.abs(u) < 1.0
+    u_in = u[inside]
+    phase = np.multiply.outer(np.arange(1, n_modes + 1) * np.pi, u_in)
+    cos = np.cos(phase)
+    sin = np.sin(phase, out=phase)  # phase is not needed again
+    return _TrigTable(u, inside, cos, sin, np.cos(np.pi * u_in / 2.0) ** 2)
+
+
+#: the kept trig tables, by role: "probe" (the peak probe) and "base" (the
+#: current base grid).  Two entries at most, each N_MODES rows.
+_KEPT: dict[str, _TrigTable] = {}
+
+
+def _keep(role: str, u) -> np.ndarray:
+    """Tabulate u (made read-only) for N_MODES modes and keep the table
+    under `role`, replacing the one kept there; return the kept abscissae."""
+    table = _KEPT[role] = _trig_table(_read_only(u), N_MODES)
+    for a in table[1:]:  # made here, so no caller holds them
+        a.flags.writeable = False
+    return table.u
+
+
+def _probe() -> np.ndarray:
+    """The 4001 abscissae on [-1, 1] the peak of every bump is taken over."""
+    table = _KEPT.get("probe")
+    return table.u if table is not None else _keep("probe", np.linspace(-1.0, 1.0, 4001))
 
 
 def amplitude_ladder(n_levels: int, lo: float = AMPLITUDE_RANGE[0],
@@ -116,15 +169,24 @@ def perturbed_density(p: QGaussianParams, bump, amplitude: float, constraint: st
 
 
 @functools.lru_cache(maxsize=1)
-def _base_samples(p: QGaussianParams, bump, count: int):
-    """(R_eff, base axis, pdf(p, nodes), bump(nodes / R_eff)) for
-    perturbed_density, the arrays read-only.  Keyed on the bump callable
-    itself; one entry serves a whole amplitude ladder."""
+def _base_grid(p: QGaussianParams, count: int):
+    """(R_eff, base axis, pdf(p, nodes), nodes / R_eff) of a reference and
+    a node count, the arrays read-only; the trig table of nodes / R_eff is
+    kept as the "base" table."""
     r_eff = support_radius(p) if p.q > 1 else tail_radius(p, BUMP_TAIL)
     r_grid = tail_radius(p) * 1.05 if p.q <= 1 else support_radius(p) * 1.05
     ax = Axis(-r_grid, r_grid, count)
     nodes = ax.nodes()
-    return r_eff, ax, _read_only(pdf(p, nodes)), _read_only(bump(nodes / r_eff))
+    return r_eff, ax, _read_only(pdf(p, nodes)), _keep("base", nodes / r_eff)
+
+
+@functools.lru_cache(maxsize=1)
+def _base_samples(p: QGaussianParams, bump, count: int):
+    """(R_eff, base axis, pdf(p, nodes), bump(nodes / R_eff)) for
+    perturbed_density, the arrays read-only.  Keyed on the bump callable
+    itself; one entry serves a whole amplitude ladder."""
+    r_eff, ax, pdf_vals, u = _base_grid(p, count)
+    return r_eff, ax, pdf_vals, _read_only(bump(u))
 
 
 def _read_only(a) -> np.ndarray:

@@ -205,6 +205,29 @@ def test_seed_refused_when_nothing_draws(argv, count_key, source, capsys, tmp_pa
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["minimize", "--perturbations", "0", "--seed", "5"], "perturbations"),
+    (["stam", "--perturbations", "-3", "--seed", "5"], "perturbations"),
+    (["crbound", "--trials", "-5", "--seed", "1"], "trials"),
+    (["qcr", "--grid-count", "4000"], "grid_count"),
+    (["info", "--grid-count", "2"], "grid_count"),
+    (["diffuse", "--n-logs", "1"], "n_logs"),
+], ids=" ".join)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_count_below_least_value_is_usage_error(argv, key, source, capsys, tmp_path):
+    out_path = tmp_path / "out"
+    if source == "file":
+        option = "--" + key.replace("_", "-")
+        i = argv.index(option)
+        cfg = tmp_path / "count.conf"
+        cfg.write_text(f"{key} = {argv[i + 1]}\n")
+        argv = argv[:i] + argv[i + 2:] + ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv, "-o", str(out_path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error:") and key in err
+    assert not out_path.exists()
+
+
 class TestUsageErrors:
     def test_missing_seed_for_mc(self, capsys):
         code, _, err = run_cli(capsys, "crbound", "--trials", "100")

@@ -19,6 +19,8 @@ from qfisher.core import (
     quad_weights,
     sphere_surface,
 )
+from qfisher.diffusion import DiffusionState, evolve
+from qfisher.qgaussian import DiffusionParams, QGaussianParams, barenblatt_density, grid_density
 
 
 def gaussian_density(ax, sigma=1.0):
@@ -137,6 +139,154 @@ class TestGradient:
         assert np.all(g[np.abs(x) > 1.0 + ax.step] == 0.0)
         edge = int(np.searchsorted(x, 1.0) - 1)  # last in-support node
         assert g[edge] == pytest.approx(-2.0 * x[edge], abs=5e-3)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the support-edge fix as it was before it was rebuilt from the
+# indices where the mask changes (kept verbatim).
+# ---------------------------------------------------------------------------
+
+
+def ref_fix_support_edges(v, g, mask, h, ax):
+    """Replace differences straddling the support boundary by one-sided ones
+    taken from the interior side (2nd order where two interior neighbours
+    exist, else 1st order)."""
+    v = np.moveaxis(v, ax, 0)
+    g = np.moveaxis(g.copy(), ax, 0)
+    m = np.moveaxis(mask, ax, 0)
+    n = v.shape[0]
+
+    def shifted(a, k, fill):
+        out = np.full_like(a, fill)
+        if k > 0:
+            out[k:] = a[:-k]
+        elif k < 0:
+            out[:k] = a[-k:]
+        else:
+            out[...] = a
+        return out
+
+    m_prev = shifted(m, 1, False)
+    m_prev2 = shifted(m, 2, False)
+    m_next = shifted(m, -1, False)
+    m_next2 = shifted(m, -2, False)
+    v_prev = shifted(v, 1, 0.0)
+    v_prev2 = shifted(v, 2, 0.0)
+    v_next = shifted(v, -1, 0.0)
+    v_next2 = shifted(v, -2, 0.0)
+
+    # right edge of a support run: node in support, next node not
+    right = m & ~m_next
+    # exclude the domain edge itself: np.gradient already did one-sided there
+    right[-1] = False
+    use2 = right & m_prev & m_prev2
+    use1 = right & m_prev & ~m_prev2
+    g[use2] = (3.0 * v[use2] - 4.0 * v_prev[use2] + v_prev2[use2]) / (2.0 * h)
+    g[use1] = (v[use1] - v_prev[use1]) / h
+
+    left = m & ~m_prev
+    left[0] = False
+    use2 = left & m_next & m_next2
+    use1 = left & m_next & ~m_next2
+    g[use2] = (-3.0 * v[use2] + 4.0 * v_next[use2] - v_next2[use2]) / (2.0 * h)
+    g[use1] = (v_next[use1] - v[use1]) / h
+
+    # isolated support nodes and everything outside the support
+    g[right & ~m_prev] = 0.0
+    g[~m] = 0.0
+    return np.moveaxis(g, 0, ax)
+
+
+def ref_gradient(f):
+    return [ref_fix_support_edges(f.values, np.gradient(f.values, a.step, axis=k),
+                                  f.support_mask, a.step, k)
+            for k, a in enumerate(f.axes)]
+
+
+def assert_gradient_matches_reference(f):
+    got, want = gradient(f), ref_gradient(f)
+    assert len(got) == len(want) == f.dim
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def barenblatt_after_evolve(m, beta, nodes, half_width):
+    dp = DiffusionParams(m, beta, 1)
+    f0 = barenblatt_density(dp, 1.0, Axis(-half_width, half_width, nodes))
+    state, _ = evolve(DiffusionState(dp, 1.0, f0), 1.2, n_logs=3)
+    return state.f
+
+
+def on_nodes(values, lo=-1.0, hi=1.0):
+    values = np.asarray(values, dtype=float)
+    return GridDensity((Axis(lo, hi, values.size),), values)
+
+
+#: 1-D supports: (name, values) with the support runs named
+EDGE_CASES = [
+    ("touches-left-edge", [3.0, 2.0, 1.5, 1.0, 0.0, 0.0, 0.0]),
+    ("touches-right-edge", [0.0, 0.0, 0.0, 1.0, 1.5, 2.0, 3.0]),
+    ("touches-both-edges", [1.0, 2.0, 0.0, 0.0, 0.0, 2.0, 1.0]),
+    ("one-node-run", [0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0]),
+    ("one-node-run-at-first-node", [2.0, 0.0, 0.0, 0.0, 0.0]),
+    ("one-node-run-at-last-node", [0.0, 0.0, 0.0, 0.0, 2.0]),
+    ("two-node-run", [0.0, 0.0, 1.0, 3.0, 0.0, 0.0, 0.0]),
+    ("two-node-runs-at-both-edges", [1.0, 3.0, 0.0, 0.0, 0.0, 3.0, 1.0]),
+    ("disjoint-runs", [0.0, 1.0, 0.0, 2.0, 3.0, 0.0, 1.0, 2.0, 4.0, 0.0, 5.0, 4.0, 3.0, 1.0, 0.0]),
+    ("full-support", [1.0, 2.0, 3.0, 2.0, 1.0]),
+]
+
+
+class TestGradientOracle:
+    """gradient() against the verbatim support-edge fix it replaced."""
+
+    @pytest.mark.parametrize("count", [501, 4001, 8001])
+    @pytest.mark.parametrize("q", [0.8, 1.0, 1.5, 2.0, 3.0])
+    def test_q_gaussians(self, q, count):
+        assert_gradient_matches_reference(grid_density(QGaussianParams(q, 2.0, 1.0, 1), count))
+
+    @pytest.mark.parametrize("m,beta,nodes,half_width", [
+        (2.0, 2.0, 251, 3.5), (3.0, 2.0, 201, 3.0), (1.0, 3.0, 201, 3.6)])
+    def test_barenblatt_after_evolve(self, m, beta, nodes, half_width):
+        f = barenblatt_after_evolve(m, beta, nodes, half_width)
+        if m > 1.0:
+            assert not f.support_mask.all()  # edges inside the grid
+        assert_gradient_matches_reference(f)
+
+    @pytest.mark.parametrize("name,values", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
+    def test_support_shapes(self, name, values):
+        assert_gradient_matches_reference(on_nodes(values))
+        assert_gradient_matches_reference(on_nodes(values[::-1]))
+
+    def test_random_supports(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = 2 * int(rng.integers(1, 20)) + 1
+            values = rng.random(n) * (rng.random(n) < rng.uniform(0.2, 0.9))
+            assert_gradient_matches_reference(on_nodes(values))
+
+    @pytest.mark.parametrize("p", [QGaussianParams(1.5, 2.0, 1.0, 2), QGaussianParams(2.5, 3.0, 0.7, 2),
+                                   QGaussianParams(1.0, 1.5, 2.0, 2), QGaussianParams(2.0, 2.0, 1.0, 2)],
+                             ids=str)
+    def test_two_dimensional_q_gaussians(self, p):
+        assert_gradient_matches_reference(grid_density(p, 201))
+
+    def test_two_dimensional_supports(self):
+        ax = Axis(-5.0, 5.0, 201)
+        assert_gradient_matches_reference(
+            density_from_callable((ax, ax), lambda x, y: np.exp(-(x * x + y * y) / 2.0)))
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            rows, cols = (int(k) for k in 2 * rng.integers(1, 8, size=2) + 1)
+            values = rng.random((rows, cols)) * (rng.random((rows, cols)) < rng.uniform(0.2, 0.9))
+            assert_gradient_matches_reference(
+                GridDensity((Axis(0.0, 1.0, rows), Axis(-1.0, 1.0, cols)), values))
+
+    def test_leaves_density_untouched(self):
+        f = grid_density(QGaussianParams(2.0, 2.0, 1.0, 1), 501)
+        before = f.values.tobytes()
+        gradient(f)
+        assert f.values.tobytes() == before
 
 
 class TestNormalize:

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses or
-defines a private module-level name it never references, and no command
-loads scipy submodules its path does not use."""
+defines a private module-level name it never references, no cache can grow
+without bound, and no command loads scipy submodules its path does not use."""
 
 import ast
 import json
@@ -10,7 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qfisher.core import Axis, GridDensity, density_from_callable, integrate, simpson_weights
+from qfisher.qgaussian import QGaussianParams, grid_density
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qfisher"
@@ -82,6 +86,97 @@ def test_detects_unused_private_name():
 
 def test_modules_found():
     assert {"perturb.py", "cli.py", "acceptance.py"} <= {p.name for p in MODULES}
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """functools caches without an explicit finite maxsize: functools.cache,
+    a bare @lru_cache (maxsize 128 by default), and lru_cache(None) or with
+    a maxsize that is not an integer literal."""
+    tree = ast.parse(source)
+    names = {}  # local name -> "cache" or "lru_cache"
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in ("cache", "lru_cache"):
+                    names[alias.asname or alias.name] = alias.name
+
+    def kind(expr):
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name) \
+                and expr.value.id == "functools" and expr.attr in ("cache", "lru_cache"):
+            return expr.attr
+        return names.get(expr.id) if isinstance(expr, ast.Name) else None
+
+    found, called = [], set()
+    for node in ast.walk(tree):  # a call is visited before its callee
+        if isinstance(node, ast.Call) and kind(node.func) == "lru_cache":
+            called.add(id(node.func))
+            size = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if not (isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0):
+                found.append(f"line {node.lineno}: lru_cache without a finite maxsize")
+        elif kind(node) == "cache":
+            found.append(f"line {node.lineno}: functools.cache")
+        elif kind(node) == "lru_cache" and id(node) not in called:
+            found.append(f"line {node.lineno}: bare lru_cache")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_cache_bounded(path):
+    assert unbounded_caches(path.read_text()) == []
+
+
+def test_detects_unbounded_cache():
+    source = ("import functools\nfrom functools import lru_cache as lc, cache\n"
+              "@functools.lru_cache(maxsize=4)\ndef a(x): pass\n"
+              "@lc(2)\ndef b(x): pass\n"
+              "@functools.lru_cache\ndef c(x): pass\n"
+              "@lc(maxsize=None)\ndef d(x): pass\n"
+              "@cache\ndef e(x): pass\n"
+              "@functools.cache\ndef f(x): pass\n"
+              "g = lc(maxsize=SIZE)(len)\n"
+              "h = functools.lru_cache()(len)\n")
+    assert unbounded_caches(source) == [
+        "line 7: bare lru_cache", "line 9: lru_cache without a finite maxsize",
+        "line 11: functools.cache", "line 13: functools.cache",
+        "line 15: lru_cache without a finite maxsize",
+        "line 16: lru_cache without a finite maxsize"]
+
+
+def ref_simpson_weights(axis: Axis) -> np.ndarray:
+    """Composite Simpson weights as computed before they were cached."""
+    w = np.full(axis.count, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (axis.step / 3.0)
+
+
+def ref_integral(f: GridDensity, arr) -> float:
+    w = ref_simpson_weights(f.axes[0])
+    for a in f.axes[1:]:
+        w = np.multiply.outer(w, ref_simpson_weights(a))
+    return float(np.sum(w * arr))
+
+
+def test_simpson_weights_cached_read_only():
+    ax = Axis(-3.0, 3.0, 101)
+    w = simpson_weights(ax)
+    assert simpson_weights(Axis(-3.0, 3.0, 101)) is w
+    assert w.tobytes() == ref_simpson_weights(ax).tobytes()
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    assert simpson_weights.cache_info().maxsize == 3
+
+
+def test_integrate_bits_unchanged():
+    ax = Axis(-5.0, 5.0, 301)
+    densities = [grid_density(QGaussianParams(q, 2.0, 1.0, n), count)
+                 for q in (0.8, 1.0, 2.0) for n, count in ((1, 4001), (2, 101))]
+    densities.append(density_from_callable((ax, ax), lambda x, y: np.exp(-(x * x + 2 * y * y))))
+    for f in densities * 2:  # the second round from the cache
+        for arr in (f.values, f.values ** 2, np.sqrt(f.values)):
+            assert integrate(f, arr) == ref_integral(f, arr)
+        assert integrate(f) == ref_integral(f, f.values)
 
 
 def import_time_imports(source: str) -> list[str]:

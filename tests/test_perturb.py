@@ -1,7 +1,8 @@
 """Perturbation families: bit identity with the plain per-call evaluation,
-the base-grid sample reuse, the windowed bump, and the batch generator
-against the hand-written loops it replaced."""
+the base-grid sample reuse, the windowed bump, the batch generator against
+the hand-written loops it replaced, and the trig tables shared by bumps."""
 
+import copy
 import functools
 import math
 
@@ -14,7 +15,12 @@ from qfisher import perturb
 from qfisher.acceptance import QCR_POINTS
 from qfisher.core import Axis, GridDensity, normalize
 from qfisher import inequalities
-from qfisher.inequalities import FIT_AMPLITUDES, _perturbation_sweep, min_fisher_fixed_moment
+from qfisher.inequalities import (
+    FIT_AMPLITUDES,
+    _perturbation_sweep,
+    min_fisher_fixed_entropy,
+    min_fisher_fixed_moment,
+)
 from qfisher.info_measures import entropy_power, i_fisher, moment_abs
 from qfisher.perturb import (
     BUMP_TAIL,
@@ -466,3 +472,187 @@ class TestBatchProperty:
         for _ in range(n_dirs):
             ref_rng.uniform(-1.0, 1.0, size=(2, N_MODES))
         assert_same_stream(rng, ref_rng)
+
+
+# ---------------------------------------------------------------------------
+# Reference: fourier_bump as it was before its trig tables were shared by all
+# bumps (kept verbatim; windowed, tabulated afresh on every call).
+# ---------------------------------------------------------------------------
+
+
+def ref_untabled_fourier_bump(rng: np.random.Generator, n_modes: int = N_MODES):
+    """Random smooth bump on [-1, 1]: the first n_modes cos and sin modes
+    under a cos^2 window vanishing at the ends, normalized to max |b| = 1."""
+    coef = rng.uniform(-1.0, 1.0, size=(2, n_modes))
+    freqs = np.arange(1, n_modes + 1) * np.pi
+
+    def raw(u):
+        u = np.asarray(u, dtype=float)
+        inside = np.abs(u) < 1.0
+        u_in = u[inside]
+        phase = np.multiply.outer(freqs, u_in)
+        cos, sin = np.cos(phase), np.sin(phase)
+        acc = np.zeros_like(u_in)
+        # summed mode by mode in order; a matrix product would round
+        # differently in the last bits
+        for j in range(n_modes):
+            acc += coef[0, j] * cos[j] + coef[1, j] * sin[j]
+        out = np.zeros_like(u)
+        out[inside] = np.cos(np.pi * u_in / 2.0) ** 2 * acc
+        return out
+
+    probe = np.linspace(-1.0, 1.0, 4001)
+    peak = float(np.max(np.abs(raw(probe))))
+    if peak <= 0:  # pragma: no cover - measure-zero draw
+        return lambda u: np.zeros_like(np.asarray(u, dtype=float))
+    return lambda u: raw(u) / peak
+
+
+# ---------------------------------------------------------------------------
+
+
+def clear_bump_caches():
+    perturb._KEPT.clear()
+    perturb._base_grid.cache_clear()
+    perturb._base_samples.cache_clear()
+
+
+def kept_abscissae():
+    return [t.u for t in perturb._KEPT.values()]
+
+
+class CheckedDraws:
+    """A stand-in for perturb.fourier_bump that draws the real bump and the
+    reference from one rng state, checks the stream and the peak-probe
+    values, and hands out a bump that checks every evaluation bytewise
+    against the reference (through a functools.wraps wrapper if `wrap`)."""
+
+    def __init__(self, wrap):
+        self.wrap = wrap
+        self.kinds = []  # per evaluation: "probe", "base" or "dilated"
+
+    def __call__(self, rng, n_modes=N_MODES):
+        ref_rng = copy.deepcopy(rng)
+        bump = fourier_bump(rng, n_modes)
+        ref = ref_untabled_fourier_bump(ref_rng, n_modes)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        probe = perturb._KEPT["probe"].u
+        assert bump(probe).tobytes() == ref(np.linspace(-1.0, 1.0, 4001)).tobytes()
+        self.kinds.append("probe")
+
+        def checked(u):
+            kind = {id(t.u): role for role, t in perturb._KEPT.items()}.get(id(u), "dilated")
+            self.kinds.append(kind)
+            got = bump(u)
+            assert got.tobytes() == ref(np.array(u)).tobytes()
+            assert len(perturb._KEPT) <= 2
+            return got
+
+        return self.wrap(checked) if self.wrap else checked
+
+
+def run_criterion_6(rng):
+    return list(perturbation_batch(P_QCR, rng, 100, 5, "moment", moment_alpha(P_QCR), 4001))
+
+
+def run_criterion_7(rng):
+    out = []
+    for q, beta in ((1.0, 2.0), (2.0, 2.0)):
+        p = QGaussianParams(q, beta / (beta - 1.0), 1.0, 1)
+        out += perturbation_batch(p, rng, 30, 3, "moment", moment_alpha(p), 4001)
+    return out
+
+
+def run_criterion_8(q, alpha, constraint):
+    p = QGaussianParams(q, alpha, 1.0, 1)
+    if constraint == "moment":
+        return min_fisher_fixed_moment(q, alpha, moment_alpha(p), 1, 50, 80, 4001)
+    beta = alpha / (alpha - 1.0)
+    return min_fisher_fixed_entropy(q, beta, closed_form_entropy_power(p), 1, 50, 90, 4001)
+
+
+CRITERION_8 = [(q, alpha, c) for q, alpha in QCR_POINTS for c in ("moment", "entropy")]
+
+
+class TestBumpTables:
+    @pytest.mark.parametrize("wrap", [None, wrapped], ids=["direct", "wrapped"])
+    @pytest.mark.parametrize("criterion", [6, 7])
+    def test_batch_bytes_match_reference(self, criterion, wrap, monkeypatch):
+        draws = CheckedDraws(wrap)
+        monkeypatch.setattr(perturb, "fourier_bump", draws)
+        rng = np.random.default_rng(criterion)
+        (run_criterion_6 if criterion == 6 else run_criterion_7)(rng)
+        n_dirs, n_levels = (20, 5) if criterion == 6 else (20, 3)
+        # per bump: the peak probe, one base-grid evaluation, one per amplitude
+        assert draws.kinds.count("probe") == n_dirs
+        assert draws.kinds.count("base") == n_dirs
+        assert draws.kinds.count("dilated") == n_dirs * n_levels
+
+    @pytest.mark.parametrize("wrap", [None, wrapped], ids=["direct", "wrapped"])
+    @pytest.mark.parametrize("q,alpha,constraint", CRITERION_8)
+    def test_criterion_8_bytes_match_reference(self, q, alpha, constraint, wrap, monkeypatch):
+        draws = CheckedDraws(wrap)
+        monkeypatch.setattr(perturb, "fourier_bump", draws)
+        rep = run_criterion_8(q, alpha, constraint)
+        assert rep.extras["perturbations"] == 50
+        assert draws.kinds.count("base") == 10
+        assert draws.kinds.count("dilated") == 10 * (5 + len(FIT_AMPLITUDES))
+
+    def test_cached_arrays_read_only(self):
+        clear_bump_caches()
+        run_criterion_6(np.random.default_rng(6))
+        assert set(perturb._KEPT) == {"probe", "base"}
+        for table in perturb._KEPT.values():
+            for name, a in table._asdict().items():
+                assert not a.flags.writeable, name
+                with pytest.raises(ValueError):
+                    a.flat[0] = a.flat[0]
+        for a in perturb._base_grid(P_QCR, 4001)[2:]:
+            assert not a.flags.writeable
+
+    def test_only_probe_and_one_base_grid_kept(self):
+        clear_bump_caches()
+        dilated = []
+
+        def recording(rng, n_modes=N_MODES):
+            bump = fourier_bump(rng, n_modes)
+
+            def call(u):
+                if not any(u is k for k in kept_abscissae()):
+                    dilated.append(u)
+                return bump(u)
+
+            return call
+
+        points = [QGaussianParams(q, alpha, 1.0, 1) for q, alpha in QCR_POINTS]
+        for p in points:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(perturb, "fourier_bump", recording)
+                list(perturbation_batch(p, np.random.default_rng(1), 10, 5, "moment",
+                                        moment_alpha(p), 2001, extra=FIT_AMPLITUDES[:1]))
+            assert len(perturb._KEPT) == 2 and perturb._base_grid.cache_info().currsize == 1
+            r_eff, ax, _, u = perturb._base_grid(p, 2001)
+            assert perturb._KEPT["base"].u is u
+            assert u.tobytes() == (ax.nodes() / r_eff).tobytes()
+            assert perturb._KEPT["probe"].u.tobytes() == np.linspace(-1.0, 1.0, 4001).tobytes()
+        assert len(dilated) == len(points) * 2 * (5 + 1)
+        assert not any(d is k for d in dilated for k in kept_abscissae())
+
+    @pytest.mark.parametrize("criterion", [6, 7])
+    def test_one_base_table_per_reference_and_count(self, criterion, monkeypatch):
+        clear_bump_caches()
+        built = []
+        keep = perturb._keep
+        monkeypatch.setattr(perturb, "_keep", lambda role, u: built.append(role) or keep(role, u))
+        (run_criterion_6 if criterion == 6 else run_criterion_7)(np.random.default_rng(criterion))
+        # criterion 6 has one (p, count), criterion 7 two, one after the other
+        assert built == ["probe", "base"] if criterion == 6 else ["probe", "base", "base"]
+
+    def test_other_mode_counts_tabulate_afresh(self):
+        clear_bump_caches()
+        for n_modes in (1, 3, N_MODES + 2):
+            bump, ref_bump = fourier_bump(np.random.default_rng(n_modes), n_modes), \
+                ref_untabled_fourier_bump(np.random.default_rng(n_modes), n_modes)
+            probe = perturb._KEPT["probe"].u
+            assert bump(probe).tobytes() == ref_bump(np.linspace(-1.0, 1.0, 4001)).tobytes()
+        assert list(perturb._KEPT) == ["probe"]
