@@ -10,7 +10,6 @@ from .core import (
     density_from_callable,
     gradient,
     integrate,
-    integrate_radial,
     normalize,
     sphere_surface,
 )
@@ -45,13 +44,11 @@ from .estimation import (
 from .inequalities import (
     min_fisher_fixed_entropy,
     min_fisher_fixed_moment,
-    stam_dilation_exponent,
     stam_product,
     stam_ratio,
 )
 from .info_measures import (
     EscortDivergenceError,
-    InfoIndices,
     entropy_power,
     escort,
     escort_inverse,

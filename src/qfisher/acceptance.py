@@ -154,12 +154,12 @@ class AcceptanceSuite:
         details = {}
         passed = True
         dp, C, state, _, _ = self.pme_run(501)
-        exact = barenblatt(dp, C, state.f.axes[0].nodes(), 2.0)
+        exact = barenblatt(dp, C, state.f.axis.nodes(), 2.0)
         l1 = integrate(state.f, np.abs(state.f.values - exact))
         details["l1_m2_beta2"] = l1
         passed &= l1 < 1e-2
         dp, C, state, _ = self.plap_run()
-        exact = barenblatt(dp, C, state.f.axes[0].nodes(), 2.0)
+        exact = barenblatt(dp, C, state.f.axis.nodes(), 2.0)
         l1 = integrate(state.f, np.abs(state.f.values - exact))
         details["l1_m1_beta3"] = l1
         passed &= l1 < 1e-2

@@ -138,6 +138,12 @@ def _check_seed(cfg: dict, count_key: str):
         raise UsageError(f"seed = {cfg['seed']} is never read: {count_key} = 0 draws nothing")
 
 
+def _check_one_dimensional(cfg: dict, what: str):
+    """n other than 1 is a usage error where the computation is 1-D."""
+    if cfg["n"] != 1:
+        raise UsageError(f"n = {cfg['n']} is not supported: {what} is 1-D")
+
+
 def _emit(text: str, output_path):
     if output_path:
         with open(output_path, "w", newline="\n") as fh:
@@ -179,11 +185,13 @@ def cmd_info(args) -> int:
         f = grid_density(QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"]),
                          cfg["grid_count"])
     elif fam == "gaussian":
+        _check_one_dimensional(cfg, "the gaussian family")
         s = cfg["sigma"]
         ax = Axis(-10.0 * s, 10.0 * s, cfg["grid_count"])
         f = density_from_callable(
             ax, lambda x: np.exp(-x * x / (2 * s * s)) / np.sqrt(2 * np.pi * s * s))
     elif fam == "uniform":
+        _check_one_dimensional(cfg, "the uniform family")
         ax = Axis(cfg["lo"], cfg["hi"], cfg["grid_count"])
         f = density_from_callable(ax, lambda x: np.ones_like(x) / (cfg["hi"] - cfg["lo"]))
     else:
@@ -217,8 +225,7 @@ def cmd_diffuse(args) -> int:
     cfg = resolve_config(args, DIFFUSE_DEFAULTS)
     if not args.output:
         raise UsageError("diffuse requires --output for the trajectory CSV")
-    if cfg["n"] != 1:
-        raise UsageError(f"diffuse runs on a 1-D grid only, got n = {cfg['n']}")
+    _check_one_dimensional(cfg, "the diffusion solver")
     dp = DiffusionParams(cfg["m"], cfg["beta"], cfg["n"])
     ax = Axis(cfg["grid_lo"], cfg["grid_hi"], cfg["grid_count"])
     if cfg["init"] == "barenblatt":
@@ -274,6 +281,7 @@ def cmd_crbound(args) -> int:
         est = sample_mean_estimator(n=cfg["n"])
         est = EstimatorSpec(est.T, est.h, cfg["alpha"])
     else:
+        _check_one_dimensional(cfg, f"the {name} model")
         model = MODEL_REGISTRY[name](q=cfg["q"], alpha=cfg["alpha"], gamma=cfg["gamma"],
                                      count=cfg["grid_count"])
         est = EstimatorSpec(T=lambda coords: coords[0], h=lambda th: float(th[0]),
@@ -327,6 +335,8 @@ STAM_DEFAULTS = {
 def cmd_stam(args) -> int:
     cfg = resolve_config(args, STAM_DEFAULTS)
     _check_seed(cfg, "perturbations")
+    if cfg["perturbations"]:
+        _check_one_dimensional(cfg, "the perturbation family")
     p = QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"])
     f = grid_density(p, cfg["grid_count"])
     tol = Tolerances(inequality_slack=cfg["inequality_slack"])
@@ -363,6 +373,7 @@ def cmd_minimize(args) -> int:
     _check_counts(cfg, {"perturbations": 1})
     if "seed" not in cfg:
         raise UsageError("--seed is mandatory for minimize")
+    _check_one_dimensional(cfg, "the perturbation family")
     tol = Tolerances(inequality_slack=cfg["inequality_slack"])
     if cfg["constraint"] == "moment":
         rep = min_fisher_fixed_moment(cfg["q"], cfg["alpha"], cfg["target"], cfg["n"],

@@ -74,7 +74,7 @@ class DiffusionState:
     @property
     def discrete_mass(self) -> float:
         """The scheme's exactly conserved mass h sum(f)."""
-        return float(self.f.axes[0].step * np.sum(self.f.values))
+        return float(self.f.axis.step * np.sum(self.f.values))
 
 
 @dataclass
@@ -185,7 +185,7 @@ class _Kernel:
 def stable_dt(state: DiffusionState) -> float:
     """dt = CFL_SAFETY * h^2 / max(linearized diffusivity)."""
     v = state.f.values
-    return _Kernel(state.params, state.f.axes[0].step, v.size).cfl_dt(v)
+    return _Kernel(state.params, state.f.axis.step, v.size).cfl_dt(v)
 
 
 def step(state: DiffusionState, dt: float) -> DiffusionState:
@@ -193,10 +193,10 @@ def step(state: DiffusionState, dt: float) -> DiffusionState:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     v = state.f.values.copy()
-    kernel = _Kernel(state.params, state.f.axes[0].step, v.size)
+    kernel = _Kernel(state.params, state.f.axis.step, v.size)
     kernel.cfl_dt(v)
     kernel.advance(v, dt, state.t)
-    new = DiffusionState(state.params, state.t + dt, GridDensity(state.f.axes, v),
+    new = DiffusionState(state.params, state.t + dt, GridDensity(state.f.axis, v),
                          state.step_count + 1, state.mass0)
     drift = abs(new.discrete_mass - state.discrete_mass)
     if drift > MASS_DRIFT_TOL:
@@ -230,8 +230,8 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} precedes current t = {state.t}")
     p = state.params
-    h = state.f.axes[0].step
-    axes = state.f.axes
+    h = state.f.axis.step
+    axis = state.f.axis
 
     def log_row(dens: GridDensity):
         return (tsallis_entropy(dens, p.q), m_q(dens, p.q),
@@ -274,8 +274,8 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
         drift = abs(h * float(np.sum(v)) - mass_ref)
         if drift > MASS_DRIFT_TOL:
             raise StabilityError(f"mass drift {drift:g} exceeds {MASS_DRIFT_TOL:g} at t = {t:g}")
-        rows.append(log_row(GridDensity(axes, v)))
-    final = DiffusionState(p, t_end, GridDensity(axes, v), nsteps, state.mass0)
+        rows.append(log_row(GridDensity(axis, v)))
+    final = DiffusionState(p, t_end, GridDensity(axis, v), nsteps, state.mass0)
     arr = np.array(rows)
     log = TrajectoryLog(p.q, p.beta, p.m, log_times, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
     return final, log

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Axis, GridDensity, NonFiniteError, Tolerances, quad_weights
+from .core import Axis, GridDensity, NonFiniteError, Tolerances, simpson_weights
 from .info_measures import i_fisher, moment_abs, recenter
 from .qgaussian import QGaussianParams, pdf as qpdf, sample as qsample, support_radius, tail_radius
 from .reports import VerificationReport, inequality_report
@@ -44,18 +44,18 @@ class SingularScoreError(ArithmeticError):
 
 @dataclass
 class ParametricModel:
-    """Density pair (f, g) over a quadrature grid, parametrized by theta in R^k.
+    """Density pair (f, g) on a 1-D quadrature axis, parametrized by theta
+    in R^k.
 
-    Density callables take (coords, theta) where coords is the list of node
-    coordinate arrays (meshgrid for dim_x = 2) and return the density array;
-    the same callables work on flat sample coordinate arrays.
+    Density callables take (coords, theta) where coords is the one-element
+    list [abscissae] and return the density array; the same callables work
+    on sample coordinates.
     """
 
     density_f: callable
     density_g: callable
-    dim_x: int
     dim_theta: int
-    axes: tuple[Axis, ...]
+    axis: Axis
     sampler_g: callable | None = None
     dtheta: float = DTHETA_REL
     name: str = ""
@@ -63,11 +63,8 @@ class ParametricModel:
     _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.axes = (self.axes,) if isinstance(self.axes, Axis) else tuple(self.axes)
-        if len(self.axes) != self.dim_x:
-            raise ValueError(f"need {self.dim_x} axes, got {len(self.axes)}")
-        self._coords = list(np.meshgrid(*[a.nodes() for a in self.axes], indexing="ij"))
-        self._weights = quad_weights(self.axes)
+        self._coords = [self.axis.nodes()]
+        self._weights = simpson_weights(self.axis)
 
     def f_values(self, theta) -> np.ndarray:
         return np.asarray(self.density_f(self._coords, np.asarray(theta, dtype=float)), dtype=float)
@@ -107,16 +104,13 @@ class EstimatorSpec:
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
     out = mask.copy()
-    for ax in range(mask.ndim):
-        m = np.moveaxis(mask, ax, 0)
-        o = np.moveaxis(out, ax, 0)
-        o[:-1] |= m[1:]
-        o[1:] |= m[:-1]
+    out[:-1] |= mask[1:]
+    out[1:] |= mask[:-1]
     return out
 
 
 def score_g(model: ParametricModel, theta) -> np.ndarray:
-    """Score grad_theta f / g by centered differences; shape (k, *grid).
+    """Score grad_theta f / g by centered differences; shape (k, nodes).
 
     Set to 0 where g = 0.  Raises SingularScoreError when grad_theta f is
     materially nonzero strictly outside (one cell beyond) the support of g.
@@ -319,8 +313,7 @@ def mc_error_moment(model: ParametricModel, est: EstimatorSpec, theta,
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     rng = np.random.default_rng(seed)
     x = np.asarray(model.sampler_g(theta, rng, trials), dtype=float)
-    coords = [x[:, i] for i in range(model.dim_x)]
-    err = np.abs(est.T(coords) - est.h(theta)) ** est.alpha
+    err = np.abs(est.T([x[:, 0]]) - est.h(theta)) ** est.alpha
     if trials == 1:
         return float(err[0] ** (1.0 / est.alpha)), float("nan")
     s = float(err.sum())
@@ -341,7 +334,7 @@ def qcr_product(g: GridDensity, q: float, alpha: float,
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     beta = alpha / (alpha - 1.0)
     g, shift = recenter(g)
-    if np.any(shift != 0):
+    if shift != 0:
         warnings.warn(f"density recentered by {shift} to enforce zero mean")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
@@ -373,8 +366,8 @@ def gaussian_location_model(n: int = 1, sigma: float = 1.0, half_width: float = 
 
     The reduction is exact: T = s/n is the sample mean, the s-score equals
     the full-model score 1^T(x - theta 1)/sigma^2 as a function of s, and all
-    moments in the bound chain coincide with the n-dimensional ones.  (Full
-    n > 2 tensor grids are out of scope; s carries all the information.)
+    moments in the bound chain coincide with the n-dimensional ones, so the
+    model lives on the 1-D axis of s for every n.
     """
     var = n * sigma ** 2
     if half_width is None:
@@ -389,7 +382,7 @@ def gaussian_location_model(n: int = 1, sigma: float = 1.0, half_width: float = 
     def sampler(theta, rng, size):
         return rng.normal(n * theta[0], np.sqrt(var), size=size)[:, None]
 
-    model = ParametricModel(dens, dens, 1, 1, (ax,), sampler,
+    model = ParametricModel(dens, dens, 1, ax, sampler,
                             name=f"gaussian-location(n={n}, sigma={sigma})")
     model.check_normalized([np.zeros(1), np.array([0.25])])
     return model
@@ -413,7 +406,7 @@ def qgaussian_location_model(q: float, alpha: float, gamma: float = 1.0,
         seed = int(rng.integers(0, 2 ** 63 - 1))
         return qsample(p, seed, size) + theta[0]
 
-    model = ParametricModel(dens, dens, 1, 1, (ax,), sampler,
+    model = ParametricModel(dens, dens, 1, ax, sampler,
                             name=f"qgaussian-location(q={q}, alpha={alpha}, gamma={gamma})")
     model.check_normalized([np.zeros(1), np.array([0.25 * theta_room])])
     return model
@@ -440,7 +433,7 @@ def escort_pair_model(q: float, alpha: float, gamma: float = 1.0,
         seed = int(rng.integers(0, 2 ** 63 - 1))
         return qsample(pg, seed, size) + theta[0]
 
-    model = ParametricModel(dens_f, dens_g, 1, 1, (ax,), sampler,
+    model = ParametricModel(dens_f, dens_g, 1, ax, sampler,
                             name=f"escort-pair(q={q}, alpha={alpha}, gamma={gamma})")
     model.check_normalized([np.zeros(1), np.array([0.25 * theta_room])])
     return model

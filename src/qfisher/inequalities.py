@@ -1,12 +1,11 @@
 """Stam-type inequality and the minimum-Fisher variational characterizations.
 
 The Stam product I(beta, q)[f]^(1/beta) N_q[f]^(1/2) is bounded below by its
-value on the generalized q-Gaussian family (any member: the product is
-dilation invariant, which is also verified empirically here by a log-log
-fit).  The same family minimizes I(beta, q) among densities with a fixed
-alpha-moment, and among densities with a fixed q-entropy power; both
-characterizations are certified against randomized same-constraint
-perturbation batches.
+value on the generalized q-Gaussian family in every dimension (any member:
+the product is dilation invariant).  The same family minimizes I(beta, q)
+among densities with a fixed alpha-moment, and among densities with a fixed
+q-entropy power; both characterizations are certified against randomized
+same-constraint perturbation batches, which are 1-D.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .core import Axis, GridDensity, Tolerances
+from .core import GridDensity, Tolerances
 from .info_measures import entropy_power, i_fisher, moment_abs
 from .perturb import perturbation_batch
 from .qgaussian import (
@@ -75,21 +74,6 @@ def stam_ratio(f: GridDensity, q: float, beta: float,
     return inequality_report("stam-ratio", ratio, 1.0, tol.inequality_slack,
                              extras={"product_f": product_f, "product_ref": product_ref,
                                      "ref_gamma": ref.gamma})
-
-
-def stam_dilation_exponent(f: GridDensity, q: float, beta: float,
-                           scales=(0.5, 0.7071067811865476, 1.0, 1.4142135623730951, 2.0)) -> dict:
-    """Empirical scaling law of the Stam product under dilation x -> c x:
-    log-log fit of product(c) against c.  Exact dilations on the grid
-    (axes scaled by c, values by 1/c^n), no interpolation."""
-    logs = []
-    for c in scales:
-        axes = tuple(Axis(a.lo * c, a.hi * c, a.count) for a in f.axes)
-        fc = GridDensity(axes, f.values / c ** f.dim)
-        logs.append(np.log(stam_product(fc, q, beta)))
-    slope, intercept = np.polyfit(np.log(scales), logs, 1)
-    return {"exponent": float(slope), "log_product_at_c1": float(intercept),
-            "scales": tuple(float(c) for c in scales)}
 
 
 #: amplitude ladder for the first-order-stationarity fit: small enough that

@@ -25,25 +25,6 @@ from .core import Axis, GridDensity, gradient, integrate, normalize
 Q_ONE_WINDOW = 1e-6
 
 
-@dataclass(frozen=True)
-class InfoIndices:
-    """Index bundle (q, beta) with alpha always derived as beta/(beta-1)."""
-
-    q: float
-    beta: float
-    dim: int = 1
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if self.beta <= 1:
-            raise ValueError(f"beta must exceed 1, got {self.beta}")
-
-    @property
-    def alpha(self) -> float:
-        return self.beta / (self.beta - 1.0)
-
-
 def _masked_power(f: GridDensity, expo: float) -> np.ndarray:
     """f^expo on the support, 0 outside (handles expo <= 0 and f = 0)."""
     out = np.zeros_like(f.values)
@@ -81,12 +62,12 @@ def renyi_entropy(f: GridDensity, q: float) -> float:
     return float(np.log(m_q(f, q)) / (1.0 - q))
 
 
-def entropy_power(f: GridDensity, q: float, dim: int | None = None) -> float:
-    """N_q = M_q^((2/n)/(1-q)) = exp((2/n) H_q).
+def entropy_power(f: GridDensity, q: float) -> float:
+    """N_q = M_q^((2/n)/(1-q)) = exp((2/n) H_q), n = f.dim.
 
     Both expressions are evaluated and must agree to 1e-10 relative.
     """
-    n = f.dim if dim is None else dim
+    n = f.dim
     if abs(q - 1.0) < Q_ONE_WINDOW:
         return float(np.exp(2.0 / n * shannon_entropy(f)))
     mq = m_q(f, q)
@@ -100,14 +81,11 @@ def entropy_power(f: GridDensity, q: float, dim: int | None = None) -> float:
 
 
 def _phi_integrand(f: GridDensity, q: float, beta: float) -> np.ndarray:
-    grads = gradient(f)
-    gnorm2 = np.zeros_like(f.values)
-    for g in grads:
-        gnorm2 += g * g
+    g = gradient(f)
     # overflow to inf is the divergence signal handled by the callers
     with np.errstate(over="ignore", invalid="ignore"):
         w = _masked_power(f, beta * (q - 1.0) + 1.0 - beta)
-        return w * gnorm2 ** (beta / 2.0)
+        return w * (g * g) ** (beta / 2.0)
 
 
 def phi_fisher(f: GridDensity, q: float, beta: float) -> float:
@@ -149,17 +127,15 @@ def phi_fisher_refined(f: GridDensity, q: float, beta: float,
     distance of the nearest node to the singularity, which moves erratically
     across coarsenings; a convergent integral agrees across all three.)
 
-    Requires node counts congruent to 1 mod 4 so the coarsenings stay
+    Requires a node count congruent to 1 mod 4 so the coarsenings stay
     Simpson-compatible.
     """
-    for a in f.axes:
-        if (a.count - 1) % 4 != 0:
-            raise ValueError("refinement diagnostic needs counts = 4k + 1 per axis")
+    a = f.axis
+    if (a.count - 1) % 4 != 0:
+        raise ValueError(f"refinement diagnostic needs a count = 4k + 1, got {a.count}")
     vals = []
     for stride in (4, 2, 1):
-        axes = tuple(Axis(a.lo, a.hi, (a.count - 1) // stride + 1) for a in f.axes)
-        sl = tuple(slice(None, None, stride) for _ in f.axes)
-        sub = GridDensity(axes, f.values[sl])
+        sub = GridDensity(Axis(a.lo, a.hi, (a.count - 1) // stride + 1), f.values[::stride], f.dim)
         vals.append(phi_fisher(sub, q, beta))
     fine = vals[-1]
     top, bot = max(vals), min(vals)
@@ -189,7 +165,7 @@ def escort(f: GridDensity, q: float) -> GridDensity:
         return normalize(f)
     w = _masked_power(f, 1.0 / q)
     _check_escort_tail(f, w)
-    return normalize(GridDensity(f.axes, w))
+    return normalize(GridDensity(f.axis, w, f.dim))
 
 
 def escort_inverse(g: GridDensity, q: float) -> GridDensity:
@@ -198,23 +174,17 @@ def escort_inverse(g: GridDensity, q: float) -> GridDensity:
         raise ValueError(f"q must be positive, got {q}")
     if q == 1.0:
         return normalize(g)
-    return normalize(GridDensity(g.axes, _masked_power(g, q)))
+    return normalize(GridDensity(g.axis, _masked_power(g, q), g.dim))
 
 
 def _check_escort_tail(f: GridDensity, w: np.ndarray):
     """Heuristic truncation check: if f itself carries no boundary mass (a
     genuine tail, not a by-design compact box) while f^(1/q) is still large at
-    the boundary, the escort integral diverges off-grid."""
-    edge = np.zeros(f.values.shape, dtype=bool)
-    for ax in range(f.dim):
-        sl0 = [slice(None)] * f.dim
-        sl1 = [slice(None)] * f.dim
-        sl0[ax] = 0
-        sl1[ax] = -1
-        edge[tuple(sl0)] = True
-        edge[tuple(sl1)] = True
-    f_edge = float(f.values[edge].max(initial=0.0))
-    w_edge = float(w[edge].max(initial=0.0))
+    the boundary, the escort integral diverges off-grid.  The boundary is
+    both ends of a line and the far end r = R of a radial axis."""
+    ends = [0, -1] if f.dim == 1 else [-1]
+    f_edge = float(f.values[ends].max())
+    w_edge = float(w[ends].max())
     f_peak = float(f.values.max())
     w_peak = float(w.max())
     if f_peak <= 0 or w_peak <= 0:
@@ -227,35 +197,18 @@ def _check_escort_tail(f: GridDensity, w: np.ndarray):
         )
 
 
-def variance(f: GridDensity) -> float:
-    """Scalar variance (1-D) or total variance E||X - EX||^2 (2-D)."""
-    coords = f.node_coords()
-    means = [integrate(f, c * f.values) for c in coords]
-    tot = 0.0
-    for c, mu in zip(coords, means):
-        tot += integrate(f, (c - mu) ** 2 * f.values)
-    return tot
-
-
-def mean_vector(f: GridDensity) -> np.ndarray:
-    coords = f.node_coords()
-    return np.array([integrate(f, c * f.values) for c in coords])
-
-
 def recenter(f: GridDensity, tol: float = 1e-9):
-    """Shift the grid axes so the density has zero mean; returns
-    (density, shift_applied)."""
-    mu = mean_vector(f)
-    if np.all(np.abs(mu) <= tol):
-        return f, np.zeros(f.dim)
-    axes = tuple(Axis(a.lo - m, a.hi - m, a.count) for a, m in zip(f.axes, mu))
-    return GridDensity(axes, f.values), mu
+    """Shift the axis so the density has zero mean; returns (density,
+    shift applied).  A radial density is centred by construction."""
+    if f.dim > 1:
+        return f, 0.0
+    mu = integrate(f, f.axis.nodes() * f.values)
+    if abs(mu) <= tol:
+        return f, 0.0
+    return GridDensity(Axis(f.axis.lo - mu, f.axis.hi - mu, f.axis.count), f.values), mu
 
 
 def moment_abs(f: GridDensity, alpha: float) -> float:
     """E ||X||^alpha on the grid."""
-    coords = f.node_coords()
-    r2 = np.zeros_like(f.values)
-    for c in coords:
-        r2 += c * c
-    return integrate(f, r2 ** (alpha / 2.0) * f.values)
+    x = f.axis.nodes()
+    return integrate(f, (x * x) ** (alpha / 2.0) * f.values)

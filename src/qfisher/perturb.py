@@ -152,7 +152,7 @@ def perturbed_density(p: QGaussianParams, bump, amplitude: float, constraint: st
     def raw(x):
         return pdf(p, x) * (1.0 + amplitude * bump(x / r_eff))
 
-    base = normalize(GridDensity((ax,), pdf_vals * (1.0 + amplitude * bump_vals)))
+    base = normalize(GridDensity(ax, pdf_vals * (1.0 + amplitude * bump_vals)))
     if constraint == "moment":
         current = moment_abs(base, p.alpha)
         c = (target / current) ** (1.0 / p.alpha)
@@ -165,7 +165,7 @@ def perturbed_density(p: QGaussianParams, bump, amplitude: float, constraint: st
     # exact dilation: f_c(x) = f(x/c)/c, evaluated from the callable on the
     # scaled grid (no interpolation)
     values = raw(ax_c.nodes() / c) / c
-    return normalize(GridDensity((ax_c,), values))
+    return normalize(GridDensity(ax_c, values))
 
 
 @functools.lru_cache(maxsize=1)

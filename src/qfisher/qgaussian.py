@@ -176,16 +176,9 @@ def _radial_mass_quad(p: QGaussianParams) -> float:
 
 
 def pdf(p: QGaussianParams, x) -> np.ndarray:
-    """Density at points x.  For dim 1, x is scalar or any array of abscissae;
-    for dim >= 2, x has shape (..., dim)."""
-    x = np.asarray(x, dtype=float)
-    if p.dim == 1:
-        r = np.abs(x)
-    else:
-        if x.shape[-1] != p.dim:
-            raise ValueError(f"points must have trailing dim {p.dim}, got shape {x.shape}")
-        r = np.linalg.norm(x, axis=-1)
-    return radial_profile(p, r) / normalization(p)
+    """Density at abscissae x (dim 1) or at radii x (dim >= 2): a function
+    of |x|, for a scalar or any array."""
+    return radial_profile(p, np.abs(np.asarray(x, dtype=float))) / normalization(p)
 
 
 def moment_alpha(p: QGaussianParams) -> float:
@@ -225,25 +218,19 @@ def gamma_for_moment(p: QGaussianParams, target_moment: float) -> float:
 
 def grid_axis_for(p: QGaussianParams, count: int = 4001, tail_mass: float = DEFAULT_TAIL_MASS,
                   margin: float = 1.05) -> Axis:
-    """Symmetric axis covering the support (q > 1) or the 1-tail_mass bulk,
-    with a small margin so the support edge is interior to the grid."""
+    """Axis covering the support (q > 1) or the 1-tail_mass bulk, with a
+    small margin so the support edge is interior to the grid: [-R, R] for
+    dim 1, the radii [0, R] for dim >= 2."""
     r = tail_radius(p, tail_mass) * margin
-    return Axis(-r, r, count)
+    return Axis(-r if p.dim == 1 else 0.0, r, count)
 
 
 def grid_density(p: QGaussianParams, count: int = 4001, tail_mass: float = DEFAULT_TAIL_MASS,
                  margin: float = 1.05) -> GridDensity:
-    """The density sampled on a suitable tensor grid (dim 1 or 2), normalized."""
+    """The density sampled on `count` nodes of grid_axis_for, normalized
+    (radial for dim >= 2)."""
     ax = grid_axis_for(p, count, tail_mass, margin)
-    if p.dim == 1:
-        f = GridDensity((ax,), pdf(p, ax.nodes()))
-    elif p.dim == 2:
-        xs, ys = np.meshgrid(ax.nodes(), ax.nodes(), indexing="ij")
-        pts = np.stack([xs, ys], axis=-1)
-        f = GridDensity((ax, ax), pdf(p, pts))
-    else:
-        raise ValueError("tensor grids support dim 1 or 2 only")
-    return normalize(f)
+    return normalize(GridDensity(ax, pdf(p, ax.nodes()), p.dim))
 
 
 def _radial_inverse_cdf(p: QGaussianParams):
@@ -259,12 +246,6 @@ def _radial_inverse_cdf(p: QGaussianParams):
     # keep strictly increasing knots for the interpolant
     keep = np.concatenate([[True], np.diff(cdf) > 0])
     return sp_interpolate.PchipInterpolator(cdf[keep], r[keep])
-
-
-def samples_to_csv(points: np.ndarray) -> str:
-    """One point per row, 17 significant digits."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in points) + "\n"
 
 
 def sample(p: QGaussianParams, seed: int, count: int) -> np.ndarray:
@@ -413,9 +394,9 @@ class DiffusionParams:
 
 
 def barenblatt_profile(dp: DiffusionParams, C: float, xi) -> np.ndarray:
-    """Self-similar profile B at similarity coordinate xi."""
-    xi = np.asarray(xi, dtype=float)
-    r = np.abs(xi) if dp.dim == 1 else np.linalg.norm(xi, axis=-1)
+    """Self-similar profile B at the similarity coordinate xi (dim 1) or
+    at the similarity radius xi (dim >= 2): a function of |xi|."""
+    r = np.abs(np.asarray(xi, dtype=float))
     if dp.is_q1:
         return C * np.exp(-dp.profile_rate * r ** dp.alpha)
     base = C - dp.k * r ** dp.alpha
@@ -486,12 +467,11 @@ def barenblatt_mass_constant(dp: DiffusionParams, mass: float = 1.0) -> float:
 
 
 def barenblatt_density(dp: DiffusionParams, t: float, axis: Axis, C: float | None = None) -> GridDensity:
-    """Unit-mass (by default) Barenblatt solution sampled at time t on `axis`."""
-    if dp.dim != 1:
-        raise ValueError("gridded Barenblatt densities are 1-D")
+    """Unit-mass (by default) Barenblatt solution sampled at time t on
+    `axis` (radii on [0, R] for dim >= 2)."""
     if C is None:
         C = barenblatt_mass_constant(dp)
-    return GridDensity((axis,), barenblatt(dp, C, axis.nodes(), t))
+    return GridDensity(axis, barenblatt(dp, C, axis.nodes(), t), dp.dim)
 
 
 def barenblatt_equivalent_qgaussian(dp: DiffusionParams, C: float, t: float) -> QGaussianParams:

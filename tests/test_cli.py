@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from qfisher.cli import (
@@ -226,6 +227,57 @@ def test_count_below_least_value_is_usage_error(argv, key, source, capsys, tmp_p
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("usage error:") and key in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--family", "gaussian", "--n", "2"],
+    ["info", "--family", "uniform", "--n", "2"],
+    ["stam", "--n", "2", "--perturbations", "3", "--seed", "1"],
+    ["minimize", "--n", "2", "--seed", "1"],
+    ["crbound", "--model", "escort-pair", "--n", "2"],
+    ["crbound", "--model", "qgaussian-location", "--n", "3"],
+], ids=" ".join)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_n_is_usage_error_where_computation_is_1d(argv, source, capsys, tmp_path):
+    # these computations are 1-D whatever n says: refused, not run on the line
+    out_path = tmp_path / "out"
+    i = argv.index("--n")
+    n = argv[i + 1]
+    if source == "file":
+        cfg = tmp_path / "n.conf"
+        cfg.write_text(f"n = {n}\n")
+        argv = argv[:i] + argv[i + 2:] + ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv, "-o", str(out_path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error:") and f"n = {n}" in err and "1-D" in err
+    assert not out_path.exists()
+
+
+class TestRadial:
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_qcr_at_default_grid(self, n, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "qcr", "--q", "1.5", "--alpha", "2", "--n", n)
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_PASS
+        d = json.loads(out)
+        assert d["dim"] == float(n) and d["config"]["grid_count"] == 8001
+        assert d["product"] == pytest.approx(float(n), abs=1e-6)
+
+    def test_info_standard_normal_in_the_plane(self, capsys):
+        # N(0, I_2): H = ln(2 pi e), N = 2 pi e, I = 2
+        code, out, _ = run_cli(capsys, "info", "--n", "2", "--grid-count", "8001")
+        assert code == EXIT_PASS
+        d = json.loads(out)
+        assert d["H_q"] == pytest.approx(np.log(2 * np.pi * np.e), rel=1e-8)
+        assert d["N_q"] == pytest.approx(2 * np.pi * np.e, rel=1e-8)
+        assert d["I"] == pytest.approx(2.0, rel=1e-6)
+        assert d["divergence_flag"] is False
+
+    def test_stam_without_perturbations(self, capsys):
+        code, out, _ = run_cli(capsys, "stam", "--q", "2", "--beta", "2", "--n", "3")
+        assert code == EXIT_PASS
+        assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestUsageErrors:

@@ -1,7 +1,5 @@
 """Grid, quadrature, gradient, and normalization tests."""
 
-import json
-
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -14,9 +12,7 @@ from qfisher.core import (
     density_from_callable,
     gradient,
     integrate,
-    integrate_radial,
     normalize,
-    quad_weights,
     sphere_surface,
 )
 from qfisher.diffusion import DiffusionState, evolve
@@ -70,7 +66,7 @@ class TestIntegrate:
     def test_non_finite_error_is_typed(self):
         ax = Axis(0.0, 1.0, 11)
         with pytest.raises(NonFiniteError, match=r"non-finite value nan at node index \(4,\)"):
-            GridDensity((ax,), np.where(np.arange(11) == 4, np.nan, 1.0))
+            GridDensity(ax, np.where(np.arange(11) == 4, np.nan, 1.0))
         assert issubclass(NonFiniteError, ValueError)
 
     def test_integrand_shape_mismatch(self):
@@ -78,11 +74,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="shape"):
             integrate(f, np.ones(7))
 
-    def test_2d_tensor_weights(self):
-        ax = Axis(0.0, 1.0, 41)
-        f = density_from_callable((ax, ax), lambda x, y: np.ones_like(x))
-        val = integrate(f, lambda x, y: x * y)
-        assert val == pytest.approx(0.25, abs=1e-14)
+    def test_2d_radial_weights(self):
+        # Simpson times 2 pi r: int over the unit disc of |x|^2 is 2 pi / 4,
+        # and r^2 r is a cubic, so the rule is exact
+        f = GridDensity(Axis(0.0, 1.0, 41), np.ones(41), 2)
+        assert integrate(f, lambda r: r * r) == pytest.approx(np.pi / 2.0, abs=1e-14)
 
 
 class TestRadial:
@@ -94,30 +90,41 @@ class TestRadial:
     def test_radial_gaussian_mass_3d(self):
         r = Axis(0.0, 12.0, 4001)
         vals = np.exp(-r.nodes() ** 2 / 2.0) / (2 * np.pi) ** 1.5
-        assert integrate_radial(r, vals, 3) == pytest.approx(1.0, abs=1e-8)
+        assert integrate(GridDensity(r, vals, 3)) == pytest.approx(1.0, abs=1e-8)
+
+    def test_radial_axis_must_start_at_zero(self):
+        for lo in (-1.0, 0.5):
+            with pytest.raises(ValueError, match="r = 0"):
+                GridDensity(Axis(lo, 2.0, 11), np.ones(11), 2)
+        with pytest.raises(ValueError, match="dim"):
+            GridDensity(Axis(0.0, 2.0, 11), np.ones(11), 0)
 
 
 class TestGradient:
     def test_linear_ramp(self):
         f = density_from_callable(Axis(0.0, 1.0, 101), lambda x: x)
-        g = gradient(f)[0]
+        g = gradient(f)
         assert np.allclose(g[1:], 1.0, atol=1e-12)
 
     def test_gaussian_derivative_at_one(self):
         ax = Axis(-6.0, 6.0, 2401)
         f = density_from_callable(ax, lambda x: np.exp(-x * x / 2.0))
-        g = gradient(f)[0]
+        g = gradient(f)
         i = int(np.argmin(np.abs(ax.nodes() - 1.0)))
         # analytic derivative oracle, O(h^2) accuracy
         assert g[i] == pytest.approx(-np.exp(-0.5), abs=5 * ax.step ** 2)
 
     def test_2d_product_gaussian_at_origin(self):
-        ax = Axis(-5.0, 5.0, 201)
-        f = density_from_callable((ax, ax), lambda x, y: np.exp(-(x * x + y * y) / 2.0))
-        gx, gy = gradient(f)
-        mid = ax.count // 2
-        assert abs(gx[mid, mid]) < 1e-12
-        assert abs(gy[mid, mid]) < 1e-12
+        # exp(-|x|^2 / 2) on R^2 as a radial density: df/dr = -r f, and the
+        # one-sided value at r = 0 is an O(h) stand-in for 0 that the
+        # r^(n-1) weight removes from every integral
+        ax = Axis(0.0, 5.0, 201)
+        f = GridDensity(ax, np.exp(-ax.nodes() ** 2 / 2.0), 2)
+        g = gradient(f)
+        r = ax.nodes()
+        assert abs(g[0]) < ax.step
+        assert np.allclose(g[1:-1], -r[1:-1] * f.values[1:-1], atol=ax.step ** 2)
+        assert f.weights()[0] == 0.0
 
     def test_even_density_has_odd_gradient(self):
         rng = np.random.default_rng(7)
@@ -125,14 +132,14 @@ class TestGradient:
         for _ in range(5):
             a, b = rng.uniform(0.5, 2.0, size=2)
             f = density_from_callable(ax, lambda x: np.exp(-a * x ** 2) * (1 + b * x ** 2))
-            g = gradient(f)[0]
+            g = gradient(f)
             assert np.allclose(g, -g[::-1], atol=1e-8)
 
     def test_support_edge_one_sided(self):
         # compactly supported parabola: interior-side differences at the edge
         ax = Axis(-2.0, 2.0, 401)
         f = density_from_callable(ax, lambda x: np.clip(1 - x * x, 0.0, None))
-        g = gradient(f)[0]
+        g = gradient(f)
         x = ax.nodes()
         inside = np.abs(x) < 1.0 - 2 * ax.step
         assert np.allclose(g[inside], -2 * x[inside], atol=5e-4)
@@ -198,16 +205,13 @@ def ref_fix_support_edges(v, g, mask, h, ax):
 
 
 def ref_gradient(f):
-    return [ref_fix_support_edges(f.values, np.gradient(f.values, a.step, axis=k),
-                                  f.support_mask, a.step, k)
-            for k, a in enumerate(f.axes)]
+    h = f.axis.step
+    return ref_fix_support_edges(f.values, np.gradient(f.values, h, axis=0), f.support_mask, h, 0)
 
 
 def assert_gradient_matches_reference(f):
     got, want = gradient(f), ref_gradient(f)
-    assert len(got) == len(want) == f.dim
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def barenblatt_after_evolve(m, beta, nodes, half_width):
@@ -219,7 +223,7 @@ def barenblatt_after_evolve(m, beta, nodes, half_width):
 
 def on_nodes(values, lo=-1.0, hi=1.0):
     values = np.asarray(values, dtype=float)
-    return GridDensity((Axis(lo, hi, values.size),), values)
+    return GridDensity(Axis(lo, hi, values.size), values)
 
 
 #: 1-D supports: (name, values) with the support runs named
@@ -269,18 +273,17 @@ class TestGradientOracle:
                                    QGaussianParams(1.0, 1.5, 2.0, 2), QGaussianParams(2.0, 2.0, 1.0, 2)],
                              ids=str)
     def test_two_dimensional_q_gaussians(self, p):
+        # radial: the line's stencils along r
         assert_gradient_matches_reference(grid_density(p, 201))
 
     def test_two_dimensional_supports(self):
-        ax = Axis(-5.0, 5.0, 201)
-        assert_gradient_matches_reference(
-            density_from_callable((ax, ax), lambda x, y: np.exp(-(x * x + y * y) / 2.0)))
+        r = Axis(0.0, 5.0, 201)
+        assert_gradient_matches_reference(GridDensity(r, np.exp(-r.nodes() ** 2 / 2.0), 2))
         rng = np.random.default_rng(12)
         for _ in range(50):
-            rows, cols = (int(k) for k in 2 * rng.integers(1, 8, size=2) + 1)
-            values = rng.random((rows, cols)) * (rng.random((rows, cols)) < rng.uniform(0.2, 0.9))
-            assert_gradient_matches_reference(
-                GridDensity((Axis(0.0, 1.0, rows), Axis(-1.0, 1.0, cols)), values))
+            n = 2 * int(rng.integers(1, 8)) + 1
+            values = rng.random(n) * (rng.random(n) < rng.uniform(0.2, 0.9))
+            assert_gradient_matches_reference(GridDensity(Axis(0.0, 1.0, n), values, 2))
 
     def test_leaves_density_untouched(self):
         f = grid_density(QGaussianParams(2.0, 2.0, 1.0, 1), 501)
@@ -309,7 +312,7 @@ class TestNormalize:
         assert np.allclose(once.values, twice.values, atol=1e-12)
 
     def test_zero_mass_rejected(self):
-        f = GridDensity((Axis(0.0, 1.0, 11),), np.zeros(11))
+        f = GridDensity(Axis(0.0, 1.0, 11), np.zeros(11))
         with pytest.raises(ValueError, match="mass"):
             normalize(f)
 
@@ -323,26 +326,17 @@ class TestGridDensity:
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            GridDensity((Axis(0.0, 1.0, 11),), np.linspace(-0.1, 1.0, 11))
+            GridDensity(Axis(0.0, 1.0, 11), np.linspace(-0.1, 1.0, 11))
 
     def test_support_mask_is_positivity_set(self):
         vals = np.array([0.0, 1.0, 2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 2.0, 3.0])
-        f = GridDensity((Axis(0.0, 1.0, 11),), vals)
+        f = GridDensity(Axis(0.0, 1.0, 11), vals)
         assert np.array_equal(f.support_mask, vals > 0)
 
-    def test_json_round_trip(self):
-        ax = Axis(-1.0, 1.0, 21)
-        f = density_from_callable((ax, Axis(0.0, 2.0, 11)), lambda x, y: 1.0 + x * x + y)
-        g = GridDensity.from_json(f.to_json())
-        assert g.axes == f.axes
-        assert np.array_equal(g.values, f.values)
-        d = json.loads(f.to_json())
-        assert d["dim"] == 2 and len(d["values"]) == 21 * 11
-
     def test_three_dim_tensor_rejected(self):
-        ax = Axis(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="radial"):
-            GridDensity((ax, ax, ax), np.ones((5, 5, 5)))
+        # dimension 3 is radial: one axis of radii, not a 5 x 5 x 5 tensor
+        with pytest.raises(ValueError, match="shape"):
+            GridDensity(Axis(0.0, 1.0, 5), np.ones((5, 5, 5)), 3)
 
 
 class TestTolerances:
@@ -357,5 +351,9 @@ class TestTolerances:
 
 
 def test_weights_sum_to_volume():
-    w = quad_weights((Axis(0.0, 2.0, 21), Axis(-1.0, 1.0, 31)))
-    assert w.sum() == pytest.approx(4.0, abs=1e-13)
+    ones = np.ones(21)
+    assert GridDensity(Axis(0.0, 2.0, 21), ones).weights().sum() == pytest.approx(2.0, abs=1e-13)
+    # the ball of radius 2 in R^n: |S^(n-1)| 2^n / n (exact: r^(n-1) is at most cubic)
+    for n in (2, 3, 4):
+        w = GridDensity(Axis(0.0, 2.0, 21), ones, n).weights()
+        assert w.sum() == pytest.approx(sphere_surface(n) * 2.0 ** n / n, rel=1e-13)

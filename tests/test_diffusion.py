@@ -45,7 +45,7 @@ class TestStep:
         st = gaussian_state()
         st, _ = evolve(st, 0.25, n_logs=11)
         sig2 = 1.0 + 2 * 0.25
-        x = st.f.axes[0].nodes()
+        x = st.f.axis.nodes()
         exact = np.exp(-x ** 2 / (2 * sig2)) / np.sqrt(2 * np.pi * sig2)
         assert np.max(np.abs(st.f.values - exact)) < 1e-3
 
@@ -55,7 +55,7 @@ class TestStep:
             st = gaussian_state(count=count)
             st, _ = evolve(st, 0.1, n_logs=3)
             sig2 = 1.2
-            x = st.f.axes[0].nodes()
+            x = st.f.axis.nodes()
             exact = np.exp(-x ** 2 / (2 * sig2)) / np.sqrt(2 * np.pi * sig2)
             errs.append(np.max(np.abs(st.f.values - exact)))
         assert errs[1] < errs[0] / 3.0  # ~O(h^2) under the coupled h, dt refinement
@@ -86,10 +86,11 @@ class TestStep:
             DiffusionState(DiffusionParams(0.5, 2.0, 1), 0.0, f)
 
     def test_solver_is_one_dimensional(self):
-        ax = Axis(-2.0, 2.0, 21)
-        f = density_from_callable((ax, ax), lambda x, y: np.exp(-x * x - y * y))
-        with pytest.raises(ValueError, match="1-D"):
-            DiffusionState(HEAT, 0.0, f)
+        # a radial density (dim 2 or 3) is refused
+        for dim in (2, 3):
+            f = GridDensity(Axis(0.0, 2.0, 21), np.exp(-np.linspace(0.0, 2.0, 21) ** 2), dim)
+            with pytest.raises(ValueError, match="1-D"):
+                DiffusionState(HEAT, 0.0, f)
 
 
 class TestEvolve:
@@ -241,7 +242,7 @@ def _ref_advance(v, flux, h, dt, t):
 def _ref_stable_dt(state):
     p = state.params
     v = state.f.values
-    h = state.f.axes[0].step
+    h = state.f.axis.step
     d = np.diff(v ** p.m) / h
     dmax = _ref_max_diffusivity(v, d, p)
     if dmax <= 0:
@@ -252,17 +253,17 @@ def _ref_stable_dt(state):
 def _ref_step(state, dt):
     p = state.params
     v = state.f.values
-    h = state.f.axes[0].step
+    h = state.f.axis.step
     d = np.diff(v ** p.m) / h
     vn = _ref_advance(v, _ref_face_flux(d, p.beta), h, dt, state.t)
-    return DiffusionState(p, state.t + dt, GridDensity(state.f.axes, vn),
+    return DiffusionState(p, state.t + dt, GridDensity(state.f.axis, vn),
                           state.step_count + 1, state.mass0)
 
 
 def _ref_evolve(state, t_end, n_logs):
     p = state.params
-    h = state.f.axes[0].step
-    axes = state.f.axes
+    h = state.f.axis.step
+    axis = state.f.axis
 
     def log_row(dens):
         return (tsallis_entropy(dens, p.q), m_q(dens, p.q),
@@ -281,10 +282,10 @@ def _ref_evolve(state, t_end, n_logs):
             v = _ref_advance(v, _ref_face_flux(d, p.beta), h, dt, t)
             t += dt
             nsteps += 1
-        rows.append(log_row(GridDensity(axes, v)))
+        rows.append(log_row(GridDensity(axis, v)))
     arr = np.array(rows)
     log = TrajectoryLog(p.q, p.beta, p.m, log_times, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
-    return DiffusionState(p, t_end, GridDensity(axes, v), nsteps, state.mass0), log
+    return DiffusionState(p, t_end, GridDensity(axis, v), nsteps, state.mass0), log
 
 
 def _oracle_state(m, beta):

@@ -40,14 +40,14 @@ def gaussian_meanvar_model(count=4001):
         mu, v = theta
         return np.exp(-(coords[0] - mu) ** 2 / (2 * v)) / np.sqrt(2 * np.pi * v)
 
-    return ParametricModel(dens, dens, 1, 2, (ax,), name="gaussian-meanvar")
+    return ParametricModel(dens, dens, 2, ax, name="gaussian-meanvar")
 
 
 class TestScore:
     def test_classical_gaussian_score(self):
         m = gaussian_location_model(n=1)
         psi = score_g(m, [0.3])[0]
-        x = m.axes[0].nodes()
+        x = m.axis.nodes()
         assert np.allclose(psi, x - 0.3, atol=1e-8)
 
     def test_locally_constant_model_zero_score(self):
@@ -56,7 +56,7 @@ class TestScore:
         def dens(coords, theta):
             return np.exp(-coords[0] ** 2 / 2) / np.sqrt(2 * np.pi)
 
-        m = ParametricModel(dens, dens, 1, 1, (ax,))
+        m = ParametricModel(dens, dens, 1, ax)
         assert np.allclose(score_g(m, [0.0])[0], 0.0)
 
     def test_singular_score_detected(self):
@@ -70,7 +70,7 @@ class TestScore:
             x = coords[0]
             return np.where(np.abs(x) < 1.0, 0.5, 0.0)
 
-        m = ParametricModel(dens_f, dens_g, 1, 1, (ax,))
+        m = ParametricModel(dens_f, dens_g, 1, ax)
         with pytest.raises(SingularScoreError):
             score_g(m, [0.0])
 
@@ -80,8 +80,8 @@ class TestScore:
         m = escort_pair_model(q, 2.0, 1.0, count=8001)
         psi = score_g(m, [0.0])[0]
         gv = m.g_values([0.0])
-        gd = GridDensity(m.axes, gv)
-        grad = gradient(gd)[0]
+        gd = GridDensity(m.axis, gv)
+        grad = gradient(gd)
         mq = m_q(gd, q)
         interior = gv > 1e-3 * gv.max()
         rhs = -(q / mq) * gv[interior] ** (q - 1.0) * grad[interior] / gv[interior]
@@ -91,7 +91,7 @@ class TestScore:
         m = gaussian_location_model(n=1)
         m.check_normalized([np.array([0.0]), np.array([0.5])])
         bad = ParametricModel(lambda c, t: np.exp(-c[0] ** 2), lambda c, t: np.exp(-c[0] ** 2),
-                              1, 1, (Axis(-10, 10, 1001),))
+                              1, Axis(-10, 10, 1001))
         with pytest.raises(ValueError, match="mass"):
             bad.check_normalized([np.array([0.0])])
 
@@ -150,7 +150,7 @@ class TestFisherMatrix:
     def test_theta_independent_density_gives_zero(self):
         ax = Axis(-10.0, 10.0, 2001)
         dens = lambda c, t: np.exp(-c[0] ** 2 / 2) / np.sqrt(2 * np.pi)
-        m = ParametricModel(dens, dens, 1, 1, (ax,))
+        m = ParametricModel(dens, dens, 1, ax)
         J = fisher_matrix_g(m, [0.0])
         assert J[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -219,7 +219,7 @@ class TestLocationConsistency:
         m = qgaussian_location_model(1.5, 2.0, 1.0, count=8001)
         psi = score_g(m, [0.0])[0]
         gv = m.g_values([0.0])
-        fd = gradient(GridDensity(m.axes, m.f_values([0.0])))[0]
+        fd = gradient(GridDensity(m.axis, m.f_values([0.0])))
         interior = gv > 1e-3 * gv.max()
         assert np.allclose(psi[interior], -fd[interior] / gv[interior], atol=1e-6)
 
@@ -232,11 +232,11 @@ class TestLocationConsistency:
         rep = crm_bound_scalar(m, est, [0.0], TOL_EQ)
         beta = est.beta
         gv = m.g_values([0.0])
-        gd = GridDensity(m.axes, gv)
+        gd = GridDensity(m.axis, gv)
         fv = m.f_values([0.0])
-        fd = gradient(GridDensity(m.axes, fv))[0]
+        fd = gradient(GridDensity(m.axis, fv))
         ratio = np.where(gv > 0, -fd / np.where(gv > 0, gv, 1.0), 0.0)
-        x = m.axes[0].nodes()
+        x = m.axis.nodes()
         lhs_prod = m.quad(np.abs(x) ** alpha * gv) ** (1 / alpha)
         score_term = m.quad(np.abs(ratio) ** beta * gv) ** (1 / beta)
         assert lhs_prod * score_term == pytest.approx(1.0, abs=2e-4)  # equality case
@@ -256,7 +256,7 @@ class TestLocationConsistency:
             lhs = m.quad(np.abs(psi) ** beta * gv)
             exact = q ** beta * closed_form_i_fisher(QGaussianParams(q, alpha, 1.0, 1))
             assert lhs == pytest.approx(exact, rel=1e-8)
-            gd = GridDensity(m.axes, gv)
+            gd = GridDensity(m.axis, gv)
             assert lhs == pytest.approx(q ** beta * i_fisher(gd, q, beta), rel=1e-5)
 
 
@@ -349,11 +349,13 @@ class TestQcrProduct:
             qcr_product(g, 2.0, 1.0)
 
     def test_two_dimensional_equality(self):
+        # radial: 801 radii on [0, 1.05 R]
         p = QGaussianParams(1.5, 2.0, 1.0, 2)
         g = grid_density(p, count=801)
-        rep = qcr_product(g, 1.5, 2.0, Tolerances(inequality_slack=1e-3))
+        assert g.dim == 2 and g.axis.lo == 0.0
+        rep = qcr_product(g, 1.5, 2.0, Tolerances(inequality_slack=1e-5))
         assert rep.rhs == 2.0
-        assert rep.lhs == pytest.approx(2.0, abs=1e-3)
+        assert rep.lhs == pytest.approx(2.0, abs=1e-5)
 
     def test_divergent_fisher_flagged(self):
         # near-vanishing plateau with a large negative Fisher exponent: the

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfisher.core import Axis, GridDensity, density_from_callable, integrate, simpson_weights
+from qfisher.core import Axis, GridDensity, integrate, simpson_weights, sphere_surface
 from qfisher.qgaussian import QGaussianParams, grid_density
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,9 +152,9 @@ def ref_simpson_weights(axis: Axis) -> np.ndarray:
 
 
 def ref_integral(f: GridDensity, arr) -> float:
-    w = ref_simpson_weights(f.axes[0])
-    for a in f.axes[1:]:
-        w = np.multiply.outer(w, ref_simpson_weights(a))
+    w = ref_simpson_weights(f.axis)
+    if f.dim > 1:  # the radial rule
+        w = w * sphere_surface(f.dim) * f.axis.nodes() ** (f.dim - 1)
     return float(np.sum(w * arr))
 
 
@@ -169,10 +169,10 @@ def test_simpson_weights_cached_read_only():
 
 
 def test_integrate_bits_unchanged():
-    ax = Axis(-5.0, 5.0, 301)
+    ax = Axis(0.0, 5.0, 301)
     densities = [grid_density(QGaussianParams(q, 2.0, 1.0, n), count)
                  for q in (0.8, 1.0, 2.0) for n, count in ((1, 4001), (2, 101))]
-    densities.append(density_from_callable((ax, ax), lambda x, y: np.exp(-(x * x + 2 * y * y))))
+    densities.append(GridDensity(ax, np.exp(-2 * ax.nodes() ** 2), 3))
     for f in densities * 2:  # the second round from the cache
         for arr in (f.values, f.values ** 2, np.sqrt(f.values)):
             assert integrate(f, arr) == ref_integral(f, arr)
@@ -248,6 +248,13 @@ def test_bare_import_loads_no_scipy():
 @pytest.mark.parametrize("name", ["info", "qcr", "stam"])
 def test_closed_form_commands_load_only_scipy_special(name):
     loaded = scipy_modules_loaded(*readme_command(name))
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+
+
+@pytest.mark.parametrize("argv", [("qcr", "--n", "3"), ("info", "--n", "2")], ids=" ".join)
+def test_radial_commands_load_only_scipy_special(argv):
+    loaded = scipy_modules_loaded(*argv)
     assert "scipy.special" in loaded
     assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
 

@@ -1,13 +1,14 @@
 """Stam inequality and minimum-Fisher variational characterizations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from qfisher.core import Axis, Tolerances, density_from_callable, integrate
+from qfisher.core import Axis, GridDensity, Tolerances, density_from_callable, integrate
 from qfisher.inequalities import (
     min_fisher_fixed_entropy,
     min_fisher_fixed_moment,
-    stam_dilation_exponent,
     stam_hypothesis_ok,
     stam_product,
     stam_ratio,
@@ -62,12 +63,17 @@ class TestStam:
         assert rep.passed
 
     def test_dilation_exponent_fit(self):
-        # the Stam product is exactly dilation invariant: fitted law ~ c^0
-        for q, beta in ((1.0, 2.0), (2.0, 2.0), (1.5, 3.0)):
+        # the Stam product is exactly dilation invariant: fitted law ~ c^0.
+        # Exact dilations of the grid, x -> c x (axis scaled by c, values by
+        # 1/c^n), on the line and radially in R^2 and R^3
+        scales = (0.5, 0.7071067811865476, 1.0, 1.4142135623730951, 2.0)
+        for n, (q, beta) in itertools.product((1, 2, 3), ((1.0, 2.0), (2.0, 2.0), (1.5, 3.0))):
             alpha = beta / (beta - 1.0)
-            f = grid_density(QGaussianParams(q, alpha, 1.0 if q != 1 else 0.5, 1), count=4001)
-            fit = stam_dilation_exponent(f, q, beta)
-            assert abs(fit["exponent"]) < 1e-6
+            f = grid_density(QGaussianParams(q, alpha, 1.0 if q != 1 else 0.5, n), count=4001)
+            dilated = [GridDensity(Axis(f.axis.lo * c, f.axis.hi * c, f.axis.count),
+                                   f.values / c ** n, n) for c in scales]
+            logs = [np.log(stam_product(fc, q, beta)) for fc in dilated]
+            assert abs(np.polyfit(np.log(scales), logs, 1)[0]) < 1e-6
 
     def test_hypothesis_guard(self):
         assert stam_hypothesis_ok(1.0, 2.0, 1)
@@ -185,7 +191,9 @@ def test_reference_closed_form_is_scale_free():
 
 
 def test_two_dimensional_stam_equality():
+    # radial: 801 radii on [0, 1.05 R]
     p = QGaussianParams(1.5, 2.0, 1.0, 2)
     g = grid_density(p, count=801)
-    rep = stam_ratio(g, 1.5, 2.0, Tolerances(inequality_slack=1e-3))
-    assert rep.lhs == pytest.approx(1.0, abs=1e-3)
+    assert g.dim == 2 and g.axis.lo == 0.0
+    rep = stam_ratio(g, 1.5, 2.0, Tolerances(inequality_slack=1e-5))
+    assert rep.lhs == pytest.approx(1.0, abs=1e-5)

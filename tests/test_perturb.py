@@ -76,7 +76,7 @@ def ref_perturbed_density(p, bump, amplitude, constraint, target, count=8001):
         return pdf(p, x) * (1.0 + amplitude * bump(x / r_eff))
 
     ax = Axis(-r_grid, r_grid, count)
-    base = normalize(GridDensity((ax,), raw(ax.nodes())))
+    base = normalize(GridDensity(ax, raw(ax.nodes())))
     if constraint == "moment":
         current = moment_abs(base, p.alpha)
         c = (target / current) ** (1.0 / p.alpha)
@@ -87,7 +87,7 @@ def ref_perturbed_density(p, bump, amplitude, constraint, target, count=8001):
         raise ValueError(f"unknown constraint {constraint!r}")
     ax_c = Axis(ax.lo * c, ax.hi * c, count)
     values = raw(ax_c.nodes() / c) / c
-    return normalize(GridDensity((ax_c,), values))
+    return normalize(GridDensity(ax_c, values))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def bump_pair(seed, n_modes=N_MODES):
 
 def assert_same_density(got, want):
     assert got.values.tobytes() == want.values.tobytes()
-    assert [(a.lo, a.hi, a.count) for a in got.axes] == [(a.lo, a.hi, a.count) for a in want.axes]
+    assert got.axis == want.axis
 
 
 def wrapped(fn):

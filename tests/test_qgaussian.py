@@ -28,7 +28,6 @@ from qfisher.qgaussian import (
     normalization,
     pdf,
     sample,
-    samples_to_csv,
     support_radius,
     tail_radius,
 )
@@ -230,7 +229,7 @@ class TestGridDensityProperties:
 
     def test_support_exactness(self):
         f = grid_density(P_COMPACT, count=2001)
-        x = f.axes[0].nodes()
+        x = f.axis.nodes()
         r = support_radius(P_COMPACT)
         assert np.all(f.values[np.abs(x) < r] > 0)
         assert np.all(f.values[np.abs(x) > r] == 0.0)
@@ -331,7 +330,7 @@ class TestBarenblatt:
         ax = Axis(-3.0, 3.0, 2001)
         vals = barenblatt(dp, C, ax.nodes(), t)
         from qfisher.core import GridDensity, normalize
-        bb = normalize(GridDensity((ax,), vals))
+        bb = normalize(GridDensity(ax, vals))
         assert np.allclose(bb.values, pdf(p_eq, ax.nodes()), atol=1e-8)
 
     def test_plap_profile_params(self):
@@ -354,12 +353,3 @@ class TestBarenblatt:
         dp = DiffusionParams(2.0, 2.0, 1)
         f = barenblatt_density(dp, 1.0, Axis(-3.0, 3.0, 1001))
         assert integrate(f) == pytest.approx(1.0, abs=1e-6)
-
-
-class TestSerialization:
-    def test_samples_csv(self):
-        pts = sample(P_COMPACT, seed=5, count=3)
-        text = samples_to_csv(pts)
-        rows = text.strip().split("\n")
-        assert len(rows) == 3
-        assert float(rows[0]) == pts[0, 0]
