@@ -12,9 +12,12 @@ well but wobbles by O(h^2 |[f']|) while a support front crosses nodes, which
 is quadrature error at the kink rather than leakage.  Runs abort if the
 support (or the 1e-10 mass tail) reaches the domain edge.
 
-One kernel, :class:`_Kernel`, holds the update arithmetic and the CFL rule;
-:func:`step`, :func:`stable_dt` and :func:`evolve` all call it, and it works
-in place on buffers allocated once per run.  After every step, values more
+One kernel method, :meth:`_Kernel.march`, holds the update arithmetic and
+the CFL rule, and works in place on buffers allocated once per run.
+:func:`evolve` calls it once per log interval, marching every step of the
+interval in one loop that binds its array views, ufuncs and constants once;
+:func:`step` is a march of one step of a given size, and :func:`stable_dt`
+a march of none, which only reads the CFL dt.  After every step, values more
 negative than NEGATIVE_CLAMP_REL times the peak raise StabilityError and
 smaller negatives are clamped to zero; the clamp is skipped only when the
 minimum is strictly positive, so it never changes a bit it would not have
@@ -109,6 +112,10 @@ class _Kernel:
     and the clamp, so results are bit for bit those of that allocating form.
     (At v[-1] the two can differ only in the sign of a zero sum, which the
     clamp then makes +0.0 either way.)
+
+    :meth:`march` is the only code that runs these operations.  It binds its
+    views, ufuncs and constants once per call, so a step looks up no
+    attribute and calls no Python method.
     """
 
     def __init__(self, p: DiffusionParams, h: float, n: int):
@@ -123,38 +130,83 @@ class _Kernel:
             self.a = self.fpad[1:-1]
         self.fl = np.empty(n)
 
-    def cfl_dt(self, v: np.ndarray) -> float:
-        """Puts the face fluxes of v in ``fpad`` and returns CFL_SAFETY h^2 /
-        (bound on the linearized diffusivity (beta-1) m f^(m-1)
-        |grad f^m|^(beta-2), node and face maxima bounded separately), or inf
-        when the bound vanishes (a uniform state)."""
-        p, h, d = self.p, self.h, self.d
-        w = v if self.w is None else np.power(v, p.m, out=self.w)
-        np.subtract(w[1:], w[:-1], out=d)
-        np.divide(d, h, out=d)
-        if p.beta == 2.0:
-            gfac = 1.0
-        else:
-            a = self.a
-            np.abs(d, out=a)
-            if p.beta > 2.0:
-                gfac = float(a.max()) ** (p.beta - 2.0)
-                np.power(a, p.beta - 2.0, out=a)
+    def march(self, v: np.ndarray, t: float, target: float, stop: float,
+              steps: int, budget: int, fixed_dt: float | None = None):
+        """Steps v in place from time t while t < stop and returns (t, steps,
+        cfl), where cfl is the CFL dt of the final v.
+
+        Each iteration is one flux pass, which puts the face fluxes of v in
+        ``fpad`` and sets cfl = CFL_SAFETY h^2 / (bound on the linearized
+        diffusivity (beta-1) m f^(m-1) |grad f^m|^(beta-2), node and face
+        maxima bounded separately), or inf when the bound vanishes (a uniform
+        state); then, unless t >= stop, one step of dt = min(cfl, target - t),
+        or of ``fixed_dt`` when given (which makes it the last step).  A step is
+        v += dt/h div(flux), then the negativity abort and the roundoff clamp.
+        Both are skipped when min(v) > 0 strictly, where they cannot change a
+        bit (np.maximum turns -0.0 into +0.0); max(v) is read only to judge a
+        negative minimum.  A step that takes the count past ``budget`` raises.
+        """
+        h, beta, wbuf, d, fl = self.h, self.p.beta, self.w, self.d, self.fl
+        w = v if wbuf is None else wbuf
+        w_hi, w_lo = w[1:], w[:-1]
+        f_hi, f_lo = self.fpad[1:], self.fpad[:-1]
+        a = None if beta == 2.0 else self.a
+        subtract, divide, multiply, add = np.subtract, np.divide, np.multiply, np.add
+        power, absolute, maximum = np.power, np.abs, np.maximum
+        vmin, vmax = np.minimum.reduce, np.maximum.reduce
+        m, m_less1 = self.p.m, self.p.m - 1.0
+        beta_less2, half_beta_less2 = beta - 2.0, (beta - 2.0) / 2.0
+        diffusivity = (beta - 1.0) * m
+        cfl_h2 = CFL_SAFETY * h * h
+        eps2 = GRAD_EPS * GRAD_EPS
+        clamp_rel = -NEGATIVE_CLAMP_REL
+        while True:
+            if wbuf is not None:
+                power(v, m, out=wbuf)
+            subtract(w_hi, w_lo, out=d)
+            divide(d, h, out=d)
+            if a is None:
+                gfac = 1.0
             else:
-                dmin = float(a.min())
-                gfac = (dmin * dmin + GRAD_EPS * GRAD_EPS) ** ((p.beta - 2.0) / 2.0)
-                np.multiply(d, d, out=a)
-                np.add(a, GRAD_EPS * GRAD_EPS, out=a)
-                np.power(a, (p.beta - 2.0) / 2.0, out=a)
-            np.multiply(a, d, out=a)
-        ffac = 1.0 if p.m == 1.0 else float(v.max()) ** (p.m - 1.0)
-        dmax = (p.beta - 1.0) * p.m * ffac * gfac
-        if dmax <= 0:
-            return math.inf
-        return CFL_SAFETY * h * h / dmax
+                absolute(d, out=a)
+                if beta > 2.0:
+                    gfac = float(vmax(a)) ** beta_less2
+                    power(a, beta_less2, out=a)
+                else:
+                    dmin = float(vmin(a))
+                    gfac = (dmin * dmin + eps2) ** half_beta_less2
+                    multiply(d, d, out=a)
+                    add(a, eps2, out=a)
+                    power(a, half_beta_less2, out=a)
+                multiply(a, d, out=a)
+            ffac = 1.0 if wbuf is None else float(vmax(v)) ** m_less1
+            dmax = diffusivity * ffac * gfac
+            cfl = math.inf if dmax <= 0 else cfl_h2 / dmax
+            if not t < stop:
+                return t, steps, cfl
+            if fixed_dt is None:
+                dt = min(cfl, target - t)
+            else:
+                dt, stop = fixed_dt, t  # one step of the given size
+            subtract(f_hi, f_lo, out=fl)
+            multiply(fl, dt / h, out=fl)
+            add(v, fl, out=v)
+            worst = float(vmin(v))
+            if not worst > 0.0:
+                if worst < 0.0 and worst < clamp_rel * max(float(vmax(v)), 1.0):
+                    raise StabilityError(
+                        f"negative value {worst:g} beyond clamp tolerance at t = {t:g} "
+                        f"(dt = {dt:g}); reduce dt or refine the grid"
+                    )
+                maximum(v, 0.0, out=v)
+            t += dt
+            steps += 1
+            if steps > budget:
+                raise StabilityError(
+                    f"step budget of {MAX_STEPS} exhausted at t = {t:g} (dt = {dt:g})")
 
     def limiting_node(self, v: np.ndarray) -> int:
-        """Node that sets the bound of the last :meth:`cfl_dt`: the face of
+        """Node that sets the CFL dt of the last flux pass: the face of
         extreme |D f^m| (its left node) when beta != 2, else the peak."""
         if self.p.beta > 2.0:
             return int(np.argmax(np.abs(self.d)))
@@ -162,30 +214,11 @@ class _Kernel:
             return int(np.argmin(np.abs(self.d)))
         return int(np.argmax(v))
 
-    def advance(self, v: np.ndarray, dt: float, t: float):
-        """v += dt/h div(flux) in place, then the negativity abort and the
-        roundoff clamp.  Both are skipped when min(v) > 0 strictly, where they
-        cannot change a bit (np.maximum turns -0.0 into +0.0); max(v) is read
-        only to judge a negative minimum."""
-        fpad, fl = self.fpad, self.fl
-        np.subtract(fpad[1:], fpad[:-1], out=fl)
-        np.multiply(fl, dt / self.h, out=fl)
-        np.add(v, fl, out=v)
-        worst = float(v.min())
-        if worst > 0.0:
-            return
-        if worst < 0.0 and worst < -NEGATIVE_CLAMP_REL * max(float(v.max()), 1.0):
-            raise StabilityError(
-                f"negative value {worst:g} beyond clamp tolerance at t = {t:g} "
-                f"(dt = {dt:g}); reduce dt or refine the grid"
-            )
-        np.maximum(v, 0.0, out=v)
-
 
 def stable_dt(state: DiffusionState) -> float:
     """dt = CFL_SAFETY * h^2 / max(linearized diffusivity)."""
-    v = state.f.values
-    return _Kernel(state.params, state.f.axis.step, v.size).cfl_dt(v)
+    v, t = state.f.values, state.t
+    return _Kernel(state.params, state.f.axis.step, v.size).march(v, t, t, t, 0, 0)[2]
 
 
 def step(state: DiffusionState, dt: float) -> DiffusionState:
@@ -194,8 +227,7 @@ def step(state: DiffusionState, dt: float) -> DiffusionState:
         raise ValueError(f"dt must be positive, got {dt}")
     v = state.f.values.copy()
     kernel = _Kernel(state.params, state.f.axis.step, v.size)
-    kernel.cfl_dt(v)
-    kernel.advance(v, dt, state.t)
+    kernel.march(v, state.t, math.inf, math.inf, 0, 1, dt)
     new = DiffusionState(state.params, state.t + dt, GridDensity(state.f.axis, v),
                          state.step_count + 1, state.mass0)
     drift = abs(new.discrete_mass - state.discrete_mass)
@@ -219,9 +251,10 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     """March to t_end with automatic stable dt, logging the functionals on a
     uniform time grid of n_logs rows (dt_log ~ span/200 by default).
 
-    Each step is the kernel :func:`step` uses, with dt = min(:func:`stable_dt`,
-    time to the next log row), applied in place to one copy of
-    ``state.f.values`` (the caller's array is never written).  The clamp runs
+    Each log interval is one :meth:`_Kernel.march`, whose steps are those of
+    :func:`step` with dt = min(:func:`stable_dt`, time to the next log row),
+    applied in place to one copy of ``state.f.values`` (the caller's array
+    is never written).  The clamp runs
     on every step; mass drift and boundary contact are checked at each log
     row.  A run whose step count, estimated from the initial dt, would exceed
     MAX_STEPS is refused before the first step, and the march aborts if it
@@ -245,7 +278,8 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
 
     v = state.f.values.copy()
     kernel = _Kernel(p, h, v.size)
-    dt0 = kernel.cfl_dt(v)
+    t = state.t
+    dt0 = kernel.march(v, t, t, t, 0, 0)[2]
     estimate = (t_end - state.t) / dt0 if dt0 > 0 else math.inf
     if estimate > MAX_STEPS:
         raise StabilityError(
@@ -256,20 +290,12 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     log_times = np.linspace(state.t, t_end, n_logs)
     _check_boundary_clear(v, state.t)
     rows = [log_row(state.f)]
-    t = state.t
     nsteps = state.step_count
     budget = nsteps + MAX_STEPS
     mass_ref = h * float(np.sum(v))
     for target in log_times[1:]:
         stop = target - 1e-15 * max(1.0, abs(target))
-        while t < stop:
-            dt = min(kernel.cfl_dt(v), target - t)
-            kernel.advance(v, dt, t)
-            t += dt
-            nsteps += 1
-            if nsteps > budget:
-                raise StabilityError(
-                    f"step budget of {MAX_STEPS} exhausted at t = {t:g} (dt = {dt:g})")
+        t, nsteps, _ = kernel.march(v, t, target, stop, nsteps, budget)
         _check_boundary_clear(v, t)
         drift = abs(h * float(np.sum(v)) - mass_ref)
         if drift > MASS_DRIFT_TOL:

@@ -181,18 +181,25 @@ def _check_escort_tail(f: GridDensity, w: np.ndarray):
     """Heuristic truncation check: if f itself carries no boundary mass (a
     genuine tail, not a by-design compact box) while f^(1/q) is still large at
     the boundary, the escort integral diverges off-grid.  The boundary is
-    both ends of a line and the far end r = R of a radial axis."""
-    ends = [0, -1] if f.dim == 1 else [-1]
-    f_edge = float(f.values[ends].max())
-    w_edge = float(w[ends].max())
-    f_peak = float(f.values.max())
-    w_peak = float(w.max())
-    if f_peak <= 0 or w_peak <= 0:
+    both ends of a line and the far end r = R of a radial axis, where both
+    are read as mass per unit radius, r^(n-1) times the value."""
+    fv = f.values
+    if fv.max() <= 0 or w.max() <= 0:
         raise ValueError("escort of an identically-zero density")
+    if f.dim == 1:
+        ends, label = [0, -1], "f^(1/q)"
+    else:
+        ends, label = [-1], "r^(n-1) f^(1/q)"
+        r_pow = f.axis.nodes() ** (f.dim - 1)
+        fv, w = fv * r_pow, w * r_pow
+    f_edge = float(fv[ends].max())
+    w_edge = float(w[ends].max())
+    f_peak = float(fv.max())
+    w_peak = float(w.max())
     if f_edge < 1e-10 * f_peak and w_edge > 1e-6 * w_peak:
         raise EscortDivergenceError(
             "escort integral does not converge on this grid: "
-            f"f^(1/q) at the domain edge is {w_edge / w_peak:.3g} of its peak "
+            f"{label} at the domain edge is {w_edge / w_peak:.3g} of its peak "
             f"while f itself has decayed to {f_edge / max(f_peak, 1e-300):.3g}"
         )
 

@@ -83,9 +83,12 @@ def tail_radius(p: QGaussianParams, tail_mass: float = DEFAULT_TAIL_MASS) -> flo
         return float((u / ((p.q - 1.0) * p.gamma)) ** (1.0 / p.alpha))
     if p.q == 1:
         return float((sp_special.gammaincinv(n_a, 1.0 - tail_mass) / p.gamma) ** (1.0 / p.alpha))
+    # the CDF is I_t(n/alpha, s - n/alpha) at t = y/(1+y), y = (1-q) gamma R^alpha;
+    # invert the tail I_(1-t)(s - n/alpha, n/alpha) for u = 1 - t, since t
+    # itself rounds to 1 for heavy tails and y = t/(1-t) would be inf
     s_bar = 1.0 / (1.0 - p.q)
-    t = sp_special.betaincinv(n_a, s_bar - n_a, 1.0 - tail_mass)
-    return float((t / ((1.0 - t) * (1.0 - p.q) * p.gamma)) ** (1.0 / p.alpha))
+    u = sp_special.betaincinv(s_bar - n_a, n_a, tail_mass)
+    return float(((1.0 - u) / (u * (1.0 - p.q) * p.gamma)) ** (1.0 / p.alpha))
 
 
 def radial_profile(p: QGaussianParams, r) -> np.ndarray:

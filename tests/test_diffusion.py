@@ -306,6 +306,12 @@ ORACLE_CASES = [(1.0, 2.0, 0.3), (2.0, 2.0, 0.5), (1.0, 3.0, 0.5), (2.0, 3.0, 0.
                 (1.5, 2.5, 0.5), (2.0, 1.5, 2e-6)]
 
 
+# the four acceptance runs (dp, half-width, nodes, t0, span) over a short span:
+# the production-size heat grid (clamp skipped) and compact supports (clamp every step)
+ACCEPTANCE_GRIDS = [(HEAT, 10.0, 4001, 0.0, 0.01), (PME, 3.5, 251, 1.0, 0.05),
+                    (PME, 3.5, 501, 1.0, 0.02), (DiffusionParams(1.0, 3.0, 1), 3.6, 1001, 1.0, 0.01)]
+
+
 class TestKernelOracle:
     @pytest.mark.parametrize("m,beta,span", ORACLE_CASES)
     def test_evolve_bit_identical(self, m, beta, span):
@@ -330,15 +336,30 @@ class TestKernelOracle:
         # -0.0 plus a divergence that underflows to -0.0 stays -0.0; the clamp
         # must still run (min is not > 0) and make it +0.0, as the reference does
         h, dt = 1.0, 0.1
-        v = np.array([-0.0, 1.0, 1.0, 1.0])
-        flux = np.array([-5e-324, 0.0, 0.0])
+        v = np.array([-0.0, -5e-324, 1.0, 1.0])
+        flux = np.diff(v) / h  # the heat flux; flux[0] = -5e-324
         ref = _ref_advance(v, flux, h, dt, 0.0)
         kernel = diffusion._Kernel(HEAT, h, v.size)
-        kernel.fpad[1:-1] = flux
         out = v.copy()
-        kernel.advance(out, dt, 0.0)
+        kernel.march(out, 0.0, np.inf, np.inf, 0, 1, dt)
         assert out.tobytes() == ref.tobytes()
         assert not np.signbit(out[0])
+
+    @pytest.mark.parametrize("dp,half,count,t0,span", ACCEPTANCE_GRIDS,
+                             ids=["heat-n4001", "pme-n251", "pme-n501", "plap-n1001"])
+    def test_acceptance_grids_bit_identical(self, dp, half, count, t0, span):
+        ax = Axis(-half, half, count)
+        if dp == HEAT:
+            f = density_from_callable(ax, lambda x: np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi))
+        else:
+            f = barenblatt_density(dp, 1.0, ax, barenblatt_mass_constant(dp))
+        st = DiffusionState(dp, t0, f)
+        ref, ref_log = _ref_evolve(st, t0 + span, 4)
+        out, log = evolve(st, t0 + span, 4)
+        assert out.step_count == ref.step_count > 0
+        assert out.f.values.tobytes() == ref.f.values.tobytes()
+        for col in ("times", "S_q", "M_q", "phi", "mass"):
+            assert getattr(log, col).tobytes() == getattr(ref_log, col).tobytes(), col
 
 
 class TestAliasing:
@@ -364,8 +385,13 @@ class TestAliasing:
         assert not np.shares_memory(out.f.values, st.f.values)
 
 
-def _no_step(self, v, dt, t):
-    raise AssertionError("the budget check must come before the first step")
+_march = diffusion._Kernel.march
+
+
+def _no_step(self, v, t, target, stop, *args):
+    if t < stop:
+        raise AssertionError("the budget check must come before the first step")
+    return _march(self, v, t, target, stop, *args)
 
 
 class TestStepBudget:
@@ -375,7 +401,7 @@ class TestStepBudget:
         # ~2.78e9 at m = 3 for t = 1 -> 2 on 501 nodes
         dp = DiffusionParams(m, 1.5, 1)
         st = DiffusionState(dp, 1.0, barenblatt_density(dp, 1.0, Axis(-3.5, 3.5, 501)))
-        monkeypatch.setattr(diffusion._Kernel, "advance", _no_step)
+        monkeypatch.setattr(diffusion._Kernel, "march", _no_step)
         with pytest.raises(StabilityError, match=r"steps of dt = .* budget of 1000000 .*node \d+"):
             evolve(st, 2.0)
 

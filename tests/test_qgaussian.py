@@ -250,6 +250,18 @@ class TestGridDensityProperties:
         tail, _ = sp_integrate.quad(profile, r9, np.inf, limit=200)
         assert 2 * tail / normalization(p) == pytest.approx(1e-9, rel=1e-3)
 
+    @pytest.mark.parametrize("q,n", [(0.3, 2), (0.4, 2), (0.4, 3), (0.5, 3)])
+    def test_heavy_tail_radius_finite(self, q, n):
+        # here I_t(n/alpha, s - n/alpha) = 1 - 1e-12 rounds t to 1; the tail
+        # is read back from the complementary Beta at 1 - t = 1/(1 + y)
+        from scipy.special import betainc
+        p = QGaussianParams(q, 2.0, 1.0, n)
+        r = tail_radius(p, 1e-12)
+        assert np.isfinite(r)
+        s, n_a = 1.0 / (1.0 - q), n / p.alpha
+        tail = betainc(s - n_a, n_a, 1.0 / (1.0 + (1.0 - q) * p.gamma * r ** p.alpha))
+        assert tail == pytest.approx(1e-12, rel=1e-10)
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("p", [P_COMPACT, P_GAUSS,

@@ -87,6 +87,10 @@ class TestEscortTail:
         f = grid_density(QGaussianParams(0.55, 2.0, 1.0, 2), 4001)
         with pytest.raises(EscortDivergenceError):
             escort(f, 4.0)
+        # f^(1/3) decays as r^(-1.48), below 1e-6 of its peak at r = R, but
+        # r f^(1/3) decays only as r^(-0.48): the r^(n-1) weight must be read
+        with pytest.raises(EscortDivergenceError, match=r"r\^\(n-1\) f\^\(1/q\)"):
+            escort(f, 3.0)
         # f^(1/1.5) decays as r^(-2.96): integrable, no alarm
         assert integrate(escort(f, 1.5)) == pytest.approx(1.0, abs=1e-10)
 
