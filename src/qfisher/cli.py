@@ -198,13 +198,14 @@ def cmd_info(args) -> int:
         raise UsageError(f"unknown family {fam!r} (uniform, gaussian, qgaussian)")
     q, beta = cfg["q"], cfg["beta"]
     diag = phi_fisher_refined(f, q, beta)
+    mq = m_q(f, q)
     payload = {
-        "M_q": m_q(f, q),
+        "M_q": mq,
         "S_q": tsallis_entropy(f, q),
         "H_q": renyi_entropy(f, q),
-        "N_q": entropy_power(f, q),
+        "N_q": entropy_power(f, q, mq),
         "phi": diag.value,
-        "I": diag.value / m_q(f, q) ** beta,
+        "I": diag.value / mq ** beta,
         "divergence_flag": diag.diverged,
     }
     _emit(_json_report(payload, cfg), args.output)

@@ -7,6 +7,11 @@ radially symmetric on R^n and sampled at radii on [0, R], its quadrature
 weights carrying the surface factor |S^(n-1)| r^(n-1).  Every functional
 then runs the same 1-D code for every n: the weight is 0 at r = 0, so the
 centre needs no special case.
+
+Values are checked once, when a GridDensity is built: finite and
+nonnegative.  `integrate` takes the weighted sum first and scans its
+integrand only when that sum is not finite, which any NaN or inf entry
+makes it (at r = 0 too, where 0 * inf is NaN), so it names the same node.
 """
 
 from __future__ import annotations
@@ -92,8 +97,10 @@ class GridDensity:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.axis.count,):
             raise ValueError(f"values shape {self.values.shape} != grid shape {(self.axis.count,)}")
-        _check_finite(self.values, self.axis)
-        if np.any(self.values < 0):
+        # min >= 0 and max < inf fail for any NaN, inf or negative value;
+        # only then are the values scanned for the node to name
+        if not (np.minimum.reduce(self.values) >= 0 and np.maximum.reduce(self.values) < np.inf):
+            _check_finite(self.values, self.axis)
             idx = tuple(np.argwhere(self.values < 0)[0])
             raise ValueError(f"negative density value {self.values[idx]} at node {idx}")
         self.support_mask = self.values > 0
@@ -144,8 +151,13 @@ def integrate(f: GridDensity, integrand=None) -> float:
         arr = np.asarray(integrand, dtype=float)
         if arr.shape != f.values.shape:
             raise ValueError(f"integrand shape {arr.shape} != grid shape {f.values.shape}")
-    _check_finite(arr, f.axis)
-    return float(np.sum(f.weights() * arr))
+    # a NaN or inf entry makes the sum NaN or inf, quietly; only then is
+    # arr scanned, to name the node (an overflowing finite sum is returned)
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = float(np.add.reduce(f.weights() * arr))
+    if not np.isfinite(total):
+        _check_finite(arr, f.axis)
+    return total
 
 
 def sphere_surface(n: int) -> float:
@@ -167,8 +179,13 @@ def gradient(f: GridDensity) -> np.ndarray:
     support mask changes are visited.  At r = 0 the one-sided value stands
     in for df/dr(0) = 0; its quadrature weight is 0.
     """
-    g = np.gradient(f.values, f.axis.step)
-    _fix_support_edges(f.values, g, f.support_mask, f.axis.step)
+    v, h = f.values, f.axis.step
+    # np.gradient(v, h) for a uniform step, operation for operation
+    g = np.empty_like(v)
+    g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    g[0] = (v[1] - v[0]) / h
+    g[-1] = (v[-1] - v[-2]) / h
+    _fix_support_edges(v, g, f.support_mask, h)
     return g
 
 
@@ -176,28 +193,25 @@ def _fix_support_edges(v, g, m, h):
     """Overwrite, in g, the differences straddling the support boundary by
     one-sided ones from the interior side, and zero g outside the support."""
     n = m.size
-    # the mask and two False nodes, n and n + 1, which -1 and -2 also reach
-    m_pad = np.zeros(n + 2, bool)
-    m_pad[:n] = m
     # where the mask changes between nodes i and i + 1, the edge node e is
     # the one in the support, and its interior lies in direction d (never
-    # the domain's first or last node: np.gradient is one-sided there)
-    i = np.nonzero(m[:-1] != m[1:])[0]
-    d = np.where(m[i], -1, 1)
-    e = i + (d > 0)
-    near, far = m_pad[e + d], m_pad[e + 2 * d]
-
-    # 2nd order: d (-3 v[e] + 4 v[e + d] - v[e + 2d]) / 2h with d folded
-    # into the coefficients, which rounds exactly as each edge's own stencil
-    k = near & far
-    at, dk = e[k], d[k]
-    g[at] = (-3.0 * dk * v[at] + 4.0 * dk * v[at + dk] + -dk * v[at + 2 * dk]) / (2.0 * h)
-    # 1st order: (v[lo + 1] - v[lo]) / h with lo the lower of the two nodes
-    k = near & ~far
-    lo = np.minimum(e[k], e[k] + d[k])
-    g[e[k]] = (v[lo + 1] - v[lo]) / h
-    # an isolated support node, taken as a right edge
-    g[e[~near & (d < 0)]] = 0.0
+    # the domain's first or last node: those are one-sided already)
+    for i in np.flatnonzero(m[:-1] != m[1:]).tolist():
+        d = -1 if m[i] else 1
+        e = i + (d > 0)
+        near = 0 <= e + d < n and m[e + d]
+        if near and 0 <= e + 2 * d < n and m[e + 2 * d]:
+            # 2nd order: d (-3 v[e] + 4 v[e + d] - v[e + 2d]) / 2h with d
+            # folded into the coefficients, which rounds exactly as each
+            # edge's own stencil
+            g[e] = (-3.0 * d * v[e] + 4.0 * d * v[e + d] + -d * v[e + 2 * d]) / (2.0 * h)
+        elif near:
+            # 1st order: (v[lo + 1] - v[lo]) / h with lo the lower node
+            lo = min(e, e + d)
+            g[e] = (v[lo + 1] - v[lo]) / h
+        elif d < 0:
+            # an isolated support node, taken as a right edge
+            g[e] = 0.0
     g[~m] = 0.0
 
 

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .core import GridDensity, Tolerances
-from .info_measures import entropy_power, i_fisher, moment_abs
+from .info_measures import Q_ONE_WINDOW, entropy_power, i_fisher, m_q, moment_abs
 from .perturb import perturbation_batch
 from .qgaussian import (
     QGaussianParams,
@@ -40,8 +40,10 @@ def stam_hypothesis_ok(q: float, beta: float, n: int) -> bool:
 
 
 def stam_product(f: GridDensity, q: float, beta: float) -> float:
-    """I(beta, q)[f]^(1/beta) N_q[f]^(1/2) by grid quadrature."""
-    return i_fisher(f, q, beta) ** (1.0 / beta) * entropy_power(f, q) ** 0.5
+    """I(beta, q)[f]^(1/beta) N_q[f]^(1/2) by grid quadrature, I and N_q
+    sharing one M_q."""
+    mq = None if abs(q - 1.0) < Q_ONE_WINDOW else m_q(f, q)
+    return i_fisher(f, q, beta, mq) ** (1.0 / beta) * entropy_power(f, q, mq) ** 0.5
 
 
 def stam_ratio(f: GridDensity, q: float, beta: float,

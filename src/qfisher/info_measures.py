@@ -14,6 +14,7 @@ boundaries).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +63,19 @@ def renyi_entropy(f: GridDensity, q: float) -> float:
     return float(np.log(m_q(f, q)) / (1.0 - q))
 
 
-def entropy_power(f: GridDensity, q: float) -> float:
+def entropy_power(f: GridDensity, q: float, mq: float | None = None) -> float:
     """N_q = M_q^((2/n)/(1-q)) = exp((2/n) H_q), n = f.dim.
 
-    Both expressions are evaluated and must agree to 1e-10 relative.
+    Both expressions are evaluated from one M_q (`mq`, if the caller has
+    it already) and must agree to 1e-10 relative.
     """
     n = f.dim
     if abs(q - 1.0) < Q_ONE_WINDOW:
         return float(np.exp(2.0 / n * shannon_entropy(f)))
-    mq = m_q(f, q)
+    if mq is None:
+        mq = m_q(f, q)
     via_m = mq ** (2.0 / n / (1.0 - q))
-    via_h = float(np.exp(2.0 / n * renyi_entropy(f, q)))
+    via_h = float(np.exp(2.0 / n * (np.log(mq) / (1.0 - q))))  # exp((2/n) H_q)
     if abs(via_m - via_h) > 1e-10 * max(abs(via_m), abs(via_h)):
         raise ArithmeticError(
             f"entropy-power expressions disagree: {via_m!r} vs {via_h!r}"
@@ -99,15 +102,18 @@ def phi_fisher(f: GridDensity, q: float, beta: float) -> float:
     return integrate(f, _phi_integrand(f, q, beta))
 
 
-def i_fisher(f: GridDensity, q: float, beta: float) -> float:
-    """Normalized Fisher functional I(beta, q) = phi(beta, q) / M_q^beta.
+def i_fisher(f: GridDensity, q: float, beta: float, mq: float | None = None) -> float:
+    """Normalized Fisher functional I(beta, q) = phi(beta, q) / M_q^beta,
+    with M_q from `mq` if the caller has it already.
 
     At q = 1, M_1 = 1 for any normalized density, so I coincides with phi
     exactly (the quadrature reading of M_1 is not re-applied).
     """
     if abs(q - 1.0) < Q_ONE_WINDOW:
         return phi_fisher(f, q, beta)
-    return phi_fisher(f, q, beta) / m_q(f, q) ** beta
+    if mq is None:
+        mq = m_q(f, q)
+    return phi_fisher(f, q, beta) / mq ** beta
 
 
 @dataclass
@@ -217,5 +223,15 @@ def recenter(f: GridDensity, tol: float = 1e-9):
 
 def moment_abs(f: GridDensity, alpha: float) -> float:
     """E ||X||^alpha on the grid."""
-    x = f.axis.nodes()
-    return integrate(f, (x * x) ** (alpha / 2.0) * f.values)
+    return integrate(f, _abs_power(f.axis, alpha) * f.values)
+
+
+@functools.lru_cache(maxsize=4)
+def _abs_power(axis: Axis, alpha: float) -> np.ndarray:
+    """|x|^alpha at the nodes, as (x x)^(alpha/2); cached for the last four
+    (axis, alpha) pairs (a perturbation batch's base grid serves every
+    amplitude) and read-only."""
+    x = axis.nodes()
+    out = (x * x) ** (alpha / 2.0)
+    out.flags.writeable = False
+    return out

@@ -1,7 +1,12 @@
 """Grid, quadrature, gradient, and normalization tests."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from qfisher.core import (
@@ -290,6 +295,84 @@ class TestGradientOracle:
         before = f.values.tobytes()
         gradient(f)
         assert f.values.tobytes() == before
+
+
+#: a node value: zero of either sign, or a positive value over many decades
+NODE_VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False))
+
+
+class TestGradientSlices:
+    """gradient() against np.gradient and the verbatim support-edge fix,
+    compared as int64 bit patterns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(NODE_VALUES, min_size=1, max_size=40),
+           step=st.floats(1e-3, 1e3))
+    def test_bitwise_over_random_supports(self, values, step):
+        values = values + [0.0] * (2 + (len(values) + 1) % 2)  # >= 3 nodes, odd
+        values = np.array(values)
+        f = GridDensity(Axis(0.0, step * (values.size - 1), values.size), values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = gradient(f)
+            want = ref_fix_support_edges(values, np.gradient(values, f.axis.step), f.support_mask,
+                                         f.axis.step, 0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def reference_non_finite_message(ax, arr):
+    """The NonFiniteError text: the first non-finite node and its abscissa."""
+    i = int(np.flatnonzero(~np.isfinite(arr))[0])
+    return f"non-finite value {arr[i]} at node index {(i,)}, x = {(float(ax.nodes()[i]),)}"
+
+
+class TestNonFiniteNamedOnce:
+    """A NaN or inf is named by node, with no warning on the way, whether it
+    reaches GridDensity or integrate, on the line or radially (where the
+    weight at r = 0 is 0 and 0 * inf is NaN)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("node", [0, 5, 10])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_same_error_no_warning(self, bad, node, dim):
+        ax = Axis(0.0, 2.0, 11)
+        arr = np.ones(11)
+        arr[node] = bad
+        arr[7] = -1.0  # a negative node later on must not take precedence
+        message = reference_non_finite_message(ax, arr)
+        f = GridDensity(ax, np.ones(11), dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as built:
+                GridDensity(ax, arr, dim)
+            with pytest.raises(NonFiniteError) as integrated:
+                integrate(f, arr)
+            with pytest.raises(NonFiniteError) as from_callable:
+                integrate(f, lambda x: arr)
+        for err in (built, integrated, from_callable):
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_negative_values_named(self, dim):
+        vals = np.ones(11)
+        vals[3], vals[8] = -2.0, -1.0
+        with pytest.raises(ValueError) as err:
+            GridDensity(Axis(0.0, 1.0, 11), vals, dim)
+        assert not isinstance(err.value, NonFiniteError)
+        assert re.fullmatch(r"negative density value -2\.0 at node \((np\.int64\()?3\)?,\)",
+                            str(err.value))
+
+    def test_negative_zero_is_outside_the_support(self):
+        vals = np.array([1.0, -0.0, 2.0, 0.0, 1.0])
+        f = GridDensity(Axis(0.0, 1.0, 5), vals)
+        assert f.support_mask.tolist() == [True, False, True, False, True]
+        assert np.signbit(f.values[1])
+
+    def test_overflowing_finite_integrand_returns_inf(self):
+        f = GridDensity(Axis(0.0, 10.0, 11), np.ones(11))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert integrate(f, np.full(11, 1e308)) == np.inf
 
 
 class TestNormalize:

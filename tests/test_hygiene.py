@@ -259,6 +259,15 @@ def test_radial_commands_load_only_scipy_special(argv):
     assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
 
 
+@pytest.mark.parametrize("model", ["qgaussian-location", "escort-pair"])
+def test_qgaussian_sampler_loads_only_scipy_special(model):
+    # the sampler's radii come from the inverse incomplete Beta/Gamma
+    loaded = scipy_modules_loaded("crbound", "--model", model, "--q", "1.5",
+                                  "--trials", "2000", "--seed", "1")
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+
+
 def test_gaussian_location_crbound_loads_no_scipy():
     argv = readme_command("crbound")
     assert argv[argv.index("--model") + 1] == "gaussian-location"

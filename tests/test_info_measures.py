@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qfisher import info_measures
 from qfisher.core import Axis, GridDensity, density_from_callable, integrate, normalize
 from qfisher.info_measures import (
     EscortDivergenceError,
@@ -231,3 +232,22 @@ class TestHelpers:
         assert recenter(g) == (g, 0.0)  # the mean is now below the tolerance
         assert abs(integrate(g, g.axis.nodes() * g.values)) < 1e-12
         assert moment_abs(g, 2.0) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_moment_abs_power_cached_read_only(self, alpha):
+        f = grid_density(QGaussianParams(1.5, alpha, 1.0, 1), 801)
+        x = f.axis.nodes()
+        want = integrate(f, (x * x) ** (alpha / 2.0) * f.values)
+        assert moment_abs(f, alpha) == want
+        power = info_measures._abs_power(f.axis, alpha)
+        assert info_measures._abs_power(Axis(f.axis.lo, f.axis.hi, f.axis.count), alpha) is power
+        with pytest.raises(ValueError, match="read-only"):
+            power[0] = 0.0
+        assert moment_abs(f, alpha) == want  # from the cache
+
+    @pytest.mark.parametrize("q", [0.8, 1.0, 2.0])
+    def test_given_m_q_gives_the_same_bits(self, q):
+        f = grid_density(QGaussianParams(q, 2.0, 1.0, 1), 801)
+        mq = m_q(f, q)
+        assert entropy_power(f, q, mq) == entropy_power(f, q)
+        assert i_fisher(f, q, 2.0, mq) == i_fisher(f, q, 2.0)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
-from scipy import stats
+from scipy import special, stats
 
 from qfisher import qgaussian
 from qfisher.core import Axis, integrate
@@ -208,6 +208,26 @@ class TestSampling:
         angles = np.arctan2(pts[:, 1], pts[:, 0])
         # uniform angles: mean resultant length ~ 0
         assert np.hypot(np.cos(angles).mean(), np.sin(angles).mean()) < 0.02
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("q", [0.5, 0.75, 1.0, 1.5, 2.0])
+    def test_radial_law(self, q, n):
+        # P(||X|| <= t) against the closed-form radial CDF: with
+        # u = |q - 1| gamma t^alpha, I_u(n/alpha, 1/(q-1) + 1) for q > 1,
+        # the lower incomplete Gamma P(n/alpha, u) at q = 1, and
+        # I_(u/(1+u))(n/alpha, 1/(1-q) - n/alpha) for q < 1
+        p = QGaussianParams(q, 2.0, 1.0, n)
+        radii = np.linalg.norm(sample(p, seed=1, count=200_000), axis=1)
+        a = n / p.alpha
+        for t in (0.25, 0.5, 1.0, 2.0, 4.0):
+            u = abs(q - 1.0) * p.gamma * t ** p.alpha
+            if q > 1:
+                exact = special.betainc(a, 1.0 / (q - 1.0) + 1.0, min(u, 1.0))
+            elif q == 1:
+                exact = special.gammainc(a, p.gamma * t ** p.alpha)
+            else:
+                exact = special.betainc(a, 1.0 / (1.0 - q) - a, u / (1.0 + u))
+            assert abs(np.mean(radii <= t) - exact) < 3e-3, t
 
     def test_deterministic_given_seed(self):
         a = sample(P_COMPACT, seed=7, count=1000)
