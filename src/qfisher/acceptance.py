@@ -44,6 +44,11 @@ from .qgaussian import (
 QCR_POINTS = ((2.0, 2.0), (1.5, 2.0), (2.0, 3.0))
 #: seed for every randomized batch in the suite
 SUITE_SEED = 20260811
+#: the shared PDE runs, kind -> (m, beta, half_width, t0, t_end): t0 = 0
+#: starts from the unit Gaussian, any other t0 from the unit-mass Barenblatt
+RUNS = {"heat": (1.0, 2.0, 10.0, 0.0, 0.5),
+        "pme": (2.0, 2.0, 3.5, 1.0, 2.0),
+        "plap": (1.0, 3.0, 3.6, 1.0, 2.0)}
 
 
 @dataclass
@@ -75,43 +80,26 @@ def render_summary(results) -> str:
 class AcceptanceSuite:
     """Runs the ten acceptance criteria, caching the shared PDE trajectories."""
 
-    def __init__(self, seed: int = SUITE_SEED):
-        self.seed = seed
+    def __init__(self):
         self._cache = {}
 
-    # -- shared runs --------------------------------------------------------
-
-    def heat_run(self):
-        if "heat" not in self._cache:
-            dp = DiffusionParams(1.0, 2.0, 1)
-            ax = Axis(-10.0, 10.0, 4001)
-            f0 = density_from_callable(ax, lambda x: np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi))
-            t0 = time.perf_counter()
-            state, log = evolve(DiffusionState(dp, 0.0, f0), 0.5, n_logs=201)
-            self._cache["heat"] = (dp, state, log, time.perf_counter() - t0)
-        return self._cache["heat"]
-
-    def pme_run(self, count: int):
-        key = ("pme", count)
+    def run(self, kind: str, count: int):
+        """(dp, C, state, log, evolve seconds) of the RUNS entry `kind` on
+        `count` nodes, cached; C is None for the Gaussian start."""
+        key = (kind, count)
         if key not in self._cache:
-            dp = DiffusionParams(2.0, 2.0, 1)
-            C = barenblatt_mass_constant(dp)
-            ax = Axis(-3.5, 3.5, count)
-            f0 = barenblatt_density(dp, 1.0, ax, C)
-            t0 = time.perf_counter()
-            state, log = evolve(DiffusionState(dp, 1.0, f0), 2.0, n_logs=201)
-            self._cache[key] = (dp, C, state, log, time.perf_counter() - t0)
-        return self._cache[key]
-
-    def plap_run(self, count: int = 1001):
-        key = ("plap", count)
-        if key not in self._cache:
-            dp = DiffusionParams(1.0, 3.0, 1)
-            C = barenblatt_mass_constant(dp)
-            ax = Axis(-3.6, 3.6, count)
-            f0 = barenblatt_density(dp, 1.0, ax, C)
-            state, log = evolve(DiffusionState(dp, 1.0, f0), 2.0, n_logs=201)
-            self._cache[key] = (dp, C, state, log)
+            m, beta, half_width, t0, t_end = RUNS[kind]
+            dp = DiffusionParams(m, beta, 1)
+            ax = Axis(-half_width, half_width, count)
+            if t0 == 0.0:
+                C = None
+                f0 = density_from_callable(ax, lambda x: np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi))
+            else:
+                C = barenblatt_mass_constant(dp)
+                f0 = barenblatt_density(dp, t0, ax, C)
+            start = time.perf_counter()
+            state, log = evolve(DiffusionState(dp, t0, f0), t_end, n_logs=201)
+            self._cache[key] = (dp, C, state, log, time.perf_counter() - start)
         return self._cache[key]
 
     # -- criteria ------------------------------------------------------------
@@ -119,7 +107,7 @@ class AcceptanceSuite:
     def criterion_1(self) -> CriterionResult:
         """Classical de Bruijn recovery on the heat equation: both sides equal
         1/(1+2t) within 1e-2 relative at every logged interior time."""
-        dp, state, log, elapsed = self.heat_run()
+        dp, _, _, log, elapsed = self.run("heat", 4001)
         reports = debruijn_check(log, dp, Tolerances.for_pde())
         worst = 0.0
         for r in reports:
@@ -135,8 +123,8 @@ class AcceptanceSuite:
         mid-trajectory relative error < 1e-2 and error ratio < 0.5 under one
         grid refinement."""
         t0 = time.perf_counter()
-        dp, _, _, log_base, t_base = self.pme_run(251)
-        _, _, _, log_fine, t_fine = self.pme_run(501)
+        dp, _, _, log_base, t_base = self.run("pme", 251)
+        _, _, _, log_fine, t_fine = self.run("pme", 501)
         mids = []
         for log in (log_base, log_fine):
             reps = debruijn_check(log, dp, Tolerances.for_pde())
@@ -153,12 +141,12 @@ class AcceptanceSuite:
         distance to the analytic profile < 1e-2 for (m, beta) = (2,2), (1,3)."""
         details = {}
         passed = True
-        dp, C, state, _, _ = self.pme_run(501)
+        dp, C, state, _, _ = self.run("pme", 501)
         exact = barenblatt(dp, C, state.f.axis.nodes(), 2.0)
         l1 = integrate(state.f, np.abs(state.f.values - exact))
         details["l1_m2_beta2"] = l1
         passed &= l1 < 1e-2
-        dp, C, state, _ = self.plap_run()
+        dp, C, state, _, _ = self.run("plap", 1001)
         exact = barenblatt(dp, C, state.f.axis.nodes(), 2.0)
         l1 = integrate(state.f, np.abs(state.f.values - exact))
         details["l1_m1_beta3"] = l1
@@ -172,7 +160,7 @@ class AcceptanceSuite:
         model = gaussian_location_model(n=1, sigma=1.0)
         est = sample_mean_estimator(n=1)
         rep = crm_bound_scalar(model, est, [0.0])
-        mc, se = mc_error_moment(model, est, [0.0], trials=100_000, seed=self.seed)
+        mc, se = mc_error_moment(model, est, [0.0], trials=100_000, seed=SUITE_SEED)
         passed = (abs(rep.lhs - 1.0) < 1e-6 and abs(rep.rhs - 1.0) < 1e-6
                   and abs(mc - rep.rhs) < 3.0 * se)
         return CriterionResult(4, "classical Cramer-Rao equality (Gaussian)", passed,
@@ -187,7 +175,7 @@ class AcceptanceSuite:
         est = sample_mean_estimator(n=3)
         rep = crm_bound_quadratic(model, est, [0.0])
         best = crm_bound_best_quadratic(model, est, [0.0])
-        rng = np.random.default_rng(self.seed + 5)
+        rng = np.random.default_rng(SUITE_SEED + 5)
         sweep_max = 0.0
         for _ in range(20):
             a = rng.uniform(0.05, 20.0)
@@ -214,7 +202,7 @@ class AcceptanceSuite:
         # perturbation batch at the first point
         q, alpha = QCR_POINTS[0]
         p = QGaussianParams(q, alpha, 1.0, 1)
-        rng = np.random.default_rng(self.seed + 6)
+        rng = np.random.default_rng(SUITE_SEED + 6)
         gaps = []  # (gap, amplitude)
         for _, a, fp in perturbation_batch(p, rng, 100, 5, "moment", moment_alpha(p), 4001):
             fp, _ = recenter(fp)
@@ -231,7 +219,7 @@ class AcceptanceSuite:
         for all perturbed densities, (q, beta) in {(1,2), (2,2)}, n=1."""
         details = {}
         passed = True
-        rng = np.random.default_rng(self.seed + 7)
+        rng = np.random.default_rng(SUITE_SEED + 7)
         for q, beta in ((1.0, 2.0), (2.0, 2.0)):
             alpha = beta / (beta - 1.0)
             p = QGaussianParams(q, alpha, 1.0, 1)
@@ -254,10 +242,10 @@ class AcceptanceSuite:
             beta = alpha / (alpha - 1.0)
             p1 = QGaussianParams(q, alpha, 1.0, 1)
             rep_m = min_fisher_fixed_moment(q, alpha, moment_alpha(p1), 1,
-                                            perturbation_count=50, seed=self.seed + 80 + idx,
+                                            perturbation_count=50, seed=SUITE_SEED + 80 + idx,
                                             grid_count=4001, tol=Tolerances(inequality_slack=1e-6))
             rep_e = min_fisher_fixed_entropy(q, beta, closed_form_entropy_power(p1), 1,
-                                             perturbation_count=50, seed=self.seed + 90 + idx,
+                                             perturbation_count=50, seed=SUITE_SEED + 90 + idx,
                                              grid_count=4001, tol=Tolerances(inequality_slack=1e-6))
             for tag, rep in (("moment", rep_m), ("entropy", rep_e)):
                 expo = rep.extras["gap_amplitude_exponent"]
@@ -270,12 +258,12 @@ class AcceptanceSuite:
         phi(2, q) non-increasing and S_q non-decreasing, per-step slack 1e-9."""
         details = {}
         passed = True
-        dp, _, log, _ = self.heat_run()
+        _, _, _, log, _ = self.run("heat", 4001)
         rep = phi_monotonicity_check(log, slack=1e-9)
         details["heat_ok"] = rep.passed
         passed &= rep.passed
         for count in (251, 501):
-            _, _, _, log, _ = self.pme_run(count)
+            _, _, _, log, _ = self.run("pme", count)
             rep = phi_monotonicity_check(log, slack=1e-9)
             details[f"pme_{count}_ok"] = rep.passed
             passed &= rep.passed
@@ -285,7 +273,7 @@ class AcceptanceSuite:
         """Determinism: a fresh suite reproduces the criteria 1-9 summary
         byte-for-byte."""
         first = render_summary(self._results_1_9)
-        fresh = AcceptanceSuite(seed=self.seed)
+        fresh = AcceptanceSuite()
         again = render_summary(fresh.run_core())
         identical = first == again
         return CriterionResult(10, "byte-identical reproduction", identical,

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .acceptance import AcceptanceSuite, render_summary
+from .acceptance import SUITE_SEED, AcceptanceSuite, render_summary
 from .core import Axis, Tolerances, density_from_callable
 from .diffusion import DiffusionState, StabilityError, debruijn_check, evolve, phi_monotonicity_check, trajectory_csv_rows
 from .estimation import (
@@ -256,7 +256,7 @@ def cmd_diffuse(args) -> int:
         verdicts.append(mono.passed)
     header = "t,mass,M_q,S_q,phi,dSdt_fd,rhs_identity,rel_err"
     lines = [header]
-    for row in trajectory_csv_rows(log, dp):
+    for row in trajectory_csv_rows(log, reports):
         lines.append(",".join(_fmt17(x) for x in row))
     _emit("\n".join(lines) + "\n", args.output)
     sys.stdout.write(_json_report(summary, cfg))
@@ -398,9 +398,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    suite = AcceptanceSuite()
-    results = suite.run_all()
-    header = f"# config: seed={suite.seed}\n"
+    results = AcceptanceSuite().run_all()
+    header = f"# config: seed={SUITE_SEED}\n"
     _emit(header + render_summary(results), args.output)
     return EXIT_PASS if all(r.passed for r in results) else EXIT_VERDICT
 

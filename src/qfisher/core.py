@@ -101,7 +101,7 @@ class GridDensity:
         # only then are the values scanned for the node to name
         if not (np.minimum.reduce(self.values) >= 0 and np.maximum.reduce(self.values) < np.inf):
             _check_finite(self.values, self.axis)
-            idx = tuple(np.argwhere(self.values < 0)[0])
+            idx = tuple(int(i) for i in np.argwhere(self.values < 0)[0])
             raise ValueError(f"negative density value {self.values[idx]} at node {idx}")
         self.support_mask = self.values > 0
 

@@ -27,7 +27,7 @@ changed.  evolve() refuses runs that would take more than MAX_STEPS steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class DiffusionState:
     t: float
     f: GridDensity
     step_count: int = 0
-    mass0: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.f.dim != 1:
@@ -71,8 +70,6 @@ class DiffusionState:
                 "explicit solver requires m(beta-1) >= 1: the fast-diffusion "
                 "range has unbounded diffusivity where f -> 0"
             )
-        if self.mass0 is None:
-            self.mass0 = integrate(self.f)
 
     @property
     def discrete_mass(self) -> float:
@@ -229,7 +226,7 @@ def step(state: DiffusionState, dt: float) -> DiffusionState:
     kernel = _Kernel(state.params, state.f.axis.step, v.size)
     kernel.march(v, state.t, math.inf, math.inf, 0, 1, dt)
     new = DiffusionState(state.params, state.t + dt, GridDensity(state.f.axis, v),
-                         state.step_count + 1, state.mass0)
+                         state.step_count + 1)
     drift = abs(new.discrete_mass - state.discrete_mass)
     if drift > MASS_DRIFT_TOL:
         raise StabilityError(f"mass drift {drift:g} exceeds {MASS_DRIFT_TOL:g} at t = {new.t:g}")
@@ -301,7 +298,7 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
         if drift > MASS_DRIFT_TOL:
             raise StabilityError(f"mass drift {drift:g} exceeds {MASS_DRIFT_TOL:g} at t = {t:g}")
         rows.append(log_row(GridDensity(axis, v)))
-    final = DiffusionState(p, t_end, GridDensity(axis, v), nsteps, state.mass0)
+    final = DiffusionState(p, t_end, GridDensity(axis, v), nsteps)
     arr = np.array(rows)
     log = TrajectoryLog(p.q, p.beta, p.m, log_times, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
     return final, log
@@ -353,19 +350,11 @@ def phi_monotonicity_check(log: TrajectoryLog, slack: float = 1e-9) -> Verificat
     )
 
 
-def trajectory_csv_rows(log: TrajectoryLog, dparams: DiffusionParams):
-    """Rows {t, mass, M_q, S_q, phi, dSdt_fd, rhs_identity, rel_err} for CSV export
-    (finite differences undefined at the first/last row -> nan)."""
-    pref = dparams.q * dparams.m ** (dparams.beta - 1.0)
-    rows = []
-    n = len(log.times)
-    for i in range(n):
-        if 0 < i < n - 1:
-            dsdt = (log.S_q[i + 1] - log.S_q[i - 1]) / (log.times[i + 1] - log.times[i - 1])
-            rhs = pref * log.phi[i]
-            rel = abs(dsdt - rhs) / max(abs(rhs), 1e-300)
-        else:
-            dsdt = rhs = rel = math.nan
-        rows.append((log.times[i], log.mass[i], log.M_q[i], log.S_q[i], log.phi[i],
-                     dsdt, rhs, rel))
-    return rows
+def trajectory_csv_rows(log: TrajectoryLog, reports: list[VerificationReport]):
+    """Rows {t, mass, M_q, S_q, phi, dSdt_fd, rhs_identity, rel_err} for CSV
+    export, the last three from the `debruijn_check(log, ...)` reports (its
+    lhs, rhs and gap; undefined at the first/last row -> nan)."""
+    blank = (math.nan, math.nan, math.nan)
+    fd = [blank] + [(r.lhs, r.rhs, r.gap) for r in reports] + [blank]
+    return [(log.times[i], log.mass[i], log.M_q[i], log.S_q[i], log.phi[i], *fd[i])
+            for i in range(len(log.times))]

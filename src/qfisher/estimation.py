@@ -57,7 +57,6 @@ class ParametricModel:
     dim_theta: int
     axis: Axis
     sampler_g: callable | None = None
-    dtheta: float = DTHETA_REL
     name: str = ""
     _coords: list = field(init=False, repr=False)
     _weights: np.ndarray = field(init=False, repr=False)
@@ -75,13 +74,13 @@ class ParametricModel:
     def quad(self, arr) -> float:
         return float(np.sum(self._weights * arr))
 
-    def check_normalized(self, thetas, tol=1e-6):
+    def check_normalized(self, thetas):
         for th in thetas:
             for tag, vals in (("f", self.f_values(th)), ("g", self.g_values(th))):
                 mass = self.quad(vals)
-                if abs(mass - 1.0) > tol:
+                if abs(mass - 1.0) > 1e-6:
                     raise ValueError(
-                        f"{tag}(.; theta={np.asarray(th)}) has mass {mass!r}, not 1 within {tol}"
+                        f"{tag}(.; theta={np.asarray(th)}) has mass {mass!r}, not 1 within 1e-06"
                     )
 
 
@@ -122,7 +121,7 @@ def score_g(model: ParametricModel, theta) -> np.ndarray:
     near = _dilate(gpos)
     psi = np.zeros((model.dim_theta,) + g.shape)
     for i in range(model.dim_theta):
-        d = model.dtheta * (1.0 + abs(theta[i]))
+        d = DTHETA_REL * (1.0 + abs(theta[i]))
         tp, tm = theta.copy(), theta.copy()
         tp[i] += d
         tm[i] -= d
@@ -143,22 +142,18 @@ def score_g(model: ParametricModel, theta) -> np.ndarray:
     return psi
 
 
-def eta_value(model: ParametricModel, est: EstimatorSpec, theta) -> float:
-    """eta(theta) = E_f[T]."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return model.quad(est.T(model._coords) * model.f_values(theta))
-
-
 def eta_dot(model: ParametricModel, est: EstimatorSpec, theta) -> np.ndarray:
-    """grad_theta of E_f[T], by centered differences."""
+    """grad_theta of eta(theta) = E_f[T], by centered differences."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    t_vals = est.T(model._coords)
     out = np.zeros(model.dim_theta)
     for i in range(model.dim_theta):
-        d = model.dtheta * (1.0 + abs(theta[i]))
+        d = DTHETA_REL * (1.0 + abs(theta[i]))
         tp, tm = theta.copy(), theta.copy()
         tp[i] += d
         tm[i] -= d
-        out[i] = (eta_value(model, est, tp) - eta_value(model, est, tm)) / (2.0 * d)
+        out[i] = (model.quad(t_vals * model.f_values(tp))
+                  - model.quad(t_vals * model.f_values(tm))) / (2.0 * d)
     return out
 
 
@@ -393,34 +388,28 @@ def sample_mean_estimator(n: int = 1) -> EstimatorSpec:
 
 
 def qgaussian_location_model(q: float, alpha: float, gamma: float = 1.0,
-                             count: int = 4001, theta_room: float = 0.5) -> ParametricModel:
+                             count: int = 4001) -> ParametricModel:
     """f = g = generalized q-Gaussian, scalar location parameter (1-D)."""
     p = QGaussianParams(q, alpha, gamma, 1)
-    r = (support_radius(p) if q > 1 else tail_radius(p, 1e-12)) * 1.05 + theta_room
-    ax = Axis(-r, r, count)
-
-    def dens(coords, theta):
-        return qpdf(p, coords[0] - theta[0])
-
-    def sampler(theta, rng, size):
-        seed = int(rng.integers(0, 2 ** 63 - 1))
-        return qsample(p, seed, size) + theta[0]
-
-    model = ParametricModel(dens, dens, 1, ax, sampler,
-                            name=f"qgaussian-location(q={q}, alpha={alpha}, gamma={gamma})")
-    model.check_normalized([np.zeros(1), np.array([0.25 * theta_room])])
-    return model
+    return _location_pair(p, p, count, "qgaussian-location")
 
 
 def escort_pair_model(q: float, alpha: float, gamma: float = 1.0,
-                      count: int = 4001, theta_room: float = 0.5) -> ParametricModel:
+                      count: int = 4001) -> ParametricModel:
     """Location family with (f, g) the escort pair of order q built from a
     generalized q-Gaussian g: f ~ g^q (itself a q-Gaussian with index
     (2q-1)/q and scale q gamma)."""
     pg = QGaussianParams(q, alpha, gamma, 1)
     pf = QGaussianParams((2.0 * q - 1.0) / q, alpha, q * gamma, 1)
-    r = max(support_radius(pg) if q > 1 else tail_radius(pg, 1e-12),
-            support_radius(pf) if pf.q > 1 else tail_radius(pf, 1e-12)) * 1.05 + theta_room
+    return _location_pair(pf, pg, count, "escort-pair")
+
+
+def _location_pair(pf: QGaussianParams, pg: QGaussianParams, count: int,
+                   name: str) -> ParametricModel:
+    """Location family theta -> (pf, pg) q-Gaussians shifted by theta, on
+    `count` nodes over [-r, r]: r covers both supports (or 1 - 1e-12 bulks)
+    with a 5 % margin, plus 0.5 of room for theta; draws come from pg."""
+    r = max(support_radius(p) if p.q > 1 else tail_radius(p) for p in (pg, pf)) * 1.05 + 0.5
     ax = Axis(-r, r, count)
 
     def dens_f(coords, theta):
@@ -434,8 +423,8 @@ def escort_pair_model(q: float, alpha: float, gamma: float = 1.0,
         return qsample(pg, seed, size) + theta[0]
 
     model = ParametricModel(dens_f, dens_g, 1, ax, sampler,
-                            name=f"escort-pair(q={q}, alpha={alpha}, gamma={gamma})")
-    model.check_normalized([np.zeros(1), np.array([0.25 * theta_room])])
+                            name=f"{name}(q={pg.q}, alpha={pg.alpha}, gamma={pg.gamma})")
+    model.check_normalized([np.zeros(1), np.array([0.125])])
     return model
 
 

@@ -123,11 +123,10 @@ class PhiDiagnostic:
     trace: tuple[float, ...]  # phi at grid spacings 4h, 2h, h
 
 
-def phi_fisher_refined(f: GridDensity, q: float, beta: float,
-                       growth_ratio: float = 1.5) -> PhiDiagnostic:
+def phi_fisher_refined(f: GridDensity, q: float, beta: float) -> PhiDiagnostic:
     """phi with a divergence diagnostic: the integral is re-evaluated on the
     2x and 4x coarsened grids; if the three readings have not stabilized
-    (max/min spread above `growth_ratio`), the boundary integrand is treated
+    (max/min spread above 1.5), the boundary integrand is treated
     as non-integrable on this family and flagged divergent instead of
     trusted.  (For a divergent edge power the value is dominated by the
     distance of the nearest node to the singularity, which moves erratically
@@ -150,7 +149,7 @@ def phi_fisher_refined(f: GridDensity, q: float, beta: float,
     elif top == 0.0:
         diverged = False
     else:
-        diverged = bot <= 0.0 or top / bot > growth_ratio
+        diverged = bot <= 0.0 or top / bot > 1.5
     return PhiDiagnostic(value=float(fine), diverged=bool(diverged), trace=tuple(vals))
 
 
@@ -210,13 +209,14 @@ def _check_escort_tail(f: GridDensity, w: np.ndarray):
         )
 
 
-def recenter(f: GridDensity, tol: float = 1e-9):
-    """Shift the axis so the density has zero mean; returns (density,
-    shift applied).  A radial density is centred by construction."""
+def recenter(f: GridDensity):
+    """Shift the axis so the density has zero mean, unless |mean| <= 1e-9;
+    returns (density, shift applied).  A radial density is centred by
+    construction."""
     if f.dim > 1:
         return f, 0.0
     mu = integrate(f, f.axis.nodes() * f.values)
-    if abs(mu) <= tol:
+    if abs(mu) <= 1e-9:
         return f, 0.0
     return GridDensity(Axis(f.axis.lo - mu, f.axis.hi - mu, f.axis.count), f.values), mu
 

@@ -117,9 +117,9 @@ def _probe() -> np.ndarray:
     return table.u if table is not None else _keep("probe", np.linspace(-1.0, 1.0, 4001))
 
 
-def amplitude_ladder(n_levels: int, lo: float = AMPLITUDE_RANGE[0],
-                     hi: float = AMPLITUDE_RANGE[1]) -> np.ndarray:
-    return np.geomspace(lo, hi, n_levels)
+def amplitude_ladder(n_levels: int) -> np.ndarray:
+    """n_levels amplitudes spaced geometrically over AMPLITUDE_RANGE."""
+    return np.geomspace(*AMPLITUDE_RANGE, n_levels)
 
 
 def perturbation_batch(p: QGaussianParams, rng: np.random.Generator, count: int,

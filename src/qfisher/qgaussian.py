@@ -226,20 +226,12 @@ def gamma_for_moment(p: QGaussianParams, target_moment: float) -> float:
     return float(gamma)
 
 
-def grid_axis_for(p: QGaussianParams, count: int = 4001, tail_mass: float = DEFAULT_TAIL_MASS,
-                  margin: float = 1.05) -> Axis:
-    """Axis covering the support (q > 1) or the 1-tail_mass bulk, with a
-    small margin so the support edge is interior to the grid: [-R, R] for
-    dim 1, the radii [0, R] for dim >= 2."""
-    r = tail_radius(p, tail_mass) * margin
-    return Axis(-r if p.dim == 1 else 0.0, r, count)
-
-
-def grid_density(p: QGaussianParams, count: int = 4001, tail_mass: float = DEFAULT_TAIL_MASS,
-                 margin: float = 1.05) -> GridDensity:
-    """The density sampled on `count` nodes of grid_axis_for, normalized
-    (radial for dim >= 2)."""
-    ax = grid_axis_for(p, count, tail_mass, margin)
+def grid_density(p: QGaussianParams, count: int = 4001) -> GridDensity:
+    """The density sampled on `count` nodes, normalized: [-R, R] for dim 1,
+    the radii [0, R] for dim >= 2 (radial), with R = tail_radius(p) * 1.05,
+    so that the support edge (q > 1) is interior to the grid."""
+    r = tail_radius(p) * 1.05
+    ax = Axis(-r if p.dim == 1 else 0.0, r, count)
     return normalize(GridDensity(ax, pdf(p, ax.nodes()), p.dim))
 
 
@@ -441,16 +433,13 @@ def barenblatt_mass(dp: DiffusionParams, C: float) -> float:
     return omega * val
 
 
-def barenblatt_mass_constant(dp: DiffusionParams, mass: float = 1.0) -> float:
-    """The constant C giving the profile total mass `mass`, by 1-D root
+def barenblatt_mass_constant(dp: DiffusionParams) -> float:
+    """The constant C giving the profile unit total mass, by 1-D root
     finding on the monotone map C -> mass(C) (tolerance 1e-10 on mass)."""
     from scipy import optimize as sp_optimize
 
-    if mass <= 0:
-        raise ValueError("mass must be positive")
-
     def residual(log_c):
-        return barenblatt_mass(dp, math.exp(log_c)) - mass
+        return barenblatt_mass(dp, math.exp(log_c)) - 1.0
 
     lo, hi = -2.0, 2.0
     for _ in range(60):
@@ -464,7 +453,7 @@ def barenblatt_mass_constant(dp: DiffusionParams, mass: float = 1.0) -> float:
         )
     log_c = sp_optimize.brentq(residual, lo, hi, xtol=1e-15, rtol=1e-15)
     c = float(math.exp(log_c))
-    resid = barenblatt_mass(dp, c) - mass
+    resid = barenblatt_mass(dp, c) - 1.0
     if abs(resid) > 1e-10:
         raise ArithmeticError(f"mass residual {resid:g} exceeds 1e-10 at C = {c!r}")
     return c

@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion; `qfisher reproduce` drives the same suite from the CLI.
 """
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from qfisher.acceptance import AcceptanceSuite, render_summary
@@ -86,3 +89,10 @@ def test_criterion_9_monotonicity(results):
 def test_criterion_10_determinism(results):
     _check(results[10])
     assert results[10].details["identical"]
+
+
+def test_summary_matches_pinned_bytes(results):
+    # the benchmark's pinned sha256 of the `qfisher reproduce` body
+    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "reproduce_body.sha256"
+    body = render_summary([results[i] for i in sorted(results)])
+    assert hashlib.sha256(body.encode()).hexdigest() == pinned.read_text().split()[0]

@@ -359,7 +359,7 @@ class TestNonFiniteNamedOnce:
         with pytest.raises(ValueError) as err:
             GridDensity(Axis(0.0, 1.0, 11), vals, dim)
         assert not isinstance(err.value, NonFiniteError)
-        assert re.fullmatch(r"negative density value -2\.0 at node \((np\.int64\()?3\)?,\)",
+        assert re.fullmatch(r"negative density value -2\.0 at node \(3,\)",
                             str(err.value))
 
     def test_negative_zero_is_outside_the_support(self):

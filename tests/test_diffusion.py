@@ -186,12 +186,13 @@ class TestCsvRows:
     def test_shape_and_nan_pattern(self):
         st = gaussian_state(count=401)
         _, log = evolve(st, 0.05, n_logs=6)
-        rows = trajectory_csv_rows(log, HEAT)
+        reports = debruijn_check(log, HEAT)
+        rows = trajectory_csv_rows(log, reports)
         assert len(rows) == 6 and len(rows[0]) == 8
         assert np.isnan(rows[0][5]) and np.isnan(rows[-1][5])
         assert not np.isnan(rows[1][5])
-        # interior rel_err column consistent with the identity
-        assert rows[1][7] == pytest.approx(abs(rows[1][5] - rows[1][6]) / abs(rows[1][6]))
+        # the interior dS/dt, rhs and rel_err columns are the reports' lhs, rhs and gap
+        assert [row[5:] for row in rows[1:-1]] == [(r.lhs, r.rhs, r.gap) for r in reports]
 
 
 def test_barenblatt_l1_tracking_short():
@@ -257,7 +258,7 @@ def _ref_step(state, dt):
     d = np.diff(v ** p.m) / h
     vn = _ref_advance(v, _ref_face_flux(d, p.beta), h, dt, state.t)
     return DiffusionState(p, state.t + dt, GridDensity(state.f.axis, vn),
-                          state.step_count + 1, state.mass0)
+                          state.step_count + 1)
 
 
 def _ref_evolve(state, t_end, n_logs):
@@ -285,7 +286,7 @@ def _ref_evolve(state, t_end, n_logs):
         rows.append(log_row(GridDensity(axis, v)))
     arr = np.array(rows)
     log = TrajectoryLog(p.q, p.beta, p.m, log_times, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
-    return DiffusionState(p, t_end, GridDensity(axis, v), nsteps, state.mass0), log
+    return DiffusionState(p, t_end, GridDensity(axis, v), nsteps), log
 
 
 def _oracle_state(m, beta):

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses or
-defines a private module-level name it never references, no cache can grow
-without bound, and no command loads scipy submodules its path does not use."""
+defines a private module-level name it never references, no default is
+left that no call overrides, no cache can grow without bound, and no command
+loads scipy submodules its path does not use."""
 
 import ast
 import json
@@ -86,6 +87,134 @@ def test_detects_unused_private_name():
 
 def test_modules_found():
     assert {"perturb.py", "cli.py", "acceptance.py"} <= {p.name for p in MODULES}
+
+
+#: every file whose calls may set a package default
+CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _field_kind(value) -> str:
+    """"default", "required" or "fixed" (field(init=False), not settable)
+    for the right-hand side of a dataclass field."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        kw = {k.arg: k.value for k in value.keywords}
+        if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+            return "fixed"
+        return "default" if "default" in kw or "default_factory" in kw else "required"
+    return "required" if value is None else "default"
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, str, int | None]]:
+    """(label, callee name, parameter, position) for every defaulted
+    parameter of a function or method, and every dataclass field with a
+    default.  A method is called by its own name, __init__ and a dataclass
+    by the class name; position is the index of the positional argument
+    that sets the parameter (None when it is keyword-only)."""
+    found = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    fields = [(s.target.id, _field_kind(s.value)) for s in child.body
+                              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+                    fields = [(name, kind) for name, kind in fields if kind != "fixed"]
+                    found.extend((f"{child.name}.{name}", child.name, name, pos)
+                                 for pos, (name, kind) in enumerate(fields) if kind == "default")
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                method = cls is not None and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                callee = cls.name if method and child.name == "__init__" else child.name
+                label = f"{cls.name}.{child.name}" if cls is not None else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend((f"{label}({a.arg})", callee, a.arg, first + i - method)
+                             for i, a in enumerate(positional[first:]))
+                found.extend((f"{label}({a.arg})", callee, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(source))
+    return found
+
+
+def call_sites(source: str):
+    """(callee name, positional count, keywords) for every call.  A *args
+    spreads over every later position and a **kwargs over every keyword
+    (count inf, keywords None).  The name is None for a subscript callee
+    such as REGISTRY[key](...): its function is unknown, so only its named
+    keywords are kept."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        elif isinstance(func, ast.Subscript):
+            name = None
+        else:
+            continue
+        count = len(node.args)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            count = float("inf")
+        keywords = {k.arg for k in node.keywords}
+        if None in keywords:
+            keywords = keywords - {None} if name is None else None
+        sites.append((name, count, keywords))
+    return sites
+
+
+def unread_defaults(package_sources, caller_sources) -> list[str]:
+    """Defaulted parameters that no call sets, by position or keyword.
+    Calls match by simple name; a subscript callee matches by keyword only."""
+    sites = [s for src in caller_sources for s in call_sites(src)]
+    unset = []
+    for src in package_sources:
+        for label, callee, param, pos in defaulted_parameters(src):
+            if not any((name == callee and pos is not None and count > pos)
+                       or ((name == callee or name is None)
+                           and (keywords is None or param in keywords))
+                       for name, count, keywords in sites):
+                unset.append(label)
+    return unset
+
+
+def test_no_unread_defaults():
+    assert unread_defaults([p.read_text() for p in sorted(PACKAGE.glob("*.py"))],
+                           [p.read_text() for p in CALLERS]) == []
+
+
+def test_detects_unread_default():
+    package = ("from dataclasses import dataclass, field\n"
+               "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+               "class K:\n"
+               "    def __init__(self, x=0, y=1):\n        pass\n"
+               "    def m(self, z=3):\n        pass\n"
+               "    @staticmethod\n    def s(u=5):\n        pass\n"
+               "@dataclass\nclass D:\n    u: int\n    v: int = 0\n"
+               "    _x: int = field(init=False, default=0)\n"
+               "    w: list = field(default_factory=list)\n")
+    # f(c) is not set by a subscript callee's positional arguments
+    calls = "f(0, 5)\nK(1)\nobj.m()\nK.s(2)\nREG['k'](d=3)\nREG['k'](9, 9, 9)\nD(1, 2)\n"
+    assert unread_defaults([package], [package, calls]) == [
+        "f(c)", "f(e)", "K.__init__(y)", "K.m(z)", "D.w"]
+    spread = "f(**kw)\nK(1, 2)\nobj.m(z=0)\nK.s(*a)\nD(1, v=2, w=[])\nREG['k'](**kw)\n"
+    assert unread_defaults([package], [spread]) == []
+    assert unread_defaults([package], ["REG['k'](**kw)\n"]) == [
+        "f(b)", "f(c)", "f(d)", "f(e)", "K.__init__(x)", "K.__init__(y)", "K.m(z)", "K.s(u)",
+        "D.v", "D.w"]
 
 
 def unbounded_caches(source: str) -> list[str]:
