@@ -28,7 +28,6 @@ from .estimation import (
     MODEL_REGISTRY,
     ParametricModel,
     SingularScoreError,
-    crm_bound_best_quadratic,
     crm_bound_general,
     crm_bound_quadratic,
     crm_bound_scalar,

@@ -7,7 +7,8 @@ a value from either takes the default's type.  No other flag or key is
 accepted; `--seed` exists only on crbound, stam and minimize (on the first
 two, exactly when trials or perturbations > 0), and `reproduce` (pinned
 suite seed) takes only -o.  A count below its least value (LEAST_COUNT;
-minimize needs perturbations >= 1) or an even grid count is refused.  A
+minimize needs perturbations >= 1), an even grid count (on info, one
+not 4k + 1) or a tolerance that is not finite and > 0 is refused.  A
 flat key = value file (--config) is overridden by flags; every report
 embeds the fully resolved configuration.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
@@ -84,7 +85,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags, every value of its default's
     type; an option still None (the unset seed) is left out.  The Hoelder
     pair (alpha, beta) is cross-validated when both are given explicitly and
-    derived from the other when only one is."""
+    derived from the other when only one is; counts and tolerances are
+    checked before any work."""
     cfg = dict(defaults)
     file_cfg = read_config_file(args.config) if args.config else {}
     unknown = set(file_cfg) - set(defaults)
@@ -112,6 +114,9 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         elif "beta" in explicit:
             cfg["alpha"] = cfg["beta"] / (cfg["beta"] - 1.0)
     _check_counts(cfg)
+    for key in ("identity_rel", "inequality_slack"):
+        if key in cfg and not 0 < cfg[key] < math.inf:
+            raise UsageError(f"{key} must be finite and > 0, got {cfg[key]}")
     return {k: v for k, v in cfg.items() if v is not None}
 
 
@@ -180,6 +185,9 @@ INFO_DEFAULTS = {
 
 def cmd_info(args) -> int:
     cfg = resolve_config(args, INFO_DEFAULTS)
+    if (cfg["grid_count"] - 1) % 4:
+        raise UsageError(f"grid_count must be 4k + 1 (the refinement diagnostic halves the "
+                         f"grid twice), got {cfg['grid_count']}")
     fam = cfg["family"]
     if fam == "qgaussian":
         f = grid_density(QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"]),

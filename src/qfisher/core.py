@@ -42,7 +42,8 @@ class Tolerances:
     inequality_slack: float = 1e-9
 
     def __post_init__(self):
-        if min(self.identity_rel, self.inequality_slack) <= 0:
+        # > 0 tested directly, so that NaN fails too
+        if not (self.identity_rel > 0 and self.inequality_slack > 0):
             raise ValueError("tolerances must be strictly positive")
 
     @classmethod
@@ -226,8 +227,7 @@ def normalize(f: GridDensity) -> GridDensity:
     return out
 
 
-def density_from_callable(axis: Axis, fn, normalized=False) -> GridDensity:
-    """Sample a nonnegative callable on the line; optionally normalize."""
+def density_from_callable(axis: Axis, fn) -> GridDensity:
+    """Sample a nonnegative callable on the line (not normalized)."""
     values = np.broadcast_to(np.asarray(fn(axis.nodes()), dtype=float), (axis.count,)).copy()
-    f = GridDensity(axis, values)
-    return normalize(f) if normalized else f
+    return GridDensity(axis, values)

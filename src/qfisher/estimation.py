@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import Axis, GridDensity, NonFiniteError, Tolerances, simpson_weights
 from .info_measures import i_fisher, moment_abs, recenter
-from .qgaussian import QGaussianParams, pdf as qpdf, sample as qsample, support_radius, tail_radius
+from .qgaussian import QGaussianParams, pdf as qpdf, reach_radius, sample as qsample
 from .reports import VerificationReport, inequality_report
 
 #: relative step for centered differences in theta
@@ -108,6 +108,17 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _theta_differences(model: ParametricModel, theta: np.ndarray):
+    """Yield (i, 2d, f(theta + d e_i), f(theta - d e_i)) for each component
+    i, with d = DTHETA_REL (1 + |theta_i|): the centered differences in theta."""
+    for i in range(model.dim_theta):
+        d = DTHETA_REL * (1.0 + abs(theta[i]))
+        tp, tm = theta.copy(), theta.copy()
+        tp[i] += d
+        tm[i] -= d
+        yield i, 2.0 * d, model.f_values(tp), model.f_values(tm)
+
+
 def score_g(model: ParametricModel, theta) -> np.ndarray:
     """Score grad_theta f / g by centered differences; shape (k, nodes).
 
@@ -120,12 +131,8 @@ def score_g(model: ParametricModel, theta) -> np.ndarray:
     gpos = g > 0
     near = _dilate(gpos)
     psi = np.zeros((model.dim_theta,) + g.shape)
-    for i in range(model.dim_theta):
-        d = DTHETA_REL * (1.0 + abs(theta[i]))
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += d
-        tm[i] -= d
-        fd = (model.f_values(tp) - model.f_values(tm)) / (2.0 * d)
+    for i, two_d, f_plus, f_minus in _theta_differences(model, theta):
+        fd = (f_plus - f_minus) / two_d
         scale = float(np.max(np.abs(fd)))
         stray = np.abs(fd[~near])
         if scale > 0 and stray.size and float(stray.max()) > 1e-8 * scale:
@@ -147,13 +154,8 @@ def eta_dot(model: ParametricModel, est: EstimatorSpec, theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     t_vals = est.T(model._coords)
     out = np.zeros(model.dim_theta)
-    for i in range(model.dim_theta):
-        d = DTHETA_REL * (1.0 + abs(theta[i]))
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += d
-        tm[i] -= d
-        out[i] = (model.quad(t_vals * model.f_values(tp))
-                  - model.quad(t_vals * model.f_values(tm))) / (2.0 * d)
+    for i, two_d, f_plus, f_minus in _theta_differences(model, theta):
+        out[i] = (model.quad(t_vals * f_plus) - model.quad(t_vals * f_minus)) / two_d
     return out
 
 
@@ -168,19 +170,18 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[min(idx, len(v) - 1)])
 
 
-def _equality_residual_scalar(model, est, theta, psi, g):
+def _equality_residual_scalar(model, est, psi, g, t_err):
     """Residual of the equality condition psi = c sign(T-h)|T-h|^(alpha-1),
-    minimized over c > 0 and normalized by E_g[|T-h|^(alpha-1)]
-    (so the verdict is scale free).  Nodes with T = h contribute 0."""
-    t_err = est.T(model._coords) - est.h(np.atleast_1d(theta))
+    with t_err = T - h on the nodes, minimized over c > 0 and normalized by
+    E_g[|T-h|^(alpha-1)] (so the verdict is scale free).  Nodes with T = h
+    contribute 0."""
     s = np.sign(t_err) * np.abs(t_err) ** (est.alpha - 1.0)
     w_quad = model._weights * g
     active = (s != 0) & (g > 0)
     if not np.any(active):
         return 0.0, 0.0
-    ratio = psi[active] / s[active]
-    c = _weighted_median(ratio, (w_quad * np.abs(s))[active])
-    c = max(c, 1e-300)  # the multiplier is constrained positive
+    # the multiplier is constrained positive
+    c = max(_weighted_median(psi[active] / s[active], (w_quad * np.abs(s))[active]), 1e-300)
     resid = float(np.sum(w_quad * np.abs(psi - c * s)))
     norm = float(np.sum(w_quad * np.abs(t_err) ** (est.alpha - 1.0)))
     return resid / max(norm, 1e-300), c
@@ -202,17 +203,14 @@ def crm_bound_scalar(model: ParametricModel, est: EstimatorSpec, theta,
     lhs = model.quad(np.abs(t_err) ** est.alpha * g) ** (1.0 / est.alpha)
     with np.errstate(over="ignore"):
         moment = np.abs(psi) ** est.beta * g
-    if not np.all(np.isfinite(moment)):
-        denom = float("inf")
-    else:
-        denom = model.quad(moment) ** (1.0 / est.beta)
+    denom = model.quad(moment) ** (1.0 / est.beta) if np.all(np.isfinite(moment)) else np.inf
     if not np.isfinite(denom) or denom <= 0:
         return VerificationReport("crm-scalar", float(lhs), float("nan"), float("nan"),
                                   tol.inequality_slack, False,
                                   {"flag": "divergent-score-moment"})
     ed = float(eta_dot(model, est, theta)[0])
     rhs = abs(ed) / denom
-    resid, c = _equality_residual_scalar(model, est, theta, psi, g)
+    resid, c = _equality_residual_scalar(model, est, psi, g, t_err)
     return inequality_report("crm-scalar", lhs, rhs, tol.inequality_slack,
                              extras={"eta_dot": ed, "equality_residual": resid, "c_opt": c})
 
@@ -220,9 +218,12 @@ def crm_bound_scalar(model: ParametricModel, est: EstimatorSpec, theta,
 def fisher_matrix_g(model: ParametricModel, theta) -> np.ndarray:
     """J_g(theta) = E_g[psi psi^T], k x k symmetric positive semidefinite."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    g = model.g_values(theta)
-    psi = score_g(model, theta)
-    k = model.dim_theta
+    return _fisher_sum(model, score_g(model, theta), model.g_values(theta))
+
+
+def _fisher_sum(model: ParametricModel, psi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """E_g[psi psi^T] by quadrature of the score psi against g."""
+    k = len(psi)
     J = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
@@ -240,17 +241,18 @@ def _inv_fisher(J: np.ndarray) -> np.ndarray:
     return evecs @ np.diag(1.0 / evals) @ evecs.T
 
 
-def crm_bound_quadratic(model: ParametricModel, est: EstimatorSpec, theta,
-                        tol: Tolerances = Tolerances()) -> VerificationReport:
+def crm_bound_quadratic(model: ParametricModel, est: EstimatorSpec, theta) -> VerificationReport:
     """Quadratic multivariate bound E_g[|T-h|^2] >= eta'^T J_g^-1 eta'
-    (alpha = beta = 2), with the equality-condition residual of
-    |T-h| = k |eta'^T J^-1 psi| minimized over k > 0."""
+    (alpha = beta = 2) at the default slack, with the equality-condition
+    residual of |T-h| = k |eta'^T J^-1 psi| minimized over k > 0.  The
+    square root of the rhs is the supremum over A of the crm_bound_general
+    objective, attained at A = J_g^-1."""
     if est.alpha != 2.0:
         raise ValueError("quadratic bound requires alpha = 2")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     g = model.g_values(theta)
     psi = score_g(model, theta)
-    J = fisher_matrix_g(model, theta)
+    J = _fisher_sum(model, psi, g)
     Jinv = _inv_fisher(J)
     ed = eta_dot(model, est, theta)
     rhs = float(ed @ Jinv @ ed)
@@ -264,7 +266,7 @@ def crm_bound_quadratic(model: ParametricModel, est: EstimatorSpec, theta,
     kopt = max(kopt, 1e-300)
     resid = float(np.sum(w_quad * np.abs(np.abs(t_err) - kopt * proj)))
     norm = float(np.sum(w_quad * np.abs(t_err)))
-    return inequality_report("crm-quadratic", lhs, rhs, tol.inequality_slack,
+    return inequality_report("crm-quadratic", lhs, rhs, Tolerances().inequality_slack,
                              extras={"eta_dot_norm": float(np.linalg.norm(ed)),
                                      "equality_residual": resid / max(norm, 1e-300),
                                      "k_opt": kopt,
@@ -290,13 +292,6 @@ def crm_bound_general(model: ParametricModel, est: EstimatorSpec, theta, A) -> f
     if denom <= 0 or not np.isfinite(denom):
         raise ArithmeticError("divergent or vanishing denominator in the bound objective")
     return numer / denom
-
-
-def crm_bound_best_quadratic(model: ParametricModel, est: EstimatorSpec, theta) -> float:
-    """sup_A objective at alpha = 2: sqrt(eta'^T J_g^-1 eta'), attained at A = J_g^-1."""
-    J = fisher_matrix_g(model, theta)
-    ed = eta_dot(model, est, theta)
-    return float(np.sqrt(ed @ _inv_fisher(J) @ ed))
 
 
 def mc_error_moment(model: ParametricModel, est: EstimatorSpec, theta,
@@ -353,8 +348,7 @@ def qcr_product(g: GridDensity, q: float, alpha: float,
 # Model registry
 # ---------------------------------------------------------------------------
 
-def gaussian_location_model(n: int = 1, sigma: float = 1.0, half_width: float = None,
-                            count: int = 4001) -> ParametricModel:
+def gaussian_location_model(n: int = 1, sigma: float = 1.0, count: int = 4001) -> ParametricModel:
     """Product of n unit-variance(*sigma^2) normals with scalar location
     theta along the all-ones vector, reduced to its sufficient statistic
     s = 1^T x ~ N(n theta, n sigma^2).
@@ -362,11 +356,11 @@ def gaussian_location_model(n: int = 1, sigma: float = 1.0, half_width: float = 
     The reduction is exact: T = s/n is the sample mean, the s-score equals
     the full-model score 1^T(x - theta 1)/sigma^2 as a function of s, and all
     moments in the bound chain coincide with the n-dimensional ones, so the
-    model lives on the 1-D axis of s for every n.
+    model lives on the 1-D axis of s for every n, over 10 standard deviations
+    of s plus 1 on either side.
     """
     var = n * sigma ** 2
-    if half_width is None:
-        half_width = 10.0 * np.sqrt(var) + 1.0
+    half_width = 10.0 * np.sqrt(var) + 1.0
     ax = Axis(-half_width, half_width, count)
 
     def dens(coords, theta):
@@ -409,7 +403,7 @@ def _location_pair(pf: QGaussianParams, pg: QGaussianParams, count: int,
     """Location family theta -> (pf, pg) q-Gaussians shifted by theta, on
     `count` nodes over [-r, r]: r covers both supports (or 1 - 1e-12 bulks)
     with a 5 % margin, plus 0.5 of room for theta; draws come from pg."""
-    r = max(support_radius(p) if p.q > 1 else tail_radius(p) for p in (pg, pf)) * 1.05 + 0.5
+    r = max(reach_radius(pg), reach_radius(pf)) * 1.05 + 0.5
     ax = Axis(-r, r, count)
 
     def dens_f(coords, theta):

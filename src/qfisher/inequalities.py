@@ -65,11 +65,9 @@ def stam_ratio(f: GridDensity, q: float, beta: float,
             f"Stam hypothesis fails: need q > max((n-1)/n, n/(n+alpha)) "
             f"= {max((n - 1.0) / n, n / (n + alpha)):g}, got q = {q}"
         )
-    if beta == 2.0:
-        ref = QGaussianParams(q, alpha, 1.0, n)
-    else:
-        base = QGaussianParams(q, alpha, 1.0, n)
-        ref = QGaussianParams(q, alpha, gamma_for_moment(base, moment_abs(f, alpha)), n)
+    ref = QGaussianParams(q, alpha, 1.0, n)
+    if beta != 2.0:
+        ref = QGaussianParams(q, alpha, gamma_for_moment(ref, moment_abs(f, alpha)), n)
     product_f = stam_product(f, q, beta)
     product_ref = closed_form_stam_product(ref)
     ratio = product_f / product_ref
@@ -84,9 +82,8 @@ def stam_ratio(f: GridDensity, q: float, beta: float,
 FIT_AMPLITUDES = tuple(np.geomspace(0.003, 0.03, 4))
 
 
-def _perturbation_sweep(ref: QGaussianParams, constraint: str, target: float,
-                        q: float, beta: float, n_perturb: int,
-                        seed: int, grid_count: int):
+def _perturbation_sweep(ref: QGaussianParams, constraint: str, target: float, beta: float,
+                        n_perturb: int, seed: int, grid_count: int):
     """Rows (amplitude, dir_index, I) of n_perturb perturbed densities, 5 or
     fewer amplitude levels per direction, and fit_rows (amplitude, I) of the
     same directions at FIT_AMPLITUDES for the gap-vs-amplitude fit."""
@@ -95,7 +92,7 @@ def _perturbation_sweep(ref: QGaussianParams, constraint: str, target: float,
                                constraint, target, grid_count, extra=FIT_AMPLITUDES)
     # each direction yields its ladder rungs, then the FIT_AMPLITUDES
     for bi, items in itertools.groupby(batch, key=lambda item: item[0]):
-        values = [(a, i_fisher(fp, q, beta)) for _, a, fp in items]
+        values = [(a, i_fisher(fp, ref.q, beta)) for _, a, fp in items]
         rows += [(a, bi, v) for a, v in values[:-len(FIT_AMPLITUDES)]]
         fit_rows += values[-len(FIT_AMPLITUDES):]
     return rows, fit_rows
@@ -103,11 +100,8 @@ def _perturbation_sweep(ref: QGaussianParams, constraint: str, target: float,
 
 def _gap_exponent(fit_rows, i_ref):
     """Slope of log(mean gap) vs log(amplitude) across the fit ladder."""
-    means = []
-    for a in FIT_AMPLITUDES:
-        gaps = [r[1] - i_ref for r in fit_rows if r[0] == float(a)]
-        means.append(np.mean(gaps))
-    means = np.asarray(means)
+    means = np.array([np.mean([r[1] - i_ref for r in fit_rows if r[0] == float(a)])
+                      for a in FIT_AMPLITUDES])
     if np.any(means <= 0):
         return float("nan")
     slope = np.polyfit(np.log(FIT_AMPLITUDES), np.log(means), 1)[0]
@@ -121,26 +115,13 @@ def min_fisher_fixed_moment(q: float, alpha: float, target_m: float, n: int = 1,
     """q-Gaussians minimize I(beta, q) among densities with a fixed
     alpha-moment: solve gamma for the target moment, then check
     I[G] <= I[perturbed] + slack over a randomized same-moment batch."""
-    beta = alpha / (alpha - 1.0)
     base = QGaussianParams(q, alpha, 1.0, n)
-    gamma = gamma_for_moment(base, target_m)
-    ref = QGaussianParams(q, alpha, gamma, n)
+    ref = QGaussianParams(q, alpha, gamma_for_moment(base, target_m), n)
     moment_err = abs(moment_alpha(ref) - target_m)
     if moment_err > 1e-8:
         raise ArithmeticError(f"gamma root-find missed the moment by {moment_err:g}")
-    g_ref = grid_density(ref, grid_count)
-    i_ref = i_fisher(g_ref, q, beta)
-    rows, fit_rows = _perturbation_sweep(ref, "moment", target_m, q, beta,
-                                         perturbation_count, seed, grid_count)
-    i_min = min(r[2] for r in rows)
-    return inequality_report("min-fisher-fixed-moment", i_min, i_ref, tol.inequality_slack,
-                             extras={"value_G": i_ref,
-                                     "value_G_closed_form": closed_form_i_fisher(ref),
-                                     "min_perturbed": i_min,
-                                     "worst_gap": i_min - i_ref,
-                                     "gamma": gamma,
-                                     "gap_amplitude_exponent": _gap_exponent(fit_rows, i_ref),
-                                     "perturbations": len(rows)})
+    return _min_fisher("min-fisher-fixed-moment", ref, alpha / (alpha - 1.0), "moment",
+                       target_m, perturbation_count, seed, grid_count, tol, {})
 
 
 def min_fisher_fixed_entropy(q: float, beta: float, target_n: float, n: int = 1,
@@ -149,22 +130,31 @@ def min_fisher_fixed_entropy(q: float, beta: float, target_n: float, n: int = 1,
                              tol: Tolerances = Tolerances()) -> VerificationReport:
     """q-Gaussians minimize I(beta, q) among densities with a fixed q-entropy
     power (the constraint is restored by dilation, N_q ~ c^2)."""
-    alpha = beta / (beta - 1.0)
-    base = QGaussianParams(q, alpha, 1.0, n)
-    gamma = gamma_for_entropy_power(base, target_n)
-    ref = QGaussianParams(q, alpha, gamma, n)
-    g_ref = grid_density(ref, grid_count)
-    i_ref = i_fisher(g_ref, q, beta)
-    rows, fit_rows = _perturbation_sweep(ref, "entropy_power", target_n, q, beta,
-                                         perturbation_count, seed, grid_count)
+    base = QGaussianParams(q, beta / (beta - 1.0), 1.0, n)
+    ref = QGaussianParams(q, base.alpha, gamma_for_entropy_power(base, target_n), n)
+    return _min_fisher("min-fisher-fixed-entropy", ref, beta, "entropy_power", target_n,
+                       perturbation_count, seed, grid_count, tol,
+                       {"target_entropy_power": target_n,
+                        "entropy_power_G": closed_form_entropy_power(ref)})
+
+
+def _min_fisher(name: str, ref: QGaussianParams, beta: float, constraint: str, target: float,
+                perturbation_count: int, seed: int, grid_count: int, tol: Tolerances,
+                extras: dict) -> VerificationReport:
+    """I[ref] on the grid against the least I of a same-constraint batch
+    around ref, with the constraint's own `extras` in the report.  beta is
+    the caller's, not ref.beta, whose round trip through alpha may move
+    the last bit."""
+    i_ref = i_fisher(grid_density(ref, grid_count), ref.q, beta)
+    rows, fit_rows = _perturbation_sweep(ref, constraint, target, beta, perturbation_count,
+                                         seed, grid_count)
     i_min = min(r[2] for r in rows)
-    return inequality_report("min-fisher-fixed-entropy", i_min, i_ref, tol.inequality_slack,
+    return inequality_report(name, i_min, i_ref, tol.inequality_slack,
                              extras={"value_G": i_ref,
                                      "value_G_closed_form": closed_form_i_fisher(ref),
                                      "min_perturbed": i_min,
                                      "worst_gap": i_min - i_ref,
-                                     "gamma": gamma,
-                                     "target_entropy_power": target_n,
-                                     "entropy_power_G": closed_form_entropy_power(ref),
+                                     "gamma": ref.gamma,
+                                     **extras,
                                      "gap_amplitude_exponent": _gap_exponent(fit_rows, i_ref),
                                      "perturbations": len(rows)})

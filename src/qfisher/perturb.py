@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import Axis, GridDensity, normalize
 from .info_measures import entropy_power, moment_abs
-from .qgaussian import QGaussianParams, pdf, support_radius, tail_radius
+from .qgaussian import QGaussianParams, pdf, reach_radius
 
 #: number of cos/sin modes in a bump
 N_MODES = 8
@@ -48,18 +48,18 @@ AMPLITUDE_RANGE = (0.01, 0.2)
 BUMP_TAIL = 1e-9
 
 
-def fourier_bump(rng: np.random.Generator, n_modes: int = N_MODES):
-    """Random smooth bump on [-1, 1]: the first n_modes cos and sin modes
+def fourier_bump(rng: np.random.Generator):
+    """Random smooth bump on [-1, 1]: the first N_MODES cos and sin modes
     under a cos^2 window vanishing at the ends, normalized to max |b| = 1."""
-    coef = rng.uniform(-1.0, 1.0, size=(2, n_modes))
+    coef = rng.uniform(-1.0, 1.0, size=(2, N_MODES))
 
     def raw(u):
         u = np.asarray(u, dtype=float)
-        table = _trig_table(u, n_modes)
+        table = _trig_table(u)
         acc = np.zeros(table.window.shape)
         # summed mode by mode in order; a matrix product would round
         # differently in the last bits
-        for j in range(n_modes):
+        for j in range(N_MODES):
             acc += coef[0, j] * table.cos[j] + coef[1, j] * table.sin[j]
         out = np.zeros_like(u)
         out[table.inside] = table.window * acc
@@ -73,7 +73,7 @@ def fourier_bump(rng: np.random.Generator, n_modes: int = N_MODES):
 
 class _TrigTable(NamedTuple):
     """The draw-independent part of a bump at the abscissae u: the window
-    mask |u| < 1, cos and sin of (j pi u) for j = 1..n_modes at the nodes
+    mask |u| < 1, cos and sin of (j pi u) for j = 1..N_MODES at the nodes
     inside it (one row per mode), and the cos^2 window there."""
 
     u: np.ndarray
@@ -83,29 +83,29 @@ class _TrigTable(NamedTuple):
     window: np.ndarray
 
 
-def _trig_table(u: np.ndarray, n_modes: int) -> _TrigTable:
+def _trig_table(u: np.ndarray) -> _TrigTable:
     """The kept table of the very array u (not of an equal one), else a
     table built afresh."""
     for table in _KEPT.values():
-        if table.u is u and len(table.cos) == n_modes:
+        if table.u is u:
             return table
     inside = np.abs(u) < 1.0
     u_in = u[inside]
-    phase = np.multiply.outer(np.arange(1, n_modes + 1) * np.pi, u_in)
+    phase = np.multiply.outer(np.arange(1, N_MODES + 1) * np.pi, u_in)
     cos = np.cos(phase)
     sin = np.sin(phase, out=phase)  # phase is not needed again
     return _TrigTable(u, inside, cos, sin, np.cos(np.pi * u_in / 2.0) ** 2)
 
 
 #: the kept trig tables, by role: "probe" (the peak probe) and "base" (the
-#: current base grid).  Two entries at most, each N_MODES rows.
+#: current base grid).  Two entries at most.
 _KEPT: dict[str, _TrigTable] = {}
 
 
 def _keep(role: str, u) -> np.ndarray:
-    """Tabulate u (made read-only) for N_MODES modes and keep the table
-    under `role`, replacing the one kept there; return the kept abscissae."""
-    table = _KEPT[role] = _trig_table(_read_only(u), N_MODES)
+    """Tabulate u (made read-only) and keep the table under `role`,
+    replacing the one kept there; return the kept abscissae."""
+    table = _KEPT[role] = _trig_table(_read_only(u))
     for a in table[1:]:  # made here, so no caller holds them
         a.flags.writeable = False
     return table.u
@@ -173,8 +173,8 @@ def _base_grid(p: QGaussianParams, count: int):
     """(R_eff, base axis, pdf(p, nodes), nodes / R_eff) of a reference and
     a node count, the arrays read-only; the trig table of nodes / R_eff is
     kept as the "base" table."""
-    r_eff = support_radius(p) if p.q > 1 else tail_radius(p, BUMP_TAIL)
-    r_grid = tail_radius(p) * 1.05 if p.q <= 1 else support_radius(p) * 1.05
+    r_eff = reach_radius(p, BUMP_TAIL)
+    r_grid = reach_radius(p) * 1.05
     ax = Axis(-r_grid, r_grid, count)
     nodes = ax.nodes()
     return r_eff, ax, _read_only(pdf(p, nodes)), _keep("base", nodes / r_eff)

@@ -78,6 +78,12 @@ def tail_radius(p: QGaussianParams, tail_mass: float = DEFAULT_TAIL_MASS) -> flo
     return float(_radial_quantile(p, 1.0 - tail_mass, tail_mass))
 
 
+def reach_radius(p: QGaussianParams, tail_mass: float = DEFAULT_TAIL_MASS) -> float:
+    """Radius a grid or a bump window must reach: the support radius for
+    q > 1, else the radius leaving out `tail_mass`."""
+    return support_radius(p) if p.q > 1 else tail_radius(p, tail_mass)
+
+
 def _radial_quantile(p: QGaussianParams, mass, tail):
     """Radius R with P(||X|| <= R) = mass, given mass and tail = 1 - mass
     both (scalars or arrays): each branch inverts the side it reads
@@ -230,6 +236,9 @@ def grid_density(p: QGaussianParams, count: int = 4001) -> GridDensity:
     """The density sampled on `count` nodes, normalized: [-R, R] for dim 1,
     the radii [0, R] for dim >= 2 (radial), with R = tail_radius(p) * 1.05,
     so that the support edge (q > 1) is interior to the grid."""
+    # not reach_radius: for q > 1 the tail radius sits just inside the
+    # support radius, and these nodes reach the pinned `reproduce` bytes
+    # (criteria 6-8)
     r = tail_radius(p) * 1.05
     ax = Axis(-r if p.dim == 1 else 0.0, r, count)
     return normalize(GridDensity(ax, pdf(p, ax.nodes()), p.dim))

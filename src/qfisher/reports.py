@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -23,21 +22,6 @@ class VerificationReport:
     tolerance: float
     passed: bool
     extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-        d.update({k: v for k, v in sorted(self.extras.items())})
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def identity_report(name, lhs, rhs, rel_tol, extras=None) -> VerificationReport:

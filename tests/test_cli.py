@@ -229,6 +229,47 @@ def test_count_below_least_value_is_usage_error(argv, key, source, capsys, tmp_p
     assert not out_path.exists()
 
 
+TOLERANCE_OPTIONS = [(name, key) for name, (_, defaults, _) in SUBCOMMANDS.items()
+                     for key in ("identity_rel", "inequality_slack") if key in defaults]
+
+
+def test_tolerance_options_found():
+    assert {name for name, _ in TOLERANCE_OPTIONS} == {
+        "diffuse", "crbound", "qcr", "stam", "minimize"}
+
+
+@pytest.mark.parametrize("name, key", TOLERANCE_OPTIONS,
+                         ids=[f"{name}-{key}" for name, key in TOLERANCE_OPTIONS])
+@pytest.mark.parametrize("value", ["0", "nan", "inf", "-0.5"])
+def test_tolerance_not_finite_positive_is_usage_error(name, key, value, capsys, tmp_path):
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, name, "--" + key.replace("_", "-"), value,
+                             "-o", str(out_path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error:") and key in err
+    assert not out_path.exists()
+
+
+def test_diffuse_refuses_tolerance_before_solving(capsys, tmp_path, monkeypatch):
+    def evolve(*args, **kwargs):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr("qfisher.cli.evolve", evolve)
+    code, _, err = run_cli(capsys, "diffuse", "--identity-rel", "0", "-o", str(tmp_path / "x"))
+    assert code == EXIT_USAGE and "identity_rel" in err
+
+
+@pytest.mark.parametrize("count", ["4003", "7"])
+def test_info_grid_count_must_be_4k_plus_1(count, capsys, monkeypatch):
+    def grid_density(*args, **kwargs):
+        raise AssertionError("density built")
+
+    monkeypatch.setattr("qfisher.cli.grid_density", grid_density)
+    code, out, err = run_cli(capsys, "info", "--grid-count", count)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error:") and "grid_count" in err and "4k + 1" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["info", "--family", "gaussian", "--n", "2"],
     ["info", "--family", "uniform", "--n", "2"],

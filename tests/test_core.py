@@ -432,6 +432,11 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(identity_rel=0.0)
 
+    @pytest.mark.parametrize("key", ["identity_rel", "inequality_slack"])
+    def test_nan_refused(self, key):
+        with pytest.raises(ValueError, match="strictly positive"):
+            Tolerances(**{key: float("nan")})
+
 
 def test_weights_sum_to_volume():
     ones = np.ones(21)

@@ -5,13 +5,20 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from qfisher import estimation
-from qfisher.core import Axis, GridDensity, NonFiniteError, Tolerances, density_from_callable, gradient
+from qfisher.core import (
+    Axis,
+    GridDensity,
+    NonFiniteError,
+    Tolerances,
+    density_from_callable,
+    gradient,
+    normalize,
+)
 from qfisher.estimation import (
     EstimatorSpec,
     MODEL_REGISTRY,
     ParametricModel,
     SingularScoreError,
-    crm_bound_best_quadratic,
     crm_bound_general,
     crm_bound_quadratic,
     crm_bound_scalar,
@@ -99,7 +106,7 @@ class TestScore:
 class TestScalarBound:
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
     def test_gaussian_equality(self, sigma):
-        m = gaussian_location_model(n=1, sigma=sigma, half_width=12.0 * sigma)
+        m = gaussian_location_model(n=1, sigma=sigma)
         est = sample_mean_estimator(n=1)
         rep = crm_bound_scalar(m, est, [0.0], TOL_EQ)
         assert rep.passed
@@ -132,7 +139,7 @@ class TestScalarBound:
         m = gaussian_location_model(n=1)
         est = sample_mean_estimator(n=1)
         scalar_rhs = crm_bound_scalar(m, est, [0.0], TOL_EQ).rhs
-        quad_rhs = np.sqrt(crm_bound_quadratic(m, est, [0.0], TOL_EQ).rhs)
+        quad_rhs = np.sqrt(crm_bound_quadratic(m, est, [0.0]).rhs)
         general = crm_bound_general(m, est, [0.0], np.array([[3.7]]))
         assert scalar_rhs == pytest.approx(quad_rhs, rel=1e-10)
         assert scalar_rhs == pytest.approx(general, rel=1e-10)
@@ -166,7 +173,7 @@ class TestQuadraticBound:
     def test_n3_sample_mean_equality(self):
         m = gaussian_location_model(n=3)
         est = sample_mean_estimator(n=3)
-        rep = crm_bound_quadratic(m, est, [0.0], TOL_EQ)
+        rep = crm_bound_quadratic(m, est, [0.0])
         assert rep.lhs == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert rep.rhs == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert rep.extras["equality_residual"] < 1e-8
@@ -178,7 +185,7 @@ class TestQuadraticBound:
         theta = [0.7, 1.3]
         est = EstimatorSpec(T=lambda c: c[0] ** 2,
                             h=lambda th: float(th[0] ** 2 + th[1]), alpha=2.0)
-        rep = crm_bound_quadratic(m, est, theta, TOL_EQ)
+        rep = crm_bound_quadratic(m, est, theta)
         exact = 4 * 0.7 ** 2 * 1.3 + 2 * 1.3 ** 2
         assert rep.lhs == pytest.approx(exact, rel=1e-6)
         assert rep.rhs == pytest.approx(exact, rel=1e-4)
@@ -188,7 +195,7 @@ class TestQuadraticBound:
         theta = [0.7, 1.3]
         est = EstimatorSpec(T=lambda c: c[0] ** 2,
                             h=lambda th: float(th[0] ** 2 + th[1]), alpha=2.0)
-        best = crm_bound_best_quadratic(m, est, theta)
+        best = np.sqrt(crm_bound_quadratic(m, est, theta).rhs)
         rng = np.random.default_rng(15)
         for _ in range(20):
             L = rng.normal(size=(2, 2))
@@ -197,6 +204,21 @@ class TestQuadraticBound:
         J = fisher_matrix_g(m, theta)
         at_opt = crm_bound_general(m, est, theta, np.linalg.inv(J))
         assert at_opt == pytest.approx(best, rel=1e-9)
+
+    def test_one_score_per_bound(self, monkeypatch):
+        # J_g is summed from the score the bound already holds
+        calls = []
+
+        def counting(model, theta):
+            calls.append(theta)
+            return score_g(model, theta)
+
+        monkeypatch.setattr(estimation, "score_g", counting)
+        m = gaussian_meanvar_model()
+        est = EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=2.0)
+        rep = crm_bound_quadratic(m, est, [0.0, 1.0])
+        assert len(calls) == 1
+        assert rep.extras["fisher_matrix"] == fisher_matrix_g(m, [0.0, 1.0]).tolist()
 
     def test_scale_invariance_in_A(self):
         m = gaussian_meanvar_model()
@@ -309,10 +331,10 @@ class TestQcrProduct:
 
     def test_mixture_strictly_above(self):
         ax = Axis(-8.0, 8.0, 4001)
-        f = density_from_callable(
+        f = normalize(density_from_callable(
             ax,
             lambda x: 0.5 * (np.exp(-(x - 2) ** 2 / 0.5) + np.exp(-(x + 2) ** 2 / 0.5))
-            / np.sqrt(0.5 * np.pi) / 2.0, normalized=True)
+            / np.sqrt(0.5 * np.pi) / 2.0))
         rep = qcr_product(f, 1.0, 2.0)
         assert rep.lhs > 1.0 + 0.1
         assert rep.passed
@@ -361,16 +383,16 @@ class TestQcrProduct:
         # near-vanishing plateau with a large negative Fisher exponent: the
         # integrand overflows and the report is flagged, not trusted
         ax = Axis(-2.0, 2.0, 1601)
-        f = density_from_callable(
-            ax, lambda x: np.clip(1 - x * x, 0, None) ** 40 + 1e-280, normalized=True)
+        f = normalize(density_from_callable(
+            ax, lambda x: np.clip(1 - x * x, 0, None) ** 40 + 1e-280))
         rep = qcr_product(f, 0.01, 2.0)
         assert rep.extras["flag"] == "divergent-fisher"
         assert not rep.passed
 
     def test_divergent_fisher_flag_comes_from_typed_error(self):
         ax = Axis(-2.0, 2.0, 1601)
-        f = density_from_callable(
-            ax, lambda x: np.clip(1 - x * x, 0, None) ** 40 + 1e-280, normalized=True)
+        f = normalize(density_from_callable(
+            ax, lambda x: np.clip(1 - x * x, 0, None) ** 40 + 1e-280))
         with pytest.raises(NonFiniteError):
             i_fisher(f, 0.01, 2.0)
         assert qcr_product(f, 0.01, 2.0).extras == {"flag": "divergent-fisher"}

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qfisher.core import Axis, GridDensity, Tolerances, density_from_callable, integrate
+from qfisher.core import Axis, GridDensity, Tolerances, density_from_callable, integrate, normalize
 from qfisher.inequalities import (
     min_fisher_fixed_entropy,
     min_fisher_fixed_moment,
@@ -29,10 +29,9 @@ TOL_EQ = Tolerances(inequality_slack=1e-4)
 
 def mixture_density(count=8001):
     ax = Axis(-9.0, 9.0, count)
-    return density_from_callable(
+    return normalize(density_from_callable(
         ax,
-        lambda x: (np.exp(-(x - 2.0) ** 2 / 0.5) + np.exp(-(x + 2.0) ** 2 / 0.5)),
-        normalized=True)
+        lambda x: (np.exp(-(x - 2.0) ** 2 / 0.5) + np.exp(-(x + 2.0) ** 2 / 0.5))))
 
 
 class TestStam:
@@ -120,7 +119,8 @@ class TestMinFisherMoment:
                                      grid_count=2001)
         r2 = min_fisher_fixed_moment(1.5, 2.0, 0.5, seed=9, perturbation_count=10,
                                      grid_count=2001)
-        assert r1.to_json() == r2.to_json()
+        # repr, not ==: a NaN extra never equals itself
+        assert repr(r1) == repr(r2)
 
 
 class TestMinFisherEntropy:
