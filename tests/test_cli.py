@@ -1,7 +1,10 @@
 """CLI: config resolution, report formats, determinism, exit codes."""
 
+import hashlib
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,3 +437,47 @@ def test_output_file_written(tmp_path, capsys):
     assert out == ""
     d = json.loads(out_path.read_text())
     assert d["product"] == pytest.approx(1.0, abs=1e-4)
+
+
+#: sha256 of the stdout of each README `qfisher` line but `reproduce` (whose
+#: body test_acceptance pins), plus two crbound runs off the Gaussian model;
+#: the diffuse entry pins (stdout, CSV)
+REPORT_SHA256 = {
+    "info --family qgaussian --q 2 --alpha 2 --gamma 1":
+        "c14c13e1936bfcef661e16756468c2c84add4d66455893e1625f5fdbedd1e84c",
+    "diffuse --m 2 --beta 2 --init barenblatt --t0 1 --t-end 2 -o traj.csv":
+        ("4f03c96e76d69b00d0478171aae66f591967932fc17b16baef9e959a71bf523f",
+         "10db85419d4db63efe40586541dd3dda3fed0a7fb1c6356d64a0d0d58b3aa1f1"),
+    "crbound --model gaussian-location --n 3 --trials 100000 --seed 7":
+        "e18a033c9ee3d5bb3c020f9ff75681784d982696366c2d8d465b30bc8a7cd2d9",
+    "qcr --q 1.5 --alpha 2 --gamma 1":
+        "1e4ba361ccafa667e485da16faf12fc63e4f783987fa6f9c5e5012be9b1142ba",
+    "stam --q 2 --beta 2 --gamma 1 --perturbations 20 --seed 7":
+        "48cb0ba769495177b105847a53577c8824fb3431906a3f35acdf8fa30d820f3a",
+    "minimize --constraint moment --q 2 --alpha 2 --target 0.2 --seed 7":
+        "ce5b8d90f08d7512c648b2e00b44e1c5fda25b2f9b648f76285c5edf7542dfc5",
+    "crbound --model escort-pair --q 2 --alpha 2":
+        "872de20c5addab7250bf7a24698eed23ca3635f52f2dd09bfd0aadc75088c270",
+    "crbound --model qgaussian-location --q 1.5 --alpha 3":
+        "9b5cffe354da049c6cdb2991058ad340276795d2b28754a3a8a3a0e8019b1244",
+}
+README_LINES = re.findall(r"^qfisher (.*)$",
+                          (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.M)
+
+
+def test_every_readme_report_is_pinned():
+    assert set(README_LINES) - {"reproduce -o summary.txt"} <= set(REPORT_SHA256)
+
+
+@pytest.mark.parametrize("line", sorted(REPORT_SHA256))
+def test_report_matches_pinned_bytes(line, capsys, tmp_path):
+    argv = line.split()
+    if "-o" in argv:
+        csv = tmp_path / argv[argv.index("-o") + 1]
+        argv[argv.index("-o") + 1] = str(csv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_PASS
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    if "-o" in argv:
+        digest = (digest, hashlib.sha256(csv.read_bytes()).hexdigest())
+    assert digest == REPORT_SHA256[line]
