@@ -37,7 +37,6 @@ from .estimation import (
     crm_bound_scalar,
     mc_error_moment,
     qcr_product,
-    sample_mean_estimator,
 )
 from .inequalities import min_fisher_fixed_entropy, min_fisher_fixed_moment, stam_ratio
 from .info_measures import entropy_power, m_q, phi_fisher_refined, renyi_entropy, tsallis_entropy
@@ -287,14 +286,13 @@ def cmd_crbound(args) -> int:
         raise UsageError(f"unknown model {name!r}; registry: {sorted(MODEL_REGISTRY)}")
     if name == "gaussian-location":
         model = MODEL_REGISTRY[name](n=cfg["n"], sigma=cfg["sigma"], count=cfg["grid_count"])
-        est = sample_mean_estimator(n=cfg["n"])
-        est = EstimatorSpec(est.T, est.h, cfg["alpha"])
     else:
         _check_one_dimensional(cfg, f"the {name} model")
         model = MODEL_REGISTRY[name](q=cfg["q"], alpha=cfg["alpha"], gamma=cfg["gamma"],
                                      count=cfg["grid_count"])
-        est = EstimatorSpec(T=lambda coords: coords[0], h=lambda th: float(th[0]),
-                            alpha=cfg["alpha"])
+    # the sample mean s / n of the Gaussian model's sufficient statistic; x itself otherwise
+    est = EstimatorSpec(T=lambda coords: coords[0] / cfg["n"], h=lambda th: float(th[0]),
+                        alpha=cfg["alpha"])
     theta = [cfg["theta"]]
     rep = crm_bound_scalar(model, est, theta,
                            Tolerances(inequality_slack=cfg["inequality_slack"]))

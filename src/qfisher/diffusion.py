@@ -257,6 +257,8 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     MAX_STEPS is refused before the first step, and the march aborts if it
     takes more than MAX_STEPS steps; both raise StabilityError.
     """
+    if n_logs < 2:
+        raise ValueError(f"n_logs must be >= 2 (the first and last rows), got {n_logs}")
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} precedes current t = {state.t}")
     p = state.params

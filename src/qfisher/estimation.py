@@ -159,47 +159,45 @@ def eta_dot(model: ParametricModel, est: EstimatorSpec, theta) -> np.ndarray:
     return out
 
 
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
-    cum = np.cumsum(w)
-    if cum[-1] <= 0:
-        return 0.0
-    idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return float(v[min(idx, len(v) - 1)])
+def _bound_terms(model: ParametricModel, est: EstimatorSpec, theta):
+    """(g, psi, eta', T - h) at theta: what every form of the bound reads."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    return (model.g_values(theta), score_g(model, theta), eta_dot(model, est, theta),
+            est.T(model._coords) - est.h(theta))
 
 
-def _equality_residual_scalar(model, est, psi, g, t_err):
-    """Residual of the equality condition psi = c sign(T-h)|T-h|^(alpha-1),
-    with t_err = T - h on the nodes, minimized over c > 0 and normalized by
-    E_g[|T-h|^(alpha-1)] (so the verdict is scale free).  Nodes with T = h
-    contribute 0."""
-    s = np.sign(t_err) * np.abs(t_err) ** (est.alpha - 1.0)
+def _equality_fit(model: ParametricModel, g, a, b, active, scale):
+    """Fit a = c b over c > 0: c is the median of a/b over the active nodes
+    (b != 0 there) under the quadrature weights |b| g, which minimizes
+    E_g|a - c b| over them, floored at 1e-300 (also with no active node).
+    Returns c and the residual E_g|a - c b| over all nodes, divided by
+    E_g[scale]."""
     w_quad = model._weights * g
-    active = (s != 0) & (g > 0)
-    if not np.any(active):
-        return 0.0, 0.0
-    # the multiplier is constrained positive
-    c = max(_weighted_median(psi[active] / s[active], (w_quad * np.abs(s))[active]), 1e-300)
-    resid = float(np.sum(w_quad * np.abs(psi - c * s)))
-    norm = float(np.sum(w_quad * np.abs(t_err) ** (est.alpha - 1.0)))
-    return resid / max(norm, 1e-300), c
+    ratio = a[active] / b[active]
+    order = np.argsort(ratio, kind="stable")
+    cum = np.cumsum((w_quad * np.abs(b))[active][order])
+    c = 0.0
+    if cum.size and cum[-1] > 0:
+        c = float(ratio[order][min(int(np.searchsorted(cum, 0.5 * cum[-1])), cum.size - 1)])
+    c = max(c, 1e-300)
+    resid = float(np.sum(w_quad * np.abs(a - c * b)))
+    return c, resid / max(float(np.sum(w_quad * scale)), 1e-300)
 
 
 def crm_bound_scalar(model: ParametricModel, est: EstimatorSpec, theta,
                      tol: Tolerances = Tolerances()) -> VerificationReport:
     """Scalar bound: E_g[|T-h|^alpha]^(1/alpha) >= |eta'| / E_g[|psi|^beta]^(1/beta).
 
-    Reports the two sides, their gap, the optimal equality-condition
-    multiplier c and the scale-free equality residual.
+    Reports the two sides, their gap, the optimal multiplier c of the
+    equality condition psi = c sign(T-h)|T-h|^(alpha-1) and its residual
+    E_g|psi - c sign(T-h)|T-h|^(alpha-1)|, normalized by
+    E_g[|T-h|^(alpha-1)].  With T = h wherever g > 0 there is nothing to
+    fit, and both read 0.
     """
     if model.dim_theta != 1:
         raise ValueError("scalar bound requires dim_theta = 1")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    g = model.g_values(theta)
-    psi = score_g(model, theta)[0]
-    t_err = est.T(model._coords) - est.h(theta)
+    g, psi, ed, t_err = _bound_terms(model, est, theta)
+    psi, ed = psi[0], float(ed[0])
     lhs = model.quad(np.abs(t_err) ** est.alpha * g) ** (1.0 / est.alpha)
     with np.errstate(over="ignore"):
         moment = np.abs(psi) ** est.beta * g
@@ -208,9 +206,10 @@ def crm_bound_scalar(model: ParametricModel, est: EstimatorSpec, theta,
         return VerificationReport("crm-scalar", float(lhs), float("nan"), float("nan"),
                                   tol.inequality_slack, False,
                                   {"flag": "divergent-score-moment"})
-    ed = float(eta_dot(model, est, theta)[0])
     rhs = abs(ed) / denom
-    resid, c = _equality_residual_scalar(model, est, psi, g, t_err)
+    s = np.sign(t_err) * np.abs(t_err) ** (est.alpha - 1.0)
+    active = (s != 0) & (g > 0)
+    c, resid = _equality_fit(model, g, psi, s, active, np.abs(s)) if np.any(active) else (0.0, 0.0)
     return inequality_report("crm-scalar", lhs, rhs, tol.inequality_slack,
                              extras={"eta_dot": ed, "equality_residual": resid, "c_opt": c})
 
@@ -249,26 +248,16 @@ def crm_bound_quadratic(model: ParametricModel, est: EstimatorSpec, theta) -> Ve
     objective, attained at A = J_g^-1."""
     if est.alpha != 2.0:
         raise ValueError("quadratic bound requires alpha = 2")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    g = model.g_values(theta)
-    psi = score_g(model, theta)
+    g, psi, ed, t_err = _bound_terms(model, est, theta)
     J = _fisher_sum(model, psi, g)
     Jinv = _inv_fisher(J)
-    ed = eta_dot(model, est, theta)
     rhs = float(ed @ Jinv @ ed)
-    t_err = est.T(model._coords) - est.h(theta)
     lhs = model.quad(t_err ** 2 * g)
     proj = np.abs(np.tensordot(Jinv @ ed, psi, axes=(0, 0)))
-    w_quad = model._weights * g
-    active = proj > 0
-    kopt = _weighted_median((np.abs(t_err) / np.where(active, proj, 1.0))[active],
-                            (w_quad * proj)[active]) if np.any(active) else 0.0
-    kopt = max(kopt, 1e-300)
-    resid = float(np.sum(w_quad * np.abs(np.abs(t_err) - kopt * proj)))
-    norm = float(np.sum(w_quad * np.abs(t_err)))
+    kopt, resid = _equality_fit(model, g, np.abs(t_err), proj, proj > 0, np.abs(t_err))
     return inequality_report("crm-quadratic", lhs, rhs, Tolerances().inequality_slack,
                              extras={"eta_dot_norm": float(np.linalg.norm(ed)),
-                                     "equality_residual": resid / max(norm, 1e-300),
+                                     "equality_residual": resid,
                                      "k_opt": kopt,
                                      "fisher_matrix": J.tolist()})
 
@@ -282,10 +271,7 @@ def crm_bound_general(model: ParametricModel, est: EstimatorSpec, theta, A) -> f
     evals = np.linalg.eigvalsh((A + A.T) / 2.0)
     if evals.min() <= 0:
         raise ValueError("A must be positive definite")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    g = model.g_values(theta)
-    psi = score_g(model, theta)
-    ed = eta_dot(model, est, theta)
+    g, psi, ed, _ = _bound_terms(model, est, theta)
     numer = float(ed @ A @ ed)
     contracted = np.tensordot(A @ ed, psi, axes=(0, 0))
     denom = model.quad(np.abs(contracted) ** est.beta * g) ** (1.0 / est.beta)
@@ -300,6 +286,8 @@ def mc_error_moment(model: ParametricModel, est: EstimatorSpec, theta,
     standard error; returns (value, stderr)."""
     if model.sampler_g is None:
         raise ValueError(f"model {model.name!r} has no sampler for g")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     rng = np.random.default_rng(seed)
     x = np.asarray(model.sampler_g(theta, rng, trials), dtype=float)

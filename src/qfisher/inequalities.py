@@ -84,24 +84,24 @@ FIT_AMPLITUDES = tuple(np.geomspace(0.003, 0.03, 4))
 
 def _perturbation_sweep(ref: QGaussianParams, constraint: str, target: float, beta: float,
                         n_perturb: int, seed: int, grid_count: int):
-    """Rows (amplitude, dir_index, I) of n_perturb perturbed densities, 5 or
-    fewer amplitude levels per direction, and fit_rows (amplitude, I) of the
-    same directions at FIT_AMPLITUDES for the gap-vs-amplitude fit."""
-    rows, fit_rows = [], []
+    """I of n_perturb perturbed densities, 5 or fewer amplitude levels per
+    direction, and the array, shape (directions, FIT_AMPLITUDES), of I of
+    the same directions at FIT_AMPLITUDES for the gap-vs-amplitude fit."""
+    values, fit = [], []
     batch = perturbation_batch(ref, np.random.default_rng(seed), n_perturb, min(5, n_perturb),
                                constraint, target, grid_count, extra=FIT_AMPLITUDES)
     # each direction yields its ladder rungs, then the FIT_AMPLITUDES
-    for bi, items in itertools.groupby(batch, key=lambda item: item[0]):
-        values = [(a, i_fisher(fp, ref.q, beta)) for _, a, fp in items]
-        rows += [(a, bi, v) for a, v in values[:-len(FIT_AMPLITUDES)]]
-        fit_rows += values[-len(FIT_AMPLITUDES):]
-    return rows, fit_rows
+    for _, items in itertools.groupby(batch, key=lambda item: item[0]):
+        i_vals = [i_fisher(fp, ref.q, beta) for _, _, fp in items]
+        values += i_vals[:-len(FIT_AMPLITUDES)]
+        fit.append(i_vals[-len(FIT_AMPLITUDES):])
+    return values, np.array(fit)
 
 
-def _gap_exponent(fit_rows, i_ref):
+def _gap_exponent(fit: np.ndarray, i_ref: float) -> float:
     """Slope of log(mean gap) vs log(amplitude) across the fit ladder."""
-    means = np.array([np.mean([r[1] - i_ref for r in fit_rows if r[0] == float(a)])
-                      for a in FIT_AMPLITUDES])
+    # one 1-D mean per column: mean(axis=0) sums in another order
+    means = np.array([np.mean(column - i_ref) for column in fit.T])
     if np.any(means <= 0):
         return float("nan")
     slope = np.polyfit(np.log(FIT_AMPLITUDES), np.log(means), 1)[0]
@@ -146,9 +146,9 @@ def _min_fisher(name: str, ref: QGaussianParams, beta: float, constraint: str, t
     the caller's, not ref.beta, whose round trip through alpha may move
     the last bit."""
     i_ref = i_fisher(grid_density(ref, grid_count), ref.q, beta)
-    rows, fit_rows = _perturbation_sweep(ref, constraint, target, beta, perturbation_count,
-                                         seed, grid_count)
-    i_min = min(r[2] for r in rows)
+    values, fit = _perturbation_sweep(ref, constraint, target, beta, perturbation_count,
+                                      seed, grid_count)
+    i_min = min(values)
     return inequality_report(name, i_min, i_ref, tol.inequality_slack,
                              extras={"value_G": i_ref,
                                      "value_G_closed_form": closed_form_i_fisher(ref),
@@ -156,5 +156,5 @@ def _min_fisher(name: str, ref: QGaussianParams, beta: float, constraint: str, t
                                      "worst_gap": i_min - i_ref,
                                      "gamma": ref.gamma,
                                      **extras,
-                                     "gap_amplitude_exponent": _gap_exponent(fit_rows, i_ref),
-                                     "perturbations": len(rows)})
+                                     "gap_amplitude_exponent": _gap_exponent(fit, i_ref),
+                                     "perturbations": len(values)})

@@ -11,9 +11,13 @@ alpha/(1-q) > n), stretched exponential at q = 1.  Normalizations and
 alpha-moments are closed Beta/Gamma integrals; every normalization is
 cross-checked against a double-exponential radial rule (tanh-sinh on the
 support for q > 1, exp-sinh on [0, inf) for q <= 1) on a fixed node set.
-The Barenblatt constant C and the reference scales from `gamma_for_*` keep
-scipy's `quad` and `brentq`: their exact bits are pinned by the `reproduce`
-summary.
+`gamma_for_moment` inverts the exact dilation law moment ~ 1/gamma with no
+root find.  Two root finds stay, because their bits reach the pinned
+`reproduce` summary: `gamma_for_entropy_power` keeps `brentq` (at the
+criterion-8 points it returns 1.0000000000000002 and 0.9999999999999994
+where the law N ~ gamma^(-2/alpha) gives 1.0), and the Barenblatt constant
+C keeps `quad` and `brentq` (it differs from the closed Beta form by
+4.6e-12 relative at (m, beta) = (1, 3)).
 
 scipy is imported inside the functions that use it, so that a command
 loads only the submodules its path reaches.
@@ -214,22 +218,11 @@ def moment_alpha(p: QGaussianParams) -> float:
 
 
 def gamma_for_moment(p: QGaussianParams, target_moment: float) -> float:
-    """Scale gamma such that E||X||^alpha = target (root find on the monotone
-    map gamma -> moment; the scaling law moment ~ 1/gamma makes this 1-D).
-    The root find is scipy's `brentq`, whose bits reach `reproduce`."""
-    from scipy import optimize as sp_optimize
-
+    """Scale gamma such that E||X||^alpha = target, from the exact dilation
+    law moment(gamma) = moment(1) / gamma."""
     if target_moment <= 0:
         raise ValueError("target moment must be positive")
-    base = moment_alpha(QGaussianParams(p.q, p.alpha, 1.0, p.dim))
-
-    def residual(g):
-        return moment_alpha(QGaussianParams(p.q, p.alpha, g, p.dim)) - target_moment
-
-    guess = base / target_moment
-    lo, hi = guess / 8.0, guess * 8.0
-    gamma = sp_optimize.brentq(residual, lo, hi, xtol=1e-14, rtol=1e-14)
-    return float(gamma)
+    return moment_alpha(QGaussianParams(p.q, p.alpha, 1.0, p.dim)) / target_moment
 
 
 def grid_density(p: QGaussianParams, count: int = 4001) -> GridDensity:
@@ -316,8 +309,8 @@ def closed_form_stam_product(p: QGaussianParams) -> float:
 
 
 def gamma_for_entropy_power(p: QGaussianParams, target_n: float) -> float:
-    """Scale gamma so N_q[G] = target (root find; N ~ gamma^(-2/alpha)),
-    by scipy's `brentq` as in `gamma_for_moment`."""
+    """Scale gamma so N_q[G] = target, by scipy's `brentq` on the monotone
+    map gamma -> N_q (N ~ gamma^(-2/alpha))."""
     from scipy import optimize as sp_optimize
 
     if target_n <= 0:

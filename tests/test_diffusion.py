@@ -122,6 +122,15 @@ class TestEvolve:
         with pytest.raises(StabilityError, match="boundary"):
             evolve(st, 1.0, n_logs=5)
 
+    @pytest.mark.parametrize("n_logs", [0, 1])
+    def test_too_few_log_rows_refused(self, n_logs, monkeypatch):
+        # n_logs = 1 used to return the initial density labelled t_end after
+        # 0 steps, and n_logs = 0 a log with 0 times and 1 row
+        monkeypatch.setattr(diffusion._Kernel, "march", _no_step)
+        st = DiffusionState(PME, 1.0, barenblatt_density(PME, 1.0, Axis(-3.5, 3.5, 251)))
+        with pytest.raises(ValueError, match=rf"n_logs must be >= 2 .*, got {n_logs}"):
+            evolve(st, 2.0, n_logs=n_logs)
+
     def test_log_times_and_mass_columns(self):
         st = gaussian_state(count=401)
         _, log = evolve(st, 0.05, n_logs=6)

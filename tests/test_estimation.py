@@ -295,6 +295,13 @@ class TestMonteCarlo:
         val, se = mc_error_moment(m, est, [0.4], trials=1, seed=2)
         assert val >= 0 and np.isnan(se)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_refused_before_drawing(self, trials):
+        m = gaussian_location_model(n=1)
+        m.sampler_g = lambda theta, rng, size: pytest.fail("samples drawn")
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            mc_error_moment(m, sample_mean_estimator(n=1), [0.0], trials, 1)
+
     def test_qgaussian_matches_quadrature(self):
         m = qgaussian_location_model(2.0, 2.0, 1.0)
         est = EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=2.0)

@@ -375,7 +375,7 @@ def test_bare_import_loads_no_scipy():
     assert scipy_modules_loaded() == set()
 
 
-@pytest.mark.parametrize("name", ["info", "qcr", "stam"])
+@pytest.mark.parametrize("name", ["info", "qcr", "stam", "minimize"])
 def test_closed_form_commands_load_only_scipy_special(name):
     loaded = scipy_modules_loaded(*readme_command(name))
     assert "scipy.special" in loaded

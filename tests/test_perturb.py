@@ -408,9 +408,12 @@ class TestPerturbationBatchOracle:
         target = target_for(p, constraint)
         _, ref_rows, ref_fit_rows, _ = ref_perturbation_sweep(p, constraint, target, count,
                                                            90 + count, 1001)
-        rows, fit_rows = _perturbation_sweep(p, constraint, target, beta, count, 90 + count, 1001)
-        assert rows == [(a, bi, i_fisher(fp, q, beta)) for a, bi, fp in ref_rows]
-        assert fit_rows == [(a, i_fisher(fp, q, beta)) for a, fp in ref_fit_rows]
+        values, fit = _perturbation_sweep(p, constraint, target, beta, count, 90 + count, 1001)
+        assert values == [i_fisher(fp, q, beta) for _, _, fp in ref_rows]
+        # row k holds direction k's I at each of FIT_AMPLITUDES
+        want = [i_fisher(fp, q, beta) for _, fp in ref_fit_rows]
+        assert fit.shape == (len(want) // len(FIT_AMPLITUDES), len(FIT_AMPLITUDES))
+        assert fit.ravel().tolist() == want
 
     def test_rejects_empty_batch(self):
         rng = np.random.default_rng(0)

@@ -8,6 +8,7 @@ from scipy import integrate as sp_integrate
 from scipy import special, stats
 
 from qfisher import qgaussian
+from qfisher.acceptance import QCR_POINTS
 from qfisher.core import Axis, integrate
 from qfisher.qgaussian import (
     DiffusionParams,
@@ -20,6 +21,7 @@ from qfisher.qgaussian import (
     closed_form_entropy_power,
     closed_form_i_fisher,
     closed_form_m_q,
+    closed_form_phi_fisher,
     gamma_for_entropy_power,
     gamma_for_moment,
     grid_density,
@@ -293,6 +295,24 @@ class TestClosedForms:
         assert closed_form_m_q(p) == pytest.approx(m_q(f, p.q), rel=1e-7)
         assert closed_form_entropy_power(p) == pytest.approx(entropy_power(f, p.q), rel=1e-6)
         assert closed_form_i_fisher(p) == pytest.approx(i_fisher(f, p.q, p.beta), rel=1e-5)
+
+    # q < 1 reads 3.3e-5 at (0.8, 2) on 8001 nodes: its tail is cut, not resolved
+    @pytest.mark.parametrize("q, alpha", QCR_POINTS + ((1.0, 2.0), (1.0, 3.0)))
+    def test_phi_fisher_vs_grid(self, q, alpha):
+        from qfisher.info_measures import phi_fisher
+        p = QGaussianParams(q, alpha, 1.0, 1)
+        grid = phi_fisher(grid_density(p, 8001), q, p.beta)
+        assert grid == pytest.approx(closed_form_phi_fisher(p), rel=1e-6)
+
+    def test_phi_fisher_converges_at_order_2(self):
+        # central differences: the error falls 4x per halving of the spacing
+        from qfisher.info_measures import phi_fisher
+        p = QGaussianParams(1.5, 2.0, 1.0, 1)
+        exact = closed_form_phi_fisher(p)
+        errs = [abs(phi_fisher(grid_density(p, n), p.q, p.beta) / exact - 1.0)
+                for n in (4001, 8001, 16001)]
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(np.abs(orders - 2.0) < 0.1), errs
 
     def test_gamma_for_entropy_power(self):
         g = gamma_for_entropy_power(QGaussianParams(1.0, 2.0, 1.0, 1), float(2 * np.pi * np.e))
