@@ -20,8 +20,6 @@ from .diffusion import (
     debruijn_check,
     evolve,
     phi_monotonicity_check,
-    stable_dt,
-    step,
 )
 from .estimation import (
     EstimatorSpec,

@@ -7,10 +7,10 @@ a value from either takes the default's type.  No other flag or key is
 accepted; `--seed` exists only on crbound, stam and minimize (on the first
 two, exactly when trials or perturbations > 0), and `reproduce` (pinned
 suite seed) takes only -o.  A count below its least value (LEAST_COUNT;
-minimize needs perturbations >= 1), an even grid count (on info, one
-not 4k + 1) or a tolerance that is not finite and > 0 is refused.  A
-flat key = value file (--config) is overridden by flags; every report
-embeds the fully resolved configuration.
+minimize needs perturbations >= 1, crbound trials 0 or >= 2), an even grid
+count (on info, one not 4k + 1) or a tolerance that is not finite and > 0
+is refused.  A flat key = value file (--config) is overridden by flags;
+every report embeds the fully resolved configuration.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
 emitted with sorted keys and shortest round-trip floats, CSV with 17
 significant digits and '.' decimal.
@@ -280,6 +280,8 @@ CRBOUND_DEFAULTS = {
 
 def cmd_crbound(args) -> int:
     cfg = resolve_config(args, CRBOUND_DEFAULTS)
+    if cfg["trials"] == 1:
+        raise UsageError("trials must be 0 or >= 2 (one draw has no jackknife error), got 1")
     _check_seed(cfg, "trials")
     name = cfg["model"]
     if name not in MODEL_REGISTRY:

@@ -14,14 +14,15 @@ support (or the 1e-10 mass tail) reaches the domain edge.
 
 One kernel method, :meth:`_Kernel.march`, holds the update arithmetic and
 the CFL rule, and works in place on buffers allocated once per run.
-:func:`evolve` calls it once per log interval, marching every step of the
-interval in one loop that binds its array views, ufuncs and constants once;
-:func:`step` is a march of one step of a given size, and :func:`stable_dt`
-a march of none, which only reads the CFL dt.  After every step, values more
-negative than NEGATIVE_CLAMP_REL times the peak raise StabilityError and
-smaller negatives are clamped to zero; the clamp is skipped only when the
-minimum is strictly positive, so it never changes a bit it would not have
-changed.  evolve() refuses runs that would take more than MAX_STEPS steps.
+:func:`evolve` is its only driver: one march of no step reads the initial
+CFL dt for the step budget, then one march per log interval takes every step
+of the interval in a loop that binds its array views, ufuncs and constants
+once.  The conserved mass h sum(f) is computed in evolve alone.  After every
+step, values more negative than NEGATIVE_CLAMP_REL times the peak raise
+StabilityError and smaller negatives are clamped to zero; the clamp is
+skipped only when the minimum is strictly positive, so it never changes a
+bit it would not have changed.  evolve() refuses runs that would take more
+than MAX_STEPS steps, and spans whose end does not exceed their start.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ class DiffusionState:
                 "explicit solver requires m(beta-1) >= 1: the fast-diffusion "
                 "range has unbounded diffusivity where f -> 0"
             )
-
-    @property
-    def discrete_mass(self) -> float:
-        """The scheme's exactly conserved mass h sum(f)."""
-        return float(self.f.axis.step * np.sum(self.f.values))
 
 
 @dataclass
@@ -128,20 +124,21 @@ class _Kernel:
         self.fl = np.empty(n)
 
     def march(self, v: np.ndarray, t: float, target: float, stop: float,
-              steps: int, budget: int, fixed_dt: float | None = None):
+              steps: int, budget: int):
         """Steps v in place from time t while t < stop and returns (t, steps,
-        cfl), where cfl is the CFL dt of the final v.
+        cfl), where cfl is the CFL dt of the final v.  :func:`evolve` is the
+        only caller.
 
         Each iteration is one flux pass, which puts the face fluxes of v in
         ``fpad`` and sets cfl = CFL_SAFETY h^2 / (bound on the linearized
         diffusivity (beta-1) m f^(m-1) |grad f^m|^(beta-2), node and face
         maxima bounded separately), or inf when the bound vanishes (a uniform
-        state); then, unless t >= stop, one step of dt = min(cfl, target - t),
-        or of ``fixed_dt`` when given (which makes it the last step).  A step is
-        v += dt/h div(flux), then the negativity abort and the roundoff clamp.
-        Both are skipped when min(v) > 0 strictly, where they cannot change a
-        bit (np.maximum turns -0.0 into +0.0); max(v) is read only to judge a
-        negative minimum.  A step that takes the count past ``budget`` raises.
+        state); then, unless t >= stop, one step of dt = min(cfl, target - t).
+        A step is v += dt/h div(flux), then the negativity abort and the
+        roundoff clamp.  Both are skipped when min(v) > 0 strictly, where they
+        cannot change a bit (np.maximum turns -0.0 into +0.0); max(v) is read
+        only to judge a negative minimum.  A step that takes the count past
+        ``budget`` raises.
         """
         h, beta, wbuf, d, fl = self.h, self.p.beta, self.w, self.d, self.fl
         w = v if wbuf is None else wbuf
@@ -181,10 +178,7 @@ class _Kernel:
             cfl = math.inf if dmax <= 0 else cfl_h2 / dmax
             if not t < stop:
                 return t, steps, cfl
-            if fixed_dt is None:
-                dt = min(cfl, target - t)
-            else:
-                dt, stop = fixed_dt, t  # one step of the given size
+            dt = min(cfl, target - t)
             subtract(f_hi, f_lo, out=fl)
             multiply(fl, dt / h, out=fl)
             add(v, fl, out=v)
@@ -212,27 +206,6 @@ class _Kernel:
         return int(np.argmax(v))
 
 
-def stable_dt(state: DiffusionState) -> float:
-    """dt = CFL_SAFETY * h^2 / max(linearized diffusivity)."""
-    v, t = state.f.values, state.t
-    return _Kernel(state.params, state.f.axis.step, v.size).march(v, t, t, t, 0, 0)[2]
-
-
-def step(state: DiffusionState, dt: float) -> DiffusionState:
-    """One explicit conservative step of size dt."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    v = state.f.values.copy()
-    kernel = _Kernel(state.params, state.f.axis.step, v.size)
-    kernel.march(v, state.t, math.inf, math.inf, 0, 1, dt)
-    new = DiffusionState(state.params, state.t + dt, GridDensity(state.f.axis, v),
-                         state.step_count + 1)
-    drift = abs(new.discrete_mass - state.discrete_mass)
-    if drift > MASS_DRIFT_TOL:
-        raise StabilityError(f"mass drift {drift:g} exceeds {MASS_DRIFT_TOL:g} at t = {new.t:g}")
-    return new
-
-
 def _check_boundary_clear(v: np.ndarray, t: float):
     peak = float(np.max(v))
     if peak <= 0:
@@ -248,19 +221,20 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     """March to t_end with automatic stable dt, logging the functionals on a
     uniform time grid of n_logs rows (dt_log ~ span/200 by default).
 
-    Each log interval is one :meth:`_Kernel.march`, whose steps are those of
-    :func:`step` with dt = min(:func:`stable_dt`, time to the next log row),
-    applied in place to one copy of ``state.f.values`` (the caller's array
-    is never written).  The clamp runs
-    on every step; mass drift and boundary contact are checked at each log
-    row.  A run whose step count, estimated from the initial dt, would exceed
-    MAX_STEPS is refused before the first step, and the march aborts if it
-    takes more than MAX_STEPS steps; both raise StabilityError.
+    Each log interval is one :meth:`_Kernel.march`, whose steps have dt =
+    min(CFL dt, time to the next log row) and apply in place to one copy of
+    ``state.f.values`` (the caller's array is never written).  The clamp runs
+    on every step; drift of the conserved mass h sum(f) and boundary contact
+    are checked at each log row.  A t_end that does not exceed state.t (NaN
+    included) raises ValueError.  A run whose step count, estimated from the
+    initial dt, would exceed MAX_STEPS is refused before the first step, and
+    the march aborts if it takes more than MAX_STEPS steps; both raise
+    StabilityError.
     """
     if n_logs < 2:
         raise ValueError(f"n_logs must be >= 2 (the first and last rows), got {n_logs}")
-    if t_end < state.t:
-        raise ValueError(f"t_end = {t_end} precedes current t = {state.t}")
+    if not t_end > state.t:
+        raise ValueError(f"t_end = {t_end} must exceed the current t = {state.t}")
     p = state.params
     h = state.f.axis.step
     axis = state.f.axis
@@ -268,12 +242,6 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     def log_row(dens: GridDensity):
         return (tsallis_entropy(dens, p.q), m_q(dens, p.q),
                 phi_fisher(dens, p.q, p.beta), integrate(dens))
-
-    if t_end == state.t:
-        s, mq_, phi, mass = log_row(state.f)
-        return state, TrajectoryLog(p.q, p.beta, p.m, np.array([state.t]),
-                                    np.array([s]), np.array([mq_]),
-                                    np.array([phi]), np.array([mass]))
 
     v = state.f.values.copy()
     kernel = _Kernel(p, h, v.size)
@@ -326,8 +294,8 @@ def debruijn_check(log: TrajectoryLog, dparams: DiffusionParams,
         rhs_phi = pref * log.phi[i]
         i_fish = log.phi[i] / log.M_q[i] ** p.beta
         rhs_mi = pref * log.M_q[i] ** p.beta * i_fish
-        forms = identity_report("debruijn-rhs-forms", rhs_phi, rhs_mi, 1e-10)
-        rep = identity_report(f"debruijn@t={log.times[i]:.6g}", dsdt, rhs_phi, tol.identity_rel,
+        forms = identity_report(rhs_phi, rhs_mi, 1e-10)
+        rep = identity_report(dsdt, rhs_phi, tol.identity_rel,
                               extras={"t": float(log.times[i]), "rhs_mi": rhs_mi,
                                       "forms_agree": forms.passed})
         rep.passed = rep.passed and forms.passed
@@ -346,8 +314,7 @@ def phi_monotonicity_check(log: TrajectoryLog, slack: float = 1e-9) -> Verificat
     worst_s_drop = float(ds.min(initial=math.inf))
     passed = worst_phi_rise <= slack and worst_s_drop >= -slack
     return VerificationReport(
-        name="phi-monotone/S-monotone",
-        lhs=worst_phi_rise, rhs=0.0, gap=worst_phi_rise, tolerance=slack, passed=bool(passed),
+        lhs=worst_phi_rise, rhs=0.0, gap=worst_phi_rise, passed=bool(passed),
         extras={"worst_S_drop": worst_s_drop, "rows": int(len(log.times))},
     )
 

@@ -203,14 +203,13 @@ def crm_bound_scalar(model: ParametricModel, est: EstimatorSpec, theta,
         moment = np.abs(psi) ** est.beta * g
     denom = model.quad(moment) ** (1.0 / est.beta) if np.all(np.isfinite(moment)) else np.inf
     if not np.isfinite(denom) or denom <= 0:
-        return VerificationReport("crm-scalar", float(lhs), float("nan"), float("nan"),
-                                  tol.inequality_slack, False,
+        return VerificationReport(float(lhs), float("nan"), float("nan"), False,
                                   {"flag": "divergent-score-moment"})
     rhs = abs(ed) / denom
     s = np.sign(t_err) * np.abs(t_err) ** (est.alpha - 1.0)
     active = (s != 0) & (g > 0)
     c, resid = _equality_fit(model, g, psi, s, active, np.abs(s)) if np.any(active) else (0.0, 0.0)
-    return inequality_report("crm-scalar", lhs, rhs, tol.inequality_slack,
+    return inequality_report(lhs, rhs, tol.inequality_slack,
                              extras={"eta_dot": ed, "equality_residual": resid, "c_opt": c})
 
 
@@ -255,7 +254,7 @@ def crm_bound_quadratic(model: ParametricModel, est: EstimatorSpec, theta) -> Ve
     lhs = model.quad(t_err ** 2 * g)
     proj = np.abs(np.tensordot(Jinv @ ed, psi, axes=(0, 0)))
     kopt, resid = _equality_fit(model, g, np.abs(t_err), proj, proj > 0, np.abs(t_err))
-    return inequality_report("crm-quadratic", lhs, rhs, Tolerances().inequality_slack,
+    return inequality_report(lhs, rhs, Tolerances().inequality_slack,
                              extras={"eta_dot_norm": float(np.linalg.norm(ed)),
                                      "equality_residual": resid,
                                      "k_opt": kopt,
@@ -286,14 +285,12 @@ def mc_error_moment(model: ParametricModel, est: EstimatorSpec, theta,
     standard error; returns (value, stderr)."""
     if model.sampler_g is None:
         raise ValueError(f"model {model.name!r} has no sampler for g")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2 for a jackknife error, got {trials}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     rng = np.random.default_rng(seed)
     x = np.asarray(model.sampler_g(theta, rng, trials), dtype=float)
     err = np.abs(est.T([x[:, 0]]) - est.h(theta)) ** est.alpha
-    if trials == 1:
-        return float(err[0] ** (1.0 / est.alpha)), float("nan")
     s = float(err.sum())
     jack = ((s - err) / (trials - 1.0)) ** (1.0 / est.alpha)
     value = float((s / trials) ** (1.0 / est.alpha))
@@ -322,11 +319,11 @@ def qcr_product(g: GridDensity, q: float, alpha: float,
     except NonFiniteError:
         i_val = float("inf")  # Fisher integrand overflowed on the grid
     if not np.isfinite(i_val):
-        return VerificationReport("qcr-product", float("nan"), float(g.dim), float("nan"),
-                                  tol.inequality_slack, False, {"flag": "divergent-fisher"})
+        return VerificationReport(float("nan"), float(g.dim), float("nan"), False,
+                                  {"flag": "divergent-fisher"})
     product = q * m_a ** (1.0 / alpha) * i_val ** (1.0 / beta)
     outside = q ** beta * m_a ** (1.0 / alpha) * i_val ** (1.0 / beta)
-    return inequality_report("qcr-product", product, float(g.dim), tol.inequality_slack,
+    return inequality_report(product, float(g.dim), tol.inequality_slack,
                              extras={"moment_alpha": m_a, "i_fisher": i_val,
                                      "qbeta_outside_form": outside,
                                      "form_discrepancy_factor": q ** (beta - 1.0)})

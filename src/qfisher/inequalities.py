@@ -71,7 +71,7 @@ def stam_ratio(f: GridDensity, q: float, beta: float,
     product_f = stam_product(f, q, beta)
     product_ref = closed_form_stam_product(ref)
     ratio = product_f / product_ref
-    return inequality_report("stam-ratio", ratio, 1.0, tol.inequality_slack,
+    return inequality_report(ratio, 1.0, tol.inequality_slack,
                              extras={"product_f": product_f, "product_ref": product_ref,
                                      "ref_gamma": ref.gamma})
 
@@ -120,8 +120,8 @@ def min_fisher_fixed_moment(q: float, alpha: float, target_m: float, n: int = 1,
     moment_err = abs(moment_alpha(ref) - target_m)
     if moment_err > 1e-8:
         raise ArithmeticError(f"gamma root-find missed the moment by {moment_err:g}")
-    return _min_fisher("min-fisher-fixed-moment", ref, alpha / (alpha - 1.0), "moment",
-                       target_m, perturbation_count, seed, grid_count, tol, {})
+    return _min_fisher(ref, alpha / (alpha - 1.0), "moment", target_m, perturbation_count,
+                       seed, grid_count, tol, {})
 
 
 def min_fisher_fixed_entropy(q: float, beta: float, target_n: float, n: int = 1,
@@ -132,13 +132,13 @@ def min_fisher_fixed_entropy(q: float, beta: float, target_n: float, n: int = 1,
     power (the constraint is restored by dilation, N_q ~ c^2)."""
     base = QGaussianParams(q, beta / (beta - 1.0), 1.0, n)
     ref = QGaussianParams(q, base.alpha, gamma_for_entropy_power(base, target_n), n)
-    return _min_fisher("min-fisher-fixed-entropy", ref, beta, "entropy_power", target_n,
+    return _min_fisher(ref, beta, "entropy_power", target_n,
                        perturbation_count, seed, grid_count, tol,
                        {"target_entropy_power": target_n,
                         "entropy_power_G": closed_form_entropy_power(ref)})
 
 
-def _min_fisher(name: str, ref: QGaussianParams, beta: float, constraint: str, target: float,
+def _min_fisher(ref: QGaussianParams, beta: float, constraint: str, target: float,
                 perturbation_count: int, seed: int, grid_count: int, tol: Tolerances,
                 extras: dict) -> VerificationReport:
     """I[ref] on the grid against the least I of a same-constraint batch
@@ -149,7 +149,7 @@ def _min_fisher(name: str, ref: QGaussianParams, beta: float, constraint: str, t
     values, fit = _perturbation_sweep(ref, constraint, target, beta, perturbation_count,
                                       seed, grid_count)
     i_min = min(values)
-    return inequality_report(name, i_min, i_ref, tol.inequality_slack,
+    return inequality_report(i_min, i_ref, tol.inequality_slack,
                              extras={"value_G": i_ref,
                                      "value_G_closed_form": closed_form_i_fisher(ref),
                                      "min_perturbed": i_min,

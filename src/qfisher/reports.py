@@ -15,24 +15,21 @@ class VerificationReport:
     discrepancy factors, fitted exponents, ...).
     """
 
-    name: str
     lhs: float
     rhs: float
     gap: float
-    tolerance: float
     passed: bool
     extras: dict = field(default_factory=dict)
 
 
-def identity_report(name, lhs, rhs, rel_tol, extras=None) -> VerificationReport:
+def identity_report(lhs, rhs, rel_tol, extras=None) -> VerificationReport:
     scale = max(abs(lhs), abs(rhs), 1e-300)
     gap = abs(lhs - rhs) / scale
-    return VerificationReport(name, float(lhs), float(rhs), float(gap), float(rel_tol),
-                              bool(gap <= rel_tol), extras or {})
+    return VerificationReport(float(lhs), float(rhs), float(gap), bool(gap <= rel_tol),
+                              extras or {})
 
 
-def inequality_report(name, lhs, rhs, slack, extras=None) -> VerificationReport:
+def inequality_report(lhs, rhs, slack, extras=None) -> VerificationReport:
     """Checks lhs >= rhs - slack."""
     gap = float(lhs - rhs)
-    return VerificationReport(name, float(lhs), float(rhs), gap, float(slack),
-                              bool(gap >= -slack), extras or {})
+    return VerificationReport(float(lhs), float(rhs), gap, bool(gap >= -slack), extras or {})

@@ -213,6 +213,7 @@ def test_seed_refused_when_nothing_draws(argv, count_key, source, capsys, tmp_pa
     (["minimize", "--perturbations", "0", "--seed", "5"], "perturbations"),
     (["stam", "--perturbations", "-3", "--seed", "5"], "perturbations"),
     (["crbound", "--trials", "-5", "--seed", "1"], "trials"),
+    (["crbound", "--trials", "1", "--seed", "3"], "trials"),  # no jackknife error of one draw
     (["qcr", "--grid-count", "4000"], "grid_count"),
     (["info", "--grid-count", "2"], "grid_count"),
     (["diffuse", "--n-logs", "1"], "n_logs"),
@@ -359,6 +360,15 @@ class TestNumericalErrors:
         assert time.perf_counter() - start < 5.0
         assert "budget" in err
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("t_end", ["nan", "1", "0.5"])
+    def test_span_not_forward_exit_code(self, t_end, capsys, tmp_path):
+        # t0 defaults to 1; nan used to write 201 rows of t = nan and exit 1
+        out_path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "diffuse", "--t-end", t_end, "-o", str(out_path))
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("numerical failure: t_end")
+        assert not out_path.exists()
 
     def test_nonintegrable_params_exit_code(self, capsys):
         # q < 1 needs alpha/(1-q) > n: violated at n = 2, q = 0.2, alpha = 1.5

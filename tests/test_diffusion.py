@@ -15,8 +15,6 @@ from qfisher.diffusion import (
     debruijn_check,
     evolve,
     phi_monotonicity_check,
-    stable_dt,
-    step,
     trajectory_csv_rows,
 )
 from qfisher.info_measures import m_q, phi_fisher, tsallis_entropy
@@ -37,9 +35,10 @@ class TestStep:
     def test_uniform_is_stationary(self):
         ax = Axis(0.0, 1.0, 101)
         f = density_from_callable(ax, lambda x: np.ones_like(x))
-        st = DiffusionState(PME, 0.0, f)
-        out = step(st, 1e-4)
-        assert np.array_equal(out.f.values, f.values)
+        v = f.values.copy()
+        # evolve refuses this state (it touches the boundary): march it directly
+        diffusion._Kernel(PME, ax.step, v.size).march(v, 0.0, 1e-4, 1e-4, 0, 100)
+        assert np.array_equal(v, f.values)
 
     def test_heat_matches_kernel(self):
         st = gaussian_state()
@@ -62,22 +61,16 @@ class TestStep:
 
     def test_mass_conservation_discrete(self):
         st = gaussian_state()
-        m0 = st.discrete_mass
-        for _ in range(50):
-            st = step(st, stable_dt(st))
-        assert abs(st.discrete_mass - m0) < 1e-12
+        out, _ = evolve(st, 0.05, n_logs=3)
+        assert out.step_count > 50
+        h = st.f.axis.step
+        assert abs(h * np.sum(out.f.values) - h * np.sum(st.f.values)) < 1e-12
 
-    def test_instability_detected(self):
+    def test_instability_detected(self, monkeypatch):
         st = gaussian_state(count=201)
+        monkeypatch.setattr(diffusion, "CFL_SAFETY", 50.0 * CFL_SAFETY)  # 50x the stable dt
         with pytest.raises(StabilityError, match="negative|drift"):
-            out = st
-            for _ in range(200):
-                out = step(out, 50.0 * stable_dt(st))
-
-    def test_dt_validation(self):
-        st = gaussian_state(count=201)
-        with pytest.raises(ValueError):
-            step(st, -1.0)
+            evolve(st, 25.0, n_logs=3)
 
     def test_fast_diffusion_rejected(self):
         ax = Axis(-8.0, 8.0, 201)
@@ -94,12 +87,14 @@ class TestStep:
 
 
 class TestEvolve:
-    def test_zero_duration(self):
-        st = gaussian_state(count=401)
-        out, log = evolve(st, st.t, n_logs=11)
-        assert out is st
-        assert len(log.times) == 1
-        assert log.mass[0] == pytest.approx(1.0, abs=1e-10)
+    def test_zero_duration_refused(self, monkeypatch):
+        # t_end = t used to return the input state with a 1-row log, and
+        # t_end = nan the state at t = nan after 0 steps
+        monkeypatch.setattr(diffusion._Kernel, "march", _no_step)
+        st = gaussian_state(count=401, t=0.5)
+        for t_end in (0.5, 0.4, np.nan):
+            with pytest.raises(ValueError, match=f"t_end = {t_end} must exceed the current t = 0.5"):
+                evolve(st, t_end, n_logs=11)
 
     def test_heat_entropy_matches_analytic(self):
         st = gaussian_state(count=2001, half=10.0)
@@ -249,27 +244,6 @@ def _ref_advance(v, flux, h, dt, t):
     return vn
 
 
-def _ref_stable_dt(state):
-    p = state.params
-    v = state.f.values
-    h = state.f.axis.step
-    d = np.diff(v ** p.m) / h
-    dmax = _ref_max_diffusivity(v, d, p)
-    if dmax <= 0:
-        return np.inf
-    return CFL_SAFETY * h * h / dmax
-
-
-def _ref_step(state, dt):
-    p = state.params
-    v = state.f.values
-    h = state.f.axis.step
-    d = np.diff(v ** p.m) / h
-    vn = _ref_advance(v, _ref_face_flux(d, p.beta), h, dt, state.t)
-    return DiffusionState(p, state.t + dt, GridDensity(state.f.axis, vn),
-                          state.step_count + 1)
-
-
 def _ref_evolve(state, t_end, n_logs):
     p = state.params
     h = state.f.axis.step
@@ -333,15 +307,6 @@ class TestKernelOracle:
         for col in ("times", "S_q", "M_q", "phi", "mass"):
             assert getattr(log, col).tobytes() == getattr(ref_log, col).tobytes(), col
 
-    @pytest.mark.parametrize("m,beta,span", ORACLE_CASES)
-    def test_step_bit_identical(self, m, beta, span):
-        st = ref = _oracle_state(m, beta)
-        for _ in range(40):
-            dt = stable_dt(st)
-            assert dt == _ref_stable_dt(ref)
-            st, ref = step(st, dt), _ref_step(ref, dt)
-        assert st.f.values.tobytes() == ref.f.values.tobytes()
-
     def test_clamp_runs_on_negative_zero_minimum(self):
         # -0.0 plus a divergence that underflows to -0.0 stays -0.0; the clamp
         # must still run (min is not > 0) and make it +0.0, as the reference does
@@ -351,7 +316,7 @@ class TestKernelOracle:
         ref = _ref_advance(v, flux, h, dt, 0.0)
         kernel = diffusion._Kernel(HEAT, h, v.size)
         out = v.copy()
-        kernel.march(out, 0.0, np.inf, np.inf, 0, 1, dt)
+        kernel.march(out, 0.0, dt, dt, 0, 1)  # the CFL dt is 0.25: one step of dt
         assert out.tobytes() == ref.tobytes()
         assert not np.signbit(out[0])
 
@@ -387,13 +352,6 @@ class TestAliasing:
         evolve(out1, 1.3, n_logs=3)  # continuing from a result leaves it alone
         assert out1.f.values.tobytes() == snapshot
 
-    def test_step_leaves_input_untouched(self):
-        st = _oracle_state(1.0, 3.0)
-        before = st.f.values.tobytes()
-        out = step(st, stable_dt(st))
-        assert st.f.values.tobytes() == before
-        assert not np.shares_memory(out.f.values, st.f.values)
-
 
 _march = diffusion._Kernel.march
 
@@ -419,7 +377,9 @@ class TestStepBudget:
         # the estimate from the first dt is 120 steps; landing on 8 log rows
         # takes 126, so a budget of 121 passes the up-front check and trips the march
         st = _oracle_state(1.0, 2.0)
-        assert (0.3 - 0.0) / stable_dt(st) == pytest.approx(120.0)
+        v = st.f.values.copy()
+        dt0 = diffusion._Kernel(HEAT, st.f.axis.step, v.size).march(v, 0.0, 0.0, 0.0, 0, 0)[2]
+        assert (0.3 - 0.0) / dt0 == pytest.approx(120.0)
         assert evolve(st, 0.3, n_logs=8)[0].step_count == 126
         monkeypatch.setattr(diffusion, "MAX_STEPS", 121)
         with pytest.raises(StabilityError, match="step budget of 121 exhausted"):

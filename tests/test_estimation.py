@@ -290,16 +290,17 @@ class TestMonteCarlo:
         assert abs(val - 1.0) < 3 * se
 
     def test_single_trial(self):
+        # one draw has no jackknife error: it used to return se = nan
         m = gaussian_location_model(n=1)
-        est = sample_mean_estimator(n=1)
-        val, se = mc_error_moment(m, est, [0.4], trials=1, seed=2)
-        assert val >= 0 and np.isnan(se)
+        m.sampler_g = lambda theta, rng, size: pytest.fail("samples drawn")
+        with pytest.raises(ValueError, match="trials must be >= 2 .*, got 1"):
+            mc_error_moment(m, sample_mean_estimator(n=1), [0.4], trials=1, seed=2)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_refused_before_drawing(self, trials):
         m = gaussian_location_model(n=1)
         m.sampler_g = lambda theta, rng, size: pytest.fail("samples drawn")
-        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        with pytest.raises(ValueError, match=f"trials must be >= 2 .*, got {trials}"):
             mc_error_moment(m, sample_mean_estimator(n=1), [0.0], trials, 1)
 
     def test_qgaussian_matches_quadrature(self):

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses or
 defines a private module-level name it never references, no default is
-left that no call overrides, no cache can grow without bound, and no command
-loads scipy submodules its path does not use."""
+left that no call overrides, no class field is left that nothing reads, no
+cache can grow without bound, and no command loads scipy submodules its
+path does not use."""
 
 import ast
 import json
@@ -216,6 +217,36 @@ def test_detects_unread_default():
     assert unread_defaults([package], ["REG['k'](**kw)\n"]) == [
         "f(b)", "f(c)", "f(d)", "f(e)", "K.__init__(x)", "K.__init__(y)", "K.m(z)", "K.s(u)",
         "D.v", "D.w"]
+
+
+def unread_fields(package_sources, reader_sources) -> list[str]:
+    """Annotated class fields that no reader source loads as an attribute.
+    Reads match by simple name, so a field shares the reads of every other
+    attribute of its name: VerificationReport.name, say, would pass for as
+    long as any other class's `.name` is read."""
+    read = {node.attr for src in reader_sources for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{stmt.target.id}"
+            for src in package_sources for cls in ast.walk(ast.parse(src))
+            if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
+def test_no_unread_fields():
+    assert unread_fields([p.read_text() for p in sorted(PACKAGE.glob("*.py"))],
+                         [p.read_text() for p in CALLERS]) == []
+
+
+def test_detects_unread_field():
+    package = ("from dataclasses import dataclass\n"
+               "@dataclass\nclass D:\n    u: int\n    v: int = 0\n    w: str = 'x'\n"
+               "class P:\n    z: float\n    def m(self):\n        return self.z\n")
+    # a store is not a read, nor is getattr with the name as a string
+    readers = "def f(d):\n    d.v = 3\n    return d.u + len(getattr(d, 'w'))\n"
+    assert unread_fields([package], [package, readers]) == ["D.v", "D.w"]
+    assert unread_fields([package], [readers]) == ["D.v", "D.w", "P.z"]
 
 
 def unbounded_caches(source: str) -> list[str]:
