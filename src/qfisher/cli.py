@@ -102,8 +102,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     explicit = set(file_cfg) | set(flags)
     if "alpha" in defaults and "beta" in defaults:
         for key in ("alpha", "beta"):
-            if key in explicit and cfg[key] <= 1:
-                raise UsageError(f"{key} must exceed 1, got {cfg[key]}")
+            if key in explicit and not 1 < cfg[key] < math.inf:
+                raise UsageError(f"{key} must be finite and exceed 1, got {cfg[key]}")
         if "alpha" in explicit and "beta" in explicit:
             if abs(1.0 / cfg["alpha"] + 1.0 / cfg["beta"] - 1.0) > 1e-12:
                 raise UsageError(
@@ -234,6 +234,14 @@ def cmd_diffuse(args) -> int:
     if not args.output:
         raise UsageError("diffuse requires --output for the trajectory CSV")
     _check_one_dimensional(cfg, "the diffusion solver")
+    for key in ("m", "t0"):
+        if not math.isfinite(cfg[key]):
+            raise UsageError(f"{key} must be finite, got {cfg[key]}")
+    if not 0 < cfg["sigma0"] < math.inf:
+        raise UsageError(f"sigma0 must be finite and > 0, got {cfg['sigma0']}")
+    if not -math.inf < cfg["grid_lo"] < cfg["grid_hi"] < math.inf:
+        raise UsageError(f"grid_lo and grid_hi must be finite with grid_lo < grid_hi, "
+                         f"got {cfg['grid_lo']} and {cfg['grid_hi']}")
     dp = DiffusionParams(cfg["m"], cfg["beta"], cfg["n"])
     ax = Axis(cfg["grid_lo"], cfg["grid_hi"], cfg["grid_count"])
     if cfg["init"] == "barenblatt":

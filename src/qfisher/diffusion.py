@@ -23,12 +23,23 @@ StabilityError and smaller negatives are clamped to zero; the clamp is
 skipped only when the minimum is strictly positive, so it never changes a
 bit it would not have changed.  evolve() refuses runs that would take more
 than MAX_STEPS steps, and spans whose end does not exceed their start.
+
+For m in {1, 2} and beta in {2, 3}, where v^m and the face flux have exact
+C forms (v or v*v, d or |d| d), evolve runs :meth:`_Kernel.march_compiled`
+instead: the same loop as one C function, ``_march.c``, whose results are
+the numpy march's bit for bit.  It is built with ``cc`` at the first such
+run in a process and cached under ``__pycache__``.  Without a compiler, and
+for every other (m, beta), the numpy march runs; numpy's ``power`` for other
+exponents is not libm's ``pow`` to the bit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -48,10 +59,23 @@ NEGATIVE_CLAMP_REL = 1e-13
 GRAD_EPS = 1e-12
 #: tolerated drift of the discrete conserved mass h sum(f)
 MASS_DRIFT_TOL = 1e-6
+#: the C form of _Kernel.march, and how it is built: no contraction into
+#: fused multiply-adds, which round once where numpy rounds twice
+_MARCH_SOURCE = Path(__file__).with_name("_march.c")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 class StabilityError(RuntimeError):
     pass
+
+
+def _negative_value(worst: float, t: float, dt: float) -> StabilityError:
+    return StabilityError(f"negative value {worst:g} beyond clamp tolerance at t = {t:g} "
+                          f"(dt = {dt:g}); reduce dt or refine the grid")
+
+
+def _budget_exhausted(t: float, dt: float) -> StabilityError:
+    return StabilityError(f"step budget of {MAX_STEPS} exhausted at t = {t:g} (dt = {dt:g})")
 
 
 @dataclass
@@ -106,9 +130,10 @@ class _Kernel:
     (At v[-1] the two can differ only in the sign of a zero sum, which the
     clamp then makes +0.0 either way.)
 
-    :meth:`march` is the only code that runs these operations.  It binds its
-    views, ufuncs and constants once per call, so a step looks up no
-    attribute and calls no Python method.
+    :meth:`march` runs these operations with numpy ufuncs, binding its views,
+    ufuncs and constants once per call, so a step looks up no attribute and
+    calls no Python method.  :meth:`march_compiled` runs the same operations
+    in C for the (m, beta) of ``_march.c``; :meth:`march` is its reference.
     """
 
     def __init__(self, p: DiffusionParams, h: float, n: int):
@@ -185,16 +210,35 @@ class _Kernel:
             worst = float(vmin(v))
             if not worst > 0.0:
                 if worst < 0.0 and worst < clamp_rel * max(float(vmax(v)), 1.0):
-                    raise StabilityError(
-                        f"negative value {worst:g} beyond clamp tolerance at t = {t:g} "
-                        f"(dt = {dt:g}); reduce dt or refine the grid"
-                    )
+                    raise _negative_value(worst, t, dt)
                 maximum(v, 0.0, out=v)
             t += dt
             steps += 1
             if steps > budget:
-                raise StabilityError(
-                    f"step budget of {MAX_STEPS} exhausted at t = {t:g} (dt = {dt:g})")
+                raise _budget_exhausted(t, dt)
+
+    def march_compiled(self, v: np.ndarray, t: float, target: float, stop: float,
+                       steps: int, budget: int):
+        """:meth:`march` as the one C loop of ``_march.c``, for m in {1, 2} and
+        beta in {2, 3}: the same arguments, buffers (``d`` and ``fpad``;
+        ``w`` and ``fl`` stay unused), results and errors, bit for bit.
+        CFL_SAFETY and NEGATIVE_CLAMP_REL are read on every call, as
+        :meth:`march` reads them."""
+        if v.dtype != np.float64 or not v.flags.c_contiguous or v.size != self.fl.size:
+            raise ValueError("the compiled march needs a contiguous float64 array of n nodes")
+        p, h = self.p, self.h
+        io = (ctypes.c_double * 4)(t, 0.0, 0.0, 0.0)  # t, cfl, dt, worst
+        count = ctypes.c_longlong(steps)
+        code = _compiled_march()(
+            v.ctypes.data, self.d.ctypes.data, self.fpad.ctypes.data, v.size,
+            p.m == 2.0, p.beta == 3.0, h, (p.beta - 1.0) * p.m, CFL_SAFETY * h * h,
+            -NEGATIVE_CLAMP_REL, target, stop, budget, io, ctypes.byref(count))
+        t, cfl, dt, worst = io
+        if code == 1:
+            raise _negative_value(worst, t, dt)
+        if code == 2:
+            raise _budget_exhausted(t, dt)
+        return t, count.value, cfl
 
     def limiting_node(self, v: np.ndarray) -> int:
         """Node that sets the CFL dt of the last flux pass: the face of
@@ -204,6 +248,80 @@ class _Kernel:
         if self.p.beta < 2.0:
             return int(np.argmin(np.abs(self.d)))
         return int(np.argmax(v))
+
+
+@functools.lru_cache(maxsize=1)
+def _compiled_march():
+    """The C march of ``_march.c`` as a ctypes function, or None when it
+    cannot be built or loaded; called once per process, at the first
+    :func:`evolve` that can use it.
+
+    The shared object is cached as ``__pycache__/_march.<key>.so`` next to
+    the source, where key is the sha256 of the source bytes and the compiler
+    flags, so an edited source never loads a stale build.  A cached file
+    that does not load (damaged, or built on another machine) is built again
+    in its place.
+    """
+    import hashlib
+
+    key = hashlib.sha256(_MARCH_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+    path = _MARCH_SOURCE.parent / "__pycache__" / f"_march.{key}.so"
+    try:
+        fn = ctypes.CDLL(str(path)).qfisher_march
+    except (OSError, AttributeError):  # not built yet, or not loadable here
+        fn = _build_march(path)
+    if fn is not None:
+        fn.restype = ctypes.c_int
+        fn.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_int, ctypes.c_int]
+                       + [ctypes.c_double] * 6
+                       + [ctypes.c_longlong, ctypes.POINTER(ctypes.c_double),
+                          ctypes.POINTER(ctypes.c_longlong)])
+    return fn
+
+
+def _build_march(path: Path):
+    """Compiles ``_march.c`` to path and loads it, or returns None when
+    ``cc`` is missing or fails.  ``cc`` writes a temporary file beside path,
+    which is then renamed onto it, so no process loads a partial build and a
+    failed build leaves no file.  When path's directory cannot be written,
+    the build goes to a private temporary directory, removed once loaded."""
+    import os
+    import shutil
+    import subprocess
+    import tempfile
+
+    private = None
+    try:
+        try:
+            path.parent.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix="_march.", suffix=".tmp", dir=path.parent)
+        except OSError:  # the cache directory cannot be written
+            private = Path(tempfile.mkdtemp(prefix="qfisher-march-"))
+            path = private / path.name
+            fd, tmp = tempfile.mkstemp(prefix="_march.", suffix=".tmp", dir=private)
+        os.close(fd)
+        try:
+            subprocess.run(["cc", *_CFLAGS, "-o", tmp, str(_MARCH_SOURCE)],
+                           check=True, capture_output=True, timeout=120)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return ctypes.CDLL(str(path)).qfisher_march
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    finally:
+        if private is not None:
+            shutil.rmtree(private, ignore_errors=True)
+
+
+def _select_march(kernel: _Kernel):
+    """kernel.march_compiled when (m, beta) has an exact C form and
+    ``_march.c`` compiled, else the numpy kernel.march."""
+    p = kernel.p
+    if p.m in (1.0, 2.0) and p.beta in (2.0, 3.0) and _compiled_march() is not None:
+        return kernel.march_compiled
+    return kernel.march
 
 
 def _check_boundary_clear(v: np.ndarray, t: float):
@@ -221,8 +339,9 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     """March to t_end with automatic stable dt, logging the functionals on a
     uniform time grid of n_logs rows (dt_log ~ span/200 by default).
 
-    Each log interval is one :meth:`_Kernel.march`, whose steps have dt =
-    min(CFL dt, time to the next log row) and apply in place to one copy of
+    Each log interval is one :meth:`_Kernel.march` (or its C form, see
+    :func:`_select_march`), whose steps have dt = min(CFL dt, time to the
+    next log row) and apply in place to one copy of
     ``state.f.values`` (the caller's array is never written).  The clamp runs
     on every step; drift of the conserved mass h sum(f) and boundary contact
     are checked at each log row.  A t_end that does not exceed state.t (NaN
@@ -245,8 +364,9 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
 
     v = state.f.values.copy()
     kernel = _Kernel(p, h, v.size)
+    march = _select_march(kernel)
     t = state.t
-    dt0 = kernel.march(v, t, t, t, 0, 0)[2]
+    dt0 = march(v, t, t, t, 0, 0)[2]
     estimate = (t_end - state.t) / dt0 if dt0 > 0 else math.inf
     if estimate > MAX_STEPS:
         raise StabilityError(
@@ -262,7 +382,7 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     mass_ref = h * float(np.sum(v))
     for target in log_times[1:]:
         stop = target - 1e-15 * max(1.0, abs(target))
-        t, nsteps, _ = kernel.march(v, t, target, stop, nsteps, budget)
+        t, nsteps, _ = march(v, t, target, stop, nsteps, budget)
         _check_boundary_clear(v, t)
         drift = abs(h * float(np.sum(v)) - mass_ref)
         if drift > MASS_DRIFT_TOL:

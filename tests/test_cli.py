@@ -263,6 +263,36 @@ def test_diffuse_refuses_tolerance_before_solving(capsys, tmp_path, monkeypatch)
     assert code == EXIT_USAGE and "identity_rel" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["--beta", "nan"], "beta"),
+    (["--m", "nan"], "m"),
+    (["--init", "gaussian", "--sigma0", "0"], "sigma0"),
+    (["--sigma0", "-1"], "sigma0"),
+    (["--sigma0", "nan"], "sigma0"),
+    (["--t0", "nan"], "t0"),
+    (["--grid-lo", "3", "--grid-hi", "-3"], "grid_lo"),
+], ids=" ".join)
+def test_diffuse_refuses_bad_inputs_before_solving(argv, key, capsys, tmp_path, monkeypatch):
+    # each used to exit 3 from inside the numerics, or (sigma0 = -1) to run as sigma0 = 1
+    def evolve(*args, **kwargs):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr("qfisher.cli.evolve", evolve)
+    out_path = tmp_path / "t.csv"
+    code, out, err = run_cli(capsys, "diffuse", *argv, "-o", str(out_path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"usage error: {key} ")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("name", ["qcr", "stam"])
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_hoelder_exponent_nan_is_usage_error(name, key, capsys):
+    code, out, err = run_cli(capsys, name, f"--{key}", "nan")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"usage error: {key} must be finite and exceed 1")
+
+
 @pytest.mark.parametrize("count", ["4003", "7"])
 def test_info_grid_count_must_be_4k_plus_1(count, capsys, monkeypatch):
     def grid_density(*args, **kwargs):

@@ -1,5 +1,9 @@
 """Doubly nonlinear diffusion solver and trajectory diagnostics."""
 
+import hashlib
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,19 @@ from qfisher.qgaussian import DiffusionParams, barenblatt, barenblatt_density, b
 
 HEAT = DiffusionParams(1.0, 2.0, 1)
 PME = DiffusionParams(2.0, 2.0, 1)
+
+
+@pytest.fixture
+def compiled_kernel():
+    """evolve runs the compiled march wherever (m, beta) has an exact C form."""
+    if diffusion._compiled_march() is None:
+        pytest.skip("the compiled march is unavailable: no working C compiler")
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """evolve runs the numpy march for every (m, beta)."""
+    monkeypatch.setattr(diffusion, "_compiled_march", lambda: None)
 
 
 def gaussian_state(sigma=1.0, half=10.0, count=1001, t=0.0):
@@ -66,11 +83,14 @@ class TestStep:
         h = st.f.axis.step
         assert abs(h * np.sum(out.f.values) - h * np.sum(st.f.values)) < 1e-12
 
-    def test_instability_detected(self, monkeypatch):
+    def test_instability_detected(self, monkeypatch, compiled_kernel):
         st = gaussian_state(count=201)
         monkeypatch.setattr(diffusion, "CFL_SAFETY", 50.0 * CFL_SAFETY)  # 50x the stable dt
         with pytest.raises(StabilityError, match="negative|drift"):
             evolve(st, 25.0, n_logs=3)
+
+    def test_instability_detected_numpy_kernel(self, monkeypatch, numpy_kernel):
+        self.test_instability_detected(monkeypatch, numpy_kernel)
 
     def test_fast_diffusion_rejected(self):
         ax = Axis(-8.0, 8.0, 201)
@@ -297,6 +317,13 @@ ACCEPTANCE_GRIDS = [(HEAT, 10.0, 4001, 0.0, 0.01), (PME, 3.5, 251, 1.0, 0.05),
 
 
 class TestKernelOracle:
+    """The march evolve selects against the allocating reference: compiled
+    wherever (m, beta) has an exact C form (numpy in the subclass below)."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, compiled_kernel):
+        pass
+
     @pytest.mark.parametrize("m,beta,span", ORACLE_CASES)
     def test_evolve_bit_identical(self, m, beta, span):
         st = _oracle_state(m, beta)
@@ -314,9 +341,9 @@ class TestKernelOracle:
         v = np.array([-0.0, -5e-324, 1.0, 1.0])
         flux = np.diff(v) / h  # the heat flux; flux[0] = -5e-324
         ref = _ref_advance(v, flux, h, dt, 0.0)
-        kernel = diffusion._Kernel(HEAT, h, v.size)
+        march = diffusion._select_march(diffusion._Kernel(HEAT, h, v.size))
         out = v.copy()
-        kernel.march(out, 0.0, dt, dt, 0, 1)  # the CFL dt is 0.25: one step of dt
+        march(out, 0.0, dt, dt, 0, 1)  # the CFL dt is 0.25: one step of dt
         assert out.tobytes() == ref.tobytes()
         assert not np.signbit(out[0])
 
@@ -335,6 +362,12 @@ class TestKernelOracle:
         assert out.f.values.tobytes() == ref.f.values.tobytes()
         for col in ("times", "S_q", "M_q", "phi", "mass"):
             assert getattr(log, col).tobytes() == getattr(ref_log, col).tobytes(), col
+
+
+class TestKernelOracleNumpyKernel(TestKernelOracle):
+    @pytest.fixture(autouse=True)
+    def kernel(self, numpy_kernel):
+        pass
 
 
 class TestAliasing:
@@ -373,7 +406,7 @@ class TestStepBudget:
         with pytest.raises(StabilityError, match=r"steps of dt = .* budget of 1000000 .*node \d+"):
             evolve(st, 2.0)
 
-    def test_march_budget(self, monkeypatch):
+    def test_march_budget(self, monkeypatch, compiled_kernel):
         # the estimate from the first dt is 120 steps; landing on 8 log rows
         # takes 126, so a budget of 121 passes the up-front check and trips the march
         st = _oracle_state(1.0, 2.0)
@@ -385,3 +418,156 @@ class TestStepBudget:
         with pytest.raises(StabilityError, match="step budget of 121 exhausted"):
             evolve(st, 0.3, n_logs=8)
 
+    def test_march_budget_numpy_kernel(self, monkeypatch, numpy_kernel):
+        self.test_march_budget(monkeypatch, numpy_kernel)
+
+
+# --- choosing, building and caching the compiled march ---
+
+EXACT_C_FORMS = [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (2.0, 3.0)]
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """The loader with nothing loaded, building a copy of _march.c in
+    tmp_path (so its cache is tmp_path/__pycache__); returns the copy and
+    the list of compiler argvs it runs."""
+    source = tmp_path / "_march.c"
+    shutil.copyfile(diffusion._MARCH_SOURCE, source)
+    monkeypatch.setattr(diffusion, "_MARCH_SOURCE", source)
+    runs, run = [], subprocess.run
+
+    def counting_run(argv, **kwargs):
+        runs.append(argv)
+        return run(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    diffusion._compiled_march.cache_clear()
+    yield source, runs
+    diffusion._compiled_march.cache_clear()
+
+
+def _needs_cc():
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+
+
+def _assert_evolve_is_reference(m, beta, span):
+    st = _oracle_state(m, beta)
+    ref, ref_log = _ref_evolve(st, st.t + span, 6)
+    out, log = evolve(st, st.t + span, 6)
+    assert out.step_count == ref.step_count > 0
+    assert out.f.values.tobytes() == ref.f.values.tobytes()
+    assert log.S_q.tobytes() == ref_log.S_q.tobytes()
+
+
+class TestCompiledKernel:
+    def test_selected_for_exact_forms_only(self, monkeypatch):
+        # a silent fallback to numpy would pass every oracle test with the gain gone
+        _needs_cc()
+        for m, beta in EXACT_C_FORMS:
+            kernel = diffusion._Kernel(DiffusionParams(m, beta, 1), 0.1, 11)
+            assert diffusion._select_march(kernel) == kernel.march_compiled, (m, beta)
+
+        def no_build():
+            raise AssertionError("compiled march requested")
+
+        monkeypatch.setattr(diffusion, "_compiled_march", no_build)
+        for m, beta in [(1.5, 2.5), (2.0, 1.5)]:
+            kernel = diffusion._Kernel(DiffusionParams(m, beta, 1), 0.1, 11)
+            assert diffusion._select_march(kernel) == kernel.march, (m, beta)
+
+    def test_errors_match_numpy_kernel(self, monkeypatch, compiled_kernel):
+        def messages():
+            texts = []
+            for name, value, st, t_end in [
+                    ("CFL_SAFETY", 50.0 * CFL_SAFETY, gaussian_state(count=201), 25.0),
+                    ("MAX_STEPS", 121, _oracle_state(1.0, 2.0), 0.3)]:
+                with monkeypatch.context() as patch:
+                    patch.setattr(diffusion, name, value)
+                    with pytest.raises(StabilityError) as err:
+                        evolve(st, t_end, n_logs=8)
+                texts.append(str(err.value))
+            return texts
+
+        compiled = messages()
+        monkeypatch.setattr(diffusion, "_compiled_march", lambda: None)
+        assert compiled == messages()
+        assert compiled[0].startswith("negative value") and "step budget" in compiled[1]
+
+    @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
+    @pytest.mark.parametrize("planted", [{100: np.nan}, {100: np.nan, 50: -1.0}, {50: -1.0}],
+                             ids=["nan", "nan-and-negative", "negative"])
+    def test_nan_and_abort_follow_numpy(self, m, beta, planted, compiled_kernel):
+        # a NaN makes numpy's minimum and maxima NaN: no abort, a NaN dt where
+        # a maximum sets it; a negative value alone aborts
+        st = _oracle_state(m, beta)
+        outcomes = []
+        for name in ("march", "march_compiled"):
+            v = st.f.values.copy()
+            for node, value in planted.items():
+                v[node] = value
+            kernel = diffusion._Kernel(st.params, st.f.axis.step, v.size)
+            try:
+                t, steps, cfl = getattr(kernel, name)(v, st.t, st.t + 0.01, st.t + 0.01, 0, 40)
+                result = np.array([t, steps, cfl]).tobytes()
+            except StabilityError as err:
+                result = str(err)
+            outcomes.append((result, v.tobytes(), kernel.d.tobytes(), kernel.fpad.tobytes()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_no_compiler_falls_back_once(self, fresh_loader, monkeypatch, tmp_path):
+        source, runs = fresh_loader
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        for m, beta in [(2.0, 2.0), (1.0, 3.0)]:
+            _assert_evolve_is_reference(m, beta, 0.5)
+        assert len(runs) == 1
+        assert list((tmp_path / "__pycache__").iterdir()) == []
+
+    def test_failing_compile_falls_back_once_and_leaves_nothing(self, fresh_loader, tmp_path):
+        source, runs = fresh_loader
+        source.write_text("this is not C\n")
+        for m, beta in [(2.0, 2.0), (1.0, 3.0)]:
+            _assert_evolve_is_reference(m, beta, 0.5)
+        assert len(runs) == 1
+        assert list((tmp_path / "__pycache__").iterdir()) == []
+
+    def test_unwritable_cache_builds_in_private_dir(self, fresh_loader, monkeypatch, tmp_path):
+        # a file where __pycache__ should be: nothing can be written under it
+        _needs_cc()
+        source, runs = fresh_loader
+        (tmp_path / "__pycache__").write_text("")
+        private_root = tmp_path / "tmp"
+        private_root.mkdir()
+        monkeypatch.setattr("tempfile.tempdir", str(private_root))
+        _assert_evolve_is_reference(2.0, 3.0, 0.5)
+        assert diffusion._compiled_march() is not None and len(runs) == 1
+        assert list(private_root.iterdir()) == []  # removed once loaded
+
+    def test_unloadable_cached_file_is_rebuilt(self, fresh_loader, tmp_path):
+        # a damaged file, or one built on another machine, under the source's key
+        _needs_cc()
+        source, runs = fresh_loader
+        key = hashlib.sha256(source.read_bytes() + " ".join(diffusion._CFLAGS).encode())
+        cached = tmp_path / "__pycache__" / f"_march.{key.hexdigest()}.so"
+        cached.parent.mkdir()
+        cached.write_bytes(b"\0" * 16)
+        _assert_evolve_is_reference(1.0, 2.0, 0.3)
+        assert diffusion._compiled_march() is not None and len(runs) == 1
+        assert [p.name for p in cached.parent.iterdir()] == [cached.name]
+        assert cached.stat().st_size > 16
+
+    def test_cache_key_follows_source_bytes(self, fresh_loader, tmp_path):
+        _needs_cc()
+        source, runs = fresh_loader
+        cache = tmp_path / "__pycache__"
+        assert diffusion._compiled_march() is not None
+        diffusion._compiled_march.cache_clear()
+        assert diffusion._compiled_march() is not None
+        assert len(runs) == 1  # the second process-like load reuses the build
+        source.write_bytes(source.read_bytes() + b"/* edited */\n")
+        diffusion._compiled_march.cache_clear()
+        assert diffusion._compiled_march() is not None
+        assert len(runs) == 2  # the stale build is not loaded
+        names = sorted(p.name for p in cache.iterdir())
+        assert len(names) == 2 and all(n.startswith("_march.") and n.endswith(".so") for n in names)

@@ -433,3 +433,29 @@ def test_gaussian_location_crbound_loads_no_scipy():
     argv = readme_command("crbound")
     assert argv[argv.index("--model") + 1] == "gaussian-location"
     assert scipy_modules_loaded(*argv) == set()
+
+
+#: prints, as JSON, which of subprocess and hashlib are loaded and how often
+#: the compiled march was requested after importing qfisher.cli and building
+#: a DiffusionState
+_LAZY_BUILD_PROBE = """
+import json, sys
+import numpy as np
+import qfisher.cli
+from qfisher import diffusion
+from qfisher.core import Axis, density_from_callable
+from qfisher.qgaussian import DiffusionParams
+f = density_from_callable(Axis(-5.0, 5.0, 101), lambda x: np.exp(-x * x))
+diffusion.DiffusionState(DiffusionParams(2.0, 2.0, 1), 0.0, f)
+print(json.dumps([sorted(m for m in ("subprocess", "hashlib") if m in sys.modules),
+                  diffusion._compiled_march.cache_info().misses]))
+"""
+
+
+def test_import_and_state_start_no_compiler():
+    # the compiled march is built or loaded at the first evolve that uses it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_BUILD_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0]
