@@ -1,0 +1,80 @@
+"""The compiled kernels of ``_kernels.c``, built with ``cc`` and loaded with
+ctypes.  :func:`library` returns the loaded library, or None when it cannot
+be built or loaded; each caller binds the argument types of its own symbol
+(``qfisher_march`` in diffusion, ``qfisher_bump`` in perturb).
+
+The library is built or loaded at the first call in a process, not at
+import, and cached as ``__pycache__/_kernels.<key>.so`` next to the source,
+where key is the sha256 of the source bytes and the compiler flags, so an
+edited source never loads a stale build.  A cached file that does not load
+(damaged, or built on another machine) is built again in its place.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+from pathlib import Path
+
+#: the C source, and how it is built: no contraction into fused
+#: multiply-adds, which round once where numpy rounds twice
+SOURCE = Path(__file__).with_name("_kernels.c")
+CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+#: the symbols every build of SOURCE exports
+SYMBOLS = ("qfisher_march", "qfisher_bump")
+
+
+@functools.lru_cache(maxsize=1)
+def library():
+    """The library built from SOURCE, or None; called once per process."""
+    import hashlib
+
+    key = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode()).hexdigest()
+    path = SOURCE.parent / "__pycache__" / f"_kernels.{key}.so"
+    try:
+        return _load(path)
+    except (OSError, AttributeError):  # not built yet, or not loadable here
+        return _build(path)
+
+
+def _load(path: Path) -> ctypes.CDLL:
+    lib = ctypes.CDLL(str(path))
+    for name in SYMBOLS:
+        getattr(lib, name)
+    return lib
+
+
+def _build(path: Path):
+    """Compiles SOURCE to path and loads it, or returns None when ``cc`` is
+    missing or fails.  ``cc`` writes a temporary file beside path, which is
+    then renamed onto it, so no process loads a partial build and a failed
+    build leaves no file.  When path's directory cannot be written, the
+    build goes to a private temporary directory, removed once loaded."""
+    import os
+    import shutil
+    import subprocess
+    import tempfile
+
+    private = None
+    try:
+        try:
+            path.parent.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix="_kernels.", suffix=".tmp", dir=path.parent)
+        except OSError:  # the cache directory cannot be written
+            private = Path(tempfile.mkdtemp(prefix="qfisher-kernels-"))
+            path = private / path.name
+            fd, tmp = tempfile.mkstemp(prefix="_kernels.", suffix=".tmp", dir=private)
+        os.close(fd)
+        try:
+            subprocess.run(["cc", *CFLAGS, "-o", tmp, str(SOURCE)],
+                           check=True, capture_output=True, timeout=120)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return _load(path)
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    finally:
+        if private is not None:
+            shutil.rmtree(private, ignore_errors=True)

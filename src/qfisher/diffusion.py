@@ -26,9 +26,10 @@ than MAX_STEPS steps, and spans whose end does not exceed their start.
 
 For m in {1, 2} and beta in {2, 3}, where v^m and the face flux have exact
 C forms (v or v*v, d or |d| d), evolve runs :meth:`_Kernel.march_compiled`
-instead: the same loop as one C function, ``_march.c``, whose results are
-the numpy march's bit for bit.  It is built with ``cc`` at the first such
-run in a process and cached under ``__pycache__``.  Without a compiler, and
+instead: the same loop as one C function, ``qfisher_march`` in
+``_kernels.c``, whose results are the numpy march's bit for bit.  The
+library is built with ``cc`` at the first such run in a process and cached
+under ``__pycache__`` (see :mod:`qfisher._native`).  Without a compiler, and
 for every other (m, beta), the numpy march runs; numpy's ``power`` for other
 exponents is not libm's ``pow`` to the bit.
 """
@@ -39,10 +40,10 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .core import GridDensity, Tolerances, integrate
 from .info_measures import m_q, phi_fisher, tsallis_entropy
 from .qgaussian import DiffusionParams
@@ -59,10 +60,6 @@ NEGATIVE_CLAMP_REL = 1e-13
 GRAD_EPS = 1e-12
 #: tolerated drift of the discrete conserved mass h sum(f)
 MASS_DRIFT_TOL = 1e-6
-#: the C form of _Kernel.march, and how it is built: no contraction into
-#: fused multiply-adds, which round once where numpy rounds twice
-_MARCH_SOURCE = Path(__file__).with_name("_march.c")
-_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 class StabilityError(RuntimeError):
@@ -133,7 +130,8 @@ class _Kernel:
     :meth:`march` runs these operations with numpy ufuncs, binding its views,
     ufuncs and constants once per call, so a step looks up no attribute and
     calls no Python method.  :meth:`march_compiled` runs the same operations
-    in C for the (m, beta) of ``_march.c``; :meth:`march` is its reference.
+    in C for the (m, beta) of ``qfisher_march``; :meth:`march` is its
+    reference.
     """
 
     def __init__(self, p: DiffusionParams, h: float, n: int):
@@ -147,6 +145,7 @@ class _Kernel:
             self.d = np.empty(n - 1)
             self.a = self.fpad[1:-1]
         self.fl = np.empty(n)
+        self.c_v = None  # the v whose addresses c_args holds
 
     def march(self, v: np.ndarray, t: float, target: float, stop: float,
               steps: int, budget: int):
@@ -219,20 +218,25 @@ class _Kernel:
 
     def march_compiled(self, v: np.ndarray, t: float, target: float, stop: float,
                        steps: int, budget: int):
-        """:meth:`march` as the one C loop of ``_march.c``, for m in {1, 2} and
-        beta in {2, 3}: the same arguments, buffers (``d`` and ``fpad``;
-        ``w`` and ``fl`` stay unused), results and errors, bit for bit.
+        """:meth:`march` as the one C loop ``qfisher_march`` of ``_kernels.c``,
+        for m in {1, 2} and beta in {2, 3}: the same arguments, buffers (``d``
+        and ``fpad``; ``w`` and ``fl`` stay unused), results and errors, bit
+        for bit.  The addresses of v, ``d`` and ``fpad`` are taken at the
+        first call with a given v, which is once per :func:`evolve`.
         CFL_SAFETY and NEGATIVE_CLAMP_REL are read on every call, as
         :meth:`march` reads them."""
-        if v.dtype != np.float64 or not v.flags.c_contiguous or v.size != self.fl.size:
-            raise ValueError("the compiled march needs a contiguous float64 array of n nodes")
-        p, h = self.p, self.h
+        if v is not self.c_v:
+            if v.dtype != np.float64 or not v.flags.c_contiguous or v.size != self.fl.size:
+                raise ValueError("the compiled march needs a contiguous float64 array of n nodes")
+            p = self.p
+            self.c_v = v
+            self.c_args = (v.ctypes.data, self.d.ctypes.data, self.fpad.ctypes.data, v.size,
+                           p.m == 2.0, p.beta == 3.0, self.h, (p.beta - 1.0) * p.m)
+        h = self.h
         io = (ctypes.c_double * 4)(t, 0.0, 0.0, 0.0)  # t, cfl, dt, worst
         count = ctypes.c_longlong(steps)
-        code = _compiled_march()(
-            v.ctypes.data, self.d.ctypes.data, self.fpad.ctypes.data, v.size,
-            p.m == 2.0, p.beta == 3.0, h, (p.beta - 1.0) * p.m, CFL_SAFETY * h * h,
-            -NEGATIVE_CLAMP_REL, target, stop, budget, io, ctypes.byref(count))
+        code = _compiled_march()(*self.c_args, CFL_SAFETY * h * h, -NEGATIVE_CLAMP_REL,
+                                 target, stop, budget, io, count)
         t, cfl, dt, worst = io
         if code == 1:
             raise _negative_value(worst, t, dt)
@@ -252,72 +256,24 @@ class _Kernel:
 
 @functools.lru_cache(maxsize=1)
 def _compiled_march():
-    """The C march of ``_march.c`` as a ctypes function, or None when it
-    cannot be built or loaded; called once per process, at the first
-    :func:`evolve` that can use it.
-
-    The shared object is cached as ``__pycache__/_march.<key>.so`` next to
-    the source, where key is the sha256 of the source bytes and the compiler
-    flags, so an edited source never loads a stale build.  A cached file
-    that does not load (damaged, or built on another machine) is built again
-    in its place.
-    """
-    import hashlib
-
-    key = hashlib.sha256(_MARCH_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
-    path = _MARCH_SOURCE.parent / "__pycache__" / f"_march.{key}.so"
-    try:
-        fn = ctypes.CDLL(str(path)).qfisher_march
-    except (OSError, AttributeError):  # not built yet, or not loadable here
-        fn = _build_march(path)
-    if fn is not None:
-        fn.restype = ctypes.c_int
-        fn.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_int, ctypes.c_int]
-                       + [ctypes.c_double] * 6
-                       + [ctypes.c_longlong, ctypes.POINTER(ctypes.c_double),
-                          ctypes.POINTER(ctypes.c_longlong)])
-    return fn
-
-
-def _build_march(path: Path):
-    """Compiles ``_march.c`` to path and loads it, or returns None when
-    ``cc`` is missing or fails.  ``cc`` writes a temporary file beside path,
-    which is then renamed onto it, so no process loads a partial build and a
-    failed build leaves no file.  When path's directory cannot be written,
-    the build goes to a private temporary directory, removed once loaded."""
-    import os
-    import shutil
-    import subprocess
-    import tempfile
-
-    private = None
-    try:
-        try:
-            path.parent.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix="_march.", suffix=".tmp", dir=path.parent)
-        except OSError:  # the cache directory cannot be written
-            private = Path(tempfile.mkdtemp(prefix="qfisher-march-"))
-            path = private / path.name
-            fd, tmp = tempfile.mkstemp(prefix="_march.", suffix=".tmp", dir=private)
-        os.close(fd)
-        try:
-            subprocess.run(["cc", *_CFLAGS, "-o", tmp, str(_MARCH_SOURCE)],
-                           check=True, capture_output=True, timeout=120)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return ctypes.CDLL(str(path)).qfisher_march
-    except (OSError, AttributeError, subprocess.SubprocessError):
+    """``qfisher_march`` of the compiled kernels as a ctypes function, or
+    None when they cannot be built or loaded; called once per process, at
+    the first :func:`evolve` that can use it."""
+    lib = _native.library()
+    if lib is None:
         return None
-    finally:
-        if private is not None:
-            shutil.rmtree(private, ignore_errors=True)
+    fn = lib.qfisher_march
+    fn.restype = ctypes.c_int
+    fn.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_int, ctypes.c_int]
+                   + [ctypes.c_double] * 6
+                   + [ctypes.c_longlong, ctypes.POINTER(ctypes.c_double),
+                      ctypes.POINTER(ctypes.c_longlong)])
+    return fn
 
 
 def _select_march(kernel: _Kernel):
     """kernel.march_compiled when (m, beta) has an exact C form and
-    ``_march.c`` compiled, else the numpy kernel.march."""
+    ``_kernels.c`` compiled, else the numpy kernel.march."""
     p = kernel.p
     if p.m in (1.0, 2.0) and p.beta in (2.0, 3.0) and _compiled_march() is not None:
         return kernel.march_compiled

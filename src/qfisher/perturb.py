@@ -22,20 +22,30 @@ abscissae, not on the draw.  Two tables are kept, read-only, and shared by
 every bump: the one of the fixed 4001-point peak probe and the one of the
 current base grid's nodes / R_eff; a new base grid replaces the old one, so
 at most two tables of N_MODES rows are held.  A bump then only sums its
-modes, in the same order, against the table.  Dilated grids are tabulated
-afresh on every call and never kept: each amplitude has its own abscissae,
-and rescaling a shared table by 1/c would change the values in the last
-bits.
+modes, in the same order, against the table.  Rescaling a kept table by 1/c
+for a dilated grid would change the values in the last bits.
+
+Every other abscissa array, which in a batch is a dilated grid, goes
+through ``qfisher_bump`` of the compiled kernels (``_kernels.c``): one C
+pass that takes the same libm ``cos``/``sin`` values and makes the same
+IEEE operations in the same order as the numpy table path, so its values
+are that path's bits where numpy's float64 cos and sin are libm's.  The choice
+is made once per process, at the first such evaluation: C when the library
+loads and its values for that draw on the peak probe equal the numpy
+table's byte for byte, else numpy, which stays the reference and tabulates
+such arrays afresh on every call, keeping none.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _native
 from .core import Axis, GridDensity, normalize
 from .info_measures import entropy_power, moment_abs
 from .qgaussian import QGaussianParams, pdf, reach_radius
@@ -52,23 +62,67 @@ def fourier_bump(rng: np.random.Generator):
     """Random smooth bump on [-1, 1]: the first N_MODES cos and sin modes
     under a cos^2 window vanishing at the ends, normalized to max |b| = 1."""
     coef = rng.uniform(-1.0, 1.0, size=(2, N_MODES))
+    coef_ptr = coef.ctypes.data
 
     def raw(u):
         u = np.asarray(u, dtype=float)
-        table = _trig_table(u)
-        acc = np.zeros(table.window.shape)
-        # summed mode by mode in order; a matrix product would round
-        # differently in the last bits
-        for j in range(N_MODES):
-            acc += coef[0, j] * table.cos[j] + coef[1, j] * table.sin[j]
-        out = np.zeros_like(u)
-        out[table.inside] = table.window * acc
-        return out
+        table = _kept_table(u)
+        if table is None:
+            kernel = _compiled_bump(coef)
+            if kernel is None:
+                table = _trig_table(u)
+            else:
+                src, out = np.ascontiguousarray(u), np.empty(u.shape)
+                kernel(src.ctypes.data, src.size, coef_ptr, N_MODES, out.ctypes.data)
+                return out
+        return _mode_sum(coef, table)
 
     peak = float(np.max(np.abs(raw(_probe()))))
     if peak <= 0:  # pragma: no cover - measure-zero draw
         return lambda u: np.zeros_like(np.asarray(u, dtype=float))
     return lambda u: raw(u) / peak
+
+
+def _mode_sum(coef: np.ndarray, table: "_TrigTable") -> np.ndarray:
+    """The unnormalized bump of coef at the table's abscissae: the window
+    times the modes summed in order, zero outside the window."""
+    acc = np.zeros(table.window.shape)
+    # summed mode by mode in order; a matrix product would round
+    # differently in the last bits
+    for j in range(N_MODES):
+        acc += coef[0, j] * table.cos[j] + coef[1, j] * table.sin[j]
+    out = np.zeros_like(table.u)
+    out[table.inside] = table.window * acc
+    return out
+
+
+#: the selected bump kernel, once chosen: [the ctypes function] or [None]
+#: for numpy
+_CHOICE: list = []
+
+
+def _compiled_bump(coef: np.ndarray):
+    """``qfisher_bump`` as a ctypes function, or None for the numpy table
+    path; chosen at the first call in a process.  C is chosen when the
+    compiled kernels load and their values for coef on the kept peak-probe
+    abscissae equal the numpy table's byte for byte."""
+    if not _CHOICE:
+        _CHOICE.append(_checked_kernel(coef))
+    return _CHOICE[0]
+
+
+def _checked_kernel(coef: np.ndarray):
+    lib = _native.library()
+    if lib is None:
+        return None
+    fn = lib.qfisher_bump
+    fn.restype = None
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
+                   ctypes.c_void_p]
+    table = _kept_table(_probe())
+    got = np.empty(table.u.size)
+    fn(table.u.ctypes.data, table.u.size, coef.ctypes.data, N_MODES, got.ctypes.data)
+    return fn if got.tobytes() == _mode_sum(coef, table).tobytes() else None
 
 
 class _TrigTable(NamedTuple):
@@ -83,12 +137,16 @@ class _TrigTable(NamedTuple):
     window: np.ndarray
 
 
-def _trig_table(u: np.ndarray) -> _TrigTable:
-    """The kept table of the very array u (not of an equal one), else a
-    table built afresh."""
+def _kept_table(u: np.ndarray) -> _TrigTable | None:
+    """The kept table of the very array u (not of an equal one), or None."""
     for table in _KEPT.values():
         if table.u is u:
             return table
+    return None
+
+
+def _trig_table(u: np.ndarray) -> _TrigTable:
+    """A table of u built afresh."""
     inside = np.abs(u) < 1.0
     u_in = u[inside]
     phase = np.multiply.outer(np.arange(1, N_MODES + 1) * np.pi, u_in)

@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from qfisher import diffusion
+from qfisher import _native, diffusion, perturb
 from qfisher.core import Axis, GridDensity, Tolerances, density_from_callable, integrate
 from qfisher.diffusion import (
     CFL_SAFETY,
@@ -429,12 +429,13 @@ EXACT_C_FORMS = [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (2.0, 3.0)]
 
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
-    """The loader with nothing loaded, building a copy of _march.c in
+    """The loader with nothing loaded, building a copy of _kernels.c in
     tmp_path (so its cache is tmp_path/__pycache__); returns the copy and
     the list of compiler argvs it runs."""
-    source = tmp_path / "_march.c"
-    shutil.copyfile(diffusion._MARCH_SOURCE, source)
-    monkeypatch.setattr(diffusion, "_MARCH_SOURCE", source)
+    source = tmp_path / "_kernels.c"
+    shutil.copyfile(_native.SOURCE, source)
+    monkeypatch.setattr(_native, "SOURCE", source)
+    monkeypatch.setattr(perturb, "_CHOICE", [])
     runs, run = [], subprocess.run
 
     def counting_run(argv, **kwargs):
@@ -442,8 +443,14 @@ def fresh_loader(monkeypatch, tmp_path):
         return run(argv, **kwargs)
 
     monkeypatch.setattr(subprocess, "run", counting_run)
-    diffusion._compiled_march.cache_clear()
+    clear_loader()
     yield source, runs
+    clear_loader()
+
+
+def clear_loader():
+    """Forget the loaded library, as a new process would."""
+    _native.library.cache_clear()
     diffusion._compiled_march.cache_clear()
 
 
@@ -516,6 +523,20 @@ class TestCompiledKernel:
             outcomes.append((result, v.tobytes(), kernel.d.tobytes(), kernel.fpad.tobytes()))
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
+    def test_each_array_stepped_through_its_own_address(self, m, beta, compiled_kernel):
+        # the addresses are kept per array: a second array on the same kernel
+        # is stepped, and the first is left alone
+        st = _oracle_state(m, beta)
+        t, span = st.t, st.t + 0.01
+        ref = st.f.values.copy()
+        diffusion._Kernel(st.params, st.f.axis.step, ref.size).march(ref, t, span, span, 0, 40)
+        kernel = diffusion._Kernel(st.params, st.f.axis.step, ref.size)
+        first, second = st.f.values.copy(), st.f.values.copy()
+        kernel.march_compiled(first, t, span, span, 0, 40)
+        kernel.march_compiled(second, t, span, span, 0, 40)
+        assert first.tobytes() == second.tobytes() == ref.tobytes()
+
     def test_no_compiler_falls_back_once(self, fresh_loader, monkeypatch, tmp_path):
         source, runs = fresh_loader
         monkeypatch.setenv("PATH", str(tmp_path / "empty"))
@@ -548,8 +569,8 @@ class TestCompiledKernel:
         # a damaged file, or one built on another machine, under the source's key
         _needs_cc()
         source, runs = fresh_loader
-        key = hashlib.sha256(source.read_bytes() + " ".join(diffusion._CFLAGS).encode())
-        cached = tmp_path / "__pycache__" / f"_march.{key.hexdigest()}.so"
+        key = hashlib.sha256(source.read_bytes() + " ".join(_native.CFLAGS).encode())
+        cached = tmp_path / "__pycache__" / f"_kernels.{key.hexdigest()}.so"
         cached.parent.mkdir()
         cached.write_bytes(b"\0" * 16)
         _assert_evolve_is_reference(1.0, 2.0, 0.3)
@@ -562,12 +583,12 @@ class TestCompiledKernel:
         source, runs = fresh_loader
         cache = tmp_path / "__pycache__"
         assert diffusion._compiled_march() is not None
-        diffusion._compiled_march.cache_clear()
+        clear_loader()
         assert diffusion._compiled_march() is not None
         assert len(runs) == 1  # the second process-like load reuses the build
         source.write_bytes(source.read_bytes() + b"/* edited */\n")
-        diffusion._compiled_march.cache_clear()
+        clear_loader()
         assert diffusion._compiled_march() is not None
         assert len(runs) == 2  # the stale build is not loaded
         names = sorted(p.name for p in cache.iterdir())
-        assert len(names) == 2 and all(n.startswith("_march.") and n.endswith(".so") for n in names)
+        assert len(names) == 2 and all(n.startswith("_kernels.") and n.endswith(".so") for n in names)

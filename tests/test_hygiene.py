@@ -8,6 +8,7 @@ import ast
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qfisher import _native
 from qfisher.core import Axis, GridDensity, integrate, simpson_weights, sphere_surface
 from qfisher.qgaussian import QGaussianParams, grid_density
 
@@ -435,27 +437,47 @@ def test_gaussian_location_crbound_loads_no_scipy():
     assert scipy_modules_loaded(*argv) == set()
 
 
-#: prints, as JSON, which of subprocess and hashlib are loaded and how often
-#: the compiled march was requested after importing qfisher.cli and building
-#: a DiffusionState
+#: prints, as JSON, which of subprocess and hashlib are loaded after
+#: importing qfisher.cli and building a DiffusionState, which of them drawing
+#: a bump loads on top of what numpy.random loads itself (hashlib), and how
+#: often the compiled kernels were requested
 _LAZY_BUILD_PROBE = """
 import json, sys
 import numpy as np
 import qfisher.cli
-from qfisher import diffusion
+from qfisher import _native, diffusion, perturb
 from qfisher.core import Axis, density_from_callable
 from qfisher.qgaussian import DiffusionParams
+
+def loaded():
+    return {m for m in ("subprocess", "hashlib") if m in sys.modules}
+
 f = density_from_callable(Axis(-5.0, 5.0, 101), lambda x: np.exp(-x * x))
 diffusion.DiffusionState(DiffusionParams(2.0, 2.0, 1), 0.0, f)
-print(json.dumps([sorted(m for m in ("subprocess", "hashlib") if m in sys.modules),
-                  diffusion._compiled_march.cache_info().misses]))
+at_state = loaded()
+rng = np.random.default_rng(1)
+with_rng = loaded()
+perturb.fourier_bump(rng)
+print(json.dumps([sorted(at_state), sorted(loaded() - with_rng),
+                  diffusion._compiled_march.cache_info().misses,
+                  _native.library.cache_info().misses, perturb._CHOICE]))
 """
 
 
 def test_import_and_state_start_no_compiler():
-    # the compiled march is built or loaded at the first evolve that uses it
+    # the compiled kernels are built or loaded at the first evolve or
+    # dilated-grid bump evaluation that uses them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _LAZY_BUILD_PROBE], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [], 0, 0, []]
+
+
+def test_kernels_compile_without_warnings(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    proc = subprocess.run(["cc", *_native.CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "kernels.so"), str(_native.SOURCE)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

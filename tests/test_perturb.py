@@ -1,10 +1,12 @@
 """Perturbation families: bit identity with the plain per-call evaluation,
 the base-grid sample reuse, the windowed bump, the batch generator against
-the hand-written loops it replaced, and the trig tables shared by bumps."""
+the hand-written loops it replaced, the trig tables shared by bumps, and
+the compiled bump kernel against the numpy table path."""
 
 import copy
 import functools
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -650,3 +652,58 @@ class TestBumpTables:
         (run_criterion_6 if criterion == 6 else run_criterion_7)(np.random.default_rng(criterion))
         # criterion 6 has one (p, count), criterion 7 two, one after the other
         assert built == ["probe", "base"] if criterion == 6 else ["probe", "base", "base"]
+
+
+class TestBumpTablesNumpyPath(TestBumpTables):
+    """TestBumpTables with every untabled grid on the numpy table path."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_path(self, monkeypatch):
+        monkeypatch.setattr(perturb, "_CHOICE", [None])
+
+
+def selected_kernel():
+    """The bump kernel this process selected, after one dilated-grid
+    evaluation has made the choice."""
+    fourier_bump(np.random.default_rng(0))(np.linspace(-1.0, 1.0, 11) / 1.1)
+    return perturb._CHOICE[0]
+
+
+class TestCompiledBump:
+    def test_selected_when_cc_works(self, monkeypatch):
+        # a silent fallback to numpy would pass every oracle test with the gain gone
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        assert selected_kernel() is not None
+        monkeypatch.setattr(perturb, "_CHOICE", [])  # choose again, on another draw
+        assert selected_kernel() is not None and len(perturb._CHOICE) == 1
+
+    def test_mismatch_on_probe_selects_numpy(self, monkeypatch):
+        monkeypatch.setattr(perturb, "_CHOICE", [])
+        mode_sum = perturb._mode_sum
+        monkeypatch.setattr(perturb, "_mode_sum", lambda coef, table: mode_sum(coef, table) * 2.0)
+        assert selected_kernel() is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bytes_match_numpy_path(self, seed, monkeypatch):
+        kernel = selected_kernel()
+        if kernel is None:
+            pytest.skip("the compiled bump is unavailable")
+        rng = np.random.default_rng(seed)
+        bump = fourier_bump(rng)
+        edges = [-1.0, 1.0, -0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                 np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), np.nextafter(1.0, 2.0)]
+        u = np.concatenate([np.linspace(-1.05, 1.05, 4001) / rng.uniform(0.7, 1.4),
+                            rng.uniform(-1.5, 1.5, 2000), edges])
+        rng.shuffle(u)
+        square = u[:6000].reshape(60, 100)
+        cases = [u, u[::3], u[::-2], square, np.asfortranarray(square), np.array(u[17]),
+                 np.array(-0.0), np.array(np.nan), np.array(0.5)]
+        for x in cases:
+            monkeypatch.setattr(perturb, "_CHOICE", [kernel])
+            got = bump(x)
+            monkeypatch.setattr(perturb, "_CHOICE", [None])
+            want = bump(x)
+            assert np.shape(got) == np.shape(want) == np.shape(x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert not np.signbit(np.asarray(got)[~(np.abs(x) < 1.0)]).any()
