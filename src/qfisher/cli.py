@@ -8,9 +8,9 @@ accepted; `--seed` exists only on crbound, stam and minimize (on the first
 two, exactly when trials or perturbations > 0), and `reproduce` (pinned
 suite seed) takes only -o.  A count below its least value (LEAST_COUNT;
 minimize needs perturbations >= 1, crbound trials 0 or >= 2), an even grid
-count (on info, one not 4k + 1) or a tolerance that is not finite and > 0
-is refused.  A flat key = value file (--config) is overridden by flags;
-every report embeds the fully resolved configuration.
+count (on info, one not 4k + 1), or a tolerance or minimize target that is
+not finite and > 0, is refused.  A flat key = value file (--config) is
+overridden by flags; every report embeds the fully resolved configuration.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
 emitted with sorted keys and shortest round-trip floats, CSV with 17
 significant digits and '.' decimal.
@@ -84,8 +84,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags, every value of its default's
     type; an option still None (the unset seed) is left out.  The Hoelder
     pair (alpha, beta) is cross-validated when both are given explicitly and
-    derived from the other when only one is; counts and tolerances are
-    checked before any work."""
+    derived from the other when only one is; counts, tolerances and the
+    minimize target are checked before any work."""
     cfg = dict(defaults)
     file_cfg = read_config_file(args.config) if args.config else {}
     unknown = set(file_cfg) - set(defaults)
@@ -113,7 +113,7 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         elif "beta" in explicit:
             cfg["alpha"] = cfg["beta"] / (cfg["beta"] - 1.0)
     _check_counts(cfg)
-    for key in ("identity_rel", "inequality_slack"):
+    for key in ("identity_rel", "inequality_slack", "target"):
         if key in cfg and not 0 < cfg[key] < math.inf:
             raise UsageError(f"{key} must be finite and > 0, got {cfg[key]}")
     return {k: v for k, v in cfg.items() if v is not None}

@@ -162,7 +162,13 @@ def integrate(f: GridDensity, integrand=None) -> float:
 
 
 def sphere_surface(n: int) -> float:
-    """Surface area of the unit sphere in R^n (2 pi^(n/2) / Gamma(n/2))."""
+    """Surface area of the unit sphere in R^n (2 pi^(n/2) / Gamma(n/2)).
+
+    n = 1 needs no scipy: 2 sqrt(pi) / Gamma(1/2) rounds to exactly 2.0.
+    Larger n keep scipy's gamma, whose bits math.gamma does not match
+    (n = 3 moves by one ulp)."""
+    if n == 1:
+        return 2.0
     from scipy.special import gamma
 
     return float(2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0))

@@ -13,14 +13,16 @@ cross-checked against a double-exponential radial rule (tanh-sinh on the
 support for q > 1, exp-sinh on [0, inf) for q <= 1) on a fixed node set.
 `gamma_for_moment` inverts the exact dilation law moment ~ 1/gamma with no
 root find.  Two root finds stay, because their bits reach the pinned
-`reproduce` summary: `gamma_for_entropy_power` keeps `brentq` (at the
+`reproduce` summary: `gamma_for_entropy_power` keeps Brent's method (at the
 criterion-8 points it returns 1.0000000000000002 and 0.9999999999999994
 where the law N ~ gamma^(-2/alpha) gives 1.0), and the Barenblatt constant
-C keeps `quad` and `brentq` (it differs from the closed Beta form by
-4.6e-12 relative at (m, beta) = (1, 3)).
+C keeps adaptive Gauss-Kronrod quadrature and Brent's method (it differs
+from the closed Beta form by 4.6e-12 relative at (m, beta) = (1, 3)).  Both
+run on `_quadpack`, an operation-for-operation port of scipy's `quad` and
+`brentq` that returns their bits.
 
-scipy is imported inside the functions that use it, so that a command
-loads only the submodules its path reaches.
+scipy.special and `_quadpack` are imported inside the functions that use
+them, so that a command loads them only when its path reaches one.
 """
 
 from __future__ import annotations
@@ -220,8 +222,8 @@ def moment_alpha(p: QGaussianParams) -> float:
 def gamma_for_moment(p: QGaussianParams, target_moment: float) -> float:
     """Scale gamma such that E||X||^alpha = target, from the exact dilation
     law moment(gamma) = moment(1) / gamma."""
-    if target_moment <= 0:
-        raise ValueError("target moment must be positive")
+    if not 0 < target_moment < math.inf:
+        raise ValueError(f"target moment must be finite and positive, got {target_moment}")
     return moment_alpha(QGaussianParams(p.q, p.alpha, 1.0, p.dim)) / target_moment
 
 
@@ -309,12 +311,12 @@ def closed_form_stam_product(p: QGaussianParams) -> float:
 
 
 def gamma_for_entropy_power(p: QGaussianParams, target_n: float) -> float:
-    """Scale gamma so N_q[G] = target, by scipy's `brentq` on the monotone
-    map gamma -> N_q (N ~ gamma^(-2/alpha))."""
-    from scipy import optimize as sp_optimize
+    """Scale gamma so N_q[G] = target, by Brent's method (scipy's `brentq`,
+    bit for bit) on the monotone map log gamma -> N_q (N ~ gamma^(-2/alpha))."""
+    if not 0 < target_n < math.inf:
+        raise ValueError(f"target entropy power must be finite and positive, got {target_n}")
+    from ._quadpack import brentq
 
-    if target_n <= 0:
-        raise ValueError("target entropy power must be positive")
     base = closed_form_entropy_power(QGaussianParams(p.q, p.alpha, 1.0, p.dim))
 
     def residual(log_g):
@@ -323,7 +325,7 @@ def gamma_for_entropy_power(p: QGaussianParams, target_n: float) -> float:
 
     guess = (base / target_n) ** (p.alpha / 2.0)
     lo, hi = math.log(guess / 8.0), math.log(guess * 8.0)
-    log_g = sp_optimize.brentq(residual, lo, hi, xtol=1e-13, rtol=1e-13)
+    log_g = brentq(residual, lo, hi, 1e-13, 1e-13)
     return float(math.exp(log_g))
 
 
@@ -415,10 +417,10 @@ def barenblatt(dp: DiffusionParams, C: float, x, t: float) -> np.ndarray:
 
 def barenblatt_mass(dp: DiffusionParams, C: float) -> float:
     """Total mass of the profile B, by adaptive radial quadrature.  This is
-    scipy's `quad`, not the double-exponential rule of `normalization`: the
-    constant C found from it reaches the `reproduce` summary, whose bytes
-    are pinned."""
-    from scipy import integrate as sp_integrate
+    QUADPACK (scipy's `quad`, bit for bit), not the double-exponential rule
+    of `normalization`: the constant C found from it reaches the
+    `reproduce` summary, whose bytes are pinned."""
+    from ._quadpack import quad
 
     if C <= 0:
         raise ValueError("C must be positive")
@@ -431,14 +433,14 @@ def barenblatt_mass(dp: DiffusionParams, C: float) -> float:
     def integrand(r):
         return float(barenblatt_profile(dp, C, r) * r ** (dp.dim - 1))
 
-    val, _ = sp_integrate.quad(integrand, 0.0, upper, limit=200)
+    val = quad(integrand, 0.0, upper, 200)[0]
     return omega * val
 
 
 def barenblatt_mass_constant(dp: DiffusionParams) -> float:
     """The constant C giving the profile unit total mass, by 1-D root
     finding on the monotone map C -> mass(C) (tolerance 1e-10 on mass)."""
-    from scipy import optimize as sp_optimize
+    from ._quadpack import brentq
 
     def residual(log_c):
         return barenblatt_mass(dp, math.exp(log_c)) - 1.0
@@ -453,7 +455,7 @@ def barenblatt_mass_constant(dp: DiffusionParams) -> float:
         raise ArithmeticError(
             f"mass root-finding failed to bracket: C in [{math.exp(lo):g}, {math.exp(hi):g}]"
         )
-    log_c = sp_optimize.brentq(residual, lo, hi, xtol=1e-15, rtol=1e-15)
+    log_c = brentq(residual, lo, hi, 1e-15, 1e-15)
     c = float(math.exp(log_c))
     resid = barenblatt_mass(dp, c) - 1.0
     if abs(resid) > 1e-10:

@@ -285,6 +285,24 @@ def test_diffuse_refuses_bad_inputs_before_solving(argv, key, capsys, tmp_path, 
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("constraint", ["moment", "entropy-power"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-0.5"])
+def test_minimize_target_not_finite_positive_is_usage_error(constraint, value, capsys,
+                                                            tmp_path, monkeypatch):
+    # inf and nan used to exit 3 from inside the numerics, and 0 too
+    def min_fisher(*args, **kwargs):
+        raise AssertionError("minimization started")
+
+    monkeypatch.setattr("qfisher.cli.min_fisher_fixed_moment", min_fisher)
+    monkeypatch.setattr("qfisher.cli.min_fisher_fixed_entropy", min_fisher)
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, "minimize", "--constraint", constraint, "--target", value,
+                             "--seed", "7", "-o", str(out_path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error: target must be finite and > 0")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("name", ["qcr", "stam"])
 @pytest.mark.parametrize("key", ["alpha", "beta"])
 def test_hoelder_exponent_nan_is_usage_error(name, key, capsys):

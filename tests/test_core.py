@@ -92,6 +92,13 @@ class TestRadial:
         assert sphere_surface(2) == pytest.approx(2 * np.pi)
         assert sphere_surface(3) == pytest.approx(4 * np.pi)
 
+    def test_sphere_surfaces_keep_the_gamma_formula_bits(self):
+        # n = 1 returns 2.0 without scipy; the formula gives those bits too
+        from scipy.special import gamma
+
+        for n in range(1, 6):
+            assert sphere_surface(n) == float(2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0))
+
     def test_radial_gaussian_mass_3d(self):
         r = Axis(0.0, 12.0, 4001)
         vals = np.exp(-r.nodes() ** 2 / 2.0) / (2 * np.pi) ** 1.5

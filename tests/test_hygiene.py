@@ -2,7 +2,7 @@
 defines a private module-level name it never references, no default is
 left that no call overrides, no class field is left that nothing reads, no
 cache can grow without bound, and no command loads scipy submodules its
-path does not use."""
+path does not use (none loads scipy.integrate or scipy.optimize)."""
 
 import ast
 import json
@@ -388,13 +388,19 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 """
 
 
-def scipy_modules_loaded(*argv):
+def run_probe(source, *argv, timeout=120):
+    """The JSON that the Python `source`, run in a fresh interpreter on this
+    checkout's package with `argv`, prints on its last line."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", source, *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def scipy_modules_loaded(*argv):
+    code, modules = run_probe(_PROBE, *argv)
+    assert code == 0, f"qfisher {' '.join(argv)} exited {code}"
     return set(modules)
 
 
@@ -437,6 +443,40 @@ def test_gaussian_location_crbound_loads_no_scipy():
     assert scipy_modules_loaded(*argv) == set()
 
 
+def test_one_dimensional_diffuse_loads_no_scipy(tmp_path):
+    # the Barenblatt constant runs on the in-repo quad and brentq, and the
+    # 1-D sphere "surface" is 2 without scipy.special
+    argv = readme_command("diffuse")
+    argv[argv.index("-o") + 1] = str(tmp_path / "traj.csv")
+    assert scipy_modules_loaded(*argv) == set()
+    assert (tmp_path / "traj.csv").stat().st_size > 0
+
+
+def test_entropy_power_minimize_loads_only_scipy_special():
+    argv = readme_command("minimize")
+    argv[argv.index("--constraint") + 1] = "entropy-power"
+    loaded = scipy_modules_loaded(*argv)
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+
+
+#: runs acceptance criteria 2-3 (the Barenblatt-started PDE runs) and
+#: prints, as JSON, their verdicts and the scipy modules then loaded
+_CRITERIA_PROBE = """
+import json, sys
+from qfisher.acceptance import AcceptanceSuite
+suite = AcceptanceSuite()
+passed = [suite.criterion_2().passed, suite.criterion_3().passed]
+print(json.dumps([passed, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_barenblatt_criteria_load_no_scipy_root_finder():
+    passed, modules = run_probe(_CRITERIA_PROBE, timeout=300)
+    assert passed == [True, True]
+    assert not set(modules) & {"scipy.integrate", "scipy.optimize"}
+
+
 #: prints, as JSON, which of subprocess and hashlib are loaded after
 #: importing qfisher.cli and building a DiffusionState, which of them drawing
 #: a bump loads on top of what numpy.random loads itself (hashlib), and how
@@ -467,11 +507,7 @@ print(json.dumps([sorted(at_state), sorted(loaded() - with_rng),
 def test_import_and_state_start_no_compiler():
     # the compiled kernels are built or loaded at the first evolve or
     # dilated-grid bump evaluation that uses them
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_BUILD_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [], 0, 0, []]
+    assert run_probe(_LAZY_BUILD_PROBE) == [[], [], 0, 0, []]
 
 
 def test_kernels_compile_without_warnings(tmp_path):
