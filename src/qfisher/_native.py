@@ -1,13 +1,14 @@
 """The compiled kernels of ``_kernels.c``, built with ``cc`` and loaded with
-ctypes.  :func:`library` returns the loaded library, or None when it cannot
-be built or loaded; each caller binds the argument types of its own symbol
-(``qfisher_march`` in diffusion, ``qfisher_bump`` in perturb).
+ctypes; the one module that knows their C interface.  :func:`library`
+returns the library with the types of SIGNATURES bound to its entry points,
+or None when it cannot be built or loaded.
 
 The library is built or loaded at the first call in a process, not at
 import, and cached as ``__pycache__/_kernels.<key>.so`` next to the source,
 where key is the sha256 of the source bytes and the compiler flags, so an
 edited source never loads a stale build.  A cached file that does not load
-(damaged, or built on another machine) is built again in its place.
+(damaged, built on another machine, or missing an entry point) is built
+again in its place.
 """
 
 from __future__ import annotations
@@ -20,13 +21,20 @@ from pathlib import Path
 #: multiply-adds, which round once where numpy rounds twice
 SOURCE = Path(__file__).with_name("_kernels.c")
 CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-#: the symbols every build of SOURCE exports
-SYMBOLS = ("qfisher_march", "qfisher_bump")
+_PTR, _LONG, _INT, _DOUBLE = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
+#: each entry point of SOURCE: its result type and its argument types
+SIGNATURES = {
+    # v, d, fpad, n, m2, beta3, h, diffusivity, cfl_h2, clamp_rel, target, stop, budget, io, steps
+    "qfisher_march": (_INT, (_PTR, _PTR, _PTR, _LONG, _INT, _INT) + (_DOUBLE,) * 6
+                      + (ctypes.c_longlong, _PTR, _PTR)),
+    # u, n, coef, modes, out
+    "qfisher_bump": (None, (_PTR, _LONG, _PTR, _LONG, _PTR)),
+}
 
 
 @functools.lru_cache(maxsize=1)
 def library():
-    """The library built from SOURCE, or None; called once per process."""
+    """The library built from SOURCE, or None; built or loaded once per process."""
     import hashlib
 
     key = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode()).hexdigest()
@@ -39,8 +47,9 @@ def library():
 
 def _load(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
-    for name in SYMBOLS:
-        getattr(lib, name)
+    for name, (restype, argtypes) in SIGNATURES.items():
+        entry = getattr(lib, name)
+        entry.restype, entry.argtypes = restype, argtypes
     return lib
 
 

@@ -141,13 +141,9 @@ def simpson_weights(axis: Axis) -> np.ndarray:
 
 def integrate(f: GridDensity, integrand=None) -> float:
     """Integral over the line (dim 1) or over R^dim (radial) of the density
-    of `f` or, with `integrand` given, of an array on its grid or a
-    callable of the node abscissae (radii)."""
+    of `f` or, with `integrand` given, of that array on its grid."""
     if integrand is None:
         arr = f.values
-    elif callable(integrand):
-        arr = np.asarray(integrand(f.axis.nodes()), dtype=float)
-        arr = np.broadcast_to(arr, f.values.shape)
     else:
         arr = np.asarray(integrand, dtype=float)
         if arr.shape != f.values.shape:

@@ -27,17 +27,15 @@ than MAX_STEPS steps, and spans whose end does not exceed their start.
 For m in {1, 2} and beta in {2, 3}, where v^m and the face flux have exact
 C forms (v or v*v, d or |d| d), evolve runs :meth:`_Kernel.march_compiled`
 instead: the same loop as one C function, ``qfisher_march`` in
-``_kernels.c``, whose results are the numpy march's bit for bit.  The
-library is built with ``cc`` at the first such run in a process and cached
-under ``__pycache__`` (see :mod:`qfisher._native`).  Without a compiler, and
-for every other (m, beta), the numpy march runs; numpy's ``power`` for other
-exponents is not libm's ``pow`` to the bit.
+``_kernels.c``, whose results are the numpy march's bit for bit, when
+:mod:`qfisher._native` (which declares and binds its C signature) builds or
+loads the library at the first such run in a process.  Without a compiler,
+and for every other (m, beta), the numpy march runs; numpy's ``power`` for
+other exponents is not libm's ``pow`` to the bit.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 
@@ -145,6 +143,8 @@ class _Kernel:
             self.d = np.empty(n - 1)
             self.a = self.fpad[1:-1]
         self.fl = np.empty(n)
+        self.io = np.zeros(4)  # the compiled march's t, cfl, dt, worst
+        self.count = np.zeros(1, dtype=np.longlong)  # and its step count
         self.c_v = None  # the v whose addresses c_args holds
 
     def march(self, v: np.ndarray, t: float, target: float, stop: float,
@@ -221,10 +221,10 @@ class _Kernel:
         """:meth:`march` as the one C loop ``qfisher_march`` of ``_kernels.c``,
         for m in {1, 2} and beta in {2, 3}: the same arguments, buffers (``d``
         and ``fpad``; ``w`` and ``fl`` stay unused), results and errors, bit
-        for bit.  The addresses of v, ``d`` and ``fpad`` are taken at the
-        first call with a given v, which is once per :func:`evolve`.
-        CFL_SAFETY and NEGATIVE_CLAMP_REL are read on every call, as
-        :meth:`march` reads them."""
+        for bit.  The addresses of v, ``d``, ``fpad``, ``io`` and ``count``
+        are taken at the first call with a given v, which is once per
+        :func:`evolve`.  CFL_SAFETY and NEGATIVE_CLAMP_REL are read on every
+        call, as :meth:`march` reads them."""
         if v is not self.c_v:
             if v.dtype != np.float64 or not v.flags.c_contiguous or v.size != self.fl.size:
                 raise ValueError("the compiled march needs a contiguous float64 array of n nodes")
@@ -232,17 +232,17 @@ class _Kernel:
             self.c_v = v
             self.c_args = (v.ctypes.data, self.d.ctypes.data, self.fpad.ctypes.data, v.size,
                            p.m == 2.0, p.beta == 3.0, self.h, (p.beta - 1.0) * p.m)
-        h = self.h
-        io = (ctypes.c_double * 4)(t, 0.0, 0.0, 0.0)  # t, cfl, dt, worst
-        count = ctypes.c_longlong(steps)
-        code = _compiled_march()(*self.c_args, CFL_SAFETY * h * h, -NEGATIVE_CLAMP_REL,
-                                 target, stop, budget, io, count)
-        t, cfl, dt, worst = io
+            self.c_out = (self.io.ctypes.data, self.count.ctypes.data)
+        h, io, count = self.h, self.io, self.count
+        io[0], count[0] = t, steps
+        code = _native.library().qfisher_march(*self.c_args, CFL_SAFETY * h * h, -NEGATIVE_CLAMP_REL,
+                                               target, stop, budget, *self.c_out)
+        t, cfl, dt, worst = io.tolist()
         if code == 1:
             raise _negative_value(worst, t, dt)
         if code == 2:
             raise _budget_exhausted(t, dt)
-        return t, count.value, cfl
+        return t, int(count[0]), cfl
 
     def limiting_node(self, v: np.ndarray) -> int:
         """Node that sets the CFL dt of the last flux pass: the face of
@@ -254,28 +254,11 @@ class _Kernel:
         return int(np.argmax(v))
 
 
-@functools.lru_cache(maxsize=1)
-def _compiled_march():
-    """``qfisher_march`` of the compiled kernels as a ctypes function, or
-    None when they cannot be built or loaded; called once per process, at
-    the first :func:`evolve` that can use it."""
-    lib = _native.library()
-    if lib is None:
-        return None
-    fn = lib.qfisher_march
-    fn.restype = ctypes.c_int
-    fn.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_int, ctypes.c_int]
-                   + [ctypes.c_double] * 6
-                   + [ctypes.c_longlong, ctypes.POINTER(ctypes.c_double),
-                      ctypes.POINTER(ctypes.c_longlong)])
-    return fn
-
-
 def _select_march(kernel: _Kernel):
     """kernel.march_compiled when (m, beta) has an exact C form and
     ``_kernels.c`` compiled, else the numpy kernel.march."""
     p = kernel.p
-    if p.m in (1.0, 2.0) and p.beta in (2.0, 3.0) and _compiled_march() is not None:
+    if p.m in (1.0, 2.0) and p.beta in (2.0, 3.0) and _native.library() is not None:
         return kernel.march_compiled
     return kernel.march
 
@@ -315,8 +298,8 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     axis = state.f.axis
 
     def log_row(dens: GridDensity):
-        return (tsallis_entropy(dens, p.q), m_q(dens, p.q),
-                phi_fisher(dens, p.q, p.beta), integrate(dens))
+        mq = m_q(dens, p.q)
+        return (tsallis_entropy(dens, p.q, mq), mq, phi_fisher(dens, p.q, p.beta), integrate(dens))
 
     v = state.f.values.copy()
     kernel = _Kernel(p, h, v.size)

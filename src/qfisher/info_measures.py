@@ -49,18 +49,24 @@ def shannon_entropy(f: GridDensity) -> float:
     return integrate(f, arr)
 
 
-def tsallis_entropy(f: GridDensity, q: float) -> float:
-    """S_q = (M_q - 1)/(1 - q); Shannon entropy in the q -> 1 limit."""
+def tsallis_entropy(f: GridDensity, q: float, mq: float | None = None) -> float:
+    """S_q = (M_q - 1)/(1 - q), with M_q from `mq` if the caller has it
+    already; Shannon entropy in the q -> 1 limit."""
     if abs(q - 1.0) < Q_ONE_WINDOW:
         return shannon_entropy(f)
-    return (m_q(f, q) - 1.0) / (1.0 - q)
+    if mq is None:
+        mq = m_q(f, q)
+    return (mq - 1.0) / (1.0 - q)
 
 
-def renyi_entropy(f: GridDensity, q: float) -> float:
-    """H_q = ln(M_q)/(1 - q); Shannon entropy at q = 1."""
+def renyi_entropy(f: GridDensity, q: float, mq: float | None = None) -> float:
+    """H_q = ln(M_q)/(1 - q), with M_q from `mq` if the caller has it
+    already; Shannon entropy at q = 1."""
     if abs(q - 1.0) < Q_ONE_WINDOW:
         return shannon_entropy(f)
-    return float(np.log(m_q(f, q)) / (1.0 - q))
+    if mq is None:
+        mq = m_q(f, q)
+    return float(np.log(mq) / (1.0 - q))
 
 
 def entropy_power(f: GridDensity, q: float, mq: float | None = None) -> float:

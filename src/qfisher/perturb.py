@@ -26,19 +26,19 @@ modes, in the same order, against the table.  Rescaling a kept table by 1/c
 for a dilated grid would change the values in the last bits.
 
 Every other abscissa array, which in a batch is a dilated grid, goes
-through ``qfisher_bump`` of the compiled kernels (``_kernels.c``): one C
-pass that takes the same libm ``cos``/``sin`` values and makes the same
-IEEE operations in the same order as the numpy table path, so its values
-are that path's bits where numpy's float64 cos and sin are libm's.  The choice
-is made once per process, at the first such evaluation: C when the library
-loads and its values for that draw on the peak probe equal the numpy
-table's byte for byte, else numpy, which stays the reference and tabulates
-such arrays afresh on every call, keeping none.
+through ``qfisher_bump`` of the compiled kernels (``_kernels.c``, whose C
+signature :mod:`qfisher._native` declares and binds): one C pass that takes
+the same libm ``cos``/``sin`` values and makes the same IEEE operations in
+the same order as the numpy table path, so its values are that path's bits
+where numpy's float64 cos and sin are libm's.  The choice is made once per
+process, at the first such evaluation: C when the library loads and its
+values for that draw on the peak probe equal the numpy table's byte for
+byte, else numpy, which stays the reference and tabulates such arrays
+afresh on every call, keeping none.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 from typing import NamedTuple
@@ -96,33 +96,27 @@ def _mode_sum(coef: np.ndarray, table: "_TrigTable") -> np.ndarray:
     return out
 
 
-#: the selected bump kernel, once chosen: [the ctypes function] or [None]
-#: for numpy
+#: the selected bump kernel, once chosen: [``qfisher_bump``] or [None] for
+#: numpy
 _CHOICE: list = []
 
 
 def _compiled_bump(coef: np.ndarray):
-    """``qfisher_bump`` as a ctypes function, or None for the numpy table
+    """``qfisher_bump`` of the compiled kernels, or None for the numpy table
     path; chosen at the first call in a process.  C is chosen when the
     compiled kernels load and their values for coef on the kept peak-probe
     abscissae equal the numpy table's byte for byte."""
     if not _CHOICE:
-        _CHOICE.append(_checked_kernel(coef))
+        lib = _native.library()
+        kernel = None if lib is None else lib.qfisher_bump
+        if kernel is not None:
+            table = _kept_table(_probe())
+            got = np.empty(table.u.size)
+            kernel(table.u.ctypes.data, table.u.size, coef.ctypes.data, N_MODES, got.ctypes.data)
+            if got.tobytes() != _mode_sum(coef, table).tobytes():
+                kernel = None
+        _CHOICE.append(kernel)
     return _CHOICE[0]
-
-
-def _checked_kernel(coef: np.ndarray):
-    lib = _native.library()
-    if lib is None:
-        return None
-    fn = lib.qfisher_bump
-    fn.restype = None
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
-                   ctypes.c_void_p]
-    table = _kept_table(_probe())
-    got = np.empty(table.u.size)
-    fn(table.u.ctypes.data, table.u.size, coef.ctypes.data, N_MODES, got.ctypes.data)
-    return fn if got.tobytes() == _mode_sum(coef, table).tobytes() else None
 
 
 class _TrigTable(NamedTuple):

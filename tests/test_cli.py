@@ -13,6 +13,7 @@ from qfisher.cli import (
     EXIT_NUMERICAL,
     EXIT_PASS,
     EXIT_USAGE,
+    EXIT_VERDICT,
     SUBCOMMANDS,
     build_parser,
     main,
@@ -466,6 +467,20 @@ class TestCrbound:
             assert key in d
         assert d["lhs"] == pytest.approx(1.0, abs=1e-6)
         assert d["mc_consistent"] is True
+
+    @pytest.mark.parametrize("mc, consistent, exit_code",
+                             [(0.6, True, EXIT_PASS), (0.4, False, EXIT_VERDICT)])
+    def test_monte_carlo_verdict_gates_exit(self, mc, consistent, exit_code, capsys,
+                                            monkeypatch):
+        # rhs = 1: an error moment 4 standard errors below it is consistent,
+        # 6 below is not, and fails the run while the bound itself passes
+        monkeypatch.setattr("qfisher.cli.mc_error_moment",
+                            lambda model, est, theta, trials, seed: (mc, 0.1))
+        code, out, _ = run_cli(capsys, "crbound", "--model", "gaussian-location",
+                               "--trials", "100", "--seed", "4")
+        d = json.loads(out)
+        assert d["rhs"] == pytest.approx(1.0, abs=1e-6)
+        assert code == exit_code and d["passed"] is True and d["mc_consistent"] is consistent
 
     def test_escort_pair_model(self, capsys):
         code, out, _ = run_cli(capsys, "crbound", "--model", "escort-pair",

@@ -42,7 +42,7 @@ class TestIntegrate:
 
     def test_second_moment_of_normal(self):
         f = gaussian_density(Axis(-10.0, 10.0, 4001))
-        val = integrate(f, lambda x: x ** 2 * f.values)
+        val = integrate(f, f.axis.nodes() ** 2 * f.values)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_simpson_exact_for_cubics(self):
@@ -83,7 +83,8 @@ class TestIntegrate:
         # Simpson times 2 pi r: int over the unit disc of |x|^2 is 2 pi / 4,
         # and r^2 r is a cubic, so the rule is exact
         f = GridDensity(Axis(0.0, 1.0, 41), np.ones(41), 2)
-        assert integrate(f, lambda r: r * r) == pytest.approx(np.pi / 2.0, abs=1e-14)
+        r = f.axis.nodes()
+        assert integrate(f, r * r) == pytest.approx(np.pi / 2.0, abs=1e-14)
 
 
 class TestRadial:
@@ -354,9 +355,7 @@ class TestNonFiniteNamedOnce:
                 GridDensity(ax, arr, dim)
             with pytest.raises(NonFiniteError) as integrated:
                 integrate(f, arr)
-            with pytest.raises(NonFiniteError) as from_callable:
-                integrate(f, lambda x: arr)
-        for err in (built, integrated, from_callable):
+        for err in (built, integrated):
             assert str(err.value) == message
 
     @pytest.mark.parametrize("dim", [1, 2])

@@ -31,14 +31,14 @@ PME = DiffusionParams(2.0, 2.0, 1)
 @pytest.fixture
 def compiled_kernel():
     """evolve runs the compiled march wherever (m, beta) has an exact C form."""
-    if diffusion._compiled_march() is None:
+    if _native.library() is None:
         pytest.skip("the compiled march is unavailable: no working C compiler")
 
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
     """evolve runs the numpy march for every (m, beta)."""
-    monkeypatch.setattr(diffusion, "_compiled_march", lambda: None)
+    monkeypatch.setattr(_native, "library", lambda: None)
 
 
 def gaussian_state(sigma=1.0, half=10.0, count=1001, t=0.0):
@@ -451,7 +451,6 @@ def fresh_loader(monkeypatch, tmp_path):
 def clear_loader():
     """Forget the loaded library, as a new process would."""
     _native.library.cache_clear()
-    diffusion._compiled_march.cache_clear()
 
 
 def _needs_cc():
@@ -479,7 +478,7 @@ class TestCompiledKernel:
         def no_build():
             raise AssertionError("compiled march requested")
 
-        monkeypatch.setattr(diffusion, "_compiled_march", no_build)
+        monkeypatch.setattr(_native, "library", no_build)
         for m, beta in [(1.5, 2.5), (2.0, 1.5)]:
             kernel = diffusion._Kernel(DiffusionParams(m, beta, 1), 0.1, 11)
             assert diffusion._select_march(kernel) == kernel.march, (m, beta)
@@ -498,7 +497,7 @@ class TestCompiledKernel:
             return texts
 
         compiled = messages()
-        monkeypatch.setattr(diffusion, "_compiled_march", lambda: None)
+        monkeypatch.setattr(_native, "library", lambda: None)
         assert compiled == messages()
         assert compiled[0].startswith("negative value") and "step budget" in compiled[1]
 
@@ -562,7 +561,7 @@ class TestCompiledKernel:
         private_root.mkdir()
         monkeypatch.setattr("tempfile.tempdir", str(private_root))
         _assert_evolve_is_reference(2.0, 3.0, 0.5)
-        assert diffusion._compiled_march() is not None and len(runs) == 1
+        assert _native.library() is not None and len(runs) == 1
         assert list(private_root.iterdir()) == []  # removed once loaded
 
     def test_unloadable_cached_file_is_rebuilt(self, fresh_loader, tmp_path):
@@ -574,7 +573,7 @@ class TestCompiledKernel:
         cached.parent.mkdir()
         cached.write_bytes(b"\0" * 16)
         _assert_evolve_is_reference(1.0, 2.0, 0.3)
-        assert diffusion._compiled_march() is not None and len(runs) == 1
+        assert _native.library() is not None and len(runs) == 1
         assert [p.name for p in cached.parent.iterdir()] == [cached.name]
         assert cached.stat().st_size > 16
 
@@ -582,13 +581,13 @@ class TestCompiledKernel:
         _needs_cc()
         source, runs = fresh_loader
         cache = tmp_path / "__pycache__"
-        assert diffusion._compiled_march() is not None
+        assert _native.library() is not None
         clear_loader()
-        assert diffusion._compiled_march() is not None
+        assert _native.library() is not None
         assert len(runs) == 1  # the second process-like load reuses the build
         source.write_bytes(source.read_bytes() + b"/* edited */\n")
         clear_loader()
-        assert diffusion._compiled_march() is not None
+        assert _native.library() is not None
         assert len(runs) == 2  # the stale build is not loaded
         names = sorted(p.name for p in cache.iterdir())
         assert len(names) == 2 and all(n.startswith("_kernels.") and n.endswith(".so") for n in names)

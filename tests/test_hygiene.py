@@ -499,7 +499,6 @@ rng = np.random.default_rng(1)
 with_rng = loaded()
 perturb.fourier_bump(rng)
 print(json.dumps([sorted(at_state), sorted(loaded() - with_rng),
-                  diffusion._compiled_march.cache_info().misses,
                   _native.library.cache_info().misses, perturb._CHOICE]))
 """
 
@@ -507,7 +506,47 @@ print(json.dumps([sorted(at_state), sorted(loaded() - with_rng),
 def test_import_and_state_start_no_compiler():
     # the compiled kernels are built or loaded at the first evolve or
     # dilated-grid bump evaluation that uses them
-    assert run_probe(_LAZY_BUILD_PROBE) == [[], [], 0, 0, []]
+    assert run_probe(_LAZY_BUILD_PROBE) == [[], [], 0, []]
+
+
+def exported_c_functions(source: str) -> dict[str, tuple[str, int]]:
+    """Each function C source defines at the top level without ``static``:
+    its result type and its number of parameters."""
+    pattern = r"^(?!static\b)([A-Za-z_][\w \t*]*?)\b([A-Za-z_]\w*)\s*\(([^)]*)\)\s*\{"
+    return {m[2]: (m[1].strip(), len(m[3].split(",")))
+            for m in re.finditer(pattern, source, re.M)}
+
+
+def test_detects_exported_c_function():
+    source = ("static int f(int a) {\n}\nint g(double *x,\n      long n)\n{\n}\n"
+              "void h(void);\n")
+    assert exported_c_functions(source) == {"g": ("int", 2)}
+
+
+def test_signatures_declare_exactly_the_exported_kernels():
+    exported = exported_c_functions(_native.SOURCE.read_text())
+    assert set(_native.SIGNATURES) == set(exported)
+    for name, (restype, argtypes) in _native.SIGNATURES.items():
+        result, arity = exported[name]
+        assert (restype is None) == (result == "void") and len(argtypes) == arity, name
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level package of every import, at any depth of the module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_native_imports_ctypes():
+    # the C interface is declared and bound in one module
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if "ctypes" in imported_modules(p.read_text())]
+    assert importers == ["_native.py"]
 
 
 def test_kernels_compile_without_warnings(tmp_path):

@@ -264,3 +264,17 @@ class TestCallers:
             gamma_for_entropy_power(p1, target)
         with pytest.raises(ValueError, match="target moment"):
             gamma_for_moment(p1, target)
+
+    def test_quadrature_trouble_fails_the_caller(self, monkeypatch):
+        # pyproject's filterwarnings makes an IntegrationWarning raised in
+        # qfisher an error, so a constant whose quadrature misses its
+        # tolerance fails the test that computes it instead of warning
+        qags = _quadpack._qags
+
+        def troubled(*args):
+            result, abserr, _, last = qags(*args)
+            return result, abserr, 1, last
+
+        monkeypatch.setattr(_quadpack, "_qags", troubled)
+        with pytest.raises(_quadpack.IntegrationWarning, match="ier = 1"):
+            barenblatt_mass_constant(DiffusionParams(2.0, 3.0, 1))
