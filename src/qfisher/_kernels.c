@@ -11,10 +11,14 @@
  * abscissa, through libm's cos and sin, which are numpy's float64 cos and
  * sin on the builds where the perturb module selects this kernel.  gcc may
  * turn each cos/sin pair into one sincos call; glibc's sincos returns the
- * values of its cos and sin.
+ * values of its cos and sin.  A per-node memo, keyed by the abscissa's bits,
+ * hands back the libm values already computed for those bits, so a dilated
+ * grid whose abscissae repeat at a node pays libm only for the new ones.
  */
 
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 #define LANES 4
 /* np.pi */
@@ -153,21 +157,68 @@ int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
  * operations and order of perturb's numpy mode sum over its trig table.
  * out[i] = +0.0 at every other u[i], NaN included.  coef holds the cos
  * coefficients, then the sin coefficients.
+ *
+ * The libm part of a u is its row of 2 modes + 1 doubles: cos(phi) and
+ * sin(phi) for j = 1..modes, then w * w.  With slots from 2 to 255, node i
+ * keeps the rows of `slots` distinct u: keys[i slots + s] is the bit
+ * pattern of the u of row rows[(i slots + s) (2 modes + 1)], and cursor[i]
+ * (0 at first) is the slot the next new u at node i fills.  Slot 0 keeps
+ * the first u a node sees, which on a base grid is its node, revisited by
+ * every bump; slots 1 to slots - 1 are then replaced first in, first out.
+ * counts[0] and counts[1] count lookups and misses.  Keys start as a
+ * pattern no u inside the window has (a NaN's), and a u outside it never
+ * reaches the memo, so a hit hands back the very doubles libm returned for
+ * those bits and out is the same whatever the memo holds.  With slots = 0
+ * there is no memo and its pointers are not read.
  */
-void qfisher_bump(const double *u, long n, const double *coef, long modes, double *out)
+
+/* the row of x: cos and sin of (j pi) x for j = 1..modes, then w * w */
+static void libm_row(double x, long modes, double *row)
 {
+    for (long j = 1; j <= modes; j++) {
+        double phi = ((double)j * PI) * x;
+        row[2 * j - 2] = cos(phi);
+        row[2 * j - 1] = sin(phi);
+    }
+    double w = cos((PI * x) / 2.0);
+    row[2 * modes] = w * w;
+}
+
+void qfisher_bump(const double *u, long n, const double *coef, long modes, double *out,
+                  long slots, uint64_t *keys, double *rows, unsigned char *cursor,
+                  long long *counts)
+{
+    long width = 2 * modes + 1;
+    double scratch[width];
     for (long i = 0; i < n; i++) {
         double x = u[i];
         if (!(fabs(x) < 1.0)) {
             out[i] = 0.0;
             continue;
         }
-        double acc = 0.0;
-        for (long j = 1; j <= modes; j++) {
-            double phi = ((double)j * PI) * x;
-            acc += coef[j - 1] * cos(phi) + coef[modes + j - 1] * sin(phi);
+        double *row = scratch;
+        if (slots > 0) {
+            uint64_t bits;
+            memcpy(&bits, &x, sizeof bits);
+            uint64_t *key = keys + i * slots;
+            long s = 0;
+            while (s < slots && key[s] != bits)
+                s++;
+            counts[0] += 1;
+            if (s == slots) {
+                s = cursor[i];
+                cursor[i] = (unsigned char)(s + 1 < slots ? s + 1 : 1);
+                key[s] = bits;
+                libm_row(x, modes, rows + (i * slots + s) * width);
+                counts[1] += 1;
+            }
+            row = rows + (i * slots + s) * width;
+        } else {
+            libm_row(x, modes, scratch);
         }
-        double w = cos((PI * x) / 2.0);
-        out[i] = (w * w) * acc;
+        double acc = 0.0;
+        for (long j = 0; j < modes; j++)
+            acc += coef[j] * row[2 * j] + coef[modes + j] * row[2 * j + 1];
+        out[i] = row[2 * modes] * acc;
     }
 }

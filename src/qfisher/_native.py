@@ -27,8 +27,8 @@ SIGNATURES = {
     # v, d, fpad, n, m2, beta3, h, diffusivity, cfl_h2, clamp_rel, target, stop, budget, io, steps
     "qfisher_march": (_INT, (_PTR, _PTR, _PTR, _LONG, _INT, _INT) + (_DOUBLE,) * 6
                       + (ctypes.c_longlong, _PTR, _PTR)),
-    # u, n, coef, modes, out
-    "qfisher_bump": (None, (_PTR, _LONG, _PTR, _LONG, _PTR)),
+    # u, n, coef, modes, out, then the memo: slots, keys, rows, cursor, counts
+    "qfisher_bump": (None, (_PTR, _LONG, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, _PTR, _PTR)),
 }
 
 

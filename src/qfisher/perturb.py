@@ -18,23 +18,30 @@ rounding.  A bump is evaluated only inside its window |u| < 1 and is
 exactly zero outside.
 
 The cos/sin tables of the bump modes and the window depend on the
-abscissae, not on the draw.  Two tables are kept, read-only, and shared by
-every bump: the one of the fixed 4001-point peak probe and the one of the
-current base grid's nodes / R_eff; a new base grid replaces the old one, so
-at most two tables of N_MODES rows are held.  A bump then only sums its
-modes, in the same order, against the table.  Rescaling a kept table by 1/c
-for a dilated grid would change the values in the last bits.
+abscissae, not on the draw.  The table of the fixed 4001-point peak probe
+is kept, read-only, and shared by every bump, which then only sums its
+modes, in the same order, against it.
 
-Every other abscissa array, which in a batch is a dilated grid, goes
-through ``qfisher_bump`` of the compiled kernels (``_kernels.c``, whose C
-signature :mod:`qfisher._native` declares and binds): one C pass that takes
-the same libm ``cos``/``sin`` values and makes the same IEEE operations in
-the same order as the numpy table path, so its values are that path's bits
-where numpy's float64 cos and sin are libm's.  The choice is made once per
-process, at the first such evaluation: C when the library loads and its
-values for that draw on the peak probe equal the numpy table's byte for
-byte, else numpy, which stays the reference and tabulates such arrays
-afresh on every call, keeping none.
+Every other abscissa array, the base and the dilated grids of a batch,
+goes through ``qfisher_bump`` of the compiled kernels (``_kernels.c``,
+whose C signature :mod:`qfisher._native` declares and binds): one C pass
+that takes the same libm ``cos``/``sin`` values and makes the same IEEE
+operations in the same order as the numpy table path, so its values are
+that path's bits where numpy's float64 cos and sin are libm's.  An array
+with as many abscissae as the current base grid has nodes is evaluated
+through that grid's memo: at each node, the libm values of MEMO_SLOTS
+abscissae seen there, keyed by their bits: the node's own, which every
+bump revisits, and the latest others.  A dilated abscissa x_c / c / R_eff
+lands within a few ulps of the base node's, so most of them repeat at
+their node across a batch and find their values there.  A hit hands back the very doubles libm returned for those bits,
+so the memo changes no value, whatever it holds; rescaling the base table
+by 1/c instead would change the last bits.  One memo is alive at a time,
+made at the first compiled evaluation on a base grid and dropped with it.
+
+The choice of kernel is made once per process, at the first evaluation
+off the probe: C when the library loads and its values for that draw on
+the peak probe equal the numpy table's byte for byte, else numpy, which
+stays the reference and tabulates every such array afresh, keeping none.
 """
 
 from __future__ import annotations
@@ -66,18 +73,18 @@ def fourier_bump(rng: np.random.Generator):
 
     def raw(u):
         u = np.asarray(u, dtype=float)
-        table = _kept_table(u)
-        if table is None:
-            kernel = _compiled_bump(coef)
-            if kernel is None:
-                table = _trig_table(u)
-            else:
-                src, out = np.ascontiguousarray(u), np.empty(u.shape)
-                kernel(src.ctypes.data, src.size, coef_ptr, N_MODES, out.ctypes.data)
-                return out
-        return _mode_sum(coef, table)
+        probe = _probe_table()
+        if u is probe.u:
+            return _mode_sum(coef, probe)
+        kernel = _compiled_bump(coef)
+        if kernel is None:
+            return _mode_sum(coef, _trig_table(u))
+        src, out = np.ascontiguousarray(u), np.empty(u.shape)
+        kernel(src.ctypes.data, src.size, coef_ptr, N_MODES, out.ctypes.data,
+               *_memo_args(src.size))
+        return out
 
-    peak = float(np.max(np.abs(raw(_probe()))))
+    peak = float(np.max(np.abs(raw(_probe_table().u))))
     if peak <= 0:  # pragma: no cover - measure-zero draw
         return lambda u: np.zeros_like(np.asarray(u, dtype=float))
     return lambda u: raw(u) / peak
@@ -105,14 +112,15 @@ def _compiled_bump(coef: np.ndarray):
     """``qfisher_bump`` of the compiled kernels, or None for the numpy table
     path; chosen at the first call in a process.  C is chosen when the
     compiled kernels load and their values for coef on the kept peak-probe
-    abscissae equal the numpy table's byte for byte."""
+    abscissae, taken with no memo, equal the numpy table's byte for byte."""
     if not _CHOICE:
         lib = _native.library()
         kernel = None if lib is None else lib.qfisher_bump
         if kernel is not None:
-            table = _kept_table(_probe())
+            table = _probe_table()
             got = np.empty(table.u.size)
-            kernel(table.u.ctypes.data, table.u.size, coef.ctypes.data, N_MODES, got.ctypes.data)
+            kernel(table.u.ctypes.data, table.u.size, coef.ctypes.data, N_MODES,
+                   got.ctypes.data, *_NO_MEMO)
             if got.tobytes() != _mode_sum(coef, table).tobytes():
                 kernel = None
         _CHOICE.append(kernel)
@@ -131,14 +139,6 @@ class _TrigTable(NamedTuple):
     window: np.ndarray
 
 
-def _kept_table(u: np.ndarray) -> _TrigTable | None:
-    """The kept table of the very array u (not of an equal one), or None."""
-    for table in _KEPT.values():
-        if table.u is u:
-            return table
-    return None
-
-
 def _trig_table(u: np.ndarray) -> _TrigTable:
     """A table of u built afresh."""
     inside = np.abs(u) < 1.0
@@ -149,24 +149,64 @@ def _trig_table(u: np.ndarray) -> _TrigTable:
     return _TrigTable(u, inside, cos, sin, np.cos(np.pi * u_in / 2.0) ** 2)
 
 
-#: the kept trig tables, by role: "probe" (the peak probe) and "base" (the
-#: current base grid).  Two entries at most.
-_KEPT: dict[str, _TrigTable] = {}
-
-
-def _keep(role: str, u) -> np.ndarray:
-    """Tabulate u (made read-only) and keep the table under `role`,
-    replacing the one kept there; return the kept abscissae."""
-    table = _KEPT[role] = _trig_table(_read_only(u))
-    for a in table[1:]:  # made here, so no caller holds them
+@functools.lru_cache(maxsize=1)
+def _probe_table() -> _TrigTable:
+    """The kept, read-only table of the 4001 abscissae on [-1, 1] the peak
+    of every bump is taken over."""
+    table = _trig_table(np.linspace(-1.0, 1.0, 4001))
+    for a in table:  # made here, so no caller holds them
         a.flags.writeable = False
-    return table.u
+    return table
 
 
-def _probe() -> np.ndarray:
-    """The 4001 abscissae on [-1, 1] the peak of every bump is taken over."""
-    table = _KEPT.get("probe")
-    return table.u if table is not None else _keep("probe", np.linspace(-1.0, 1.0, 4001))
+#: slots per node of the bump memo, 144 bytes each.  On the criteria 6-8
+#: batches 4 slots leave 29 % of the lookups missing, 5 slots 23 % (about
+#: 4 % off certify's wall time against 4), 6 slots 19 % and 8 slots 16 %;
+#: 5 is the most that keeps the memo under 3 MB at 4001 nodes.
+MEMO_SLOTS = 5
+#: qfisher_bump's memo arguments for an evaluation without a memo
+_NO_MEMO = (0, None, None, None, None)
+
+
+class _Memo:
+    """qfisher_bump's memo for arrays of n abscissae (see ``_kernels.c``):
+    per node, MEMO_SLOTS keys (NaN until filled, so no abscissa inside the
+    window matches one) and their libm rows, and the next slot to fill; and
+    the lookup and miss counts."""
+
+    def __init__(self, n: int):
+        self.keys = np.full((n, MEMO_SLOTS), np.nan)
+        self.rows = np.empty((n, MEMO_SLOTS, 2 * N_MODES + 1))
+        self.cursor = np.zeros(n, dtype=np.uint8)
+        self.counts = np.zeros(2, dtype=np.int64)
+        self.args = (MEMO_SLOTS, self.keys.ctypes.data, self.rows.ctypes.data,
+                     self.cursor.ctypes.data, self.counts.ctypes.data)
+
+
+#: the bump memo of the current base grid, under its node count: one entry
+#: at most, set to None by _base_grid and made by the first compiled
+#: evaluation of an array of that many abscissae
+_MEMO: dict[int, _Memo | None] = {}
+
+
+def _memo_args(n: int) -> tuple:
+    """qfisher_bump's memo arguments for n abscissae: the current base
+    grid's memo when the grid has n nodes, made here at its first use, else
+    no memo."""
+    if n not in _MEMO:
+        return _NO_MEMO
+    memo = _MEMO[n]
+    if memo is None:
+        memo = _MEMO[n] = _Memo(n)
+    return memo.args
+
+
+def bump_memo_counts() -> tuple[int, int]:
+    """(lookups, misses) of the current base grid's bump memo since it was
+    made: one lookup per abscissa inside the window, a miss where libm ran.
+    (0, 0) while there is no memo."""
+    memo = next(iter(_MEMO.values()), None)
+    return (0, 0) if memo is None else (int(memo.counts[0]), int(memo.counts[1]))
 
 
 def amplitude_ladder(n_levels: int) -> np.ndarray:
@@ -223,13 +263,15 @@ def perturbed_density(p: QGaussianParams, bump, amplitude: float, constraint: st
 @functools.lru_cache(maxsize=1)
 def _base_grid(p: QGaussianParams, count: int):
     """(R_eff, base axis, pdf(p, nodes), nodes / R_eff) of a reference and
-    a node count, the arrays read-only; the trig table of nodes / R_eff is
-    kept as the "base" table."""
+    a node count, the arrays read-only.  A new base grid drops the bump
+    memo of the one before and makes room for its own."""
     r_eff = reach_radius(p, BUMP_TAIL)
     r_grid = reach_radius(p) * 1.05
     ax = Axis(-r_grid, r_grid, count)
     nodes = ax.nodes()
-    return r_eff, ax, _read_only(pdf(p, nodes)), _keep("base", nodes / r_eff)
+    _MEMO.clear()
+    _MEMO[count] = None
+    return r_eff, ax, _read_only(pdf(p, nodes)), _read_only(nodes / r_eff)
 
 
 @functools.lru_cache(maxsize=1)

@@ -442,8 +442,14 @@ def barenblatt_mass_constant(dp: DiffusionParams) -> float:
     finding on the monotone map C -> mass(C) (tolerance 1e-10 on mass)."""
     from ._quadpack import brentq
 
+    residuals = {}
+
     def residual(log_c):
-        return barenblatt_mass(dp, math.exp(log_c)) - 1.0
+        # by the exact log_c: brentq evaluates the bracket ends again, and
+        # the closing check is at its root
+        if log_c not in residuals:
+            residuals[log_c] = barenblatt_mass(dp, math.exp(log_c)) - 1.0
+        return residuals[log_c]
 
     lo, hi = -2.0, 2.0
     for _ in range(60):
@@ -457,7 +463,7 @@ def barenblatt_mass_constant(dp: DiffusionParams) -> float:
         )
     log_c = brentq(residual, lo, hi, 1e-15, 1e-15)
     c = float(math.exp(log_c))
-    resid = barenblatt_mass(dp, c) - 1.0
+    resid = residual(log_c)
     if abs(resid) > 1e-10:
         raise ArithmeticError(f"mass residual {resid:g} exceeds 1e-10 at C = {c!r}")
     return c

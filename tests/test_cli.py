@@ -47,6 +47,13 @@ class TestInfo:
             assert key in d
         assert d["I"] == pytest.approx(1.25, abs=1e-4)
 
+    def test_gaussian_family_is_unknown(self, capsys):
+        # the Gaussian of variance sigma^2 is --family qgaussian --q 1
+        # --alpha 2 --gamma 1/(2 sigma^2)
+        code, out, err = run_cli(capsys, "info", "--family", "gaussian")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error: unknown family 'gaussian' (uniform, qgaussian)")
+
 
 class TestDeterminism:
     def test_qcr_byte_identical(self, capsys):
@@ -324,7 +331,6 @@ def test_info_grid_count_must_be_4k_plus_1(count, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["info", "--family", "gaussian", "--n", "2"],
     ["info", "--family", "uniform", "--n", "2"],
     ["stam", "--n", "2", "--perturbations", "3", "--seed", "1"],
     ["minimize", "--n", "2", "--seed", "1"],

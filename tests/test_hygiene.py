@@ -479,13 +479,21 @@ def test_barenblatt_criteria_load_no_scipy_root_finder():
 
 #: prints, as JSON, which of subprocess and hashlib are loaded after
 #: importing qfisher.cli and building a DiffusionState, which of them drawing
-#: a bump loads on top of what numpy.random loads itself (hashlib), and how
-#: often the compiled kernels were requested
+#: a bump loads on top of what numpy.random loads itself (hashlib), how
+#: often the compiled kernels were requested, and the bump memo's slot
+#: ([node count, made]) after the import; then the exit codes of the
+#: commands whose argv lists argv[1] holds, the memo's slot after them and
+#: the node counts of the memos they made
 _LAZY_BUILD_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 import numpy as np
 import qfisher.cli
 from qfisher import _native, diffusion, perturb
+
+def memo_slot():
+    return [[n, memo is not None] for n, memo in perturb._MEMO.items()]
+
+memo_at_import = memo_slot()
 from qfisher.core import Axis, density_from_callable
 from qfisher.qgaussian import DiffusionParams
 
@@ -498,15 +506,26 @@ at_state = loaded()
 rng = np.random.default_rng(1)
 with_rng = loaded()
 perturb.fourier_bump(rng)
-print(json.dumps([sorted(at_state), sorted(loaded() - with_rng),
-                  _native.library.cache_info().misses, perturb._CHOICE]))
+state = [sorted(at_state), sorted(loaded() - with_rng), _native.library.cache_info().misses,
+         list(perturb._CHOICE), memo_at_import]
+made = []
+memo_cls = perturb._Memo
+perturb._Memo = lambda n: made.append(n) or memo_cls(n)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qfisher.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(state + [codes, memo_slot(), made]))
 """
 
 
-def test_import_and_state_start_no_compiler():
-    # the compiled kernels are built or loaded at the first evolve or
-    # dilated-grid bump evaluation that uses them
-    assert run_probe(_LAZY_BUILD_PROBE) == [[], [], 0, []]
+def test_import_and_state_start_no_compiler(tmp_path):
+    # the compiled kernels are built or loaded at the first evolve or bump
+    # evaluation off the peak probe that uses them, and the bump memo is
+    # made at the first compiled evaluation on a base grid, which info and
+    # diffuse make none of
+    diffuse = readme_command("diffuse")
+    diffuse[diffuse.index("-o") + 1] = str(tmp_path / "traj.csv")
+    commands = json.dumps([readme_command("info"), diffuse])
+    assert run_probe(_LAZY_BUILD_PROBE, commands) == [[], [], 0, [], [], [0, 0], [], []]
 
 
 def exported_c_functions(source: str) -> dict[str, tuple[str, int]]:

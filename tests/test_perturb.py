@@ -1,12 +1,13 @@
 """Perturbation families: bit identity with the plain per-call evaluation,
 the base-grid sample reuse, the windowed bump, the batch generator against
-the hand-written loops it replaced, the trig tables shared by bumps, and
-the compiled bump kernel against the numpy table path."""
+the hand-written loops it replaced, the trig table shared by bumps, and
+the compiled bump kernel and its memo against the numpy table path."""
 
 import copy
 import functools
 import math
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfisher import perturb
-from qfisher.acceptance import QCR_POINTS
+from qfisher.acceptance import QCR_POINTS, SUITE_SEED
 from qfisher.core import Axis, GridDensity, normalize
 from qfisher import inequalities
 from qfisher.inequalities import (
@@ -517,13 +518,33 @@ def ref_untabled_fourier_bump(rng: np.random.Generator, n_modes: int = N_MODES):
 
 
 def clear_bump_caches():
-    perturb._KEPT.clear()
+    perturb._MEMO.clear()
     perturb._base_grid.cache_clear()
     perturb._base_samples.cache_clear()
 
 
-def kept_abscissae():
-    return [t.u for t in perturb._KEPT.values()]
+def assert_one_memo_at_most():
+    """At most one base grid has a memo slot, and a made memo has
+    MEMO_SLOTS rows of 2 N_MODES + 1 doubles at each of its n nodes."""
+    assert len(perturb._MEMO) <= 1
+    for n, memo in perturb._MEMO.items():
+        if memo is not None:
+            assert memo.keys.shape == (n, perturb.MEMO_SLOTS)
+            assert memo.rows.shape == (n, perturb.MEMO_SLOTS, 2 * N_MODES + 1)
+
+
+def recording_memos(monkeypatch):
+    """Weak references to every memo made from now on, in order."""
+    made = []
+    memo_cls = perturb._Memo
+
+    def make(n):
+        memo = memo_cls(n)
+        made.append(weakref.ref(memo))
+        return memo
+
+    monkeypatch.setattr(perturb, "_Memo", make)
+    return made
 
 
 class CheckedDraws:
@@ -541,16 +562,17 @@ class CheckedDraws:
         bump = fourier_bump(rng)
         ref = ref_untabled_fourier_bump(ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        probe = perturb._KEPT["probe"].u
+        probe = perturb._probe_table().u
         assert bump(probe).tobytes() == ref(np.linspace(-1.0, 1.0, 4001)).tobytes()
         self.kinds.append("probe")
 
         def checked(u):
-            kind = {id(t.u): role for role, t in perturb._KEPT.items()}.get(id(u), "dilated")
-            self.kinds.append(kind)
+            # the base grid's abscissae are the one read-only array a batch
+            # hands its bump; each dilated grid is made afresh
+            self.kinds.append("dilated" if np.asarray(u).flags.writeable else "base")
             got = bump(u)
             assert got.tobytes() == ref(np.array(u)).tobytes()
-            assert len(perturb._KEPT) <= 2
+            assert_one_memo_at_most()
             return got
 
         return self.wrap(checked) if self.wrap else checked
@@ -606,25 +628,23 @@ class TestBumpTables:
     def test_cached_arrays_read_only(self):
         clear_bump_caches()
         run_criterion_6(np.random.default_rng(6))
-        assert set(perturb._KEPT) == {"probe", "base"}
-        for table in perturb._KEPT.values():
-            for name, a in table._asdict().items():
-                assert not a.flags.writeable, name
-                with pytest.raises(ValueError):
-                    a.flat[0] = a.flat[0]
+        for name, a in perturb._probe_table()._asdict().items():
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a.flat[0] = a.flat[0]
         for a in perturb._base_grid(P_QCR, 4001)[2:]:
             assert not a.flags.writeable
 
-    def test_only_probe_and_one_base_grid_kept(self):
+    def test_only_probe_and_one_base_grid_kept(self, monkeypatch):
         clear_bump_caches()
-        dilated = []
+        made = recording_memos(monkeypatch)
+        dilated, base = [], []
 
         def recording(rng):
             bump = fourier_bump(rng)
 
             def call(u):
-                if not any(u is k for k in kept_abscissae()):
-                    dilated.append(u)
+                (dilated if u.flags.writeable else base).append(u)
                 return bump(u)
 
             return call
@@ -635,23 +655,31 @@ class TestBumpTables:
                 mp.setattr(perturb, "fourier_bump", recording)
                 list(perturbation_batch(p, np.random.default_rng(1), 10, 5, "moment",
                                         moment_alpha(p), 2001, extra=FIT_AMPLITUDES[:1]))
-            assert len(perturb._KEPT) == 2 and perturb._base_grid.cache_info().currsize == 1
+            assert perturb._base_grid.cache_info().currsize == 1
+            # the memo of this base grid only; the one before is gone
+            assert list(perturb._MEMO) == [2001]
+            assert sum(ref() is not None for ref in made) <= 1
+            assert_one_memo_at_most()
             r_eff, ax, _, u = perturb._base_grid(p, 2001)
-            assert perturb._KEPT["base"].u is u
+            assert base[-1] is u
             assert u.tobytes() == (ax.nodes() / r_eff).tobytes()
-            assert perturb._KEPT["probe"].u.tobytes() == np.linspace(-1.0, 1.0, 4001).tobytes()
+            assert perturb._probe_table().u.tobytes() == np.linspace(-1.0, 1.0, 4001).tobytes()
+        assert len(made) == (len(points) if perturb._CHOICE[0] is not None else 0)
+        assert len(base) == len(points) * 2
         assert len(dilated) == len(points) * 2 * (5 + 1)
-        assert not any(d is k for d in dilated for k in kept_abscissae())
+        assert not any(d is b for d in dilated for b in base)
 
     @pytest.mark.parametrize("criterion", [6, 7])
     def test_one_base_table_per_reference_and_count(self, criterion, monkeypatch):
         clear_bump_caches()
-        built = []
-        keep = perturb._keep
-        monkeypatch.setattr(perturb, "_keep", lambda role, u: built.append(role) or keep(role, u))
+        made = recording_memos(monkeypatch)
         (run_criterion_6 if criterion == 6 else run_criterion_7)(np.random.default_rng(criterion))
-        # criterion 6 has one (p, count), criterion 7 two, one after the other
-        assert built == ["probe", "base"] if criterion == 6 else ["probe", "base", "base"]
+        # criterion 6 has one (p, count), criterion 7 two, one after the
+        # other; the numpy path makes no memo
+        n_grids = (1 if criterion == 6 else 2) if perturb._CHOICE[0] is not None else 0
+        assert len(made) == n_grids
+        assert [ref() is not None for ref in made] == [False] * (n_grids - 1) + [True] * (n_grids > 0)
+        assert_one_memo_at_most()
 
 
 class TestBumpTablesNumpyPath(TestBumpTables):
@@ -707,3 +735,128 @@ class TestCompiledBump:
             assert np.shape(got) == np.shape(want) == np.shape(x)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
             assert not np.signbit(np.asarray(got)[~(np.abs(x) < 1.0)]).any()
+
+
+class FifoModel:
+    """The memo's bookkeeping in Python: at each node the bit patterns its
+    slots hold and the slot the next new abscissa fills, and the lookup and
+    miss counts.  An abscissa outside the window is never looked up."""
+
+    def __init__(self, n):
+        self.keys = [[None] * perturb.MEMO_SLOTS for _ in range(n)]
+        self.cursor = [0] * n
+        self.lookups = self.misses = 0
+
+    def run(self, u):
+        u = u.ravel()
+        for i, (x, bits) in enumerate(zip(u.tolist(), u.view(np.uint64).tolist())):
+            if not abs(x) < 1.0:
+                continue
+            self.lookups += 1
+            if bits not in self.keys[i]:
+                self.misses += 1
+                self.keys[i][self.cursor[i]] = bits
+                # slot 0 keeps the node's first abscissa
+                self.cursor[i] = max((self.cursor[i] + 1) % perturb.MEMO_SLOTS, 1)
+
+
+class TestBumpMemo:
+    N = 64
+
+    @pytest.fixture(autouse=True)
+    def memo(self, monkeypatch):
+        """A fresh memo slot for arrays of N abscissae, as a base grid of N
+        nodes leaves it, with the compiled kernel selected."""
+        kernel = selected_kernel()
+        if kernel is None:
+            pytest.skip("the compiled bump is unavailable")
+        monkeypatch.setattr(perturb, "_MEMO", {self.N: None})
+        self.kernel, self.monkeypatch = kernel, monkeypatch
+        self.model = FifoModel(self.N)
+
+    def checked(self, bump, u):
+        """bump(u) through the memo, checked byte for byte against the numpy
+        table path, and the memo's keys and counts against the model."""
+        got = bump(u)
+        self.monkeypatch.setattr(perturb, "_CHOICE", [None])
+        want = bump(u)
+        self.monkeypatch.setattr(perturb, "_CHOICE", [self.kernel])
+        assert got.tobytes() == want.tobytes()
+        if u.size == self.N:
+            self.model.run(u)
+        memo = perturb._MEMO[self.N]
+        if memo is not None:
+            assert perturb.bump_memo_counts() == (self.model.lookups, self.model.misses)
+            keys = [[None if k >> 52 == 0x7FF else k for k in row]
+                    for row in memo.keys.view(np.uint64).tolist()]
+            assert keys == self.model.keys
+            assert memo.cursor.tolist() == self.model.cursor
+        return got
+
+    def test_eviction_keeps_bits(self):
+        rng = np.random.default_rng(1)
+        bump = fourier_bump(rng)
+        base = np.linspace(-0.99, 0.99, self.N)
+        # 3 MEMO_SLOTS distinct abscissae a few ulps apart at every node,
+        # visited forwards, backwards and at random, so slots are evicted
+        # while others still hit
+        ulps = list(range(3 * perturb.MEMO_SLOTS))
+        for k in ulps + ulps[::-1] + rng.permutation(len(ulps) * 2).tolist():
+            self.checked(bump, base + k % len(ulps) * np.spacing(base))
+        assert 0 < self.model.misses < self.model.lookups
+
+    def test_edge_values(self):
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, -np.nan,
+                 np.inf, -np.inf, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+                 np.nextafter(1.0, 2.0), 0.5]
+        u = np.resize(np.array(edges), self.N)
+        bump = fourier_bump(np.random.default_rng(2))
+        for x in (u, u, u[::-1].copy(), u):
+            out = self.checked(bump, x)
+            assert not np.signbit(out[~(np.abs(x) < 1.0)]).any()
+        # -0.0 and +0.0 are two keys; NaN, inf and |u| >= 1 are never looked up
+        assert self.model.lookups == 4 * int(np.sum(np.abs(u) < 1.0))
+
+    def test_other_lengths_bypass_memo(self):
+        bump = fourier_bump(np.random.default_rng(3))
+        u = np.linspace(-1.05, 1.05, self.N)
+        self.checked(bump, u)
+        for n in (self.N - 1, self.N + 1, 2 * self.N):
+            self.checked(bump, np.linspace(-0.5, 0.5, n))
+        square = np.resize(u, (8, self.N // 8))
+        self.checked(bump, square)  # N abscissae in another shape use the memo
+        assert perturb.bump_memo_counts() == (self.model.lookups, self.model.misses)
+
+    def test_warm_cold_and_repeated_batches_agree(self):
+        rng = np.random.default_rng(4)
+        bumps = [fourier_bump(rng) for _ in range(3)]
+        base = np.linspace(-1.02, 1.02, self.N)
+        batch = [base / c for c in (1.0, 1.0 + 2e-16, 0.97, 1.03)]
+        other = [base / c for c in rng.uniform(0.5, 1.5, 2 * perturb.MEMO_SLOTS)]
+
+        def run():
+            return [self.checked(b, u).tobytes() for b in bumps for u in batch]
+
+        cold = run()
+        again = run()
+        for u in other:  # fills every slot with other abscissae
+            self.checked(bumps[0], u)
+        warm = run()
+        assert cold == again == warm
+
+
+def test_memo_counts_of_a_criterion_8_run():
+    # (q, alpha) = (2, 2) as criterion 8 runs it, from an empty memo
+    if selected_kernel() is None:
+        pytest.skip("the compiled bump is unavailable")
+    p = QGaussianParams(2.0, 2.0, 1.0, 1)
+    for _ in range(2):  # the counts repeat exactly
+        clear_bump_caches()
+        rep = min_fisher_fixed_moment(2.0, 2.0, moment_alpha(p), 1, perturbation_count=50,
+                                      seed=SUITE_SEED + 80, grid_count=4001)
+        assert rep.extras["perturbations"] == 50
+        lookups, misses = perturb.bump_memo_counts()
+        # 10 bumps, each on the base grid and on 9 dilated grids, 3809
+        # abscissae inside the window on each
+        assert (lookups, misses) == (380900, 102000) and lookups == 10 * 10 * 3809
+        assert misses / lookups < 0.349  # a memo of 4 slots a node missed this often

@@ -1,6 +1,7 @@
 """q-Gaussian family and Barenblatt profile tests."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import integrate as sp_integrate
 from scipy import special, stats
 
 from qfisher import qgaussian
+from qfisher._quadpack import brentq
 from qfisher.acceptance import QCR_POINTS
 from qfisher.core import Axis, integrate
 from qfisher.qgaussian import (
@@ -353,6 +355,26 @@ class TestBarenblatt:
         assert C == pytest.approx((3.0 * np.sqrt(dp.k) / 4.0) ** (2.0 / 3.0), rel=1e-12)
         assert barenblatt_mass(dp, C) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("m,beta", [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0)])
+    def test_mass_constant_skips_repeated_masses(self, m, beta, monkeypatch):
+        # the bracket ends, evaluated again inside brentq, and the closing
+        # check at brentq's root are each one mass evaluation fewer
+        dp = DiffusionParams(m, beta, 1)
+        calls = []
+
+        def counted(dp, C):
+            calls.append(C)
+            return barenblatt_mass(dp, C)
+
+        monkeypatch.setattr(qgaussian, "barenblatt_mass", counted)
+        want = ref_barenblatt_mass_constant(dp)
+        ref_calls = len(calls)
+        calls.clear()
+        got = barenblatt_mass_constant(dp)
+        assert got.hex() == want.hex()
+        assert len(calls) == ref_calls - 3
+        assert len(set(calls)) == len(calls)
+
     def test_mass_monotone_in_C(self):
         dp = DiffusionParams(2.0, 2.0, 1)
         C = barenblatt_mass_constant(dp)
@@ -405,3 +427,26 @@ class TestBarenblatt:
         dp = DiffusionParams(2.0, 2.0, 1)
         f = barenblatt_density(dp, 1.0, Axis(-3.0, 3.0, 1001))
         assert integrate(f) == pytest.approx(1.0, abs=1e-6)
+
+
+def ref_barenblatt_mass_constant(dp):
+    """barenblatt_mass_constant as it was before its residuals were
+    memoized (kept verbatim but for the module prefix and the messages)."""
+
+    def residual(log_c):
+        return qgaussian.barenblatt_mass(dp, math.exp(log_c)) - 1.0
+
+    lo, hi = -2.0, 2.0
+    for _ in range(60):
+        if residual(lo) * residual(hi) < 0:
+            break
+        lo -= 2.0
+        hi += 2.0
+    else:
+        raise ArithmeticError("bracket")
+    log_c = brentq(residual, lo, hi, 1e-15, 1e-15)
+    c = float(math.exp(log_c))
+    resid = qgaussian.barenblatt_mass(dp, c) - 1.0
+    if abs(resid) > 1e-10:
+        raise ArithmeticError("residual")
+    return c
