@@ -8,9 +8,10 @@ accepted; `--seed` exists only on crbound, stam and minimize (on the first
 two, exactly when trials or perturbations > 0), and `reproduce` (pinned
 suite seed) takes only -o.  A count below its least value (LEAST_COUNT;
 minimize needs perturbations >= 1, crbound trials 0 or >= 2), an even grid
-count (on info, one not 4k + 1), or a tolerance or minimize target that is
-not finite and > 0, is refused.  A flat key = value file (--config) is
-overridden by flags; every report embeds the fully resolved configuration.
+count (on info, one not 4k + 1), a value of POSITIVE_KEYS that is not finite
+and > 0, or a value of FINITE_KEYS that is not finite, is refused.  A flat
+key = value file (--config) is overridden by flags; every report embeds the
+fully resolved configuration.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
 emitted with sorted keys and shortest round-trip floats, CSV with 17
 significant digits and '.' decimal.
@@ -84,8 +85,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags, every value of its default's
     type; an option still None (the unset seed) is left out.  The Hoelder
     pair (alpha, beta) is cross-validated when both are given explicitly and
-    derived from the other when only one is; counts, tolerances and the
-    minimize target are checked before any work."""
+    derived from the other when only one is; counts and the values of
+    POSITIVE_KEYS and FINITE_KEYS are checked before any work."""
     cfg = dict(defaults)
     file_cfg = read_config_file(args.config) if args.config else {}
     unknown = set(file_cfg) - set(defaults)
@@ -113,15 +114,23 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         elif "beta" in explicit:
             cfg["alpha"] = cfg["beta"] / (cfg["beta"] - 1.0)
     _check_counts(cfg)
-    for key in ("identity_rel", "inequality_slack", "target"):
+    for key in POSITIVE_KEYS:
         if key in cfg and not 0 < cfg[key] < math.inf:
             raise UsageError(f"{key} must be finite and > 0, got {cfg[key]}")
+    for key in FINITE_KEYS:
+        if key in cfg and not math.isfinite(cfg[key]):
+            raise UsageError(f"{key} must be finite, got {cfg[key]}")
     return {k: v for k, v in cfg.items() if v is not None}
 
 
 #: least value of each count option; a grid count must also be odd
 #: (composite Simpson) and n_logs gives the centered differences of dS/dt
-LEAST_COUNT = {"grid_count": 3, "n_logs": 3, "perturbations": 0, "trials": 0}
+LEAST_COUNT = {"grid_count": 3, "n_logs": 3, "perturbations": 0, "trials": 0, "n": 1}
+#: options whose value must be finite and > 0: tolerances, the minimize
+#: target and the scales
+POSITIVE_KEYS = ("identity_rel", "inequality_slack", "target", "gamma", "sigma", "sigma0")
+#: options whose value must be finite
+FINITE_KEYS = ("q", "theta", "m", "t0")
 
 
 def _check_counts(cfg: dict, least: dict = LEAST_COUNT):
@@ -176,11 +185,9 @@ def _json_report(payload: dict, cfg: dict) -> str:
 # subcommand handlers (return process exit code)
 # ---------------------------------------------------------------------------
 
-#: sigma is read by no family since the gaussian one was folded into
-#: qgaussian; it stays because every info report echoes it in its config
 INFO_DEFAULTS = {
     "family": "qgaussian", "q": 1.0, "alpha": 2.0, "beta": 2.0, "gamma": 0.5,
-    "n": 1, "lo": 0.0, "hi": 1.0, "sigma": 1.0, "grid_count": 4001,
+    "n": 1, "lo": 0.0, "hi": 1.0, "grid_count": 4001,
 }
 
 
@@ -230,11 +237,6 @@ def cmd_diffuse(args) -> int:
     if not args.output:
         raise UsageError("diffuse requires --output for the trajectory CSV")
     _check_one_dimensional(cfg, "the diffusion solver")
-    for key in ("m", "t0"):
-        if not math.isfinite(cfg[key]):
-            raise UsageError(f"{key} must be finite, got {cfg[key]}")
-    if not 0 < cfg["sigma0"] < math.inf:
-        raise UsageError(f"sigma0 must be finite and > 0, got {cfg['sigma0']}")
     if not -math.inf < cfg["grid_lo"] < cfg["grid_hi"] < math.inf:
         raise UsageError(f"grid_lo and grid_hi must be finite with grid_lo < grid_hi, "
                          f"got {cfg['grid_lo']} and {cfg['grid_hi']}")
@@ -311,12 +313,14 @@ def cmd_crbound(args) -> int:
         "lhs": rep.lhs,
         "rhs": rep.rhs,
         "gap": rep.gap,
-        "equality_residual": rep.extras["equality_residual"],
-        "c_opt": rep.extras["c_opt"],
+        "equality_residual": rep.extras.get("equality_residual"),
+        "c_opt": rep.extras.get("c_opt"),
         "passed": rep.passed,
         "mc": None,
         "mc_se": None,
     }
+    if "flag" in rep.extras:  # divergent-score-moment: no rhs, nothing to fit
+        payload["flag"] = rep.extras["flag"]
     if cfg["trials"]:
         mc, se = mc_error_moment(model, est, theta, cfg["trials"], cfg["seed"])
         payload["mc"], payload["mc_se"] = mc, se

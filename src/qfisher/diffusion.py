@@ -13,12 +13,11 @@ is quadrature error at the kink rather than leakage.  Runs abort if the
 support (or the 1e-10 mass tail) reaches the domain edge.
 
 One kernel method, :meth:`_Kernel.march`, holds the update arithmetic and
-the CFL rule, and works in place on buffers allocated once per run.
-:func:`evolve` is its only driver: one march of no step reads the initial
-CFL dt for the step budget, then one march per log interval takes every step
-of the interval in a loop that binds its array views, ufuncs and constants
-once.  The conserved mass h sum(f) is computed in evolve alone.  After every
-step, values more negative than NEGATIVE_CLAMP_REL times the peak raise
+the CFL rule as plain numpy array expressions.  :func:`evolve` is its only
+driver: one march of no step reads the initial CFL dt for the step budget,
+then one march per log interval takes every step of the interval.  The
+conserved mass h sum(f) is computed in evolve alone.  After every step,
+values more negative than NEGATIVE_CLAMP_REL times the peak raise
 StabilityError and smaller negatives are clamped to zero; the clamp is
 skipped only when the minimum is strictly positive, so it never changes a
 bit it would not have changed.  evolve() refuses runs that would take more
@@ -28,10 +27,10 @@ For m in {1, 2} and beta in {2, 3}, where v^m and the face flux have exact
 C forms (v or v*v, d or |d| d), evolve runs :meth:`_Kernel.march_compiled`
 instead: the same loop as one C function, ``qfisher_march`` in
 ``_kernels.c``, whose results are the numpy march's bit for bit, when
-:mod:`qfisher._native` (which declares and binds its C signature) builds or
-loads the library at the first such run in a process.  Without a compiler,
-and for every other (m, beta), the numpy march runs; numpy's ``power`` for
-other exponents is not libm's ``pow`` to the bit.
+:mod:`qfisher._native` builds or loads the library at the first such run in
+a process.  Every acceptance run and the ``diffuse`` defaults are in that
+set.  The numpy march is the fallback without a compiler and for every other
+(m, beta), where numpy's ``power`` is not libm's ``pow`` to the bit.
 """
 
 from __future__ import annotations
@@ -111,40 +110,30 @@ class TrajectoryLog:
 
 
 class _Kernel:
-    """The explicit conservative update on one n-node grid, done in place.
+    """The explicit conservative update on one n-node grid.
 
-    Scratch buffers are allocated once per run: ``w`` = v^m (n; v itself when
-    m = 1), ``d`` = D(v^m) / h (n-1), ``a`` = |d| and then the powered flux
-    (n-1), ``fl`` = the flux divergence (n).  The face fluxes sit in ``fpad``
-    (n+1) between two zero fluxes at the outer faces, the no-flux boundary,
-    so one difference gives the divergence at every node.  Elementwise, the
-    operations and their order are those of ``d = diff(v**m) / h``,
-    ``F = |d|^(beta-2) d`` (regularized by GRAD_EPS for beta < 2),
-    ``v[0] += dt/h F[0]``, ``v[-1] -= dt/h F[-1]``, ``v[1:-1] += dt/h diff(F)``
-    and the clamp, so results are bit for bit those of that allocating form.
-    (At v[-1] the two can differ only in the sign of a zero sum, which the
-    clamp then makes +0.0 either way.)
+    :meth:`march` writes the update in plain numpy arrays, in the operation
+    order of ``qfisher_march``: ``d = diff(v^m) / h``, the face flux
+    ``F = |d|^(beta-2) d`` (regularized by GRAD_EPS for beta < 2), the CFL
+    bound, then ``v += diff([0, F, 0]) * (dt / h)``, where the two zero
+    fluxes at the outer faces are the no-flux boundary, and the clamp.  It
+    runs without a compiler and for every (m, beta) outside the C set, and
+    it is the reference the compiled march is tested against.
 
-    :meth:`march` runs these operations with numpy ufuncs, binding its views,
-    ufuncs and constants once per call, so a step looks up no attribute and
-    calls no Python method.  :meth:`march_compiled` runs the same operations
-    in C for the (m, beta) of ``qfisher_march``; :meth:`march` is its
-    reference.
+    :meth:`march_compiled` runs the same operations in C, in place, over the
+    buffers allocated here: ``d`` = D(v^m) / h (n-1; the interior of
+    ``fpad`` when beta = 2), ``fpad`` (n+1) the face fluxes between two
+    zeros, ``io`` its t, cfl, dt and worst minimum, and ``count`` its step
+    count.
     """
 
     def __init__(self, p: DiffusionParams, h: float, n: int):
         self.p = p
         self.h = h
-        self.w = None if p.m == 1.0 else np.empty(n)
         self.fpad = np.zeros(n + 1)
-        if p.beta == 2.0:
-            self.d = self.fpad[1:-1]
-        else:
-            self.d = np.empty(n - 1)
-            self.a = self.fpad[1:-1]
-        self.fl = np.empty(n)
-        self.io = np.zeros(4)  # the compiled march's t, cfl, dt, worst
-        self.count = np.zeros(1, dtype=np.longlong)  # and its step count
+        self.d = self.fpad[1:-1] if p.beta == 2.0 else np.empty(n - 1)
+        self.io = np.zeros(4)
+        self.count = np.zeros(1, dtype=np.longlong)
         self.c_v = None  # the v whose addresses c_args holds
 
     def march(self, v: np.ndarray, t: float, target: float, stop: float,
@@ -153,64 +142,43 @@ class _Kernel:
         cfl), where cfl is the CFL dt of the final v.  :func:`evolve` is the
         only caller.
 
-        Each iteration is one flux pass, which puts the face fluxes of v in
-        ``fpad`` and sets cfl = CFL_SAFETY h^2 / (bound on the linearized
-        diffusivity (beta-1) m f^(m-1) |grad f^m|^(beta-2), node and face
-        maxima bounded separately), or inf when the bound vanishes (a uniform
-        state); then, unless t >= stop, one step of dt = min(cfl, target - t).
-        A step is v += dt/h div(flux), then the negativity abort and the
-        roundoff clamp.  Both are skipped when min(v) > 0 strictly, where they
-        cannot change a bit (np.maximum turns -0.0 into +0.0); max(v) is read
-        only to judge a negative minimum.  A step that takes the count past
+        Each iteration is one flux pass, which computes the face fluxes of v
+        and sets cfl = CFL_SAFETY h^2 / (bound on the linearized diffusivity
+        (beta-1) m f^(m-1) |grad f^m|^(beta-2), node and face maxima bounded
+        separately), or inf when the bound vanishes (a uniform state); then,
+        unless t >= stop, one step of dt = min(cfl, target - t).  A step is
+        v += dt/h div(flux), then the negativity abort and the roundoff
+        clamp.  Both are skipped when min(v) > 0 strictly, where they cannot
+        change a bit (np.maximum turns -0.0 into +0.0); max(v) is read only
+        to judge a negative minimum.  A step that takes the count past
         ``budget`` raises.
         """
-        h, beta, wbuf, d, fl = self.h, self.p.beta, self.w, self.d, self.fl
-        w = v if wbuf is None else wbuf
-        w_hi, w_lo = w[1:], w[:-1]
-        f_hi, f_lo = self.fpad[1:], self.fpad[:-1]
-        a = None if beta == 2.0 else self.a
-        subtract, divide, multiply, add = np.subtract, np.divide, np.multiply, np.add
-        power, absolute, maximum = np.power, np.abs, np.maximum
-        vmin, vmax = np.minimum.reduce, np.maximum.reduce
-        m, m_less1 = self.p.m, self.p.m - 1.0
-        beta_less2, half_beta_less2 = beta - 2.0, (beta - 2.0) / 2.0
-        diffusivity = (beta - 1.0) * m
-        cfl_h2 = CFL_SAFETY * h * h
-        eps2 = GRAD_EPS * GRAD_EPS
-        clamp_rel = -NEGATIVE_CLAMP_REL
+        p, h = self.p, self.h
         while True:
-            if wbuf is not None:
-                power(v, m, out=wbuf)
-            subtract(w_hi, w_lo, out=d)
-            divide(d, h, out=d)
-            if a is None:
-                gfac = 1.0
+            d = np.diff(np.power(v, p.m)) / h
+            if p.beta == 2.0:
+                flux, gfac = d, 1.0
+            elif p.beta > 2.0:
+                grad = np.abs(d)
+                flux = np.power(grad, p.beta - 2.0) * d
+                gfac = float(grad.max()) ** (p.beta - 2.0)
             else:
-                absolute(d, out=a)
-                if beta > 2.0:
-                    gfac = float(vmax(a)) ** beta_less2
-                    power(a, beta_less2, out=a)
-                else:
-                    dmin = float(vmin(a))
-                    gfac = (dmin * dmin + eps2) ** half_beta_less2
-                    multiply(d, d, out=a)
-                    add(a, eps2, out=a)
-                    power(a, half_beta_less2, out=a)
-                multiply(a, d, out=a)
-            ffac = 1.0 if wbuf is None else float(vmax(v)) ** m_less1
-            dmax = diffusivity * ffac * gfac
-            cfl = math.inf if dmax <= 0 else cfl_h2 / dmax
+                eps2, half = GRAD_EPS * GRAD_EPS, (p.beta - 2.0) / 2.0
+                flux = np.power(d * d + eps2, half) * d
+                dmin = float(np.abs(d).min())
+                gfac = (dmin * dmin + eps2) ** half
+            ffac = 1.0 if p.m == 1.0 else float(v.max()) ** (p.m - 1.0)
+            dmax = (p.beta - 1.0) * p.m * ffac * gfac
+            cfl = math.inf if dmax <= 0 else CFL_SAFETY * h * h / dmax
             if not t < stop:
                 return t, steps, cfl
             dt = min(cfl, target - t)
-            subtract(f_hi, f_lo, out=fl)
-            multiply(fl, dt / h, out=fl)
-            add(v, fl, out=v)
-            worst = float(vmin(v))
+            v += np.diff(np.concatenate(([0.0], flux, [0.0]))) * (dt / h)
+            worst = float(v.min())
             if not worst > 0.0:
-                if worst < 0.0 and worst < clamp_rel * max(float(vmax(v)), 1.0):
+                if worst < 0.0 and worst < -NEGATIVE_CLAMP_REL * max(float(v.max()), 1.0):
                     raise _negative_value(worst, t, dt)
-                maximum(v, 0.0, out=v)
+                np.maximum(v, 0.0, out=v)
             t += dt
             steps += 1
             if steps > budget:
@@ -219,14 +187,13 @@ class _Kernel:
     def march_compiled(self, v: np.ndarray, t: float, target: float, stop: float,
                        steps: int, budget: int):
         """:meth:`march` as the one C loop ``qfisher_march`` of ``_kernels.c``,
-        for m in {1, 2} and beta in {2, 3}: the same arguments, buffers (``d``
-        and ``fpad``; ``w`` and ``fl`` stay unused), results and errors, bit
-        for bit.  The addresses of v, ``d``, ``fpad``, ``io`` and ``count``
-        are taken at the first call with a given v, which is once per
-        :func:`evolve`.  CFL_SAFETY and NEGATIVE_CLAMP_REL are read on every
-        call, as :meth:`march` reads them."""
+        for m in {1, 2} and beta in {2, 3}: the same arguments, results and
+        errors, bit for bit.  The addresses of v, ``d``, ``fpad``, ``io`` and
+        ``count`` are taken at the first call with a given v, which is once
+        per :func:`evolve`.  CFL_SAFETY and NEGATIVE_CLAMP_REL are read on
+        every call, as :meth:`march` reads them."""
         if v is not self.c_v:
-            if v.dtype != np.float64 or not v.flags.c_contiguous or v.size != self.fl.size:
+            if v.dtype != np.float64 or not v.flags.c_contiguous or v.size != self.fpad.size - 1:
                 raise ValueError("the compiled march needs a contiguous float64 array of n nodes")
             p = self.p
             self.c_v = v
@@ -245,13 +212,12 @@ class _Kernel:
         return t, int(count[0]), cfl
 
     def limiting_node(self, v: np.ndarray) -> int:
-        """Node that sets the CFL dt of the last flux pass: the face of
-        extreme |D f^m| (its left node) when beta != 2, else the peak."""
-        if self.p.beta > 2.0:
-            return int(np.argmax(np.abs(self.d)))
-        if self.p.beta < 2.0:
-            return int(np.argmin(np.abs(self.d)))
-        return int(np.argmax(v))
+        """Node that sets the CFL dt of v: the face of extreme |D v^m| / h
+        (its left node) when beta != 2, else the peak."""
+        if self.p.beta == 2.0:
+            return int(np.argmax(v))
+        grad = np.abs(np.diff(np.power(v, self.p.m)) / self.h)
+        return int(np.argmax(grad) if self.p.beta > 2.0 else np.argmin(grad))
 
 
 def _select_march(kernel: _Kernel):

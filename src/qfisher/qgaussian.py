@@ -51,12 +51,12 @@ class QGaussianParams:
     dim: int = 1
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if self.alpha <= 1:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.q < math.inf:
+            raise ValueError(f"q must be finite and positive, got {self.q}")
+        if not 1 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.q < 1 and self.alpha / (1.0 - self.q) <= self.dim:
@@ -354,10 +354,10 @@ class DiffusionParams:
     dim: int = 1
 
     def __post_init__(self):
-        if self.beta <= 1:
-            raise ValueError(f"beta must exceed 1, got {self.beta}")
-        if self.m <= 0:
-            raise ValueError(f"m must be positive, got {self.m}")
+        if not 1 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and exceed 1, got {self.beta}")
+        if not 0 < self.m < math.inf:
+            raise ValueError(f"m must be finite and positive, got {self.m}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.delta <= 0:

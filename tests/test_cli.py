@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -19,6 +20,7 @@ from qfisher.cli import (
     main,
     read_config_file,
 )
+from qfisher.reports import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -129,8 +131,7 @@ class TestConfigFile:
 F, I, S = float, int, str
 #: every subcommand's options and their value types
 OPTIONS = {
-    "info": dict(family=S, q=F, alpha=F, beta=F, gamma=F, n=I, lo=F, hi=F, sigma=F,
-                 grid_count=I),
+    "info": dict(family=S, q=F, alpha=F, beta=F, gamma=F, n=I, lo=F, hi=F, grid_count=I),
     "diffuse": dict(m=F, beta=F, alpha=F, n=I, init=S, t0=F, t_end=F, sigma0=F, grid_lo=F,
                     grid_hi=F, grid_count=I, n_logs=I, identity_rel=F, inequality_slack=F),
     "crbound": dict(model=S, n=I, sigma=F, q=F, alpha=F, beta=F, gamma=F, theta=F, trials=I,
@@ -225,6 +226,13 @@ def test_seed_refused_when_nothing_draws(argv, count_key, source, capsys, tmp_pa
     (["qcr", "--grid-count", "4000"], "grid_count"),
     (["info", "--grid-count", "2"], "grid_count"),
     (["diffuse", "--n-logs", "1"], "n_logs"),
+    (["qcr", "--n", "0"], "n"),  # used to exit 3
+    (["crbound", "--n", "0"], "n"),  # used to crash on a divergent score moment
+    # and values that must be finite: nan used to reach the numerics
+    (["qcr", "--q", "nan"], "q"),
+    (["info", "--q", "inf"], "q"),
+    (["crbound", "--theta", "nan"], "theta"),
+    (["crbound", "--theta", "inf"], "theta"),
 ], ids=" ".join)
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_count_below_least_value_is_usage_error(argv, key, source, capsys, tmp_path):
@@ -243,6 +251,10 @@ def test_count_below_least_value_is_usage_error(argv, key, source, capsys, tmp_p
 
 TOLERANCE_OPTIONS = [(name, key) for name, (_, defaults, _) in SUBCOMMANDS.items()
                      for key in ("identity_rel", "inequality_slack") if key in defaults]
+#: the model scales, which must be finite and > 0 as well (crbound --sigma -1
+#: used to run as sigma = 1, qcr --gamma nan to exit 3)
+SCALE_OPTIONS = [(name, key) for name, (_, defaults, _) in SUBCOMMANDS.items()
+                 for key in ("gamma", "sigma") if key in defaults]
 
 
 def test_tolerance_options_found():
@@ -250,8 +262,8 @@ def test_tolerance_options_found():
         "diffuse", "crbound", "qcr", "stam", "minimize"}
 
 
-@pytest.mark.parametrize("name, key", TOLERANCE_OPTIONS,
-                         ids=[f"{name}-{key}" for name, key in TOLERANCE_OPTIONS])
+@pytest.mark.parametrize("name, key", TOLERANCE_OPTIONS + SCALE_OPTIONS,
+                         ids=[f"{name}-{key}" for name, key in TOLERANCE_OPTIONS + SCALE_OPTIONS])
 @pytest.mark.parametrize("value", ["0", "nan", "inf", "-0.5"])
 def test_tolerance_not_finite_positive_is_usage_error(name, key, value, capsys, tmp_path):
     out_path = tmp_path / "out"
@@ -488,6 +500,17 @@ class TestCrbound:
         assert d["rhs"] == pytest.approx(1.0, abs=1e-6)
         assert code == exit_code and d["passed"] is True and d["mc_consistent"] is consistent
 
+    def test_divergent_score_moment_is_reported(self, capsys, monkeypatch):
+        # the flagged report has no equality fit: exit 1 with the flag, no traceback
+        flagged = VerificationReport(0.5, math.nan, math.nan, False,
+                                     {"flag": "divergent-score-moment"})
+        monkeypatch.setattr("qfisher.cli.crm_bound_scalar", lambda *args: flagged)
+        code, out, err = run_cli(capsys, "crbound")
+        d = json.loads(out)
+        assert code == EXIT_VERDICT and err == ""
+        assert d["flag"] == "divergent-score-moment" and d["passed"] is False
+        assert d["equality_residual"] is None and d["c_opt"] is None
+
     def test_escort_pair_model(self, capsys):
         code, out, _ = run_cli(capsys, "crbound", "--model", "escort-pair",
                                "--q", "2", "--alpha", "2")
@@ -523,7 +546,7 @@ def test_output_file_written(tmp_path, capsys):
 #: the diffuse entry pins (stdout, CSV)
 REPORT_SHA256 = {
     "info --family qgaussian --q 2 --alpha 2 --gamma 1":
-        "c14c13e1936bfcef661e16756468c2c84add4d66455893e1625f5fdbedd1e84c",
+        "f221360200e85129e51de1b819ef219f1b32cbad844ea52d9ac635e25161dd9a",
     "diffuse --m 2 --beta 2 --init barenblatt --t0 1 --t-end 2 -o traj.csv":
         ("4f03c96e76d69b00d0478171aae66f591967932fc17b16baef9e959a71bf523f",
          "10db85419d4db63efe40586541dd3dda3fed0a7fb1c6356d64a0d0d58b3aa1f1"),

@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from qfisher import _native, diffusion, perturb
+from qfisher import _native, acceptance, cli, diffusion, perturb
 from qfisher.core import Axis, GridDensity, Tolerances, density_from_callable, integrate
 from qfisher.diffusion import (
     CFL_SAFETY,
@@ -229,7 +229,7 @@ def test_barenblatt_l1_tracking_short():
     assert l1 < 1e-2
 
 
-# --- the allocating update the in-place kernel must reproduce bit for bit ---
+# --- the allocating update both kernels must reproduce bit for bit ---
 # (a verbatim transcription of the solver before the kernel reused buffers)
 
 def _ref_face_flux(d, beta):
@@ -483,6 +483,15 @@ class TestCompiledKernel:
             kernel = diffusion._Kernel(DiffusionParams(m, beta, 1), 0.1, 11)
             assert diffusion._select_march(kernel) == kernel.march, (m, beta)
 
+    def test_benchmarked_runs_have_exact_c_forms(self, compiled_kernel):
+        # every acceptance run and the diffuse defaults step in qfisher_march: a
+        # run added outside the C set would put the numpy march on them unseen
+        pairs = [(m, beta) for m, beta, *_ in acceptance.RUNS.values()]
+        pairs.append((cli.DIFFUSE_DEFAULTS["m"], cli.DIFFUSE_DEFAULTS["beta"]))
+        for m, beta in pairs:
+            kernel = diffusion._Kernel(DiffusionParams(m, beta, 1), 0.1, 11)
+            assert diffusion._select_march(kernel) == kernel.march_compiled, (m, beta)
+
     def test_errors_match_numpy_kernel(self, monkeypatch, compiled_kernel):
         def messages():
             texts = []
@@ -506,7 +515,8 @@ class TestCompiledKernel:
                              ids=["nan", "nan-and-negative", "negative"])
     def test_nan_and_abort_follow_numpy(self, m, beta, planted, compiled_kernel):
         # a NaN makes numpy's minimum and maxima NaN: no abort, a NaN dt where
-        # a maximum sets it; a negative value alone aborts
+        # a maximum sets it; a negative value alone aborts.  The numpy march
+        # keeps no buffers, so the outcome and v are what is compared
         st = _oracle_state(m, beta)
         outcomes = []
         for name in ("march", "march_compiled"):
@@ -519,7 +529,7 @@ class TestCompiledKernel:
                 result = np.array([t, steps, cfl]).tobytes()
             except StabilityError as err:
                 result = str(err)
-            outcomes.append((result, v.tobytes(), kernel.d.tobytes(), kernel.fpad.tobytes()))
+            outcomes.append((result, v.tobytes()))
         assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)

@@ -115,6 +115,19 @@ class TestScalarBound:
         assert rep.extras["c_opt"] == pytest.approx(1.0 / sigma ** 2, rel=1e-6)
         assert rep.extras["equality_residual"] < 1e-9
 
+    def test_infinite_score_moment_is_flagged(self):
+        # f = g (1 + theta K x): the g-score K x is finite, E_g[psi^2] overflows
+        def g(coords, theta):
+            return np.exp(-coords[0] ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
+
+        def f(coords, theta):
+            return g(coords, theta) * (1.0 + theta[0] * 1e200 * coords[0])
+
+        m = ParametricModel(f, g, 1, Axis(-8.0, 8.0, 401), name="overflowing-score")
+        rep = crm_bound_scalar(m, sample_mean_estimator(n=1), [0.0], TOL_EQ)
+        assert rep.extras == {"flag": "divergent-score-moment"}
+        assert not rep.passed and np.isnan(rep.rhs) and rep.lhs == pytest.approx(1.0, rel=1e-6)
+
     def test_alpha4_strict_with_moment_oracle(self):
         m = gaussian_location_model(n=1)
         est = EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=4.0)

@@ -85,10 +85,13 @@ class TestPdfAndNormalization:
             QGaussianParams(0.2, 2.0, 1.0, 3)
 
     def test_param_validation(self):
-        for bad in (dict(q=-1.0), dict(alpha=1.0), dict(gamma=0.0), dict(dim=0)):
+        nan, inf = float("nan"), float("inf")
+        for bad in (dict(q=-1.0), dict(alpha=1.0), dict(gamma=0.0), dict(dim=0),
+                    dict(q=nan), dict(q=inf), dict(alpha=nan), dict(alpha=inf),
+                    dict(gamma=nan), dict(gamma=inf)):
             kwargs = dict(q=2.0, alpha=2.0, gamma=1.0, dim=1)
             kwargs.update(bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=next(iter(bad))):
                 QGaussianParams(**kwargs)
 
 
@@ -418,8 +421,10 @@ class TestBarenblatt:
     def test_invariant_violations(self):
         with pytest.raises(ValueError, match="delta"):
             DiffusionParams(0.1, 1.2, 3)
-        with pytest.raises(ValueError, match="beta"):
-            DiffusionParams(1.0, 1.0, 1)
+        for m, beta in [(1.0, 1.0), (1.0, float("nan")), (1.0, float("inf")),
+                        (float("nan"), 2.0), (float("inf"), 2.0)]:
+            with pytest.raises(ValueError, match="m must|beta must"):
+                DiffusionParams(m, beta, 1)
         with pytest.raises(ValueError, match="positive"):
             barenblatt(DiffusionParams(2.0, 2.0, 1), 0.4, 0.0, 0.0)
 
