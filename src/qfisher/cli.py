@@ -6,12 +6,13 @@ subcommand's *_DEFAULTS dict is the one declaration of its options: key
 a value from either takes the default's type.  No other flag or key is
 accepted; `--seed` exists only on crbound, stam and minimize (on the first
 two, exactly when trials or perturbations > 0), and `reproduce` (pinned
-suite seed) takes only -o.  A count below its least value (LEAST_COUNT;
-minimize needs perturbations >= 1, crbound trials 0 or >= 2), an even grid
-count (on info, one not 4k + 1), a value of POSITIVE_KEYS that is not finite
-and > 0, or a value of FINITE_KEYS that is not finite, is refused.  A flat
-key = value file (--config) is overridden by flags; every report embeds the
-fully resolved configuration.
+suite seed) takes only -o.  A given option the selected model, family or
+init never reads, an unknown selector value (`_selector_reads`), a count
+below its least value (LEAST_COUNT; minimize: perturbations >= 1, crbound:
+trials 0 or >= 2), an even grid count (on info, one not 4k + 1), or a value
+of POSITIVE_KEYS not finite and > 0 or of FINITE_KEYS not finite is refused.
+A flat key = value file (--config) is overridden by flags; every report
+embeds the fully resolved configuration.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
 emitted with sorted keys and shortest round-trip floats, CSV with 17
 significant digits and '.' decimal.
@@ -23,6 +24,7 @@ Exit codes: 0 all verdicts pass, 1 verdict failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -32,17 +34,11 @@ import numpy as np
 from .acceptance import SUITE_SEED, AcceptanceSuite, render_summary
 from .core import Axis, Tolerances, density_from_callable
 from .diffusion import DiffusionState, StabilityError, debruijn_check, evolve, phi_monotonicity_check, trajectory_csv_rows
-from .estimation import (
-    EstimatorSpec,
-    MODEL_REGISTRY,
-    crm_bound_scalar,
-    mc_error_moment,
-    qcr_product,
-)
+from .estimation import MODEL_REGISTRY, crm_bound_scalar, mc_error_moment, qcr_product
 from .inequalities import min_fisher_fixed_entropy, min_fisher_fixed_moment, stam_ratio
 from .info_measures import entropy_power, m_q, phi_fisher_refined, renyi_entropy, tsallis_entropy
 from .perturb import perturbation_batch
-from .qgaussian import QGaussianParams, grid_density, moment_alpha
+from .qgaussian import DiffusionParams, QGaussianParams, barenblatt_density, grid_density, moment_alpha
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -85,8 +81,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags, every value of its default's
     type; an option still None (the unset seed) is left out.  The Hoelder
     pair (alpha, beta) is cross-validated when both are given explicitly and
-    derived from the other when only one is; counts and the values of
-    POSITIVE_KEYS and FINITE_KEYS are checked before any work."""
+    derived from the other when only one is; counts, POSITIVE_KEYS,
+    FINITE_KEYS and then the selectors are checked before any work."""
     cfg = dict(defaults)
     file_cfg = read_config_file(args.config) if args.config else {}
     unknown = set(file_cfg) - set(defaults)
@@ -120,7 +116,29 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     for key in FINITE_KEYS:
         if key in cfg and not math.isfinite(cfg[key]):
             raise UsageError(f"{key} must be finite, got {cfg[key]}")
+    selectors = _selector_reads()
+    for selector in selectors.keys() & cfg.keys():
+        reads, value = selectors[selector], cfg[selector]
+        if value not in reads:
+            raise UsageError(f"unknown {selector} {value!r} ({', '.join(reads)})")
+        unread = sorted(explicit & set().union(*reads.values()) - reads[value])
+        if unread:
+            raise UsageError(f"{unread[0]} = {cfg[unread[0]]} is never read: {selector} = {value}")
     return {k: v for k, v in cfg.items() if v is not None}
+
+
+def _model_options(name: str) -> list:
+    """A registry model's options: its builder's parameters but count."""
+    return [key for key in inspect.signature(MODEL_REGISTRY[name]).parameters if key != "count"]
+
+
+def _selector_reads() -> dict:
+    """selector -> {value: the options of the selector's values that this
+    value reads}; every model reads alpha, its error-moment order, and n."""
+    models = {name: {"alpha", "n", *_model_options(name)} for name in MODEL_REGISTRY}
+    return {"family": {"uniform": {"lo", "hi"}, "qgaussian": {"gamma"}}, "model": models,
+            "init": {"barenblatt": set(), "gaussian": {"sigma0"}},
+            "constraint": {"moment": set(), "entropy-power": set()}}
 
 
 #: least value of each count option; a grid count must also be odd
@@ -176,9 +194,7 @@ def _canonical(v):
 
 
 def _json_report(payload: dict, cfg: dict) -> str:
-    payload = dict(payload)
-    payload["config"] = {k: cfg[k] for k in sorted(cfg)}
-    return json.dumps(_canonical(payload), sort_keys=True, allow_nan=True) + "\n"
+    return json.dumps(_canonical(dict(payload, config=cfg)), sort_keys=True, allow_nan=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +212,13 @@ def cmd_info(args) -> int:
     if (cfg["grid_count"] - 1) % 4:
         raise UsageError(f"grid_count must be 4k + 1 (the refinement diagnostic halves the "
                          f"grid twice), got {cfg['grid_count']}")
-    fam = cfg["family"]
-    if fam == "qgaussian":
+    if cfg["family"] == "qgaussian":
         f = grid_density(QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"]),
                          cfg["grid_count"])
-    elif fam == "uniform":
+    else:
         _check_one_dimensional(cfg, "the uniform family")
         ax = Axis(cfg["lo"], cfg["hi"], cfg["grid_count"])
         f = density_from_callable(ax, lambda x: np.ones_like(x) / (cfg["hi"] - cfg["lo"]))
-    else:
-        raise UsageError(f"unknown family {fam!r} (uniform, qgaussian)")
     q, beta = cfg["q"], cfg["beta"]
     diag = phi_fisher_refined(f, q, beta)
     mq = m_q(f, q)
@@ -231,8 +244,6 @@ DIFFUSE_DEFAULTS = {
 
 
 def cmd_diffuse(args) -> int:
-    from .qgaussian import DiffusionParams, barenblatt_density
-
     cfg = resolve_config(args, DIFFUSE_DEFAULTS)
     if not args.output:
         raise UsageError("diffuse requires --output for the trajectory CSV")
@@ -246,12 +257,10 @@ def cmd_diffuse(args) -> int:
         if cfg["t0"] <= 0:
             raise UsageError("barenblatt initial data needs t0 > 0")
         f0 = barenblatt_density(dp, cfg["t0"], ax)
-    elif cfg["init"] == "gaussian":
+    else:
         s0 = cfg["sigma0"]
         f0 = density_from_callable(
             ax, lambda x: np.exp(-x * x / (2 * s0 * s0)) / np.sqrt(2 * np.pi * s0 * s0))
-    else:
-        raise UsageError(f"unknown init {cfg['init']!r} (barenblatt, gaussian)")
     state, log = evolve(DiffusionState(dp, cfg["t0"], f0), cfg["t_end"], cfg["n_logs"])
     tol = Tolerances(identity_rel=cfg["identity_rel"],
                      inequality_slack=cfg["inequality_slack"])
@@ -294,31 +303,18 @@ def cmd_crbound(args) -> int:
     if cfg["trials"] == 1:
         raise UsageError("trials must be 0 or >= 2 (one draw has no jackknife error), got 1")
     _check_seed(cfg, "trials")
-    name = cfg["model"]
-    if name not in MODEL_REGISTRY:
-        raise UsageError(f"unknown model {name!r}; registry: {sorted(MODEL_REGISTRY)}")
-    if name == "gaussian-location":
-        model = MODEL_REGISTRY[name](n=cfg["n"], sigma=cfg["sigma"], count=cfg["grid_count"])
-    else:
-        _check_one_dimensional(cfg, f"the {name} model")
-        model = MODEL_REGISTRY[name](q=cfg["q"], alpha=cfg["alpha"], gamma=cfg["gamma"],
-                                     count=cfg["grid_count"])
-    # the sample mean s / n of the Gaussian model's sufficient statistic; x itself otherwise
-    est = EstimatorSpec(T=lambda coords: coords[0] / cfg["n"], h=lambda th: float(th[0]),
-                        alpha=cfg["alpha"])
+    options = _model_options(cfg["model"])
+    if "n" not in options:
+        _check_one_dimensional(cfg, f"the {cfg['model']} model")
+    model = MODEL_REGISTRY[cfg["model"]](**{key: cfg[key] for key in options},
+                                         count=cfg["grid_count"])
+    est = model.estimator(cfg["alpha"])
     theta = [cfg["theta"]]
     rep = crm_bound_scalar(model, est, theta,
                            Tolerances(inequality_slack=cfg["inequality_slack"]))
-    payload = {
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "gap": rep.gap,
-        "equality_residual": rep.extras.get("equality_residual"),
-        "c_opt": rep.extras.get("c_opt"),
-        "passed": rep.passed,
-        "mc": None,
-        "mc_se": None,
-    }
+    payload = {"lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap, "passed": rep.passed,
+               "equality_residual": rep.extras.get("equality_residual"),
+               "c_opt": rep.extras.get("c_opt"), "mc": None, "mc_se": None}
     if "flag" in rep.extras:  # divergent-score-moment: no rhs, nothing to fit
         payload["flag"] = rep.extras["flag"]
     if cfg["trials"]:
@@ -393,27 +389,20 @@ MINIMIZE_DEFAULTS = {
 def cmd_minimize(args) -> int:
     cfg = resolve_config(args, MINIMIZE_DEFAULTS)
     _check_counts(cfg, {"perturbations": 1})
-    if "seed" not in cfg:
-        raise UsageError("--seed is mandatory for minimize")
+    _check_seed(cfg, "perturbations")
     _check_one_dimensional(cfg, "the perturbation family")
     tol = Tolerances(inequality_slack=cfg["inequality_slack"])
     if cfg["constraint"] == "moment":
         rep = min_fisher_fixed_moment(cfg["q"], cfg["alpha"], cfg["target"], cfg["n"],
                                       cfg["perturbations"], cfg["seed"],
                                       cfg["grid_count"], tol)
-    elif cfg["constraint"] in ("entropy-power", "entropy_power"):
+    else:
         rep = min_fisher_fixed_entropy(cfg["q"], cfg["beta"], cfg["target"], cfg["n"],
                                        cfg["perturbations"], cfg["seed"],
                                        cfg["grid_count"], tol)
-    else:
-        raise UsageError(f"unknown constraint {cfg['constraint']!r} (moment, entropy-power)")
-    payload = {
-        "value_G": rep.extras["value_G"],
-        "min_perturbed": rep.extras["min_perturbed"],
-        "worst_gap": rep.extras["worst_gap"],
-        "verdict": rep.passed,
-        "gap_amplitude_exponent": rep.extras["gap_amplitude_exponent"],
-    }
+    payload = {key: rep.extras[key]
+               for key in ("value_G", "min_perturbed", "worst_gap", "gap_amplitude_exponent")}
+    payload["verdict"] = rep.passed
     _emit(_json_report(payload, cfg), args.output)
     return EXIT_PASS if rep.passed else EXIT_VERDICT
 

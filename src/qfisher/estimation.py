@@ -48,8 +48,8 @@ class ParametricModel:
     in R^k.
 
     Density callables take (coords, theta) where coords is the one-element
-    list [abscissae] and return the density array; the same callables work
-    on sample coordinates.
+    list [abscissae] and return the density array; they and `statistic`,
+    the efficient estimator of theta, also work on sample coordinates.
     """
 
     density_f: callable
@@ -58,6 +58,7 @@ class ParametricModel:
     axis: Axis
     sampler_g: callable | None = None
     name: str = ""
+    statistic: callable | None = None
     _coords: list = field(init=False, repr=False)
     _weights: np.ndarray = field(init=False, repr=False)
 
@@ -73,6 +74,10 @@ class ParametricModel:
 
     def quad(self, arr) -> float:
         return float(np.sum(self._weights * arr))
+
+    def estimator(self, alpha: float) -> "EstimatorSpec":
+        """`statistic` as the estimator of theta at error-moment order alpha."""
+        return EstimatorSpec(T=self.statistic, h=lambda th: float(th[0]), alpha=alpha)
 
     def check_normalized(self, thetas):
         for th in thetas:
@@ -160,8 +165,10 @@ def eta_dot(model: ParametricModel, est: EstimatorSpec, theta) -> np.ndarray:
 
 
 def _bound_terms(model: ParametricModel, est: EstimatorSpec, theta):
-    """(g, psi, eta', T - h) at theta: what every form of the bound reads."""
+    """(g, psi, eta', T - h) at theta: what every form of the bound reads,
+    once f and g are checked to hold their mass on the grid at theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    model.check_normalized([theta])
     return (model.g_values(theta), score_g(model, theta), eta_dot(model, est, theta),
             est.T(model._coords) - est.h(theta))
 
@@ -357,7 +364,8 @@ def gaussian_location_model(n: int = 1, sigma: float = 1.0, count: int = 4001) -
         return rng.normal(n * theta[0], np.sqrt(var), size=size)[:, None]
 
     model = ParametricModel(dens, dens, 1, ax, sampler,
-                            name=f"gaussian-location(n={n}, sigma={sigma})")
+                            name=f"gaussian-location(n={n}, sigma={sigma})",
+                            statistic=sample_mean_estimator(n).T)
     model.check_normalized([np.zeros(1), np.array([0.25])])
     return model
 
@@ -402,11 +410,14 @@ def _location_pair(pf: QGaussianParams, pg: QGaussianParams, count: int,
         return qsample(pg, seed, size) + theta[0]
 
     model = ParametricModel(dens_f, dens_g, 1, ax, sampler,
-                            name=f"{name}(q={pg.q}, alpha={pg.alpha}, gamma={pg.gamma})")
+                            name=f"{name}(q={pg.q}, alpha={pg.alpha}, gamma={pg.gamma})",
+                            statistic=lambda coords: coords[0])
     model.check_normalized([np.zeros(1), np.array([0.125])])
     return model
 
 
+#: model name -> builder; the builder's parameters but count are the options
+#: its model reads, and the model names its efficient statistic
 MODEL_REGISTRY = {
     "gaussian-location": gaussian_location_model,
     "qgaussian-location": qgaussian_location_model,

@@ -113,13 +113,13 @@ def min_fisher_fixed_moment(q: float, alpha: float, target_m: float, n: int = 1,
                             grid_count: int = 8001,
                             tol: Tolerances = Tolerances()) -> VerificationReport:
     """q-Gaussians minimize I(beta, q) among densities with a fixed
-    alpha-moment: solve gamma for the target moment, then check
+    alpha-moment: scale gamma to the target moment, then check
     I[G] <= I[perturbed] + slack over a randomized same-moment batch."""
     base = QGaussianParams(q, alpha, 1.0, n)
     ref = QGaussianParams(q, alpha, gamma_for_moment(base, target_m), n)
     moment_err = abs(moment_alpha(ref) - target_m)
     if moment_err > 1e-8:
-        raise ArithmeticError(f"gamma root-find missed the moment by {moment_err:g}")
+        raise ArithmeticError(f"the dilated gamma misses the target moment by {moment_err:g}")
     return _min_fisher(ref, alpha / (alpha - 1.0), "moment", target_m, perturbation_count,
                        seed, grid_count, tol, {})
 

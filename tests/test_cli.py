@@ -1,9 +1,11 @@
 """CLI: config resolution, report formats, determinism, exit codes."""
 
 import hashlib
+import importlib
 import json
 import math
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -16,10 +18,13 @@ from qfisher.cli import (
     EXIT_USAGE,
     EXIT_VERDICT,
     SUBCOMMANDS,
+    UsageError,
     build_parser,
     main,
     read_config_file,
+    resolve_config,
 )
+from qfisher.estimation import MODEL_REGISTRY, ParametricModel, gaussian_location_model
 from qfisher.reports import VerificationReport
 
 
@@ -365,6 +370,146 @@ def test_n_is_usage_error_where_computation_is_1d(argv, source, capsys, tmp_path
     assert not out_path.exists()
 
 
+def _forbid_work(monkeypatch):
+    """Make every density build, model build and solver run fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("grid_density", "density_from_callable", "barenblatt_density", "evolve",
+                 "crm_bound_scalar", "min_fisher_fixed_moment", "min_fisher_fixed_entropy"):
+        monkeypatch.setattr(f"qfisher.cli.{name}", forbidden)
+    monkeypatch.setattr(ParametricModel, "__post_init__", forbidden)
+
+
+def _move_to_file(argv, keys, tmp_path):
+    """argv with the flags of `keys` moved into a --config file."""
+    lines = []
+    for key in keys:
+        i = argv.index(flag(key))
+        lines.append(f"{key} = {argv[i + 1]}")
+        argv = argv[:i] + argv[i + 2:]
+    cfg = tmp_path / "given.conf"
+    cfg.write_text("\n".join(lines) + "\n")
+    return argv + ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("argv, keys, selected", [
+    (["crbound", "--model", "escort-pair", "--sigma", "3"], ["sigma"], "model = escort-pair"),
+    (["crbound", "--gamma", "7", "--q", "3"], ["gamma", "q"], "model = gaussian-location"),
+    (["info", "--lo", "5"], ["lo"], "family = qgaussian"),
+    (["info", "--family", "uniform", "--gamma", "2"], ["gamma"], "family = uniform"),
+    (["diffuse", "--sigma0", "2"], ["sigma0"], "init = barenblatt"),
+], ids=" ".join)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_option_the_selected_value_never_reads_is_refused(argv, keys, selected, source, capsys,
+                                                           tmp_path, monkeypatch):
+    # each used to exit 0 and echo the value that no code read
+    _forbid_work(monkeypatch)
+    if source == "file":
+        argv = _move_to_file(argv, keys, tmp_path)
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "-o", str(out_path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"usage error: {min(keys)} = ") and f"never read: {selected}" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, selector", [
+    (["crbound", "--model", "nope"], "model"),
+    (["diffuse", "--init", "nope"], "init"),
+    # the second spelling of entropy-power, which echoed other bytes
+    (["minimize", "--constraint", "entropy_power", "--seed", "1"], "constraint"),
+], ids=" ".join)
+def test_unknown_selector_value_is_usage_error(argv, selector, capsys, tmp_path, monkeypatch):
+    _forbid_work(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "-o", str(tmp_path / "out"))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"usage error: unknown {selector} {argv[2]!r} (")
+
+
+def accepted_options(name, selector, value):
+    """The options that resolve_config accepts given explicitly, each at its
+    default, beside `selector` = `value`."""
+    defaults = SUBCOMMANDS[name][1]
+    accepted = set()
+    for key, default in defaults.items():
+        argv = [name, flag(selector), value]
+        if key != selector:
+            argv += [flag(key), str(1 if default is None else default)]
+        try:
+            resolve_config(build_parser().parse_args(argv), defaults)
+        except UsageError:
+            continue
+        accepted.add(key)
+    return accepted
+
+
+@pytest.mark.parametrize("name, selector, value, refused", [
+    ("crbound", "model", "gaussian-location", {"q", "gamma"}),
+    ("crbound", "model", "qgaussian-location", {"sigma"}),
+    ("crbound", "model", "escort-pair", {"sigma"}),
+    ("info", "family", "qgaussian", {"lo", "hi"}),
+    ("info", "family", "uniform", {"gamma"}),
+    ("diffuse", "init", "barenblatt", {"sigma0"}),
+    ("diffuse", "init", "gaussian", set()),
+    ("minimize", "constraint", "moment", set()),
+    ("minimize", "constraint", "entropy-power", set()),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_options_each_selected_value_accepts(name, selector, value, refused):
+    # alpha (the error-moment order) and n (the 1-D rule refuses n != 1
+    # later) are accepted on every model
+    assert accepted_options(name, selector, value) == set(SUBCOMMANDS[name][1]) - refused
+
+
+def test_registered_model_needs_no_cli_change(capsys, monkeypatch):
+    # a builder's parameters are its options, count comes from grid_count,
+    # and the model names its estimator
+    def wide_location_model(sigma: float = 1.0, count: int = 4001):
+        return gaussian_location_model(1, 2.0 * sigma, count)
+
+    monkeypatch.setitem(MODEL_REGISTRY, "wide-location", wide_location_model)
+    code, out, _ = run_cli(capsys, "crbound", "--model", "wide-location", "--sigma", "0.75",
+                           "--grid-count", "2001")
+    d = json.loads(out)
+    assert code == EXIT_PASS and d["passed"] is True
+    assert d["lhs"] == pytest.approx(1.5, abs=1e-6) and d["rhs"] == pytest.approx(1.5, abs=1e-6)
+    for argv, message in [(["--q", "3"], "q = 3.0 is never read: model = wide-location"),
+                          (["--n", "2"], "n = 2 is not supported: the wide-location model is 1-D")]:
+        code, out, err = run_cli(capsys, "crbound", "--model", "wide-location", *argv)
+        assert code == EXIT_USAGE and out == "" and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "gaussian-location", "--theta", "30"],
+    ["--model", "escort-pair", "--q", "2", "--alpha", "2", "--theta", "3"],
+], ids=" ".join)
+def test_theta_off_the_model_grid_is_numerical_failure(argv, capsys):
+    # the first used to pass with lhs 1.8e-39 and rhs 1.0e-39, the second
+    # to exit 1 flagged divergent-score-moment: the density is off the grid
+    code, out, err = run_cli(capsys, "crbound", *argv)
+    assert code == EXIT_NUMERICAL and out == ""
+    assert err.startswith("numerical failure: f(.; theta=") and "has mass" in err
+
+
+def benchmark_commands(tmp_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        cli_workload = importlib.import_module("cli_workload")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [argv for _, argv in cli_workload.commands(7, tmp_path)]
+
+
+def test_benchmark_and_readme_commands_resolve(tmp_path):
+    # resolve only: a refused benchmark command fails the cli workload
+    argvs = benchmark_commands(tmp_path) + [line.split() for line in README_LINES]
+    assert len(argvs) == 8 + 7
+    for argv in argvs:
+        args = build_parser().parse_args(argv)
+        if SUBCOMMANDS[argv[0]][1]:
+            resolve_config(args, SUBCOMMANDS[argv[0]][1])
+
+
 class TestRadial:
     @pytest.mark.parametrize("n", ["2", "3"])
     def test_qcr_at_default_grid(self, n, capsys):
@@ -563,8 +708,8 @@ REPORT_SHA256 = {
     "crbound --model qgaussian-location --q 1.5 --alpha 3":
         "9b5cffe354da049c6cdb2991058ad340276795d2b28754a3a8a3a0e8019b1244",
 }
-README_LINES = re.findall(r"^qfisher (.*)$",
-                          (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.M)
+ROOT = Path(__file__).resolve().parents[1]
+README_LINES = re.findall(r"^qfisher (.*)$", (ROOT / "README.md").read_text(), re.M)
 
 
 def test_every_readme_report_is_pinned():

@@ -442,6 +442,31 @@ class TestRegistry:
         m = MODEL_REGISTRY[name](**kwargs)
         m.check_normalized([np.array([0.0]), np.array([0.2])])
 
+    @pytest.mark.parametrize("name,kwargs,divisor", [
+        ("gaussian-location", dict(n=3), 3),
+        ("qgaussian-location", dict(q=1.5, alpha=2.0), 1),
+        ("escort-pair", dict(q=2.0, alpha=2.0), 1),
+    ])
+    def test_models_name_their_estimator(self, name, kwargs, divisor):
+        m = MODEL_REGISTRY[name](**kwargs)
+        est = m.estimator(3.0)
+        x = m.axis.nodes()
+        assert est.alpha == 3.0 and est.h(np.array([0.7])) == 0.7
+        assert np.array_equal(est.T([x]), x / divisor)
+
+    @pytest.mark.parametrize("name,kwargs,theta", [
+        ("gaussian-location", dict(n=1), 30.0),  # the density sits off the +-11 axis
+        ("escort-pair", dict(q=2.0, alpha=2.0), 3.0),  # off the +-1.55 axis
+    ])
+    def test_bounds_refuse_theta_off_the_grid(self, name, kwargs, theta):
+        m = MODEL_REGISTRY[name](**kwargs)
+        est = m.estimator(2.0)
+        for bound in (lambda: crm_bound_scalar(m, est, [theta]),
+                      lambda: crm_bound_quadratic(m, est, [theta]),
+                      lambda: crm_bound_general(m, est, [theta], [[1.0]])):
+            with pytest.raises(ValueError, match=r"f\(\.; theta=.*has mass"):
+                bound()
+
     def test_escort_pair_relation(self):
         # f ~ g^q pointwise up to the normalizing constant
         m = escort_pair_model(2.0, 2.0, 1.0)

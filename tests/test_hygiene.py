@@ -1,10 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses or
 defines a private module-level name it never references, no default is
-left that no call overrides, no class field is left that nothing reads, no
-cache can grow without bound, and no command loads scipy submodules its
+left that no call overrides, no class field or CLI option is left that
+nothing reads, no cache can grow without bound, and no command loads scipy submodules its
 path does not use (none loads scipy.integrate or scipy.optimize)."""
 
 import ast
+import inspect
 import json
 import os
 import re
@@ -17,6 +18,8 @@ import numpy as np
 import pytest
 
 from qfisher import _native
+from qfisher.cli import SUBCOMMANDS
+from qfisher.estimation import MODEL_REGISTRY
 from qfisher.core import Axis, GridDensity, integrate, simpson_weights, sphere_surface
 from qfisher.qgaussian import QGaussianParams, grid_density
 
@@ -151,39 +154,62 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, str, int | None]]:
     return found
 
 
-def call_sites(source: str):
+def registries(source: str) -> dict[str, list[str]]:
+    """name -> function names, for each module-level dict literal whose
+    values are all plain names: a registry such as MODEL_REGISTRY."""
+    found = {}
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict) and node.value.values
+                and all(isinstance(v, ast.Name) for v in node.value.values)):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    found[target.id] = [v.id for v in node.value.values]
+    return found
+
+
+def _simple_name(expr):
+    if isinstance(expr, ast.Name):
+        return expr.id
+    return expr.attr if isinstance(expr, ast.Attribute) else None
+
+
+def call_sites(source: str, known_registries: dict | None = None):
     """(callee name, positional count, keywords) for every call.  A *args
     spreads over every later position and a **kwargs over every keyword
-    (count inf, keywords None).  The name is None for a subscript callee
-    such as REGISTRY[key](...): its function is unknown, so only its named
-    keywords are kept."""
+    (count inf, keywords None).  A subscript callee REGISTRY[key](...) of a
+    known registry is a call of each function it registers; otherwise the
+    name is None: its function is unknown, so only its named keywords are
+    kept."""
+    known_registries = known_registries or {}
     sites = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
+        if isinstance(func, (ast.Name, ast.Attribute)):
+            names = [_simple_name(func)]
         elif isinstance(func, ast.Subscript):
-            name = None
+            names = known_registries.get(_simple_name(func.value), [None])
         else:
             continue
         count = len(node.args)
         if any(isinstance(a, ast.Starred) for a in node.args):
             count = float("inf")
-        keywords = {k.arg for k in node.keywords}
-        if None in keywords:
-            keywords = keywords - {None} if name is None else None
-        sites.append((name, count, keywords))
+        for name in names:
+            keywords = {k.arg for k in node.keywords}
+            if None in keywords:
+                keywords = keywords - {None} if name is None else None
+            sites.append((name, count, keywords))
     return sites
 
 
 def unread_defaults(package_sources, caller_sources) -> list[str]:
     """Defaulted parameters that no call sets, by position or keyword.
-    Calls match by simple name; a subscript callee matches by keyword only."""
-    sites = [s for src in caller_sources for s in call_sites(src)]
+    Calls match by simple name, a call through a package registry as a call
+    of each function it registers; any other subscript callee matches by
+    keyword only."""
+    known = {name: funcs for src in package_sources for name, funcs in registries(src).items()}
+    sites = [s for src in caller_sources for s in call_sites(src, known)]
     unset = []
     for src in package_sources:
         for label, callee, param, pos in defaulted_parameters(src):
@@ -219,6 +245,12 @@ def test_detects_unread_default():
     assert unread_defaults([package], ["REG['k'](**kw)\n"]) == [
         "f(b)", "f(c)", "f(d)", "f(e)", "K.__init__(x)", "K.__init__(y)", "K.m(z)", "K.s(u)",
         "D.v", "D.w"]
+    # a call through a declared registry is a call of each function it holds
+    registry = package + "REG = {'f': f, 'k': K}\n"
+    assert unread_defaults([registry], ["mod.REG['k'](**kw)\n"]) == [
+        "K.m(z)", "K.s(u)", "D.v", "D.w"]
+    assert unread_defaults([registry], ["REG[k](0, 0, c=1)\n"]) == [
+        "f(d)", "f(e)", "K.m(z)", "K.s(u)", "D.v", "D.w"]
 
 
 def unread_fields(package_sources, reader_sources) -> list[str]:
@@ -249,6 +281,66 @@ def test_detects_unread_field():
     readers = "def f(d):\n    d.v = 3\n    return d.u + len(getattr(d, 'w'))\n"
     assert unread_fields([package], [package, readers]) == ["D.v", "D.w"]
     assert unread_fields([package], [readers]) == ["D.v", "D.w", "P.z"]
+
+
+def builder_options() -> set:
+    """The registry builders' parameters, count (the grid count) aside."""
+    return {key for build in MODEL_REGISTRY.values()
+            for key in inspect.signature(build).parameters} - {"count"}
+
+
+def cfg_reads(functions: dict, name: str) -> set:
+    """The keys that module function `name` reads as cfg["key"], itself or in
+    a module function it passes cfg to; a load of MODEL_REGISTRY reads the
+    registry builders' parameters.  resolve_config, which only validates, is
+    not passed cfg."""
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg"
+                and isinstance(node.slice, ast.Constant)):
+            reads.add(node.slice.value)
+        elif isinstance(node, ast.Name) and node.id == "MODEL_REGISTRY":
+            reads |= builder_options()
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions
+              and any(getattr(a, "id", None) == "cfg" for a in node.args)):
+            reads |= cfg_reads(functions, node.func.id)
+    return reads
+
+
+def unread_options(source: str, tables: dict) -> list[str]:
+    """"subcommand: key" for each key of an options table that its handler
+    never reads for any value of its selector.  `tables` maps a subcommand
+    to (handler name, options table); alpha and beta, the Hoelder pair,
+    count as read where either is."""
+    functions = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    unread = []
+    for name, (handler, table) in tables.items():
+        reads = cfg_reads(functions, handler)
+        if reads & {"alpha", "beta"}:
+            reads |= {"alpha", "beta"}
+        unread += [f"{name}: {key}" for key in table if key not in reads]
+    return unread
+
+
+def cli_tables() -> dict:
+    return {name: (handler.__name__, table) for name, (handler, table, _) in SUBCOMMANDS.items()}
+
+
+def test_every_option_is_read():
+    assert unread_options((PACKAGE / "cli.py").read_text(), cli_tables()) == []
+
+
+def test_detects_unread_option(monkeypatch):
+    # an info --sigma that no code reads, as the gaussian family left behind
+    monkeypatch.setitem(SUBCOMMANDS["info"][1], "sigma", 1.0)
+    assert unread_options((PACKAGE / "cli.py").read_text(), cli_tables()) == ["info: sigma"]
+    source = ("def resolve_config(args, defaults):\n    cfg = dict(defaults)\n    return cfg['y']\n"
+              "def _check(cfg, key):\n    return cfg['n'] + cfg[key]\n"
+              "def _other(value):\n    return MODEL_REGISTRY[value]\n"
+              "def cmd_a(args):\n    cfg = resolve_config(args, A)\n    _check(cfg, 'z')\n"
+              "    _other(cfg['x'])\n    return cfg['beta']\n")
+    table = dict.fromkeys(["x", "alpha", "beta", "n", "y", "z", "sigma"], 0)
+    assert unread_options(source, {"a": ("cmd_a", table)}) == ["a: y", "a: z", "a: sigma"]
 
 
 def unbounded_caches(source: str) -> list[str]:
