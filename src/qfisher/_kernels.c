@@ -19,8 +19,10 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
-#define LANES 4
 /* np.pi */
 #define PI 3.141592653589793
 
@@ -36,44 +38,128 @@
  * 1 on a value below clamp_rel * max(max v, 1) (v updated, t not advanced)
  * and 2 when the step count passes budget.
  *
- * Extrema are taken in LANES independent lanes of branch-free compares
- * (x < m ? x : m, which never picks a NaN x), so no compare waits on the one
- * before; element i goes to lane i % LANES.  Each such loop is a body over
- * whole groups of LANES elements, which gcc vectorizes, and a tail.  The
- * maxima are numpy's maximum.reduce: NaN when any element is NaN.  The
- * minimum after a step skips NaNs, which changes nothing: it only decides
- * whether the clamp runs, and the clamp leaves NaNs and positive values as
- * they are; a NaN makes the maximum that scales the abort threshold NaN, so
- * there is no abort, as numpy's NaN minimum gives none.
+ * Extrema are packed: a pair is two doubles, one SSE2 register on every
+ * x86-64, and ACC pairs of accumulators take the elements of each group of
+ * GROUP = 2 ACC in turn, so no compare waits on the one before.  The
+ * elements after the last whole group go one at a time into both lanes of
+ * the first accumulator.  The selection is exact: minpd(x, m) is
+ * x < m ? x : m and maxpd(y, m) is y > m ? y : m, lane by lane, each
+ * returning one of its operands and the second when either is NaN; that
+ * C is the body of each helper on a target without SSE2.  So a minimum or
+ * maximum is the least or greatest element whatever the order of the
+ * compares, but for the sign of a zero result, on which nothing depends: a
+ * zero extremum is compared with 0, raised to 1 in the abort threshold, or
+ * makes a zero dmax, whose CFL dt is inf either way.
+ *
+ * The maxima are numpy's maximum.reduce: NaN when any element is NaN, which
+ * the compares skip and pair_nan records.  The minimum after a step skips
+ * NaNs, which changes nothing: it only decides whether the clamp runs, and
+ * the clamp leaves NaNs and positive values as they are; a NaN makes the
+ * maximum that scales the abort threshold NaN, so there is no abort, as
+ * numpy's NaN minimum gives none.
  */
 
-/* max of x[0..n-1], or of |x| when absolute; NaN when any x is NaN.  A NaN
- * is kept in lane k of nan_seen once one passes through it (a store only on
- * y != y), a blend gcc vectorizes where an integer flag is not. */
+#define ACC 4
+#define GROUP (2 * ACC)
+
+typedef double pair __attribute__((vector_size(16)));
+
+static inline pair pair_load(const double *p)
+{
+    pair x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+
+/* x < m ? x : m in each lane */
+static inline pair pair_min(pair x, pair m)
+{
+#ifdef __SSE2__
+    return _mm_min_pd(x, m);
+#else
+    return (pair){x[0] < m[0] ? x[0] : m[0], x[1] < m[1] ? x[1] : m[1]};
+#endif
+}
+
+/* y > m ? y : m in each lane */
+static inline pair pair_max(pair y, pair m)
+{
+#ifdef __SSE2__
+    return _mm_max_pd(y, m);
+#else
+    return (pair){y[0] > m[0] ? y[0] : m[0], y[1] > m[1] ? y[1] : m[1]};
+#endif
+}
+
+/* seen, made a NaN in each lane where y is NaN: NaN from then on */
+static inline pair pair_nan(pair y, pair seen)
+{
+#ifdef __SSE2__
+    return _mm_or_pd(seen, _mm_cmpunord_pd(y, y));
+#else
+    return (pair){y[0] != y[0] ? y[0] : seen[0], y[1] != y[1] ? y[1] : seen[1]};
+#endif
+}
+
+/* the running minimum and maximum of a sequence, and whether it held a NaN */
+struct extrema {
+    pair lo[ACC], hi[ACC], seen[ACC];
+};
+
+static inline void extrema_start(struct extrema *e)
+{
+    for (int k = 0; k < ACC; k++) {
+        e->lo[k] = (pair){INFINITY, INFINITY};
+        e->hi[k] = (pair){-INFINITY, -INFINITY};
+        e->seen[k] = (pair){0.0, 0.0};
+    }
+}
+
+/* x into accumulator k: its minimum, and its maximum and NaN record when
+   with_max */
+static inline void extrema_add(struct extrema *e, int k, pair x, int with_max)
+{
+    e->lo[k] = pair_min(x, e->lo[k]);
+    if (with_max) {
+        e->hi[k] = pair_max(x, e->hi[k]);
+        e->seen[k] = pair_nan(x, e->seen[k]);
+    }
+}
+
+/* the least element, NaNs skipped (inf when there is none) */
+static inline double extrema_min(const struct extrema *e)
+{
+    pair lo = e->lo[0];
+    for (int k = 1; k < ACC; k++)
+        lo = pair_min(e->lo[k], lo);
+    return lo[1] < lo[0] ? lo[1] : lo[0];
+}
+
+/* the greatest element, or NaN when any was NaN */
+static inline double extrema_max(const struct extrema *e)
+{
+    pair hi = e->hi[0], seen = e->seen[0];
+    for (int k = 1; k < ACC; k++) {
+        hi = pair_max(e->hi[k], hi);
+        seen = pair_nan(e->seen[k], seen);
+    }
+    return seen[0] != seen[0] || seen[1] != seen[1] ? NAN : hi[1] > hi[0] ? hi[1] : hi[0];
+}
+
+/* max of x[0..n-1], or of |x| = max(max x, -min x) when absolute; NaN when
+   any x is NaN */
 static double max_reduce(const double *x, long n, int absolute)
 {
-    double m[LANES], nan_seen[LANES];
+    struct extrema e;
     long i = 0;
-    for (int k = 0; k < LANES; k++) {
-        m[k] = -INFINITY;
-        nan_seen[k] = 0.0;
-    }
-    for (; i + LANES <= n; i += LANES)
-        for (int k = 0; k < LANES; k++) {
-            double y = absolute ? fabs(x[i + k]) : x[i + k];
-            m[k] = y > m[k] ? y : m[k];
-            nan_seen[k] = y != y ? y : nan_seen[k];
-        }
-    for (int k = 0; i + k < n; k++) {
-        double y = absolute ? fabs(x[i + k]) : x[i + k];
-        m[k] = y > m[k] ? y : m[k];
-        nan_seen[k] = y != y ? y : nan_seen[k];
-    }
-    for (int k = 1; k < LANES; k++) {
-        m[0] = m[k] > m[0] ? m[k] : m[0];
-        nan_seen[0] = nan_seen[k] != nan_seen[k] ? nan_seen[k] : nan_seen[0];
-    }
-    return nan_seen[0] != nan_seen[0] ? NAN : m[0];
+    extrema_start(&e);
+    for (; i + GROUP <= n; i += GROUP)
+        for (int k = 0; k < ACC; k++)
+            extrema_add(&e, k, pair_load(x + i + 2 * k), 1);
+    for (; i < n; i++)
+        extrema_add(&e, 0, (pair){x[i], x[i]}, 1);
+    double hi = extrema_max(&e), lo = extrema_min(&e);
+    return absolute && -lo > hi ? -lo : hi;
 }
 
 int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
@@ -82,6 +168,8 @@ int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
                   double *io, long long *steps)
 {
     double t = io[0];
+    /* (max v)^(m-1): 1, or max v, which the update pass keeps after a step */
+    double ffac = m2 ? max_reduce(v, n, 0) : 1.0;
     for (;;) {
         /* flux pass: d = diff(v^m) / h, F = d or |d| d, and the CFL dt from
            the bound (beta-1) m (max v)^(m-1) (max |d|)^(beta-2); at beta = 2
@@ -97,7 +185,6 @@ int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
                 fpad[i + 1] = di;
             }
         }
-        double ffac = m2 ? max_reduce(v, n, 0) : 1.0;
         double gfac = beta3 ? max_reduce(d, n - 1, 1) : 1.0;
         double dmax = diffusivity * ffac * gfac;
         double cfl = dmax <= 0 ? INFINITY : cfl_h2 / dmax;
@@ -111,31 +198,37 @@ int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
         double dt_h = dt / h;
         io[2] = dt;
 
-        /* update v += dt/h div(F), then the negativity abort and the clamp */
-        double lo[LANES];
+        /* update v += dt/h div(F) with its minimum, and at m = 2 its maximum,
+           then the negativity abort, whose threshold reads max v only below a
+           negative minimum, and the clamp.  The clamp keeps a positive or NaN
+           maximum; any other leaves v all +0, so d is 0 and the next CFL dt
+           is inf whether the maximum read is +0 or the one before the clamp */
+        struct extrema e;
         long i = 0;
-        for (int k = 0; k < LANES; k++)
-            lo[k] = INFINITY;
-        for (; i + LANES <= n; i += LANES)
-            for (int k = 0; k < LANES; k++) {
-                double x = v[i + k] + (fpad[i + k + 1] - fpad[i + k]) * dt_h;
-                v[i + k] = x;
-                lo[k] = x < lo[k] ? x : lo[k];
+        extrema_start(&e);
+        for (; i + GROUP <= n; i += GROUP)
+            for (int k = 0; k < ACC; k++) {
+                long j = i + 2 * k;
+                pair x = pair_load(v + j) + (pair_load(fpad + j + 1) - pair_load(fpad + j)) * dt_h;
+                memcpy(v + j, &x, sizeof x);
+                extrema_add(&e, k, x, m2);
             }
-        for (int k = 0; i + k < n; k++) {
-            double x = v[i + k] + (fpad[i + k + 1] - fpad[i + k]) * dt_h;
-            v[i + k] = x;
-            lo[k] = x < lo[k] ? x : lo[k];
+        for (; i < n; i++) {
+            double x = v[i] + (fpad[i + 1] - fpad[i]) * dt_h;
+            v[i] = x;
+            extrema_add(&e, 0, (pair){x, x}, m2);
         }
-        double worst = lo[0];
-        for (int k = 1; k < LANES; k++)
-            worst = lo[k] < worst ? lo[k] : worst;
+        double worst = extrema_min(&e);
+        if (m2)
+            ffac = extrema_max(&e);
         if (!(worst > 0.0)) {
-            double top = max_reduce(v, n, 0);
-            if (worst < 0.0 && worst < clamp_rel * (1.0 > top ? 1.0 : top)) {
-                io[0] = t;
-                io[3] = worst;
-                return 1;
+            if (worst < 0.0) {
+                double top = m2 ? ffac : max_reduce(v, n, 0);
+                if (worst < clamp_rel * (1.0 > top ? 1.0 : top)) {
+                    io[0] = t;
+                    io[3] = worst;
+                    return 1;
+                }
             }
             for (long j = 0; j < n; j++)
                 v[j] = v[j] <= 0.0 ? 0.0 : v[j];

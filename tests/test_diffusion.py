@@ -1,11 +1,14 @@
 """Doubly nonlinear diffusion solver and trajectory diagnostics."""
 
 import hashlib
+import math
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from qfisher import _native, acceptance, cli, diffusion, perturb
 from qfisher.core import Axis, GridDensity, Tolerances, density_from_callable, integrate
@@ -26,6 +29,8 @@ from qfisher.qgaussian import DiffusionParams, barenblatt, barenblatt_density, b
 
 HEAT = DiffusionParams(1.0, 2.0, 1)
 PME = DiffusionParams(2.0, 2.0, 1)
+#: the (m, beta) with an exact C form: every acceptance run's
+EXACT_C_FORMS = [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (2.0, 3.0)]
 
 
 @pytest.fixture
@@ -82,6 +87,34 @@ class TestStep:
         assert out.step_count > 50
         h = st.f.axis.step
         assert abs(h * np.sum(out.f.values) - h * np.sum(st.f.values)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(form=hs.sampled_from(EXACT_C_FORMS), compiled=hs.booleans(),
+           n=hs.integers(50, 200).map(lambda k: 2 * k + 1), cfl_steps=hs.integers(5, 40),
+           bumps=hs.lists(hs.tuples(hs.floats(0.2, 1.0), hs.floats(0.4, 0.8), hs.floats(-1.0, 1.0)),
+                          min_size=1, max_size=3))
+    def test_mass_conserved_to_roundoff(self, form, compiled, n, cfl_steps, bumps):
+        # A step sets x_i = fl(v_i + fl(fl(F_i+1 - F_i) dt/h)), whose exact
+        # increments telescope to zero over the no-flux faces.  Each rounding
+        # is at most u = eps/2 relative, so one step moves sum v by at most
+        # u sum x + 2u sum |x - v| <= 5u sum v while v stays positive (a
+        # smooth positive start never reaches the clamp), that is 2.5 eps
+        # times the mass; pinned at 3 eps a step for the second-order terms,
+        # plus eps for rounding the two exact sums h fsum(v).
+        ax = Axis(-12.0, 12.0, n)
+        f = density_from_callable(ax, lambda x: sum(
+            a * np.exp(-(x - c) ** 2 / (2 * s * s)) for a, s, c in bumps))
+        st = DiffusionState(DiffusionParams(*form, 1), 0.0, f)
+        t_end = cfl_steps * diffusion._Kernel(st.params, ax.step, n).march(
+            f.values.copy(), 0.0, 0.0, 0.0, 0, 0)[2]
+        with pytest.MonkeyPatch.context() as patch:
+            if not compiled:
+                patch.setattr(_native, "library", lambda: None)
+            out, _ = evolve(st, t_end, n_logs=2)
+        mass = ax.step * math.fsum(f.values)
+        drift = abs(ax.step * math.fsum(out.f.values) - mass)
+        assert out.step_count > 0
+        assert drift <= (3 * out.step_count + 1) * np.finfo(float).eps * mass
 
     def test_instability_detected(self, monkeypatch, compiled_kernel):
         st = gaussian_state(count=201)
@@ -292,16 +325,16 @@ def _ref_evolve(state, t_end, n_logs):
     return DiffusionState(p, t_end, GridDensity(axis, v), nsteps), log
 
 
-def _oracle_state(m, beta):
+def _oracle_state(m, beta, count=201):
     """Initial data with exact zeros outside a compact support (for beta < 2
     the porous-medium profile: the run's own Barenblatt profile is not compact),
     except for the heat case, a Gaussian positive everywhere (the clamp-skip path)."""
     dp = DiffusionParams(m, beta, 1)
     if (m, beta) == (1.0, 2.0):
-        ax = Axis(-10.0, 10.0, 201)
+        ax = Axis(-10.0, 10.0, count)
         f = density_from_callable(ax, lambda x: np.exp(-x * x / 2) / np.sqrt(2 * np.pi))
         return DiffusionState(dp, 0.0, f)
-    ax = Axis(-4.0, 4.0, 201)
+    ax = Axis(-4.0, 4.0, count)
     return DiffusionState(dp, 1.0, barenblatt_density(PME if beta < 2 else dp, 1.0, ax))
 
 
@@ -370,6 +403,15 @@ class TestKernelOracleNumpyKernel(TestKernelOracle):
         pass
 
 
+class TestKernelOraclePlainHelpers(TestKernelOracle):
+    """The oracle on the library built with the plain C helpers, whose bits
+    are therefore the packed build's."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, plain_library, monkeypatch):
+        monkeypatch.setattr(_native, "library", lambda: plain_library)
+
+
 class TestAliasing:
     def test_input_untouched_and_outputs_independent(self):
         st = _oracle_state(2.0, 2.0)
@@ -424,9 +466,6 @@ class TestStepBudget:
 
 # --- choosing, building and caching the compiled march ---
 
-EXACT_C_FORMS = [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (2.0, 3.0)]
-
-
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
     """The loader with nothing loaded, building a copy of _kernels.c in
@@ -456,6 +495,74 @@ def clear_loader():
 def _needs_cc():
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
+
+
+#: the elements of one group of the compiled march's packed extrema (GROUP
+#: in _kernels.c); the elements after the last whole group go one at a time
+GROUP = 8
+#: every length of the last partial group, with and without whole groups
+TAIL_COUNTS = list(range(3, 18, 2)) + [4001, 4003, 4005, 4007]
+
+
+def _plantings(n):
+    """Nothing; NaN, inf, -1.0 and -0.0 at node 0, node n-1 and inside the
+    last partial group (the whole array below GROUP nodes), one at a time;
+    a negative value with a NaN; and at each of those nodes a peak of 1e20
+    that lifts the abort threshold above a -1e-12 elsewhere.  An inf turns
+    into NaNs within a step (inf - inf, inf * 0), after the flux pass has
+    taken its maxima."""
+    tail = (n // GROUP * GROUP + n - 1) // 2
+    nodes = (0, tail, n - 1)
+    return ([{}] + [{node: value} for node in nodes for value in (np.nan, np.inf, -1.0, -0.0)]
+            + [{0: -1.0, n - 1: np.nan}]
+            + [{node: 1e20, (node + n // 2) % n: -1e-12} for node in nodes])
+
+
+def _march_outcome(name, st, planted):
+    """(t, steps, cfl) as bytes, or the error text, and the bytes of v, after
+    kernel method `name` marches st's values with `planted` set for twenty
+    CFL dts of the unplanted start.  Where an inf is planted, every NaN is
+    written as np.nan: the sign of a NaN made by inf - inf depends on the
+    operand order of a commutative add, which numpy and gcc choose apart."""
+    kernel = diffusion._Kernel(st.params, st.f.axis.step, st.f.values.size)
+    end = st.t + 20.0 * kernel.march(st.f.values.copy(), st.t, st.t, st.t, 0, 0)[2]
+    v = st.f.values.copy()
+    for node, value in planted.items():
+        v[node] = value
+    canonical = np.isinf(list(planted.values())).any()
+
+    def as_bytes(x):
+        return (np.where(np.isnan(x), np.nan, x) if canonical else x).tobytes()
+
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = as_bytes(np.array(getattr(kernel, name)(v, st.t, end, end, 0, 1000)))
+    except StabilityError as err:
+        result = str(err)
+    return result, as_bytes(v)
+
+
+def _build_kernels(directory, *flags):
+    """_kernels.c built into directory with _native.CFLAGS and flags, and
+    loaded with the types of _native.SIGNATURES."""
+    _needs_cc()
+    out = directory / "_kernels.so"
+    done = subprocess.run(["cc", *_native.CFLAGS, *flags, "-o", str(out), str(_native.SOURCE)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return _native._load(out)
+
+
+@pytest.fixture
+def packed_library(compiled_kernel):
+    return _native.library()
+
+
+@pytest.fixture(scope="module")
+def plain_library(tmp_path_factory):
+    """The library with the plain C body of every packed helper, as built
+    for a target without SSE2."""
+    return _build_kernels(tmp_path_factory.mktemp("plain"), "-U__SSE2__")
 
 
 def _assert_evolve_is_reference(m, beta, span):
@@ -518,19 +625,25 @@ class TestCompiledKernel:
         # a maximum sets it; a negative value alone aborts.  The numpy march
         # keeps no buffers, so the outcome and v are what is compared
         st = _oracle_state(m, beta)
-        outcomes = []
-        for name in ("march", "march_compiled"):
-            v = st.f.values.copy()
-            for node, value in planted.items():
-                v[node] = value
-            kernel = diffusion._Kernel(st.params, st.f.axis.step, v.size)
-            try:
-                t, steps, cfl = getattr(kernel, name)(v, st.t, st.t + 0.01, st.t + 0.01, 0, 40)
-                result = np.array([t, steps, cfl]).tobytes()
-            except StabilityError as err:
-                result = str(err)
-            outcomes.append((result, v.tobytes()))
-        assert outcomes[0] == outcomes[1]
+        assert _march_outcome("march", st, planted) == _march_outcome("march_compiled", st, planted)
+
+    @pytest.mark.parametrize("n", TAIL_COUNTS)
+    @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
+    @pytest.mark.parametrize("build", ["packed", "plain"])
+    def test_tails_and_plantings_follow_numpy(self, build, m, beta, n, request, monkeypatch):
+        # _plantings on every length of the last partial group, with and
+        # without whole groups, on both forms of the packed helpers
+        library = request.getfixturevalue(f"{build}_library")
+        monkeypatch.setattr(_native, "library", lambda: library)
+        st = _oracle_state(m, beta, n)
+        for planted in _plantings(n):
+            numpy_march, compiled = (_march_outcome(name, st, planted)
+                                     for name in ("march", "march_compiled"))
+            assert numpy_march == compiled, planted
+
+    @pytest.mark.parametrize("flags", [(), ("-U__SSE2__",)], ids=["packed", "plain"])
+    def test_builds_without_warnings(self, flags, tmp_path):
+        _build_kernels(tmp_path, *flags, "-Wall", "-Wextra", "-Werror")
 
     @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
     def test_each_array_stepped_through_its_own_address(self, m, beta, compiled_kernel):
