@@ -6,13 +6,17 @@ subcommand's *_DEFAULTS dict is the one declaration of its options: key
 a value from either takes the default's type.  No other flag or key is
 accepted; `--seed` exists only on crbound, stam and minimize (on the first
 two, exactly when trials or perturbations > 0), and `reproduce` (pinned
-suite seed) takes only -o.  A given option the selected model, family or
-init never reads, an unknown selector value (`_selector_reads`), a count
-below its least value (LEAST_COUNT; minimize: perturbations >= 1, crbound:
-trials 0 or >= 2), an even grid count (on info, one not 4k + 1), or a value
-of POSITIVE_KEYS not finite and > 0 or of FINITE_KEYS not finite is refused.
+suite seed) takes only -o.  A command takes one Hoelder exponent, alpha on
+info, crbound, qcr and minimize and beta on diffuse and stam, and computes
+its conjugate; it judges each verdict at a pinned tolerance.  A given
+option the selected model, family or init never reads, an unknown selector
+value (`_selector_reads`), a count below its least value (LEAST_COUNT;
+minimize: perturbations >= 1, crbound: trials 0 or >= 2), an even grid
+count (on info, one not 4k + 1), a value of POSITIVE_KEYS not finite and
+> 0, of FINITE_KEYS not finite or of the Hoelder exponent not finite and
+> 1, and a pair of ORDERED_PAIRS out of order are refused.
 A flat key = value file (--config) is overridden by flags; every report
-embeds the fully resolved configuration.
+embeds the resolved options that its run read.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
 emitted with sorted keys and shortest round-trip floats, CSV with 17
 significant digits and '.' decimal.
@@ -79,10 +83,10 @@ def _option_type(default):
 
 def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags, every value of its default's
-    type; an option still None (the unset seed) is left out.  The Hoelder
-    pair (alpha, beta) is cross-validated when both are given explicitly and
-    derived from the other when only one is; counts, POSITIVE_KEYS,
-    FINITE_KEYS and then the selectors are checked before any work."""
+    type.  Counts, POSITIVE_KEYS, FINITE_KEYS, the Hoelder exponent, the
+    selectors and then ORDERED_PAIRS are checked before any work.  The
+    result holds only the options the run reads: not the unset seed (None),
+    nor an option that the selected model, family or init never reads."""
     cfg = dict(defaults)
     file_cfg = read_config_file(args.config) if args.config else {}
     unknown = set(file_cfg) - set(defaults)
@@ -96,19 +100,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise UsageError(f"config key {key!r}: expected {typ.__name__}, got {text!r}") from None
     flags = {key: val for key, val in vars(args).items() if key in defaults and val is not None}
     cfg.update(flags)
+    cfg = {key: val for key, val in cfg.items() if val is not None}
     explicit = set(file_cfg) | set(flags)
-    if "alpha" in defaults and "beta" in defaults:
-        for key in ("alpha", "beta"):
-            if key in explicit and not 1 < cfg[key] < math.inf:
-                raise UsageError(f"{key} must be finite and exceed 1, got {cfg[key]}")
-        if "alpha" in explicit and "beta" in explicit:
-            if abs(1.0 / cfg["alpha"] + 1.0 / cfg["beta"] - 1.0) > 1e-12:
-                raise UsageError(
-                    f"alpha = {cfg['alpha']} and beta = {cfg['beta']} are not Hoelder conjugate")
-        elif "alpha" in explicit:
-            cfg["beta"] = cfg["alpha"] / (cfg["alpha"] - 1.0)
-        elif "beta" in explicit:
-            cfg["alpha"] = cfg["beta"] / (cfg["beta"] - 1.0)
     _check_counts(cfg)
     for key in POSITIVE_KEYS:
         if key in cfg and not 0 < cfg[key] < math.inf:
@@ -116,15 +109,23 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     for key in FINITE_KEYS:
         if key in cfg and not math.isfinite(cfg[key]):
             raise UsageError(f"{key} must be finite, got {cfg[key]}")
+    for key in ("alpha", "beta"):  # a command's one Hoelder exponent
+        if key in cfg and not 1 < cfg[key] < math.inf:
+            raise UsageError(f"{key} must be finite and exceed 1, got {cfg[key]}")
     selectors = _selector_reads()
     for selector in selectors.keys() & cfg.keys():
         reads, value = selectors[selector], cfg[selector]
         if value not in reads:
             raise UsageError(f"unknown {selector} {value!r} ({', '.join(reads)})")
-        unread = sorted(explicit & set().union(*reads.values()) - reads[value])
-        if unread:
-            raise UsageError(f"{unread[0]} = {cfg[unread[0]]} is never read: {selector} = {value}")
-    return {k: v for k, v in cfg.items() if v is not None}
+        unread = set().union(*reads.values()) - reads[value]
+        if explicit & unread:
+            key = min(explicit & unread)
+            raise UsageError(f"{key} = {cfg[key]} is never read: {selector} = {value}")
+        cfg = {key: val for key, val in cfg.items() if key not in unread}
+    for lo, hi in ORDERED_PAIRS:
+        if lo in cfg and not cfg[lo] < cfg[hi]:
+            raise UsageError(f"{lo} must be below {hi}, got {cfg[lo]} and {cfg[hi]}")
+    return cfg
 
 
 def _model_options(name: str) -> list:
@@ -141,14 +142,15 @@ def _selector_reads() -> dict:
             "constraint": {"moment": set(), "entropy-power": set()}}
 
 
-#: least value of each count option; a grid count must also be odd
-#: (composite Simpson) and n_logs gives the centered differences of dS/dt
-LEAST_COUNT = {"grid_count": 3, "n_logs": 3, "perturbations": 0, "trials": 0, "n": 1}
-#: options whose value must be finite and > 0: tolerances, the minimize
-#: target and the scales
-POSITIVE_KEYS = ("identity_rel", "inequality_slack", "target", "gamma", "sigma", "sigma0")
+#: least value of each count option and of the seed; a grid count must also
+#: be odd (composite Simpson) and n_logs gives the centered differences of dS/dt
+LEAST_COUNT = {"grid_count": 3, "n_logs": 3, "perturbations": 0, "trials": 0, "n": 1, "seed": 0}
+#: options whose value must be finite and > 0: the minimize target and the scales
+POSITIVE_KEYS = ("target", "gamma", "sigma", "sigma0")
 #: options whose value must be finite
-FINITE_KEYS = ("q", "theta", "m", "t0")
+FINITE_KEYS = ("q", "theta", "m", "t0", "t_end", "lo", "hi", "grid_lo", "grid_hi")
+#: (low, high) option pairs whose values must satisfy low < high
+ORDERED_PAIRS = (("lo", "hi"), ("grid_lo", "grid_hi"), ("t0", "t_end"))
 
 
 def _check_counts(cfg: dict, least: dict = LEAST_COUNT):
@@ -202,7 +204,7 @@ def _json_report(payload: dict, cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 
 INFO_DEFAULTS = {
-    "family": "qgaussian", "q": 1.0, "alpha": 2.0, "beta": 2.0, "gamma": 0.5,
+    "family": "qgaussian", "q": 1.0, "alpha": 2.0, "gamma": 0.5,
     "n": 1, "lo": 0.0, "hi": 1.0, "grid_count": 4001,
 }
 
@@ -212,14 +214,14 @@ def cmd_info(args) -> int:
     if (cfg["grid_count"] - 1) % 4:
         raise UsageError(f"grid_count must be 4k + 1 (the refinement diagnostic halves the "
                          f"grid twice), got {cfg['grid_count']}")
+    q, alpha = cfg["q"], cfg["alpha"]
     if cfg["family"] == "qgaussian":
-        f = grid_density(QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"]),
-                         cfg["grid_count"])
+        f = grid_density(QGaussianParams(q, alpha, cfg["gamma"], cfg["n"]), cfg["grid_count"])
     else:
         _check_one_dimensional(cfg, "the uniform family")
         ax = Axis(cfg["lo"], cfg["hi"], cfg["grid_count"])
         f = density_from_callable(ax, lambda x: np.ones_like(x) / (cfg["hi"] - cfg["lo"]))
-    q, beta = cfg["q"], cfg["beta"]
+    beta = alpha / (alpha - 1.0)
     diag = phi_fisher_refined(f, q, beta)
     mq = m_q(f, q)
     payload = {
@@ -236,10 +238,8 @@ def cmd_info(args) -> int:
 
 
 DIFFUSE_DEFAULTS = {
-    "m": 2.0, "beta": 2.0, "alpha": 2.0, "n": 1, "init": "barenblatt",
-    "t0": 1.0, "t_end": 2.0, "sigma0": 1.0,
-    "grid_lo": -3.5, "grid_hi": 3.5, "grid_count": 1001, "n_logs": 201,
-    "identity_rel": 1e-2, "inequality_slack": 1e-9,
+    "m": 2.0, "beta": 2.0, "n": 1, "init": "barenblatt", "t0": 1.0, "t_end": 2.0,
+    "sigma0": 1.0, "grid_lo": -3.5, "grid_hi": 3.5, "grid_count": 1001, "n_logs": 201,
 }
 
 
@@ -248,9 +248,6 @@ def cmd_diffuse(args) -> int:
     if not args.output:
         raise UsageError("diffuse requires --output for the trajectory CSV")
     _check_one_dimensional(cfg, "the diffusion solver")
-    if not -math.inf < cfg["grid_lo"] < cfg["grid_hi"] < math.inf:
-        raise UsageError(f"grid_lo and grid_hi must be finite with grid_lo < grid_hi, "
-                         f"got {cfg['grid_lo']} and {cfg['grid_hi']}")
     dp = DiffusionParams(cfg["m"], cfg["beta"], cfg["n"])
     ax = Axis(cfg["grid_lo"], cfg["grid_hi"], cfg["grid_count"])
     if cfg["init"] == "barenblatt":
@@ -262,9 +259,7 @@ def cmd_diffuse(args) -> int:
         f0 = density_from_callable(
             ax, lambda x: np.exp(-x * x / (2 * s0 * s0)) / np.sqrt(2 * np.pi * s0 * s0))
     state, log = evolve(DiffusionState(dp, cfg["t0"], f0), cfg["t_end"], cfg["n_logs"])
-    tol = Tolerances(identity_rel=cfg["identity_rel"],
-                     inequality_slack=cfg["inequality_slack"])
-    reports = debruijn_check(log, dp, tol)
+    reports = debruijn_check(log, dp)
     verdicts = [r.passed for r in reports]
     summary = {
         "debruijn_max_rel_err": max(r.gap for r in reports),
@@ -273,7 +268,7 @@ def cmd_diffuse(args) -> int:
         "steps": state.step_count,
     }
     if dp.beta == 2.0:
-        mono = phi_monotonicity_check(log, cfg["inequality_slack"])
+        mono = phi_monotonicity_check(log)
         summary["monotonicity_ok"] = mono.passed
         verdicts.append(mono.passed)
     header = "t,mass,M_q,S_q,phi,dSdt_fd,rhs_identity,rel_err"
@@ -286,10 +281,8 @@ def cmd_diffuse(args) -> int:
 
 
 CRBOUND_DEFAULTS = {
-    "model": "gaussian-location", "n": 1, "sigma": 1.0,
-    "q": 2.0, "alpha": 2.0, "beta": 2.0, "gamma": 1.0,
-    "theta": 0.0, "trials": 0, "grid_count": 4001,
-    "inequality_slack": 1e-9, "seed": None,
+    "model": "gaussian-location", "n": 1, "sigma": 1.0, "q": 2.0, "alpha": 2.0, "gamma": 1.0,
+    "theta": 0.0, "trials": 0, "grid_count": 4001, "seed": None,
 }
 
 
@@ -310,8 +303,7 @@ def cmd_crbound(args) -> int:
                                          count=cfg["grid_count"])
     est = model.estimator(cfg["alpha"])
     theta = [cfg["theta"]]
-    rep = crm_bound_scalar(model, est, theta,
-                           Tolerances(inequality_slack=cfg["inequality_slack"]))
+    rep = crm_bound_scalar(model, est, theta)
     payload = {"lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap, "passed": rep.passed,
                "equality_residual": rep.extras.get("equality_residual"),
                "c_opt": rep.extras.get("c_opt"), "mc": None, "mc_se": None}
@@ -325,18 +317,14 @@ def cmd_crbound(args) -> int:
     return EXIT_PASS if rep.passed and payload.get("mc_consistent", True) else EXIT_VERDICT
 
 
-QCR_DEFAULTS = {
-    "q": 2.0, "alpha": 2.0, "beta": 2.0, "gamma": 1.0, "n": 1, "grid_count": 8001,
-    "inequality_slack": 1e-6,
-}
+QCR_DEFAULTS = {"q": 2.0, "alpha": 2.0, "gamma": 1.0, "n": 1, "grid_count": 8001}
 
 
 def cmd_qcr(args) -> int:
     cfg = resolve_config(args, QCR_DEFAULTS)
     g = grid_density(QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"]),
                      cfg["grid_count"])
-    rep = qcr_product(g, cfg["q"], cfg["alpha"],
-                      Tolerances(inequality_slack=cfg["inequality_slack"]))
+    rep = qcr_product(g, cfg["q"], cfg["alpha"], Tolerances(inequality_slack=1e-6))
     payload = {"product": rep.lhs, "dim": rep.rhs, "gap": rep.gap, "passed": rep.passed}
     payload.update(rep.extras)
     _emit(_json_report(payload, cfg), args.output)
@@ -344,9 +332,8 @@ def cmd_qcr(args) -> int:
 
 
 STAM_DEFAULTS = {
-    "q": 1.0, "alpha": 2.0, "beta": 2.0, "gamma": 0.5, "n": 1,
-    "grid_count": 8001, "perturbations": 0,
-    "inequality_slack": 1e-4, "seed": None,
+    "q": 1.0, "beta": 2.0, "gamma": 0.5, "n": 1, "grid_count": 8001, "perturbations": 0,
+    "seed": None,
 }
 
 
@@ -355,17 +342,18 @@ def cmd_stam(args) -> int:
     _check_seed(cfg, "perturbations")
     if cfg["perturbations"]:
         _check_one_dimensional(cfg, "the perturbation family")
-    p = QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"])
+    q, beta = cfg["q"], cfg["beta"]
+    p = QGaussianParams(q, beta / (beta - 1.0), cfg["gamma"], cfg["n"])
     f = grid_density(p, cfg["grid_count"])
-    tol = Tolerances(inequality_slack=cfg["inequality_slack"])
-    rep = stam_ratio(f, cfg["q"], cfg["beta"], tol)
+    tol = Tolerances(inequality_slack=1e-4)
+    rep = stam_ratio(f, q, beta, tol)
     min_perturbed = None
     verdict = rep.passed
     if cfg["perturbations"]:
         batch = perturbation_batch(p, np.random.default_rng(cfg["seed"]),
                                    cfg["perturbations"], 5, "moment", moment_alpha(p),
                                    min(cfg["grid_count"], 4001))
-        min_perturbed = min(stam_ratio(fp, cfg["q"], cfg["beta"], tol).lhs for _, _, fp in batch)
+        min_perturbed = min(stam_ratio(fp, q, beta, tol).lhs for _, _, fp in batch)
         verdict = verdict and min_perturbed > 1.0
     payload = {
         "value_G": rep.extras["product_ref"],
@@ -380,9 +368,8 @@ def cmd_stam(args) -> int:
 
 
 MINIMIZE_DEFAULTS = {
-    "constraint": "moment", "q": 2.0, "alpha": 2.0, "beta": 2.0, "target": 0.2,
-    "n": 1, "perturbations": 50, "grid_count": 4001,
-    "inequality_slack": 1e-6, "seed": None,
+    "constraint": "moment", "q": 2.0, "alpha": 2.0, "target": 0.2, "n": 1, "perturbations": 50,
+    "grid_count": 4001, "seed": None,
 }
 
 
@@ -391,15 +378,13 @@ def cmd_minimize(args) -> int:
     _check_counts(cfg, {"perturbations": 1})
     _check_seed(cfg, "perturbations")
     _check_one_dimensional(cfg, "the perturbation family")
-    tol = Tolerances(inequality_slack=cfg["inequality_slack"])
+    common = (cfg["target"], cfg["n"], cfg["perturbations"], cfg["seed"], cfg["grid_count"],
+             Tolerances(inequality_slack=1e-6))
+    alpha = cfg["alpha"]
     if cfg["constraint"] == "moment":
-        rep = min_fisher_fixed_moment(cfg["q"], cfg["alpha"], cfg["target"], cfg["n"],
-                                      cfg["perturbations"], cfg["seed"],
-                                      cfg["grid_count"], tol)
+        rep = min_fisher_fixed_moment(cfg["q"], alpha, *common)
     else:
-        rep = min_fisher_fixed_entropy(cfg["q"], cfg["beta"], cfg["target"], cfg["n"],
-                                       cfg["perturbations"], cfg["seed"],
-                                       cfg["grid_count"], tol)
+        rep = min_fisher_fixed_entropy(cfg["q"], alpha / (alpha - 1.0), *common)
     payload = {key: rep.extras[key]
                for key in ("value_G", "min_perturbed", "worst_gap", "gap_amplitude_exponent")}
     payload["verdict"] = rep.passed

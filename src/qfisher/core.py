@@ -61,8 +61,8 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError(f"axis bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ValueError(f"axis bounds must be finite with lo < hi, got [{self.lo}, {self.hi}]")
         if self.count < 3 or self.count % 2 == 0:
             raise ValueError(f"axis count must be odd and >= 3, got {self.count}")
 

@@ -26,7 +26,8 @@ than MAX_STEPS steps, and spans whose end does not exceed their start.
 For m in {1, 2} and beta in {2, 3}, where v^m and the face flux have exact
 C forms (v or v*v, d or |d| d), evolve runs :meth:`_Kernel.march_compiled`
 instead: the same loop as one C function, ``qfisher_march`` in
-``_kernels.c``, whose results are the numpy march's bit for bit, when
+``_kernels.c``, whose results are the numpy march's bit for bit (but for
+the sign bit of a NaN that a step makes from an inf, as inf - inf), when
 :mod:`qfisher._native` builds or loads the library at the first such run in
 a process.  Every acceptance run and the ``diffuse`` defaults are in that
 set.  The numpy march is the fallback without a compiler and for every other
@@ -188,7 +189,8 @@ class _Kernel:
                        steps: int, budget: int):
         """:meth:`march` as the one C loop ``qfisher_march`` of ``_kernels.c``,
         for m in {1, 2} and beta in {2, 3}: the same arguments, results and
-        errors, bit for bit.  The addresses of v, ``d``, ``fpad``, ``io`` and
+        errors, bit for bit, except that a NaN a step makes from an inf may
+        differ in sign bit.  The addresses of v, ``d``, ``fpad``, ``io`` and
         ``count`` are taken at the first call with a given v, which is once
         per :func:`evolve`.  CFL_SAFETY and NEGATIVE_CLAMP_REL are read on
         every call, as :meth:`march` reads them."""

@@ -191,13 +191,12 @@ def _equality_fit(model: ParametricModel, g, a, b, active, scale):
     return c, resid / max(float(np.sum(w_quad * scale)), 1e-300)
 
 
-def crm_bound_scalar(model: ParametricModel, est: EstimatorSpec, theta,
-                     tol: Tolerances = Tolerances()) -> VerificationReport:
+def crm_bound_scalar(model: ParametricModel, est: EstimatorSpec, theta) -> VerificationReport:
     """Scalar bound: E_g[|T-h|^alpha]^(1/alpha) >= |eta'| / E_g[|psi|^beta]^(1/beta).
 
-    Reports the two sides, their gap, the optimal multiplier c of the
-    equality condition psi = c sign(T-h)|T-h|^(alpha-1) and its residual
-    E_g|psi - c sign(T-h)|T-h|^(alpha-1)|, normalized by
+    Reports, at the default slack, the two sides, their gap, the optimal
+    multiplier c of the equality condition psi = c sign(T-h)|T-h|^(alpha-1)
+    and its residual E_g|psi - c sign(T-h)|T-h|^(alpha-1)|, normalized by
     E_g[|T-h|^(alpha-1)].  With T = h wherever g > 0 there is nothing to
     fit, and both read 0.
     """
@@ -216,7 +215,7 @@ def crm_bound_scalar(model: ParametricModel, est: EstimatorSpec, theta,
     s = np.sign(t_err) * np.abs(t_err) ** (est.alpha - 1.0)
     active = (s != 0) & (g > 0)
     c, resid = _equality_fit(model, g, psi, s, active, np.abs(s)) if np.any(active) else (0.0, 0.0)
-    return inequality_report(lhs, rhs, tol.inequality_slack,
+    return inequality_report(lhs, rhs, Tolerances().inequality_slack,
                              extras={"eta_dot": ed, "equality_residual": resid, "c_opt": c})
 
 

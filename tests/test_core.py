@@ -412,6 +412,9 @@ class TestGridDensity:
             Axis(0.0, 1.0, 10)
         with pytest.raises(ValueError, match="lo < hi"):
             Axis(1.0, 0.0, 11)
+        for lo, hi in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                Axis(lo, hi, 11)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError, match="negative"):

@@ -108,7 +108,7 @@ class TestScalarBound:
     def test_gaussian_equality(self, sigma):
         m = gaussian_location_model(n=1, sigma=sigma)
         est = sample_mean_estimator(n=1)
-        rep = crm_bound_scalar(m, est, [0.0], TOL_EQ)
+        rep = crm_bound_scalar(m, est, [0.0])
         assert rep.passed
         assert rep.lhs == pytest.approx(sigma, abs=1e-6)
         assert rep.rhs == pytest.approx(sigma, abs=1e-6)
@@ -124,14 +124,14 @@ class TestScalarBound:
             return g(coords, theta) * (1.0 + theta[0] * 1e200 * coords[0])
 
         m = ParametricModel(f, g, 1, Axis(-8.0, 8.0, 401), name="overflowing-score")
-        rep = crm_bound_scalar(m, sample_mean_estimator(n=1), [0.0], TOL_EQ)
+        rep = crm_bound_scalar(m, sample_mean_estimator(n=1), [0.0])
         assert rep.extras == {"flag": "divergent-score-moment"}
         assert not rep.passed and np.isnan(rep.rhs) and rep.lhs == pytest.approx(1.0, rel=1e-6)
 
     def test_alpha4_strict_with_moment_oracle(self):
         m = gaussian_location_model(n=1)
         est = EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=4.0)
-        rep = crm_bound_scalar(m, est, [0.0], TOL_EQ)
+        rep = crm_bound_scalar(m, est, [0.0])
         # oracles: E|z|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi)
         lhs_exact = 3.0 ** 0.25
         e_z_43 = 2 ** (2.0 / 3.0) * gamma_fn((4.0 / 3.0 + 1) / 2) / np.sqrt(np.pi)
@@ -144,14 +144,14 @@ class TestScalarBound:
     def test_biased_estimator_doubles_bound(self):
         m = gaussian_location_model(n=1)
         t2 = EstimatorSpec(T=lambda c: 2 * c[0], h=lambda th: float(th[0]), alpha=2.0)
-        rep = crm_bound_scalar(m, t2, [0.0], TOL_EQ)
+        rep = crm_bound_scalar(m, t2, [0.0])
         assert rep.extras["eta_dot"] == pytest.approx(2.0, rel=1e-8)
         assert rep.rhs == pytest.approx(2.0, rel=1e-6)
 
     def test_three_bound_forms_coincide_alpha2(self):
         m = gaussian_location_model(n=1)
         est = sample_mean_estimator(n=1)
-        scalar_rhs = crm_bound_scalar(m, est, [0.0], TOL_EQ).rhs
+        scalar_rhs = crm_bound_scalar(m, est, [0.0]).rhs
         quad_rhs = np.sqrt(crm_bound_quadratic(m, est, [0.0]).rhs)
         general = crm_bound_general(m, est, [0.0], np.array([[3.7]]))
         assert scalar_rhs == pytest.approx(quad_rhs, rel=1e-10)
@@ -264,7 +264,7 @@ class TestLocationConsistency:
         q, alpha = 2.0, 2.0
         m = escort_pair_model(q, alpha, 1.0, count=8001)
         est = EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=alpha)
-        rep = crm_bound_scalar(m, est, [0.0], TOL_EQ)
+        rep = crm_bound_scalar(m, est, [0.0])
         beta = est.beta
         gv = m.g_values([0.0])
         gd = GridDensity(m.axis, gv)
@@ -319,7 +319,7 @@ class TestMonteCarlo:
     def test_qgaussian_matches_quadrature(self):
         m = qgaussian_location_model(2.0, 2.0, 1.0)
         est = EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=2.0)
-        rep = crm_bound_scalar(m, est, [0.0], TOL_EQ)
+        rep = crm_bound_scalar(m, est, [0.0])
         val, se = mc_error_moment(m, est, [0.0], trials=100_000, seed=8)
         lhs_quad = np.sqrt(0.2)
         assert rep.lhs == pytest.approx(lhs_quad, abs=1e-6)

@@ -173,20 +173,40 @@ def _simple_name(expr):
     return expr.attr if isinstance(expr, ast.Attribute) else None
 
 
+def _classmethod_self_calls(tree) -> dict:
+    """id of each call of a classmethod's first parameter (cls(...)) -> the
+    name of the class that the classmethod belongs to."""
+    calls = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if (isinstance(fn, ast.FunctionDef) and fn.args.args
+                    and any(getattr(d, "id", None) == "classmethod" for d in fn.decorator_list)):
+                calls.update((id(node), cls.name) for node in ast.walk(fn)
+                             if isinstance(node, ast.Call)
+                             and getattr(node.func, "id", None) == fn.args.args[0].arg)
+    return calls
+
+
 def call_sites(source: str, known_registries: dict | None = None):
     """(callee name, positional count, keywords) for every call.  A *args
     spreads over every later position and a **kwargs over every keyword
-    (count inf, keywords None).  A subscript callee REGISTRY[key](...) of a
-    known registry is a call of each function it registers; otherwise the
-    name is None: its function is unknown, so only its named keywords are
-    kept."""
+    (count inf, keywords None).  cls(...) in a classmethod is a call of its
+    class.  A subscript callee REGISTRY[key](...) of a known registry is a
+    call of each function it registers; otherwise the name is None: its
+    function is unknown, so only its named keywords are kept."""
     known_registries = known_registries or {}
+    tree = ast.parse(source)
+    own_class = _classmethod_self_calls(tree)
     sites = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, (ast.Name, ast.Attribute)):
+        if id(node) in own_class:
+            names = [own_class[id(node)]]
+        elif isinstance(func, (ast.Name, ast.Attribute)):
             names = [_simple_name(func)]
         elif isinstance(func, ast.Subscript):
             names = known_registries.get(_simple_name(func.value), [None])
@@ -251,6 +271,11 @@ def test_detects_unread_default():
         "K.m(z)", "K.s(u)", "D.v", "D.w"]
     assert unread_defaults([registry], ["REG[k](0, 0, c=1)\n"]) == [
         "f(d)", "f(e)", "K.m(z)", "K.s(u)", "D.v", "D.w"]
+    # cls(...) in a classmethod calls its class, not a function named cls
+    factory = ("class C:\n    def __init__(self, a=0, b=1):\n        pass\n"
+               "    @classmethod\n    def make(cls):\n        return cls(b=2)\n"
+               "def cls(c=3):\n    pass\n")
+    assert unread_defaults([factory], [factory]) == ["C.__init__(a)", "cls(c)"]
 
 
 def unread_fields(package_sources, reader_sources) -> list[str]:
@@ -310,14 +335,11 @@ def cfg_reads(functions: dict, name: str) -> set:
 def unread_options(source: str, tables: dict) -> list[str]:
     """"subcommand: key" for each key of an options table that its handler
     never reads for any value of its selector.  `tables` maps a subcommand
-    to (handler name, options table); alpha and beta, the Hoelder pair,
-    count as read where either is."""
+    to (handler name, options table)."""
     functions = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
     unread = []
     for name, (handler, table) in tables.items():
         reads = cfg_reads(functions, handler)
-        if reads & {"alpha", "beta"}:
-            reads |= {"alpha", "beta"}
         unread += [f"{name}: {key}" for key in table if key not in reads]
     return unread
 
@@ -340,7 +362,8 @@ def test_detects_unread_option(monkeypatch):
               "def cmd_a(args):\n    cfg = resolve_config(args, A)\n    _check(cfg, 'z')\n"
               "    _other(cfg['x'])\n    return cfg['beta']\n")
     table = dict.fromkeys(["x", "alpha", "beta", "n", "y", "z", "sigma"], 0)
-    assert unread_options(source, {"a": ("cmd_a", table)}) == ["a: y", "a: z", "a: sigma"]
+    assert unread_options(source, {"a": ("cmd_a", table)}) == [
+        "a: alpha", "a: y", "a: z", "a: sigma"]
 
 
 def unbounded_caches(source: str) -> list[str]:
