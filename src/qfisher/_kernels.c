@@ -5,7 +5,9 @@
  *
  * qfisher_march: the explicit conservative march of diffusion._Kernel.march
  * as one loop, for m in {1, 2} and beta in {2, 3}, where v^m is v or v*v and
- * the face flux |d|^(beta-2) d is d or |d|*d.
+ * the face flux |d|^(beta-2) d is d or |d|*d.  It is compiled once for each
+ * (m, beta), and each step is one pass over v that updates it and takes the
+ * next step's fluxes.
  *
  * qfisher_bump: a windowed Fourier bump of perturb.fourier_bump at each
  * abscissa, through libm's cos and sin, which are numpy's float64 cos and
@@ -28,24 +30,37 @@
 
 /* The march.
  *
- * v (n) is stepped in place.  d (n-1) receives D(v^m)/h and fpad (n+1) the
- * face fluxes between its two zero outer entries; d is fpad + 1 when
- * beta = 2.
+ * v (n) is stepped in place.  fpad (n+1) holds the face fluxes between its
+ * two zero outer entries, and d (n-1) receives D(v^m)/h in the flux pass on
+ * entry; d is fpad + 1 when beta = 2.
  *
  * io[0] holds t on entry and on return; *steps the step count.  On return
- * io[1] is the CFL dt of the last flux pass, io[2] the dt of the last step
- * and io[3] the minimum of the aborting step.  Returns 0 once t >= stop,
- * 1 on a value below clamp_rel * max(max v, 1) (v updated, t not advanced)
- * and 2 when the step count passes budget.
+ * io[1] is the CFL dt of the last fluxes taken, io[2] the dt of the last
+ * step and io[3] the minimum of the aborting step.  Returns 0 once
+ * t >= stop, 1 on a value below clamp_rel * max(max v, 1) (v updated, t not
+ * advanced) and 2 when the step count passes budget.
  *
- * Extrema are packed: a pair is two doubles, one SSE2 register on every
- * x86-64, and ACC pairs of accumulators take the elements of each group of
- * GROUP = 2 ACC in turn, so no compare waits on the one before.  The
- * elements after the last whole group go one at a time into both lanes of
- * the first accumulator.  The selection is exact: minpd(x, m) is
- * x < m ? x : m and maxpd(y, m) is y > m ? y : m, lane by lane, each
- * returning one of its operands and the second when either is NaN; that
- * C is the body of each helper on a target without SSE2.  So a minimum or
+ * One flux pass on entry takes the face fluxes of v.  After that each step
+ * is one pass over v and fpad: node i gets x = v[i] + (F[i+1] - F[i]) dt/h,
+ * stored as it is, and in the same pass the next step's flux at face
+ * (i-1 | i) is taken from the clamped values x <= 0 ? +0 : x and written
+ * over F[i], which no later node reads.  The clamp pass, which runs when the
+ * numpy march's clamp does, then fixes v only: when the step does not abort,
+ * it leaves v at the very values the flux was taken from, and an aborting
+ * step leaves v unclamped, as numpy does.
+ *
+ * The pass runs on pairs of nodes from node 1, two doubles in one SSE2
+ * register on every x86-64; node 0 and, when n is even, node n - 1 go one
+ * at a time.  A pair's left neighbours are the clamped powers of the pair
+ * before, taken by a shuffle rather than reloaded from v.
+ *
+ * Extrema are packed too: ACC pairs of accumulators take the pairs of each
+ * group of GROUP = 2 ACC nodes in turn, so no compare waits on the one
+ * before; the pairs after the last whole group go to the first accumulator,
+ * and a single node to both lanes of it.  The selection is exact: minpd(x,
+ * m) is x < m ? x : m and maxpd(y, m) is y > m ? y : m, lane by lane, each
+ * returning one of its operands and the second when either is NaN; that C
+ * is the body of each helper on a target without SSE2.  So a minimum or
  * maximum is the least or greatest element whatever the order of the
  * compares, but for the sign of a zero result, on which nothing depends: a
  * zero extremum is compared with 0, raised to 1 in the abort threshold, or
@@ -101,6 +116,36 @@ static inline pair pair_nan(pair y, pair seen)
 #endif
 }
 
+/* x <= 0 ? +0.0 : x in each lane, so NaN stays and -0.0 becomes +0.0 */
+static inline pair pair_clamp(pair x)
+{
+#ifdef __SSE2__
+    return _mm_andnot_pd(_mm_cmple_pd(x, _mm_setzero_pd()), x);
+#else
+    return (pair){x[0] <= 0.0 ? 0.0 : x[0], x[1] <= 0.0 ? 0.0 : x[1]};
+#endif
+}
+
+/* |x| in each lane */
+static inline pair pair_abs(pair x)
+{
+#ifdef __SSE2__
+    return _mm_andnot_pd(_mm_set1_pd(-0.0), x);
+#else
+    return (pair){fabs(x[0]), fabs(x[1])};
+#endif
+}
+
+/* (prev[1], x[0]): the left neighbours of x's lanes, when x follows prev */
+static inline pair pair_shift(pair prev, pair x)
+{
+#ifdef __SSE2__
+    return _mm_shuffle_pd(prev, x, 1);
+#else
+    return (pair){prev[1], x[0]};
+#endif
+}
+
 /* the running minimum and maximum of a sequence, and whether it held a NaN */
 struct extrema {
     pair lo[ACC], hi[ACC], seen[ACC];
@@ -115,11 +160,12 @@ static inline void extrema_start(struct extrema *e)
     }
 }
 
-/* x into accumulator k: its minimum, and its maximum and NaN record when
-   with_max */
-static inline void extrema_add(struct extrema *e, int k, pair x, int with_max)
+/* x into accumulator k: its minimum when with_min, its maximum and NaN
+   record when with_max */
+static inline void extrema_add(struct extrema *e, int k, pair x, int with_min, int with_max)
 {
-    e->lo[k] = pair_min(x, e->lo[k]);
+    if (with_min)
+        e->lo[k] = pair_min(x, e->lo[k]);
     if (with_max) {
         e->hi[k] = pair_max(x, e->hi[k]);
         e->seen[k] = pair_nan(x, e->seen[k]);
@@ -155,37 +201,85 @@ static double max_reduce(const double *x, long n, int absolute)
     extrema_start(&e);
     for (; i + GROUP <= n; i += GROUP)
         for (int k = 0; k < ACC; k++)
-            extrema_add(&e, k, pair_load(x + i + 2 * k), 1);
+            extrema_add(&e, k, pair_load(x + i + 2 * k), 1, 1);
     for (; i < n; i++)
-        extrema_add(&e, 0, (pair){x[i], x[i]}, 1);
+        extrema_add(&e, 0, (pair){x[i], x[i]}, 1, 1);
     double hi = extrema_max(&e), lo = extrema_min(&e);
     return absolute && -lo > hi ? -lo : hi;
 }
 
-int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
-                  double h, double diffusivity, double cfl_h2, double clamp_rel,
-                  double target, double stop, long long budget,
-                  double *io, long long *steps)
+/* the extrema of one fused pass: x's minimum, and its maximum when m = 2;
+   the maximum of |d| when beta = 3 */
+struct step_extrema {
+    struct extrema x, d;
+};
+
+/* the fused pass at nodes j and j + 1 with accumulator k: returns their
+   clamped v^m, the left neighbours of the next pair */
+static inline __attribute__((always_inline)) pair
+fused_pair(double *v, double *fpad, long j, pair left, double dt_h, double h,
+           struct step_extrema *e, int k, int m2, int beta3)
+{
+    pair x = pair_load(v + j) + (pair_load(fpad + j + 1) - pair_load(fpad + j)) * dt_h;
+    memcpy(v + j, &x, sizeof x);
+    pair c = pair_clamp(x);
+    pair w = m2 ? c * c : c;
+    pair d = (w - pair_shift(left, w)) / h;
+    pair a = pair_abs(d);
+    pair f = beta3 ? a * d : d;
+    memcpy(fpad + j, &f, sizeof f);
+    extrema_add(&e->x, k, x, 1, m2);
+    extrema_add(&e->d, k, a, 0, beta3);
+    return w;
+}
+
+/* the fused pass at node i alone, whose left neighbour's clamped v^m is
+   left (not read at node 0, which has no face to its left): returns its
+   own clamped v^m */
+static inline __attribute__((always_inline)) double
+fused_one(double *v, double *fpad, long i, double left, double dt_h, double h,
+          struct step_extrema *e, int m2, int beta3)
+{
+    double x = v[i] + (fpad[i + 1] - fpad[i]) * dt_h;
+    v[i] = x;
+    double c = x <= 0.0 ? 0.0 : x;
+    double w = m2 ? c * c : c;
+    extrema_add(&e->x, 0, (pair){x, x}, 1, m2);
+    if (i > 0) {
+        double d = (w - left) / h;
+        double a = fabs(d);
+        fpad[i] = beta3 ? a * d : d;
+        extrema_add(&e->d, 0, (pair){a, a}, 0, beta3);
+    }
+    return w;
+}
+
+/* qfisher_march for one (m, beta), inlined with constant flags by each of
+   its four calls */
+static inline __attribute__((always_inline)) int
+march(double *v, double *d, double *fpad, long n, int m2, int beta3,
+      double h, double diffusivity, double cfl_h2, double clamp_rel,
+      double target, double stop, long long budget, double *io, long long *steps)
 {
     double t = io[0];
-    /* (max v)^(m-1): 1, or max v, which the update pass keeps after a step */
+    /* the flux pass on entry: d = diff(v^m) / h, F = d or |d| d, and the
+       factors (max v)^(m-1) and (max |d|)^(beta-2) of the CFL bound; at
+       beta = 2 the one store to fpad[i + 1] is d[i] */
     double ffac = m2 ? max_reduce(v, n, 0) : 1.0;
-    for (;;) {
-        /* flux pass: d = diff(v^m) / h, F = d or |d| d, and the CFL dt from
-           the bound (beta-1) m (max v)^(m-1) (max |d|)^(beta-2); at beta = 2
-           the one store to fpad[i + 1] is d[i] */
-        for (long i = 0; i < n - 1; i++) {
-            double w_lo = m2 ? v[i] * v[i] : v[i];
-            double w_hi = m2 ? v[i + 1] * v[i + 1] : v[i + 1];
-            double di = (w_hi - w_lo) / h;
-            if (beta3) {
-                d[i] = di;
-                fpad[i + 1] = fabs(di) * di;
-            } else {
-                fpad[i + 1] = di;
-            }
+    for (long i = 0; i < n - 1; i++) {
+        double w_lo = m2 ? v[i] * v[i] : v[i];
+        double w_hi = m2 ? v[i + 1] * v[i + 1] : v[i + 1];
+        double di = (w_hi - w_lo) / h;
+        if (beta3) {
+            d[i] = di;
+            fpad[i + 1] = fabs(di) * di;
+        } else {
+            fpad[i + 1] = di;
         }
-        double gfac = beta3 ? max_reduce(d, n - 1, 1) : 1.0;
+    }
+    double gfac = beta3 ? max_reduce(d, n - 1, 1) : 1.0;
+    for (;;) {
+        /* the CFL dt from the bound (beta-1) m (max v)^(m-1) (max |d|)^(beta-2) */
         double dmax = diffusivity * ffac * gfac;
         double cfl = dmax <= 0 ? INFINITY : cfl_h2 / dmax;
         io[1] = cfl;
@@ -198,29 +292,31 @@ int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
         double dt_h = dt / h;
         io[2] = dt;
 
-        /* update v += dt/h div(F) with its minimum, and at m = 2 its maximum,
-           then the negativity abort, whose threshold reads max v only below a
-           negative minimum, and the clamp.  The clamp keeps a positive or NaN
-           maximum; any other leaves v all +0, so d is 0 and the next CFL dt
-           is inf whether the maximum read is +0 or the one before the clamp */
-        struct extrema e;
-        long i = 0;
-        extrema_start(&e);
+        /* the fused pass: v += dt/h div(F) with its minimum and, at m = 2,
+           its maximum, and the next flux with its max |d| at beta = 3 */
+        struct step_extrema e;
+        extrema_start(&e.x);
+        extrema_start(&e.d);
+        pair w = {0.0, fused_one(v, fpad, 0, 0.0, dt_h, h, &e, m2, beta3)};
+        long i = 1;
         for (; i + GROUP <= n; i += GROUP)
-            for (int k = 0; k < ACC; k++) {
-                long j = i + 2 * k;
-                pair x = pair_load(v + j) + (pair_load(fpad + j + 1) - pair_load(fpad + j)) * dt_h;
-                memcpy(v + j, &x, sizeof x);
-                extrema_add(&e, k, x, m2);
-            }
-        for (; i < n; i++) {
-            double x = v[i] + (fpad[i + 1] - fpad[i]) * dt_h;
-            v[i] = x;
-            extrema_add(&e, 0, (pair){x, x}, m2);
-        }
-        double worst = extrema_min(&e);
+            for (int k = 0; k < ACC; k++)
+                w = fused_pair(v, fpad, i + 2 * k, w, dt_h, h, &e, k, m2, beta3);
+        for (; i + 2 <= n; i += 2)
+            w = fused_pair(v, fpad, i, w, dt_h, h, &e, 0, m2, beta3);
+        if (i < n)
+            fused_one(v, fpad, i, w[1], dt_h, h, &e, m2, beta3);
+        double worst = extrema_min(&e.x);
         if (m2)
-            ffac = extrema_max(&e);
+            ffac = extrema_max(&e.x);
+        if (beta3)
+            gfac = extrema_max(&e.d);
+
+        /* the negativity abort, whose threshold reads max v only below a
+           negative minimum, and the clamp.  The clamp keeps a positive or NaN
+           maximum; any other leaves v all +0, so the flux is 0 and the next
+           CFL dt is inf whether the maximum read is +0 or the one before the
+           clamp */
         if (!(worst > 0.0)) {
             if (worst < 0.0) {
                 double top = m2 ? ffac : max_reduce(v, n, 0);
@@ -240,6 +336,19 @@ int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
             return 2;
         }
     }
+}
+
+int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
+                  double h, double diffusivity, double cfl_h2, double clamp_rel,
+                  double target, double stop, long long budget,
+                  double *io, long long *steps)
+{
+#define MARCH(M2, BETA3) march(v, d, fpad, n, M2, BETA3, h, diffusivity, cfl_h2, clamp_rel, \
+                               target, stop, budget, io, steps)
+    if (m2)
+        return beta3 ? MARCH(1, 1) : MARCH(1, 0);
+    return beta3 ? MARCH(0, 1) : MARCH(0, 0);
+#undef MARCH
 }
 
 /* The bump.

@@ -29,8 +29,11 @@ instead: the same loop as one C function, ``qfisher_march`` in
 ``_kernels.c``, whose results are the numpy march's bit for bit (but for
 the sign bit of a NaN that a step makes from an inf, as inf - inf), when
 :mod:`qfisher._native` builds or loads the library at the first such run in
-a process.  Every acceptance run and the ``diffuse`` defaults are in that
-set.  The numpy march is the fallback without a compiler and for every other
+a process.  After one flux pass on entry, each of its steps is one pass
+over v: the update of a node, and the next step's flux at the face to its
+left from the clamped values, which are the values the clamp then leaves.
+Every acceptance run and the ``diffuse`` defaults are in that set.  The
+numpy march is the fallback without a compiler and for every other
 (m, beta), where numpy's ``power`` is not libm's ``pow`` to the bit.
 """
 
@@ -125,7 +128,9 @@ class _Kernel:
     buffers allocated here: ``d`` = D(v^m) / h (n-1; the interior of
     ``fpad`` when beta = 2), ``fpad`` (n+1) the face fluxes between two
     zeros, ``io`` its t, cfl, dt and worst minimum, and ``count`` its step
-    count.
+    count.  The C march takes the fluxes of v once on entry; after that
+    each step's update pass also takes the next step's fluxes (from the
+    clamped values), so a step reads v and ``fpad`` once.
     """
 
     def __init__(self, p: DiffusionParams, h: float, n: int):
@@ -190,10 +195,12 @@ class _Kernel:
         """:meth:`march` as the one C loop ``qfisher_march`` of ``_kernels.c``,
         for m in {1, 2} and beta in {2, 3}: the same arguments, results and
         errors, bit for bit, except that a NaN a step makes from an inf may
-        differ in sign bit.  The addresses of v, ``d``, ``fpad``, ``io`` and
-        ``count`` are taken at the first call with a given v, which is once
-        per :func:`evolve`.  CFL_SAFETY and NEGATIVE_CLAMP_REL are read on
-        every call, as :meth:`march` reads them."""
+        differ in sign bit.  It fuses each step's update with the next
+        step's flux pass, which leaves every bit as it is.  The addresses of
+        v, ``d``, ``fpad``, ``io`` and ``count`` are taken at the first call
+        with a given v, which is once per :func:`evolve`.  CFL_SAFETY and
+        NEGATIVE_CLAMP_REL are read on every call, as :meth:`march` reads
+        them."""
         if v is not self.c_v:
             if v.dtype != np.float64 or not v.flags.c_contiguous or v.size != self.fpad.size - 1:
                 raise ValueError("the compiled march needs a contiguous float64 array of n nodes")

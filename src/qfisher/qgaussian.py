@@ -430,8 +430,23 @@ def barenblatt_mass(dp: DiffusionParams, C: float) -> float:
     else:
         upper = (C / dp.k) ** (1.0 / dp.alpha)
 
-    def integrand(r):
-        return float(barenblatt_profile(dp, C, r) * r ** (dp.dim - 1))
+    # barenblatt_profile(dp, C, r) * r ** (dim - 1) on a float, with the
+    # bits of the array form: Python's ** gives numpy's power bits on one
+    # element, but math.exp is not numpy's exp, so q = 1 keeps np.exp
+    alpha, lift = dp.alpha, dp.dim - 1
+    if dp.is_q1:
+        rate = dp.profile_rate
+
+        def integrand(r):
+            return float(C * np.exp(-rate * abs(r) ** alpha) * r ** lift)
+    else:
+        k, expo, compact = dp.k, 1.0 / (dp.q - 1.0), dp.q > 1
+
+        def integrand(r):
+            base = C - k * abs(r) ** alpha
+            if compact and not base > 0:
+                return 0.0
+            return base ** expo * r ** lift
 
     val = quad(integrand, 0.0, upper, 200)[0]
     return omega * val

@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,36 +499,46 @@ def _needs_cc():
         pytest.skip("no cc on PATH")
 
 
-#: the elements of one group of the compiled march's packed extrema (GROUP
-#: in _kernels.c); the elements after the last whole group go one at a time
+#: the nodes of one group of the compiled march's packed extrema (GROUP in
+#: _kernels.c); its fused pass takes node 0 alone, then groups from node 1
 GROUP = 8
-#: every length of the last partial group, with and without whole groups
-TAIL_COUNTS = list(range(3, 18, 2)) + [4001, 4003, 4005, 4007]
+#: every length of the fused pass's last partial group (pairs, and a single
+#: node when n is even), with and without whole groups, and at production
+#: size
+TAIL_COUNTS = list(range(3, 18)) + [4001, 4003, 4005, 4007]
 
 
 def _plantings(n):
-    """Nothing; NaN, inf, -1.0 and -0.0 at node 0, node n-1 and inside the
-    last partial group (the whole array below GROUP nodes), one at a time;
-    a negative value with a NaN; and at each of those nodes a peak of 1e20
-    that lifts the abort threshold above a -1e-12 elsewhere.  An inf turns
-    into NaNs within a step (inf - inf, inf * 0), after the flux pass has
-    taken its maxima."""
+    """Nothing; NaN, inf, -1.0 and -0.0 one at a time at node 0, node n-1,
+    inside the last partial group of the packed extrema as grouped from
+    node 0 (the whole array below GROUP nodes), at node 1, inside the first
+    whole group from node 1 (when there is one) and inside the fused pass's
+    last partial group; a negative value with a NaN; at each of those nodes
+    a peak of 1e20 that lifts the abort threshold above a -1e-12 elsewhere;
+    and inside the first whole group a -1e-14, within the clamp tolerance,
+    so a step clamps and the march goes on.  An inf turns into NaNs within a
+    step (inf - inf, inf * 0), after the flux pass has taken its maxima."""
     tail = (n // GROUP * GROUP + n - 1) // 2
-    nodes = (0, tail, n - 1)
+    fused_tail = (1 + (n - 1) // GROUP * GROUP + n - 1) // 2
+    group = (GROUP // 2,) if n > GROUP else ()
+    nodes = tuple(dict.fromkeys((0, tail, n - 1, 1, *group, fused_tail)))
     return ([{}] + [{node: value} for node in nodes for value in (np.nan, np.inf, -1.0, -0.0)]
             + [{0: -1.0, n - 1: np.nan}]
-            + [{node: 1e20, (node + n // 2) % n: -1e-12} for node in nodes])
+            + [{node: 1e20, (node + n // 2) % n: -1e-12} for node in nodes]
+            + [{node: -1e-14} for node in group])
 
 
-def _march_outcome(name, st, planted):
+def _march_outcome(name, st, planted, n=None):
     """(t, steps, cfl) as bytes, or the error text, and the bytes of v, after
-    kernel method `name` marches st's values with `planted` set for twenty
-    CFL dts of the unplanted start.  Where an inf is planted, every NaN is
-    written as np.nan: the sign of a NaN made by inf - inf depends on the
-    operand order of a commutative add, which numpy and gcc choose apart."""
-    kernel = diffusion._Kernel(st.params, st.f.axis.step, st.f.values.size)
-    end = st.t + 20.0 * kernel.march(st.f.values.copy(), st.t, st.t, st.t, 0, 0)[2]
-    v = st.f.values.copy()
+    kernel method `name` marches the first n of st's values (all of them by
+    default) with `planted` set for twenty CFL dts of the unplanted start.
+    Where an inf is planted, every NaN is written as np.nan: the sign of a
+    NaN made by inf - inf depends on the operand order of a commutative add,
+    which numpy and gcc choose apart."""
+    start = st.f.values[:n]
+    kernel = diffusion._Kernel(st.params, st.f.axis.step, start.size)
+    end = st.t + 20.0 * kernel.march(start.copy(), st.t, st.t, st.t, 0, 0)[2]
+    v = start.copy()
     for node, value in planted.items():
         v[node] = value
     canonical = np.isinf(list(planted.values())).any()
@@ -563,6 +575,18 @@ def plain_library(tmp_path_factory):
     """The library with the plain C body of every packed helper, as built
     for a target without SSE2."""
     return _build_kernels(tmp_path_factory.mktemp("plain"), "-U__SSE2__")
+
+
+@pytest.fixture(scope="module")
+def avx2_library(tmp_path_factory):
+    """The library built with -mavx2, on a host whose CPU has AVX2."""
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        cpuinfo = ""
+    if not re.search(r"\bavx2\b", cpuinfo):
+        pytest.skip("the CPU lacks AVX2")
+    return _build_kernels(tmp_path_factory.mktemp("avx2"), "-mavx2")
 
 
 def _assert_evolve_is_reference(m, beta, span):
@@ -629,15 +653,16 @@ class TestCompiledKernel:
 
     @pytest.mark.parametrize("n", TAIL_COUNTS)
     @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
-    @pytest.mark.parametrize("build", ["packed", "plain"])
+    @pytest.mark.parametrize("build", ["packed", "plain", "avx2"])
     def test_tails_and_plantings_follow_numpy(self, build, m, beta, n, request, monkeypatch):
         # _plantings on every length of the last partial group, with and
-        # without whole groups, on both forms of the packed helpers
+        # without whole groups, on both forms of the packed helpers and on
+        # an AVX2 build of the packed form
         library = request.getfixturevalue(f"{build}_library")
         monkeypatch.setattr(_native, "library", lambda: library)
-        st = _oracle_state(m, beta, n)
+        st = _oracle_state(m, beta, n + 1 - n % 2)  # an Axis count is odd
         for planted in _plantings(n):
-            numpy_march, compiled = (_march_outcome(name, st, planted)
+            numpy_march, compiled = (_march_outcome(name, st, planted, n)
                                      for name in ("march", "march_compiled"))
             assert numpy_march == compiled, planted
 
