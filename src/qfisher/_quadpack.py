@@ -2,22 +2,22 @@
 operation from the scipy 1.17 routines that qfisher calls, so that each
 result is scipy's to the last bit:
 
-- `quad`: QUADPACK's dqagse (finite range, 21-point Gauss-Kronrod) and
-  dqagie (range [a, inf), 15-point Gauss-Kronrod on t = 1/(1 + x - a)),
-  from Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK
-  (Springer 1983), behind `scipy.integrate.quad`;
+- `quad`: QUADPACK's dqagse (finite range, 21-point Gauss-Kronrod), from
+  Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK
+  (Springer 1983), behind `scipy.integrate.quad` on a finite range;
 - `brentq`: Brent's method (Brent, Algorithms for Minimization without
   Derivatives, 1973) as in scipy's brentq.c, behind
   `scipy.optimize.brentq`.
 
-Only the branches qfisher uses are ported: no extra arguments, break
-points, weight functions or diagnostics output, and scipy's default
-tolerances are fixed.  Failures are scipy's: ValueError for a bracket whose
-ends have one sign or a NaN function value, RuntimeError when brentq does
-not converge, and an IntegrationWarning (a UserWarning) when QUADPACK
-reports ier 1-5.  The arithmetic is plain IEEE double, as is scipy's
-compiled code; only the one power (x**1.5, libm `pow` either way) and
-divisions that would raise in Python where C yields inf are guarded.
+Only the branches qfisher uses are ported: no infinite ranges (dqagie),
+extra arguments, break points, weight functions or diagnostics output, and
+scipy's default tolerances are fixed.  Failures are scipy's: ValueError
+for a bracket whose ends have one sign or a NaN function value,
+RuntimeError when brentq does not converge, and an IntegrationWarning (a
+UserWarning) when QUADPACK reports ier 1-5.  The arithmetic is plain IEEE
+double, as is scipy's compiled code; only the one power (x**1.5, libm
+`pow` either way) and divisions that would raise in Python where C yields
+inf are guarded.
 """
 
 from __future__ import annotations
@@ -61,24 +61,6 @@ _WG10 = (
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-# 15-point Kronrod abscissae and weights, and the 7-point Gauss weights
-# aligned with them (0 at the Kronrod-only abscissae)
-_XGK15 = (
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0,
-)
-_WGK15 = (
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-)
-_WG7 = (
-    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
-)
 
 
 class IntegrationWarning(UserWarning):
@@ -92,18 +74,6 @@ _IER_MESSAGES = {
     4: "the algorithm does not converge: roundoff error in the extrapolation table",
     5: "the integral is probably divergent, or slowly convergent",
 }
-
-
-def _error_estimate(resk, resg, hlgth, resabs, resasc):
-    """The Kronrod rules' closing error estimate, shared by dqk21 and dqk15i."""
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        ratio = 200.0 * abserr / resasc
-        # min(1, ratio**1.5), without the OverflowError Python raises past 1e308
-        abserr = resasc * (1.0 if ratio >= 1.0 else ratio ** 1.5)
-    if resabs > UFLOW / (50.0 * EPMACH):
-        abserr = max((EPMACH * 50.0) * resabs, abserr)
-    return abserr
 
 
 def _dqk21(f, a, b):
@@ -145,47 +115,14 @@ def _dqk21(f, a, b):
     result = resk * hlgth
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
-    return result, _error_estimate(resk, resg, hlgth, resabs, resasc), resabs, resasc
-
-
-def _dqk15i(f, boun, a, b):
-    """15-point Gauss-Kronrod rule on [a, b] within (0, 1] for the integral
-    of f over [boun, inf), mapped by x = boun + (1 - t)/t (dqk15i at
-    inf = 1): (result, abserr, resabs, resasc) as for `_dqk21`."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    tabsc1 = boun + (1.0 - centr) / centr
-    fval1 = f(tabsc1)
-    fc = (fval1 / centr) / centr
-    resg = _WG7[7] * fc
-    resk = _WGK15[7] * fc
-    resabs = abs(resk)
-    fv1 = [0.0] * 7
-    fv2 = [0.0] * 7
-    for j in range(7):
-        absc = hlgth * _XGK15[j]
-        absc1 = centr - absc
-        absc2 = centr + absc
-        tabsc1 = boun + (1.0 - absc1) / absc1
-        tabsc2 = boun + (1.0 - absc2) / absc2
-        fval1 = f(tabsc1)
-        fval2 = f(tabsc2)
-        fval1 = (fval1 / absc1) / absc1
-        fval2 = (fval2 / absc2) / absc2
-        fv1[j] = fval1
-        fv2[j] = fval2
-        fsum = fval1 + fval2
-        resg = resg + _WG7[j] * fsum
-        resk = resk + _WGK15[j] * fsum
-        resabs = resabs + _WGK15[j] * (abs(fval1) + abs(fval2))
-    reskh = resk * 0.5
-    resasc = _WGK15[7] * abs(fc - reskh)
-    for j in range(7):
-        resasc = resasc + _WGK15[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    result = resk * hlgth
-    resasc = resasc * hlgth
-    resabs = resabs * hlgth
-    return result, _error_estimate(resk, resg, hlgth, resabs, resasc), resabs, resasc
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        ratio = 200.0 * abserr / resasc
+        # min(1, ratio**1.5), without the OverflowError Python raises past 1e308
+        abserr = resasc * (1.0 if ratio >= 1.0 else ratio ** 1.5)
+    if resabs > UFLOW / (50.0 * EPMACH):
+        abserr = max((EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
 
 
 def _dqpsrt(limit, last, maxerr, elist, iord, nrmax):
@@ -305,13 +242,13 @@ def _dqelg(n, epstab, res3la, nres):
     return n, nres, result, max(abserr, 5.0 * EPMACH * abs(result))
 
 
-def _qags(rule, lo, hi, limit):
-    """The globally adaptive routine shared by dqagse (rule dqk21 on
-    [a, b]) and dqagie (rule dqk15i on (0, 1]): bisect the subinterval of
-    largest error, extrapolating with the epsilon algorithm once the
-    smallest subinterval carries it.  Returns (result, abserr, ier, last)."""
+def _qags(f, lo, hi, limit):
+    """dqagse's globally adaptive loop over [lo, hi] with the rule dqk21:
+    bisect the subinterval of largest error, extrapolating with the epsilon
+    algorithm once the smallest subinterval carries it.  Returns (result,
+    abserr, ier, last)."""
     ier = 0
-    result, abserr, defabs, resabs = rule(lo, hi)
+    result, abserr, defabs, resabs = _dqk21(f, lo, hi)
     dres = abs(result)
     errbnd = max(EPSABS, EPSREL * dres)
     last = 1
@@ -354,8 +291,8 @@ def _qags(rule, lo, hi, limit):
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = rule(a1, b1)
-        area2, error2, _, defab2 = rule(a2, b2)
+        area1, error1, _, defab1 = _dqk21(f, a1, b1)
+        area2, error2, _, defab2 = _dqk21(f, a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -493,19 +430,12 @@ def _qags(rule, lo, hi, limit):
 
 
 def quad(f, a: float, b: float, limit: int) -> tuple[float, float, int]:
-    """Integral of f over [a, b], a < b finite or b = +inf, to scipy's
+    """Integral of f over the finite range [a, b], a < b, to scipy's
     default tolerances (EPSABS, EPSREL), in at most `limit` subintervals:
     `scipy.integrate.quad(f, a, b, limit=limit)` to the bit.  Returns
     (value, error estimate, subintervals used), and warns with
     IntegrationWarning when QUADPACK reports trouble (ier 1-5)."""
-    if b == math.inf:
-        def rule(lo, hi):
-            return _dqk15i(f, a, lo, hi)
-        result, abserr, ier, last = _qags(rule, 0.0, 1.0, limit)
-    else:
-        def rule(lo, hi):
-            return _dqk21(f, lo, hi)
-        result, abserr, ier, last = _qags(rule, a, b, limit)
+    result, abserr, ier, last = _qags(f, a, b, limit)
     if ier:
         warnings.warn(f"quad: ier = {ier}: " + _IER_MESSAGES[ier].format(limit=limit),
                       IntegrationWarning, stacklevel=2)

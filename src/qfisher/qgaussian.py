@@ -15,11 +15,13 @@ support for q > 1, exp-sinh on [0, inf) for q <= 1) on a fixed node set.
 root find.  Two root finds stay, because their bits reach the pinned
 `reproduce` summary: `gamma_for_entropy_power` keeps Brent's method (at the
 criterion-8 points it returns 1.0000000000000002 and 0.9999999999999994
-where the law N ~ gamma^(-2/alpha) gives 1.0), and the Barenblatt constant
-C keeps adaptive Gauss-Kronrod quadrature and Brent's method (it differs
-from the closed Beta form by 4.6e-12 relative at (m, beta) = (1, 3)).  Both
-run on `_quadpack`, an operation-for-operation port of scipy's `quad` and
-`brentq` that returns their bits.
+where the law N ~ gamma^(-2/alpha) gives 1.0), and the compact-support
+(q > 1) Barenblatt constant C keeps adaptive Gauss-Kronrod quadrature and
+Brent's method (it differs from the closed Beta form by 4.6e-12 relative
+at (m, beta) = (1, 3)).  Both run on `_quadpack`, an operation-for-operation
+port of scipy's `quad` and `brentq` that returns their bits.  On unbounded
+supports (q <= 1) the Barenblatt mass is its closed Gamma/Beta form by
+`math.lgamma`, and C follows from it with no root find.
 
 scipy.special and `_quadpack` are imported inside the functions that use
 them, so that a command loads them only when its path reaches one.
@@ -416,45 +418,48 @@ def barenblatt(dp: DiffusionParams, C: float, x, t: float) -> np.ndarray:
 
 
 def barenblatt_mass(dp: DiffusionParams, C: float) -> float:
-    """Total mass of the profile B, by adaptive radial quadrature.  This is
-    QUADPACK (scipy's `quad`, bit for bit), not the double-exponential rule
-    of `normalization`: the constant C found from it reaches the
+    """Total mass of the profile B.  With omega the sphere surface,
+    a = n/alpha and s = 1/(1-q), it is omega C Gamma(a) / (alpha rate^a)
+    at q = 1 and omega B(a, s - a) kappa^(-a) C^(a - s) / alpha for q < 1,
+    kappa = -k, both by `math.lgamma` (s > a is the existence condition
+    that `DiffusionParams` checks).  For q > 1 it is adaptive radial
+    quadrature over the support: QUADPACK (scipy's `quad`, bit for bit),
+    not a closed form, because the constants C found from it reach the
     `reproduce` summary, whose bytes are pinned."""
-    from ._quadpack import quad
-
     if C <= 0:
         raise ValueError("C must be positive")
     omega = sphere_surface(dp.dim)
-    if dp.is_q1 or dp.q < 1:
-        upper = np.inf
-    else:
-        upper = (C / dp.k) ** (1.0 / dp.alpha)
+    alpha, n_a = dp.alpha, dp.dim / dp.alpha
+    if dp.is_q1:
+        return omega * C * math.exp(math.lgamma(n_a)) / (alpha * dp.profile_rate ** n_a)
+    if dp.q < 1:
+        s = 1.0 / (1.0 - dp.q)
+        beta_fn = math.exp(math.lgamma(n_a) + math.lgamma(s - n_a) - math.lgamma(s))
+        return omega * beta_fn * (-dp.k) ** (-n_a) * C ** (n_a - s) / alpha
+    from ._quadpack import quad
 
     # barenblatt_profile(dp, C, r) * r ** (dim - 1) on a float, with the
-    # bits of the array form: Python's ** gives numpy's power bits on one
-    # element, but math.exp is not numpy's exp, so q = 1 keeps np.exp
-    alpha, lift = dp.alpha, dp.dim - 1
-    if dp.is_q1:
-        rate = dp.profile_rate
+    # bits of the array form (Python's ** gives numpy's power bits on one
+    # element)
+    k, expo, lift = dp.k, 1.0 / (dp.q - 1.0), dp.dim - 1
 
-        def integrand(r):
-            return float(C * np.exp(-rate * abs(r) ** alpha) * r ** lift)
-    else:
-        k, expo, compact = dp.k, 1.0 / (dp.q - 1.0), dp.q > 1
+    def integrand(r):
+        base = C - k * abs(r) ** alpha
+        if not base > 0:
+            return 0.0
+        return base ** expo * r ** lift
 
-        def integrand(r):
-            base = C - k * abs(r) ** alpha
-            if compact and not base > 0:
-                return 0.0
-            return base ** expo * r ** lift
-
-    val = quad(integrand, 0.0, upper, 200)[0]
-    return omega * val
+    return omega * quad(integrand, 0.0, (C / k) ** (1.0 / alpha), 200)[0]
 
 
 def barenblatt_mass_constant(dp: DiffusionParams) -> float:
-    """The constant C giving the profile unit total mass, by 1-D root
-    finding on the monotone map C -> mass(C) (tolerance 1e-10 on mass)."""
+    """The constant C giving the profile unit total mass.  For q <= 1 the
+    mass is mass(1) C^e, e = 1 at q = 1 and e = n/alpha - s < 0 below, so
+    C = mass(1)^(-1/e) directly.  For q > 1, by 1-D root finding on the
+    monotone map C -> mass(C) (tolerance 1e-10 on mass)."""
+    if dp.is_q1 or dp.q < 1:
+        e = 1.0 if dp.is_q1 else dp.dim / dp.alpha - 1.0 / (1.0 - dp.q)
+        return barenblatt_mass(dp, 1.0) ** (-1.0 / e)
     from ._quadpack import brentq
 
     residuals = {}

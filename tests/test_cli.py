@@ -249,7 +249,7 @@ def test_seed_refused_when_nothing_draws(argv, count_key, source, capsys, tmp_pa
     (["info", "--family", "uniform", "--lo", "nan"], "lo"),
     (["diffuse", "--t-end", "0.5"], "t_end"),
     (["diffuse", "--grid-hi", "inf"], "grid_hi"),
-], ids=" ".join)
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_count_below_least_value_is_usage_error(argv, key, source, capsys, tmp_path):
     out_path = tmp_path / "out"
@@ -571,6 +571,16 @@ class TestUsageErrors:
                                "--target", "0.2")
         assert code == EXIT_USAGE and "seed" in err
 
+    @pytest.mark.parametrize("t_end", ["nan", "1", "0.5"])
+    def test_span_not_forward_exit_code(self, t_end, capsys, tmp_path):
+        # t0 defaults to 1; nan used to write 201 rows of t = nan and exit 1,
+        # and then to exit 3 from the solver: now refused before any work
+        out_path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "diffuse", "--t-end", t_end, "-o", str(out_path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and "t_end" in err
+        assert not out_path.exists()
+
 
 class TestNumericalErrors:
     def test_fast_diffusion_exit_code(self, capsys, tmp_path):
@@ -589,16 +599,6 @@ class TestNumericalErrors:
         assert time.perf_counter() - start < 5.0
         assert "budget" in err
         assert not (tmp_path / "t.csv").exists()
-
-    @pytest.mark.parametrize("t_end", ["nan", "1", "0.5"])
-    def test_span_not_forward_exit_code(self, t_end, capsys, tmp_path):
-        # t0 defaults to 1; nan used to write 201 rows of t = nan and exit 1,
-        # and then to exit 3 from the solver: now refused before any work
-        out_path = tmp_path / "t.csv"
-        code, out, err = run_cli(capsys, "diffuse", "--t-end", t_end, "-o", str(out_path))
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("usage error:") and "t_end" in err
-        assert not out_path.exists()
 
     def test_nonintegrable_params_exit_code(self, capsys):
         # q < 1 needs alpha/(1-q) > n: violated at n = 2, q = 0.2, alpha = 1.5

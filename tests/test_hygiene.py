@@ -567,6 +567,28 @@ def test_one_dimensional_diffuse_loads_no_scipy(tmp_path):
     assert (tmp_path / "traj.csv").stat().st_size > 0
 
 
+#: builds the benchmark's four trajectories inputs (the heat run's q = 1
+#: constant among them) and prints, as JSON, the scipy modules then loaded
+_TRAJECTORIES_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+workloads.trajectories_inputs(0)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_heat_barenblatt_constant_loads_no_scipy(tmp_path):
+    # the q = 1 constant is a closed form by math.lgamma, not scipy.special
+    # or `normalization`
+    argv = readme_command("diffuse")
+    argv[argv.index("--m") + 1] = "1"
+    argv[argv.index("-o") + 1] = str(tmp_path / "traj.csv")
+    argv += ["--grid-lo", "-16", "--grid-hi", "16"]  # clear of the heat kernel's tail to t = 2
+    assert scipy_modules_loaded(*argv) == set()
+    assert run_probe(_TRAJECTORIES_PROBE, str(ROOT / "perfbench")) == []
+
+
 def test_entropy_power_minimize_loads_only_scipy_special():
     argv = readme_command("minimize")
     argv[argv.index("--constraint") + 1] = "entropy-power"

@@ -358,7 +358,7 @@ class TestBarenblatt:
         assert C == pytest.approx((3.0 * np.sqrt(dp.k) / 4.0) ** (2.0 / 3.0), rel=1e-12)
         assert barenblatt_mass(dp, C) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("m,beta", [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("m,beta", [(2.0, 3.0), (2.0, 2.0), (1.0, 3.0)])
     def test_mass_constant_skips_repeated_masses(self, m, beta, monkeypatch):
         # the bracket ends, evaluated again inside brentq, and the closing
         # check at brentq's root are each one mass evaluation fewer
@@ -432,6 +432,58 @@ class TestBarenblatt:
         dp = DiffusionParams(2.0, 2.0, 1)
         f = barenblatt_density(dp, 1.0, Axis(-3.0, 3.0, 1001))
         assert integrate(f) == pytest.approx(1.0, abs=1e-6)
+
+
+#: (m, beta, n) of unbounded-support profiles: q = 1 at alpha = 2 and 1.5
+#: and n = 1-3, and q < 1 down to the heavy tail of (0.35, 2, 3)
+Q1_POINTS = [(1.0, 2.0, 1), (0.5, 3.0, 1), (1.0, 2.0, 2), (1.0, 2.0, 3)]
+UNBOUNDED_POINTS = Q1_POINTS + [(0.5, 2.0, 1), (0.8, 2.0, 1), (1.5, 1.5, 1), (0.6, 2.0, 2),
+                                (0.4, 2.0, 3), (0.35, 2.0, 3)]
+
+
+def mp_barenblatt_mass(dp, C):
+    """The profile's mass at 40 digits from dp's float parameters: the
+    Gamma integral at q = 1, the Beta integral for q < 1."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        n, alpha, C = dp.dim, mpmath.mpf(dp.alpha), mpmath.mpf(C)
+        omega = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+        if dp.is_q1:
+            rate = mpmath.mpf(dp.profile_rate)
+            return omega * C * mpmath.gamma(n / alpha) / (alpha * rate ** (n / alpha))
+        s, kappa = 1 / (1 - mpmath.mpf(dp.q)), -mpmath.mpf(dp.k)
+        return (omega * mpmath.beta(n / alpha, s - n / alpha) * kappa ** (-n / alpha)
+                * C ** (n / alpha - s) / alpha)
+
+
+@pytest.mark.parametrize("m,beta,n", UNBOUNDED_POINTS)
+class TestUnboundedMass:
+    def test_unit_mass(self, m, beta, n):
+        dp = DiffusionParams(m, beta, n)
+        assert dp.is_q1 or dp.q < 1
+        assert abs(mp_barenblatt_mass(dp, barenblatt_mass_constant(dp)) - 1) <= 1e-14
+
+    def test_one_mass_evaluation(self, m, beta, n, monkeypatch):
+        dp = DiffusionParams(m, beta, n)
+        calls = []
+
+        def counted(dp, C):
+            calls.append(C)
+            return barenblatt_mass(dp, C)
+
+        monkeypatch.setattr(qgaussian, "barenblatt_mass", counted)
+        barenblatt_mass_constant(dp)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m,beta,n", Q1_POINTS)
+def test_q1_constant_within_2_ulps(m, beta, n):
+    dp = DiffusionParams(m, beta, n)
+    C = barenblatt_mass_constant(dp)
+    exact = float(1 / mp_barenblatt_mass(dp, 1.0))
+    assert abs(C - exact) <= 2 * math.ulp(exact)
+    if (m, beta, n) == (1.0, 2.0, 1):
+        assert abs(C - 1.0 / (2.0 * math.sqrt(math.pi))) <= 2 * math.ulp(C)
 
 
 def ref_barenblatt_mass_constant(dp):
