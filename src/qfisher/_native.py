@@ -8,7 +8,9 @@ import, and cached as ``__pycache__/_kernels.<key>.so`` next to the source,
 where key is the sha256 of the source bytes and the compiler flags, so an
 edited source never loads a stale build.  A cached file that does not load
 (damaged, built on another machine, or missing an entry point) is built
-again in its place.
+again in its place.  The key needs no machine: one library holds every body
+of the march, and each call picks the one the CPU runs
+(``qfisher_march_body``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import functools
 from pathlib import Path
 
 #: the C source, and how it is built: no contraction into fused
-#: multiply-adds, which round once where numpy rounds twice
+#: multiply-adds, which round once where numpy rounds twice (the source's
+#: only ones are explicit, where the result is the quotient's bits)
 SOURCE = Path(__file__).with_name("_kernels.c")
 CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _PTR, _LONG, _INT, _DOUBLE = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
@@ -27,6 +30,8 @@ SIGNATURES = {
     # v, d, fpad, n, m2, beta3, h, diffusivity, cfl_h2, clamp_rel, target, stop, budget, io, steps
     "qfisher_march": (_INT, (_PTR, _PTR, _PTR, _LONG, _INT, _INT) + (_DOUBLE,) * 6
                       + (ctypes.c_longlong, _PTR, _PTR)),
+    # which body the next qfisher_march call takes: 0 plain C, 1 SSE2, 2 AVX2 and FMA
+    "qfisher_march_body": (_INT, ()),
     # u, n, coef, modes, out, then the memo: slots, keys, rows, cursor, counts
     "qfisher_bump": (None, (_PTR, _LONG, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, _PTR, _PTR)),
 }

@@ -32,7 +32,10 @@ the sign bit of a NaN that a step makes from an inf, as inf - inf), when
 a process.  After one flux pass on entry, each of its steps is one pass
 over v: the update of a node, and the next step's flux at the face to its
 left from the clamped values, which are the values the clamp then leaves.
-Every acceptance run and the ``diffuse`` defaults are in that set.  The
+The pass runs four doubles wide with AVX2 and FMA where the CPU has them,
+dividing by h through its reciprocal and one fused-multiply-add correction
+whose result is the quotient's bits, and two wide otherwise.  Every
+acceptance run and the ``diffuse`` defaults are in that set.  The
 numpy march is the fallback without a compiler and for every other
 (m, beta), where numpy's ``power`` is not libm's ``pow`` to the bit.
 """
@@ -196,7 +199,9 @@ class _Kernel:
         for m in {1, 2} and beta in {2, 3}: the same arguments, results and
         errors, bit for bit, except that a NaN a step makes from an inf may
         differ in sign bit.  It fuses each step's update with the next
-        step's flux pass, which leaves every bit as it is.  The addresses of
+        step's flux pass, which leaves every bit as it is, and runs the pass
+        four doubles wide where the CPU has AVX2 and FMA
+        (``qfisher_march_body`` says which body runs).  The addresses of
         v, ``d``, ``fpad``, ``io`` and ``count`` are taken at the first call
         with a given v, which is once per :func:`evolve`.  CFL_SAFETY and
         NEGATIVE_CLAMP_REL are read on every call, as :meth:`march` reads

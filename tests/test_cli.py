@@ -405,7 +405,7 @@ def _move_to_file(argv, keys, tmp_path):
     (["info", "--lo", "5"], ["lo"], "family = qgaussian"),
     (["info", "--family", "uniform", "--gamma", "2"], ["gamma"], "family = uniform"),
     (["diffuse", "--sigma0", "2"], ["sigma0"], "init = barenblatt"),
-], ids=" ".join)
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_option_the_selected_value_never_reads_is_refused(argv, keys, selected, source, capsys,
                                                            tmp_path, monkeypatch):

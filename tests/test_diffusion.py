@@ -414,6 +414,15 @@ class TestKernelOraclePlainHelpers(TestKernelOracle):
         monkeypatch.setattr(_native, "library", lambda: plain_library)
 
 
+class TestKernelOraclePairBody(TestKernelOracle):
+    """The oracle on the two-wide SSE2 body, which a CPU without AVX2 and FMA
+    runs from the default build."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, pair_library, monkeypatch):
+        monkeypatch.setattr(_native, "library", lambda: pair_library)
+
+
 class TestAliasing:
     def test_input_untouched_and_outputs_independent(self):
         st = _oracle_state(2.0, 2.0)
@@ -499,33 +508,40 @@ def _needs_cc():
         pytest.skip("no cc on PATH")
 
 
-#: the nodes of one group of the compiled march's packed extrema (GROUP in
-#: _kernels.c); its fused pass takes node 0 alone, then groups from node 1
-GROUP = 8
-#: every length of the fused pass's last partial group (pairs, and a single
-#: node when n is even), with and without whole groups, and at production
-#: size
-TAIL_COUNTS = list(range(3, 18)) + [4001, 4003, 4005, 4007]
+#: the nodes of one group of the compiled march's packed extrema at each
+#: width (W ACC in _kernels.c: 2 and 4 doubles, ACC = 4); its fused pass
+#: takes node 0 alone, then groups from node 1
+GROUPS = (8, 16)
+#: every length of the fused pass's last partial group (vectors, then single
+#: nodes), with and without whole groups, at production size, and by build:
+#: the two-wide body alone in "plain" and "pair", the four-wide one, where
+#: the CPU has AVX2 and FMA, in "packed" and "avx2"
+_PRODUCTION_COUNTS = [4001, 4003, 4005, 4007]
+TAIL_COUNTS = {"packed": list(range(3, 2 + 2 * GROUPS[1])) + _PRODUCTION_COUNTS,
+               "plain": list(range(3, 2 + 2 * GROUPS[0])) + _PRODUCTION_COUNTS}
+TAIL_COUNTS.update(avx2=TAIL_COUNTS["packed"], pair=TAIL_COUNTS["plain"])
 
 
 def _plantings(n):
     """Nothing; NaN, inf, -1.0 and -0.0 one at a time at node 0, node n-1,
-    inside the last partial group of the packed extrema as grouped from
-    node 0 (the whole array below GROUP nodes), at node 1, inside the first
-    whole group from node 1 (when there is one) and inside the fused pass's
-    last partial group; a negative value with a NaN; at each of those nodes
-    a peak of 1e20 that lifts the abort threshold above a -1e-12 elsewhere;
-    and inside the first whole group a -1e-14, within the clamp tolerance,
-    so a step clamps and the march goes on.  An inf turns into NaNs within a
-    step (inf - inf, inf * 0), after the flux pass has taken its maxima."""
-    tail = (n // GROUP * GROUP + n - 1) // 2
-    fused_tail = (1 + (n - 1) // GROUP * GROUP + n - 1) // 2
-    group = (GROUP // 2,) if n > GROUP else ()
-    nodes = tuple(dict.fromkeys((0, tail, n - 1, 1, *group, fused_tail)))
+    at node 1, and for each group size: inside the last partial group of the
+    packed extrema as grouped from node 0 (the whole array below a group),
+    inside the first whole group from node 1 (when there is one) and inside
+    the fused pass's last partial group; a negative value with a NaN; at
+    each of those nodes a peak of 1e20 that lifts the abort threshold above
+    a -1e-12 elsewhere; and inside each first whole group a -1e-14, within
+    the clamp tolerance, so a step clamps and the march goes on.  An inf
+    turns into NaNs within a step (inf - inf, inf * 0), after the flux pass
+    has taken its maxima."""
+    firsts = tuple(group // 2 for group in GROUPS if n > group)
+    nodes = [0, n - 1, 1, *firsts]
+    for group in GROUPS:
+        nodes += [(n // group * group + n - 1) // 2, (1 + (n - 1) // group * group + n - 1) // 2]
+    nodes = tuple(dict.fromkeys(nodes))
     return ([{}] + [{node: value} for node in nodes for value in (np.nan, np.inf, -1.0, -0.0)]
             + [{0: -1.0, n - 1: np.nan}]
             + [{node: 1e20, (node + n // 2) % n: -1e-12} for node in nodes]
-            + [{node: -1e-14} for node in group])
+            + [{node: -1e-14} for node in firsts])
 
 
 def _march_outcome(name, st, planted, n=None):
@@ -554,6 +570,51 @@ def _march_outcome(name, st, planted, n=None):
     return result, as_bytes(v)
 
 
+#: the grid steps of the four acceptance runs, and steps whose significand
+#: is all ones
+DIVISION_STEPS = [20 / 4000, 7 / 250, 7 / 500, 7.2 / 1000, (2 - 2 ** -52) * 2 ** -8,
+                  (2 - 2 ** -52) * 2 ** -5]
+#: the binade below which every flux of a (m, beta) march stays finite
+_FINITE_FLUX_TOP = {(1.0, 2.0): 1000, (2.0, 2.0): 500, (1.0, 3.0): 500, (2.0, 3.0): 245}
+#: the floor of the four-wide division in x (v^m at least 2^-860), and the
+#: double below it, next to each other; a subnormal difference; a value
+#: whose quotient overflows
+DIVISION_PLANTINGS = {
+    "none": lambda m: {},
+    "floor": lambda m: {20: 2.0 ** (-860 / m), 21: np.nextafter(2.0 ** (-860 / m), 0.0),
+                        22: 2.0 ** (-860 / m)},
+    "subnormal-difference": lambda m: {40: 2.0 ** -1070, 41: 2.0 ** -1070 + 2.0 ** -1074},
+    "overflow": lambda m: {50: 1.7e308},
+}
+
+
+_ULP1 = 2.0 ** -52
+#: (a, h) of hard quotients a/h.  The three significand pairs at which
+#: RN(a RN(1/h)) lies 1.5 ulp from a/h and the remainder may round ("The
+#: division" in _kernels.c), at two scales; and two differences below the
+#: floor of the four-wide division whose quotient one correction rounds
+#: the wrong way
+HARD_QUOTIENTS = {
+    f"k{k}-j{j}-{scale}": ((2.0 - k * _ULP1) * 2.0 ** scale, (2.0 - j * _ULP1) * 2.0 ** -7)
+    for k, j in [(2, 1), (3, 1), (3, 2)] for scale in (-800, 400)}
+HARD_QUOTIENTS.update({
+    "below-floor": (float.fromhex("0x1.f6bbd46158526p-1022"), 20 / 4000),
+    "subnormal": (float.fromhex("0x0.325c6fa9a9abep-1022"), 20 / 4000)})
+
+
+def _nan_canonical(x):
+    """x as bytes with every NaN written as np.nan: an inf that a flux
+    overflows to turns into NaNs whose sign bits numpy and gcc choose apart"""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+def _numpy_flux(v, m, beta, h):
+    """The face fluxes of v as _Kernel.march takes them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.diff(np.power(v, m)) / h
+        return d if beta == 2.0 else np.power(np.abs(d), beta - 2.0) * d
+
+
 def _build_kernels(directory, *flags):
     """_kernels.c built into directory with _native.CFLAGS and flags, and
     loaded with the types of _native.SIGNATURES."""
@@ -573,18 +634,28 @@ def packed_library(compiled_kernel):
 @pytest.fixture(scope="module")
 def plain_library(tmp_path_factory):
     """The library with the plain C body of every packed helper, as built
-    for a target without SSE2."""
+    for a target without SSE2: the two-wide body alone."""
     return _build_kernels(tmp_path_factory.mktemp("plain"), "-U__SSE2__")
+
+
+@pytest.fixture(scope="module")
+def pair_library(tmp_path_factory):
+    """The library with the four-wide body left out, whose two-wide SSE2 body
+    runs as on a CPU without AVX2 and FMA."""
+    return _build_kernels(tmp_path_factory.mktemp("pair"), "-DQFISHER_PAIR_ONLY")
+
+
+def _cpu_flags():
+    try:
+        return set(re.findall(r"\w+", Path("/proc/cpuinfo").read_text()))
+    except OSError:
+        return set()
 
 
 @pytest.fixture(scope="module")
 def avx2_library(tmp_path_factory):
     """The library built with -mavx2, on a host whose CPU has AVX2."""
-    try:
-        cpuinfo = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        cpuinfo = ""
-    if not re.search(r"\bavx2\b", cpuinfo):
+    if "avx2" not in _cpu_flags():
         pytest.skip("the CPU lacks AVX2")
     return _build_kernels(tmp_path_factory.mktemp("avx2"), "-mavx2")
 
@@ -613,6 +684,18 @@ class TestCompiledKernel:
         for m, beta in [(1.5, 2.5), (2.0, 1.5)]:
             kernel = diffusion._Kernel(DiffusionParams(m, beta, 1), 0.1, 11)
             assert diffusion._select_march(kernel) == kernel.march, (m, beta)
+
+    def test_four_wide_body_runs_where_the_cpu_has_avx2_and_fma(self, compiled_kernel):
+        # a silent fall back to the two-wide body would pass every oracle
+        # test with the gain gone
+        if not {"avx2", "fma"} <= _cpu_flags():
+            pytest.skip("the CPU lacks AVX2 or FMA")
+        assert _native.library().qfisher_march_body() == 2
+
+    def test_test_builds_run_the_bodies_they_stand_for(self, pair_library, plain_library):
+        if "sse2" not in _cpu_flags():
+            pytest.skip("not an x86-64 CPU")
+        assert (pair_library.qfisher_march_body(), plain_library.qfisher_march_body()) == (1, 0)
 
     def test_benchmarked_runs_have_exact_c_forms(self, compiled_kernel):
         # every acceptance run and the diffuse defaults step in qfisher_march: a
@@ -651,13 +734,14 @@ class TestCompiledKernel:
         st = _oracle_state(m, beta)
         assert _march_outcome("march", st, planted) == _march_outcome("march_compiled", st, planted)
 
-    @pytest.mark.parametrize("n", TAIL_COUNTS)
-    @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
-    @pytest.mark.parametrize("build", ["packed", "plain", "avx2"])
+    @pytest.mark.parametrize("build,m,beta,n", [
+        pytest.param(build, m, beta, n, id=f"{build}-{m}-{beta}-{n}")
+        for build, counts in TAIL_COUNTS.items() for m, beta in EXACT_C_FORMS for n in counts])
     def test_tails_and_plantings_follow_numpy(self, build, m, beta, n, request, monkeypatch):
         # _plantings on every length of the last partial group, with and
-        # without whole groups, on both forms of the packed helpers and on
-        # an AVX2 build of the packed form
+        # without whole groups, on each body: the default build's four-wide
+        # one (where the CPU has AVX2 and FMA), the two-wide one with its
+        # SSE2 and plain C helpers, and an AVX2 build
         library = request.getfixturevalue(f"{build}_library")
         monkeypatch.setattr(_native, "library", lambda: library)
         st = _oracle_state(m, beta, n + 1 - n % 2)  # an Axis count is odd
@@ -666,7 +750,51 @@ class TestCompiledKernel:
                                      for name in ("march", "march_compiled"))
             assert numpy_march == compiled, planted
 
-    @pytest.mark.parametrize("flags", [(), ("-U__SSE2__",)], ids=["packed", "plain"])
+    @pytest.mark.parametrize("h", DIVISION_STEPS)
+    @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
+    @pytest.mark.parametrize("planted", DIVISION_PLANTINGS, ids=list(DIVISION_PLANTINGS))
+    def test_division_over_the_range_follows_numpy(self, planted, m, beta, h, compiled_kernel):
+        # a few steps from a state log-uniform over the doubles whose fluxes
+        # stay finite, with runs of zeros and values planted on both sides of
+        # the floor of the four-wide division, at a subnormal difference and
+        # at a quotient that overflows; the fluxes the compiled march leaves
+        # are numpy's fluxes of its final values
+        rng = np.random.default_rng(7)
+        v = 2.0 ** rng.uniform(-960.0, _FINITE_FLUX_TOP[m, beta], 67)
+        for start in (3, 30, 60):
+            v[start:start + int(rng.integers(1, 9))] = 0.0
+        for node, value in DIVISION_PLANTINGS[planted](m).items():
+            v[node] = value
+        p = DiffusionParams(m, beta, 1)
+        outcomes = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            end = 3.5 * diffusion._Kernel(p, h, v.size).march(v.copy(), 0.0, 0.0, 0.0, 0, 0)[2]
+            for name in ("march", "march_compiled"):
+                kernel, u = diffusion._Kernel(p, h, v.size), v.copy()
+                try:
+                    result = _nan_canonical(np.array(getattr(kernel, name)(u, 0.0, end, end, 0, 100)))
+                except StabilityError as err:
+                    result = str(err)
+                outcomes.append((result, _nan_canonical(u)))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(result, bytes):
+            assert _nan_canonical(kernel.fpad[1:-1]) == _nan_canonical(_numpy_flux(u, m, beta, h))
+
+    @pytest.mark.parametrize("a,h", HARD_QUOTIENTS.values(), ids=list(HARD_QUOTIENTS))
+    @pytest.mark.parametrize("beta", [2.0, 3.0])
+    def test_division_at_hard_quotients(self, beta, a, h, compiled_kernel):
+        # a as the difference of the values a, 2a, a, ...; steps of dt = 0
+        # (target = t) keep v and take its fluxes until the budget ends the
+        # march
+        v = np.array([a, 2.0 * a] * 10 + [a])
+        kernel, stepped = diffusion._Kernel(DiffusionParams(1.0, beta, 1), h, v.size), v.copy()
+        with pytest.raises(StabilityError, match="step budget"):
+            kernel.march_compiled(stepped, 0.0, 0.0, 1.0, 0, 1)
+        assert stepped.tobytes() == v.tobytes()
+        assert kernel.fpad[1:-1].tobytes() == _numpy_flux(v, 1.0, beta, h).tobytes()
+
+    @pytest.mark.parametrize("flags", [(), ("-U__SSE2__",), ("-DQFISHER_PAIR_ONLY",)],
+                             ids=["packed", "plain", "pair"])
     def test_builds_without_warnings(self, flags, tmp_path):
         _build_kernels(tmp_path, *flags, "-Wall", "-Wextra", "-Werror")
 

@@ -667,16 +667,16 @@ def test_import_and_state_start_no_compiler(tmp_path):
 
 def exported_c_functions(source: str) -> dict[str, tuple[str, int]]:
     """Each function C source defines at the top level without ``static``:
-    its result type and its number of parameters."""
+    its result type and its number of parameters (none for ``(void)``)."""
     pattern = r"^(?!static\b)([A-Za-z_][\w \t*]*?)\b([A-Za-z_]\w*)\s*\(([^)]*)\)\s*\{"
-    return {m[2]: (m[1].strip(), len(m[3].split(",")))
+    return {m[2]: (m[1].strip(), 0 if m[3].strip() == "void" else len(m[3].split(",")))
             for m in re.finditer(pattern, source, re.M)}
 
 
 def test_detects_exported_c_function():
     source = ("static int f(int a) {\n}\nint g(double *x,\n      long n)\n{\n}\n"
-              "void h(void);\n")
-    assert exported_c_functions(source) == {"g": ("int", 2)}
+              "void h(void);\nint k(void)\n{\n}\n")
+    assert exported_c_functions(source) == {"g": ("int", 2), "k": ("int", 0)}
 
 
 def test_signatures_declare_exactly_the_exported_kernels():
