@@ -2,7 +2,7 @@
  * with the same IEEE operations in the same order, so the results are its
  * bits.  Build with -ffp-contract=off: a fused multiply-add rounds once
  * where numpy rounds twice.  The only fused multiply-adds are the two
- * explicit ones of the four-wide march's division, whose result is the
+ * explicit ones of the wide marches' division, whose result is the
  * quotient's own bits (see "The division" below).
  *
  * qfisher_march: the explicit conservative march of diffusion._Kernel.march
@@ -10,10 +10,10 @@
  * the face flux |d|^(beta-2) d is d or |d|*d.  Each step is one pass over v
  * that updates it and takes the next step's fluxes.  The march is written
  * once, generic in its vector width W, and compiled for each (m, beta) at
- * two widths: W = 2, with SSE2 on every x86-64 and plain C elsewhere, and
- * W = 4, with AVX2 and FMA, on x86-64 only.  A call takes the four-wide body
- * when the CPU has AVX2 and FMA, which qfisher_march_body reports; one
- * library, built with the same flags everywhere, holds both.
+ * three widths, W in {2, 4, 8}: W = 2, with SSE2 on every x86-64 and plain C
+ * elsewhere; W = 4, with AVX2 and FMA, and W = 8, with AVX-512F, on x86-64
+ * only.  A call takes the widest body the CPU runs, which qfisher_march_body
+ * reports; one library, built with the same flags everywhere, holds them all.
  *
  * qfisher_bump: a windowed Fourier bump of perturb.fourier_bump at each
  * abscissa, through libm's cos and sin, which are numpy's float64 cos and
@@ -33,14 +33,33 @@
 #include <emmintrin.h>
 #endif
 
-/* the four-wide body: x86-64 with gcc's or clang's per-function targets.  A
-   build with -DQFISHER_PAIR_ONLY leaves it out, so that the two-wide body
-   runs as on a CPU without AVX2 and FMA */
-#if defined(__x86_64__) && defined(__SSE2__) && defined(__GNUC__) && !defined(QFISHER_PAIR_ONLY)
-#define WIDE 1
+/* the widest body compiled: 8 on x86-64 with gcc's or clang's per-function
+   targets, else 2.  A test build with -DQFISHER_MAX_WIDTH=2 or 4 leaves out
+   the wider bodies, so that a narrower one runs as on a CPU without
+   AVX-512F, or without AVX2 and FMA */
+#ifndef QFISHER_MAX_WIDTH
+#define QFISHER_MAX_WIDTH 8
+#elif QFISHER_MAX_WIDTH != 2 && QFISHER_MAX_WIDTH != 4 && QFISHER_MAX_WIDTH != 8
+#error "QFISHER_MAX_WIDTH is 2, 4 or 8"
+#endif
+#if defined(__x86_64__) && defined(__SSE2__) && defined(__GNUC__)
+#define WIDEST QFISHER_MAX_WIDTH
+#if defined(__clang__)
 #include <immintrin.h>
 #else
-#define WIDE 0
+/* gcc's immintrin.h reads the header of every x86 extension, about 50 MB of
+   the compiler's 170 MB peak; the bodies use four of them, which gcc lets a
+   file include itself once immintrin.h's guard is defined.  The code built
+   is the same */
+#define _IMMINTRIN_H_INCLUDED
+#include <smmintrin.h>
+#include <avxintrin.h>
+#include <avx2intrin.h>
+#include <avx512fintrin.h>
+#include <fmaintrin.h>
+#endif
+#else
+#define WIDEST 2
 #endif
 
 /* np.pi */
@@ -70,14 +89,14 @@
  * The pass runs on vectors of W nodes from node 1, W doubles in one
  * register; node 0 and the nodes after the last whole vector go one at a
  * time.  A vector's left neighbours are the clamped powers of the vector
- * before, taken by a shuffle rather than reloaded from v.  In the four-wide
- * body a vector whose x and left neighbour are all at or above a floor, at
- * which v^m is at least W_FLOOR, takes the division below, and needs no
- * clamp and no minimum: the minimum only decides the clamp and the abort,
- * which a positive value changes neither.  Every other vector (a value to
- * clamp, a NaN, a value near 0 as at the front of a compact support) takes
- * the path of the two-wide body, which clamps, divides by h and takes the
- * minimum.
+ * before, taken by a shuffle rather than reloaded from v.  In the wide
+ * bodies (W = 4 and 8) a vector whose x and left neighbour are all at or
+ * above a floor, at which v^m is at least W_FLOOR, takes the division
+ * below, and needs no clamp and no minimum: the minimum only decides the
+ * clamp and the abort, which a positive value changes neither.  Every other
+ * vector (a value to clamp, a NaN, a value near 0 as at the front of a
+ * compact support) takes the path of the two-wide body, which clamps,
+ * divides by h and takes the minimum.
  *
  * Extrema are packed too: ACC vectors of accumulators take the vectors of
  * each group of GROUP = W ACC nodes in turn, so no compare waits on the one
@@ -98,13 +117,14 @@
  * maximum that scales the abort threshold NaN, so there is no abort, as
  * numpy's NaN minimum gives none.
  *
- * The division.  The two-wide body divides by h.  The four-wide body would
- * wait on the divider, so it takes y = RN(1/h) once per call, by true
+ * The division.  The two-wide body divides by h.  The wide bodies would
+ * wait on the divider, so they take y = RN(1/h) once per call, by true
  * division, and in each lane of a vector above the floor
  *
  *     q0 = RN(a y),  r = RN(a - q0 h),  d = RN(q0 + r y),
  *
- * r and d one fused multiply-add each.  d = RN(a/h), the quotient's bits.
+ * r and d one fused multiply-add each.  d = RN(a/h), the quotient's bits,
+ * at either width, as each lane takes the same operations.
  * Markstein's theorem (P. Markstein, IBM J. Res. Dev. 34 (1990) 111-119;
  * Muller et al., Handbook of Floating-Point Arithmetic, 2nd ed. (2018), on
  * division with an FMA) gives that when q0 is a faithful rounding of a/h,
@@ -146,7 +166,7 @@
  * underflows, and the results are the unbounded ones unless an operation
  * overflows.  a = +0 gives d = +0, as +0 / h does; -0 never occurs, as
  * x - x is +0.  An infinite power makes an infinite a or an inf - inf, and
- * an infinite a makes r an inf - inf.  So the four-wide pass clears the
+ * an infinite a makes r an inf - inf.  So a wide pass clears the
  * MXCSR's exception flags and reads them after: a raised invalid or
  * overflow flag, from these or from any other operation of the pass, marks
  * the step.  After a marked step's clamp, unless the step aborts, the flux
@@ -156,7 +176,7 @@
 
 #define ACC 4
 
-/* the least clamped power v^m that the four-wide division differences */
+/* the least clamped power v^m that the wide division differences */
 #define W_FLOOR 0x1p-860
 
 /* CAT(pair, min) is pair_min */
@@ -259,7 +279,37 @@ static inline int pair_marked(unsigned csr)
     return 0;
 }
 
-#if WIDE
+#if WIDEST > 2
+/* What the wide bodies share.  The floor of x at which v^m is at least
+   W_FLOOR, above which they divide through y = RN(1/h) (see "The division");
+   NaN, so that every vector takes the other path, when h is out of range or
+   the rounding is not to nearest */
+static inline double wide_floor(double h, int m2)
+{
+    int in = h >= 0x1p-40 && h <= 0x1p40 && _MM_GET_ROUNDING_MODE() == _MM_ROUND_NEAREST;
+    return !in ? NAN : m2 ? 0x1p-430 : W_FLOOR;
+}
+
+/* the MXCSR before a pass, whose exception flags it clears */
+static inline unsigned wide_watch(void)
+{
+    unsigned csr = _mm_getcsr();
+    _mm_setcsr(csr & ~_MM_EXCEPT_MASK);
+    __asm__ __volatile__("" ::: "memory");
+    return csr;
+}
+
+/* whether the pass since wide_watch, which returned csr, raised the invalid
+   or overflow flag; the flags are left as they were before the pass or as
+   it raised them */
+static inline int wide_marked(unsigned csr)
+{
+    __asm__ __volatile__("" ::: "memory");
+    unsigned raised = _mm_getcsr() & _MM_EXCEPT_MASK;
+    _mm_setcsr(csr | raised);
+    return (raised & (_MM_EXCEPT_INVALID | _MM_EXCEPT_OVERFLOW)) != 0;
+}
+
 #define QUAD __attribute__((target("avx2,fma")))
 
 typedef double quad __attribute__((vector_size(32)));
@@ -295,18 +345,16 @@ static inline QUAD quad quad_shift(quad prev, quad x)
     return _mm256_shuffle_pd(_mm256_permute2f128_pd(prev, x, 0x21), x, 5);
 }
 
-/* the four-wide division (see "The division"): h, y = RN(1/h), and the
-   floor of x at which v^m is at least W_FLOOR, NaN when h is out of range
-   or the rounding is not to nearest */
+/* the four-wide division (see "The division"): h, y = RN(1/h) and the
+   floor, in every lane */
 typedef struct {
     quad h, y, floor;
 } quad_divisor;
 
 static inline QUAD quad_divisor quad_divide_by(double h, int m2)
 {
-    int in = h >= 0x1p-40 && h <= 0x1p40 && _MM_GET_ROUNDING_MODE() == _MM_ROUND_NEAREST;
-    double floor = !in ? NAN : m2 ? 0x1p-430 : W_FLOOR;
-    return (quad_divisor){_mm256_set1_pd(h), _mm256_set1_pd(1.0 / h), _mm256_set1_pd(floor)};
+    return (quad_divisor){_mm256_set1_pd(h), _mm256_set1_pd(1.0 / h),
+                          _mm256_set1_pd(wide_floor(h, m2))};
 }
 
 /* RN(a/h) in each lane of a vector above the floor in a pass not marked */
@@ -322,25 +370,74 @@ static inline QUAD int quad_below(quad x, const quad_divisor *q)
     return _mm256_movemask_pd(_mm256_cmp_pd(x, q->floor, _CMP_NGE_UQ));
 }
 
-/* the MXCSR before a pass, whose exception flags it clears */
-static inline QUAD unsigned quad_watch(void)
+#define quad_watch wide_watch
+#define quad_marked wide_marked
+#endif
+
+#if WIDEST > 4
+/* the eight-wide helpers, each the four-wide one's operations on eight lanes;
+   vminpd and vmaxpd return the second operand when either is NaN, as minpd
+   and maxpd do */
+#define OCT __attribute__((target("avx512f")))
+
+typedef double oct __attribute__((vector_size(64)));
+
+static inline OCT oct oct_min(oct x, oct m)
 {
-    unsigned csr = _mm_getcsr();
-    _mm_setcsr(csr & ~_MM_EXCEPT_MASK);
-    __asm__ __volatile__("" ::: "memory");
-    return csr;
+    return _mm512_min_pd(x, m);
 }
 
-/* whether the pass since quad_watch, which returned csr, raised the invalid
-   or overflow flag; the flags are left as they were before the pass or as
-   it raised them */
-static inline QUAD int quad_marked(unsigned csr)
+static inline OCT oct oct_max(oct y, oct m)
 {
-    __asm__ __volatile__("" ::: "memory");
-    unsigned raised = _mm_getcsr() & _MM_EXCEPT_MASK;
-    _mm_setcsr(csr | raised);
-    return (raised & (_MM_EXCEPT_INVALID | _MM_EXCEPT_OVERFLOW)) != 0;
+    return _mm512_max_pd(y, m);
 }
+
+static inline OCT oct oct_nan(oct y, oct seen)
+{
+    return _mm512_mask_mov_pd(seen, _mm512_cmp_pd_mask(y, y, _CMP_UNORD_Q), y);
+}
+
+static inline OCT oct oct_clamp(oct x)
+{
+    return _mm512_maskz_mov_pd((__mmask8)~_mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_LE_OQ),
+                               x);
+}
+
+static inline OCT oct oct_abs(oct x)
+{
+    return _mm512_abs_pd(x);
+}
+
+/* (prev[7], x[0], ..., x[6]) */
+static inline OCT oct oct_shift(oct prev, oct x)
+{
+    return _mm512_castsi512_pd(
+        _mm512_alignr_epi64(_mm512_castpd_si512(x), _mm512_castpd_si512(prev), 7));
+}
+
+typedef struct {
+    oct h, y, floor;
+} oct_divisor;
+
+static inline OCT oct_divisor oct_divide_by(double h, int m2)
+{
+    return (oct_divisor){_mm512_set1_pd(h), _mm512_set1_pd(1.0 / h),
+                         _mm512_set1_pd(wide_floor(h, m2))};
+}
+
+static inline OCT oct oct_divide(oct a, const oct_divisor *q)
+{
+    oct q0 = a * q->y;
+    return _mm512_fmadd_pd(_mm512_fnmadd_pd(q0, q->h, a), q->y, q0);
+}
+
+static inline OCT int oct_below(oct x, const oct_divisor *q)
+{
+    return _mm512_cmp_pd_mask(x, q->floor, _CMP_NGE_UQ);
+}
+
+#define oct_watch wide_watch
+#define oct_marked wide_marked
 #endif
 
 #else /* VEC: the march at width W */
@@ -629,7 +726,7 @@ static TARGET int V(march)(double *v, double *d, double *fpad, long n, int m2, i
 #undef W
 #undef TARGET
 
-#if WIDE
+#if WIDEST > 2
 #define VEC quad
 #define W 4
 #define TARGET QUAD
@@ -639,13 +736,27 @@ static TARGET int V(march)(double *v, double *d, double *fpad, long n, int m2, i
 #undef TARGET
 #endif
 
-/* the body the next qfisher_march call takes: 2 for the four-wide one with
-   AVX2 and FMA, 1 for the two-wide one with SSE2, 0 for the two-wide one in
-   plain C */
+#if WIDEST > 4
+#define VEC oct
+#define W 8
+#define TARGET OCT
+#include "_kernels.c"
+#undef VEC
+#undef W
+#undef TARGET
+#endif
+
+/* the body the next qfisher_march call takes: 3 for the eight-wide one with
+   AVX-512F, 2 for the four-wide one with AVX2 and FMA, 1 for the two-wide
+   one with SSE2, 0 for the two-wide one in plain C */
 int qfisher_march_body(void)
 {
-#if WIDE
+#if WIDEST > 2
     __builtin_cpu_init();
+#if WIDEST > 4
+    if (__builtin_cpu_supports("avx512f"))
+        return 3;
+#endif
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
         return 2;
 #endif
@@ -661,13 +772,21 @@ int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
                   double target, double stop, long long budget,
                   double *io, long long *steps)
 {
-#if WIDE
-    if (qfisher_march_body() == 2)
-        return quad_march(v, d, fpad, n, m2, beta3, h, diffusivity, cfl_h2, clamp_rel,
-                          target, stop, budget, io, steps);
+#define MARCH(VEC) CAT(VEC, march)(v, d, fpad, n, m2, beta3, h, diffusivity, cfl_h2, \
+                                   clamp_rel, target, stop, budget, io, steps)
+    switch (qfisher_march_body()) {
+#if WIDEST > 4
+    case 3:
+        return MARCH(oct);
 #endif
-    return pair_march(v, d, fpad, n, m2, beta3, h, diffusivity, cfl_h2, clamp_rel,
-                      target, stop, budget, io, steps);
+#if WIDEST > 2
+    case 2:
+        return MARCH(quad);
+#endif
+    default:
+        return MARCH(pair);
+    }
+#undef MARCH
 }
 
 /* The bump.

@@ -30,7 +30,8 @@ SIGNATURES = {
     # v, d, fpad, n, m2, beta3, h, diffusivity, cfl_h2, clamp_rel, target, stop, budget, io, steps
     "qfisher_march": (_INT, (_PTR, _PTR, _PTR, _LONG, _INT, _INT) + (_DOUBLE,) * 6
                       + (ctypes.c_longlong, _PTR, _PTR)),
-    # which body the next qfisher_march call takes: 0 plain C, 1 SSE2, 2 AVX2 and FMA
+    # which body the next qfisher_march call takes, the widest the CPU runs:
+    # 0 two-wide in plain C, 1 two-wide SSE2, 2 four-wide AVX2 and FMA, 3 eight-wide AVX-512F
     "qfisher_march_body": (_INT, ()),
     # u, n, coef, modes, out, then the memo: slots, keys, rows, cursor, counts
     "qfisher_bump": (None, (_PTR, _LONG, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, _PTR, _PTR)),

@@ -414,6 +414,15 @@ class TestKernelOraclePlainHelpers(TestKernelOracle):
         monkeypatch.setattr(_native, "library", lambda: plain_library)
 
 
+class TestKernelOracleQuadBody(TestKernelOracle):
+    """The oracle on the four-wide body, which a CPU with AVX2 and FMA but
+    without AVX-512F runs from the default build."""
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, quad_library, monkeypatch):
+        monkeypatch.setattr(_native, "library", lambda: quad_library)
+
+
 class TestKernelOraclePairBody(TestKernelOracle):
     """The oracle on the two-wide SSE2 body, which a CPU without AVX2 and FMA
     runs from the default build."""
@@ -509,17 +518,19 @@ def _needs_cc():
 
 
 #: the nodes of one group of the compiled march's packed extrema at each
-#: width (W ACC in _kernels.c: 2 and 4 doubles, ACC = 4); its fused pass
+#: width (W ACC in _kernels.c: 2, 4 and 8 doubles, ACC = 4); its fused pass
 #: takes node 0 alone, then groups from node 1
-GROUPS = (8, 16)
+GROUPS = (8, 16, 32)
 #: every length of the fused pass's last partial group (vectors, then single
 #: nodes), with and without whole groups, at production size, and by build:
-#: the two-wide body alone in "plain" and "pair", the four-wide one, where
-#: the CPU has AVX2 and FMA, in "packed" and "avx2"
+#: the widest body the CPU runs in "packed", the four-wide one in "quad"
+#: (where the CPU has AVX2 and FMA), and the two-wide one alone in "pair",
+#: "avx2" and "plain"
 _PRODUCTION_COUNTS = [4001, 4003, 4005, 4007]
-TAIL_COUNTS = {"packed": list(range(3, 2 + 2 * GROUPS[1])) + _PRODUCTION_COUNTS,
-               "plain": list(range(3, 2 + 2 * GROUPS[0])) + _PRODUCTION_COUNTS}
-TAIL_COUNTS.update(avx2=TAIL_COUNTS["packed"], pair=TAIL_COUNTS["plain"])
+TAIL_COUNTS = {build: list(range(3, 2 + 2 * group)) + _PRODUCTION_COUNTS
+               for build, group in [("packed", GROUPS[2]), ("quad", GROUPS[1]),
+                                    ("pair", GROUPS[0]), ("avx2", GROUPS[0]),
+                                    ("plain", GROUPS[0])]}
 
 
 def _plantings(n):
@@ -570,13 +581,16 @@ def _march_outcome(name, st, planted, n=None):
     return result, as_bytes(v)
 
 
+#: the builds whose widest bodies divide through RN(1/h): the default one
+#: (eight-wide where the CPU has AVX-512F) and the four-wide one
+WIDE_BUILDS = ["packed", "quad"]
 #: the grid steps of the four acceptance runs, and steps whose significand
 #: is all ones
 DIVISION_STEPS = [20 / 4000, 7 / 250, 7 / 500, 7.2 / 1000, (2 - 2 ** -52) * 2 ** -8,
                   (2 - 2 ** -52) * 2 ** -5]
 #: the binade below which every flux of a (m, beta) march stays finite
 _FINITE_FLUX_TOP = {(1.0, 2.0): 1000, (2.0, 2.0): 500, (1.0, 3.0): 500, (2.0, 3.0): 245}
-#: the floor of the four-wide division in x (v^m at least 2^-860), and the
+#: the floor of the wide division in x (v^m at least 2^-860), and the
 #: double below it, next to each other; a subnormal difference; a value
 #: whose quotient overflows
 DIVISION_PLANTINGS = {
@@ -592,8 +606,8 @@ _ULP1 = 2.0 ** -52
 #: (a, h) of hard quotients a/h.  The three significand pairs at which
 #: RN(a RN(1/h)) lies 1.5 ulp from a/h and the remainder may round ("The
 #: division" in _kernels.c), at two scales; and two differences below the
-#: floor of the four-wide division whose quotient one correction rounds
-#: the wrong way
+#: floor of the wide division whose quotient one correction rounds the
+#: wrong way
 HARD_QUOTIENTS = {
     f"k{k}-j{j}-{scale}": ((2.0 - k * _ULP1) * 2.0 ** scale, (2.0 - j * _ULP1) * 2.0 ** -7)
     for k, j in [(2, 1), (3, 1), (3, 2)] for scale in (-800, 400)}
@@ -639,10 +653,17 @@ def plain_library(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def quad_library(tmp_path_factory):
+    """The library with the eight-wide body left out, whose four-wide body
+    runs as on a CPU with AVX2 and FMA but without AVX-512F."""
+    return _build_kernels(tmp_path_factory.mktemp("quad"), "-DQFISHER_MAX_WIDTH=4")
+
+
+@pytest.fixture(scope="module")
 def pair_library(tmp_path_factory):
-    """The library with the four-wide body left out, whose two-wide SSE2 body
+    """The library with the wide bodies left out, whose two-wide SSE2 body
     runs as on a CPU without AVX2 and FMA."""
-    return _build_kernels(tmp_path_factory.mktemp("pair"), "-DQFISHER_PAIR_ONLY")
+    return _build_kernels(tmp_path_factory.mktemp("pair"), "-DQFISHER_MAX_WIDTH=2")
 
 
 def _cpu_flags():
@@ -654,10 +675,17 @@ def _cpu_flags():
 
 @pytest.fixture(scope="module")
 def avx2_library(tmp_path_factory):
-    """The library built with -mavx2, on a host whose CPU has AVX2."""
+    """The two-wide body built with -mavx2, so with VEX encodings, on a host
+    whose CPU has AVX2."""
     if "avx2" not in _cpu_flags():
         pytest.skip("the CPU lacks AVX2")
-    return _build_kernels(tmp_path_factory.mktemp("avx2"), "-mavx2")
+    return _build_kernels(tmp_path_factory.mktemp("avx2"), "-mavx2", "-DQFISHER_MAX_WIDTH=2")
+
+
+def _use_build(build, request, monkeypatch):
+    """Makes the library of fixture `build`_library the one evolve loads."""
+    library = request.getfixturevalue(f"{build}_library")
+    monkeypatch.setattr(_native, "library", lambda: library)
 
 
 def _assert_evolve_is_reference(m, beta, span):
@@ -685,17 +713,29 @@ class TestCompiledKernel:
             kernel = diffusion._Kernel(DiffusionParams(m, beta, 1), 0.1, 11)
             assert diffusion._select_march(kernel) == kernel.march, (m, beta)
 
-    def test_four_wide_body_runs_where_the_cpu_has_avx2_and_fma(self, compiled_kernel):
-        # a silent fall back to the two-wide body would pass every oracle
-        # test with the gain gone
-        if not {"avx2", "fma"} <= _cpu_flags():
-            pytest.skip("the CPU lacks AVX2 or FMA")
-        assert _native.library().qfisher_march_body() == 2
+    def test_widest_body_the_cpu_supports_runs(self, compiled_kernel):
+        # a silent fall back to a narrower body would pass every oracle test
+        # with the gain gone
+        flags = _cpu_flags()
+        if "avx512f" in flags:
+            widest = 3
+        elif {"avx2", "fma"} <= flags:
+            widest = 2
+        else:
+            pytest.skip("the CPU lacks AVX-512F, and AVX2 or FMA")
+        assert _native.library().qfisher_march_body() == widest
 
-    def test_test_builds_run_the_bodies_they_stand_for(self, pair_library, plain_library):
-        if "sse2" not in _cpu_flags():
+    def test_test_builds_run_the_bodies_they_stand_for(self, request):
+        flags = _cpu_flags()
+        if "sse2" not in flags:
             pytest.skip("not an x86-64 CPU")
-        assert (pair_library.qfisher_march_body(), plain_library.qfisher_march_body()) == (1, 0)
+        # the quad build runs its four-wide body only where the CPU has AVX2
+        # and FMA, and the avx2 build loads only where it has AVX2
+        builds = {"quad": 2 if {"avx2", "fma"} <= flags else 1, "pair": 1, "plain": 0}
+        if "avx2" in flags:
+            builds["avx2"] = 1
+        assert {build: request.getfixturevalue(f"{build}_library").qfisher_march_body()
+                for build in builds} == builds
 
     def test_benchmarked_runs_have_exact_c_forms(self, compiled_kernel):
         # every acceptance run and the diffuse defaults step in qfisher_march: a
@@ -739,11 +779,10 @@ class TestCompiledKernel:
         for build, counts in TAIL_COUNTS.items() for m, beta in EXACT_C_FORMS for n in counts])
     def test_tails_and_plantings_follow_numpy(self, build, m, beta, n, request, monkeypatch):
         # _plantings on every length of the last partial group, with and
-        # without whole groups, on each body: the default build's four-wide
-        # one (where the CPU has AVX2 and FMA), the two-wide one with its
-        # SSE2 and plain C helpers, and an AVX2 build
-        library = request.getfixturevalue(f"{build}_library")
-        monkeypatch.setattr(_native, "library", lambda: library)
+        # without whole groups, on each body: the default build's widest
+        # one, the four-wide one, and the two-wide one with its SSE2, VEX
+        # (AVX2 build) and plain C helpers
+        _use_build(build, request, monkeypatch)
         st = _oracle_state(m, beta, n + 1 - n % 2)  # an Axis count is odd
         for planted in _plantings(n):
             numpy_march, compiled = (_march_outcome(name, st, planted, n)
@@ -753,12 +792,16 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("h", DIVISION_STEPS)
     @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
     @pytest.mark.parametrize("planted", DIVISION_PLANTINGS, ids=list(DIVISION_PLANTINGS))
-    def test_division_over_the_range_follows_numpy(self, planted, m, beta, h, compiled_kernel):
+    @pytest.mark.parametrize("build", WIDE_BUILDS)
+    def test_division_over_the_range_follows_numpy(self, build, planted, m, beta, h, request,
+                                                   monkeypatch):
         # a few steps from a state log-uniform over the doubles whose fluxes
         # stay finite, with runs of zeros and values planted on both sides of
-        # the floor of the four-wide division, at a subnormal difference and
-        # at a quotient that overflows; the fluxes the compiled march leaves
-        # are numpy's fluxes of its final values
+        # the floor of the wide division, at a subnormal difference and at a
+        # quotient that overflows, on the default build's widest body and the
+        # four-wide one; the fluxes the compiled march leaves are numpy's
+        # fluxes of its final values
+        _use_build(build, request, monkeypatch)
         rng = np.random.default_rng(7)
         v = 2.0 ** rng.uniform(-960.0, _FINITE_FLUX_TOP[m, beta], 67)
         for start in (3, 30, 60):
@@ -782,10 +825,12 @@ class TestCompiledKernel:
 
     @pytest.mark.parametrize("a,h", HARD_QUOTIENTS.values(), ids=list(HARD_QUOTIENTS))
     @pytest.mark.parametrize("beta", [2.0, 3.0])
-    def test_division_at_hard_quotients(self, beta, a, h, compiled_kernel):
+    @pytest.mark.parametrize("build", WIDE_BUILDS)
+    def test_division_at_hard_quotients(self, build, beta, a, h, request, monkeypatch):
         # a as the difference of the values a, 2a, a, ...; steps of dt = 0
         # (target = t) keep v and take its fluxes until the budget ends the
-        # march
+        # march, on both wide bodies
+        _use_build(build, request, monkeypatch)
         v = np.array([a, 2.0 * a] * 10 + [a])
         kernel, stepped = diffusion._Kernel(DiffusionParams(1.0, beta, 1), h, v.size), v.copy()
         with pytest.raises(StabilityError, match="step budget"):
@@ -793,8 +838,9 @@ class TestCompiledKernel:
         assert stepped.tobytes() == v.tobytes()
         assert kernel.fpad[1:-1].tobytes() == _numpy_flux(v, 1.0, beta, h).tobytes()
 
-    @pytest.mark.parametrize("flags", [(), ("-U__SSE2__",), ("-DQFISHER_PAIR_ONLY",)],
-                             ids=["packed", "plain", "pair"])
+    @pytest.mark.parametrize("flags", [(), ("-U__SSE2__",), ("-DQFISHER_MAX_WIDTH=4",),
+                                       ("-DQFISHER_MAX_WIDTH=2",)],
+                             ids=["packed", "plain", "quad", "pair"])
     def test_builds_without_warnings(self, flags, tmp_path):
         _build_kernels(tmp_path, *flags, "-Wall", "-Wextra", "-Werror")
 
