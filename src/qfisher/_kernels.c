@@ -2,7 +2,7 @@
  * with the same IEEE operations in the same order, so the results are its
  * bits.  Build with -ffp-contract=off: a fused multiply-add rounds once
  * where numpy rounds twice.  The only fused multiply-adds are the two
- * explicit ones of the wide marches' division, whose result is the
+ * explicit ones of the eight-wide march's division, whose result is the
  * quotient's own bits (see "The division" below).
  *
  * qfisher_march: the explicit conservative march of diffusion._Kernel.march
@@ -10,10 +10,10 @@
  * the face flux |d|^(beta-2) d is d or |d|*d.  Each step is one pass over v
  * that updates it and takes the next step's fluxes.  The march is written
  * once, generic in its vector width W, and compiled for each (m, beta) at
- * three widths, W in {2, 4, 8}: W = 2, with SSE2 on every x86-64 and plain C
- * elsewhere; W = 4, with AVX2 and FMA, and W = 8, with AVX-512F, on x86-64
- * only.  A call takes the widest body the CPU runs, which qfisher_march_body
- * reports; one library, built with the same flags everywhere, holds them all.
+ * two widths, W in {2, 8}: W = 2, with SSE2 on every x86-64 and plain C
+ * elsewhere, and W = 8, with AVX-512F, on x86-64 only.  A call takes the
+ * widest body the CPU runs, which qfisher_march_body reports; one library,
+ * built with the same flags everywhere, holds both.
  *
  * qfisher_bump: a windowed Fourier bump of perturb.fourier_bump at each
  * abscissa, through libm's cos and sin, which are numpy's float64 cos and
@@ -34,29 +34,29 @@
 #endif
 
 /* the widest body compiled: 8 on x86-64 with gcc's or clang's per-function
-   targets, else 2.  A test build with -DQFISHER_MAX_WIDTH=2 or 4 leaves out
-   the wider bodies, so that a narrower one runs as on a CPU without
-   AVX-512F, or without AVX2 and FMA */
+   targets, else 2.  A test build with -DQFISHER_MAX_WIDTH=2 leaves out the
+   eight-wide body, so that the two-wide one runs as on a CPU without
+   AVX-512F */
 #ifndef QFISHER_MAX_WIDTH
 #define QFISHER_MAX_WIDTH 8
-#elif QFISHER_MAX_WIDTH != 2 && QFISHER_MAX_WIDTH != 4 && QFISHER_MAX_WIDTH != 8
-#error "QFISHER_MAX_WIDTH is 2, 4 or 8"
+#elif QFISHER_MAX_WIDTH != 2 && QFISHER_MAX_WIDTH != 8
+#error "QFISHER_MAX_WIDTH is 2 or 8"
 #endif
 #if defined(__x86_64__) && defined(__SSE2__) && defined(__GNUC__)
 #define WIDEST QFISHER_MAX_WIDTH
 #if defined(__clang__)
 #include <immintrin.h>
 #else
-/* gcc's immintrin.h reads the header of every x86 extension, about 50 MB of
-   the compiler's 170 MB peak; the bodies use four of them, which gcc lets a
-   file include itself once immintrin.h's guard is defined.  The code built
-   is the same */
+/* gcc's immintrin.h reads the header of every x86 extension: with it gcc 12
+   peaks at 152 MB building this file, against 101 MB with the eight-wide
+   body's avx512fintrin.h and the three it needs, which gcc lets a file
+   include itself once immintrin.h's guard is defined.  The code built is
+   the same */
 #define _IMMINTRIN_H_INCLUDED
 #include <smmintrin.h>
 #include <avxintrin.h>
 #include <avx2intrin.h>
 #include <avx512fintrin.h>
-#include <fmaintrin.h>
 #endif
 #else
 #define WIDEST 2
@@ -89,8 +89,8 @@
  * The pass runs on vectors of W nodes from node 1, W doubles in one
  * register; node 0 and the nodes after the last whole vector go one at a
  * time.  A vector's left neighbours are the clamped powers of the vector
- * before, taken by a shuffle rather than reloaded from v.  In the wide
- * bodies (W = 4 and 8) a vector whose x and left neighbour are all at or
+ * before, taken by a shuffle rather than reloaded from v.  In the
+ * eight-wide body a vector whose x and left neighbour are all at or
  * above a floor, at which v^m is at least W_FLOOR, takes the division
  * below, and needs no clamp and no minimum: the minimum only decides the
  * clamp and the abort, which a positive value changes neither.  Every other
@@ -117,14 +117,14 @@
  * maximum that scales the abort threshold NaN, so there is no abort, as
  * numpy's NaN minimum gives none.
  *
- * The division.  The two-wide body divides by h.  The wide bodies would
- * wait on the divider, so they take y = RN(1/h) once per call, by true
+ * The division.  The two-wide body divides by h.  The eight-wide body would
+ * wait on the divider, so it takes y = RN(1/h) once per call, by true
  * division, and in each lane of a vector above the floor
  *
  *     q0 = RN(a y),  r = RN(a - q0 h),  d = RN(q0 + r y),
  *
  * r and d one fused multiply-add each.  d = RN(a/h), the quotient's bits,
- * at either width, as each lane takes the same operations.
+ * in every lane, as each lane takes the same operations.
  * Markstein's theorem (P. Markstein, IBM J. Res. Dev. 34 (1990) 111-119;
  * Muller et al., Handbook of Floating-Point Arithmetic, 2nd ed. (2018), on
  * division with an FMA) gives that when q0 is a faithful rounding of a/h,
@@ -166,7 +166,7 @@
  * underflows, and the results are the unbounded ones unless an operation
  * overflows.  a = +0 gives d = +0, as +0 / h does; -0 never occurs, as
  * x - x is +0.  An infinite power makes an infinite a or an inf - inf, and
- * an infinite a makes r an inf - inf.  So a wide pass clears the
+ * an infinite a makes r an inf - inf.  So an eight-wide pass clears the
  * MXCSR's exception flags and reads them after: a raised invalid or
  * overflow flag, from these or from any other operation of the pass, marks
  * the step.  After a marked step's clamp, unless the step aborts, the flux
@@ -280,18 +280,18 @@ static inline int pair_marked(unsigned csr)
 }
 
 #if WIDEST > 2
-/* What the wide bodies share.  The floor of x at which v^m is at least
-   W_FLOOR, above which they divide through y = RN(1/h) (see "The division");
-   NaN, so that every vector takes the other path, when h is out of range or
-   the rounding is not to nearest */
-static inline double wide_floor(double h, int m2)
+/* The floor of x at which v^m is at least W_FLOOR, above which the
+   eight-wide body divides through y = RN(1/h) (see "The division"); NaN, so
+   that every vector takes the other path, when h is out of range or the
+   rounding is not to nearest */
+static inline double oct_floor(double h, int m2)
 {
     int in = h >= 0x1p-40 && h <= 0x1p40 && _MM_GET_ROUNDING_MODE() == _MM_ROUND_NEAREST;
     return !in ? NAN : m2 ? 0x1p-430 : W_FLOOR;
 }
 
 /* the MXCSR before a pass, whose exception flags it clears */
-static inline unsigned wide_watch(void)
+static inline unsigned oct_watch(void)
 {
     unsigned csr = _mm_getcsr();
     _mm_setcsr(csr & ~_MM_EXCEPT_MASK);
@@ -299,10 +299,10 @@ static inline unsigned wide_watch(void)
     return csr;
 }
 
-/* whether the pass since wide_watch, which returned csr, raised the invalid
+/* whether the pass since oct_watch, which returned csr, raised the invalid
    or overflow flag; the flags are left as they were before the pass or as
    it raised them */
-static inline int wide_marked(unsigned csr)
+static inline int oct_marked(unsigned csr)
 {
     __asm__ __volatile__("" ::: "memory");
     unsigned raised = _mm_getcsr() & _MM_EXCEPT_MASK;
@@ -310,72 +310,7 @@ static inline int wide_marked(unsigned csr)
     return (raised & (_MM_EXCEPT_INVALID | _MM_EXCEPT_OVERFLOW)) != 0;
 }
 
-#define QUAD __attribute__((target("avx2,fma")))
-
-typedef double quad __attribute__((vector_size(32)));
-
-static inline QUAD quad quad_min(quad x, quad m)
-{
-    return _mm256_min_pd(x, m);
-}
-
-static inline QUAD quad quad_max(quad y, quad m)
-{
-    return _mm256_max_pd(y, m);
-}
-
-static inline QUAD quad quad_nan(quad y, quad seen)
-{
-    return _mm256_or_pd(seen, _mm256_cmp_pd(y, y, _CMP_UNORD_Q));
-}
-
-static inline QUAD quad quad_clamp(quad x)
-{
-    return _mm256_andnot_pd(_mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_LE_OQ), x);
-}
-
-static inline QUAD quad quad_abs(quad x)
-{
-    return _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
-}
-
-/* (prev[3], x[0], x[1], x[2]) */
-static inline QUAD quad quad_shift(quad prev, quad x)
-{
-    return _mm256_shuffle_pd(_mm256_permute2f128_pd(prev, x, 0x21), x, 5);
-}
-
-/* the four-wide division (see "The division"): h, y = RN(1/h) and the
-   floor, in every lane */
-typedef struct {
-    quad h, y, floor;
-} quad_divisor;
-
-static inline QUAD quad_divisor quad_divide_by(double h, int m2)
-{
-    return (quad_divisor){_mm256_set1_pd(h), _mm256_set1_pd(1.0 / h),
-                          _mm256_set1_pd(wide_floor(h, m2))};
-}
-
-/* RN(a/h) in each lane of a vector above the floor in a pass not marked */
-static inline QUAD quad quad_divide(quad a, const quad_divisor *q)
-{
-    quad q0 = a * q->y;
-    return _mm256_fmadd_pd(_mm256_fnmadd_pd(q0, q->h, a), q->y, q0);
-}
-
-/* the lanes, as bits, whose x is below the floor or NaN */
-static inline QUAD int quad_below(quad x, const quad_divisor *q)
-{
-    return _mm256_movemask_pd(_mm256_cmp_pd(x, q->floor, _CMP_NGE_UQ));
-}
-
-#define quad_watch wide_watch
-#define quad_marked wide_marked
-#endif
-
-#if WIDEST > 4
-/* the eight-wide helpers, each the four-wide one's operations on eight lanes;
+/* the eight-wide helpers, each the two-wide one's operations on eight lanes;
    vminpd and vmaxpd return the second operand when either is NaN, as minpd
    and maxpd do */
 #define OCT __attribute__((target("avx512f")))
@@ -415,6 +350,8 @@ static inline OCT oct oct_shift(oct prev, oct x)
         _mm512_alignr_epi64(_mm512_castpd_si512(x), _mm512_castpd_si512(prev), 7));
 }
 
+/* the eight-wide division (see "The division"): h, y = RN(1/h) and the
+   floor, in every lane */
 typedef struct {
     oct h, y, floor;
 } oct_divisor;
@@ -422,22 +359,21 @@ typedef struct {
 static inline OCT oct_divisor oct_divide_by(double h, int m2)
 {
     return (oct_divisor){_mm512_set1_pd(h), _mm512_set1_pd(1.0 / h),
-                         _mm512_set1_pd(wide_floor(h, m2))};
+                         _mm512_set1_pd(oct_floor(h, m2))};
 }
 
+/* RN(a/h) in each lane of a vector above the floor in a pass not marked */
 static inline OCT oct oct_divide(oct a, const oct_divisor *q)
 {
     oct q0 = a * q->y;
     return _mm512_fmadd_pd(_mm512_fnmadd_pd(q0, q->h, a), q->y, q0);
 }
 
+/* the lanes, as bits, whose x is below the floor or NaN */
 static inline OCT int oct_below(oct x, const oct_divisor *q)
 {
     return _mm512_cmp_pd_mask(x, q->floor, _CMP_NGE_UQ);
 }
-
-#define oct_watch wide_watch
-#define oct_marked wide_marked
 #endif
 
 #else /* VEC: the march at width W */
@@ -727,16 +663,6 @@ static TARGET int V(march)(double *v, double *d, double *fpad, long n, int m2, i
 #undef TARGET
 
 #if WIDEST > 2
-#define VEC quad
-#define W 4
-#define TARGET QUAD
-#include "_kernels.c"
-#undef VEC
-#undef W
-#undef TARGET
-#endif
-
-#if WIDEST > 4
 #define VEC oct
 #define W 8
 #define TARGET OCT
@@ -747,18 +673,14 @@ static TARGET int V(march)(double *v, double *d, double *fpad, long n, int m2, i
 #endif
 
 /* the body the next qfisher_march call takes: 3 for the eight-wide one with
-   AVX-512F, 2 for the four-wide one with AVX2 and FMA, 1 for the two-wide
-   one with SSE2, 0 for the two-wide one in plain C */
+   AVX-512F, 1 for the two-wide one with SSE2, 0 for the two-wide one in
+   plain C; 2 is not used */
 int qfisher_march_body(void)
 {
 #if WIDEST > 2
     __builtin_cpu_init();
-#if WIDEST > 4
     if (__builtin_cpu_supports("avx512f"))
         return 3;
-#endif
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-        return 2;
 #endif
 #ifdef __SSE2__
     return 1;
@@ -775,13 +697,9 @@ int qfisher_march(double *v, double *d, double *fpad, long n, int m2, int beta3,
 #define MARCH(VEC) CAT(VEC, march)(v, d, fpad, n, m2, beta3, h, diffusivity, cfl_h2, \
                                    clamp_rel, target, stop, budget, io, steps)
     switch (qfisher_march_body()) {
-#if WIDEST > 4
+#if WIDEST > 2
     case 3:
         return MARCH(oct);
-#endif
-#if WIDEST > 2
-    case 2:
-        return MARCH(quad);
 #endif
     default:
         return MARCH(pair);

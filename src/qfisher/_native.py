@@ -31,7 +31,7 @@ SIGNATURES = {
     "qfisher_march": (_INT, (_PTR, _PTR, _PTR, _LONG, _INT, _INT) + (_DOUBLE,) * 6
                       + (ctypes.c_longlong, _PTR, _PTR)),
     # which body the next qfisher_march call takes, the widest the CPU runs:
-    # 0 two-wide in plain C, 1 two-wide SSE2, 2 four-wide AVX2 and FMA, 3 eight-wide AVX-512F
+    # 0 two-wide in plain C, 1 two-wide SSE2, 3 eight-wide AVX-512F (2 is not used)
     "qfisher_march_body": (_INT, ()),
     # u, n, coef, modes, out, then the memo: slots, keys, rows, cursor, counts
     "qfisher_bump": (None, (_PTR, _LONG, _PTR, _LONG, _PTR, _LONG, _PTR, _PTR, _PTR, _PTR)),

@@ -32,11 +32,10 @@ the sign bit of a NaN that a step makes from an inf, as inf - inf), when
 a process.  After one flux pass on entry, each of its steps is one pass
 over v: the update of a node, and the next step's flux at the face to its
 left from the clamped values, which are the values the clamp then leaves.
-The pass runs eight doubles wide with AVX-512F or four wide with AVX2 and
-FMA, the widest the CPU has, dividing by h through its reciprocal and one
-fused-multiply-add correction whose result is the quotient's bits, and two
-wide otherwise.  Every
-acceptance run and the ``diffuse`` defaults are in that set.  The
+The pass runs eight doubles wide where the CPU has AVX-512F, dividing by h
+through its reciprocal and one fused-multiply-add correction whose result is
+the quotient's bits, and two wide otherwise.  Every acceptance run and the
+``diffuse`` defaults are in that set.  The
 numpy march is the fallback without a compiler and for every other
 (m, beta), where numpy's ``power`` is not libm's ``pow`` to the bit.
 """
@@ -201,9 +200,9 @@ class _Kernel:
         errors, bit for bit, except that a NaN a step makes from an inf may
         differ in sign bit.  It fuses each step's update with the next
         step's flux pass, which leaves every bit as it is, and runs the pass
-        eight doubles wide where the CPU has AVX-512F, else four wide where
-        it has AVX2 and FMA, else two wide (``qfisher_march_body`` says
-        which body runs: 3, 2, or 1 with SSE2 and 0 in plain C).  The
+        eight doubles wide where the CPU has AVX-512F, else two wide
+        (``qfisher_march_body`` says which body runs: 3, or 1 with SSE2 and
+        0 in plain C).  The
         addresses of v, ``d``, ``fpad``, ``io`` and ``count`` are taken at
         the first call with a given v, which is once per :func:`evolve`.
         CFL_SAFETY and NEGATIVE_CLAMP_REL are read on every call, as

@@ -414,17 +414,8 @@ class TestKernelOraclePlainHelpers(TestKernelOracle):
         monkeypatch.setattr(_native, "library", lambda: plain_library)
 
 
-class TestKernelOracleQuadBody(TestKernelOracle):
-    """The oracle on the four-wide body, which a CPU with AVX2 and FMA but
-    without AVX-512F runs from the default build."""
-
-    @pytest.fixture(autouse=True)
-    def kernel(self, quad_library, monkeypatch):
-        monkeypatch.setattr(_native, "library", lambda: quad_library)
-
-
 class TestKernelOraclePairBody(TestKernelOracle):
-    """The oracle on the two-wide SSE2 body, which a CPU without AVX2 and FMA
+    """The oracle on the two-wide SSE2 body, which a CPU without AVX-512F
     runs from the default build."""
 
     @pytest.fixture(autouse=True)
@@ -518,19 +509,17 @@ def _needs_cc():
 
 
 #: the nodes of one group of the compiled march's packed extrema at each
-#: width (W ACC in _kernels.c: 2, 4 and 8 doubles, ACC = 4); its fused pass
+#: width (W ACC in _kernels.c: 2 and 8 doubles, ACC = 4); its fused pass
 #: takes node 0 alone, then groups from node 1
-GROUPS = (8, 16, 32)
+GROUPS = (8, 32)
 #: every length of the fused pass's last partial group (vectors, then single
 #: nodes), with and without whole groups, at production size, and by build:
-#: the widest body the CPU runs in "packed", the four-wide one in "quad"
-#: (where the CPU has AVX2 and FMA), and the two-wide one alone in "pair",
-#: "avx2" and "plain"
+#: the widest body the CPU runs in "packed", and the two-wide one alone in
+#: "pair", "avx2" and "plain"
 _PRODUCTION_COUNTS = [4001, 4003, 4005, 4007]
 TAIL_COUNTS = {build: list(range(3, 2 + 2 * group)) + _PRODUCTION_COUNTS
-               for build, group in [("packed", GROUPS[2]), ("quad", GROUPS[1]),
-                                    ("pair", GROUPS[0]), ("avx2", GROUPS[0]),
-                                    ("plain", GROUPS[0])]}
+               for build, group in [("packed", GROUPS[1]), ("pair", GROUPS[0]),
+                                    ("avx2", GROUPS[0]), ("plain", GROUPS[0])]}
 
 
 def _plantings(n):
@@ -581,9 +570,9 @@ def _march_outcome(name, st, planted, n=None):
     return result, as_bytes(v)
 
 
-#: the builds whose widest bodies divide through RN(1/h): the default one
-#: (eight-wide where the CPU has AVX-512F) and the four-wide one
-WIDE_BUILDS = ["packed", "quad"]
+#: the builds whose widest body divides through RN(1/h): the default one,
+#: eight-wide where the CPU has AVX-512F
+WIDE_BUILDS = ["packed"]
 #: the grid steps of the four acceptance runs, and steps whose significand
 #: is all ones
 DIVISION_STEPS = [20 / 4000, 7 / 250, 7 / 500, 7.2 / 1000, (2 - 2 ** -52) * 2 ** -8,
@@ -653,16 +642,9 @@ def plain_library(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def quad_library(tmp_path_factory):
-    """The library with the eight-wide body left out, whose four-wide body
-    runs as on a CPU with AVX2 and FMA but without AVX-512F."""
-    return _build_kernels(tmp_path_factory.mktemp("quad"), "-DQFISHER_MAX_WIDTH=4")
-
-
-@pytest.fixture(scope="module")
 def pair_library(tmp_path_factory):
-    """The library with the wide bodies left out, whose two-wide SSE2 body
-    runs as on a CPU without AVX2 and FMA."""
+    """The library with the eight-wide body left out, whose two-wide SSE2
+    body runs as on a CPU without AVX-512F."""
     return _build_kernels(tmp_path_factory.mktemp("pair"), "-DQFISHER_MAX_WIDTH=2")
 
 
@@ -719,19 +701,18 @@ class TestCompiledKernel:
         flags = _cpu_flags()
         if "avx512f" in flags:
             widest = 3
-        elif {"avx2", "fma"} <= flags:
-            widest = 2
+        elif "sse2" in flags:
+            widest = 1
         else:
-            pytest.skip("the CPU lacks AVX-512F, and AVX2 or FMA")
+            pytest.skip("not an x86-64 CPU")
         assert _native.library().qfisher_march_body() == widest
 
     def test_test_builds_run_the_bodies_they_stand_for(self, request):
         flags = _cpu_flags()
         if "sse2" not in flags:
             pytest.skip("not an x86-64 CPU")
-        # the quad build runs its four-wide body only where the CPU has AVX2
-        # and FMA, and the avx2 build loads only where it has AVX2
-        builds = {"quad": 2 if {"avx2", "fma"} <= flags else 1, "pair": 1, "plain": 0}
+        # the avx2 build loads only where the CPU has AVX2
+        builds = {"pair": 1, "plain": 0}
         if "avx2" in flags:
             builds["avx2"] = 1
         assert {build: request.getfixturevalue(f"{build}_library").qfisher_march_body()
@@ -780,8 +761,8 @@ class TestCompiledKernel:
     def test_tails_and_plantings_follow_numpy(self, build, m, beta, n, request, monkeypatch):
         # _plantings on every length of the last partial group, with and
         # without whole groups, on each body: the default build's widest
-        # one, the four-wide one, and the two-wide one with its SSE2, VEX
-        # (AVX2 build) and plain C helpers
+        # one, and the two-wide one with its SSE2, VEX (AVX2 build) and
+        # plain C helpers
         _use_build(build, request, monkeypatch)
         st = _oracle_state(m, beta, n + 1 - n % 2)  # an Axis count is odd
         for planted in _plantings(n):
@@ -798,9 +779,9 @@ class TestCompiledKernel:
         # a few steps from a state log-uniform over the doubles whose fluxes
         # stay finite, with runs of zeros and values planted on both sides of
         # the floor of the wide division, at a subnormal difference and at a
-        # quotient that overflows, on the default build's widest body and the
-        # four-wide one; the fluxes the compiled march leaves are numpy's
-        # fluxes of its final values
+        # quotient that overflows, on the default build's widest body; the
+        # fluxes the compiled march leaves are numpy's fluxes of its final
+        # values
         _use_build(build, request, monkeypatch)
         rng = np.random.default_rng(7)
         v = 2.0 ** rng.uniform(-960.0, _FINITE_FLUX_TOP[m, beta], 67)
@@ -829,7 +810,7 @@ class TestCompiledKernel:
     def test_division_at_hard_quotients(self, build, beta, a, h, request, monkeypatch):
         # a as the difference of the values a, 2a, a, ...; steps of dt = 0
         # (target = t) keep v and take its fluxes until the budget ends the
-        # march, on both wide bodies
+        # march, on the default build's widest body
         _use_build(build, request, monkeypatch)
         v = np.array([a, 2.0 * a] * 10 + [a])
         kernel, stepped = diffusion._Kernel(DiffusionParams(1.0, beta, 1), h, v.size), v.copy()
@@ -838,9 +819,8 @@ class TestCompiledKernel:
         assert stepped.tobytes() == v.tobytes()
         assert kernel.fpad[1:-1].tobytes() == _numpy_flux(v, 1.0, beta, h).tobytes()
 
-    @pytest.mark.parametrize("flags", [(), ("-U__SSE2__",), ("-DQFISHER_MAX_WIDTH=4",),
-                                       ("-DQFISHER_MAX_WIDTH=2",)],
-                             ids=["packed", "plain", "quad", "pair"])
+    @pytest.mark.parametrize("flags", [(), ("-U__SSE2__",), ("-DQFISHER_MAX_WIDTH=2",)],
+                             ids=["packed", "plain", "pair"])
     def test_builds_without_warnings(self, flags, tmp_path):
         _build_kernels(tmp_path, *flags, "-Wall", "-Wextra", "-Werror")
 
