@@ -570,9 +570,10 @@ def _march_outcome(name, st, planted, n=None):
     return result, as_bytes(v)
 
 
-#: the builds whose widest body divides through RN(1/h): the default one,
-#: eight-wide where the CPU has AVX-512F
-WIDE_BUILDS = ["packed"]
+#: every body's division: the default build's widest body (eight-wide, through
+#: RN(1/h), where the CPU has AVX-512F), and the two-wide one, by h, with its
+#: SSE2, VEX (AVX2 build) and plain C helpers
+DIVISION_BUILDS = ["packed", "pair", "avx2", "plain"]
 #: the grid steps of the four acceptance runs, and steps whose significand
 #: is all ones
 DIVISION_STEPS = [20 / 4000, 7 / 250, 7 / 500, 7.2 / 1000, (2 - 2 ** -52) * 2 ** -8,
@@ -773,15 +774,14 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("h", DIVISION_STEPS)
     @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
     @pytest.mark.parametrize("planted", DIVISION_PLANTINGS, ids=list(DIVISION_PLANTINGS))
-    @pytest.mark.parametrize("build", WIDE_BUILDS)
+    @pytest.mark.parametrize("build", DIVISION_BUILDS)
     def test_division_over_the_range_follows_numpy(self, build, planted, m, beta, h, request,
                                                    monkeypatch):
         # a few steps from a state log-uniform over the doubles whose fluxes
         # stay finite, with runs of zeros and values planted on both sides of
         # the floor of the wide division, at a subnormal difference and at a
-        # quotient that overflows, on the default build's widest body; the
-        # fluxes the compiled march leaves are numpy's fluxes of its final
-        # values
+        # quotient that overflows, on each build's body; the fluxes the
+        # compiled march leaves are numpy's fluxes of its final values
         _use_build(build, request, monkeypatch)
         rng = np.random.default_rng(7)
         v = 2.0 ** rng.uniform(-960.0, _FINITE_FLUX_TOP[m, beta], 67)
@@ -806,11 +806,11 @@ class TestCompiledKernel:
 
     @pytest.mark.parametrize("a,h", HARD_QUOTIENTS.values(), ids=list(HARD_QUOTIENTS))
     @pytest.mark.parametrize("beta", [2.0, 3.0])
-    @pytest.mark.parametrize("build", WIDE_BUILDS)
+    @pytest.mark.parametrize("build", DIVISION_BUILDS)
     def test_division_at_hard_quotients(self, build, beta, a, h, request, monkeypatch):
         # a as the difference of the values a, 2a, a, ...; steps of dt = 0
         # (target = t) keep v and take its fluxes until the budget ends the
-        # march, on the default build's widest body
+        # march, on each build's body
         _use_build(build, request, monkeypatch)
         v = np.array([a, 2.0 * a] * 10 + [a])
         kernel, stepped = diffusion._Kernel(DiffusionParams(1.0, beta, 1), h, v.size), v.copy()
