@@ -17,6 +17,7 @@ makes it (at r = 0 too, where 0 * inf is NaN), so it names the same node.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,12 +149,25 @@ def integrate(f: GridDensity, integrand=None) -> float:
         arr = np.asarray(integrand, dtype=float)
         if arr.shape != f.values.shape:
             raise ValueError(f"integrand shape {arr.shape} != grid shape {f.values.shape}")
-    # a NaN or inf entry makes the sum NaN or inf, quietly; only then is
-    # arr scanned, to name the node (an overflowing finite sum is returned)
+    return float(_integrals(f.weights(), arr, f.axis))
+
+
+def _integrals(w: np.ndarray, arr: np.ndarray, axis: Axis):
+    """The weighted sums of arr, one row (n,) or a block of rows (k, n) on
+    `axis`, with quadrature weights w: one numpy reduction along the last
+    axis, whose pairwise sum of each row has the bits of that row's own
+    1-D sum."""
     with np.errstate(invalid="ignore", over="ignore"):
-        total = float(np.add.reduce(f.weights() * arr))
-    if not np.isfinite(total):
-        _check_finite(arr, f.axis)
+        total = np.add.reduce(w * arr, axis=-1)
+    # a NaN or inf entry makes its row's sum NaN or inf, quietly; only then
+    # is the row scanned, to name the node (an overflowing finite sum is
+    # returned)
+    if arr.ndim == 1:
+        if not math.isfinite(total):
+            _check_finite(arr, axis)
+    else:
+        for row in arr[~np.isfinite(total)]:
+            _check_finite(row, axis)
     return total
 
 
@@ -182,39 +196,51 @@ def gradient(f: GridDensity) -> np.ndarray:
     support mask changes are visited.  At r = 0 the one-sided value stands
     in for df/dr(0) = 0; its quadrature weight is 0.
     """
-    v, h = f.values, f.axis.step
+    return _gradient(f.values, f.support_mask, f.axis.step)
+
+
+def _gradient(v: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
+    """:func:`gradient` along the last axis of v, with support mask m and
+    step h: each row's result has the bits of that row's own gradient."""
     # np.gradient(v, h) for a uniform step, operation for operation
+    n = v.shape[-1]
     g = np.empty_like(v)
-    g[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    g[0] = (v[1] - v[0]) / h
-    g[-1] = (v[-1] - v[-2]) / h
-    _fix_support_edges(v, g, f.support_mask, h)
+    g[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    # the one-sided ends: nodes 0 and n - 1 from nodes (1, 0) and (n - 1, n - 2)
+    g[..., ::n - 1] = (v[..., 1::n - 2] - v[..., :n - 1:n - 2]) / h
+    if np.count_nonzero(m) < m.size:  # a support with edges
+        _fix_support_edges(v, g, m, h)
     return g
 
 
 def _fix_support_edges(v, g, m, h):
     """Overwrite, in g, the differences straddling the support boundary by
-    one-sided ones from the interior side, and zero g outside the support."""
-    n = m.size
-    # where the mask changes between nodes i and i + 1, the edge node e is
-    # the one in the support, and its interior lies in direction d (never
-    # the domain's first or last node: those are one-sided already)
-    for i in np.flatnonzero(m[:-1] != m[1:]).tolist():
-        d = -1 if m[i] else 1
+    one-sided ones from the interior side, and zero g outside the support,
+    in each row along the last axis."""
+    n = m.shape[-1]
+    vf, gf, mf = v.reshape(-1), g.reshape(-1), m.reshape(-1)
+    # where the mask changes between nodes i and i + 1 of a row, the edge
+    # node e is the one in the support, and its interior lies in direction
+    # d (never the row's first or last node: those are one-sided already)
+    for i in np.flatnonzero(mf[:-1] != mf[1:]).tolist():
+        if i % n == n - 1:
+            continue  # i and i + 1 are the ends of two rows
+        d = -1 if mf[i] else 1
         e = i + (d > 0)
-        near = 0 <= e + d < n and m[e + d]
-        if near and 0 <= e + 2 * d < n and m[e + 2 * d]:
+        c = e % n
+        near = 0 <= c + d < n and mf[e + d]
+        if near and 0 <= c + 2 * d < n and mf[e + 2 * d]:
             # 2nd order: d (-3 v[e] + 4 v[e + d] - v[e + 2d]) / 2h with d
             # folded into the coefficients, which rounds exactly as each
             # edge's own stencil
-            g[e] = (-3.0 * d * v[e] + 4.0 * d * v[e + d] + -d * v[e + 2 * d]) / (2.0 * h)
+            gf[e] = (-3.0 * d * vf[e] + 4.0 * d * vf[e + d] + -d * vf[e + 2 * d]) / (2.0 * h)
         elif near:
             # 1st order: (v[lo + 1] - v[lo]) / h with lo the lower node
             lo = min(e, e + d)
-            g[e] = (v[lo + 1] - v[lo]) / h
+            gf[e] = (vf[lo + 1] - vf[lo]) / h
         elif d < 0:
             # an isolated support node, taken as a right edge
-            g[e] = 0.0
+            gf[e] = 0.0
     g[~m] = 0.0
 
 

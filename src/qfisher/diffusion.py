@@ -21,7 +21,18 @@ values more negative than NEGATIVE_CLAMP_REL times the peak raise
 StabilityError and smaller negatives are clamped to zero; the clamp is
 skipped only when the minimum is strictly positive, so it never changes a
 bit it would not have changed.  evolve() refuses runs that would take more
-than MAX_STEPS steps, and spans whose end does not exceed their start.
+than MAX_STEPS steps, spans whose end does not exceed their start, and spans
+too short for n_logs strictly increasing log times.
+
+The functionals of the initial density are logged before the first step.
+Each later logged state is checked (boundary contact, mass drift,
+GridDensity's validation) before the next interval marches, and copied into
+a block of rows (:class:`_LogBlock`: up to LOG_BLOCK_ROWS rows and
+LOG_BLOCK_VALUES values).  When the block fills, and when the run ends or
+fails, S_q, M_q, phi and the Simpson mass of all its rows are taken with one
+numpy call per operation along the rows, through the integrands of
+:mod:`qfisher.info_measures`, each row with the bits and the errors it has
+alone.
 
 For m in {1, 2} and beta in {2, 3}, where v^m and the face flux have exact
 C forms (v or v*v, d or |d| d), evolve runs :meth:`_Kernel.march_compiled`
@@ -48,8 +59,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .core import GridDensity, Tolerances, integrate
-from .info_measures import m_q, phi_fisher, tsallis_entropy
+from .core import (
+    Axis,
+    GridDensity,
+    NonFiniteError,
+    Tolerances,
+    _gradient,
+    _integrals,
+    integrate,
+    simpson_weights,
+)
+from .info_measures import (
+    Q_ONE_WINDOW,
+    _masked_power,
+    _phi_integrand,
+    _shannon_integrand,
+    _tsallis,
+    m_q,
+    phi_fisher,
+    tsallis_entropy,
+)
 from .qgaussian import DiffusionParams
 from .reports import VerificationReport, identity_report
 
@@ -64,6 +93,14 @@ NEGATIVE_CLAMP_REL = 1e-13
 GRAD_EPS = 1e-12
 #: tolerated drift of the discrete conserved mass h sum(f)
 MASS_DRIFT_TOL = 1e-6
+#: most logged states whose functionals are evaluated together, one numpy
+#: call per operation over the block ...
+LOG_BLOCK_ROWS = 8
+#: ... and most values in a block, so that each temporary an operation makes
+#: stays within 64 KiB: larger ones come back from malloc as fresh pages,
+#: whose faults cost more than the calls a larger block saves (on the
+#: N = 4001 grid, 2 rows a block beat 3, 4 and 8)
+LOG_BLOCK_VALUES = 8192
 
 
 class StabilityError(RuntimeError):
@@ -245,7 +282,7 @@ def _select_march(kernel: _Kernel):
 
 
 def _check_boundary_clear(v: np.ndarray, t: float):
-    peak = float(np.max(v))
+    peak = float(np.maximum.reduce(v))
     if peak <= 0:
         raise StabilityError("solution vanished")
     if max(v[0], v[1], v[-2], v[-1]) > 1e-10 * peak:
@@ -255,6 +292,79 @@ def _check_boundary_clear(v: np.ndarray, t: float):
         )
 
 
+def _log_row(dens: GridDensity, p: DiffusionParams):
+    """(S_q, M_q, phi, mass) of one logged state, in the order a row
+    evaluates them."""
+    mq = m_q(dens, p.q)
+    return tsallis_entropy(dens, p.q, mq), mq, phi_fisher(dens, p.q, p.beta), integrate(dens)
+
+
+def _block_rows(rows: np.ndarray, w: np.ndarray, axis: Axis, p: DiffusionParams):
+    """:func:`_log_row` of each row of a (k, n) block of states on `axis`
+    (quadrature weights w), one numpy call per operation along the rows,
+    each row with the bits it has alone.  A row with a non-finite integral
+    raises NonFiniteError, though not always the first row that does."""
+    mask = rows > 0
+    mq = _integrals(w, _masked_power(rows, mask, p.q), axis)
+    if abs(p.q - 1.0) < Q_ONE_WINDOW:
+        s = _integrals(w, _shannon_integrand(rows, mask), axis)
+    else:
+        s = _tsallis(mq, p.q)
+    g = _gradient(rows, mask, axis.step)
+    phi = _integrals(w, _phi_integrand(rows, mask, g, p.q, p.beta), axis)
+    return s, mq, phi, _integrals(w, rows, axis)
+
+
+class _LogBlock:
+    """The logged functionals of a run, into ``columns`` (S_q, M_q, phi and
+    mass by log row).
+
+    Row 0, the caller's density, is evaluated on creation by
+    :func:`_log_row`.  :meth:`add` copies each later state into a
+    preallocated C-contiguous block of LOG_BLOCK_ROWS rows, fewer where
+    they would hold more than LOG_BLOCK_VALUES values.  :meth:`flush`,
+    called when the block fills and when the run ends or fails, evaluates
+    every pending row with one numpy call per operation along the rows
+    (:func:`_block_rows`), each row with the bits of :func:`_log_row` on its
+    state alone.  A block that raises NonFiniteError is evaluated again one
+    row at a time, in order, by :func:`_log_row`, so the error raised is the
+    first row's that raises alone."""
+
+    def __init__(self, first: GridDensity, p: DiffusionParams, n_logs: int):
+        self.axis, self.p = first.axis, p
+        self.w = simpson_weights(first.axis)
+        n = first.axis.count
+        self.values = np.empty((max(1, min(LOG_BLOCK_ROWS, LOG_BLOCK_VALUES // n)), n))
+        self.columns = np.empty((4, n_logs))
+        self.columns[:, 0] = _log_row(first, p)
+        self.pending, self.done = 0, 1
+
+    def add(self, v: np.ndarray):
+        self.values[self.pending] = v
+        self.pending += 1
+        if self.pending == len(self.values):
+            self.flush()
+
+    def flush(self):
+        k, self.pending = self.pending, 0
+        if not k:
+            return
+        rows = self.values[:k]
+        try:
+            self.columns[:, self.done:self.done + k] = _block_rows(rows, self.w, self.axis, self.p)
+            self.done += k
+            return
+        except NonFiniteError as err:
+            failed = err
+        # the block names a row with a non-finite integral, not always the
+        # first in log order: one row at a time names the first (raised
+        # here, outside the handler, so its context is any error evolve is
+        # leaving with, not the block's)
+        for row in rows:
+            _log_row(GridDensity(self.axis, row), self.p)
+        raise failed
+
+
 def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[DiffusionState, TrajectoryLog]:
     """March to t_end with automatic stable dt, logging the functionals on a
     uniform time grid of n_logs rows (dt_log ~ span/200 by default).
@@ -262,25 +372,34 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     Each log interval is one :meth:`_Kernel.march` (or its C form, see
     :func:`_select_march`), whose steps have dt = min(CFL dt, time to the
     next log row) and apply in place to one copy of
-    ``state.f.values`` (the caller's array is never written).  The clamp runs
-    on every step; drift of the conserved mass h sum(f) and boundary contact
-    are checked at each log row.  A t_end that does not exceed state.t (NaN
-    included) raises ValueError.  A run whose step count, estimated from the
-    initial dt, would exceed MAX_STEPS is refused before the first step, and
-    the march aborts if it takes more than MAX_STEPS steps; both raise
-    StabilityError.
+    ``state.f.values`` (the caller's array is never written).  The clamp
+    runs after every step whose minimum is not strictly positive.  The
+    functionals (S_q, M_q, phi and the Simpson mass) of state.f are taken
+    before the first step.  At each later log row, boundary contact, drift
+    of the conserved mass h sum(f) and the state's GridDensity validation
+    are checked before the next interval marches, and its functionals are
+    evaluated a block of rows at a time (:class:`_LogBlock`), with the bits
+    and errors each row has alone.  Pending rows are evaluated before any
+    error leaves evolve, so an error of a logged row wins over one of a
+    later interval.
+
+    A t_end that does not exceed state.t (NaN included), and a span too
+    short for n_logs strictly increasing log times, raise ValueError before
+    the first step.  A run whose step count, estimated from the initial dt,
+    would exceed MAX_STEPS is refused before the first step, and the march
+    aborts if it takes more than MAX_STEPS steps; both raise StabilityError.
     """
     if n_logs < 2:
         raise ValueError(f"n_logs must be >= 2 (the first and last rows), got {n_logs}")
     if not t_end > state.t:
         raise ValueError(f"t_end = {t_end} must exceed the current t = {state.t}")
+    log_times = np.linspace(state.t, t_end, n_logs)
+    if not np.all(np.diff(log_times) > 0):
+        raise ValueError(f"log times from t = {state.t} to t_end = {t_end} over n_logs = {n_logs} "
+                         "rows are not strictly increasing")
     p = state.params
     h = state.f.axis.step
     axis = state.f.axis
-
-    def log_row(dens: GridDensity):
-        mq = m_q(dens, p.q)
-        return (tsallis_entropy(dens, p.q, mq), mq, phi_fisher(dens, p.q, p.beta), integrate(dens))
 
     v = state.f.values.copy()
     kernel = _Kernel(p, h, v.size)
@@ -294,24 +413,26 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
             f"over the budget of {MAX_STEPS} (dt is limited at node "
             f"{kernel.limiting_node(v)}); coarsen the grid or shorten the run"
         )
-    log_times = np.linspace(state.t, t_end, n_logs)
     _check_boundary_clear(v, state.t)
-    rows = [log_row(state.f)]
+    block = _LogBlock(state.f, p, n_logs)
     nsteps = state.step_count
     budget = nsteps + MAX_STEPS
-    mass_ref = h * float(np.sum(v))
-    for target in log_times[1:]:
-        stop = target - 1e-15 * max(1.0, abs(target))
-        t, nsteps, _ = march(v, t, target, stop, nsteps, budget)
-        _check_boundary_clear(v, t)
-        drift = abs(h * float(np.sum(v)) - mass_ref)
-        if drift > MASS_DRIFT_TOL:
-            raise StabilityError(f"mass drift {drift:g} exceeds {MASS_DRIFT_TOL:g} at t = {t:g}")
-        rows.append(log_row(GridDensity(axis, v)))
-    final = DiffusionState(p, t_end, GridDensity(axis, v), nsteps)
-    arr = np.array(rows)
-    log = TrajectoryLog(p.q, p.beta, p.m, log_times, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
-    return final, log
+    mass_ref = h * float(np.add.reduce(v))
+    try:
+        for target in log_times[1:].tolist():
+            stop = target - 1e-15 * max(1.0, abs(target))
+            t, nsteps, _ = march(v, t, target, stop, nsteps, budget)
+            _check_boundary_clear(v, t)
+            drift = abs(h * float(np.add.reduce(v)) - mass_ref)
+            if drift > MASS_DRIFT_TOL:
+                raise StabilityError(f"mass drift {drift:g} exceeds {MASS_DRIFT_TOL:g} at t = {t:g}")
+            dens = GridDensity(axis, v)
+            block.add(v)
+    finally:
+        block.flush()
+    final = DiffusionState(p, t_end, dens, nsteps)
+    S, M, phi, mass = block.columns
+    return final, TrajectoryLog(p.q, p.beta, p.m, log_times, S, M, phi, mass)
 
 
 def debruijn_check(log: TrajectoryLog, dparams: DiffusionParams,

@@ -10,6 +10,12 @@ and the escort transform g ~ f^(1/q).  All integrals are composite Simpson
 on the density's grid; nodes where f = 0 contribute exactly 0 (the integrand
 is evaluated as f^(beta(q-1)+1-beta) |grad f|^beta to avoid 0/0 at support
 boundaries).
+
+The integrands of M_q, the Shannon entropy and phi are each written once,
+elementwise over any shape, and the public functions of one density
+integrate them on its grid; the diffusion solver integrates the same
+integrands of a block of logged densities along its rows, each row with the
+bits these functions give on it alone.
 """
 
 from __future__ import annotations
@@ -26,27 +32,47 @@ from .core import Axis, GridDensity, gradient, integrate, normalize
 Q_ONE_WINDOW = 1e-6
 
 
-def _masked_power(f: GridDensity, expo: float) -> np.ndarray:
-    """f^expo on the support, 0 outside (handles expo <= 0 and f = 0)."""
-    out = np.zeros_like(f.values)
-    m = f.support_mask
-    out[m] = f.values[m] ** expo
+def _masked_power(values: np.ndarray, mask: np.ndarray, expo: float) -> np.ndarray:
+    """values^expo where mask holds, 0 elsewhere (handles expo <= 0 and
+    values = 0), elementwise over any shape.  A mask that holds everywhere
+    skips the compaction and scatter; each element keeps its bits."""
+    if _whole(mask):
+        return values ** expo
+    out = np.zeros_like(values)
+    out[mask] = values[mask] ** expo
     return out
+
+
+def _whole(mask: np.ndarray) -> bool:
+    return np.count_nonzero(mask) == mask.size
 
 
 def m_q(f: GridDensity, q: float) -> float:
     """Information generating function M_q = int f^q dx (M_0 = |support|)."""
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
-    return integrate(f, _masked_power(f, q))
+    return integrate(f, _masked_power(f.values, f.support_mask, q))
+
+
+def _shannon_integrand(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """-values ln values where mask holds, 0 elsewhere, elementwise over any
+    shape; a whole support skips the compaction and scatter, as in
+    :func:`_masked_power`."""
+    if _whole(mask):
+        return -values * np.log(values)
+    arr = np.zeros_like(values)
+    arr[mask] = -values[mask] * np.log(values[mask])
+    return arr
 
 
 def shannon_entropy(f: GridDensity) -> float:
     """Differential entropy -int f ln f (0 ln 0 = 0)."""
-    arr = np.zeros_like(f.values)
-    m = f.support_mask
-    arr[m] = -f.values[m] * np.log(f.values[m])
-    return integrate(f, arr)
+    return integrate(f, _shannon_integrand(f.values, f.support_mask))
+
+
+def _tsallis(mq, q: float):
+    """S_q = (M_q - 1)/(1 - q) of one M_q or of an array of them."""
+    return (mq - 1.0) / (1.0 - q)
 
 
 def tsallis_entropy(f: GridDensity, q: float, mq: float | None = None) -> float:
@@ -56,7 +82,7 @@ def tsallis_entropy(f: GridDensity, q: float, mq: float | None = None) -> float:
         return shannon_entropy(f)
     if mq is None:
         mq = m_q(f, q)
-    return (mq - 1.0) / (1.0 - q)
+    return _tsallis(mq, q)
 
 
 def renyi_entropy(f: GridDensity, q: float, mq: float | None = None) -> float:
@@ -89,11 +115,13 @@ def entropy_power(f: GridDensity, q: float, mq: float | None = None) -> float:
     return float(via_m)
 
 
-def _phi_integrand(f: GridDensity, q: float, beta: float) -> np.ndarray:
-    g = gradient(f)
+def _phi_integrand(values: np.ndarray, mask: np.ndarray, g: np.ndarray, q: float,
+                   beta: float) -> np.ndarray:
+    """f^(beta(q-1)+1-beta) |g|^beta on the support, 0 outside, elementwise
+    over any shape, with g the gradient of the values f."""
     # overflow to inf is the divergence signal handled by the callers
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _masked_power(f, beta * (q - 1.0) + 1.0 - beta)
+        w = _masked_power(values, mask, beta * (q - 1.0) + 1.0 - beta)
         return w * (g * g) ** (beta / 2.0)
 
 
@@ -105,7 +133,7 @@ def phi_fisher(f: GridDensity, q: float, beta: float) -> float:
     """
     if beta <= 1:
         raise ValueError(f"beta must exceed 1, got {beta}")
-    return integrate(f, _phi_integrand(f, q, beta))
+    return integrate(f, _phi_integrand(f.values, f.support_mask, gradient(f), q, beta))
 
 
 def i_fisher(f: GridDensity, q: float, beta: float, mq: float | None = None) -> float:
@@ -174,7 +202,7 @@ def escort(f: GridDensity, q: float) -> GridDensity:
         raise ValueError(f"q must be positive, got {q}")
     if q == 1.0:
         return normalize(f)
-    w = _masked_power(f, 1.0 / q)
+    w = _masked_power(f.values, f.support_mask, 1.0 / q)
     _check_escort_tail(f, w)
     return normalize(GridDensity(f.axis, w, f.dim))
 
@@ -185,7 +213,7 @@ def escort_inverse(g: GridDensity, q: float) -> GridDensity:
         raise ValueError(f"q must be positive, got {q}")
     if q == 1.0:
         return normalize(g)
-    return normalize(GridDensity(g.axis, _masked_power(g, q), g.dim))
+    return normalize(GridDensity(g.axis, _masked_power(g.values, g.support_mask, q), g.dim))
 
 
 def _check_escort_tail(f: GridDensity, w: np.ndarray):

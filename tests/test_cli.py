@@ -600,6 +600,14 @@ class TestNumericalErrors:
         assert "budget" in err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_log_times_not_increasing_exit_code(self, capsys, tmp_path):
+        # refused before the first step, naming t0, t_end and n_logs
+        code, _, err = run_cli(capsys, "diffuse", "--t0", "1", "--t-end", "1.0000000000000002",
+                               "--n-logs", "201", "-o", str(tmp_path / "t.csv"))
+        assert code == EXIT_NUMERICAL
+        assert "t = 1.0 to t_end = 1.0000000000000002 over n_logs = 201" in err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_nonintegrable_params_exit_code(self, capsys):
         # q < 1 needs alpha/(1-q) > n: violated at n = 2, q = 0.2, alpha = 1.5
         code, _, err = run_cli(capsys, "qcr", "--q", "0.2", "--alpha", "1.5", "--n", "2")

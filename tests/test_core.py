@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from qfisher import core
 from qfisher.core import (
     Axis,
     GridDensity,
@@ -18,6 +19,7 @@ from qfisher.core import (
     gradient,
     integrate,
     normalize,
+    simpson_weights,
     sphere_surface,
 )
 from qfisher.diffusion import DiffusionState, evolve
@@ -30,6 +32,27 @@ def gaussian_density(ax, sigma=1.0):
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("count", [251, 501, 1001, 4001])
+    def test_block_rows_keep_their_own_sums_bits(self, count):
+        # one reduction along the rows of a (k, n) block: each row's
+        # pairwise sum is its own 1-D sum, bit for bit
+        ax = Axis(-3.0, 3.0, count)
+        rng = np.random.default_rng(count)
+        block = rng.random((8, count)) * 10.0 ** rng.uniform(-300, 300, (8, 1))
+        sums = core._integrals(simpson_weights(ax), block, ax)
+        assert sums.tolist() == [integrate(GridDensity(ax, row)) for row in block]
+
+    def test_block_names_the_first_non_finite_row(self):
+        ax = Axis(0.0, 2.0, 11)
+        block = np.ones((4, 11))
+        block[1] = 1e308  # an overflowing finite sum is returned, not scanned
+        block[2, 4], block[3, 1] = np.nan, np.inf
+        with pytest.raises(NonFiniteError) as err:
+            core._integrals(simpson_weights(ax), block, ax)
+        assert str(err.value) == reference_non_finite_message(ax, block[2])
+        sums = core._integrals(simpson_weights(ax), block[:2], ax)
+        assert sums[1] == np.inf and sums[0] == integrate(GridDensity(ax, block[0]))
+
     def test_constant_on_unit_interval(self):
         f = density_from_callable(Axis(0.0, 1.0, 1001), lambda x: np.ones_like(x))
         assert integrate(f) == pytest.approx(1.0, abs=1e-14)
@@ -297,6 +320,19 @@ class TestGradientOracle:
             n = 2 * int(rng.integers(1, 8)) + 1
             values = rng.random(n) * (rng.random(n) < rng.uniform(0.2, 0.9))
             assert_gradient_matches_reference(GridDensity(Axis(0.0, 1.0, n), values, 2))
+
+    def test_block_rows_keep_their_own_gradients(self):
+        # supports that meet a row's first or last node sit next to another
+        # row's in the flat block: no stencil may reach across
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            n = 2 * int(rng.integers(1, 12)) + 1
+            block = rng.random((5, n)) * (rng.random((5, n)) < rng.uniform(0.2, 0.9))
+            block[rng.integers(5), :2] = block[rng.integers(5), -2:] = 1.0
+            ax = Axis(0.0, 1.0, n)
+            got = core._gradient(block, block > 0, ax.step)
+            for row, g in zip(block, got):
+                assert g.tobytes() == gradient(GridDensity(ax, row)).tobytes()
 
     def test_leaves_density_untouched(self):
         f = grid_density(QGaussianParams(2.0, 2.0, 1.0, 1), 501)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from qfisher import _native, acceptance, cli, diffusion, perturb
-from qfisher.core import Axis, GridDensity, Tolerances, density_from_callable, integrate
+from qfisher.core import Axis, GridDensity, NonFiniteError, Tolerances, density_from_callable, integrate
 from qfisher.diffusion import (
     CFL_SAFETY,
     GRAD_EPS,
@@ -181,6 +181,26 @@ class TestEvolve:
         with pytest.raises(ValueError, match=rf"n_logs must be >= 2 .*, got {n_logs}"):
             evolve(st, 2.0, n_logs=n_logs)
 
+    def test_log_times_not_increasing_refused_up_front(self, monkeypatch):
+        # a span one ulp long has no 201 distinct times: this used to march
+        # the whole span and only then fail in TrajectoryLog
+        monkeypatch.setattr(diffusion, "_select_march", _no_march)
+        st = DiffusionState(PME, 1.0, barenblatt_density(PME, 1.0, Axis(-3.5, 3.5, 251)))
+        with pytest.raises(ValueError, match=r"log times from t = 1\.0 to t_end = 1\.0000000000000002 "
+                                             r"over n_logs = 201 rows are not strictly increasing"):
+            evolve(st, 1.0000000000000002, n_logs=201)
+
+    def test_row_error_is_the_reference_one(self, monkeypatch, numpy_kernel):
+        # row 0's error comes before the first step, as the reference's
+        st = _subnormal_heat_state()
+        with pytest.raises(NonFiniteError) as ref:
+            _ref_evolve(st, 0.3, 8)
+        monkeypatch.setattr(diffusion._Kernel, "march", _no_step)
+        with pytest.raises(NonFiniteError) as got:
+            evolve(st, 0.3, n_logs=8)
+        assert str(got.value) == str(ref.value)
+        assert "node index (30,)" in str(ref.value)
+
     def test_log_times_and_mass_columns(self):
         st = gaussian_state(count=401)
         _, log = evolve(st, 0.05, n_logs=6)
@@ -340,9 +360,28 @@ def _oracle_state(m, beta, count=201):
     return DiffusionState(dp, 1.0, barenblatt_density(PME if beta < 2 else dp, 1.0, ax))
 
 
+def _subnormal_heat_state():
+    """The heat oracle start with one subnormal value at node 30, whose f^-1
+    overflows in phi's integrand: row 0's phi raises NonFiniteError."""
+    st = _oracle_state(1.0, 2.0)
+    values = st.f.values.copy()
+    values[30] = 5e-324
+    return DiffusionState(st.params, st.t, GridDensity(st.f.axis, values))
+
+
 # (m, beta, span): beta < 2 has dt ~ 1e-9 here, so only a short span
 ORACLE_CASES = [(1.0, 2.0, 0.3), (2.0, 2.0, 0.5), (1.0, 3.0, 0.5), (2.0, 3.0, 0.5),
                 (1.5, 2.5, 0.5), (2.0, 1.5, 2e-6)]
+#: log row counts on both sides of a block of logged rows (8 rows, 2 on the
+#: N = 4001 grid): part of a block, whole blocks, and whole blocks and a part
+BLOCK_N_LOGS = (2, 8, 9, 19)
+
+
+def _with_block_n_logs(cases, ids, n_logs):
+    """Each case at n_logs under its id, then at each of BLOCK_N_LOGS."""
+    return ([pytest.param(*case, n_logs, id=i) for case, i in zip(cases, ids)]
+            + [pytest.param(*case, rows, id=f"{i}-n_logs{rows}")
+               for rows in BLOCK_N_LOGS for case, i in zip(cases, ids)])
 
 
 # the four acceptance runs (dp, half-width, nodes, t0, span) over a short span:
@@ -359,11 +398,12 @@ class TestKernelOracle:
     def kernel(self, compiled_kernel):
         pass
 
-    @pytest.mark.parametrize("m,beta,span", ORACLE_CASES)
-    def test_evolve_bit_identical(self, m, beta, span):
+    @pytest.mark.parametrize("m,beta,span,n_logs", _with_block_n_logs(
+        ORACLE_CASES, ["-".join(map(str, case)) for case in ORACLE_CASES], 6))
+    def test_evolve_bit_identical(self, m, beta, span, n_logs):
         st = _oracle_state(m, beta)
-        ref, ref_log = _ref_evolve(st, st.t + span, 6)
-        out, log = evolve(st, st.t + span, 6)
+        ref, ref_log = _ref_evolve(st, st.t + span, n_logs)
+        out, log = evolve(st, st.t + span, n_logs)
         assert out.step_count == ref.step_count > 0
         assert out.f.values.tobytes() == ref.f.values.tobytes()
         for col in ("times", "S_q", "M_q", "phi", "mass"):
@@ -382,17 +422,17 @@ class TestKernelOracle:
         assert out.tobytes() == ref.tobytes()
         assert not np.signbit(out[0])
 
-    @pytest.mark.parametrize("dp,half,count,t0,span", ACCEPTANCE_GRIDS,
-                             ids=["heat-n4001", "pme-n251", "pme-n501", "plap-n1001"])
-    def test_acceptance_grids_bit_identical(self, dp, half, count, t0, span):
+    @pytest.mark.parametrize("dp,half,count,t0,span,n_logs", _with_block_n_logs(
+        ACCEPTANCE_GRIDS, ["heat-n4001", "pme-n251", "pme-n501", "plap-n1001"], 4))
+    def test_acceptance_grids_bit_identical(self, dp, half, count, t0, span, n_logs):
         ax = Axis(-half, half, count)
         if dp == HEAT:
             f = density_from_callable(ax, lambda x: np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi))
         else:
             f = barenblatt_density(dp, 1.0, ax, barenblatt_mass_constant(dp))
         st = DiffusionState(dp, t0, f)
-        ref, ref_log = _ref_evolve(st, t0 + span, 4)
-        out, log = evolve(st, t0 + span, 4)
+        ref, ref_log = _ref_evolve(st, t0 + span, n_logs)
+        out, log = evolve(st, t0 + span, n_logs)
         assert out.step_count == ref.step_count > 0
         assert out.f.values.tobytes() == ref.f.values.tobytes()
         for col in ("times", "S_q", "M_q", "phi", "mass"):
@@ -423,6 +463,28 @@ class TestKernelOraclePairBody(TestKernelOracle):
         monkeypatch.setattr(_native, "library", lambda: pair_library)
 
 
+#: sha256 over the final values and the times, S_q, M_q, phi and mass
+#: columns of the four full acceptance runs (heat N = 4001, pme N = 251 and
+#: 501, plap N = 1001; n_logs = 201), run by run.  Like REPORT_SHA256 in
+#: test_cli, these are the bytes of one host (x86-64 with AVX-512F, numpy
+#: 2.4): numpy's SIMD power and log may round otherwise on another CPU or
+#: numpy build
+FULL_RUNS_SHA256 = "4aa0fd6672ae6922dc6aef1232c5ad2a4dc72477f29722f77d267cc6f892d5bc"
+
+
+def test_full_acceptance_runs_pinned():
+    # the reproduce digest prints maxima only: a moved bit elsewhere in a
+    # row would pass it unseen
+    suite = acceptance.AcceptanceSuite()
+    digest = hashlib.sha256()
+    for kind, count in [("heat", 4001), ("pme", 251), ("pme", 501), ("plap", 1001)]:
+        _, _, state, log, _ = suite.run(kind, count)
+        digest.update(state.f.values.tobytes())
+        for col in ("times", "S_q", "M_q", "phi", "mass"):
+            digest.update(getattr(log, col).tobytes())
+    assert digest.hexdigest() == FULL_RUNS_SHA256
+
+
 class TestAliasing:
     def test_input_untouched_and_outputs_independent(self):
         st = _oracle_state(2.0, 2.0)
@@ -440,6 +502,10 @@ class TestAliasing:
 
 
 _march = diffusion._Kernel.march
+
+
+def _no_march(kernel):
+    raise AssertionError("the run must be refused before the first step")
 
 
 def _no_step(self, v, t, target, stop, *args):
@@ -473,6 +539,34 @@ class TestStepBudget:
 
     def test_march_budget_numpy_kernel(self, monkeypatch, numpy_kernel):
         self.test_march_budget(monkeypatch, numpy_kernel)
+
+    def test_pending_row_error_wins_over_budget(self, monkeypatch):
+        # as in test_march_budget, 121 steps run out in the last of 7
+        # intervals; a subnormal planted at the end of the first makes row
+        # 1's phi overflow, and rows 1-6 wait for the row that fills their block
+        st = _oracle_state(1.0, 2.0)
+        select, planted = diffusion._select_march, []
+
+        def planting(kernel):
+            march = select(kernel)
+
+            def run(v, t, target, *args):
+                out = march(v, t, target, *args)
+                if t < target and not planted:
+                    v[30] = 5e-324
+                    planted.append(GridDensity(st.f.axis, v.copy()))
+                return out
+            return run
+
+        monkeypatch.setattr(diffusion, "_select_march", planting)
+        monkeypatch.setattr(diffusion, "MAX_STEPS", 121)
+        with pytest.raises(NonFiniteError) as got:
+            evolve(st, 0.3, n_logs=8)
+        with pytest.raises(NonFiniteError) as alone:
+            phi_fisher(planted[0], HEAT.q, HEAT.beta)
+        assert str(got.value) == str(alone.value)
+        assert "node index (30,)" in str(got.value)
+        assert "step budget of 121 exhausted" in str(got.value.__context__)
 
 
 # --- choosing, building and caching the compiled march ---

@@ -245,6 +245,22 @@ class TestHelpers:
             power[0] = 0.0
         assert moment_abs(f, alpha) == want  # from the cache
 
+    @pytest.mark.parametrize("expo", [1.0, 2.0, 1.5, 0.5, 0.0, -0.5, -1.0, 1.0 / 1.5, 3.0])
+    def test_whole_support_power_keeps_the_scatter_bits(self, expo):
+        # the masked power skips the compaction and scatter where the mask
+        # holds everywhere, element for element: on a row, a block of rows
+        # and a strided view (as phi_fisher_refined's coarse grids are)
+        rng = np.random.default_rng(5)
+        block = 10.0 ** rng.uniform(-320, 300, (8, 502))
+        for values in [block[0], block[:2], block, block[:, ::2]]:
+            mask = values > 0
+            assert mask.all()
+            want = np.zeros_like(values)
+            with np.errstate(over="ignore", divide="ignore"):
+                want[mask] = values[mask] ** expo
+                got = info_measures._masked_power(values, mask, expo)
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("q", [0.8, 1.0, 2.0])
     def test_given_m_q_gives_the_same_bits(self, q):
         f = grid_density(QGaussianParams(q, 2.0, 1.0, 1), 801)
