@@ -129,8 +129,9 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _model_options(name: str) -> list:
-    """A registry model's options: its builder's parameters but count."""
-    return [key for key in inspect.signature(MODEL_REGISTRY[name]).parameters if key != "count"]
+    """A registry model's options: its builder's parameters but count and theta."""
+    return [key for key in inspect.signature(MODEL_REGISTRY[name]).parameters
+            if key not in ("count", "theta")]
 
 
 def _selector_reads() -> dict:
@@ -300,7 +301,7 @@ def cmd_crbound(args) -> int:
     if "n" not in options:
         _check_one_dimensional(cfg, f"the {cfg['model']} model")
     model = MODEL_REGISTRY[cfg["model"]](**{key: cfg[key] for key in options},
-                                         count=cfg["grid_count"])
+                                         count=cfg["grid_count"], theta=cfg["theta"])
     est = model.estimator(cfg["alpha"])
     theta = [cfg["theta"]]
     rep = crm_bound_scalar(model, est, theta)

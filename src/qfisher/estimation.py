@@ -339,7 +339,8 @@ def qcr_product(g: GridDensity, q: float, alpha: float,
 # Model registry
 # ---------------------------------------------------------------------------
 
-def gaussian_location_model(n: int = 1, sigma: float = 1.0, count: int = 4001) -> ParametricModel:
+def gaussian_location_model(n: int = 1, sigma: float = 1.0, count: int = 4001,
+                            theta: float = 0.0) -> ParametricModel:
     """Product of n unit-variance(*sigma^2) normals with scalar location
     theta along the all-ones vector, reduced to its sufficient statistic
     s = 1^T x ~ N(n theta, n sigma^2).
@@ -348,11 +349,11 @@ def gaussian_location_model(n: int = 1, sigma: float = 1.0, count: int = 4001) -
     the full-model score 1^T(x - theta 1)/sigma^2 as a function of s, and all
     moments in the bound chain coincide with the n-dimensional ones, so the
     model lives on the 1-D axis of s for every n, over 10 standard deviations
-    of s plus 1 on either side.
+    of s plus 1 on either side of n theta.
     """
     var = n * sigma ** 2
     half_width = 10.0 * np.sqrt(var) + 1.0
-    ax = Axis(-half_width, half_width, count)
+    ax = Axis(n * theta - half_width, n * theta + half_width, count)
 
     def dens(coords, theta):
         s = coords[0]
@@ -365,7 +366,7 @@ def gaussian_location_model(n: int = 1, sigma: float = 1.0, count: int = 4001) -
     model = ParametricModel(dens, dens, 1, ax, sampler,
                             name=f"gaussian-location(n={n}, sigma={sigma})",
                             statistic=sample_mean_estimator(n).T)
-    model.check_normalized([np.zeros(1), np.array([0.25])])
+    model.check_normalized([np.array([theta]), np.array([theta + 0.25])])
     return model
 
 
@@ -374,29 +375,30 @@ def sample_mean_estimator(n: int = 1) -> EstimatorSpec:
 
 
 def qgaussian_location_model(q: float, alpha: float, gamma: float = 1.0,
-                             count: int = 4001) -> ParametricModel:
+                             count: int = 4001, theta: float = 0.0) -> ParametricModel:
     """f = g = generalized q-Gaussian, scalar location parameter (1-D)."""
     p = QGaussianParams(q, alpha, gamma, 1)
-    return _location_pair(p, p, count, "qgaussian-location")
+    return _location_pair(p, p, count, theta, "qgaussian-location")
 
 
 def escort_pair_model(q: float, alpha: float, gamma: float = 1.0,
-                      count: int = 4001) -> ParametricModel:
+                      count: int = 4001, theta: float = 0.0) -> ParametricModel:
     """Location family with (f, g) the escort pair of order q built from a
     generalized q-Gaussian g: f ~ g^q (itself a q-Gaussian with index
     (2q-1)/q and scale q gamma)."""
     pg = QGaussianParams(q, alpha, gamma, 1)
     pf = QGaussianParams((2.0 * q - 1.0) / q, alpha, q * gamma, 1)
-    return _location_pair(pf, pg, count, "escort-pair")
+    return _location_pair(pf, pg, count, theta, "escort-pair")
 
 
-def _location_pair(pf: QGaussianParams, pg: QGaussianParams, count: int,
+def _location_pair(pf: QGaussianParams, pg: QGaussianParams, count: int, theta: float,
                    name: str) -> ParametricModel:
     """Location family theta -> (pf, pg) q-Gaussians shifted by theta, on
-    `count` nodes over [-r, r]: r covers both supports (or 1 - 1e-12 bulks)
-    with a 5 % margin, plus 0.5 of room for theta; draws come from pg."""
+    `count` nodes over [theta - r, theta + r]: r covers both supports (or
+    1 - 1e-12 bulks) with a 5 % margin, plus 0.5 of room for theta to move;
+    draws come from pg."""
     r = max(reach_radius(pg), reach_radius(pf)) * 1.05 + 0.5
-    ax = Axis(-r, r, count)
+    ax = Axis(theta - r, theta + r, count)
 
     def dens_f(coords, theta):
         return qpdf(pf, coords[0] - theta[0])
@@ -411,12 +413,13 @@ def _location_pair(pf: QGaussianParams, pg: QGaussianParams, count: int,
     model = ParametricModel(dens_f, dens_g, 1, ax, sampler,
                             name=f"{name}(q={pg.q}, alpha={pg.alpha}, gamma={pg.gamma})",
                             statistic=lambda coords: coords[0])
-    model.check_normalized([np.zeros(1), np.array([0.125])])
+    model.check_normalized([np.array([theta]), np.array([theta + 0.125])])
     return model
 
 
-#: model name -> builder; the builder's parameters but count are the options
-#: its model reads, and the model names its efficient statistic
+#: model name -> builder; the builder's parameters but count and theta (the
+#: grid count, and the theta its axis is centred on) are the options its
+#: model reads, and the model names its efficient statistic
 MODEL_REGISTRY = {
     "gaussian-location": gaussian_location_model,
     "qgaussian-location": qgaussian_location_model,

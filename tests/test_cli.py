@@ -468,10 +468,10 @@ def test_options_each_selected_value_accepts(name, selector, value, refused):
 
 
 def test_registered_model_needs_no_cli_change(capsys, monkeypatch):
-    # a builder's parameters are its options, count comes from grid_count,
-    # and the model names its estimator
-    def wide_location_model(sigma: float = 1.0, count: int = 4001):
-        return gaussian_location_model(1, 2.0 * sigma, count)
+    # a builder's parameters are its options, count comes from grid_count
+    # and theta from theta, and the model names its estimator
+    def wide_location_model(sigma: float = 1.0, count: int = 4001, theta: float = 0.0):
+        return gaussian_location_model(1, 2.0 * sigma, count, theta)
 
     monkeypatch.setitem(MODEL_REGISTRY, "wide-location", wide_location_model)
     code, out, _ = run_cli(capsys, "crbound", "--model", "wide-location", "--sigma", "0.75",
@@ -485,16 +485,23 @@ def test_registered_model_needs_no_cli_change(capsys, monkeypatch):
         assert code == EXIT_USAGE and out == "" and message in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["--model", "gaussian-location", "--theta", "30"],
-    ["--model", "escort-pair", "--q", "2", "--alpha", "2", "--theta", "3"],
-], ids=" ".join)
-def test_theta_off_the_model_grid_is_numerical_failure(argv, capsys):
-    # the first used to pass with lhs 1.8e-39 and rhs 1.0e-39, the second
-    # to exit 1 flagged divergent-score-moment: the density is off the grid
-    code, out, err = run_cli(capsys, "crbound", *argv)
-    assert code == EXIT_NUMERICAL and out == ""
-    assert err.startswith("numerical failure: f(.; theta=") and "has mass" in err
+#: the options of a crbound run of each registry model
+MODEL_ARGVS = {"gaussian-location": [], "qgaussian-location": ["--q", "1.5", "--alpha", "2"],
+               "escort-pair": ["--q", "2", "--alpha", "2"]}
+
+
+@pytest.mark.parametrize("theta", ["1", "5"])
+@pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+def test_location_models_read_theta_0s_bound_at_any_theta(model, theta, capsys):
+    # each model's axis is laid around theta: on one around 0, these exited 3
+    # with a mass off 1.  rhs moves a little, as its theta step grows with |theta|
+    (code0, out0, _), (code, out, _) = (
+        run_cli(capsys, "crbound", "--model", model, *MODEL_ARGVS[model], "--theta", value)
+        for value in ("0", theta))
+    ref, got = json.loads(out0), json.loads(out)
+    assert code == code0
+    assert got["lhs"] == pytest.approx(ref["lhs"], rel=1e-12)
+    assert got["rhs"] == pytest.approx(ref["rhs"], rel=1e-6)
 
 
 def benchmark_commands(tmp_path):

@@ -107,8 +107,7 @@ class TestStep:
         f = density_from_callable(ax, lambda x: sum(
             a * np.exp(-(x - c) ** 2 / (2 * s * s)) for a, s, c in bumps))
         st = DiffusionState(DiffusionParams(*form, 1), 0.0, f)
-        t_end = cfl_steps * diffusion._Kernel(st.params, ax.step, n).march(
-            f.values.copy(), 0.0, 0.0, 0.0, 0, 0)[2]
+        t_end = cfl_steps * _cfl_dt(st.params, ax.step, f.values)
         with pytest.MonkeyPatch.context() as patch:
             if not compiled:
                 patch.setattr(_native, "library", lambda: None)
@@ -390,6 +389,30 @@ ACCEPTANCE_GRIDS = [(HEAT, 10.0, 4001, 0.0, 0.01), (PME, 3.5, 251, 1.0, 0.05),
                     (PME, 3.5, 501, 1.0, 0.02), (DiffusionParams(1.0, 3.0, 1), 3.6, 1001, 1.0, 0.01)]
 
 
+#: the reference outcome of each oracle input, keyed by the input and filled
+#: at its first use: every build's march is compared with the one copy
+_REFERENCES = {}
+
+
+def _shared(key, reference):
+    """reference(), called once per process for key."""
+    if key not in _REFERENCES:
+        _REFERENCES[key] = reference()
+    return _REFERENCES[key]
+
+
+def _assert_evolve_is_reference(st, span, n_logs=6):
+    """evolve of st over span has the reference's steps, values and log, to the bit."""
+    def run(march):
+        out, log = march(st, st.t + span, n_logs)
+        arrays = (out.f.values, log.times, log.S_q, log.M_q, log.phi, log.mass)
+        return out.step_count, [a.tobytes() for a in arrays]
+
+    key = ("evolve", repr(st.f.axis), st.params, st.t, st.f.values.tobytes(), span, n_logs)
+    ref = _shared(key, lambda: run(_ref_evolve))
+    assert run(evolve) == ref and ref[0] > 0
+
+
 class TestKernelOracle:
     """The march evolve selects against the allocating reference: compiled
     wherever (m, beta) has an exact C form (numpy in the subclass below)."""
@@ -401,13 +424,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("m,beta,span,n_logs", _with_block_n_logs(
         ORACLE_CASES, ["-".join(map(str, case)) for case in ORACLE_CASES], 6))
     def test_evolve_bit_identical(self, m, beta, span, n_logs):
-        st = _oracle_state(m, beta)
-        ref, ref_log = _ref_evolve(st, st.t + span, n_logs)
-        out, log = evolve(st, st.t + span, n_logs)
-        assert out.step_count == ref.step_count > 0
-        assert out.f.values.tobytes() == ref.f.values.tobytes()
-        for col in ("times", "S_q", "M_q", "phi", "mass"):
-            assert getattr(log, col).tobytes() == getattr(ref_log, col).tobytes(), col
+        _assert_evolve_is_reference(_oracle_state(m, beta), span, n_logs)
 
     def test_clamp_runs_on_negative_zero_minimum(self):
         # -0.0 plus a divergence that underflows to -0.0 stays -0.0; the clamp
@@ -430,13 +447,7 @@ class TestKernelOracle:
             f = density_from_callable(ax, lambda x: np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi))
         else:
             f = barenblatt_density(dp, 1.0, ax, barenblatt_mass_constant(dp))
-        st = DiffusionState(dp, t0, f)
-        ref, ref_log = _ref_evolve(st, t0 + span, n_logs)
-        out, log = evolve(st, t0 + span, n_logs)
-        assert out.step_count == ref.step_count > 0
-        assert out.f.values.tobytes() == ref.f.values.tobytes()
-        for col in ("times", "S_q", "M_q", "phi", "mass"):
-            assert getattr(log, col).tobytes() == getattr(ref_log, col).tobytes(), col
+        _assert_evolve_is_reference(DiffusionState(dp, t0, f), span, n_logs)
 
 
 class TestKernelOracleNumpyKernel(TestKernelOracle):
@@ -446,18 +457,12 @@ class TestKernelOracleNumpyKernel(TestKernelOracle):
 
 
 class TestKernelOraclePlainHelpers(TestKernelOracle):
-    """The oracle on the library built with the plain C helpers, whose bits
-    are therefore the packed build's."""
-
     @pytest.fixture(autouse=True)
     def kernel(self, plain_library, monkeypatch):
         monkeypatch.setattr(_native, "library", lambda: plain_library)
 
 
 class TestKernelOraclePairBody(TestKernelOracle):
-    """The oracle on the two-wide SSE2 body, which a CPU without AVX-512F
-    runs from the default build."""
-
     @pytest.fixture(autouse=True)
     def kernel(self, pair_library, monkeypatch):
         monkeypatch.setattr(_native, "library", lambda: pair_library)
@@ -529,8 +534,7 @@ class TestStepBudget:
         # the estimate from the first dt is 120 steps; landing on 8 log rows
         # takes 126, so a budget of 121 passes the up-front check and trips the march
         st = _oracle_state(1.0, 2.0)
-        v = st.f.values.copy()
-        dt0 = diffusion._Kernel(HEAT, st.f.axis.step, v.size).march(v, 0.0, 0.0, 0.0, 0, 0)[2]
+        dt0 = _cfl_dt(HEAT, st.f.axis.step, st.f.values)
         assert (0.3 - 0.0) / dt0 == pytest.approx(120.0)
         assert evolve(st, 0.3, n_logs=8)[0].step_count == 126
         monkeypatch.setattr(diffusion, "MAX_STEPS", 121)
@@ -602,18 +606,23 @@ def _needs_cc():
         pytest.skip("no cc on PATH")
 
 
+#: the builds the oracle tests march on.  packed: the one evolve loads
+#: (_native.CFLAGS), whose widest body the CPU runs: eight-wide AVX-512F, else
+#: two-wide SSE2.  pair (-DQFISHER_MAX_WIDTH=2): that SSE2 body, as a CPU
+#: without AVX-512F runs it.  avx2: pair with -mavx2 (CPU with AVX2), the VEX
+#: code a compiler whose default target is x86-64-v3 emits, which no other
+#: build runs.  plain (-U__SSE2__): the two-wide body with plain C helpers.
+BUILDS = ["packed", "pair", "avx2", "plain"]
 #: the nodes of one group of the compiled march's packed extrema at each
 #: width (W ACC in _kernels.c: 2 and 8 doubles, ACC = 4); its fused pass
 #: takes node 0 alone, then groups from node 1
 GROUPS = (8, 32)
 #: every length of the fused pass's last partial group (vectors, then single
-#: nodes), with and without whole groups, at production size, and by build:
-#: the widest body the CPU runs in "packed", and the two-wide one alone in
-#: "pair", "avx2" and "plain"
+#: nodes), with and without whole groups, and at production size, by build:
+#: groups of the eight-wide body in packed, of the two-wide one elsewhere
 _PRODUCTION_COUNTS = [4001, 4003, 4005, 4007]
-TAIL_COUNTS = {build: list(range(3, 2 + 2 * group)) + _PRODUCTION_COUNTS
-               for build, group in [("packed", GROUPS[1]), ("pair", GROUPS[0]),
-                                    ("avx2", GROUPS[0]), ("plain", GROUPS[0])]}
+TAIL_COUNTS = {build: list(range(3, 2 + 2 * GROUPS[build == "packed"])) + _PRODUCTION_COUNTS
+               for build in BUILDS}
 
 
 def _plantings(n):
@@ -638,36 +647,56 @@ def _plantings(n):
             + [{node: -1e-14} for node in firsts])
 
 
-def _march_outcome(name, st, planted, n=None):
-    """(t, steps, cfl) as bytes, or the error text, and the bytes of v, after
-    kernel method `name` marches the first n of st's values (all of them by
-    default) with `planted` set for twenty CFL dts of the unplanted start.
-    Where an inf is planted, every NaN is written as np.nan: the sign of a
-    NaN made by inf - inf depends on the operand order of a commutative add,
-    which numpy and gcc choose apart."""
-    start = st.f.values[:n]
-    kernel = diffusion._Kernel(st.params, st.f.axis.step, start.size)
-    end = st.t + 20.0 * kernel.march(start.copy(), st.t, st.t, st.t, 0, 0)[2]
-    v = start.copy()
-    for node, value in planted.items():
-        v[node] = value
-    canonical = np.isinf(list(planted.values())).any()
+def _planted(values, planted):
+    """A copy of values with planted {node: value} set."""
+    v = values.copy()
+    v[list(planted)] = list(planted.values())
+    return v
 
-    def as_bytes(x):
-        return (np.where(np.isnan(x), np.nan, x) if canonical else x).tobytes()
 
+def _cfl_dt(p, h, v):
+    """The CFL dt of v, as the march of (p, h) takes it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return diffusion._Kernel(p, h, v.size).march(v.copy(), 0.0, 0.0, 0.0, 0, 0)[2]
+
+
+def _as_bytes(x, canonical):
+    """x as bytes; with canonical, every NaN as np.nan: the sign of a NaN made
+    from an inf (inf - inf) follows operand order, which numpy and gcc choose apart."""
+    return (np.where(np.isnan(x), np.nan, x) if canonical else x).tobytes()
+
+
+def _outcome(kernel, name, v, t, end, budget, canonical):
+    """(t, steps, cfl), or the error text, and v, as _as_bytes, after kernel
+    method `name` marches v from t to end within budget steps."""
     try:
         with np.errstate(invalid="ignore", over="ignore"):
-            result = as_bytes(np.array(getattr(kernel, name)(v, st.t, end, end, 0, 1000)))
+            result = _as_bytes(np.array(getattr(kernel, name)(v, t, end, end, 0, budget)), canonical)
     except StabilityError as err:
         result = str(err)
-    return result, as_bytes(v)
+    return result, _as_bytes(v, canonical)
 
 
-#: every body's division: the default build's widest body (eight-wide, through
-#: RN(1/h), where the CPU has AVX-512F), and the two-wide one, by h, with its
-#: SSE2, VEX (AVX2 build) and plain C helpers
-DIVISION_BUILDS = ["packed", "pair", "avx2", "plain"]
+def _assert_plantings_follow_numpy(key, st, n, plantings):
+    """The compiled march of st's first n values with each of plantings set,
+    for twenty CFL dts of the unplanted start, on a kernel of its own, has the
+    _outcome numpy's has (shared by key); canonical where an inf is planted."""
+    start = st.f.values[:n]
+
+    def outcomes(name, end):
+        return [_outcome(diffusion._Kernel(st.params, st.f.axis.step, n), name,
+                         _planted(start, planted), st.t, end, 1000,
+                         np.isinf(list(planted.values())).any()) for planted in plantings]
+
+    def reference():
+        end = st.t + 20.0 * _cfl_dt(st.params, st.f.axis.step, start)
+        return end, outcomes("march", end)
+
+    end, numpy_marches = _shared(key, reference)
+    for planted, numpy_march, outcome in zip(plantings, numpy_marches, outcomes("march_compiled", end)):
+        assert outcome == numpy_march, planted
+
+
 #: the grid steps of the four acceptance runs, and steps whose significand
 #: is all ones
 DIVISION_STEPS = [20 / 4000, 7 / 250, 7 / 500, 7.2 / 1000, (2 - 2 ** -52) * 2 ** -8,
@@ -700,12 +729,6 @@ HARD_QUOTIENTS.update({
     "subnormal": (float.fromhex("0x0.325c6fa9a9abep-1022"), 20 / 4000)})
 
 
-def _nan_canonical(x):
-    """x as bytes with every NaN written as np.nan: an inf that a flux
-    overflows to turns into NaNs whose sign bits numpy and gcc choose apart"""
-    return np.where(np.isnan(x), np.nan, x).tobytes()
-
-
 def _numpy_flux(v, m, beta, h):
     """The face fluxes of v as _Kernel.march takes them."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -714,11 +737,12 @@ def _numpy_flux(v, m, beta, h):
 
 
 def _build_kernels(directory, *flags):
-    """_kernels.c built into directory with _native.CFLAGS and flags, and
-    loaded with the types of _native.SIGNATURES."""
+    """_kernels.c built into directory with _native.CFLAGS, flags and warnings
+    as errors, which change no code; loaded with _native.SIGNATURES' types."""
     _needs_cc()
     out = directory / "_kernels.so"
-    done = subprocess.run(["cc", *_native.CFLAGS, *flags, "-o", str(out), str(_native.SOURCE)],
+    done = subprocess.run(["cc", *_native.CFLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(out), str(_native.SOURCE)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return _native._load(out)
@@ -731,15 +755,11 @@ def packed_library(compiled_kernel):
 
 @pytest.fixture(scope="module")
 def plain_library(tmp_path_factory):
-    """The library with the plain C body of every packed helper, as built
-    for a target without SSE2: the two-wide body alone."""
     return _build_kernels(tmp_path_factory.mktemp("plain"), "-U__SSE2__")
 
 
 @pytest.fixture(scope="module")
 def pair_library(tmp_path_factory):
-    """The library with the eight-wide body left out, whose two-wide SSE2
-    body runs as on a CPU without AVX-512F."""
     return _build_kernels(tmp_path_factory.mktemp("pair"), "-DQFISHER_MAX_WIDTH=2")
 
 
@@ -752,8 +772,6 @@ def _cpu_flags():
 
 @pytest.fixture(scope="module")
 def avx2_library(tmp_path_factory):
-    """The two-wide body built with -mavx2, so with VEX encodings, on a host
-    whose CPU has AVX2."""
     if "avx2" not in _cpu_flags():
         pytest.skip("the CPU lacks AVX2")
     return _build_kernels(tmp_path_factory.mktemp("avx2"), "-mavx2", "-DQFISHER_MAX_WIDTH=2")
@@ -763,15 +781,6 @@ def _use_build(build, request, monkeypatch):
     """Makes the library of fixture `build`_library the one evolve loads."""
     library = request.getfixturevalue(f"{build}_library")
     monkeypatch.setattr(_native, "library", lambda: library)
-
-
-def _assert_evolve_is_reference(m, beta, span):
-    st = _oracle_state(m, beta)
-    ref, ref_log = _ref_evolve(st, st.t + span, 6)
-    out, log = evolve(st, st.t + span, 6)
-    assert out.step_count == ref.step_count > 0
-    assert out.f.values.tobytes() == ref.f.values.tobytes()
-    assert log.S_q.tobytes() == ref_log.S_q.tobytes()
 
 
 class TestCompiledKernel:
@@ -848,27 +857,22 @@ class TestCompiledKernel:
         # a maximum sets it; a negative value alone aborts.  The numpy march
         # keeps no buffers, so the outcome and v are what is compared
         st = _oracle_state(m, beta)
-        assert _march_outcome("march", st, planted) == _march_outcome("march_compiled", st, planted)
+        _assert_plantings_follow_numpy(("nan", m, beta, str(planted)), st, st.f.values.size, [planted])
 
     @pytest.mark.parametrize("build,m,beta,n", [
         pytest.param(build, m, beta, n, id=f"{build}-{m}-{beta}-{n}")
         for build, counts in TAIL_COUNTS.items() for m, beta in EXACT_C_FORMS for n in counts])
     def test_tails_and_plantings_follow_numpy(self, build, m, beta, n, request, monkeypatch):
         # _plantings on every length of the last partial group, with and
-        # without whole groups, on each body: the default build's widest
-        # one, and the two-wide one with its SSE2, VEX (AVX2 build) and
-        # plain C helpers
+        # without whole groups, on each build's body
         _use_build(build, request, monkeypatch)
         st = _oracle_state(m, beta, n + 1 - n % 2)  # an Axis count is odd
-        for planted in _plantings(n):
-            numpy_march, compiled = (_march_outcome(name, st, planted, n)
-                                     for name in ("march", "march_compiled"))
-            assert numpy_march == compiled, planted
+        _assert_plantings_follow_numpy(("tails", m, beta, n), st, n, _plantings(n))
 
     @pytest.mark.parametrize("h", DIVISION_STEPS)
     @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
     @pytest.mark.parametrize("planted", DIVISION_PLANTINGS, ids=list(DIVISION_PLANTINGS))
-    @pytest.mark.parametrize("build", DIVISION_BUILDS)
+    @pytest.mark.parametrize("build", BUILDS)
     def test_division_over_the_range_follows_numpy(self, build, planted, m, beta, h, request,
                                                    monkeypatch):
         # a few steps from a state log-uniform over the doubles whose fluxes
@@ -881,26 +885,23 @@ class TestCompiledKernel:
         v = 2.0 ** rng.uniform(-960.0, _FINITE_FLUX_TOP[m, beta], 67)
         for start in (3, 30, 60):
             v[start:start + int(rng.integers(1, 9))] = 0.0
-        for node, value in DIVISION_PLANTINGS[planted](m).items():
-            v[node] = value
+        v = _planted(v, DIVISION_PLANTINGS[planted](m))
         p = DiffusionParams(m, beta, 1)
-        outcomes = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            end = 3.5 * diffusion._Kernel(p, h, v.size).march(v.copy(), 0.0, 0.0, 0.0, 0, 0)[2]
-            for name in ("march", "march_compiled"):
-                kernel, u = diffusion._Kernel(p, h, v.size), v.copy()
-                try:
-                    result = _nan_canonical(np.array(getattr(kernel, name)(u, 0.0, end, end, 0, 100)))
-                except StabilityError as err:
-                    result = str(err)
-                outcomes.append((result, _nan_canonical(u)))
-        assert outcomes[0] == outcomes[1]
-        if isinstance(result, bytes):
-            assert _nan_canonical(kernel.fpad[1:-1]) == _nan_canonical(_numpy_flux(u, m, beta, h))
+
+        def reference():
+            end = 3.5 * _cfl_dt(p, h, v)
+            return end, _outcome(diffusion._Kernel(p, h, v.size), "march", v.copy(), 0.0, end, 100, True)
+
+        end, numpy_march = _shared(("division", planted, m, beta, h), reference)
+        kernel, u = diffusion._Kernel(p, h, v.size), v.copy()
+        outcome = _outcome(kernel, "march_compiled", u, 0.0, end, 100, True)
+        assert outcome == numpy_march
+        if isinstance(outcome[0], bytes):
+            assert _as_bytes(kernel.fpad[1:-1], True) == _as_bytes(_numpy_flux(u, m, beta, h), True)
 
     @pytest.mark.parametrize("a,h", HARD_QUOTIENTS.values(), ids=list(HARD_QUOTIENTS))
     @pytest.mark.parametrize("beta", [2.0, 3.0])
-    @pytest.mark.parametrize("build", DIVISION_BUILDS)
+    @pytest.mark.parametrize("build", BUILDS)
     def test_division_at_hard_quotients(self, build, beta, a, h, request, monkeypatch):
         # a as the difference of the values a, 2a, a, ...; steps of dt = 0
         # (target = t) keep v and take its fluxes until the budget ends the
@@ -913,10 +914,9 @@ class TestCompiledKernel:
         assert stepped.tobytes() == v.tobytes()
         assert kernel.fpad[1:-1].tobytes() == _numpy_flux(v, 1.0, beta, h).tobytes()
 
-    @pytest.mark.parametrize("flags", [(), ("-U__SSE2__",), ("-DQFISHER_MAX_WIDTH=2",)],
-                             ids=["packed", "plain", "pair"])
+    @pytest.mark.parametrize("flags", [()], ids=["packed"])
     def test_builds_without_warnings(self, flags, tmp_path):
-        _build_kernels(tmp_path, *flags, "-Wall", "-Wextra", "-Werror")
+        _build_kernels(tmp_path, *flags)
 
     @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
     def test_each_array_stepped_through_its_own_address(self, m, beta, compiled_kernel):
@@ -936,7 +936,7 @@ class TestCompiledKernel:
         source, runs = fresh_loader
         monkeypatch.setenv("PATH", str(tmp_path / "empty"))
         for m, beta in [(2.0, 2.0), (1.0, 3.0)]:
-            _assert_evolve_is_reference(m, beta, 0.5)
+            _assert_evolve_is_reference(_oracle_state(m, beta), 0.5)
         assert len(runs) == 1
         assert list((tmp_path / "__pycache__").iterdir()) == []
 
@@ -944,7 +944,7 @@ class TestCompiledKernel:
         source, runs = fresh_loader
         source.write_text("this is not C\n")
         for m, beta in [(2.0, 2.0), (1.0, 3.0)]:
-            _assert_evolve_is_reference(m, beta, 0.5)
+            _assert_evolve_is_reference(_oracle_state(m, beta), 0.5)
         assert len(runs) == 1
         assert list((tmp_path / "__pycache__").iterdir()) == []
 
@@ -956,7 +956,7 @@ class TestCompiledKernel:
         private_root = tmp_path / "tmp"
         private_root.mkdir()
         monkeypatch.setattr("tempfile.tempdir", str(private_root))
-        _assert_evolve_is_reference(2.0, 3.0, 0.5)
+        _assert_evolve_is_reference(_oracle_state(2.0, 3.0), 0.5)
         assert _native.library() is not None and len(runs) == 1
         assert list(private_root.iterdir()) == []  # removed once loaded
 
@@ -968,7 +968,7 @@ class TestCompiledKernel:
         cached = tmp_path / "__pycache__" / f"_kernels.{key.hexdigest()}.so"
         cached.parent.mkdir()
         cached.write_bytes(b"\0" * 16)
-        _assert_evolve_is_reference(1.0, 2.0, 0.3)
+        _assert_evolve_is_reference(_oracle_state(1.0, 2.0), 0.3)
         assert _native.library() is not None and len(runs) == 1
         assert [p.name for p in cached.parent.iterdir()] == [cached.name]
         assert cached.stat().st_size > 16
