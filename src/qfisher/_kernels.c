@@ -235,14 +235,11 @@ static inline pair pair_abs(pair x)
 #endif
 }
 
-/* (prev[1], x[0]): the left neighbours of x's lanes, when x follows prev */
+/* (prev[1], x[0]): the left neighbours of x's lanes, when x follows prev
+   (gcc emits the shufpd of _mm_shuffle_pd(prev, x, 1) for it) */
 static inline pair pair_shift(pair prev, pair x)
 {
-#ifdef __SSE2__
-    return _mm_shuffle_pd(prev, x, 1);
-#else
     return (pair){prev[1], x[0]};
-#endif
 }
 
 /* the two-wide division: a / h, at every vector */

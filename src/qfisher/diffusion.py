@@ -27,8 +27,8 @@ too short for n_logs strictly increasing log times.
 The functionals of the initial density are logged before the first step.
 Each later logged state is checked (boundary contact, mass drift,
 GridDensity's validation) before the next interval marches, and copied into
-a block of rows (:class:`_LogBlock`: up to LOG_BLOCK_ROWS rows and
-LOG_BLOCK_VALUES values).  When the block fills, and when the run ends or
+a block of rows (:class:`_LogBlock`: as many as LOG_BLOCK_VALUES values
+hold, at least one).  When the block fills, and when the run ends or
 fails, S_q, M_q, phi and the Simpson mass of all its rows are taken with one
 numpy call per operation along the rows, through the integrands of
 :mod:`qfisher.info_measures`, each row with the bits and the errors it has
@@ -93,13 +93,12 @@ NEGATIVE_CLAMP_REL = 1e-13
 GRAD_EPS = 1e-12
 #: tolerated drift of the discrete conserved mass h sum(f)
 MASS_DRIFT_TOL = 1e-6
-#: most logged states whose functionals are evaluated together, one numpy
-#: call per operation over the block ...
-LOG_BLOCK_ROWS = 8
-#: ... and most values in a block, so that each temporary an operation makes
-#: stays within 64 KiB: larger ones come back from malloc as fresh pages,
-#: whose faults cost more than the calls a larger block saves (on the
-#: N = 4001 grid, 2 rows a block beat 3, 4 and 8)
+#: most values in a block of logged states whose functionals are evaluated
+#: together, one numpy call per operation over the block: max(1,
+#: LOG_BLOCK_VALUES // n) rows of n nodes, so that each temporary an
+#: operation makes stays within 64 KiB: larger ones come back from malloc
+#: as fresh pages, whose faults cost more than the calls a larger block
+#: saves (on the N = 4001 grid, 2 rows a block beat 3, 4 and 8)
 LOG_BLOCK_VALUES = 8192
 
 
@@ -154,7 +153,8 @@ class TrajectoryLog:
 
 
 class _Kernel:
-    """The explicit conservative update on one n-node grid.
+    """One run of the explicit conservative update: ``v``, a C-contiguous
+    float64 copy of the start values, stepped in place by every march.
 
     :meth:`march` writes the update in plain numpy arrays, in the operation
     order of ``qfisher_march``: ``d = diff(v^m) / h``, the face flux
@@ -168,22 +168,26 @@ class _Kernel:
     buffers allocated here: ``d`` = D(v^m) / h (n-1; the interior of
     ``fpad`` when beta = 2), ``fpad`` (n+1) the face fluxes between two
     zeros, ``io`` its t, cfl, dt and worst minimum, and ``count`` its step
-    count.  The C march takes the fluxes of v once on entry; after that
-    each step's update pass also takes the next step's fluxes (from the
-    clamped values), so a step reads v and ``fpad`` once.
+    count.  Their addresses, and v's, are taken once, here.  The C march
+    takes the fluxes of v once on entry; after that each step's update pass
+    also takes the next step's fluxes (from the clamped values), so a step
+    reads v and ``fpad`` once.
     """
 
-    def __init__(self, p: DiffusionParams, h: float, n: int):
+    def __init__(self, p: DiffusionParams, h: float, values: np.ndarray):
         self.p = p
         self.h = h
+        self.v = np.array(values, dtype=np.float64, order="C")
+        n = self.v.size
         self.fpad = np.zeros(n + 1)
         self.d = self.fpad[1:-1] if p.beta == 2.0 else np.empty(n - 1)
         self.io = np.zeros(4)
         self.count = np.zeros(1, dtype=np.longlong)
-        self.c_v = None  # the v whose addresses c_args holds
+        self.c_args = (self.v.ctypes.data, self.d.ctypes.data, self.fpad.ctypes.data, n,
+                       p.m == 2.0, p.beta == 3.0, h, (p.beta - 1.0) * p.m)
+        self.c_out = (self.io.ctypes.data, self.count.ctypes.data)
 
-    def march(self, v: np.ndarray, t: float, target: float, stop: float,
-              steps: int, budget: int):
+    def march(self, t: float, target: float, stop: float, steps: int, budget: int):
         """Steps v in place from time t while t < stop and returns (t, steps,
         cfl), where cfl is the CFL dt of the final v.  :func:`evolve` is the
         only caller.
@@ -199,7 +203,7 @@ class _Kernel:
         to judge a negative minimum.  A step that takes the count past
         ``budget`` raises.
         """
-        p, h = self.p, self.h
+        p, h, v = self.p, self.h, self.v
         while True:
             d = np.diff(np.power(v, p.m)) / h
             if p.beta == 2.0:
@@ -230,8 +234,7 @@ class _Kernel:
             if steps > budget:
                 raise _budget_exhausted(t, dt)
 
-    def march_compiled(self, v: np.ndarray, t: float, target: float, stop: float,
-                       steps: int, budget: int):
+    def march_compiled(self, t: float, target: float, stop: float, steps: int, budget: int):
         """:meth:`march` as the one C loop ``qfisher_march`` of ``_kernels.c``,
         for m in {1, 2} and beta in {2, 3}: the same arguments, results and
         errors, bit for bit, except that a NaN a step makes from an inf may
@@ -239,19 +242,8 @@ class _Kernel:
         step's flux pass, which leaves every bit as it is, and runs the pass
         eight doubles wide where the CPU has AVX-512F, else two wide
         (``qfisher_march_body`` says which body runs: 3, or 1 with SSE2 and
-        0 in plain C).  The
-        addresses of v, ``d``, ``fpad``, ``io`` and ``count`` are taken at
-        the first call with a given v, which is once per :func:`evolve`.
-        CFL_SAFETY and NEGATIVE_CLAMP_REL are read on every call, as
-        :meth:`march` reads them."""
-        if v is not self.c_v:
-            if v.dtype != np.float64 or not v.flags.c_contiguous or v.size != self.fpad.size - 1:
-                raise ValueError("the compiled march needs a contiguous float64 array of n nodes")
-            p = self.p
-            self.c_v = v
-            self.c_args = (v.ctypes.data, self.d.ctypes.data, self.fpad.ctypes.data, v.size,
-                           p.m == 2.0, p.beta == 3.0, self.h, (p.beta - 1.0) * p.m)
-            self.c_out = (self.io.ctypes.data, self.count.ctypes.data)
+        0 in plain C).  CFL_SAFETY and NEGATIVE_CLAMP_REL are read on every
+        call, as :meth:`march` reads them."""
         h, io, count = self.h, self.io, self.count
         io[0], count[0] = t, steps
         code = _native.library().qfisher_march(*self.c_args, CFL_SAFETY * h * h, -NEGATIVE_CLAMP_REL,
@@ -263,9 +255,10 @@ class _Kernel:
             raise _budget_exhausted(t, dt)
         return t, int(count[0]), cfl
 
-    def limiting_node(self, v: np.ndarray) -> int:
+    def limiting_node(self) -> int:
         """Node that sets the CFL dt of v: the face of extreme |D v^m| / h
         (its left node) when beta != 2, else the peak."""
+        v = self.v
         if self.p.beta == 2.0:
             return int(np.argmax(v))
         grad = np.abs(np.diff(np.power(v, self.p.m)) / self.h)
@@ -321,8 +314,8 @@ class _LogBlock:
 
     Row 0, the caller's density, is evaluated on creation by
     :func:`_log_row`.  :meth:`add` copies each later state into a
-    preallocated C-contiguous block of LOG_BLOCK_ROWS rows, fewer where
-    they would hold more than LOG_BLOCK_VALUES values.  :meth:`flush`,
+    preallocated C-contiguous block of as many rows as LOG_BLOCK_VALUES
+    values hold, at least one.  :meth:`flush`,
     called when the block fills and when the run ends or fails, evaluates
     every pending row with one numpy call per operation along the rows
     (:func:`_block_rows`), each row with the bits of :func:`_log_row` on its
@@ -334,7 +327,7 @@ class _LogBlock:
         self.axis, self.p = first.axis, p
         self.w = simpson_weights(first.axis)
         n = first.axis.count
-        self.values = np.empty((max(1, min(LOG_BLOCK_ROWS, LOG_BLOCK_VALUES // n)), n))
+        self.values = np.empty((max(1, LOG_BLOCK_VALUES // n), n))
         self.columns = np.empty((4, n_logs))
         self.columns[:, 0] = _log_row(first, p)
         self.pending, self.done = 0, 1
@@ -371,7 +364,7 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
 
     Each log interval is one :meth:`_Kernel.march` (or its C form, see
     :func:`_select_march`), whose steps have dt = min(CFL dt, time to the
-    next log row) and apply in place to one copy of
+    next log row) and apply in place to the kernel's copy of
     ``state.f.values`` (the caller's array is never written).  The clamp
     runs after every step whose minimum is not strictly positive.  The
     functionals (S_q, M_q, phi and the Simpson mass) of state.f are taken
@@ -401,17 +394,17 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     h = state.f.axis.step
     axis = state.f.axis
 
-    v = state.f.values.copy()
-    kernel = _Kernel(p, h, v.size)
+    kernel = _Kernel(p, h, state.f.values)
+    v = kernel.v
     march = _select_march(kernel)
     t = state.t
-    dt0 = march(v, t, t, t, 0, 0)[2]
+    dt0 = march(t, t, t, 0, 0)[2]
     estimate = (t_end - state.t) / dt0 if dt0 > 0 else math.inf
     if estimate > MAX_STEPS:
         raise StabilityError(
             f"about {estimate:.3g} steps of dt = {dt0:g} needed to reach t = {t_end:g}, "
             f"over the budget of {MAX_STEPS} (dt is limited at node "
-            f"{kernel.limiting_node(v)}); coarsen the grid or shorten the run"
+            f"{kernel.limiting_node()}); coarsen the grid or shorten the run"
         )
     _check_boundary_clear(v, state.t)
     block = _LogBlock(state.f, p, n_logs)
@@ -421,7 +414,7 @@ def evolve(state: DiffusionState, t_end: float, n_logs: int = 201) -> tuple[Diff
     try:
         for target in log_times[1:].tolist():
             stop = target - 1e-15 * max(1.0, abs(target))
-            t, nsteps, _ = march(v, t, target, stop, nsteps, budget)
+            t, nsteps, _ = march(t, target, stop, nsteps, budget)
             _check_boundary_clear(v, t)
             drift = abs(h * float(np.add.reduce(v)) - mass_ref)
             if drift > MASS_DRIFT_TOL:

@@ -456,7 +456,12 @@ def barenblatt_mass_constant(dp: DiffusionParams) -> float:
     """The constant C giving the profile unit total mass.  For q <= 1 the
     mass is mass(1) C^e, e = 1 at q = 1 and e = n/alpha - s < 0 below, so
     C = mass(1)^(-1/e) directly.  For q > 1, by 1-D root finding on the
-    monotone map C -> mass(C) (tolerance 1e-10 on mass)."""
+    monotone map C -> mass(C), the quadrature of :func:`barenblatt_mass`.
+    Its 1e-10 check bounds that quadrature's own residual at C, which reads
+    below 2e-14, and not the exact mass: the Beta-function mass at the C
+    returned misses 1 by up to about 2e-10 (+1.75e-10 at (m, beta, n) =
+    (3, 3, 1), -1.54e-10 at (0.8, 4, 2)), a miss only a closed-form C for
+    q > 1 would remove."""
     if dp.is_q1 or dp.q < 1:
         e = 1.0 if dp.is_q1 else dp.dim / dp.alpha - 1.0 / (1.0 - dp.q)
         return barenblatt_mass(dp, 1.0) ** (-1.0 / e)

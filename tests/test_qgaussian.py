@@ -434,6 +434,37 @@ class TestBarenblatt:
         assert integrate(f) == pytest.approx(1.0, abs=1e-6)
 
 
+def _identity_points():
+    """(m, beta, n) over m in {0.5, ..., 3}, beta in {1.5, ..., 4} and n in
+    {1, 2, 3} where a Barenblatt profile exists, q != 1, and its q-Gaussian
+    has a finite M_q and alpha-moment."""
+    points = []
+    for m, beta, n in itertools.product((0.5, 0.75, 1.0, 1.5, 2.0, 3.0), (1.5, 2.0, 2.5, 3.0, 4.0),
+                                        (1, 2, 3)):
+        try:
+            dp = DiffusionParams(m, beta, n)
+            if not dp.is_q1:
+                closed_form_m_q(QGaussianParams(dp.q, dp.alpha, 1.0, n))
+                points.append((m, beta, n))
+        except ValueError:  # no profile, q <= 0, or a divergent M_q or moment
+            pass
+    return points
+
+
+@pytest.mark.parametrize("m,beta,n", _identity_points())
+def test_debruijn_identity_in_closed_form(m, beta, n):
+    # B_t is its q-Gaussian dilated by c ~ t^(1/delta), under which M_q
+    # scales as c^(n(1-q)): so dS_q/dt = n M_q / (delta t), and the identity
+    # dS_q/dt = q m^(beta-1) phi along B_t is algebraic in the closed forms.
+    # q > 1 misses by up to 8.7e-10 (at (3, 3, 1)): its C, root-found on a
+    # quadrature, misses unit mass by up to 1.75e-10 there
+    dp, t = DiffusionParams(m, beta, n), 1.5
+    g = barenblatt_equivalent_qgaussian(dp, barenblatt_mass_constant(dp), t)
+    lhs = n * closed_form_m_q(g) / (dp.delta * t)
+    rhs = dp.q * m ** (beta - 1.0) * closed_form_phi_fisher(g)
+    assert lhs == pytest.approx(rhs, rel=1e-13 if dp.q < 1 else 2e-9)
+
+
 #: (m, beta, n) of unbounded-support profiles: q = 1 at alpha = 2 and 1.5
 #: and n = 1-3, and q < 1 down to the heavy tail of (0.35, 2, 3)
 Q1_POINTS = [(1.0, 2.0, 1), (0.5, 3.0, 1), (1.0, 2.0, 2), (1.0, 2.0, 3)]
