@@ -43,6 +43,10 @@ from .qgaussian import (
 QCR_POINTS = ((2.0, 2.0), (1.5, 2.0), (2.0, 3.0))
 #: seed for every randomized batch in the suite
 SUITE_SEED = 20260811
+#: how far the unperturbed q-Gaussian's q-Cramer-Rao product may read from
+#: n, or its Stam ratio from 1 (criteria 6 and 7, and the qcr and stam
+#: commands)
+EQUALITY_TOL = 1e-4
 #: the shared PDE runs, kind -> (m, beta, half_width, t0, t_end): t0 = 0
 #: starts from the unit Gaussian, any other t0 from the unit-mass Barenblatt
 RUNS = {"heat": (1.0, 2.0, 10.0, 0.0, 0.5),
@@ -188,7 +192,7 @@ class AcceptanceSuite:
             g = grid_density(p, 8001)
             rep = qcr_product(g, q, alpha)
             details[f"product_q{q}_a{alpha}"] = rep.lhs
-            passed &= abs(rep.lhs - 1.0) < 1e-4
+            passed &= abs(rep.lhs - 1.0) < EQUALITY_TOL
         # perturbation batch at the first point
         q, alpha = QCR_POINTS[0]
         p = QGaussianParams(q, alpha, 1.0, 1)
@@ -216,7 +220,7 @@ class AcceptanceSuite:
             f = grid_density(p, 8001)
             rep = stam_ratio(f, q, beta, Tolerances(inequality_slack=1e-4))
             details[f"ratio_q{q}"] = rep.lhs
-            passed &= abs(rep.lhs - 1.0) < 1e-4
+            passed &= abs(rep.lhs - 1.0) < EQUALITY_TOL
             worst = min(stam_ratio(fp, q, beta).lhs for _, _, fp in
                         perturbation_batch(p, rng, 30, 3, "moment", moment_alpha(p), 4001))
             details[f"min_perturbed_ratio_q{q}"] = worst

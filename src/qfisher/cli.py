@@ -8,7 +8,10 @@ accepted; `--seed` exists only on crbound, stam and minimize (on the first
 two, exactly when trials or perturbations > 0), and `reproduce` (pinned
 suite seed) takes only -o.  A command takes one Hoelder exponent, alpha on
 info, crbound, qcr and minimize and beta on diffuse and stam, and computes
-its conjugate; it judges each verdict at a pinned tolerance.  A given
+its conjugate; it judges each verdict at a pinned tolerance.  qcr and stam
+also report how far the unperturbed q-Gaussian reads from equality
+(`equality_gap`, |product - n| or |ratio - 1|) and exit 1 when it exceeds
+criteria 6 and 7's EQUALITY_TOL, beside their inequality verdict.  A given
 option the selected model, family or init never reads, an unknown selector
 value (`_selector_reads`), a count below its least value (LEAST_COUNT;
 minimize: perturbations >= 1, crbound: trials 0 or >= 2), an even grid
@@ -35,7 +38,7 @@ import sys
 
 import numpy as np
 
-from .acceptance import SUITE_SEED, AcceptanceSuite, render_summary
+from .acceptance import EQUALITY_TOL, SUITE_SEED, AcceptanceSuite, render_summary
 from .core import Axis, Tolerances, density_from_callable
 from .diffusion import DiffusionState, StabilityError, debruijn_check, evolve, phi_monotonicity_check, trajectory_csv_rows
 from .estimation import MODEL_REGISTRY, crm_bound_scalar, mc_error_moment, qcr_product
@@ -326,10 +329,12 @@ def cmd_qcr(args) -> int:
     g = grid_density(QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"]),
                      cfg["grid_count"])
     rep = qcr_product(g, cfg["q"], cfg["alpha"], Tolerances(inequality_slack=1e-6))
-    payload = {"product": rep.lhs, "dim": rep.rhs, "gap": rep.gap, "passed": rep.passed}
+    equality_gap = abs(rep.lhs - rep.rhs)
+    payload = {"product": rep.lhs, "dim": rep.rhs, "gap": rep.gap, "passed": rep.passed,
+               "equality_gap": equality_gap, "equality_passed": equality_gap < EQUALITY_TOL}
     payload.update(rep.extras)
     _emit(_json_report(payload, cfg), args.output)
-    return EXIT_PASS if rep.passed else EXIT_VERDICT
+    return EXIT_PASS if rep.passed and payload["equality_passed"] else EXIT_VERDICT
 
 
 STAM_DEFAULTS = {
@@ -356,16 +361,19 @@ def cmd_stam(args) -> int:
                                    min(cfg["grid_count"], 4001))
         min_perturbed = min(stam_ratio(fp, q, beta, tol).lhs for _, _, fp in batch)
         verdict = verdict and min_perturbed > 1.0
+    equality_gap = abs(rep.lhs - 1.0)
     payload = {
         "value_G": rep.extras["product_ref"],
         "product_f": rep.extras["product_f"],
         "ratio": rep.lhs,
+        "equality_gap": equality_gap,
+        "equality_passed": equality_gap < EQUALITY_TOL,
         "min_perturbed": min_perturbed,
         "worst_gap": None if min_perturbed is None else min_perturbed - 1.0,
         "verdict": bool(verdict),
     }
     _emit(_json_report(payload, cfg), args.output)
-    return EXIT_PASS if verdict else EXIT_VERDICT
+    return EXIT_PASS if verdict and payload["equality_passed"] else EXIT_VERDICT
 
 
 MINIMIZE_DEFAULTS = {

@@ -17,7 +17,9 @@ makes it (at r = 0 too, where 0 * inf is NaN), so it names the same node.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,6 +173,39 @@ def _integrals(w: np.ndarray, arr: np.ndarray, axis: Axis):
     return total
 
 
+@functools.lru_cache(maxsize=1)
+def special_functions():
+    """scipy.special's compiled ufuncs (beta, gamma, betaincinv,
+    gammaincinv, ...), the one route by which qfisher reaches scipy.special.
+
+    The package's `__init__` loads scipy's array-API layer, which clones
+    numpy and with it loads numpy.f2py, numpy.testing and numpy.ma: about
+    0.2-0.3 s per process, for four ufuncs that live in the compiled module
+    `scipy.special._ufuncs`.  So that module is imported on its own, under a
+    package module made from the spec (`find_spec` imports scipy itself)
+    and left unexecuted, which sits in sys.modules only for that import.
+    The ufuncs returned are the objects that `scipy.special` exposes (with
+    SCIPY_ARRAY_API unset; set, the package wraps them for other array
+    libraries), and a later `import scipy.special` runs the real `__init__`
+    and binds this same `_ufuncs`.  A loaded package is used as it is, and
+    a scipy whose layout refuses the direct load is imported whole."""
+    package = sys.modules.get("scipy.special")
+    if package is not None:
+        return package
+    try:
+        stub = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
+        sys.modules["scipy.special"] = stub
+        try:
+            return importlib.import_module("scipy.special._ufuncs")
+        finally:
+            if sys.modules.get("scipy.special") is stub:
+                del sys.modules["scipy.special"]
+    except (ImportError, AttributeError):
+        from scipy import special
+
+        return special
+
+
 def sphere_surface(n: int) -> float:
     """Surface area of the unit sphere in R^n (2 pi^(n/2) / Gamma(n/2)).
 
@@ -179,9 +214,7 @@ def sphere_surface(n: int) -> float:
     (n = 3 moves by one ulp)."""
     if n == 1:
         return 2.0
-    from scipy.special import gamma
-
-    return float(2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0))
+    return float(2.0 * np.pi ** (n / 2.0) / special_functions().gamma(n / 2.0))
 
 
 def gradient(f: GridDensity) -> np.ndarray:

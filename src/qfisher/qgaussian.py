@@ -23,8 +23,12 @@ port of scipy's `quad` and `brentq` that returns their bits.  On unbounded
 supports (q <= 1) the Barenblatt mass is its closed Gamma/Beta form by
 `math.lgamma`, and C follows from it with no root find.
 
-scipy.special and `_quadpack` are imported inside the functions that use
-them, so that a command loads them only when its path reaches one.
+`_quadpack` and scipy.special's compiled ufuncs are loaded inside the
+functions that use them, so that a command loads them only when its path
+reaches one.  The ufuncs come through `core.special_functions`, which
+imports `scipy.special._ufuncs` without the package's `__init__`: that
+spares each command the array-API layer the package loads (about 0.2 s
+and 13 MB), with the same ufunc objects and so the same bits.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Axis, GridDensity, normalize, sphere_surface
+from .core import Axis, GridDensity, normalize, special_functions, sphere_surface
 
 #: tail mass left outside sampling / gridding windows
 DEFAULT_TAIL_MASS = 1e-12
@@ -96,19 +100,18 @@ def _radial_quantile(p: QGaussianParams, mass, tail):
     """Radius R with P(||X|| <= R) = mass, given mass and tail = 1 - mass
     both (scalars or arrays): each branch inverts the side it reads
     accurately."""
-    from scipy import special as sp_special
-
+    sf = special_functions()
     n_a = p.dim / p.alpha
     if p.q > 1:
-        u = sp_special.betaincinv(n_a, 1.0 / (p.q - 1.0) + 1.0, mass)
+        u = sf.betaincinv(n_a, 1.0 / (p.q - 1.0) + 1.0, mass)
         return (u / ((p.q - 1.0) * p.gamma)) ** (1.0 / p.alpha)
     if p.q == 1:
-        return (sp_special.gammaincinv(n_a, mass) / p.gamma) ** (1.0 / p.alpha)
+        return (sf.gammaincinv(n_a, mass) / p.gamma) ** (1.0 / p.alpha)
     # the CDF is I_t(n/alpha, s - n/alpha) at t = y/(1+y), y = (1-q) gamma R^alpha;
     # invert the tail I_(1-t)(s - n/alpha, n/alpha) for u = 1 - t, since t
     # itself rounds to 1 for heavy tails and y = t/(1-t) would be inf
     s_bar = 1.0 / (1.0 - p.q)
-    u = sp_special.betaincinv(s_bar - n_a, n_a, tail)
+    u = sf.betaincinv(s_bar - n_a, n_a, tail)
     return ((1.0 - u) / (u * (1.0 - p.q) * p.gamma)) ** (1.0 / p.alpha)
 
 
@@ -127,17 +130,16 @@ def radial_profile(p: QGaussianParams, r) -> np.ndarray:
 def normalization(p: QGaussianParams) -> float:
     """Normalization constant Z = int (profile) dx, in closed Beta/Gamma form,
     cross-checked against the double-exponential radial rule to 1e-8 relative."""
-    from scipy import special as sp_special
-
+    sf = special_functions()
     n, a, g, q = p.dim, p.alpha, p.gamma, p.q
     omega = sphere_surface(n)
     if q > 1:
-        z = omega / a * ((q - 1.0) * g) ** (-n / a) * sp_special.beta(n / a, 1.0 / (q - 1.0) + 1.0)
+        z = omega / a * ((q - 1.0) * g) ** (-n / a) * sf.beta(n / a, 1.0 / (q - 1.0) + 1.0)
     elif q == 1:
-        z = omega / a * g ** (-n / a) * sp_special.gamma(n / a)
+        z = omega / a * g ** (-n / a) * sf.gamma(n / a)
     else:
         s_bar = 1.0 / (1.0 - q)
-        z = omega / a * ((1.0 - q) * g) ** (-n / a) * sp_special.beta(n / a, s_bar - n / a)
+        z = omega / a * ((1.0 - q) * g) ** (-n / a) * sf.beta(n / a, s_bar - n / a)
     z_quad = _radial_mass_quad(p)
     if not abs(z - z_quad) <= 1e-8 * abs(z):  # a NaN fails too
         raise ArithmeticError(

@@ -731,9 +731,9 @@ REPORT_SHA256 = {
     "crbound --model gaussian-location --n 3 --trials 100000 --seed 7":
         "b945a9d3c5c115887b5fda0e3b5351fb9659d1d49b8e83faa480f5bedf99763c",
     "qcr --q 1.5 --alpha 2 --gamma 1":
-        "72a5cafd04dc99e16658479f51f59947ff298b312ef9862fca2414889e38bf0a",
+        "d95fbcd252f8d06792a4271ed525a0a84ac748af1e9df494ecba6648338d76e5",
     "stam --q 2 --beta 2 --gamma 1 --perturbations 20 --seed 7":
-        "f96c67b7f7a6ac45782d551617bb3105c31c400f5482ce53cd135c3ecbc6b573",
+        "5a49e0b41893e9f9a152a472c11b23ce2c54bade3f684af172be1e5a49441758",
     "minimize --constraint moment --q 2 --alpha 2 --target 0.2 --seed 7":
         "819ff11d16c25dfe4a9429a44de9427b5a3973d4f4f14a6390af7e15593c0004",
     "crbound --model escort-pair --q 2 --alpha 2":
@@ -761,3 +761,45 @@ def test_report_matches_pinned_bytes(line, capsys, tmp_path):
     if "-o" in argv:
         digest = (digest, hashlib.sha256(csv.read_bytes()).hexdigest())
     assert digest == REPORT_SHA256[line]
+
+
+#: sha256 of the qcr and stam README reports before they carried the
+#: equality fields
+PRE_EQUALITY_SHA256 = {
+    "qcr --q 1.5 --alpha 2 --gamma 1":
+        "72a5cafd04dc99e16658479f51f59947ff298b312ef9862fca2414889e38bf0a",
+    "stam --q 2 --beta 2 --gamma 1 --perturbations 20 --seed 7":
+        "f96c67b7f7a6ac45782d551617bb3105c31c400f5482ce53cd135c3ecbc6b573",
+}
+
+
+@pytest.mark.parametrize("line", sorted(PRE_EQUALITY_SHA256))
+def test_equality_fields_only_add_to_the_report(line, capsys):
+    # with equality_gap and equality_passed cut, the report is the one
+    # these lines printed before the fields existed, byte for byte
+    code, out, _ = run_cli(capsys, *line.split())
+    assert code == EXIT_PASS
+    report = json.loads(out)
+    assert report.pop("equality_passed") is True and report.pop("equality_gap") < 1e-6
+    cut = json.dumps(report, sort_keys=True, allow_nan=True) + "\n"
+    assert hashlib.sha256(cut.encode()).hexdigest() == PRE_EQUALITY_SHA256[line]
+
+
+@pytest.mark.parametrize("line, passed", [
+    ("qcr --q 0.8 --alpha 2 --gamma 1", True),
+    ("qcr --q 1.5 --alpha 2 --n 3", True),
+    ("qcr --q 0.7 --alpha 2 --gamma 1", False),
+    ("qcr --q 0.4 --alpha 2 --gamma 1", False),
+    ("stam --q 0.7 --beta 2 --gamma 1", False),
+])
+def test_equality_check_sets_the_exit_code(line, passed, capsys):
+    # the q < 1 tail beyond the grid (ROADMAP item 14) puts the unperturbed
+    # reading off equality: by 1.7e-5 at q = 0.8, 4.4e-4 at q = 0.7, and
+    # 811.6 at q = 0.4.  The inequality verdict holds at all of them
+    code, out, _ = run_cli(capsys, *line.split())
+    d = json.loads(out)
+    reading = d["product"] - d["dim"] if "product" in d else d["ratio"] - 1.0
+    assert d["equality_gap"] == abs(reading)
+    assert d["equality_passed"] is passed is (d["equality_gap"] < 1e-4)
+    assert d.get("passed", d.get("verdict")) is True
+    assert code == (EXIT_PASS if passed else EXIT_VERDICT)

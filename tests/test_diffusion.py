@@ -27,7 +27,15 @@ from qfisher.diffusion import (
     trajectory_csv_rows,
 )
 from qfisher.info_measures import m_q, phi_fisher, tsallis_entropy
-from qfisher.qgaussian import DiffusionParams, barenblatt, barenblatt_density, barenblatt_mass_constant
+from qfisher.qgaussian import (
+    DiffusionParams,
+    barenblatt,
+    barenblatt_density,
+    barenblatt_equivalent_qgaussian,
+    barenblatt_mass_constant,
+    closed_form_m_q,
+    closed_form_phi_fisher,
+)
 
 HEAT = DiffusionParams(1.0, 2.0, 1)
 PME = DiffusionParams(2.0, 2.0, 1)
@@ -234,6 +242,33 @@ class TestDeBruijn:
                             np.ones(2), np.ones(2), np.ones(2))
         with pytest.raises(ValueError, match="3 log rows"):
             debruijn_check(log, HEAT)
+
+
+@pytest.mark.parametrize("m,beta,half", [(1.0, 3.0, 3.6), (1.5, 2.5, 4.0)])
+def test_logged_columns_follow_the_closed_forms_at_beta_not_2(m, beta, half):
+    # the Barenblatt from t = 1 to 2, 101 rows, on 251, 501 and 1001 nodes:
+    # each row's phi and M_q against the closed forms of its q-Gaussian,
+    # where phi(beta, q) is the paper's new object.  (1, 3) takes the
+    # compiled march where it is built, (1.5, 2.5) the numpy one.  phi's
+    # error reads 6.2e-4, 1.6e-4, 4.0e-5 at (1, 3) and 9.8e-4, 2.6e-4,
+    # 6.6e-5 at (1.5, 2.5): order 2; M_q's relative error 8.4e-6 to
+    # 8.2e-8 and 1.2e-5 to 8.1e-7
+    dp = DiffusionParams(m, beta, 1)
+    C = barenblatt_mass_constant(dp)
+    steps, phi_errs, mq_errs = [], [], []
+    for count in (251, 501, 1001):
+        ax = Axis(-half, half, count)
+        _, log = evolve(DiffusionState(dp, 1.0, barenblatt_density(dp, 1.0, ax, C)), 2.0, 101)
+        exact = [barenblatt_equivalent_qgaussian(dp, C, t) for t in log.times]
+        phi = np.array([closed_form_phi_fisher(g) for g in exact])
+        mq = np.array([closed_form_m_q(g) for g in exact])
+        steps.append(ax.step)
+        phi_errs.append(np.max(np.abs(log.phi / phi - 1.0)))
+        mq_errs.append(np.max(np.abs(log.M_q / mq - 1.0)))
+    order = np.polyfit(np.log(steps), np.log(phi_errs), 1)[0]
+    assert 1.8 <= order <= 2.2, (order, phi_errs)
+    assert phi_errs[-1] < 1e-4
+    assert max(mq_errs) < 2e-5 and mq_errs[-1] < 1e-6, mq_errs
 
 
 class TestMonotonicity:

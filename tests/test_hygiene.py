@@ -2,7 +2,9 @@
 defines a private module-level name it never references, no default is
 left that no call overrides, no class field or CLI option is left that
 nothing reads, no cache can grow without bound, and no command loads scipy submodules its
-path does not use (none loads scipy.integrate or scipy.optimize)."""
+path does not use (none loads scipy.integrate or scipy.optimize, and those
+that need scipy.special's ufuncs load them without the package and its
+array-API layer)."""
 
 import ast
 import inspect
@@ -489,16 +491,22 @@ def test_detects_module_level_import():
     assert import_time_imports(source) == ["numpy", "scipy", "scipy.optimize", "scipy.integrate"]
 
 
-#: prints, as JSON, the scipy modules loaded by the command in argv[1:]
-#: (an empty argv: by importing qfisher and qfisher.cli alone)
-_PROBE = """
+#: numpy modules that scipy.special's package import loads through scipy's
+#: array-API layer, and that nothing else qfisher runs loads
+NUMPY_HEAVY = ("numpy.f2py", "numpy.testing")
+
+#: prints, as JSON, the scipy modules and NUMPY_HEAVY modules loaded by the
+#: command in argv[1:] (an empty argv: by importing qfisher and qfisher.cli
+#: alone)
+_PROBE = f"""
 import contextlib, io, json, sys
 import qfisher, qfisher.cli
 code = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = qfisher.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                              if m.split(".")[0] == "scipy" or m in {NUMPY_HEAVY!r})]))
 """
 
 
@@ -524,31 +532,38 @@ def readme_command(name: str) -> list[str]:
     return match.group(1).split()
 
 
+def assert_only_special_ufuncs(loaded: set):
+    """scipy.special's compiled ufuncs are loaded, and neither the package,
+    its array-API layer and the numpy modules that layer loads, nor
+    scipy.integrate, scipy.optimize or scipy.interpolate."""
+    assert "scipy.special._ufuncs" in loaded
+    assert not loaded & {"scipy.special", "scipy._lib._array_api", *NUMPY_HEAVY}
+    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+
+
 def test_bare_import_loads_no_scipy():
     assert scipy_modules_loaded() == set()
 
 
 @pytest.mark.parametrize("name", ["info", "qcr", "stam", "minimize"])
 def test_closed_form_commands_load_only_scipy_special(name):
-    loaded = scipy_modules_loaded(*readme_command(name))
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+    assert_only_special_ufuncs(scipy_modules_loaded(*readme_command(name)))
 
 
 @pytest.mark.parametrize("argv", [("qcr", "--n", "3"), ("info", "--n", "2")], ids=" ".join)
 def test_radial_commands_load_only_scipy_special(argv):
-    loaded = scipy_modules_loaded(*argv)
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+    assert_only_special_ufuncs(scipy_modules_loaded(*argv))
 
 
 @pytest.mark.parametrize("model", ["qgaussian-location", "escort-pair"])
 def test_qgaussian_sampler_loads_only_scipy_special(model):
     # the sampler's radii come from the inverse incomplete Beta/Gamma
-    loaded = scipy_modules_loaded("crbound", "--model", model, "--q", "1.5",
-                                  "--trials", "2000", "--seed", "1")
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+    assert_only_special_ufuncs(scipy_modules_loaded(
+        "crbound", "--model", model, "--q", "1.5", "--trials", "2000", "--seed", "1"))
+
+
+def test_reproduce_loads_only_scipy_special(tmp_path):
+    assert_only_special_ufuncs(scipy_modules_loaded("reproduce", "-o", str(tmp_path / "s.txt")))
 
 
 def test_gaussian_location_crbound_loads_no_scipy():
@@ -564,6 +579,114 @@ def test_one_dimensional_diffuse_loads_no_scipy(tmp_path):
     argv[argv.index("-o") + 1] = str(tmp_path / "traj.csv")
     assert scipy_modules_loaded(*argv) == set()
     assert (tmp_path / "traj.csv").stat().st_size > 0
+
+
+#: the ufuncs qfisher calls through `special_functions`
+SPECIAL_NAMES = ("beta", "gamma", "betaincinv", "gammaincinv")
+
+#: calls `special_functions`, after `import scipy.special` when argv[1] is
+#: "package-first", then imports scipy.special; prints, as JSON, whether
+#: the package was in sys.modules or an attribute of scipy right after the
+#: call, whether the later package ran its __init__, and whether each of
+#: SPECIAL_NAMES is the package's object
+_LOADER_PROBE = f"""
+import json, sys
+if sys.argv[1] == "package-first":
+    import scipy.special
+from qfisher.core import special_functions
+sf = special_functions()
+import scipy
+left = ["scipy.special" in sys.modules, "special" in vars(scipy)]
+import scipy.special
+same = [getattr(sf, name) is getattr(scipy.special, name) for name in {SPECIAL_NAMES!r}]
+print(json.dumps([left, hasattr(scipy.special, "erf"), same]))
+"""
+
+
+def test_special_functions_are_the_packages_ufuncs():
+    # loaded alone: no package module is left behind, and a later import
+    # of the package binds the very ufuncs the loader returned
+    assert run_probe(_LOADER_PROBE, "loader-first") == [[False, False], True, [True] * 4]
+
+
+def test_special_functions_reuse_a_loaded_package():
+    assert run_probe(_LOADER_PROBE, "package-first") == [[True, True], True, [True] * 4]
+
+
+#: arguments at which the fallback test evaluates each of SPECIAL_NAMES
+SPECIAL_ARGS = {"beta": (0.5, 3.0), "gamma": (1.5,), "betaincinv": (0.5, 3.0, 0.25),
+                "gammaincinv": (0.5, 0.25)}
+
+#: calls `special_functions` in a fresh interpreter whose direct load of
+#: `scipy.special._ufuncs` raises ImportError; prints, as JSON, whether it
+#: returned the executed package, what is left in sys.modules under its
+#: name, and each of SPECIAL_NAMES' value at SPECIAL_ARGS from the loader
+#: and from the real package
+_FALLBACK_PROBE = f"""
+import importlib, json, sys
+import_module = importlib.import_module
+
+def refuse_ufuncs(name, *args):
+    if name == "scipy.special._ufuncs":
+        raise ImportError(name)
+    return import_module(name, *args)
+
+importlib.import_module = refuse_ufuncs
+from qfisher.core import special_functions
+sf = special_functions()
+importlib.import_module = import_module
+import scipy.special
+args = {SPECIAL_ARGS!r}
+print(json.dumps([hasattr(sf, "erf"), sys.modules.get("scipy.special") is sf,
+                  [[getattr(sf, name)(*args[name]), getattr(scipy.special, name)(*args[name])]
+                   for name in {SPECIAL_NAMES!r}]]))
+"""
+
+
+def test_special_functions_fall_back_to_the_package():
+    # a scipy whose `_ufuncs` cannot be loaded on its own is imported whole,
+    # and no unexecuted package module is left to shadow it
+    executed, registered, values = run_probe(_FALLBACK_PROBE)
+    assert executed and registered
+    assert all(ours == theirs for ours, theirs in values)
+
+
+def names_scipy_special(source: str) -> list[str]:
+    """Lines that import scipy.special or a name from it, or spell
+    "scipy.special" in a string that is not a docstring."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("scipy.special") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("scipy.special") or (
+                node.module == "scipy" and any(alias.name == "special" for alias in node.names))
+        else:
+            hit = (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and "scipy.special" in node.value and id(node) not in docstrings)
+        if hit:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_only_the_loader_names_scipy_special():
+    # every scipy.special call goes through core.special_functions
+    names = [p.name for p in sorted(PACKAGE.glob("*.py")) if names_scipy_special(p.read_text())]
+    assert names == ["core.py"]
+
+
+def test_detects_scipy_special_name():
+    source = ('"""Uses scipy.special."""\nimport scipy.special\n'
+              'def f():\n    """scipy.special, in a docstring."""\n'
+              '    from scipy import special, stats\n    from scipy.special import beta\n'
+              '    from scipy import optimize\n    return "scipy.special._ufuncs"\n')
+    assert names_scipy_special(source) == ["line 2", "line 5", "line 6", "line 8"]
 
 
 #: builds the benchmark's four trajectories inputs (the heat run's q = 1
@@ -591,9 +714,7 @@ def test_heat_barenblatt_constant_loads_no_scipy(tmp_path):
 def test_entropy_power_minimize_loads_only_scipy_special():
     argv = readme_command("minimize")
     argv[argv.index("--constraint") + 1] = "entropy-power"
-    loaded = scipy_modules_loaded(*argv)
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+    assert_only_special_ufuncs(scipy_modules_loaded(*argv))
 
 
 #: runs acceptance criteria 2-3 (the Barenblatt-started PDE runs) and
