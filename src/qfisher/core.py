@@ -20,6 +20,7 @@ import functools
 import importlib.util
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,37 +174,78 @@ def _integrals(w: np.ndarray, arr: np.ndarray, axis: Axis):
     return total
 
 
-@functools.lru_cache(maxsize=1)
-def special_functions():
-    """scipy.special's compiled ufuncs (beta, gamma, betaincinv,
-    gammaincinv, ...), the one route by which qfisher reaches scipy.special.
+def scipy_module(name: str):
+    """The compiled scipy module `name`, such as "scipy.special._ufuncs",
+    imported without running its package's `__init__`: the one route by
+    which qfisher reaches scipy.
 
-    The package's `__init__` loads scipy's array-API layer, which clones
-    numpy and with it loads numpy.f2py, numpy.testing and numpy.ma: about
-    0.2-0.3 s per process, for four ufuncs that live in the compiled module
-    `scipy.special._ufuncs`.  So that module is imported on its own, under a
+    A package's `__init__` can cost far more than the routine wanted:
+    scipy.special's loads scipy's array-API layer, which clones numpy and
+    with it loads numpy.f2py, numpy.testing and numpy.ma (about 0.2-0.3 s
+    per process), and scipy.integrate's and scipy.optimize's load the rest
+    of their packages.  So the module is imported on its own, under a
     package module made from the spec (`find_spec` imports scipy itself)
     and left unexecuted, which sits in sys.modules only for that import.
-    The ufuncs returned are the objects that `scipy.special` exposes (with
-    SCIPY_ARRAY_API unset; set, the package wraps them for other array
-    libraries), and a later `import scipy.special` runs the real `__init__`
-    and binds this same `_ufuncs`.  A loaded package is used as it is, and
-    a scipy whose layout refuses the direct load is imported whole."""
-    package = sys.modules.get("scipy.special")
-    if package is not None:
-        return package
-    try:
-        stub = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
-        sys.modules["scipy.special"] = stub
+    The module is the very object a later import of the package uses: that
+    import runs the real `__init__` and finds it in sys.modules.  A module
+    already loaded is returned as it is, and a scipy whose layout refuses
+    the direct load has the package imported whole first."""
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    package = name.rpartition(".")[0]
+    if package not in sys.modules:
         try:
-            return importlib.import_module("scipy.special._ufuncs")
-        finally:
-            if sys.modules.get("scipy.special") is stub:
-                del sys.modules["scipy.special"]
-    except (ImportError, AttributeError):
-        from scipy import special
+            stub = importlib.util.module_from_spec(importlib.util.find_spec(package))
+            sys.modules[package] = stub
+            try:
+                return importlib.import_module(name)
+            finally:
+                if sys.modules.get(package) is stub:
+                    del sys.modules[package]
+        except (ImportError, AttributeError):
+            importlib.import_module(package)
+    return importlib.import_module(name)
 
-        return special
+
+def special_functions():
+    """scipy.special's compiled ufuncs (beta, gamma, betaincinv,
+    gammaincinv, ...): the objects that `scipy.special` exposes (with
+    SCIPY_ARRAY_API unset; set, the package wraps them for other array
+    libraries), without the package's array-API layer."""
+    return scipy_module("scipy.special._ufuncs")
+
+
+def quad(f, a: float, b: float, limit: int) -> float:
+    """Integral of f over the finite range [a, b], a < b, by QUADPACK's
+    dqagse in at most `limit` subintervals, to scipy's default tolerances:
+    the routine that `scipy.integrate.quad(f, a, b, limit=limit)` calls,
+    so its value to the bit.  QUADPACK's trouble codes (ier != 0) warn,
+    with a UserWarning whose message starts "quad:", where scipy warns
+    with its IntegrationWarning, a UserWarning too."""
+    value, _, ier = scipy_module("scipy.integrate._quadpack")._qagse(
+        f, a, b, (), 0, 1.49e-8, 1.49e-8, limit)
+    if ier:
+        warnings.warn(f"quad: QUADPACK ier = {ier} on [{a!r}, {b!r}] with limit {limit}: "
+                      "the value may miss its tolerance", UserWarning, stacklevel=2)
+    return value
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A zero of f in [a, b], f(a) and f(b) of opposite signs, by Brent's
+    method in at most 100 iterations: the routine that
+    `scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)` calls, so its
+    root to the bit.  As there, a NaN function value and a bracket whose
+    ends have one sign raise ValueError, and no convergence RuntimeError."""
+
+    def checked(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    return scipy_module("scipy.optimize._zeros")._brentq(
+        checked, a, b, xtol, rtol, 100, (), False, True)
 
 
 def sphere_surface(n: int) -> float:

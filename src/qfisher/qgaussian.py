@@ -18,17 +18,21 @@ criterion-8 points it returns 1.0000000000000002 and 0.9999999999999994
 where the law N ~ gamma^(-2/alpha) gives 1.0), and the compact-support
 (q > 1) Barenblatt constant C keeps adaptive Gauss-Kronrod quadrature and
 Brent's method (it differs from the closed Beta form by 4.6e-12 relative
-at (m, beta) = (1, 3)).  Both run on `_quadpack`, an operation-for-operation
-port of scipy's `quad` and `brentq` that returns their bits.  On unbounded
-supports (q <= 1) the Barenblatt mass is its closed Gamma/Beta form by
-`math.lgamma`, and C follows from it with no root find.
+at (m, beta) = (1, 3)).  Both call scipy's compiled QUADPACK and Brent
+routines, through `core.quad` and `core.brentq`, so their bits are those of
+scipy's `quad` and `brentq`.  On unbounded supports (q <= 1) the Barenblatt
+mass is its closed Gamma/Beta form by `math.lgamma`, and C follows from it
+with no root find.
 
-`_quadpack` and scipy.special's compiled ufuncs are loaded inside the
-functions that use them, so that a command loads them only when its path
-reaches one.  The ufuncs come through `core.special_functions`, which
-imports `scipy.special._ufuncs` without the package's `__init__`: that
-spares each command the array-API layer the package loads (about 0.2 s
-and 13 MB), with the same ufunc objects and so the same bits.
+Every scipy routine comes through `core.scipy_module`, which imports the
+compiled module (`scipy.special._ufuncs`, `scipy.integrate._quadpack`,
+`scipy.optimize._zeros`) without its package's `__init__`: that spares each
+command scipy.special's array-API layer (about 0.2 s and 13 MB), with the
+same objects and so the same bits.  The modules load at a function's first
+call, so that a command loads only those its path reaches.  Whichever
+loads first also loads scipy's top-level package (10-20 ms, once per
+process): the q > 1 Barenblatt constant, for one, loads it in a command
+that reaches no scipy.special ufunc, such as 1-D pme `diffuse`.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Axis, GridDensity, normalize, special_functions, sphere_surface
+from .core import Axis, GridDensity, brentq, normalize, quad, special_functions, sphere_surface
 
 #: tail mass left outside sampling / gridding windows
 DEFAULT_TAIL_MASS = 1e-12
@@ -319,8 +323,6 @@ def gamma_for_entropy_power(p: QGaussianParams, target_n: float) -> float:
     bit for bit) on the monotone map log gamma -> N_q (N ~ gamma^(-2/alpha))."""
     if not 0 < target_n < math.inf:
         raise ValueError(f"target entropy power must be finite and positive, got {target_n}")
-    from ._quadpack import brentq
-
     base = closed_form_entropy_power(QGaussianParams(p.q, p.alpha, 1.0, p.dim))
 
     def residual(log_g):
@@ -438,8 +440,6 @@ def barenblatt_mass(dp: DiffusionParams, C: float) -> float:
         s = 1.0 / (1.0 - dp.q)
         beta_fn = math.exp(math.lgamma(n_a) + math.lgamma(s - n_a) - math.lgamma(s))
         return omega * beta_fn * (-dp.k) ** (-n_a) * C ** (n_a - s) / alpha
-    from ._quadpack import quad
-
     # barenblatt_profile(dp, C, r) * r ** (dim - 1) on a float, with the
     # bits of the array form (Python's ** gives numpy's power bits on one
     # element)
@@ -451,7 +451,7 @@ def barenblatt_mass(dp: DiffusionParams, C: float) -> float:
             return 0.0
         return base ** expo * r ** lift
 
-    return omega * quad(integrand, 0.0, (C / k) ** (1.0 / alpha), 200)[0]
+    return omega * quad(integrand, 0.0, (C / k) ** (1.0 / alpha), 200)
 
 
 def barenblatt_mass_constant(dp: DiffusionParams) -> float:
@@ -467,8 +467,6 @@ def barenblatt_mass_constant(dp: DiffusionParams) -> float:
     if dp.is_q1 or dp.q < 1:
         e = 1.0 if dp.is_q1 else dp.dim / dp.alpha - 1.0 / (1.0 - dp.q)
         return barenblatt_mass(dp, 1.0) ** (-1.0 / e)
-    from ._quadpack import brentq
-
     residuals = {}
 
     def residual(log_c):
@@ -506,8 +504,9 @@ def barenblatt_density(dp: DiffusionParams, t: float, axis: Axis, C: float | Non
 
 def barenblatt_equivalent_qgaussian(dp: DiffusionParams, C: float, t: float) -> QGaussianParams:
     """The q-Gaussian parameters matching the Barenblatt solution's shape at
-    fixed time t (q != 1 branch): gamma = k t^(-alpha/delta) / (C (q-1))."""
+    fixed time t: gamma = k t^(-alpha/delta) / (C (q-1)) for q != 1, and
+    the exponential one, q = 1 exactly, with gamma = rate t^(-alpha/delta)."""
     if dp.is_q1:
-        raise ValueError("q = 1 branch: use the exponential generalized Gaussian directly")
+        return QGaussianParams(1.0, dp.alpha, dp.profile_rate * t ** (-dp.alpha / dp.delta), dp.dim)
     gamma = dp.k * t ** (-dp.alpha / dp.delta) / (C * (dp.q - 1.0))
     return QGaussianParams(dp.q, dp.alpha, gamma, dp.dim)

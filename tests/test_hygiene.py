@@ -1,10 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses or
 defines a private module-level name it never references, no default is
-left that no call overrides, no class field or CLI option is left that
-nothing reads, no cache can grow without bound, and no command loads scipy submodules its
-path does not use (none loads scipy.integrate or scipy.optimize, and those
-that need scipy.special's ufuncs load them without the package and its
-array-API layer)."""
+left that no call overrides or that every call sets to its own literal
+(one known knob aside), no class field or CLI option is left that
+nothing reads, no cache can grow without bound, and no command loads a
+scipy package: the compiled modules a path uses (scipy.special's ufuncs,
+QUADPACK and Brent's method) load without their packages, and so without
+scipy.special's array-API layer."""
 
 import ast
 import inspect
@@ -106,34 +107,39 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
                for d in cls.decorator_list)
 
 
-def _field_kind(value) -> str:
-    """"default", "required" or "fixed" (field(init=False), not settable)
-    for the right-hand side of a dataclass field."""
+def _field_kind(value) -> tuple[str, ast.expr | None]:
+    """("default", the default's node), ("required", None) or ("fixed",
+    None) (field(init=False), not settable) for the right-hand side of a
+    dataclass field; a default_factory's node is the call to field."""
     if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
         kw = {k.arg: k.value for k in value.keywords}
         if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
-            return "fixed"
-        return "default" if "default" in kw or "default_factory" in kw else "required"
-    return "required" if value is None else "default"
+            return "fixed", None
+        if "default" in kw:
+            return "default", kw["default"]
+        return ("default", value) if "default_factory" in kw else ("required", None)
+    return ("required", None) if value is None else ("default", value)
 
 
-def defaulted_parameters(source: str) -> list[tuple[str, str, str, int | None]]:
-    """(label, callee name, parameter, position) for every defaulted
-    parameter of a function or method, and every dataclass field with a
-    default.  A method is called by its own name, __init__ and a dataclass
-    by the class name; position is the index of the positional argument
-    that sets the parameter (None when it is keyword-only)."""
+def defaulted_parameters(source: str) -> list[tuple[str, str, str, int | None, ast.expr]]:
+    """(label, callee name, parameter, position, default) for every
+    defaulted parameter of a function or method, and every dataclass field
+    with a default.  A method is called by its own name, __init__ and a
+    dataclass by the class name; position is the index of the positional
+    argument that sets the parameter (None when it is keyword-only), and
+    default the default value's node."""
     found = []
 
     def visit(node, cls=None):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 if _is_dataclass(child):
-                    fields = [(s.target.id, _field_kind(s.value)) for s in child.body
+                    fields = [(s.target.id, *_field_kind(s.value)) for s in child.body
                               if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
-                    fields = [(name, kind) for name, kind in fields if kind != "fixed"]
-                    found.extend((f"{child.name}.{name}", child.name, name, pos)
-                                 for pos, (name, kind) in enumerate(fields) if kind == "default")
+                    fields = [field for field in fields if field[1] != "fixed"]
+                    found.extend((f"{child.name}.{name}", child.name, name, pos, default)
+                                 for pos, (name, kind, default) in enumerate(fields)
+                                 if kind == "default")
                 visit(child, child)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
@@ -143,9 +149,9 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, str, int | None]]:
                 callee = cls.name if method and child.name == "__init__" else child.name
                 label = f"{cls.name}.{child.name}" if cls is not None else child.name
                 first = len(positional) - len(args.defaults)
-                found.extend((f"{label}({a.arg})", callee, a.arg, first + i - method)
-                             for i, a in enumerate(positional[first:]))
-                found.extend((f"{label}({a.arg})", callee, a.arg, None)
+                found.extend((f"{label}({a.arg})", callee, a.arg, first + i - method, d)
+                             for i, (a, d) in enumerate(zip(positional[first:], args.defaults)))
+                found.extend((f"{label}({a.arg})", callee, a.arg, None, d)
                              for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
                 visit(child)
             else:
@@ -191,12 +197,15 @@ def _classmethod_self_calls(tree) -> dict:
 
 
 def call_sites(source: str, known_registries: dict | None = None):
-    """(callee name, positional count, keywords) for every call.  A *args
-    spreads over every later position and a **kwargs over every keyword
-    (count inf, keywords None).  cls(...) in a classmethod is a call of its
-    class.  A subscript callee REGISTRY[key](...) of a known registry is a
-    call of each function it registers; otherwise the name is None: its
-    function is unknown, so only its named keywords are kept."""
+    """(callee name, positional count, keywords, values) for every call.  A
+    *args spreads over every later position and a **kwargs over every
+    keyword (count inf, keywords None).  cls(...) in a classmethod is a
+    call of its class.  A subscript callee REGISTRY[key](...) of a known
+    registry is a call of each function it registers; otherwise the name
+    is None: its function is unknown, so only its named keywords are kept.
+    values maps each position (an int) and keyword (a str) that the call
+    sets to its argument's node; a spread argument, and every argument of
+    a call through a subscript callee, has none."""
     known_registries = known_registries or {}
     tree = ast.parse(source)
     own_class = _classmethod_self_calls(tree)
@@ -216,12 +225,27 @@ def call_sites(source: str, known_registries: dict | None = None):
         count = len(node.args)
         if any(isinstance(a, ast.Starred) for a in node.args):
             count = float("inf")
+        values = {}
+        if not isinstance(func, ast.Subscript):
+            for pos, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                values[pos] = arg
+            values.update((k.arg, k.value) for k in node.keywords if k.arg is not None)
         for name in names:
             keywords = {k.arg for k in node.keywords}
             if None in keywords:
                 keywords = keywords - {None} if name is None else None
-            sites.append((name, count, keywords))
+            sites.append((name, count, keywords, values))
     return sites
+
+
+def _sets(site, callee, param, pos) -> bool:
+    """Whether call site `site` (of call_sites) sets parameter `param` of
+    `callee` (at position `pos`)."""
+    name, count, keywords, _ = site
+    return ((name == callee and pos is not None and count > pos)
+            or ((name == callee or name is None) and (keywords is None or param in keywords)))
 
 
 def unread_defaults(package_sources, caller_sources) -> list[str]:
@@ -233,11 +257,8 @@ def unread_defaults(package_sources, caller_sources) -> list[str]:
     sites = [s for src in caller_sources for s in call_sites(src, known)]
     unset = []
     for src in package_sources:
-        for label, callee, param, pos in defaulted_parameters(src):
-            if not any((name == callee and pos is not None and count > pos)
-                       or ((name == callee or name is None)
-                           and (keywords is None or param in keywords))
-                       for name, count, keywords in sites):
+        for label, callee, param, pos, _ in defaulted_parameters(src):
+            if not any(_sets(site, callee, param, pos) for site in sites):
                 unset.append(label)
     return unset
 
@@ -277,6 +298,65 @@ def test_detects_unread_default():
                "    @classmethod\n    def make(cls):\n        return cls(b=2)\n"
                "def cls(c=3):\n    pass\n")
     assert unread_defaults([factory], [factory]) == ["C.__init__(a)", "cls(c)"]
+
+
+def _literal(node):
+    """(type, value) of a literal's node; None for any other node."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value), value
+
+
+def literal_default_knobs(package_sources, caller_sources) -> list[str]:
+    """Defaulted parameters with a literal default that some call sets, and
+    every call that sets one sets to the default's own literal: a knob that
+    no path turns.  Calls match as in `unread_defaults`; a value spread by
+    *args or **kwargs, or passed through a registry, counts as another."""
+    known = {name: funcs for src in package_sources for name, funcs in registries(src).items()}
+    sites = [s for src in caller_sources for s in call_sites(src, known)]
+    knobs = []
+    for src in package_sources:
+        for label, callee, param, pos, default in defaulted_parameters(src):
+            setting = [site for site in sites if _sets(site, callee, param, pos)]
+            passed = [site[3].get(pos if site[0] == callee and pos in site[3] else param)
+                      for site in setting]
+            want = _literal(default)
+            if want is not None and setting and all(
+                    value is not None and _literal(value) == want for value in passed):
+                knobs.append(label)
+    return knobs
+
+
+#: literal-default knobs left standing: `perfbench/workloads.py` passes
+#: slack=1e-9, so folding the parameter away is a change to the benchmark
+KNOWN_LITERAL_KNOBS = ["phi_monotonicity_check(slack)"]
+
+
+def test_no_new_literal_default_knobs():
+    assert literal_default_knobs([p.read_text() for p in sorted(PACKAGE.glob("*.py"))],
+                                 [p.read_text() for p in CALLERS]) == KNOWN_LITERAL_KNOBS
+
+
+def test_detects_literal_default_knob():
+    package = ("from dataclasses import dataclass, field\n"
+               "def f(a, b=1, c=-2.5, *, d='x', e=None, g=(1, 2)):\n    pass\n"
+               "class K:\n"
+               "    def __init__(self, x=0, y=True):\n        pass\n"
+               "@dataclass\nclass D:\n    u: int\n    v: float = 1e-9\n"
+               "    w: list = field(default_factory=list)\n    z: int = field(default=3)\n"
+               "REG = {'f': f}\n")
+    calls = ("f(0, 1, -2.5, d='x', e=None, g=(1, 2))\nf(0, c=-2.5)\nK(0, True)\nK(x=0)\n"
+             "D(1, 1e-9, [], 3)\nD(1, w=[1])\n")
+    assert literal_default_knobs([package], [calls]) == [
+        "f(b)", "f(c)", "f(d)", "f(e)", "f(g)", "K.__init__(x)", "K.__init__(y)", "D.v", "D.z"]
+    # one call with another value, a name, a spread or a registry call turns the knob
+    turned = calls + "f(0, 2)\nf(0, *a)\nf(0, d=name)\nf(0, **kw)\nK(0, 1)\nK(x=0.0)\n" \
+                     "REG['f'](0, 1, 1.0)\nD(1, 1e-8)\nD(1, z=VALUE)\n"
+    assert literal_default_knobs([package], [turned]) == []
+    # a parameter that no call sets is unread_defaults' to report
+    assert literal_default_knobs([package], ["f(0)\nK()\nD(1)\n"]) == []
 
 
 def unread_fields(package_sources, reader_sources) -> list[str]:
@@ -532,13 +612,23 @@ def readme_command(name: str) -> list[str]:
     return match.group(1).split()
 
 
-def assert_only_special_ufuncs(loaded: set):
-    """scipy.special's compiled ufuncs are loaded, and neither the package,
-    its array-API layer and the numpy modules that layer loads, nor
-    scipy.integrate, scipy.optimize or scipy.interpolate."""
-    assert "scipy.special._ufuncs" in loaded
+#: the compiled QUADPACK and Brent modules that the q > 1 Barenblatt
+#: constant loads
+ROOT_FINDERS = ("scipy.integrate._quadpack", "scipy.optimize._zeros")
+
+
+def assert_only_compiled(loaded: set, *modules):
+    """The compiled scipy `modules` are loaded, and no scipy package that
+    qfisher reaches (scipy.special, scipy.integrate, scipy.optimize,
+    scipy.interpolate), nor scipy.special's array-API layer and the numpy
+    modules that layer loads."""
+    assert set(modules) <= loaded
     assert not loaded & {"scipy.special", "scipy._lib._array_api", *NUMPY_HEAVY}
     assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
+
+
+def assert_only_special_ufuncs(loaded: set):
+    assert_only_compiled(loaded, "scipy.special._ufuncs")
 
 
 def test_bare_import_loads_no_scipy():
@@ -572,12 +662,14 @@ def test_gaussian_location_crbound_loads_no_scipy():
     assert scipy_modules_loaded(*argv) == set()
 
 
-def test_one_dimensional_diffuse_loads_no_scipy(tmp_path):
-    # the Barenblatt constant runs on the in-repo quad and brentq, and the
-    # 1-D sphere "surface" is 2 without scipy.special
+def test_one_dimensional_diffuse_loads_only_quadpack_and_brent(tmp_path):
+    # the q > 1 Barenblatt constant runs on scipy's compiled quad and
+    # brentq, and the 1-D sphere "surface" is 2 without scipy.special
     argv = readme_command("diffuse")
     argv[argv.index("-o") + 1] = str(tmp_path / "traj.csv")
-    assert scipy_modules_loaded(*argv) == set()
+    loaded = scipy_modules_loaded(*argv)
+    assert_only_compiled(loaded, *ROOT_FINDERS)
+    assert not any(m.startswith("scipy.special") for m in loaded)
     assert (tmp_path / "traj.csv").stat().st_size > 0
 
 
@@ -617,17 +709,18 @@ def test_special_functions_reuse_a_loaded_package():
 SPECIAL_ARGS = {"beta": (0.5, 3.0), "gamma": (1.5,), "betaincinv": (0.5, 3.0, 0.25),
                 "gammaincinv": (0.5, 0.25)}
 
-#: calls `special_functions` in a fresh interpreter whose direct load of
-#: `scipy.special._ufuncs` raises ImportError; prints, as JSON, whether it
-#: returned the executed package, what is left in sys.modules under its
-#: name, and each of SPECIAL_NAMES' value at SPECIAL_ARGS from the loader
-#: and from the real package
+#: calls `special_functions` in a fresh interpreter whose
+#: `scipy.special._ufuncs` cannot be imported under an unexecuted package
+#: module (ImportError); prints, as JSON, whether the package then in
+#: sys.modules has run its __init__, whether the loader returned the
+#: `_ufuncs` registered with it, and each of SPECIAL_NAMES' value at
+#: SPECIAL_ARGS from the loader and from the real package
 _FALLBACK_PROBE = f"""
 import importlib, json, sys
 import_module = importlib.import_module
 
 def refuse_ufuncs(name, *args):
-    if name == "scipy.special._ufuncs":
+    if name == "scipy.special._ufuncs" and not hasattr(sys.modules["scipy.special"], "erf"):
         raise ImportError(name)
     return import_module(name, *args)
 
@@ -637,7 +730,8 @@ sf = special_functions()
 importlib.import_module = import_module
 import scipy.special
 args = {SPECIAL_ARGS!r}
-print(json.dumps([hasattr(sf, "erf"), sys.modules.get("scipy.special") is sf,
+print(json.dumps([hasattr(sys.modules.get("scipy.special"), "erf"),
+                  sys.modules["scipy.special._ufuncs"] is sf,
                   [[getattr(sf, name)(*args[name]), getattr(scipy.special, name)(*args[name])]
                    for name in {SPECIAL_NAMES!r}]]))
 """
@@ -651,9 +745,10 @@ def test_special_functions_fall_back_to_the_package():
     assert all(ours == theirs for ours, theirs in values)
 
 
-def names_scipy_special(source: str) -> list[str]:
-    """Lines that import scipy.special or a name from it, or spell
-    "scipy.special" in a string that is not a docstring."""
+def names_scipy(source: str) -> list[str]:
+    """Lines that import scipy, a scipy module or a name from one, or spell
+    a scipy module name ("scipy.<name>") in a string that is not a
+    docstring."""
     tree = ast.parse(source)
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
@@ -663,40 +758,45 @@ def names_scipy_special(source: str) -> list[str]:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            hit = any(alias.name.startswith("scipy.special") for alias in node.names)
+            hit = any(alias.name.split(".")[0] == "scipy" for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            hit = (node.module or "").startswith("scipy.special") or (
-                node.module == "scipy" and any(alias.name == "special" for alias in node.names))
+            hit = node.level == 0 and node.module.split(".")[0] == "scipy"
         else:
             hit = (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                   and "scipy.special" in node.value and id(node) not in docstrings)
+                   and "scipy." in node.value and id(node) not in docstrings)
         if hit:
-            found.append(f"line {node.lineno}")
-    return found
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
 
 
-def test_only_the_loader_names_scipy_special():
-    # every scipy.special call goes through core.special_functions
-    names = [p.name for p in sorted(PACKAGE.glob("*.py")) if names_scipy_special(p.read_text())]
+def test_only_the_loader_names_scipy():
+    # every scipy routine is reached through core.scipy_module, which alone
+    # knows scipy's private layout
+    names = [p.name for p in sorted(PACKAGE.glob("*.py")) if names_scipy(p.read_text())]
     assert names == ["core.py"]
 
 
-def test_detects_scipy_special_name():
+def test_detects_scipy_name():
     source = ('"""Uses scipy.special."""\nimport scipy.special\n'
               'def f():\n    """scipy.special, in a docstring."""\n'
               '    from scipy import special, stats\n    from scipy.special import beta\n'
-              '    from scipy import optimize\n    return "scipy.special._ufuncs"\n')
-    assert names_scipy_special(source) == ["line 2", "line 5", "line 6", "line 8"]
+              '    from scipy import optimize\n    return "scipy.special._ufuncs"\n'
+              'import scipy\nfrom scipy.integrate import _quadpack\nfrom .core import quad\n'
+              'NAME = "scipy.optimize._zeros"\nPACKAGE = "scipy"\nimport scipyx, numpy.scipy\n')
+    assert names_scipy(source) == ["line 2", "line 5", "line 6", "line 7", "line 8", "line 9",
+                                   "line 10", "line 12"]
 
 
 #: builds the benchmark's four trajectories inputs (the heat run's q = 1
-#: constant among them) and prints, as JSON, the scipy modules then loaded
-_TRAJECTORIES_PROBE = """
+#: constant among them) and prints, as JSON, the scipy modules and
+#: NUMPY_HEAVY modules then loaded
+_TRAJECTORIES_PROBE = f"""
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import workloads
 workloads.trajectories_inputs(0)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m in {NUMPY_HEAVY!r})))
 """
 
 
@@ -708,7 +808,13 @@ def test_heat_barenblatt_constant_loads_no_scipy(tmp_path):
     argv[argv.index("-o") + 1] = str(tmp_path / "traj.csv")
     argv += ["--grid-lo", "-16", "--grid-hi", "16"]  # clear of the heat kernel's tail to t = 2
     assert scipy_modules_loaded(*argv) == set()
-    assert run_probe(_TRAJECTORIES_PROBE, str(ROOT / "perfbench")) == []
+
+
+def test_trajectories_inputs_load_only_quadpack_and_brent():
+    # the three q > 1 constants; the heat run's loads nothing
+    loaded = set(run_probe(_TRAJECTORIES_PROBE, str(ROOT / "perfbench")))
+    assert_only_compiled(loaded, *ROOT_FINDERS)
+    assert not any(m.startswith("scipy.special") for m in loaded)
 
 
 def test_entropy_power_minimize_loads_only_scipy_special():
@@ -718,20 +824,22 @@ def test_entropy_power_minimize_loads_only_scipy_special():
 
 
 #: runs acceptance criteria 2-3 (the Barenblatt-started PDE runs) and
-#: prints, as JSON, their verdicts and the scipy modules then loaded
-_CRITERIA_PROBE = """
+#: prints, as JSON, their verdicts and the scipy modules and NUMPY_HEAVY
+#: modules then loaded
+_CRITERIA_PROBE = f"""
 import json, sys
 from qfisher.acceptance import AcceptanceSuite
 suite = AcceptanceSuite()
 passed = [suite.criterion_2().passed, suite.criterion_3().passed]
-print(json.dumps([passed, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([passed, sorted(m for m in sys.modules
+                                 if m.split(".")[0] == "scipy" or m in {NUMPY_HEAVY!r})]))
 """
 
 
-def test_barenblatt_criteria_load_no_scipy_root_finder():
+def test_barenblatt_criteria_load_no_scipy_package():
     passed, modules = run_probe(_CRITERIA_PROBE, timeout=300)
     assert passed == [True, True]
-    assert not set(modules) & {"scipy.integrate", "scipy.optimize"}
+    assert_only_compiled(set(modules), *ROOT_FINDERS)
 
 
 #: prints, as JSON, which of subprocess and hashlib are loaded after

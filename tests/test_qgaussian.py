@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 from qfisher import qgaussian
-from qfisher._quadpack import brentq
 from qfisher.acceptance import QCR_POINTS
-from qfisher.core import Axis, integrate
+from qfisher.core import Axis, brentq, integrate, scipy_module, sphere_surface
 from qfisher.qgaussian import (
     DiffusionParams,
     QGaussianParams,
@@ -20,10 +19,12 @@ from qfisher.qgaussian import (
     barenblatt_equivalent_qgaussian,
     barenblatt_mass,
     barenblatt_mass_constant,
+    barenblatt_profile,
     closed_form_entropy_power,
     closed_form_i_fisher,
     closed_form_m_q,
     closed_form_phi_fisher,
+    closed_form_stam_product,
     gamma_for_entropy_power,
     gamma_for_moment,
     grid_density,
@@ -436,22 +437,25 @@ class TestBarenblatt:
 
 def _identity_points():
     """(m, beta, n) over m in {0.5, ..., 3}, beta in {1.5, ..., 4} and n in
-    {1, 2, 3} where a Barenblatt profile exists, q != 1, and its q-Gaussian
-    has a finite M_q and alpha-moment."""
+    {1, 2, 3} where a Barenblatt profile exists and its q-Gaussian has a
+    finite M_q and alpha-moment: 60 points with q > 1, 9 with q < 1 and 9
+    with q = 1, at (m, beta) = (0.5, 3), (1, 2) and (2, 1.5)."""
     points = []
     for m, beta, n in itertools.product((0.5, 0.75, 1.0, 1.5, 2.0, 3.0), (1.5, 2.0, 2.5, 3.0, 4.0),
                                         (1, 2, 3)):
         try:
             dp = DiffusionParams(m, beta, n)
-            if not dp.is_q1:
-                closed_form_m_q(QGaussianParams(dp.q, dp.alpha, 1.0, n))
-                points.append((m, beta, n))
+            closed_form_m_q(QGaussianParams(dp.q, dp.alpha, 1.0, n))
+            points.append((m, beta, n))
         except ValueError:  # no profile, q <= 0, or a divergent M_q or moment
             pass
     return points
 
 
-@pytest.mark.parametrize("m,beta,n", _identity_points())
+IDENTITY_POINTS = _identity_points()
+
+
+@pytest.mark.parametrize("m,beta,n", IDENTITY_POINTS)
 def test_debruijn_identity_in_closed_form(m, beta, n):
     # B_t is its q-Gaussian dilated by c ~ t^(1/delta), under which M_q
     # scales as c^(n(1-q)): so dS_q/dt = n M_q / (delta t), and the identity
@@ -462,7 +466,47 @@ def test_debruijn_identity_in_closed_form(m, beta, n):
     g = barenblatt_equivalent_qgaussian(dp, barenblatt_mass_constant(dp), t)
     lhs = n * closed_form_m_q(g) / (dp.delta * t)
     rhs = dp.q * m ** (beta - 1.0) * closed_form_phi_fisher(g)
-    assert lhs == pytest.approx(rhs, rel=1e-13 if dp.q < 1 else 2e-9)
+    assert lhs == pytest.approx(rhs, rel=1e-13 if dp.is_q1 or dp.q < 1 else 2e-9)
+
+
+@pytest.mark.parametrize("m,beta,n", [point for point in IDENTITY_POINTS
+                                      if DiffusionParams(*point).is_q1])
+def test_q1_barenblatt_is_its_exponential_qgaussian(m, beta, n):
+    dp, t = DiffusionParams(m, beta, n), 1.5
+    g = barenblatt_equivalent_qgaussian(dp, barenblatt_mass_constant(dp), t)
+    assert g.q == 1.0 and (g.alpha, g.dim) == (dp.alpha, n)
+    x = np.linspace(-6.0 if n == 1 else 0.0, 6.0, 1201)
+    want = pdf(g, x)
+    assert np.max(np.abs(barenblatt(dp, barenblatt_mass_constant(dp), x, t) - want)) \
+        <= 2e-15 * np.max(want)
+
+
+#: (m, beta, n) -> the relative gate on the entropy-power slope: the
+#: identity test's 1e-13 where the quadrature constant C meets unit mass to
+#: rounding, its q > 1 gate 2e-9 where C misses (1.2e-11 to 7.5e-11 read)
+SLOPE_POINTS = {(2.0, 2.0, 1): 1e-13, (2.0, 2.0, 2): 1e-13, (3.0, 1.5, 2): 1e-13,
+                (1.0, 3.0, 1): 2e-9, (2.0, 3.0, 1): 2e-9, (1.5, 2.5, 1): 2e-9, (1.0, 3.0, 3): 2e-9}
+
+
+@pytest.mark.parametrize("m,beta,n", sorted(SLOPE_POINTS))
+def test_entropy_power_grows_at_the_stam_rate(m, beta, n):
+    # de Bruijn composed with Stam: d/dt N_q^g >= g (2/n) q m^(beta-1) K^beta,
+    # g = beta/2 - (beta-1) n (1-q)/2 and K the Stam product of the
+    # q-Gaussian; along the Barenblatt N_q^g is linear in t, at equality
+    dp = DiffusionParams(m, beta, n)
+    C, q = barenblatt_mass_constant(dp), dp.q
+    g = beta / 2.0 - (beta - 1.0) * n * (1.0 - q) / 2.0
+    times = (1.0, 1.5, 2.0, 3.0)
+    powers = [closed_form_entropy_power(barenblatt_equivalent_qgaussian(dp, C, t)) ** g
+              for t in times]
+    slopes = np.diff(powers) / np.diff(times)
+    assert np.max(np.abs(slopes / slopes[0] - 1.0)) <= 1e-13
+    K = closed_form_stam_product(QGaussianParams(q, dp.alpha, 1.0, n))
+    bound = g * (2.0 / n) * q * m ** (beta - 1.0) * K ** beta
+    assert slopes[0] == pytest.approx(bound, rel=SLOPE_POINTS[(m, beta, n)])
+    if n == 1 and (m, beta) in {(2.0, 2.0), (1.0, 3.0), (2.0, 3.0)}:
+        assert f"{bound:.7g}" == {(2.0, 2.0): "41.66667", (1.0, 3.0): "130.6867",
+                                  (2.0, 3.0): "236.5179"}[(m, beta)]
 
 
 #: (m, beta, n) of unbounded-support profiles: q = 1 at alpha = 2 and 1.5
@@ -538,3 +582,91 @@ def ref_barenblatt_mass_constant(dp):
     if abs(resid) > 1e-10:
         raise ArithmeticError("residual")
     return c
+
+
+#: unit-mass constants of the four acceptance runs, pinned by `reproduce`
+ACCEPTANCE_C = {(1.0, 2.0): 0.2820947917738781, (2.0, 2.0): 0.3605623925768521,
+                (1.0, 3.0): 0.6646932161028651, (2.0, 3.0): 0.35699490445092164}
+
+
+def barenblatt_integrand(dp, C):
+    # the integrand of qgaussian.barenblatt_mass (q > 1), and of the
+    # half-line reference for q <= 1
+    def integrand(r):
+        return float(barenblatt_profile(dp, C, r) * r ** (dp.dim - 1))
+    return integrand
+
+
+def barenblatt_upper(dp, C):
+    return math.inf if dp.is_q1 or dp.q < 1 else (C / dp.k) ** (1.0 / dp.alpha)
+
+
+def scipy_mass_constant(dp):
+    """barenblatt_mass_constant by scipy's quad and brentq on the mass
+    integral, over [0, inf) for q <= 1."""
+    def residual(log_c):
+        C = math.exp(log_c)
+        val, _ = sp_integrate.quad(barenblatt_integrand(dp, C), 0.0, barenblatt_upper(dp, C),
+                                   limit=200)
+        return sphere_surface(dp.dim) * val - 1.0
+
+    lo, hi = -2.0, 2.0
+    while residual(lo) * residual(hi) >= 0:
+        lo -= 2.0
+        hi += 2.0
+    return math.exp(optimize.brentq(residual, lo, hi, xtol=1e-15, rtol=1e-15))
+
+
+def scipy_gamma_for_entropy_power(p, target_n):
+    """gamma_for_entropy_power on scipy's brentq."""
+    base = closed_form_entropy_power(QGaussianParams(p.q, p.alpha, 1.0, p.dim))
+
+    def residual(log_g):
+        return closed_form_entropy_power(
+            QGaussianParams(p.q, p.alpha, math.exp(log_g), p.dim)) - target_n
+
+    guess = (base / target_n) ** (p.alpha / 2.0)
+    log_g = optimize.brentq(residual, math.log(guess / 8.0), math.log(guess * 8.0),
+                            xtol=1e-13, rtol=1e-13)
+    return math.exp(log_g)
+
+
+class TestCallers:
+    @pytest.mark.parametrize("pair", sorted(ACCEPTANCE_C))
+    def test_acceptance_constants(self, pair):
+        dp = DiffusionParams(*pair, 1)
+        assert barenblatt_mass_constant(dp) == ACCEPTANCE_C[pair] == scipy_mass_constant(dp)
+
+    @pytest.mark.parametrize("m, beta, dim", [(3.0, 1.5, 1), (1.5, 2.5, 1), (2.0, 2.0, 2)])
+    def test_other_constants_match_scipy(self, m, beta, dim):
+        dp = DiffusionParams(m, beta, dim)
+        assert barenblatt_mass_constant(dp) == scipy_mass_constant(dp)
+
+    @pytest.mark.parametrize("q, alpha", QCR_POINTS)
+    def test_entropy_power_roots_at_criterion_8_points(self, q, alpha):
+        p1 = QGaussianParams(q, alpha, 1.0, 1)
+        for target in (closed_form_entropy_power(p1), 0.3, 7.0):
+            assert gamma_for_entropy_power(p1, target) == scipy_gamma_for_entropy_power(p1, target)
+
+    @pytest.mark.parametrize("target", [math.inf, math.nan, 0.0, -1.0])
+    def test_targets_not_finite_and_positive_refused(self, target):
+        p1 = QGaussianParams(2.0, 2.0, 1.0, 1)
+        with pytest.raises(ValueError, match="target entropy power"):
+            gamma_for_entropy_power(p1, target)
+        with pytest.raises(ValueError, match="target moment"):
+            gamma_for_moment(p1, target)
+
+    def test_quadrature_trouble_fails_the_caller(self, monkeypatch):
+        # pyproject's filterwarnings makes a "quad:" UserWarning raised in
+        # qfisher an error, so a constant whose quadrature misses its
+        # tolerance fails the test that computes it instead of warning
+        quadpack = scipy_module("scipy.integrate._quadpack")
+        qagse = quadpack._qagse
+
+        def troubled(*args):
+            result, abserr, _ = qagse(*args)
+            return result, abserr, 1
+
+        monkeypatch.setattr(quadpack, "_qagse", troubled)
+        with pytest.raises(UserWarning, match="^quad: .*ier = 1"):
+            barenblatt_mass_constant(DiffusionParams(2.0, 3.0, 1))
