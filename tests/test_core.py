@@ -1,6 +1,5 @@
 """Grid, quadrature, gradient, and normalization tests."""
 
-import math
 import re
 import warnings
 
@@ -8,8 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate as integrate_sp
-from scipy import optimize as optimize_sp
 from scipy.stats import norm
 
 from qfisher import core
@@ -493,62 +490,3 @@ def test_weights_sum_to_volume():
     for n in (2, 3, 4):
         w = GridDensity(Axis(0.0, 2.0, 21), ones, n).weights()
         assert w.sum() == pytest.approx(sphere_surface(n) * 2.0 ** n / n, rel=1e-13)
-
-
-def scipy_outcome(call):
-    """The value, or the type and message of the error raised, with every
-    warning recorded: (outcome, [(category, message), ...])."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            out = call()
-        except (ValueError, RuntimeError) as exc:
-            out = type(exc), str(exc)
-    return out, [(w.category, str(w.message)) for w in caught]
-
-
-class TestScipyRoutines:
-    """`core.quad` and `core.brentq` fail as the public `scipy.integrate.quad`
-    and `scipy.optimize.brentq` do (their bits are checked on qfisher's own
-    calls, in `tests/test_qgaussian.py::TestCallers`)."""
-
-    @pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: x if x < 0.5 else math.nan],
-                             ids=["at a", "inside"])
-    def test_nan_raises_value_error_as_scipy(self, f):
-        ours = scipy_outcome(lambda: core.brentq(f, -1.0, 1.0, 1e-15, 1e-15))
-        theirs = scipy_outcome(lambda: optimize_sp.brentq(f, -1.0, 1.0, xtol=1e-15, rtol=1e-15))
-        assert ours == theirs
-        assert ours[0][0] is ValueError and "NaN" in ours[0][1]
-
-    def test_same_signs_raise_value_error_as_scipy(self):
-        def f(x):
-            return x * x + 1.0
-
-        ours = scipy_outcome(lambda: core.brentq(f, -1.0, 1.0, 1e-15, 1e-15))
-        assert ours == scipy_outcome(lambda: optimize_sp.brentq(f, -1.0, 1.0, xtol=1e-15,
-                                                                 rtol=1e-15))
-        assert ours == ((ValueError, "f(a) and f(b) must have different signs"), [])
-
-    def test_no_convergence_raises_runtime_error_as_scipy(self):
-        def step(x):
-            return 1.0 if x > 0.3 else -1.0
-
-        ours = scipy_outcome(lambda: core.brentq(step, -1e300, 1e300, 1e-300, 1e-15))
-        assert ours == scipy_outcome(lambda: optimize_sp.brentq(step, -1e300, 1e300, xtol=1e-300,
-                                                                 rtol=1e-15))
-        assert ours[0][0] is RuntimeError and "100 iterations" in ours[0][1]
-
-    @pytest.mark.parametrize("ier, f, limit", [
-        (1, lambda x: math.sin(1.0 / x) if x > 0 else 0.0, 10),
-        (2, lambda x: math.nan, 200),  # a NaN integrand reads as roundoff
-        (5, lambda x: x ** -1.5 if x > 0 else 0.0, 50),
-    ], ids=["limit", "nan", "divergent"])
-    def test_quadpack_trouble_warns_as_scipy(self, ier, f, limit):
-        # both warn with a UserWarning; ours starts "quad:", which
-        # pyproject's filter turns into an error when qfisher is the caller
-        value, warned = scipy_outcome(lambda: core.quad(f, 0.0, 1.0, limit))
-        (reference, _), theirs = scipy_outcome(lambda: integrate_sp.quad(f, 0.0, 1.0, limit=limit))
-        assert [category for category, _ in warned] == [UserWarning]
-        assert warned[0][1].startswith(f"quad: QUADPACK ier = {ier} ")
-        assert [issubclass(category, UserWarning) for category, _ in theirs] == [True]
-        assert value == reference or (math.isnan(value) and math.isnan(reference))

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
-from scipy import optimize, special, stats
+from scipy import special, stats
 
 from qfisher import qgaussian
 from qfisher.acceptance import QCR_POINTS
-from qfisher.core import Axis, brentq, integrate, scipy_module, sphere_surface
+from qfisher.core import Axis, brentq, integrate
 from qfisher.qgaussian import (
     DiffusionParams,
     QGaussianParams,
@@ -19,7 +19,6 @@ from qfisher.qgaussian import (
     barenblatt_equivalent_qgaussian,
     barenblatt_mass,
     barenblatt_mass_constant,
-    barenblatt_profile,
     closed_form_entropy_power,
     closed_form_i_fisher,
     closed_form_m_q,
@@ -582,91 +581,3 @@ def ref_barenblatt_mass_constant(dp):
     if abs(resid) > 1e-10:
         raise ArithmeticError("residual")
     return c
-
-
-#: unit-mass constants of the four acceptance runs, pinned by `reproduce`
-ACCEPTANCE_C = {(1.0, 2.0): 0.2820947917738781, (2.0, 2.0): 0.3605623925768521,
-                (1.0, 3.0): 0.6646932161028651, (2.0, 3.0): 0.35699490445092164}
-
-
-def barenblatt_integrand(dp, C):
-    # the integrand of qgaussian.barenblatt_mass (q > 1), and of the
-    # half-line reference for q <= 1
-    def integrand(r):
-        return float(barenblatt_profile(dp, C, r) * r ** (dp.dim - 1))
-    return integrand
-
-
-def barenblatt_upper(dp, C):
-    return math.inf if dp.is_q1 or dp.q < 1 else (C / dp.k) ** (1.0 / dp.alpha)
-
-
-def scipy_mass_constant(dp):
-    """barenblatt_mass_constant by scipy's quad and brentq on the mass
-    integral, over [0, inf) for q <= 1."""
-    def residual(log_c):
-        C = math.exp(log_c)
-        val, _ = sp_integrate.quad(barenblatt_integrand(dp, C), 0.0, barenblatt_upper(dp, C),
-                                   limit=200)
-        return sphere_surface(dp.dim) * val - 1.0
-
-    lo, hi = -2.0, 2.0
-    while residual(lo) * residual(hi) >= 0:
-        lo -= 2.0
-        hi += 2.0
-    return math.exp(optimize.brentq(residual, lo, hi, xtol=1e-15, rtol=1e-15))
-
-
-def scipy_gamma_for_entropy_power(p, target_n):
-    """gamma_for_entropy_power on scipy's brentq."""
-    base = closed_form_entropy_power(QGaussianParams(p.q, p.alpha, 1.0, p.dim))
-
-    def residual(log_g):
-        return closed_form_entropy_power(
-            QGaussianParams(p.q, p.alpha, math.exp(log_g), p.dim)) - target_n
-
-    guess = (base / target_n) ** (p.alpha / 2.0)
-    log_g = optimize.brentq(residual, math.log(guess / 8.0), math.log(guess * 8.0),
-                            xtol=1e-13, rtol=1e-13)
-    return math.exp(log_g)
-
-
-class TestCallers:
-    @pytest.mark.parametrize("pair", sorted(ACCEPTANCE_C))
-    def test_acceptance_constants(self, pair):
-        dp = DiffusionParams(*pair, 1)
-        assert barenblatt_mass_constant(dp) == ACCEPTANCE_C[pair] == scipy_mass_constant(dp)
-
-    @pytest.mark.parametrize("m, beta, dim", [(3.0, 1.5, 1), (1.5, 2.5, 1), (2.0, 2.0, 2)])
-    def test_other_constants_match_scipy(self, m, beta, dim):
-        dp = DiffusionParams(m, beta, dim)
-        assert barenblatt_mass_constant(dp) == scipy_mass_constant(dp)
-
-    @pytest.mark.parametrize("q, alpha", QCR_POINTS)
-    def test_entropy_power_roots_at_criterion_8_points(self, q, alpha):
-        p1 = QGaussianParams(q, alpha, 1.0, 1)
-        for target in (closed_form_entropy_power(p1), 0.3, 7.0):
-            assert gamma_for_entropy_power(p1, target) == scipy_gamma_for_entropy_power(p1, target)
-
-    @pytest.mark.parametrize("target", [math.inf, math.nan, 0.0, -1.0])
-    def test_targets_not_finite_and_positive_refused(self, target):
-        p1 = QGaussianParams(2.0, 2.0, 1.0, 1)
-        with pytest.raises(ValueError, match="target entropy power"):
-            gamma_for_entropy_power(p1, target)
-        with pytest.raises(ValueError, match="target moment"):
-            gamma_for_moment(p1, target)
-
-    def test_quadrature_trouble_fails_the_caller(self, monkeypatch):
-        # pyproject's filterwarnings makes a "quad:" UserWarning raised in
-        # qfisher an error, so a constant whose quadrature misses its
-        # tolerance fails the test that computes it instead of warning
-        quadpack = scipy_module("scipy.integrate._quadpack")
-        qagse = quadpack._qagse
-
-        def troubled(*args):
-            result, abserr, _ = qagse(*args)
-            return result, abserr, 1
-
-        monkeypatch.setattr(quadpack, "_qagse", troubled)
-        with pytest.raises(UserWarning, match="^quad: .*ier = 1"):
-            barenblatt_mass_constant(DiffusionParams(2.0, 3.0, 1))

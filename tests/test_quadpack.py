@@ -1,7 +1,8 @@
-"""The in-repo ports of QUADPACK's dqagse and of Brent's method against
-scipy's `quad` and `brentq`, bit for bit: value, error estimate,
-subinterval count and warning of `quad`, the root of `brentq`, and the
-errors both raise."""
+"""`core.quad` and `core.brentq`, qfisher's calls of the compiled QUADPACK
+dqagse and Brent routines, against scipy's public `quad` and `brentq`, bit
+for bit: the value and trouble code of `quad`, the root of `brentq`, and
+the errors both raise; and the qgaussian constants and scales computed
+through them against the same computation on scipy's public functions."""
 
 import math
 import warnings
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from qfisher import _quadpack
+from qfisher import core
 from qfisher.acceptance import QCR_POINTS
-from qfisher.core import sphere_surface
+from qfisher.core import scipy_module, sphere_surface
 from qfisher.qgaussian import (
     DiffusionParams,
     QGaussianParams,
@@ -38,32 +39,33 @@ SCIPY_IER_PHRASES = {1: "maximum number of subdivisions", 2: "roundoff error is 
 
 
 def scipy_quad(f, a, b, limit):
-    """(value, error, subintervals, ier) from scipy's quad."""
+    """(value, ier) from scipy's quad."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = integrate.quad(f, a, b, limit=limit, full_output=1)
     ier = 0
     if len(out) > 3:  # the message, present exactly when ier > 0
         ier, = [k for k, phrase in SCIPY_IER_PHRASES.items() if phrase in out[3]]
-    return out[0], out[1], out[2]["last"], ier
+    return out[0], ier
 
 
-def port_quad(f, a, b, limit):
-    """(value, error, subintervals, ier) from the port, ier read off its
-    warning."""
+def core_quad(f, a, b, limit):
+    """(value, ier) from core.quad, ier read off its "quad:" UserWarning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value, error, last = _quadpack.quad(f, a, b, limit)
+        value = core.quad(f, a, b, limit)
     ier = 0
     if caught:
-        assert len(caught) == 1 and caught[0].category is _quadpack.IntegrationWarning
-        ier = int(str(caught[0].message).split("ier = ")[1][0])
-    return value, error, last, ier
+        assert len(caught) == 1 and caught[0].category is UserWarning
+        message = str(caught[0].message)
+        assert message.startswith("quad: ")  # the prefix pyproject's filter matches
+        ier = int(message.split("ier = ")[1][0])
+    return value, ier
 
 
 def assert_same_quad(f, a, b, limit):
     expected = scipy_quad(f, a, b, limit)
-    got = port_quad(f, a, b, limit)
+    got = core_quad(f, a, b, limit)
     # equal floats compare equal; a NaN would fail, and none is expected
     assert got == expected
     return got
@@ -109,19 +111,6 @@ class TestQuad:
         for b in (1.0, 2.5):
             assert_same_quad(f, 0.0, b, limit)
 
-    def test_singularities_drive_the_epsilon_algorithm(self, monkeypatch):
-        calls = []
-        real = _quadpack._dqelg
-
-        def counted(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(_quadpack, "_dqelg", counted)
-        for f in (lambda x: x ** -0.5 if x > 0 else 0.0, lambda x: math.log(x) if x > 0 else 0.0):
-            assert assert_same_quad(f, 0.0, 1.0, 200)[3] == 0
-        assert len(calls) > 5 and max(calls) > 5  # tables of more than 5 entries
-
     @pytest.mark.parametrize("ier, f, a, b, limit", [
         (1, lambda x: math.sin(1.0 / x) if x > 0 else 0.0, 0.0, 1.0, 10),
         (2, lambda x: ((3e8 + math.exp(-x)) - 3e8) * 1e8, 0.0, 100.0, 200),
@@ -130,10 +119,16 @@ class TestQuad:
         (5, lambda x: x ** -1.5 if x > 0 else 0.0, 0.0, 1.0, 50),
     ])
     def test_each_ier_warns_as_scipy(self, ier, f, a, b, limit):
-        assert assert_same_quad(f, a, b, limit)[3] == ier
-        assert issubclass(_quadpack.IntegrationWarning, UserWarning)
-        with pytest.warns(_quadpack.IntegrationWarning, match=f"ier = {ier}"):
-            _quadpack.quad(f, a, b, limit)
+        assert assert_same_quad(f, a, b, limit)[1] == ier
+        with pytest.warns(UserWarning, match=f"^quad: QUADPACK ier = {ier} "):
+            core.quad(f, a, b, limit)
+
+    def test_nan_integrand_warns_as_scipy(self):
+        # QUADPACK reads a NaN integrand as roundoff trouble, ier = 2
+        value, ier = core_quad(lambda x: math.nan, 0.0, 1.0, 200)
+        reference, reference_ier = scipy_quad(lambda x: math.nan, 0.0, 1.0, 200)
+        assert ier == reference_ier == 2
+        assert math.isnan(value) and math.isnan(reference)
 
 
 def cubic(c):
@@ -165,39 +160,43 @@ class TestBrentq:
     @pytest.mark.parametrize("family", [cubic, shifted_exp, flat_odd, kink])
     def test_roots_match_scipy(self, family, xtol, rtol):
         # flat_odd's fifth-order zero does not converge in 100 iterations
-        # at these tolerances: the port must fail as scipy does
+        # at these tolerances: core.brentq must fail as scipy does
         rng = np.random.default_rng(17)
         for _ in range(25):
             f = family(float(rng.uniform(0.1, 0.9)))
             a, b = -float(rng.uniform(0.0, 3.0)), float(rng.uniform(1.0, 4.0))
-            assert outcome(lambda: _quadpack.brentq(f, a, b, xtol, rtol)) == outcome(
+            assert outcome(lambda: core.brentq(f, a, b, xtol, rtol)) == outcome(
                 lambda: optimize.brentq(f, a, b, xtol=xtol, rtol=rtol))
 
     def test_exact_zero_at_an_end(self):
-        assert _quadpack.brentq(lambda x: x, 0.0, 1.0, 1e-15, 1e-15) == 0.0
-        assert _quadpack.brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-15, 1e-15) == 1.0
+        assert core.brentq(lambda x: x, 0.0, 1.0, 1e-15, 1e-15) == 0.0
+        assert core.brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-15, 1e-15) == 1.0
 
     def test_same_signs_raise_value_error(self):
-        with pytest.raises(ValueError, match="different signs"):
-            _quadpack.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 1e-15)
+        def f(x):
+            return x * x + 1.0
+
+        ours = outcome(lambda: core.brentq(f, -1.0, 1.0, 1e-15, 1e-15))
+        assert ours == outcome(lambda: optimize.brentq(f, -1.0, 1.0, xtol=1e-15, rtol=1e-15))
+        assert ours == (ValueError, "f(a) and f(b) must have different signs")
 
     @pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: x if x < 0.5 else math.nan],
                              ids=["at a", "inside"])
     def test_nan_raises_value_error(self, f):
-        with pytest.raises(ValueError, match="NaN") as port:
-            _quadpack.brentq(f, -1.0, 1.0, 1e-15, 1e-15)
+        with pytest.raises(ValueError, match="NaN") as ours:
+            core.brentq(f, -1.0, 1.0, 1e-15, 1e-15)
         with pytest.raises(ValueError) as reference:
             optimize.brentq(f, -1.0, 1.0, xtol=1e-15, rtol=1e-15)
-        assert str(port.value) == str(reference.value)
+        assert str(ours.value) == str(reference.value)
 
     def test_no_convergence_raises_runtime_error(self):
         def step(x):
             return 1.0 if x > 0.3 else -1.0
 
-        with pytest.raises(RuntimeError, match="100 iterations"):
-            optimize.brentq(step, -1e300, 1e300, xtol=1e-300, rtol=1e-15)
-        with pytest.raises(RuntimeError, match="100 iterations"):
-            _quadpack.brentq(step, -1e300, 1e300, 1e-300, 1e-15)
+        ours = outcome(lambda: core.brentq(step, -1e300, 1e300, 1e-300, 1e-15))
+        assert ours == outcome(lambda: optimize.brentq(step, -1e300, 1e300, xtol=1e-300,
+                                                        rtol=1e-15))
+        assert ours[0] is RuntimeError and "100 iterations" in ours[1]
 
 
 def scipy_mass_constant(dp):
@@ -256,15 +255,16 @@ class TestCallers:
             gamma_for_moment(p1, target)
 
     def test_quadrature_trouble_fails_the_caller(self, monkeypatch):
-        # pyproject's filterwarnings makes an IntegrationWarning raised in
+        # pyproject's filterwarnings makes a "quad:" UserWarning raised in
         # qfisher an error, so a constant whose quadrature misses its
         # tolerance fails the test that computes it instead of warning
-        qags = _quadpack._qags
+        quadpack = scipy_module("scipy.integrate._quadpack")
+        qagse = quadpack._qagse
 
         def troubled(*args):
-            result, abserr, _, last = qags(*args)
-            return result, abserr, 1, last
+            result, abserr, _ = qagse(*args)
+            return result, abserr, 1
 
-        monkeypatch.setattr(_quadpack, "_qags", troubled)
-        with pytest.raises(_quadpack.IntegrationWarning, match="ier = 1"):
+        monkeypatch.setattr(quadpack, "_qagse", troubled)
+        with pytest.raises(UserWarning, match="^quad: .*ier = 1"):
             barenblatt_mass_constant(DiffusionParams(2.0, 3.0, 1))
