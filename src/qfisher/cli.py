@@ -15,9 +15,9 @@ criteria 6 and 7's EQUALITY_TOL, beside their inequality verdict.  A given
 option the selected model, family or init never reads, an unknown selector
 value (`_selector_reads`), a count below its least value (LEAST_COUNT;
 minimize: perturbations >= 1, crbound: trials 0 or >= 2), an even grid
-count (on info, one not 4k + 1), a value of POSITIVE_KEYS not finite and
-> 0, of FINITE_KEYS not finite or of the Hoelder exponent not finite and
-> 1, and a pair of ORDERED_PAIRS out of order are refused.
+count (on info, one not 4k + 1 with k >= 2), a value of POSITIVE_KEYS not
+finite and > 0, of FINITE_KEYS not finite or of the Hoelder exponent not
+finite and > 1, and a pair of ORDERED_PAIRS out of order are refused.
 A flat key = value file (--config) is overridden by flags; every report
 embeds the resolved options that its run read.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
@@ -40,7 +40,7 @@ import numpy as np
 
 from .acceptance import EQUALITY_TOL, SUITE_SEED, AcceptanceSuite, render_summary
 from .core import Axis, Tolerances, density_from_callable
-from .diffusion import DiffusionState, StabilityError, debruijn_check, evolve, phi_monotonicity_check, trajectory_csv_rows
+from .diffusion import DiffusionState, debruijn_check, evolve, phi_monotonicity_check, trajectory_csv_rows
 from .estimation import MODEL_REGISTRY, crm_bound_scalar, mc_error_moment, qcr_product
 from .inequalities import min_fisher_fixed_entropy, min_fisher_fixed_moment, stam_ratio
 from .info_measures import entropy_power, m_q, phi_fisher_refined, renyi_entropy, tsallis_entropy
@@ -215,9 +215,9 @@ INFO_DEFAULTS = {
 
 def cmd_info(args) -> int:
     cfg = resolve_config(args, INFO_DEFAULTS)
-    if (cfg["grid_count"] - 1) % 4:
-        raise UsageError(f"grid_count must be 4k + 1 (the refinement diagnostic halves the "
-                         f"grid twice), got {cfg['grid_count']}")
+    if cfg["grid_count"] < 9 or (cfg["grid_count"] - 1) % 4:
+        raise UsageError(f"grid_count must be 4k + 1 with k >= 2 (the refinement diagnostic "
+                         f"halves the grid twice), got {cfg['grid_count']}")
     q, alpha = cfg["q"], cfg["alpha"]
     if cfg["family"] == "qgaussian":
         f = grid_density(QGaussianParams(q, alpha, cfg["gamma"], cfg["n"]), cfg["grid_count"])
@@ -450,7 +450,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, StabilityError, ValueError, FloatingPointError) as exc:
+    # a StabilityError and a root find that does not converge are RuntimeErrors
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

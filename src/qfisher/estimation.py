@@ -83,7 +83,7 @@ class ParametricModel:
         for th in thetas:
             for tag, vals in (("f", self.f_values(th)), ("g", self.g_values(th))):
                 mass = self.quad(vals)
-                if abs(mass - 1.0) > 1e-6:
+                if not abs(mass - 1.0) <= 1e-6:  # a NaN mass fails too
                     raise ValueError(
                         f"{tag}(.; theta={np.asarray(th)}) has mass {mass!r}, not 1 within 1e-06"
                     )
@@ -129,7 +129,7 @@ def score_g(model: ParametricModel, theta) -> np.ndarray:
 
     Set to 0 where g = 0.  Raises SingularScoreError when grad_theta f is
     materially nonzero strictly outside (one cell beyond) the support of g.
-    The zero-mean property E_g[psi] = 0 is enforced to 1e-6.
+    The zero-mean property E_g[psi] = 0 is enforced to 1e-6; a NaN mean fails it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     g = model.g_values(theta)
@@ -147,7 +147,7 @@ def score_g(model: ParametricModel, theta) -> np.ndarray:
             )
         psi[i][gpos] = fd[gpos] / g[gpos]
         mean = model.quad(psi[i] * g)
-        if abs(mean) > 1e-6 * max(1.0, model.quad(np.abs(psi[i]) * g)):
+        if not abs(mean) <= 1e-6 * max(1.0, model.quad(np.abs(psi[i]) * g)):
             raise ArithmeticError(
                 f"score component {i} fails zero-mean: E_g[psi] = {mean!r}"
             )
@@ -385,7 +385,10 @@ def escort_pair_model(q: float, alpha: float, gamma: float = 1.0,
                       count: int = 4001, theta: float = 0.0) -> ParametricModel:
     """Location family with (f, g) the escort pair of order q built from a
     generalized q-Gaussian g: f ~ g^q (itself a q-Gaussian with index
-    (2q-1)/q and scale q gamma)."""
+    (2q-1)/q and scale q gamma), so q must exceed 1/2."""
+    if not q > 0.5:
+        raise ValueError(f"the escort pair needs q > 1/2, where f's index (2q - 1)/q is "
+                         f"positive; got q = {q}")
     pg = QGaussianParams(q, alpha, gamma, 1)
     pf = QGaussianParams((2.0 * q - 1.0) / q, alpha, q * gamma, 1)
     return _location_pair(pf, pg, count, theta, "escort-pair")

@@ -342,7 +342,7 @@ def test_hoelder_exponent_nan_is_usage_error(name, key, capsys):
         assert f"unrecognized arguments: --{key}" in err
 
 
-@pytest.mark.parametrize("count", ["4003", "7"])
+@pytest.mark.parametrize("count", ["4003", "7", "5"])
 def test_info_grid_count_must_be_4k_plus_1(count, capsys, monkeypatch):
     def grid_density(*args, **kwargs):
         raise AssertionError("density built")
@@ -621,6 +621,16 @@ class TestNumericalErrors:
         assert code == EXIT_NUMERICAL
         assert "integrable" in err
 
+    def test_unconverged_root_find_exit_code(self, capsys, monkeypatch):
+        # core.brentq raises RuntimeError when Brent's method does not converge
+        def brentq(*args):
+            raise RuntimeError("Failed to converge after 100 iterations")
+
+        monkeypatch.setattr("qfisher.qgaussian.brentq", brentq)
+        code, out, err = run_cli(capsys, "minimize", "--constraint", "entropy-power", "--seed", "1")
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err == "numerical failure: Failed to converge after 100 iterations\n"
+
 
 class TestDiffuse:
     def test_csv_and_summary(self, capsys, tmp_path):
@@ -688,6 +698,22 @@ class TestCrbound:
         assert code == EXIT_VERDICT and err == ""
         assert d["flag"] == "divergent-score-moment" and d["passed"] is False
         assert d["equality_residual"] is None and d["c_opt"] is None
+
+    def test_nan_mass_exit_code(self, capsys):
+        # sigma^2 underflows to 0, so the density is 0/0 on the grid: its
+        # mass is NaN, which used to pass the unit-mass check
+        with np.errstate(divide="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, "crbound", "--model", "gaussian-location",
+                                     "--sigma", "1e-300")
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("numerical failure: f(.; theta=[0.]) has mass nan")
+
+    def test_escort_pair_names_the_q_it_refuses(self, capsys):
+        # f's index (2q - 1)/q is 0 at q = 1/2: the message used to name it as q
+        code, out, err = run_cli(capsys, "crbound", "--model", "escort-pair", "--q", "0.5")
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err == ("numerical failure: the escort pair needs q > 1/2, where f's index "
+                       "(2q - 1)/q is positive; got q = 0.5\n")
 
     def test_escort_pair_model(self, capsys):
         code, out, _ = run_cli(capsys, "crbound", "--model", "escort-pair",

@@ -43,17 +43,66 @@ PME = DiffusionParams(2.0, 2.0, 1)
 EXACT_C_FORMS = [(1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (2.0, 3.0)]
 
 
-@pytest.fixture
-def compiled_kernel():
-    """evolve runs the compiled march wherever (m, beta) has an exact C form."""
-    if _native.library() is None:
-        pytest.skip("the compiled march is unavailable: no working C compiler")
+#: the builds of _kernels.c the oracle tests march on.  packed: the one
+#: evolve loads (_native.CFLAGS), whose widest body the CPU runs: eight-wide
+#: AVX-512F, else two-wide SSE2.  The others add their flags over
+#: _native.CFLAGS.  pair: that SSE2 body, as a CPU without AVX-512F runs it.
+#: avx2: pair with -mavx2 (CPU with AVX2), the VEX code a compiler whose
+#: default target is x86-64-v3 emits, which no other build runs.  plain: the
+#: two-wide body with plain C helpers
+BUILD_FLAGS = {"pair": ("-DQFISHER_MAX_WIDTH=2",), "avx2": ("-mavx2", "-DQFISHER_MAX_WIDTH=2"),
+               "plain": ("-U__SSE2__",)}
+BUILDS = ["packed", *BUILD_FLAGS]
+#: every march: the numpy one, then each build
+MARCHES = ["numpy", *BUILDS]
+#: each build but packed, made at its first use in this module
+_LIBRARIES = {}
 
 
-@pytest.fixture
-def numpy_kernel(monkeypatch):
-    """evolve runs the numpy march for every (m, beta)."""
-    monkeypatch.setattr(_native, "library", lambda: None)
+@pytest.fixture(params=MARCHES)
+def march(request, monkeypatch, tmp_path_factory):
+    """The march evolve runs, by name: numpy for every (m, beta), or a build's
+    compiled march wherever (m, beta) has an exact C form.  A test with one
+    subject narrows it by parametrizing march (indirect) over fewer names."""
+    name = request.param
+    if name == "numpy":
+        library = None
+    elif name == "packed":
+        library = _native.library()
+        if library is None:
+            pytest.skip("the compiled march is unavailable: no working C compiler")
+    else:
+        if name == "avx2" and "avx2" not in _cpu_flags():
+            pytest.skip("the CPU lacks AVX2")
+        if name not in _LIBRARIES:
+            _LIBRARIES[name] = _build_kernels(tmp_path_factory.mktemp(name), *BUILD_FLAGS[name])
+        library = _LIBRARIES[name]
+    monkeypatch.setattr(_native, "library", lambda: library)
+    return name
+
+
+def _cpu_flags():
+    try:
+        return set(re.findall(r"\w+", Path("/proc/cpuinfo").read_text()))
+    except OSError:
+        return set()
+
+
+def _needs_cc():
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+
+
+def _build_kernels(directory, *flags):
+    """_kernels.c built into directory with _native.CFLAGS, flags and warnings
+    as errors, which change no code; loaded with _native.SIGNATURES' types."""
+    _needs_cc()
+    out = directory / "_kernels.so"
+    done = subprocess.run(["cc", *_native.CFLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(out), str(_native.SOURCE)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return _native._load(out)
 
 
 def gaussian_state(sigma=1.0, half=10.0, count=1001, t=0.0):
@@ -125,14 +174,11 @@ class TestStep:
         assert out.step_count > 0
         assert drift <= (3 * out.step_count + 1) * np.finfo(float).eps * mass
 
-    def test_instability_detected(self, monkeypatch, compiled_kernel):
+    def test_instability_detected(self, monkeypatch, march):
         st = gaussian_state(count=201)
         monkeypatch.setattr(diffusion, "CFL_SAFETY", 50.0 * CFL_SAFETY)  # 50x the stable dt
         with pytest.raises(StabilityError, match="negative|drift"):
             evolve(st, 25.0, n_logs=3)
-
-    def test_instability_detected_numpy_kernel(self, monkeypatch, numpy_kernel):
-        self.test_instability_detected(monkeypatch, numpy_kernel)
 
     def test_fast_diffusion_rejected(self):
         ax = Axis(-8.0, 8.0, 201)
@@ -197,7 +243,8 @@ class TestEvolve:
                                              r"over n_logs = 201 rows are not strictly increasing"):
             evolve(st, 1.0000000000000002, n_logs=201)
 
-    def test_row_error_is_the_reference_one(self, monkeypatch, numpy_kernel):
+    @pytest.mark.parametrize("march", ["numpy"], indirect=True)
+    def test_row_error_is_the_reference_one(self, monkeypatch, march):
         # row 0's error comes before the first step, as the reference's
         st = _subnormal_heat_state()
         with pytest.raises(NonFiniteError) as ref:
@@ -414,9 +461,12 @@ NUMPY_ONLY_CASES = [(1.5, 2.5, 0.5), (2.0, 1.5, 2e-6)]
 BLOCK_N_LOGS = (2, 161, 162)
 
 
-def _oracle_params(cases):
-    """Each (m, beta, span) case at 6 log rows, then at each of BLOCK_N_LOGS."""
-    return _with_block_n_logs(cases, ["-".join(map(str, case)) for case in cases], 6)
+def _oracle_params(cases, marches):
+    """Each (m, beta, span) case on each march, at 6 log rows, then at each
+    of BLOCK_N_LOGS."""
+    params = _with_block_n_logs(cases, ["-".join(map(str, case)) for case in cases], 6)
+    return [pytest.param(march, *param.values, id=f"{march}-{param.id}")
+            for march in marches for param in params]
 
 
 def _with_block_n_logs(cases, ids, n_logs):
@@ -457,18 +507,17 @@ def _assert_evolve_is_reference(st, span, n_logs=6):
 
 
 class TestKernelOracle:
-    """The march evolve selects against the allocating reference: compiled
-    wherever (m, beta) has an exact C form (numpy in the subclass below)."""
+    """The march evolve selects against the allocating reference, on every
+    march: the cases without a C form march in numpy on every build, so
+    they run on numpy alone."""
 
-    @pytest.fixture(autouse=True)
-    def kernel(self, compiled_kernel):
-        pass
-
-    @pytest.mark.parametrize("m,beta,span,n_logs", _oracle_params(ORACLE_CASES))
-    def test_evolve_bit_identical(self, m, beta, span, n_logs):
+    @pytest.mark.parametrize("march,m,beta,span,n_logs",
+                             _oracle_params(ORACLE_CASES, MARCHES)
+                             + _oracle_params(NUMPY_ONLY_CASES, ["numpy"]), indirect=["march"])
+    def test_evolve_bit_identical(self, march, m, beta, span, n_logs):
         _assert_evolve_is_reference(_oracle_state(m, beta), span, n_logs)
 
-    def test_clamp_runs_on_negative_zero_minimum(self):
+    def test_clamp_runs_on_negative_zero_minimum(self, march):
         # -0.0 plus a divergence that underflows to -0.0 stays -0.0; the clamp
         # must still run (min is not > 0) and make it +0.0, as the reference does
         h, dt = 1.0, 0.1
@@ -482,35 +531,13 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("dp,half,count,t0,span,n_logs", _with_block_n_logs(
         ACCEPTANCE_GRIDS, ["heat-n4001", "pme-n251", "pme-n501", "plap-n1001"], 4))
-    def test_acceptance_grids_bit_identical(self, dp, half, count, t0, span, n_logs):
+    def test_acceptance_grids_bit_identical(self, march, dp, half, count, t0, span, n_logs):
         ax = Axis(-half, half, count)
         if dp == HEAT:
             f = density_from_callable(ax, lambda x: np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi))
         else:
             f = barenblatt_density(dp, 1.0, ax, barenblatt_mass_constant(dp))
         _assert_evolve_is_reference(DiffusionState(dp, t0, f), span, n_logs)
-
-
-class TestKernelOracleNumpyKernel(TestKernelOracle):
-    @pytest.fixture(autouse=True)
-    def kernel(self, numpy_kernel):
-        pass
-
-    @pytest.mark.parametrize("m,beta,span,n_logs", _oracle_params(ORACLE_CASES + NUMPY_ONLY_CASES))
-    def test_evolve_bit_identical(self, m, beta, span, n_logs):
-        super().test_evolve_bit_identical(m, beta, span, n_logs)
-
-
-class TestKernelOraclePlainHelpers(TestKernelOracle):
-    @pytest.fixture(autouse=True)
-    def kernel(self, plain_library, monkeypatch):
-        monkeypatch.setattr(_native, "library", lambda: plain_library)
-
-
-class TestKernelOraclePairBody(TestKernelOracle):
-    @pytest.fixture(autouse=True)
-    def kernel(self, pair_library, monkeypatch):
-        monkeypatch.setattr(_native, "library", lambda: pair_library)
 
 
 #: sha256 over the final values and the times, S_q, M_q, phi and mass
@@ -575,7 +602,7 @@ class TestStepBudget:
         with pytest.raises(StabilityError, match=r"steps of dt = .* budget of 1000000 .*node \d+"):
             evolve(st, 2.0)
 
-    def test_march_budget(self, monkeypatch, compiled_kernel):
+    def test_march_budget(self, monkeypatch, march):
         # the estimate from the first dt is 120 steps; landing on 8 log rows
         # takes 126, so a budget of 121 passes the up-front check and trips the march
         st = _oracle_state(1.0, 2.0)
@@ -585,9 +612,6 @@ class TestStepBudget:
         monkeypatch.setattr(diffusion, "MAX_STEPS", 121)
         with pytest.raises(StabilityError, match="step budget of 121 exhausted"):
             evolve(st, 0.3, n_logs=8)
-
-    def test_march_budget_numpy_kernel(self, monkeypatch, numpy_kernel):
-        self.test_march_budget(monkeypatch, numpy_kernel)
 
     def test_pending_row_error_wins_over_budget(self, monkeypatch):
         # as in test_march_budget, 121 steps run out in the last of 7
@@ -646,18 +670,6 @@ def clear_loader():
     _native.library.cache_clear()
 
 
-def _needs_cc():
-    if shutil.which("cc") is None:
-        pytest.skip("no cc on PATH")
-
-
-#: the builds the oracle tests march on.  packed: the one evolve loads
-#: (_native.CFLAGS), whose widest body the CPU runs: eight-wide AVX-512F, else
-#: two-wide SSE2.  pair (-DQFISHER_MAX_WIDTH=2): that SSE2 body, as a CPU
-#: without AVX-512F runs it.  avx2: pair with -mavx2 (CPU with AVX2), the VEX
-#: code a compiler whose default target is x86-64-v3 emits, which no other
-#: build runs.  plain (-U__SSE2__): the two-wide body with plain C helpers.
-BUILDS = ["packed", "pair", "avx2", "plain"]
 #: the nodes of one group of the compiled march's packed extrema at each
 #: width (W ACC in _kernels.c: 2 and 8 doubles, ACC = 4); its fused pass
 #: takes node 0 alone, then groups from node 1
@@ -775,53 +787,6 @@ def _numpy_flux(v, m, beta, h):
         return d if beta == 2.0 else np.power(np.abs(d), beta - 2.0) * d
 
 
-def _build_kernels(directory, *flags):
-    """_kernels.c built into directory with _native.CFLAGS, flags and warnings
-    as errors, which change no code; loaded with _native.SIGNATURES' types."""
-    _needs_cc()
-    out = directory / "_kernels.so"
-    done = subprocess.run(["cc", *_native.CFLAGS, *flags, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(out), str(_native.SOURCE)],
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return _native._load(out)
-
-
-@pytest.fixture
-def packed_library(compiled_kernel):
-    return _native.library()
-
-
-@pytest.fixture(scope="module")
-def plain_library(tmp_path_factory):
-    return _build_kernels(tmp_path_factory.mktemp("plain"), "-U__SSE2__")
-
-
-@pytest.fixture(scope="module")
-def pair_library(tmp_path_factory):
-    return _build_kernels(tmp_path_factory.mktemp("pair"), "-DQFISHER_MAX_WIDTH=2")
-
-
-def _cpu_flags():
-    try:
-        return set(re.findall(r"\w+", Path("/proc/cpuinfo").read_text()))
-    except OSError:
-        return set()
-
-
-@pytest.fixture(scope="module")
-def avx2_library(tmp_path_factory):
-    if "avx2" not in _cpu_flags():
-        pytest.skip("the CPU lacks AVX2")
-    return _build_kernels(tmp_path_factory.mktemp("avx2"), "-mavx2", "-DQFISHER_MAX_WIDTH=2")
-
-
-def _use_build(build, request, monkeypatch):
-    """Makes the library of fixture `build`_library the one evolve loads."""
-    library = request.getfixturevalue(f"{build}_library")
-    monkeypatch.setattr(_native, "library", lambda: library)
-
-
 class TestCompiledKernel:
     def test_selected_for_exact_forms_only(self, monkeypatch):
         # a silent fallback to numpy would pass every oracle test with the gain gone
@@ -838,30 +803,18 @@ class TestCompiledKernel:
             kernel = diffusion._Kernel(DiffusionParams(m, beta, 1), 0.1, np.zeros(11))
             assert diffusion._select_march(kernel) == kernel.march, (m, beta)
 
-    def test_widest_body_the_cpu_supports_runs(self, compiled_kernel):
-        # a silent fall back to a narrower body would pass every oracle test
-        # with the gain gone
-        flags = _cpu_flags()
-        if "avx512f" in flags:
-            widest = 3
-        elif "sse2" in flags:
-            widest = 1
-        else:
-            pytest.skip("not an x86-64 CPU")
-        assert _native.library().qfisher_march_body() == widest
-
-    def test_test_builds_run_the_bodies_they_stand_for(self, request):
+    @pytest.mark.parametrize("march", BUILDS, indirect=True)
+    def test_builds_run_the_bodies_they_stand_for(self, march):
+        # packed runs the widest body the CPU supports: a silent fall back to
+        # a narrower body would pass every oracle test with the gain gone
         flags = _cpu_flags()
         if "sse2" not in flags:
             pytest.skip("not an x86-64 CPU")
-        # the avx2 build loads only where the CPU has AVX2
-        builds = {"pair": 1, "plain": 0}
-        if "avx2" in flags:
-            builds["avx2"] = 1
-        assert {build: request.getfixturevalue(f"{build}_library").qfisher_march_body()
-                for build in builds} == builds
+        bodies = {"packed": 3 if "avx512f" in flags else 1, "pair": 1, "avx2": 1, "plain": 0}
+        assert _native.library().qfisher_march_body() == bodies[march]
 
-    def test_benchmarked_runs_have_exact_c_forms(self, compiled_kernel):
+    @pytest.mark.parametrize("march", ["packed"], indirect=True)
+    def test_benchmarked_runs_have_exact_c_forms(self, march):
         # every acceptance run and the diffuse defaults step in qfisher_march: a
         # run added outside the C set would put the numpy march on them unseen
         pairs = [(m, beta) for m, beta, *_ in acceptance.RUNS.values()]
@@ -870,7 +823,8 @@ class TestCompiledKernel:
             kernel = diffusion._Kernel(DiffusionParams(m, beta, 1), 0.1, np.zeros(11))
             assert diffusion._select_march(kernel) == kernel.march_compiled, (m, beta)
 
-    def test_errors_match_numpy_kernel(self, monkeypatch, compiled_kernel):
+    @pytest.mark.parametrize("march", BUILDS, indirect=True)
+    def test_errors_match_numpy_kernel(self, monkeypatch, march):
         def messages():
             texts = []
             for name, value, st, t_end in [
@@ -891,7 +845,8 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
     @pytest.mark.parametrize("planted", [{100: np.nan}, {100: np.nan, 50: -1.0}, {50: -1.0}],
                              ids=["nan", "nan-and-negative", "negative"])
-    def test_nan_and_abort_follow_numpy(self, m, beta, planted, compiled_kernel):
+    @pytest.mark.parametrize("march", BUILDS, indirect=True)
+    def test_nan_and_abort_follow_numpy(self, march, m, beta, planted):
         # a NaN makes numpy's minimum and maxima NaN: no abort, a NaN dt where
         # a maximum sets it; a negative value alone aborts
         st = _oracle_state(m, beta)
@@ -899,13 +854,13 @@ class TestCompiledKernel:
         _assert_compiled_follows_numpy(st.params, st.f.axis.step, _planted(st.f.values, planted),
                                        st.t, end, end, 1000)
 
-    @pytest.mark.parametrize("build,m,beta,n", [
+    @pytest.mark.parametrize("march,m,beta,n", [
         pytest.param(build, m, beta, n, id=f"{build}-{m}-{beta}-{n}")
-        for build, counts in TAIL_COUNTS.items() for m, beta in EXACT_C_FORMS for n in counts])
-    def test_tails_and_plantings_follow_numpy(self, build, m, beta, n, request, monkeypatch):
+        for build, counts in TAIL_COUNTS.items() for m, beta in EXACT_C_FORMS for n in counts],
+        indirect=["march"])
+    def test_tails_and_plantings_follow_numpy(self, march, m, beta, n):
         # _plantings on every length of the last partial group, with and
         # without whole groups, on each build's body
-        _use_build(build, request, monkeypatch)
         st = _oracle_state(m, beta, n + 1 - n % 2)  # an Axis count is odd
         h, start = st.f.axis.step, st.f.values[:n]
         end = st.t + 20.0 * _cfl_dt(st.params, h, start)
@@ -916,15 +871,13 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("h", DIVISION_STEPS)
     @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
     @pytest.mark.parametrize("planted", DIVISION_PLANTINGS, ids=list(DIVISION_PLANTINGS))
-    @pytest.mark.parametrize("build", BUILDS)
-    def test_division_over_the_range_follows_numpy(self, build, planted, m, beta, h, request,
-                                                   monkeypatch):
+    @pytest.mark.parametrize("march", BUILDS, indirect=True)
+    def test_division_over_the_range_follows_numpy(self, march, planted, m, beta, h):
         # a few steps from a state log-uniform over the doubles whose fluxes
         # stay finite, with runs of zeros and values planted on both sides of
         # the floor of the wide division, at a subnormal difference and at a
         # quotient that overflows, on each build's body; the fluxes the
         # compiled march leaves are numpy's fluxes of its final values
-        _use_build(build, request, monkeypatch)
         rng = np.random.default_rng(7)
         v = 2.0 ** rng.uniform(-960.0, _FINITE_FLUX_TOP[m, beta], 67)
         for start in (3, 30, 60):
@@ -936,23 +889,21 @@ class TestCompiledKernel:
 
     @pytest.mark.parametrize("a,h", HARD_QUOTIENTS.values(), ids=list(HARD_QUOTIENTS))
     @pytest.mark.parametrize("beta", [2.0, 3.0])
-    @pytest.mark.parametrize("build", BUILDS)
-    def test_division_at_hard_quotients(self, build, beta, a, h, request, monkeypatch):
+    @pytest.mark.parametrize("march", BUILDS, indirect=True)
+    def test_division_at_hard_quotients(self, march, beta, a, h):
         # a as the difference of the values a, 2a, a, ...; steps of dt = 0
         # (target = t) keep v and take its fluxes until the budget ends the
         # march, on each build's body
-        _use_build(build, request, monkeypatch)
         v = np.array([a, 2.0 * a] * 10 + [a])
         _assert_compiled_follows_numpy(DiffusionParams(1.0, beta, 1), h, v, 0.0, 0.0, 1.0, 1)
 
     @pytest.mark.parametrize("m,beta", EXACT_C_FORMS)
-    @pytest.mark.parametrize("build", BUILDS)
-    def test_negative_zero_clamped_in_the_fluxes(self, build, m, beta, request, monkeypatch):
+    @pytest.mark.parametrize("march", BUILDS, indirect=True)
+    def test_negative_zero_clamped_in_the_fluxes(self, march, m, beta):
         # +0, +0, -0 and -5e-324 at nodes 1-4 of a zero state: one step of
         # dt = 0.1 clamps the -0.0 it makes or keeps to +0.0, and the next
         # fluxes, taken in the same pass from the clamped values, are those
         # of the +0.0 the clamp leaves in v
-        _use_build(build, request, monkeypatch)
         v = np.zeros(19)
         v[1:5] = [0.0, 0.0, -0.0, -5e-324]
         _assert_compiled_follows_numpy(DiffusionParams(m, beta, 1), 1.0, v, 0.0, 0.1, 0.1, 1)

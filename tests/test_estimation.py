@@ -94,6 +94,20 @@ class TestScore:
         rhs = -(q / mq) * gv[interior] ** (q - 1.0) * grad[interior] / gv[interior]
         assert np.allclose(psi[interior], rhs, atol=1e-8)
 
+    def test_nan_score_fails_zero_mean(self):
+        # f holds unit mass at theta = 0 and is NaN off it, so every centered
+        # difference, and so E_g[psi], is NaN
+        def g(coords, theta):
+            return np.exp(-coords[0] ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
+
+        def f(coords, theta):
+            return g(coords, theta) if theta[0] == 0.0 else np.full_like(coords[0], np.nan)
+
+        m = ParametricModel(f, g, 1, Axis(-8.0, 8.0, 401))
+        m.check_normalized([np.array([0.0])])
+        with pytest.raises(ArithmeticError, match=r"zero-mean: E_g\[psi\] = nan"):
+            score_g(m, [0.0])
+
     def test_normalization_check(self):
         m = gaussian_location_model(n=1)
         m.check_normalized([np.array([0.0]), np.array([0.5])])
