@@ -43,7 +43,8 @@ from .core import Axis, Tolerances, density_from_callable
 from .diffusion import DiffusionState, debruijn_check, evolve, phi_monotonicity_check, trajectory_csv_rows
 from .estimation import MODEL_REGISTRY, crm_bound_scalar, mc_error_moment, qcr_product
 from .inequalities import min_fisher_fixed_entropy, min_fisher_fixed_moment, stam_ratio
-from .info_measures import entropy_power, m_q, phi_fisher_refined, renyi_entropy, tsallis_entropy
+from .info_measures import (check_refinement_count, entropy_power, m_q, phi_fisher_refined,
+                            renyi_entropy, tsallis_entropy)
 from .perturb import perturbation_batch
 from .qgaussian import DiffusionParams, QGaussianParams, barenblatt_density, grid_density, moment_alpha
 
@@ -215,9 +216,10 @@ INFO_DEFAULTS = {
 
 def cmd_info(args) -> int:
     cfg = resolve_config(args, INFO_DEFAULTS)
-    if cfg["grid_count"] < 9 or (cfg["grid_count"] - 1) % 4:
-        raise UsageError(f"grid_count must be 4k + 1 with k >= 2 (the refinement diagnostic "
-                         f"halves the grid twice), got {cfg['grid_count']}")
+    try:
+        check_refinement_count(cfg["grid_count"])
+    except ValueError as exc:
+        raise UsageError(f"grid_count: {exc}") from None
     q, alpha = cfg["q"], cfg["alpha"]
     if cfg["family"] == "qgaussian":
         f = grid_density(QGaussianParams(q, alpha, cfg["gamma"], cfg["n"]), cfg["grid_count"])

@@ -349,9 +349,13 @@ def gaussian_location_model(n: int = 1, sigma: float = 1.0, count: int = 4001,
     the full-model score 1^T(x - theta 1)/sigma^2 as a function of s, and all
     moments in the bound chain coincide with the n-dimensional ones, so the
     model lives on the 1-D axis of s for every n, over 10 standard deviations
-    of s plus 1 on either side of n theta.
+    of s plus 1 on either side of n theta.  A sigma whose variance n sigma^2
+    is not finite and > 0 is refused before the axis is built.
     """
-    var = n * sigma ** 2
+    var = n * sigma * sigma  # a float's ** 2 raises OverflowError where * gives inf
+    if not 0.0 < var < np.inf:
+        raise ValueError(f"sigma = {sigma} gives the variance n sigma^2 = {var}, "
+                         f"which must be finite and > 0")
     half_width = 10.0 * np.sqrt(var) + 1.0
     ax = Axis(n * theta - half_width, n * theta + half_width, count)
 

@@ -157,6 +157,14 @@ class PhiDiagnostic:
     trace: tuple[float, ...]  # phi at grid spacings 4h, 2h, h
 
 
+def check_refinement_count(count: int):
+    """phi_fisher_refined halves the grid twice, so its node count must be
+    4k + 1 with k >= 2: each coarsening is then a Simpson grid of >= 3 nodes."""
+    if count < 9 or (count - 1) % 4:
+        raise ValueError(f"the refinement diagnostic needs a count = 4k + 1 with k >= 2, "
+                         f"got {count}")
+
+
 def phi_fisher_refined(f: GridDensity, q: float, beta: float) -> PhiDiagnostic:
     """phi with a divergence diagnostic: the integral is re-evaluated on the
     2x and 4x coarsened grids; if the three readings have not stabilized
@@ -166,12 +174,10 @@ def phi_fisher_refined(f: GridDensity, q: float, beta: float) -> PhiDiagnostic:
     distance of the nearest node to the singularity, which moves erratically
     across coarsenings; a convergent integral agrees across all three.)
 
-    Requires a node count congruent to 1 mod 4 so the coarsenings stay
-    Simpson-compatible.
+    Requires a node count that check_refinement_count accepts.
     """
     a = f.axis
-    if (a.count - 1) % 4 != 0:
-        raise ValueError(f"refinement diagnostic needs a count = 4k + 1, got {a.count}")
+    check_refinement_count(a.count)
     vals = []
     for stride in (4, 2, 1):
         sub = GridDensity(Axis(a.lo, a.hi, (a.count - 1) // stride + 1), f.values[::stride], f.dim)

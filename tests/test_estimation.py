@@ -116,6 +116,20 @@ class TestScore:
         with pytest.raises(ValueError, match="mass"):
             bad.check_normalized([np.array([0.0])])
 
+    def test_nan_mass_fails_the_normalization_check(self):
+        def nan(coords, theta):
+            return np.full_like(coords[0], np.nan)
+
+        m = ParametricModel(nan, nan, 1, Axis(-8.0, 8.0, 401))
+        with pytest.raises(ValueError, match=r"^f\(\.; theta=\[0\.\]\) has mass nan, not 1"):
+            m.check_normalized([np.array([0.0])])
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e200, np.nan])
+    def test_sigma_without_a_finite_positive_variance_is_refused(self, sigma):
+        # n sigma^2 underflows to 0, overflows to inf, or is nan
+        with pytest.raises(ValueError, match=r"^sigma = .*, which must be finite and > 0$"):
+            gaussian_location_model(n=1, sigma=sigma)
+
 
 class TestScalarBound:
     @pytest.mark.parametrize("sigma", [1.0, 2.0])

@@ -172,9 +172,11 @@ class TestFisher:
         assert max(diag.trace) / min(diag.trace) > 1.5
 
     def test_refinement_needs_4k_plus_1(self):
-        f = uniform_density(0.0, 1.0, count=1003)
-        with pytest.raises(ValueError, match="4k"):
-            phi_fisher_refined(f, 1.0, 2.0)
+        # 5 nodes is 4k + 1 with k = 1: its coarsest grid would have 2 nodes
+        for count in (1003, 5):
+            f = uniform_density(0.0, 1.0, count=count)
+            with pytest.raises(ValueError, match=rf"4k \+ 1 with k >= 2, got {count}$"):
+                phi_fisher_refined(f, 1.0, 2.0)
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
