@@ -98,7 +98,7 @@ class EstimatorSpec:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 1:
+        if not self.alpha > 1:
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
 
     @property
@@ -274,7 +274,7 @@ def crm_bound_general(model: ParametricModel, est: EstimatorSpec, theta, A) -> f
     evaluate candidate A's and keep the best."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     evals = np.linalg.eigvalsh((A + A.T) / 2.0)
-    if evals.min() <= 0:
+    if not evals.min() > 0:
         raise ValueError("A must be positive definite")
     g, psi, ed, _ = _bound_terms(model, est, theta)
     numer = float(ed @ A @ ed)
@@ -311,14 +311,14 @@ def qcr_product(g: GridDensity, q: float, alpha: float,
     q-Gaussians.  The density is recentered (with a warning) if its mean is
     not zero.  Extras carry the alternative reading with the q^beta factor
     outside the 1/beta power and the discrepancy factor between the two."""
-    if alpha <= 1:
+    if not alpha > 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
+    if not q > 0:
+        raise ValueError(f"q must be positive, got {q}")
     beta = alpha / (alpha - 1.0)
     g, shift = recenter(g)
     if shift != 0:
         warnings.warn(f"density recentered by {shift} to enforce zero mean")
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
     m_a = moment_abs(g, alpha)
     try:
         i_val = i_fisher(g, q, beta)

@@ -49,7 +49,7 @@ def _whole(mask: np.ndarray) -> bool:
 
 def m_q(f: GridDensity, q: float) -> float:
     """Information generating function M_q = int f^q dx (M_0 = |support|)."""
-    if q < 0:
+    if not q >= 0:
         raise ValueError(f"q must be >= 0, got {q}")
     return integrate(f, _masked_power(f.values, f.support_mask, q))
 
@@ -131,7 +131,7 @@ def phi_fisher(f: GridDensity, q: float, beta: float) -> float:
     The classical Fisher information int (f')^2 / f is the case
     q = 1, beta = 2.
     """
-    if beta <= 1:
+    if not beta > 1:
         raise ValueError(f"beta must exceed 1, got {beta}")
     return integrate(f, _phi_integrand(f.values, f.support_mask, gradient(f), q, beta))
 
@@ -145,9 +145,8 @@ def i_fisher(f: GridDensity, q: float, beta: float, mq: float | None = None) -> 
     """
     if abs(q - 1.0) < Q_ONE_WINDOW:
         return phi_fisher(f, q, beta)
-    if mq is None:
-        mq = m_q(f, q)
-    return phi_fisher(f, q, beta) / mq ** beta
+    phi = phi_fisher(f, q, beta)  # checks beta before m_q's work
+    return phi / (m_q(f, q) if mq is None else mq) ** beta
 
 
 @dataclass
@@ -204,7 +203,7 @@ def escort(f: GridDensity, q: float) -> GridDensity:
     non-integrable f^(1/q) tail (f has decayed at the domain edge but f^(1/q)
     has not).
     """
-    if q <= 0:
+    if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
     if q == 1.0:
         return normalize(f)
@@ -215,7 +214,7 @@ def escort(f: GridDensity, q: float) -> GridDensity:
 
 def escort_inverse(g: GridDensity, q: float) -> GridDensity:
     """Inverse escort map f ~ g^q, renormalized (round-trips with escort)."""
-    if q <= 0:
+    if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
     if q == 1.0:
         return normalize(g)

@@ -414,7 +414,7 @@ def barenblatt_profile(dp: DiffusionParams, C: float, xi) -> np.ndarray:
 
 def barenblatt(dp: DiffusionParams, C: float, x, t: float) -> np.ndarray:
     """Self-similar solution f(x, t) = t^(-n/delta) B(x t^(-1/delta))."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     x = np.asarray(x, dtype=float)
     scale = t ** (1.0 / dp.delta)
@@ -430,7 +430,7 @@ def barenblatt_mass(dp: DiffusionParams, C: float) -> float:
     quadrature over the support: QUADPACK (scipy's `quad`, bit for bit),
     not a closed form, because the constants C found from it reach the
     `reproduce` summary, whose bytes are pinned."""
-    if C <= 0:
+    if not C > 0:
         raise ValueError("C must be positive")
     omega = sphere_surface(dp.dim)
     alpha, n_a = dp.alpha, dp.dim / dp.alpha

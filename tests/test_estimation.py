@@ -1,5 +1,7 @@
 """Generalized Cramer-Rao machinery: scores, bounds, q-CR product."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -23,7 +25,6 @@ from qfisher.estimation import (
     crm_bound_quadratic,
     crm_bound_scalar,
     escort_pair_model,
-    eta_dot,
     fisher_matrix_g,
     gaussian_location_model,
     mc_error_moment,
@@ -32,9 +33,10 @@ from qfisher.estimation import (
     sample_mean_estimator,
     score_g,
 )
-from qfisher.info_measures import i_fisher, m_q, recenter
+from qfisher.info_measures import escort, escort_inverse, i_fisher, m_q, phi_fisher, recenter
 from qfisher.perturb import fourier_bump, perturbed_density
-from qfisher.qgaussian import QGaussianParams, grid_density, moment_alpha
+from qfisher.qgaussian import (DiffusionParams, QGaussianParams, barenblatt, barenblatt_mass,
+                               grid_density, moment_alpha)
 
 TOL_EQ = Tolerances(inequality_slack=1e-6)
 
@@ -502,3 +504,42 @@ class TestRegistry:
         gv = m.g_values([0.0])
         mq = m.quad(gv ** 2)
         assert np.allclose(fv, gv ** 2 / mq, atol=1e-10)
+
+
+NAN = float("nan")
+
+
+def _off_centre():
+    ax = Axis(-9.0, 11.0, 2001)
+    return density_from_callable(ax, lambda x: np.exp(-(x - 1.0) ** 2 / 2) / np.sqrt(2 * np.pi))
+
+
+#: a call with a NaN (or, with an off-centre density, q = 0) for one
+#: parameter -> that parameter's name
+REFUSALS = {
+    "qcr_product q=nan": (lambda: qcr_product(_off_centre(), NAN, 2.0), "q"),
+    "qcr_product q=0": (lambda: qcr_product(_off_centre(), 0.0, 2.0), "q"),
+    "qcr_product alpha=nan": (lambda: qcr_product(_off_centre(), 1.0, NAN), "alpha"),
+    "phi_fisher beta=nan": (lambda: phi_fisher(_off_centre(), 1.0, NAN), "beta"),
+    "i_fisher beta=nan": (lambda: i_fisher(_off_centre(), 2.0, NAN), "beta"),
+    "m_q q=nan": (lambda: m_q(_off_centre(), NAN), "q"),
+    "escort q=nan": (lambda: escort(_off_centre(), NAN), "q"),
+    "escort_inverse q=nan": (lambda: escort_inverse(_off_centre(), NAN), "q"),
+    "EstimatorSpec alpha=nan":
+        (lambda: EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=NAN), "alpha"),
+    "crm_bound_general A=nan": (lambda: crm_bound_general(
+        gaussian_location_model(n=1), sample_mean_estimator(n=1), [0.0], [[NAN]]), "A"),
+    "barenblatt t=nan": (lambda: barenblatt(DiffusionParams(2.0, 2.0, 1), 1.0, [0.0], NAN), "t"),
+    "barenblatt_mass C=nan": (lambda: barenblatt_mass(DiffusionParams(2.0, 2.0, 1), NAN), "C"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_validators_refuse_nan_up_front(case):
+    # a NaN fails `x <= bound` too, so each check is `not x > bound`; the
+    # parameters are checked before any work, a recentering among it
+    call, name = REFUSALS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            call()

@@ -1,11 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses or
-defines a private module-level name it never references, no default is
-left that no call overrides or that every call sets to its own literal
-(one known knob aside), no class field or CLI option is left that
-nothing reads, no cache can grow without bound, and no command loads a
-scipy package: the compiled modules a path uses (scipy.special's ufuncs,
-QUADPACK and Brent's method) load without their packages, and so without
-scipy.special's array-API layer."""
+"""Source hygiene: no module of the package or of the tests imports a name
+it never uses, no module of the package defines a private module-level name
+it never references, no default is left that no call overrides or that
+every call sets to its own literal (one known knob aside), no class field
+or CLI option is left that nothing reads, and no cache can grow without
+bound.  One table, LOADS, states what each command and each named run loads
+in a fresh interpreter: exactly which of the compiled scipy modules
+(scipy.special's ufuncs, QUADPACK and Brent's method) and never their
+packages, and so never scipy.special's array-API layer; whether it builds
+or loads the compiled kernels; and the bump memos it makes."""
 
 import ast
 import inspect
@@ -69,7 +71,8 @@ def unused_private_names(source: str) -> list[str]:
             if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -538,139 +541,154 @@ def test_integrate_bits_unchanged():
         assert integrate(f) == ref_integral(f, f.values)
 
 
-def import_time_imports(source: str) -> list[str]:
-    """Modules imported when the module itself is imported: every import
-    outside a function body (module level, under if/try, in class bodies)."""
-    found = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Import):
-                found.extend(alias.name for alias in child.names)
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                found.append(child.module)
-            visit(child)
-
-    visit(ast.parse(source))
-    return found
-
-
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_no_module_level_scipy_import(path):
-    # scipy is imported inside the functions that use it
-    assert [m for m in import_time_imports(path.read_text()) if m.split(".")[0] == "scipy"] == []
-
-
-def test_detects_module_level_import():
-    source = ("import numpy as np\nfrom scipy import special\n"
-              "try:\n    import scipy.optimize\nexcept ImportError:\n    pass\n"
-              "class K:\n    from scipy.integrate import quad\n"
-              "def f():\n    from scipy import interpolate\n")
-    assert import_time_imports(source) == ["numpy", "scipy", "scipy.optimize", "scipy.integrate"]
-
-
 #: numpy modules that scipy.special's package import loads through scipy's
 #: array-API layer, and that nothing else qfisher runs loads
 NUMPY_HEAVY = ("numpy.f2py", "numpy.testing")
 
-#: prints, as JSON, the scipy modules and NUMPY_HEAVY modules loaded by the
-#: command in argv[1:] (an empty argv: by importing qfisher and qfisher.cli
-#: alone)
+#: the compiled scipy modules that qfisher loads through `core.scipy_module`:
+#: scipy.special's ufuncs, QUADPACK and Brent's method
+UFUNCS, QUADPACK, ZEROS = ("scipy.special._ufuncs", "scipy.integrate._quadpack",
+                           "scipy.optimize._zeros")
+
+#: the named runs of LOADS: the source that the probe runs, and the
+#: `result` it must set
+IMPORT = "import qfisher, qfisher.cli"
+TRAJECTORIES = "workloads.trajectories_inputs(0)"
+CRITERIA = "acceptance criteria 2-3"
+DRAW = "DiffusionState, then a fourier_bump draw"
+RUNS = {
+    IMPORT: ("result = sorted(m for m in sys.modules if m.split('.')[0] == 'qfisher')",
+             ["qfisher", *(f"qfisher.{p.stem}" for p in MODULES)]),
+    TRAJECTORIES: (f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\nimport workloads\n"
+                   "workloads.trajectories_inputs(0)\nresult = 0", 0),
+    CRITERIA: ("from qfisher.acceptance import AcceptanceSuite\nsuite = AcceptanceSuite()\n"
+               "result = [suite.criterion_2().passed, suite.criterion_3().passed]", [True, True]),
+    # building a state loads neither subprocess nor hashlib, nor does a bump
+    # draw beyond what numpy.random loads itself (hashlib); no memo slot is
+    # open at import, and the compiled bump kernel is chosen at the first
+    # evaluation off the peak probe, which the draw makes none of
+    DRAW: ("""
+memo_at_import = list(perturb._MEMO)
+from qfisher.core import Axis, density_from_callable
+from qfisher.qgaussian import DiffusionParams
+
+def loaded():
+    return {m for m in ("subprocess", "hashlib") if m in sys.modules}
+
+f = density_from_callable(Axis(-5.0, 5.0, 101), lambda x: np.exp(-x * x))
+diffusion.DiffusionState(DiffusionParams(2.0, 2.0, 1), 0.0, f)
+at_state = loaded()
+rng = np.random.default_rng(1)
+with_rng = loaded()
+perturb.fourier_bump(rng)
+result = [sorted(at_state), sorted(loaded() - with_rng), list(perturb._CHOICE), memo_at_import]
+""", [[], [], [], []]),
+}
+
+#: what each run loads in a fresh interpreter: exactly which of UFUNCS,
+#: QUADPACK and ZEROS, whether it called `_native.library()` (which builds
+#: or loads the compiled kernels), and the node counts of the bump memos it
+#: made.  A run is a command line (the argv after `qfisher`, run in an empty
+#: directory) or a named run of RUNS.
+LOADS = {
+    IMPORT: ((), False, []),
+    TRAJECTORIES: ((QUADPACK, ZEROS), False, []),
+    CRITERIA: ((QUADPACK, ZEROS), True, []),
+    DRAW: ((), False, []),
+    "info --family qgaussian --q 2 --alpha 2 --gamma 1": ((UFUNCS,), False, []),
+    "info --n 2": ((UFUNCS,), False, []),
+    "info --family uniform": ((), False, []),
+    "qcr --q 1.5 --alpha 2 --gamma 1": ((UFUNCS,), False, []),
+    "qcr --n 3": ((UFUNCS,), False, []),  # radial, as is info --n 2
+    "stam --q 2 --beta 2 --gamma 1 --perturbations 20 --seed 7": ((UFUNCS,), True, [4001]),
+    "stam --q 2": ((UFUNCS,), False, []),
+    "minimize --constraint moment --q 2 --alpha 2 --target 0.2 --seed 7": ((UFUNCS,), True, [4001]),
+    "minimize --constraint entropy-power --q 2 --alpha 2 --target 0.2 --seed 7":
+        ((UFUNCS, ZEROS), True, [4001]),
+    "crbound --model gaussian-location --n 3 --trials 100000 --seed 7": ((), False, []),
+    # the q-Gaussian sampler's radii come from the inverse incomplete Beta/Gamma
+    "crbound --model qgaussian-location --q 1.5 --trials 2000 --seed 1": ((UFUNCS,), False, []),
+    "crbound --model escort-pair --q 1.5 --trials 2000 --seed 1": ((UFUNCS,), False, []),
+    "crbound --model qgaussian-location --q 1.5": ((UFUNCS,), False, []),
+    "diffuse --m 2 --beta 2 --init barenblatt --t0 1 --t-end 2 -o traj.csv":
+        ((QUADPACK, ZEROS), True, []),
+    # the q = 1 constant is a closed form by math.lgamma, and the 1-D sphere
+    # "surface" is 2 without scipy.special; the grid clears the heat
+    # kernel's tail to t = 2
+    "diffuse --m 1 --beta 2 --init barenblatt --t0 1 --t-end 2 -o traj.csv "
+    "--grid-lo -16 --grid-hi 16": ((), True, []),
+    "diffuse --m 2 --init gaussian --t0 0 --t-end 0.1 --grid-lo -10 --grid-hi 10 -o traj.csv":
+        ((), True, []),
+    "diffuse --m 1.5 --beta 2.5 --t-end 1.1 -o traj.csv": ((QUADPACK, ZEROS), False, []),
+    # a new base grid drops the memo of the one before
+    "reproduce -o summary.txt": ((UFUNCS, QUADPACK, ZEROS), True, [4001] * 14),
+}
+
+#: runs the Python source argv[1] after importing qfisher and qfisher.cli,
+#: with stdout silenced, and prints, as JSON, the `result` it sets, the
+#: scipy and NUMPY_HEAVY modules then loaded, whether `_native.library()`
+#: was called, the node counts of the bump memos made, and whether the
+#: compiled bump kernel was chosen
 _PROBE = f"""
 import contextlib, io, json, sys
+import numpy as np
 import qfisher, qfisher.cli
-code = 0
-if sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = qfisher.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                              if m.split(".")[0] == "scipy" or m in {NUMPY_HEAVY!r})]))
+from qfisher import _native, diffusion, perturb
+made, memo = [], perturb._Memo
+perturb._Memo = lambda n: made.append(n) or memo(n)
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(json.dumps([result, sorted(m for m in sys.modules
+                                 if m.split(".")[0] == "scipy" or m in {NUMPY_HEAVY!r}),
+                  _native.library.cache_info().misses > 0, made, any(perturb._CHOICE)]))
 """
 
 
-def run_probe(source, *argv, timeout=120):
+def run_probe(source, *argv, cwd=None, timeout=300):
     """The JSON that the Python `source`, run in a fresh interpreter on this
-    checkout's package with `argv`, prints on its last line."""
+    checkout's package with `argv` in directory `cwd`, prints on its last
+    line."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", source, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", source, *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=timeout, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def scipy_modules_loaded(*argv):
-    code, modules = run_probe(_PROBE, *argv)
-    assert code == 0, f"qfisher {' '.join(argv)} exited {code}"
-    return set(modules)
+@pytest.mark.parametrize("row", LOADS)
+def test_loads(row, tmp_path):
+    # no run loads a scipy package (scipy.special's __init__ would also load
+    # its array-API layer and NUMPY_HEAVY), and scipy itself only under an
+    # entry module
+    entry, library, memos = LOADS[row]
+    source, want = RUNS.get(row, (f"result = qfisher.cli.main({row.split()!r})", 0))
+    result, modules, called, made, bump_compiled = run_probe(_PROBE, source, cwd=tmp_path)
+    assert result == want
+    assert sorted(set(modules) & {UFUNCS, QUADPACK, ZEROS}) == sorted(entry)
+    assert not set(modules) & {"scipy.special", "scipy.integrate", "scipy.optimize",
+                               "scipy.interpolate", "scipy._lib._array_api", *NUMPY_HEAVY}
+    assert ("scipy" in modules) == bool(entry)
+    # a memo is made only where the compiled bump runs: with `cc`, and where
+    # libm's cos and sin give numpy's bits
+    assert (called, made) == (library, memos if bump_compiled else [])
 
 
-def readme_command(name: str) -> list[str]:
-    """The argv of the README's example line for subcommand `name`."""
-    match = re.search(rf"^qfisher ({name} .*)$", (ROOT / "README.md").read_text(), re.M)
-    return match.group(1).split()
+def rowless(readme: str, rows) -> list[str]:
+    """README `qfisher` lines (their argv) that are not rows, then the
+    subcommands that no row runs."""
+    lines = re.findall(r"^qfisher (.*)$", readme, re.M)
+    return ([line for line in lines if line not in rows]
+            + [name for name in SUBCOMMANDS if not any(row.split()[0] == name for row in rows)])
 
 
-#: the compiled QUADPACK and Brent modules that the q > 1 Barenblatt
-#: constant loads
-ROOT_FINDERS = ("scipy.integrate._quadpack", "scipy.optimize._zeros")
+def test_every_command_has_a_row():
+    assert rowless((ROOT / "README.md").read_text(), LOADS) == []
 
 
-def assert_only_compiled(loaded: set, *modules):
-    """The compiled scipy `modules` are loaded, and no scipy package that
-    qfisher reaches (scipy.special, scipy.integrate, scipy.optimize,
-    scipy.interpolate), nor scipy.special's array-API layer and the numpy
-    modules that layer loads."""
-    assert set(modules) <= loaded
-    assert not loaded & {"scipy.special", "scipy._lib._array_api", *NUMPY_HEAVY}
-    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate"}
-
-
-def assert_only_special_ufuncs(loaded: set):
-    assert_only_compiled(loaded, "scipy.special._ufuncs")
-
-
-def test_bare_import_loads_no_scipy():
-    assert scipy_modules_loaded() == set()
-
-
-@pytest.mark.parametrize("name", ["info", "qcr", "stam", "minimize"])
-def test_closed_form_commands_load_only_scipy_special(name):
-    assert_only_special_ufuncs(scipy_modules_loaded(*readme_command(name)))
-
-
-@pytest.mark.parametrize("argv", [("qcr", "--n", "3"), ("info", "--n", "2")], ids=" ".join)
-def test_radial_commands_load_only_scipy_special(argv):
-    assert_only_special_ufuncs(scipy_modules_loaded(*argv))
-
-
-@pytest.mark.parametrize("model", ["qgaussian-location", "escort-pair"])
-def test_qgaussian_sampler_loads_only_scipy_special(model):
-    # the sampler's radii come from the inverse incomplete Beta/Gamma
-    assert_only_special_ufuncs(scipy_modules_loaded(
-        "crbound", "--model", model, "--q", "1.5", "--trials", "2000", "--seed", "1"))
-
-
-def test_reproduce_loads_only_scipy_special(tmp_path):
-    assert_only_special_ufuncs(scipy_modules_loaded("reproduce", "-o", str(tmp_path / "s.txt")))
-
-
-def test_gaussian_location_crbound_loads_no_scipy():
-    argv = readme_command("crbound")
-    assert argv[argv.index("--model") + 1] == "gaussian-location"
-    assert scipy_modules_loaded(*argv) == set()
-
-
-def test_one_dimensional_diffuse_loads_only_quadpack_and_brent(tmp_path):
-    # the q > 1 Barenblatt constant runs on scipy's compiled quad and
-    # brentq, and the 1-D sphere "surface" is 2 without scipy.special
-    argv = readme_command("diffuse")
-    argv[argv.index("-o") + 1] = str(tmp_path / "traj.csv")
-    loaded = scipy_modules_loaded(*argv)
-    assert_only_compiled(loaded, *ROOT_FINDERS)
-    assert not any(m.startswith("scipy.special") for m in loaded)
-    assert (tmp_path / "traj.csv").stat().st_size > 0
+def test_detects_rowless_command():
+    rows = [row for row in LOADS if not row.startswith("stam")]
+    readme = "qfisher info --family gaussian\n  qfisher qcr --q 3\nqfisher stam --q 3\n"
+    assert rowless(readme, rows) == ["info --family gaussian", "stam --q 3", "stam"]
 
 
 #: the ufuncs qfisher calls through `special_functions`
@@ -785,112 +803,6 @@ def test_detects_scipy_name():
               'NAME = "scipy.optimize._zeros"\nPACKAGE = "scipy"\nimport scipyx, numpy.scipy\n')
     assert names_scipy(source) == ["line 2", "line 5", "line 6", "line 7", "line 8", "line 9",
                                    "line 10", "line 12"]
-
-
-#: builds the benchmark's four trajectories inputs (the heat run's q = 1
-#: constant among them) and prints, as JSON, the scipy modules and
-#: NUMPY_HEAVY modules then loaded
-_TRAJECTORIES_PROBE = f"""
-import json, sys
-sys.path.insert(0, sys.argv[1])
-import workloads
-workloads.trajectories_inputs(0)
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "scipy" or m in {NUMPY_HEAVY!r})))
-"""
-
-
-def test_heat_barenblatt_constant_loads_no_scipy(tmp_path):
-    # the q = 1 constant is a closed form by math.lgamma, not scipy.special
-    # or `normalization`
-    argv = readme_command("diffuse")
-    argv[argv.index("--m") + 1] = "1"
-    argv[argv.index("-o") + 1] = str(tmp_path / "traj.csv")
-    argv += ["--grid-lo", "-16", "--grid-hi", "16"]  # clear of the heat kernel's tail to t = 2
-    assert scipy_modules_loaded(*argv) == set()
-
-
-def test_trajectories_inputs_load_only_quadpack_and_brent():
-    # the three q > 1 constants; the heat run's loads nothing
-    loaded = set(run_probe(_TRAJECTORIES_PROBE, str(ROOT / "perfbench")))
-    assert_only_compiled(loaded, *ROOT_FINDERS)
-    assert not any(m.startswith("scipy.special") for m in loaded)
-
-
-def test_entropy_power_minimize_loads_only_scipy_special():
-    argv = readme_command("minimize")
-    argv[argv.index("--constraint") + 1] = "entropy-power"
-    assert_only_special_ufuncs(scipy_modules_loaded(*argv))
-
-
-#: runs acceptance criteria 2-3 (the Barenblatt-started PDE runs) and
-#: prints, as JSON, their verdicts and the scipy modules and NUMPY_HEAVY
-#: modules then loaded
-_CRITERIA_PROBE = f"""
-import json, sys
-from qfisher.acceptance import AcceptanceSuite
-suite = AcceptanceSuite()
-passed = [suite.criterion_2().passed, suite.criterion_3().passed]
-print(json.dumps([passed, sorted(m for m in sys.modules
-                                 if m.split(".")[0] == "scipy" or m in {NUMPY_HEAVY!r})]))
-"""
-
-
-def test_barenblatt_criteria_load_no_scipy_package():
-    passed, modules = run_probe(_CRITERIA_PROBE, timeout=300)
-    assert passed == [True, True]
-    assert_only_compiled(set(modules), *ROOT_FINDERS)
-
-
-#: prints, as JSON, which of subprocess and hashlib are loaded after
-#: importing qfisher.cli and building a DiffusionState, which of them drawing
-#: a bump loads on top of what numpy.random loads itself (hashlib), how
-#: often the compiled kernels were requested, and the bump memo's slot
-#: ([node count, made]) after the import; then the exit codes of the
-#: commands whose argv lists argv[1] holds, the memo's slot after them and
-#: the node counts of the memos they made
-_LAZY_BUILD_PROBE = """
-import contextlib, io, json, sys
-import numpy as np
-import qfisher.cli
-from qfisher import _native, diffusion, perturb
-
-def memo_slot():
-    return [[n, memo is not None] for n, memo in perturb._MEMO.items()]
-
-memo_at_import = memo_slot()
-from qfisher.core import Axis, density_from_callable
-from qfisher.qgaussian import DiffusionParams
-
-def loaded():
-    return {m for m in ("subprocess", "hashlib") if m in sys.modules}
-
-f = density_from_callable(Axis(-5.0, 5.0, 101), lambda x: np.exp(-x * x))
-diffusion.DiffusionState(DiffusionParams(2.0, 2.0, 1), 0.0, f)
-at_state = loaded()
-rng = np.random.default_rng(1)
-with_rng = loaded()
-perturb.fourier_bump(rng)
-state = [sorted(at_state), sorted(loaded() - with_rng), _native.library.cache_info().misses,
-         list(perturb._CHOICE), memo_at_import]
-made = []
-memo_cls = perturb._Memo
-perturb._Memo = lambda n: made.append(n) or memo_cls(n)
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [qfisher.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps(state + [codes, memo_slot(), made]))
-"""
-
-
-def test_import_and_state_start_no_compiler(tmp_path):
-    # the compiled kernels are built or loaded at the first evolve or bump
-    # evaluation off the peak probe that uses them, and the bump memo is
-    # made at the first compiled evaluation on a base grid, which info and
-    # diffuse make none of
-    diffuse = readme_command("diffuse")
-    diffuse[diffuse.index("-o") + 1] = str(tmp_path / "traj.csv")
-    commands = json.dumps([readme_command("info"), diffuse])
-    assert run_probe(_LAZY_BUILD_PROBE, commands) == [[], [], 0, [], [], [0, 0], [], []]
 
 
 def exported_c_functions(source: str) -> dict[str, tuple[str, int]]:
