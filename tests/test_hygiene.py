@@ -557,18 +557,19 @@ TRAJECTORIES = "workloads.trajectories_inputs(0)"
 CRITERIA = "acceptance criteria 2-3"
 DRAW = "DiffusionState, then a fourier_bump draw"
 RUNS = {
-    IMPORT: ("result = sorted(m for m in sys.modules if m.split('.')[0] == 'qfisher')",
-             ["qfisher", *(f"qfisher.{p.stem}" for p in MODULES)]),
+    # the two imports alone load every module of the package
+    IMPORT: ("result = imported", ["qfisher", *(f"qfisher.{p.stem}" for p in MODULES)]),
     TRAJECTORIES: (f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\nimport workloads\n"
                    "workloads.trajectories_inputs(0)\nresult = 0", 0),
     CRITERIA: ("from qfisher.acceptance import AcceptanceSuite\nsuite = AcceptanceSuite()\n"
                "result = [suite.criterion_2().passed, suite.criterion_3().passed]", [True, True]),
     # building a state loads neither subprocess nor hashlib, nor does a bump
-    # draw beyond what numpy.random loads itself (hashlib); no memo slot is
-    # open at import, and the compiled bump kernel is chosen at the first
-    # evaluation off the peak probe, which the draw makes none of
+    # draw beyond what numpy.random loads itself (hashlib); the compiled bump
+    # kernel is chosen at the first evaluation off the peak probe, which the
+    # draw makes none of.  No memo slot is open at import or after the draw:
+    # test_loads checks the slots a run leaves, and a slot only ever
+    # replaces another
     DRAW: ("""
-memo_at_import = list(perturb._MEMO)
 from qfisher.core import Axis, density_from_callable
 from qfisher.qgaussian import DiffusionParams
 
@@ -581,8 +582,8 @@ at_state = loaded()
 rng = np.random.default_rng(1)
 with_rng = loaded()
 perturb.fourier_bump(rng)
-result = [sorted(at_state), sorted(loaded() - with_rng), list(perturb._CHOICE), memo_at_import]
-""", [[], [], [], []]),
+result = [sorted(at_state), sorted(loaded() - with_rng), list(perturb._CHOICE)]
+""", [[], [], []]),
 }
 
 #: what each run loads in a fresh interpreter: exactly which of UFUNCS,
@@ -624,15 +625,17 @@ LOADS = {
     "reproduce -o summary.txt": ((UFUNCS, QUADPACK, ZEROS), True, [4001] * 14),
 }
 
-#: runs the Python source argv[1] after importing qfisher and qfisher.cli,
-#: with stdout silenced, and prints, as JSON, the `result` it sets, the
-#: scipy and NUMPY_HEAVY modules then loaded, whether `_native.library()`
-#: was called, the node counts of the bump memos made, and whether the
-#: compiled bump kernel was chosen
+#: runs the Python source argv[1] after importing qfisher and qfisher.cli
+#: (the qfisher modules these two load are `imported`), with stdout
+#: silenced, and prints, as JSON, the `result` it sets, the scipy and
+#: NUMPY_HEAVY modules then loaded, whether `_native.library()` was called,
+#: the node counts of the bump memos made, whether the compiled bump kernel
+#: was chosen, and the node counts of the memo slots left open
 _PROBE = f"""
 import contextlib, io, json, sys
 import numpy as np
 import qfisher, qfisher.cli
+imported = sorted(m for m in sys.modules if m.split(".")[0] == "qfisher")
 from qfisher import _native, diffusion, perturb
 made, memo = [], perturb._Memo
 perturb._Memo = lambda n: made.append(n) or memo(n)
@@ -640,7 +643,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     exec(sys.argv[1])
 print(json.dumps([result, sorted(m for m in sys.modules
                                  if m.split(".")[0] == "scipy" or m in {NUMPY_HEAVY!r}),
-                  _native.library.cache_info().misses > 0, made, any(perturb._CHOICE)]))
+                  _native.library.cache_info().misses > 0, made, any(perturb._CHOICE),
+                  list(perturb._MEMO)]))
 """
 
 
@@ -662,15 +666,18 @@ def test_loads(row, tmp_path):
     # entry module
     entry, library, memos = LOADS[row]
     source, want = RUNS.get(row, (f"result = qfisher.cli.main({row.split()!r})", 0))
-    result, modules, called, made, bump_compiled = run_probe(_PROBE, source, cwd=tmp_path)
+    result, modules, called, made, bump_compiled, slots = run_probe(_PROBE, source,
+                                                                     cwd=tmp_path)
     assert result == want
     assert sorted(set(modules) & {UFUNCS, QUADPACK, ZEROS}) == sorted(entry)
     assert not set(modules) & {"scipy.special", "scipy.integrate", "scipy.optimize",
                                "scipy.interpolate", "scipy._lib._array_api", *NUMPY_HEAVY}
     assert ("scipy" in modules) == bool(entry)
     # a memo is made only where the compiled bump runs: with `cc`, and where
-    # libm's cos and sin give numpy's bits
+    # libm's cos and sin give numpy's bits; its slot is opened by the base
+    # grid on every host, and holds the last grid's
     assert (called, made) == (library, memos if bump_compiled else [])
+    assert slots == memos[-1:]
 
 
 def rowless(readme: str, rows) -> list[str]:
