@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Axis, Tolerances, density_from_callable, integrate
+from .core import EQUALITY_TOL, Axis, Tolerances, density_from_callable, integrate
 from .diffusion import DiffusionState, debruijn_check, evolve, phi_monotonicity_check
 from .estimation import (
     crm_bound_general,
@@ -43,10 +43,6 @@ from .qgaussian import (
 QCR_POINTS = ((2.0, 2.0), (1.5, 2.0), (2.0, 3.0))
 #: seed for every randomized batch in the suite
 SUITE_SEED = 20260811
-#: how far the unperturbed q-Gaussian's q-Cramer-Rao product may read from
-#: n, or its Stam ratio from 1 (criteria 6 and 7, and the qcr and stam
-#: commands)
-EQUALITY_TOL = 1e-4
 #: the shared PDE runs, kind -> (m, beta, half_width, t0, t_end): t0 = 0
 #: starts from the unit Gaussian, any other t0 from the unit-mass Barenblatt
 RUNS = {"heat": (1.0, 2.0, 10.0, 0.0, 0.5),

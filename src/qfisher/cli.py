@@ -17,36 +17,28 @@ value (`_selector_reads`), a count below its least value (LEAST_COUNT;
 minimize: perturbations >= 1, crbound: trials 0 or >= 2), an even grid
 count (on info, one not 4k + 1 with k >= 2), a value of POSITIVE_KEYS not
 finite and > 0, of FINITE_KEYS not finite or of the Hoelder exponent not
-finite and > 1, and a pair of ORDERED_PAIRS out of order are refused.
-A flat key = value file (--config) is overridden by flags; every report
-embeds the resolved options that its run read.
+finite and > 1, a pair of ORDERED_PAIRS out of order, a --config file
+that cannot be read and an -o path that is a directory or lies in no
+directory are refused.  A flat key = value file (--config) is overridden
+by flags; every report embeds the resolved options that its run read.
 Reports are deterministic byte-for-byte for identical config + seed: JSON is
 emitted with sorted keys and shortest round-trip floats, CSV with 17
 significant digits and '.' decimal.
 
 Exit codes: 0 all verdicts pass, 1 verdict failure, 2 usage error,
 3 numerical failure.
+Importing this module loads only the standard library: a handler imports
+numpy and the modules it runs once resolve_config has checked its options
+(crbound's model checks read the model registry, and numpy with it).
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
+import os
 import sys
-
-import numpy as np
-
-from .acceptance import EQUALITY_TOL, SUITE_SEED, AcceptanceSuite, render_summary
-from .core import Axis, Tolerances, density_from_callable
-from .diffusion import DiffusionState, debruijn_check, evolve, phi_monotonicity_check, trajectory_csv_rows
-from .estimation import MODEL_REGISTRY, crm_bound_scalar, mc_error_moment, qcr_product
-from .inequalities import min_fisher_fixed_entropy, min_fisher_fixed_moment, stam_ratio
-from .info_measures import (check_refinement_count, entropy_power, m_q, phi_fisher_refined,
-                            renyi_entropy, tsallis_entropy)
-from .perturb import perturbation_batch
-from .qgaussian import DiffusionParams, QGaussianParams, barenblatt_density, grid_density, moment_alpha
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -65,18 +57,34 @@ def _fmt17(x: float) -> str:
 
 
 def read_config_file(path: str) -> dict:
-    """Flat `key = value` lines; '#' starts a comment.  Values stay strings."""
+    """Flat `key = value` lines of UTF-8 text; '#' starts a comment.  Values
+    stay strings.  A file that cannot be read is a usage error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise UsageError(f"cannot read config file {path}: {reason}") from None
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = val.strip()
     return out
+
+
+def _check_output(path: str):
+    """An -o path that is a directory, or whose directory does not exist,
+    is a usage error: refused before the work whose report it would lose."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write report {path}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write report {path}: no directory {parent}")
 
 
 def _option_type(default):
@@ -87,12 +95,16 @@ def _option_type(default):
 
 def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags, every value of its default's
-    type.  Counts, POSITIVE_KEYS, FINITE_KEYS, the Hoelder exponent, the
-    selectors and then ORDERED_PAIRS are checked before any work.  The
-    result holds only the options the run reads: not the unset seed (None),
-    nor an option that the selected model, family or init never reads."""
+    type.  The -o path, the config file, counts, POSITIVE_KEYS, FINITE_KEYS,
+    the Hoelder exponent, the selectors and then ORDERED_PAIRS are checked
+    before any work.  The result holds only the options the run reads: not
+    the unset seed (None), nor an option that the selected model, family or
+    init never reads."""
+    if args.output:
+        _check_output(args.output)
     cfg = dict(defaults)
-    file_cfg = read_config_file(args.config) if args.config else {}
+    config = vars(args).get("config")  # reproduce takes no --config
+    file_cfg = read_config_file(config) if config else {}
     unknown = set(file_cfg) - set(defaults)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -116,8 +128,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     for key in ("alpha", "beta"):  # a command's one Hoelder exponent
         if key in cfg and not 1 < cfg[key] < math.inf:
             raise UsageError(f"{key} must be finite and exceed 1, got {cfg[key]}")
-    selectors = _selector_reads()
-    for selector in selectors.keys() & cfg.keys():
+    selectors = _selector_reads(cfg.keys())
+    for selector in selectors:
         reads, value = selectors[selector], cfg[selector]
         if value not in reads:
             raise UsageError(f"unknown {selector} {value!r} ({', '.join(reads)})")
@@ -134,17 +146,24 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 def _model_options(name: str) -> list:
     """A registry model's options: its builder's parameters but count and theta."""
+    import inspect
+    from .estimation import MODEL_REGISTRY
     return [key for key in inspect.signature(MODEL_REGISTRY[name]).parameters
             if key not in ("count", "theta")]
 
 
-def _selector_reads() -> dict:
+def _selector_reads(keys) -> dict:
     """selector -> {value: the options of the selector's values that this
-    value reads}; every model reads alpha, its error-moment order, and n."""
-    models = {name: {"alpha", "n", *_model_options(name)} for name in MODEL_REGISTRY}
-    return {"family": {"uniform": {"lo", "hi"}, "qgaussian": {"gamma"}}, "model": models,
-            "init": {"barenblatt": set(), "gaussian": {"sigma0"}},
-            "constraint": {"moment": set(), "entropy-power": set()}}
+    value reads}, for the selectors among `keys`; every model reads alpha,
+    its error-moment order, and n.  Only a model selector loads the model
+    registry, and with it numpy."""
+    reads = {"family": {"uniform": {"lo", "hi"}, "qgaussian": {"gamma"}},
+             "init": {"barenblatt": set(), "gaussian": {"sigma0"}},
+             "constraint": {"moment": set(), "entropy-power": set()}}
+    if "model" in keys:
+        from .estimation import MODEL_REGISTRY
+        reads["model"] = {name: {"alpha", "n", *_model_options(name)} for name in MODEL_REGISTRY}
+    return {selector: reads[selector] for selector in reads.keys() & keys}
 
 
 #: least value of each count option and of the seed; a grid count must also
@@ -216,6 +235,11 @@ INFO_DEFAULTS = {
 
 def cmd_info(args) -> int:
     cfg = resolve_config(args, INFO_DEFAULTS)
+    import numpy as np
+    from .core import Axis, density_from_callable
+    from .info_measures import (check_refinement_count, entropy_power, m_q, phi_fisher_refined,
+                                renyi_entropy, tsallis_entropy)
+    from .qgaussian import QGaussianParams, grid_density
     try:
         check_refinement_count(cfg["grid_count"])
     except ValueError as exc:
@@ -254,11 +278,16 @@ def cmd_diffuse(args) -> int:
     if not args.output:
         raise UsageError("diffuse requires --output for the trajectory CSV")
     _check_one_dimensional(cfg, "the diffusion solver")
+    if cfg["init"] == "barenblatt" and cfg["t0"] <= 0:
+        raise UsageError("barenblatt initial data needs t0 > 0")
+    import numpy as np
+    from .core import Axis, density_from_callable
+    from .diffusion import (DiffusionState, debruijn_check, evolve, phi_monotonicity_check,
+                            trajectory_csv_rows)
+    from .qgaussian import DiffusionParams, barenblatt_density
     dp = DiffusionParams(cfg["m"], cfg["beta"], cfg["n"])
     ax = Axis(cfg["grid_lo"], cfg["grid_hi"], cfg["grid_count"])
     if cfg["init"] == "barenblatt":
-        if cfg["t0"] <= 0:
-            raise UsageError("barenblatt initial data needs t0 > 0")
         f0 = barenblatt_density(dp, cfg["t0"], ax)
     else:
         s0 = cfg["sigma0"]
@@ -305,6 +334,7 @@ def cmd_crbound(args) -> int:
     options = _model_options(cfg["model"])
     if "n" not in options:
         _check_one_dimensional(cfg, f"the {cfg['model']} model")
+    from .estimation import MODEL_REGISTRY, crm_bound_scalar, mc_error_moment
     model = MODEL_REGISTRY[cfg["model"]](**{key: cfg[key] for key in options},
                                          count=cfg["grid_count"], theta=cfg["theta"])
     est = model.estimator(cfg["alpha"])
@@ -328,6 +358,9 @@ QCR_DEFAULTS = {"q": 2.0, "alpha": 2.0, "gamma": 1.0, "n": 1, "grid_count": 8001
 
 def cmd_qcr(args) -> int:
     cfg = resolve_config(args, QCR_DEFAULTS)
+    from .core import EQUALITY_TOL, Tolerances
+    from .estimation import qcr_product
+    from .qgaussian import QGaussianParams, grid_density
     g = grid_density(QGaussianParams(cfg["q"], cfg["alpha"], cfg["gamma"], cfg["n"]),
                      cfg["grid_count"])
     rep = qcr_product(g, cfg["q"], cfg["alpha"], Tolerances(inequality_slack=1e-6))
@@ -350,6 +383,11 @@ def cmd_stam(args) -> int:
     _check_seed(cfg, "perturbations")
     if cfg["perturbations"]:
         _check_one_dimensional(cfg, "the perturbation family")
+    import numpy as np
+    from .core import EQUALITY_TOL, Tolerances
+    from .inequalities import stam_ratio
+    from .perturb import perturbation_batch
+    from .qgaussian import QGaussianParams, grid_density, moment_alpha
     q, beta = cfg["q"], cfg["beta"]
     p = QGaussianParams(q, beta / (beta - 1.0), cfg["gamma"], cfg["n"])
     f = grid_density(p, cfg["grid_count"])
@@ -389,6 +427,8 @@ def cmd_minimize(args) -> int:
     _check_counts(cfg, {"perturbations": 1})
     _check_seed(cfg, "perturbations")
     _check_one_dimensional(cfg, "the perturbation family")
+    from .core import Tolerances
+    from .inequalities import min_fisher_fixed_entropy, min_fisher_fixed_moment
     common = (cfg["target"], cfg["n"], cfg["perturbations"], cfg["seed"], cfg["grid_count"],
              Tolerances(inequality_slack=1e-6))
     alpha = cfg["alpha"]
@@ -404,6 +444,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    resolve_config(args, {})
+    from .acceptance import SUITE_SEED, AcceptanceSuite, render_summary
     results = AcceptanceSuite().run_all()
     header = f"# config: seed={SUITE_SEED}\n"
     _emit(header + render_summary(results), args.output)

@@ -27,6 +27,9 @@ import numpy as np
 
 #: normalization tolerance after `normalize`
 EPS_NORM = 1e-10
+#: how far the unperturbed q-Gaussian's q-Cramer-Rao product may read from n,
+#: or its Stam ratio from 1 (acceptance criteria 6 and 7, the qcr and stam commands)
+EQUALITY_TOL = 1e-4
 
 
 class NonFiniteError(ValueError):

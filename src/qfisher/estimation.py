@@ -311,8 +311,8 @@ def qcr_product(g: GridDensity, q: float, alpha: float,
     q-Gaussians.  The density is recentered (with a warning) if its mean is
     not zero.  Extras carry the alternative reading with the q^beta factor
     outside the 1/beta power and the discrepancy factor between the two."""
-    if not alpha > 1:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    if not 1 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
     beta = alpha / (alpha - 1.0)

@@ -133,6 +133,8 @@ def phi_fisher(f: GridDensity, q: float, beta: float) -> float:
     """
     if not beta > 1:
         raise ValueError(f"beta must exceed 1, got {beta}")
+    if not -np.inf < q < np.inf:
+        raise ValueError(f"q must be finite, got {q}")
     return integrate(f, _phi_integrand(f.values, f.support_mask, gradient(f), q, beta))
 
 
@@ -145,7 +147,7 @@ def i_fisher(f: GridDensity, q: float, beta: float, mq: float | None = None) -> 
     """
     if abs(q - 1.0) < Q_ONE_WINDOW:
         return phi_fisher(f, q, beta)
-    phi = phi_fisher(f, q, beta)  # checks beta before m_q's work
+    phi = phi_fisher(f, q, beta)  # checks q and beta before m_q's work
     return phi / (m_q(f, q) if mq is None else mq) ** beta
 
 
@@ -262,6 +264,8 @@ def recenter(f: GridDensity):
 
 def moment_abs(f: GridDensity, alpha: float) -> float:
     """E ||X||^alpha on the grid."""
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     return integrate(f, _abs_power(f.axis, alpha) * f.values)
 
 

@@ -94,6 +94,14 @@ class TestConfigFile:
         assert from_file == from_flags and from_file[0] == EXIT_PASS
         assert json.loads(from_file[1])["config"]["q"] == 2.0
 
+    def test_file_that_is_not_utf8_is_refused(self, tmp_path, capsys):
+        # it used to exit 3, as a "numerical failure"
+        cfg = tmp_path / "run.conf"
+        cfg.write_bytes(b"q = 2\n\xff = 1\n")
+        code, out, err = run_cli(capsys, "qcr", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"usage error: cannot read config file {cfg}: 'utf-8' codec ")
+
     def test_seed_key_only_where_read(self, tmp_path, capsys):
         cfg = tmp_path / "seed.conf"
         cfg.write_text("seed = 5\n")
@@ -176,10 +184,10 @@ def test_tolerance_options_found():
 
 #: every CLI refusal: a command line and the fragment of the message that
 #: names its key.  A --config value is the config file's text, on a command
-#: that takes one; every other argument is a flag.  Each row runs once from
-#: its flags and once with the pairs of its command's keys moved into a
-#: config file, where a row has such a pair; a row that holds a file's text
-#: runs from the file only.  A fragment that starts with one of ARGPARSE's
+#: that takes one, unless it is an absolute path; every other argument is a
+#: flag.  Each row runs once from its flags and once with the pairs of its
+#: command's keys moved into a config file, where a row has such a pair; a
+#: row that holds a file's text runs from the file only.  A fragment that starts with one of ARGPARSE's
 #: words is argparse's own message.
 ARGPARSE = ("unrecognized", "invalid")
 REFUSALS = [
@@ -274,6 +282,14 @@ REFUSALS = [
     # diffuse writes its trajectory to -o, and starts a Barenblatt at t0 > 0
     ("diffuse", "diffuse requires --output for the trajectory CSV"),
     ("diffuse --t0 0", "barenblatt initial data needs t0 > 0"),
+    # a config file that cannot be read, and a report path that cannot be
+    # written: refused before the work, not after it
+    ("qcr --config /nonexistent/x.cfg",
+     "cannot read config file /nonexistent/x.cfg: No such file or directory"),
+    ("qcr --config /", "cannot read config file /: Is a directory"),
+    ("qcr --q 2 -o /", "cannot write report /: it is a directory"),
+    ("reproduce -o /nonexistent/out.json",
+     "cannot write report /nonexistent/out.json: no directory /nonexistent"),
 ]
 
 
@@ -287,7 +303,7 @@ def split_row(row: str) -> tuple[list[str], list[str]]:
         key = option[2:].replace("-", "_")
         if key in declared:
             lines.append(f"{key} = {value}")
-        elif option == "--config" and declared:
+        elif option == "--config" and declared and not value.startswith("/"):
             lines.append(value)
         else:
             argv += [option, value]
@@ -295,8 +311,8 @@ def split_row(row: str) -> tuple[list[str], list[str]]:
 
 
 def refusal_argv(row: str, fragment: str, source: str, tmp_path) -> list[str]:
-    """`row` as run from `source`, with -o tmp_path/out where the row does
-    not refuse its absence."""
+    """`row` as run from `source`, with -o tmp_path/out where the row gives
+    none and does not refuse its absence."""
     if source == "flag":
         argv = shlex.split(row)
     else:
@@ -304,7 +320,9 @@ def refusal_argv(row: str, fragment: str, source: str, tmp_path) -> list[str]:
         cfg = tmp_path / "given.conf"
         cfg.write_text("\n".join(lines) + "\n")
         argv += ["--config", str(cfg)]
-    return argv if "requires --output" in fragment else argv + ["-o", str(tmp_path / "out")]
+    if "requires --output" in fragment or "-o" in argv:
+        return argv
+    return argv + ["-o", str(tmp_path / "out")]
 
 
 def refusal_cases():
@@ -322,15 +340,18 @@ REFUSAL_CASES = list(refusal_cases())
 
 def _forbid_work(monkeypatch):
     """Make every density build, model build, solver run and suite run fail
-    the test."""
+    the test.  A handler imports what it calls when it runs, so each is
+    patched on the module that defines it."""
     def forbidden(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("grid_density", "density_from_callable", "barenblatt_density", "evolve",
-                 "crm_bound_scalar", "qcr_product", "stam_ratio", "min_fisher_fixed_moment",
-                 "min_fisher_fixed_entropy", "perturbation_batch", "phi_fisher_refined",
-                 "AcceptanceSuite"):
-        monkeypatch.setattr(f"qfisher.cli.{name}", forbidden)
+    for name in ("qgaussian.grid_density", "core.density_from_callable",
+                 "qgaussian.barenblatt_density", "diffusion.evolve", "estimation.crm_bound_scalar",
+                 "estimation.qcr_product", "inequalities.stam_ratio",
+                 "inequalities.min_fisher_fixed_moment", "inequalities.min_fisher_fixed_entropy",
+                 "perturb.perturbation_batch", "info_measures.phi_fisher_refined",
+                 "acceptance.AcceptanceSuite"):
+        monkeypatch.setattr(f"qfisher.{name}", forbidden)
     monkeypatch.setattr(ParametricModel, "__post_init__", forbidden)
 
 
@@ -597,7 +618,7 @@ class TestCrbound:
                                             monkeypatch):
         # rhs = 1: an error moment 4 standard errors below it is consistent,
         # 6 below is not, and fails the run while the bound itself passes
-        monkeypatch.setattr("qfisher.cli.mc_error_moment",
+        monkeypatch.setattr("qfisher.estimation.mc_error_moment",
                             lambda model, est, theta, trials, seed: (mc, 0.1))
         code, out, _ = run_cli(capsys, "crbound", "--model", "gaussian-location",
                                "--trials", "100", "--seed", "4")
@@ -609,7 +630,7 @@ class TestCrbound:
         # the flagged report has no equality fit: exit 1 with the flag, no traceback
         flagged = VerificationReport(0.5, math.nan, math.nan, False,
                                      {"flag": "divergent-score-moment"})
-        monkeypatch.setattr("qfisher.cli.crm_bound_scalar", lambda *args: flagged)
+        monkeypatch.setattr("qfisher.estimation.crm_bound_scalar", lambda *args: flagged)
         code, out, err = run_cli(capsys, "crbound")
         d = json.loads(out)
         assert code == EXIT_VERDICT and err == ""

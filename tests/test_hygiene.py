@@ -4,10 +4,11 @@ it never references, no default is left that no call overrides or that
 every call sets to its own literal (one known knob aside), no class field
 or CLI option is left that nothing reads, and no cache can grow without
 bound.  One table, LOADS, states what each command and each named run loads
-in a fresh interpreter: exactly which of the compiled scipy modules
-(scipy.special's ufuncs, QUADPACK and Brent's method) and never their
-packages, and so never scipy.special's array-API layer; whether it builds
-or loads the compiled kernels; and the bump memos it makes."""
+in a fresh interpreter: exactly which qfisher modules, and numpy only with
+a module past the package and the CLI; exactly which of the compiled scipy
+modules (scipy.special's ufuncs, QUADPACK and Brent's method) and never
+their packages, and so never scipy.special's array-API layer; whether it
+builds or loads the compiled kernels; and the bump memos it makes."""
 
 import ast
 import inspect
@@ -29,24 +30,27 @@ from qfisher.qgaussian import QGaussianParams, grid_density
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qfisher"
-# __init__.py imports names to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by module-level imports that the module never reads."""
+    """Names bound by imports that their scope never reads.  An import's
+    scope is the innermost function that holds it, else the module; a read
+    anywhere in the scope, nested functions included, counts."""
     tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            scope = parent[node]
+            while not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parent[scope]
             for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                bound[name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
-            if name not in used]
+                bound[scope, alias.asname or alias.name.split(".")[0]] = node.lineno
+    return [f"line {line}: {name}"
+            for (scope, name), line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}]
 
 
 def unused_private_names(source: str) -> list[str]:
@@ -77,7 +81,7 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
 
@@ -86,6 +90,14 @@ def test_detects_unused_import():
     source = "import os\nimport sys\nfrom .perturb import fourier_bump, perturbed_density\n" \
              "sys.exit(perturbed_density)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: fourier_bump"]
+    # an import in a function is read in that function, a nested one included,
+    # and not by a read of the same name in another function
+    local = ("import math\n"
+             "def f(x):\n    import numpy as np\n    from .core import Axis, integrate\n"
+             "    def g():\n        import os\n        return integrate(x)\n"
+             "    return g() + math.pi\n"
+             "def h():\n    if True:\n        import json, sys\n    return np, sys\n")
+    assert unused_imports(local) == ["line 3: np", "line 4: Axis", "line 6: os", "line 11: json"]
 
 
 def test_detects_unused_private_name():
@@ -97,7 +109,7 @@ def test_detects_unused_private_name():
 
 
 def test_modules_found():
-    assert {"perturb.py", "cli.py", "acceptance.py"} <= {p.name for p in MODULES}
+    assert {"__init__.py", "perturb.py", "cli.py", "acceptance.py"} <= {p.name for p in MODULES}
 
 
 #: every file whose calls may set a package default: the program's own
@@ -267,7 +279,7 @@ def unread_defaults(package_sources, caller_sources) -> list[str]:
 
 
 def test_no_unread_defaults():
-    assert unread_defaults([p.read_text() for p in sorted(PACKAGE.glob("*.py"))],
+    assert unread_defaults([p.read_text() for p in MODULES],
                            [p.read_text() for p in CALLERS]) == []
 
 
@@ -338,7 +350,7 @@ KNOWN_LITERAL_KNOBS = ["phi_monotonicity_check(slack)"]
 
 
 def test_no_new_literal_default_knobs():
-    assert literal_default_knobs([p.read_text() for p in sorted(PACKAGE.glob("*.py"))],
+    assert literal_default_knobs([p.read_text() for p in MODULES],
                                  [p.read_text() for p in CALLERS]) == KNOWN_LITERAL_KNOBS
 
 
@@ -378,7 +390,7 @@ def unread_fields(package_sources, reader_sources) -> list[str]:
 
 
 def test_no_unread_fields():
-    assert unread_fields([p.read_text() for p in sorted(PACKAGE.glob("*.py"))],
+    assert unread_fields([p.read_text() for p in MODULES],
                          [p.read_text() for p in CALLERS]) == []
 
 
@@ -483,7 +495,7 @@ def unbounded_caches(source: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_cache_bounded(path):
     assert unbounded_caches(path.read_text()) == []
 
@@ -550,15 +562,27 @@ NUMPY_HEAVY = ("numpy.f2py", "numpy.testing")
 UFUNCS, QUADPACK, ZEROS = ("scipy.special._ufuncs", "scipy.integrate._quadpack",
                            "scipy.optimize._zeros")
 
+#: the qfisher modules that a run loads: the two imports alone load the
+#: package and the CLI, and no numpy; a command loads only the modules it
+#: runs, and numpy with them
+BARE = ("qfisher", "qfisher.cli")
+INFO = (*BARE, "qfisher.core", "qfisher.info_measures", "qfisher.qgaussian")
+CR = (*INFO, "qfisher.estimation", "qfisher.reports")
+STAM = (*INFO, "qfisher._native", "qfisher.inequalities", "qfisher.perturb", "qfisher.reports")
+DIFFUSE = (*INFO, "qfisher._native", "qfisher.diffusion", "qfisher.reports")
+EVERY = tuple(f"qfisher.{p.stem}" if p.stem != "__init__" else "qfisher" for p in MODULES)
+
 #: the named runs of LOADS: the source that the probe runs, and the
 #: `result` it must set
 IMPORT = "import qfisher, qfisher.cli"
+EVERY_MODULE = "import every module of the package"
 TRAJECTORIES = "workloads.trajectories_inputs(0)"
 CRITERIA = "acceptance criteria 2-3"
 DRAW = "DiffusionState, then a fourier_bump draw"
 RUNS = {
-    # the two imports alone load every module of the package
-    IMPORT: ("result = imported", ["qfisher", *(f"qfisher.{p.stem}" for p in MODULES)]),
+    IMPORT: ("result = 0", 0),
+    # no module loads scipy at import
+    EVERY_MODULE: (f"for name in {EVERY!r}:\n    importlib.import_module(name)\nresult = 0", 0),
     TRAJECTORIES: (f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\nimport workloads\n"
                    "workloads.trajectories_inputs(0)\nresult = 0", 0),
     CRITERIA: ("from qfisher.acceptance import AcceptanceSuite\nsuite = AcceptanceSuite()\n"
@@ -570,6 +594,8 @@ RUNS = {
     # test_loads checks the slots a run leaves, and a slot only ever
     # replaces another
     DRAW: ("""
+import numpy as np
+from qfisher import diffusion, perturb
 from qfisher.core import Axis, density_from_callable
 from qfisher.qgaussian import DiffusionParams
 
@@ -586,65 +612,99 @@ result = [sorted(at_state), sorted(loaded() - with_rng), list(perturb._CHOICE)]
 """, [[], [], []]),
 }
 
-#: what each run loads in a fresh interpreter: exactly which of UFUNCS,
-#: QUADPACK and ZEROS, whether it called `_native.library()` (which builds
-#: or loads the compiled kernels), and the node counts of the bump memos it
-#: made.  A run is a command line (the argv after `qfisher`, run in an empty
-#: directory) or a named run of RUNS.
+#: command rows refused with a usage error (exit 2); every other command
+#: row exits 0
+REFUSED = ("qcr --q abc", "qcr --grid-count 4000")
+
+#: what each run loads in a fresh interpreter: exactly which qfisher
+#: modules, which of UFUNCS, QUADPACK and ZEROS, whether it called
+#: `_native.library()` (which builds or loads the compiled kernels), and the
+#: node counts of the bump memos it made.  A run is a command line (the
+#: argv after `qfisher`, run in an empty directory) or a named run of RUNS.
 LOADS = {
-    IMPORT: ((), False, []),
-    TRAJECTORIES: ((QUADPACK, ZEROS), False, []),
-    CRITERIA: ((QUADPACK, ZEROS), True, []),
-    DRAW: ((), False, []),
-    "info --family qgaussian --q 2 --alpha 2 --gamma 1": ((UFUNCS,), False, []),
-    "info --n 2": ((UFUNCS,), False, []),
-    "info --family uniform": ((), False, []),
-    "qcr --q 1.5 --alpha 2 --gamma 1": ((UFUNCS,), False, []),
-    "qcr --n 3": ((UFUNCS,), False, []),  # radial, as is info --n 2
-    "stam --q 2 --beta 2 --gamma 1 --perturbations 20 --seed 7": ((UFUNCS,), True, [4001]),
-    "stam --q 2": ((UFUNCS,), False, []),
-    "minimize --constraint moment --q 2 --alpha 2 --target 0.2 --seed 7": ((UFUNCS,), True, [4001]),
+    IMPORT: (BARE, (), False, []),
+    EVERY_MODULE: (EVERY, (), False, []),
+    TRAJECTORIES: (EVERY, (QUADPACK, ZEROS), False, []),
+    CRITERIA: (EVERY, (QUADPACK, ZEROS), True, []),
+    DRAW: ((*DIFFUSE, "qfisher.perturb"), (), False, []),
+    # parsing, an argparse refusal and a resolve_config refusal load no numpy
+    "--help": (BARE, (), False, []),
+    "qcr --q abc": (BARE, (), False, []),
+    "qcr --grid-count 4000": (BARE, (), False, []),
+    "info --family qgaussian --q 2 --alpha 2 --gamma 1": (INFO, (UFUNCS,), False, []),
+    "info --n 2": (INFO, (UFUNCS,), False, []),
+    "info --family uniform": (INFO, (), False, []),
+    "qcr --q 1.5 --alpha 2 --gamma 1": (CR, (UFUNCS,), False, []),
+    "qcr --n 3": (CR, (UFUNCS,), False, []),  # radial, as is info --n 2
+    "stam --q 2 --beta 2 --gamma 1 --perturbations 20 --seed 7":
+        (STAM, (UFUNCS,), True, [4001]),
+    "stam --q 2": (STAM, (UFUNCS,), False, []),
+    "minimize --constraint moment --q 2 --alpha 2 --target 0.2 --seed 7":
+        (STAM, (UFUNCS,), True, [4001]),
     "minimize --constraint entropy-power --q 2 --alpha 2 --target 0.2 --seed 7":
-        ((UFUNCS, ZEROS), True, [4001]),
-    "crbound --model gaussian-location --n 3 --trials 100000 --seed 7": ((), False, []),
+        (STAM, (UFUNCS, ZEROS), True, [4001]),
+    "crbound --model gaussian-location --n 3 --trials 100000 --seed 7": (CR, (), False, []),
     # the q-Gaussian sampler's radii come from the inverse incomplete Beta/Gamma
-    "crbound --model qgaussian-location --q 1.5 --trials 2000 --seed 1": ((UFUNCS,), False, []),
-    "crbound --model escort-pair --q 1.5 --trials 2000 --seed 1": ((UFUNCS,), False, []),
-    "crbound --model qgaussian-location --q 1.5": ((UFUNCS,), False, []),
+    "crbound --model qgaussian-location --q 1.5 --trials 2000 --seed 1":
+        (CR, (UFUNCS,), False, []),
+    "crbound --model escort-pair --q 1.5 --trials 2000 --seed 1": (CR, (UFUNCS,), False, []),
+    "crbound --model qgaussian-location --q 1.5": (CR, (UFUNCS,), False, []),
     "diffuse --m 2 --beta 2 --init barenblatt --t0 1 --t-end 2 -o traj.csv":
-        ((QUADPACK, ZEROS), True, []),
+        (DIFFUSE, (QUADPACK, ZEROS), True, []),
     # the q = 1 constant is a closed form by math.lgamma, and the 1-D sphere
     # "surface" is 2 without scipy.special; the grid clears the heat
     # kernel's tail to t = 2
     "diffuse --m 1 --beta 2 --init barenblatt --t0 1 --t-end 2 -o traj.csv "
-    "--grid-lo -16 --grid-hi 16": ((), True, []),
+    "--grid-lo -16 --grid-hi 16": (DIFFUSE, (), True, []),
     "diffuse --m 2 --init gaussian --t0 0 --t-end 0.1 --grid-lo -10 --grid-hi 10 -o traj.csv":
-        ((), True, []),
-    "diffuse --m 1.5 --beta 2.5 --t-end 1.1 -o traj.csv": ((QUADPACK, ZEROS), False, []),
+        (DIFFUSE, (), True, []),
+    "diffuse --m 1.5 --beta 2.5 --t-end 1.1 -o traj.csv": (DIFFUSE, (QUADPACK, ZEROS), False, []),
     # a new base grid drops the memo of the one before
-    "reproduce -o summary.txt": ((UFUNCS, QUADPACK, ZEROS), True, [4001] * 14),
+    "reproduce -o summary.txt": (EVERY, (UFUNCS, QUADPACK, ZEROS), True, [4001] * 14),
 }
 
-#: runs the Python source argv[1] after importing qfisher and qfisher.cli
-#: (the qfisher modules these two load are `imported`), with stdout
-#: silenced, and prints, as JSON, the `result` it sets, the scipy and
-#: NUMPY_HEAVY modules then loaded, whether `_native.library()` was called,
-#: the node counts of the bump memos made, whether the compiled bump kernel
-#: was chosen, and the node counts of the memo slots left open
+#: runs the Python source argv[1] after importing qfisher and qfisher.cli,
+#: with stdout silenced, and prints, as JSON, the `result` it sets, whether
+#: numpy was loaded right after the two imports, the qfisher modules, numpy,
+#: and the scipy and NUMPY_HEAVY modules then loaded, whether
+#: `_native.library()` was called, the node counts of the bump memos made
+#: (counted from the moment qfisher.perturb loads), whether the compiled
+#: bump kernel was chosen, and the node counts of the memo slots left open
 _PROBE = f"""
-import contextlib, io, json, sys
-import numpy as np
+import contextlib, importlib.util, io, json, sys
 import qfisher, qfisher.cli
-imported = sorted(m for m in sys.modules if m.split(".")[0] == "qfisher")
-from qfisher import _native, diffusion, perturb
-made, memo = [], perturb._Memo
-perturb._Memo = lambda n: made.append(n) or memo(n)
+numpy_at_import = "numpy" in sys.modules
+made = []
+
+
+class CountMemos:
+    def find_spec(self, name, path, target=None):
+        if name != "qfisher.perturb":
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.util.find_spec(name)
+        run = spec.loader.exec_module
+
+        def exec_module(module):
+            run(module)
+            memo = module._Memo
+            module._Memo = lambda n: made.append(n) or memo(n)
+
+        spec.loader.exec_module = exec_module
+        return spec
+
+
+sys.meta_path.insert(0, CountMemos())
 with contextlib.redirect_stdout(io.StringIO()):
     exec(sys.argv[1])
-print(json.dumps([result, sorted(m for m in sys.modules
-                                 if m.split(".")[0] == "scipy" or m in {NUMPY_HEAVY!r}),
-                  _native.library.cache_info().misses > 0, made, any(perturb._CHOICE),
-                  list(perturb._MEMO)]))
+native, perturb = (sys.modules.get(name) for name in ("qfisher._native", "qfisher.perturb"))
+print(json.dumps([result, numpy_at_import,
+                  sorted(m for m in sys.modules if m.split(".")[0] == "qfisher"),
+                  "numpy" in sys.modules,
+                  sorted(m for m in sys.modules
+                         if m.split(".")[0] == "scipy" or m in {NUMPY_HEAVY!r}),
+                  bool(native) and native.library.cache_info().misses > 0, made,
+                  bool(perturb) and any(perturb._CHOICE), list(perturb._MEMO) if perturb else []]))
 """
 
 
@@ -664,11 +724,17 @@ def test_loads(row, tmp_path):
     # no run loads a scipy package (scipy.special's __init__ would also load
     # its array-API layer and NUMPY_HEAVY), and scipy itself only under an
     # entry module
-    entry, library, memos = LOADS[row]
-    source, want = RUNS.get(row, (f"result = qfisher.cli.main({row.split()!r})", 0))
-    result, modules, called, made, bump_compiled, slots = run_probe(_PROBE, source,
-                                                                     cwd=tmp_path)
+    loaded, entry, library, memos = LOADS[row]
+    source, want = RUNS.get(row, (f"result = qfisher.cli.main({row.split()!r})",
+                                  2 if row in REFUSED else 0))
+    (result, numpy_at_import, qfisher_modules, numpy, modules, called, made, bump_compiled,
+     slots) = run_probe(_PROBE, source, cwd=tmp_path)
     assert result == want
+    # the two imports load the standard library alone, and a run loads numpy
+    # exactly when it loads a module past them
+    assert not numpy_at_import
+    assert qfisher_modules == sorted(loaded)
+    assert numpy == (set(loaded) > set(BARE))
     assert sorted(set(modules) & {UFUNCS, QUADPACK, ZEROS}) == sorted(entry)
     assert not set(modules) & {"scipy.special", "scipy.integrate", "scipy.optimize",
                                "scipy.interpolate", "scipy._lib._array_api", *NUMPY_HEAVY}
@@ -797,7 +863,7 @@ def names_scipy(source: str) -> list[str]:
 def test_only_the_loader_names_scipy():
     # every scipy routine is reached through core.scipy_module, which alone
     # knows scipy's private layout
-    names = [p.name for p in sorted(PACKAGE.glob("*.py")) if names_scipy(p.read_text())]
+    names = [p.name for p in MODULES if names_scipy(p.read_text())]
     assert names == ["core.py"]
 
 
@@ -847,6 +913,6 @@ def imported_modules(source: str) -> set[str]:
 
 def test_only_native_imports_ctypes():
     # the C interface is declared and bound in one module
-    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+    importers = [p.name for p in MODULES
                  if "ctypes" in imported_modules(p.read_text())]
     assert importers == ["_native.py"]

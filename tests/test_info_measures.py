@@ -5,6 +5,7 @@ import pytest
 
 from qfisher import info_measures
 from qfisher.core import Axis, GridDensity, density_from_callable, integrate, normalize
+from qfisher.estimation import qcr_product
 from qfisher.info_measures import (
     EscortDivergenceError,
     entropy_power,
@@ -269,3 +270,24 @@ class TestHelpers:
         mq = m_q(f, q)
         assert entropy_power(f, q, mq) == entropy_power(f, q)
         assert i_fisher(f, q, 2.0, mq) == i_fisher(f, q, 2.0)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (phi_fisher, (np.nan, 2.0), "q must be finite, got nan"),
+    (phi_fisher, (-np.inf, 2.0), "q must be finite, got -inf"),
+    (i_fisher, (np.nan, 2.0), "q must be finite, got nan"),
+    (moment_abs, (np.nan,), "alpha must be finite and > 0, got nan"),
+    (moment_abs, (0.0,), "alpha must be finite and > 0, got 0.0"),
+    (qcr_product, (2.0, np.inf), "alpha must be finite and exceed 1, got inf"),
+], ids=["phi_fisher-q-nan", "phi_fisher-q-inf", "i_fisher-q-nan", "moment_abs-alpha-nan",
+        "moment_abs-alpha-0", "qcr_product-alpha-inf"])
+def test_bad_parameter_is_named_before_grid_work(call, args, message, monkeypatch):
+    # each used to fail on the grid, as "non-finite value nan at node index (0,)"
+    def forbidden(*args):
+        raise AssertionError("grid work started")
+
+    for name in ("gradient", "integrate"):
+        monkeypatch.setattr(info_measures, name, forbidden)
+    with pytest.raises(ValueError) as err:
+        call(gaussian_density(count=801), *args)
+    assert str(err.value) == message
