@@ -235,15 +235,15 @@ INFO_DEFAULTS = {
 
 def cmd_info(args) -> int:
     cfg = resolve_config(args, INFO_DEFAULTS)
+    # phi_fisher_refined's own condition, refused before anything is loaded
+    count = cfg["grid_count"]
+    if count < 9 or (count - 1) % 4:
+        raise UsageError(f"grid_count: the refinement diagnostic needs a count = 4k + 1 with "
+                         f"k >= 2, got {count}")
     import numpy as np
     from .core import Axis, density_from_callable
-    from .info_measures import (check_refinement_count, entropy_power, m_q, phi_fisher_refined,
-                                renyi_entropy, tsallis_entropy)
+    from .info_measures import entropy_power, m_q, phi_fisher_refined, renyi_entropy, tsallis_entropy
     from .qgaussian import QGaussianParams, grid_density
-    try:
-        check_refinement_count(cfg["grid_count"])
-    except ValueError as exc:
-        raise UsageError(f"grid_count: {exc}") from None
     q, alpha = cfg["q"], cfg["alpha"]
     if cfg["family"] == "qgaussian":
         f = grid_density(QGaussianParams(q, alpha, cfg["gamma"], cfg["n"]), cfg["grid_count"])

@@ -118,8 +118,9 @@ def min_fisher_fixed_moment(q: float, alpha: float, target_m: float, n: int = 1,
     base = QGaussianParams(q, alpha, 1.0, n)
     ref = QGaussianParams(q, alpha, gamma_for_moment(base, target_m), n)
     moment_err = abs(moment_alpha(ref) - target_m)
-    if moment_err > 1e-8:
-        raise ArithmeticError(f"the dilated gamma misses the target moment by {moment_err:g}")
+    if moment_err > 1e-8 * target_m:
+        raise ArithmeticError(f"the dilated gamma misses the target moment {target_m:g} "
+                              f"by {moment_err:g}")
     return _min_fisher(ref, alpha / (alpha - 1.0), "moment", target_m, perturbation_count,
                        seed, grid_count, tol, {})
 

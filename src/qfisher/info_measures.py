@@ -158,14 +158,6 @@ class PhiDiagnostic:
     trace: tuple[float, ...]  # phi at grid spacings 4h, 2h, h
 
 
-def check_refinement_count(count: int):
-    """phi_fisher_refined halves the grid twice, so its node count must be
-    4k + 1 with k >= 2: each coarsening is then a Simpson grid of >= 3 nodes."""
-    if count < 9 or (count - 1) % 4:
-        raise ValueError(f"the refinement diagnostic needs a count = 4k + 1 with k >= 2, "
-                         f"got {count}")
-
-
 def phi_fisher_refined(f: GridDensity, q: float, beta: float) -> PhiDiagnostic:
     """phi with a divergence diagnostic: the integral is re-evaluated on the
     2x and 4x coarsened grids; if the three readings have not stabilized
@@ -175,10 +167,13 @@ def phi_fisher_refined(f: GridDensity, q: float, beta: float) -> PhiDiagnostic:
     distance of the nearest node to the singularity, which moves erratically
     across coarsenings; a convergent integral agrees across all three.)
 
-    Requires a node count that check_refinement_count accepts.
+    The grid is halved twice, so its node count must be 4k + 1 with k >= 2:
+    each coarsening is then a Simpson grid of >= 3 nodes.
     """
     a = f.axis
-    check_refinement_count(a.count)
+    if a.count < 9 or (a.count - 1) % 4:
+        raise ValueError(f"the refinement diagnostic needs a count = 4k + 1 with k >= 2, "
+                         f"got {a.count}")
     vals = []
     for stride in (4, 2, 1):
         sub = GridDensity(Axis(a.lo, a.hi, (a.count - 1) // stride + 1), f.values[::stride], f.dim)

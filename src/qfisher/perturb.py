@@ -239,6 +239,8 @@ def perturbed_density(p: QGaussianParams, bump, amplitude: float, constraint: st
         raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
     if p.dim != 1:
         raise ValueError("perturbation families are 1-D")
+    if constraint not in ("moment", "entropy_power"):
+        raise ValueError(f"unknown constraint {constraint!r}")
     r_eff, ax, pdf_vals, bump_vals = _base_samples(p, bump, count)
 
     def raw(x):
@@ -248,11 +250,9 @@ def perturbed_density(p: QGaussianParams, bump, amplitude: float, constraint: st
     if constraint == "moment":
         current = moment_abs(base, p.alpha)
         c = (target / current) ** (1.0 / p.alpha)
-    elif constraint == "entropy_power":
+    else:
         current = entropy_power(base, p.q)
         c = np.sqrt(target / current)
-    else:
-        raise ValueError(f"unknown constraint {constraint!r}")
     ax_c = Axis(ax.lo * c, ax.hi * c, count)
     # exact dilation: f_c(x) = f(x/c)/c, evaluated from the callable on the
     # scaled grid (no interpolation)

@@ -366,10 +366,11 @@ class DiffusionParams:
             raise ValueError(f"m must be finite and positive, got {self.m}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        # delta / n = m(beta-1) + beta/n - 1: one check for both conditions
         if self.delta <= 0:
-            raise ValueError(f"self-similarity requires delta > 0, got {self.delta}")
-        if self.m * (self.beta - 1.0) + self.beta / self.dim - 1.0 <= 0:
-            raise ValueError("Barenblatt existence requires m(beta-1) + beta/n - 1 > 0")
+            raise ValueError(f"self-similarity and Barenblatt existence require delta = "
+                             f"n(beta-1)m + beta - n > 0, i.e. m(beta-1) + beta/n - 1 > 0, "
+                             f"got delta = {self.delta}")
 
     @property
     def alpha(self) -> float:

@@ -1,6 +1,5 @@
 """Grid, quadrature, gradient, and normalization tests."""
 
-import re
 import warnings
 
 import numpy as np
@@ -84,24 +83,6 @@ class TestIntegrate:
         assert d2 < d1 / 8.0
         assert vals[2] == pytest.approx(np.e - 1.0, rel=1e-8)
 
-    def test_rejects_non_finite_with_location(self):
-        f = density_from_callable(Axis(0.0, 1.0, 11), lambda x: np.ones_like(x))
-        bad = f.values.copy()
-        bad[3] = np.inf
-        with pytest.raises(ValueError, match=r"node index \(3,\)"):
-            integrate(f, bad)
-
-    def test_non_finite_error_is_typed(self):
-        ax = Axis(0.0, 1.0, 11)
-        with pytest.raises(NonFiniteError, match=r"non-finite value nan at node index \(4,\)"):
-            GridDensity(ax, np.where(np.arange(11) == 4, np.nan, 1.0))
-        assert issubclass(NonFiniteError, ValueError)
-
-    def test_integrand_shape_mismatch(self):
-        f = density_from_callable(Axis(0.0, 1.0, 11), lambda x: np.ones_like(x))
-        with pytest.raises(ValueError, match="shape"):
-            integrate(f, np.ones(7))
-
     def test_2d_radial_weights(self):
         # Simpson times 2 pi r: int over the unit disc of |x|^2 is 2 pi / 4,
         # and r^2 r is a cubic, so the rule is exact
@@ -127,13 +108,6 @@ class TestRadial:
         r = Axis(0.0, 12.0, 4001)
         vals = np.exp(-r.nodes() ** 2 / 2.0) / (2 * np.pi) ** 1.5
         assert integrate(GridDensity(r, vals, 3)) == pytest.approx(1.0, abs=1e-8)
-
-    def test_radial_axis_must_start_at_zero(self):
-        for lo in (-1.0, 0.5):
-            with pytest.raises(ValueError, match="r = 0"):
-                GridDensity(Axis(lo, 2.0, 11), np.ones(11), 2)
-        with pytest.raises(ValueError, match="dim"):
-            GridDensity(Axis(0.0, 2.0, 11), np.ones(11), 0)
 
 
 class TestGradient:
@@ -394,16 +368,6 @@ class TestNonFiniteNamedOnce:
         for err in (built, integrated):
             assert str(err.value) == message
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_negative_values_named(self, dim):
-        vals = np.ones(11)
-        vals[3], vals[8] = -2.0, -1.0
-        with pytest.raises(ValueError) as err:
-            GridDensity(Axis(0.0, 1.0, 11), vals, dim)
-        assert not isinstance(err.value, NonFiniteError)
-        assert re.fullmatch(r"negative density value -2\.0 at node \(3,\)",
-                            str(err.value))
-
     def test_negative_zero_is_outside_the_support(self):
         vals = np.array([1.0, -0.0, 2.0, 0.0, 1.0])
         f = GridDensity(Axis(0.0, 1.0, 5), vals)
@@ -436,35 +400,12 @@ class TestNormalize:
         twice = normalize(once)
         assert np.allclose(once.values, twice.values, atol=1e-12)
 
-    def test_zero_mass_rejected(self):
-        f = GridDensity(Axis(0.0, 1.0, 11), np.zeros(11))
-        with pytest.raises(ValueError, match="mass"):
-            normalize(f)
-
 
 class TestGridDensity:
-    def test_axis_validation(self):
-        with pytest.raises(ValueError, match="odd"):
-            Axis(0.0, 1.0, 10)
-        with pytest.raises(ValueError, match="lo < hi"):
-            Axis(1.0, 0.0, 11)
-        for lo, hi in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)):
-            with pytest.raises(ValueError, match="finite"):
-                Axis(lo, hi, 11)
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            GridDensity(Axis(0.0, 1.0, 11), np.linspace(-0.1, 1.0, 11))
-
     def test_support_mask_is_positivity_set(self):
         vals = np.array([0.0, 1.0, 2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 2.0, 3.0])
         f = GridDensity(Axis(0.0, 1.0, 11), vals)
         assert np.array_equal(f.support_mask, vals > 0)
-
-    def test_three_dim_tensor_rejected(self):
-        # dimension 3 is radial: one axis of radii, not a 5 x 5 x 5 tensor
-        with pytest.raises(ValueError, match="shape"):
-            GridDensity(Axis(0.0, 1.0, 5), np.ones((5, 5, 5)), 3)
 
 
 class TestTolerances:
@@ -472,15 +413,6 @@ class TestTolerances:
         t = Tolerances()
         assert t.identity_rel == 1e-6 and t.inequality_slack == 1e-9
         assert Tolerances.for_pde().identity_rel == 1e-2
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            Tolerances(identity_rel=0.0)
-
-    @pytest.mark.parametrize("key", ["identity_rel", "inequality_slack"])
-    def test_nan_refused(self, key):
-        with pytest.raises(ValueError, match="strictly positive"):
-            Tolerances(**{key: float("nan")})
 
 
 def test_weights_sum_to_volume():

@@ -180,30 +180,8 @@ class TestStep:
         with pytest.raises(StabilityError, match="negative|drift"):
             evolve(st, 25.0, n_logs=3)
 
-    def test_fast_diffusion_rejected(self):
-        ax = Axis(-8.0, 8.0, 201)
-        f = density_from_callable(ax, lambda x: np.exp(-x * x / 2) / np.sqrt(2 * np.pi))
-        with pytest.raises(ValueError, match="fast-diffusion"):
-            DiffusionState(DiffusionParams(0.5, 2.0, 1), 0.0, f)
-
-    def test_solver_is_one_dimensional(self):
-        # a radial density (dim 2 or 3) is refused
-        for dim in (2, 3):
-            f = GridDensity(Axis(0.0, 2.0, 21), np.exp(-np.linspace(0.0, 2.0, 21) ** 2), dim)
-            with pytest.raises(ValueError, match="1-D"):
-                DiffusionState(HEAT, 0.0, f)
-
 
 class TestEvolve:
-    def test_zero_duration_refused(self, monkeypatch):
-        # t_end = t used to return the input state with a 1-row log, and
-        # t_end = nan the state at t = nan after 0 steps
-        monkeypatch.setattr(diffusion._Kernel, "march", _no_step)
-        st = gaussian_state(count=401, t=0.5)
-        for t_end in (0.5, 0.4, np.nan):
-            with pytest.raises(ValueError, match=f"t_end = {t_end} must exceed the current t = 0.5"):
-                evolve(st, t_end, n_logs=11)
-
     def test_heat_entropy_matches_analytic(self):
         st = gaussian_state(count=2001, half=10.0)
         _, log = evolve(st, 0.4, n_logs=41)
@@ -219,29 +197,6 @@ class TestEvolve:
         predicted = log.M_q[0] * log.times ** (-1.0 / 3.0)
         assert np.max(np.abs(log.M_q - predicted) / predicted) < 1e-3
         assert np.all(np.diff(log.M_q) < 0)
-
-    def test_boundary_contact_aborts(self):
-        st = gaussian_state(half=2.5, count=201)  # tails already near the edge
-        with pytest.raises(StabilityError, match="boundary"):
-            evolve(st, 1.0, n_logs=5)
-
-    @pytest.mark.parametrize("n_logs", [0, 1])
-    def test_too_few_log_rows_refused(self, n_logs, monkeypatch):
-        # n_logs = 1 used to return the initial density labelled t_end after
-        # 0 steps, and n_logs = 0 a log with 0 times and 1 row
-        monkeypatch.setattr(diffusion._Kernel, "march", _no_step)
-        st = DiffusionState(PME, 1.0, barenblatt_density(PME, 1.0, Axis(-3.5, 3.5, 251)))
-        with pytest.raises(ValueError, match=rf"n_logs must be >= 2 .*, got {n_logs}"):
-            evolve(st, 2.0, n_logs=n_logs)
-
-    def test_log_times_not_increasing_refused_up_front(self, monkeypatch):
-        # a span one ulp long has no 201 distinct times: this used to march
-        # the whole span and only then fail in TrajectoryLog
-        monkeypatch.setattr(diffusion, "_select_march", _no_march)
-        st = DiffusionState(PME, 1.0, barenblatt_density(PME, 1.0, Axis(-3.5, 3.5, 251)))
-        with pytest.raises(ValueError, match=r"log times from t = 1\.0 to t_end = 1\.0000000000000002 "
-                                             r"over n_logs = 201 rows are not strictly increasing"):
-            evolve(st, 1.0000000000000002, n_logs=201)
 
     @pytest.mark.parametrize("march", ["numpy"], indirect=True)
     def test_row_error_is_the_reference_one(self, monkeypatch, march):
@@ -284,12 +239,6 @@ class TestDeBruijn:
             assert r.extras["forms_agree"]
             assert r.rhs == pytest.approx(r.extras["rhs_mi"], rel=1e-10)
 
-    def test_needs_three_rows(self):
-        log = TrajectoryLog(1.0, 2.0, 1.0, np.array([0.0, 1.0]), np.zeros(2),
-                            np.ones(2), np.ones(2), np.ones(2))
-        with pytest.raises(ValueError, match="3 log rows"):
-            debruijn_check(log, HEAT)
-
 
 @pytest.mark.parametrize("m,beta,half", [(1.0, 3.0, 3.6), (1.5, 2.5, 4.0)])
 def test_logged_columns_follow_the_closed_forms_at_beta_not_2(m, beta, half):
@@ -327,12 +276,6 @@ class TestMonotonicity:
         # classical: phi(t) = 1/(1 + 2t), strictly decreasing
         exact = 1.0 / (1.0 + 2 * log.times)
         assert np.max(np.abs(log.phi - exact)) < 1e-4
-
-    def test_beta2_required(self):
-        log = TrajectoryLog(1.5, 3.0, 1.0, np.array([0.0, 0.1, 0.2]),
-                            np.zeros(3), np.ones(3), np.ones(3), np.ones(3))
-        with pytest.raises(ValueError, match="beta = 2"):
-            phi_monotonicity_check(log)
 
     def test_violation_reported(self):
         log = TrajectoryLog(1.0, 2.0, 1.0, np.array([0.0, 0.1, 0.2]),
@@ -579,10 +522,6 @@ class TestAliasing:
 
 
 _march = diffusion._Kernel.march
-
-
-def _no_march(kernel):
-    raise AssertionError("the run must be refused before the first step")
 
 
 def _no_step(self, t, target, stop, *args):

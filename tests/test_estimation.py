@@ -1,7 +1,5 @@
 """Generalized Cramer-Rao machinery: scores, bounds, q-CR product."""
 
-import warnings
-
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -20,7 +18,6 @@ from qfisher.estimation import (
     EstimatorSpec,
     MODEL_REGISTRY,
     ParametricModel,
-    SingularScoreError,
     crm_bound_general,
     crm_bound_quadratic,
     crm_bound_scalar,
@@ -33,10 +30,9 @@ from qfisher.estimation import (
     sample_mean_estimator,
     score_g,
 )
-from qfisher.info_measures import escort, escort_inverse, i_fisher, m_q, phi_fisher, recenter
+from qfisher.info_measures import i_fisher, m_q, recenter
 from qfisher.perturb import fourier_bump, perturbed_density
-from qfisher.qgaussian import (DiffusionParams, QGaussianParams, barenblatt, barenblatt_mass,
-                               grid_density, moment_alpha)
+from qfisher.qgaussian import QGaussianParams, grid_density, moment_alpha
 
 TOL_EQ = Tolerances(inequality_slack=1e-6)
 
@@ -68,21 +64,6 @@ class TestScore:
         m = ParametricModel(dens, dens, 1, ax)
         assert np.allclose(score_g(m, [0.0])[0], 0.0)
 
-    def test_singular_score_detected(self):
-        # f moves mass where g vanishes identically
-        ax = Axis(-10.0, 10.0, 2001)
-
-        def dens_f(coords, theta):
-            return np.exp(-(coords[0] - theta[0]) ** 2 / 2) / np.sqrt(2 * np.pi)
-
-        def dens_g(coords, theta):
-            x = coords[0]
-            return np.where(np.abs(x) < 1.0, 0.5, 0.0)
-
-        m = ParametricModel(dens_f, dens_g, 1, ax)
-        with pytest.raises(SingularScoreError):
-            score_g(m, [0.0])
-
     def test_escort_pair_score_identity(self):
         # location pair: psi = -(q / M_q[g]) g^(q-1) grad g / g, interior nodes
         q = 2.0
@@ -95,43 +76,6 @@ class TestScore:
         interior = gv > 1e-3 * gv.max()
         rhs = -(q / mq) * gv[interior] ** (q - 1.0) * grad[interior] / gv[interior]
         assert np.allclose(psi[interior], rhs, atol=1e-8)
-
-    def test_nan_score_fails_zero_mean(self):
-        # f holds unit mass at theta = 0 and is NaN off it, so every centered
-        # difference, and so E_g[psi], is NaN
-        def g(coords, theta):
-            return np.exp(-coords[0] ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
-
-        def f(coords, theta):
-            return g(coords, theta) if theta[0] == 0.0 else np.full_like(coords[0], np.nan)
-
-        m = ParametricModel(f, g, 1, Axis(-8.0, 8.0, 401))
-        m.check_normalized([np.array([0.0])])
-        with pytest.raises(ArithmeticError, match=r"zero-mean: E_g\[psi\] = nan"):
-            score_g(m, [0.0])
-
-    def test_normalization_check(self):
-        m = gaussian_location_model(n=1)
-        m.check_normalized([np.array([0.0]), np.array([0.5])])
-        bad = ParametricModel(lambda c, t: np.exp(-c[0] ** 2), lambda c, t: np.exp(-c[0] ** 2),
-                              1, Axis(-10, 10, 1001))
-        with pytest.raises(ValueError, match="mass"):
-            bad.check_normalized([np.array([0.0])])
-
-    def test_nan_mass_fails_the_normalization_check(self):
-        def nan(coords, theta):
-            return np.full_like(coords[0], np.nan)
-
-        m = ParametricModel(nan, nan, 1, Axis(-8.0, 8.0, 401))
-        with pytest.raises(ValueError, match=r"^f\(\.; theta=\[0\.\]\) has mass nan, not 1"):
-            m.check_normalized([np.array([0.0])])
-
-    @pytest.mark.parametrize("sigma", [1e-300, 1e200, np.nan])
-    def test_sigma_without_a_finite_positive_variance_is_refused(self, sigma):
-        # n sigma^2 underflows to 0, overflows to inf, or is nan
-        with pytest.raises(ValueError, match=r"^sigma = .*, which must be finite and > 0$"):
-            gaussian_location_model(n=1, sigma=sigma)
-
 
 class TestScalarBound:
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
@@ -271,12 +215,6 @@ class TestQuadraticBound:
         v2 = crm_bound_general(m, est, [0.0, 1.0], 7.0 * A)
         assert v1 == pytest.approx(v2, rel=1e-12)
 
-    def test_alpha_must_be_two(self):
-        m = gaussian_location_model(n=1)
-        est = EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=3.0)
-        with pytest.raises(ValueError, match="alpha = 2"):
-            crm_bound_quadratic(m, est, [0.0])
-
 
 class TestLocationConsistency:
     def test_theta_score_equals_space_gradient(self):
@@ -332,20 +270,6 @@ class TestMonteCarlo:
         val, se = mc_error_moment(m, est, [0.0], trials=100_000, seed=2)
         assert abs(val - 1.0) < 3 * se
 
-    def test_single_trial(self):
-        # one draw has no jackknife error: it used to return se = nan
-        m = gaussian_location_model(n=1)
-        m.sampler_g = lambda theta, rng, size: pytest.fail("samples drawn")
-        with pytest.raises(ValueError, match="trials must be >= 2 .*, got 1"):
-            mc_error_moment(m, sample_mean_estimator(n=1), [0.4], trials=1, seed=2)
-
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_no_trials_refused_before_drawing(self, trials):
-        m = gaussian_location_model(n=1)
-        m.sampler_g = lambda theta, rng, size: pytest.fail("samples drawn")
-        with pytest.raises(ValueError, match=f"trials must be >= 2 .*, got {trials}"):
-            mc_error_moment(m, sample_mean_estimator(n=1), [0.0], trials, 1)
-
     def test_qgaussian_matches_quadrature(self):
         m = qgaussian_location_model(2.0, 2.0, 1.0)
         est = EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=2.0)
@@ -355,12 +279,6 @@ class TestMonteCarlo:
         assert rep.lhs == pytest.approx(lhs_quad, abs=1e-6)
         assert abs(val - lhs_quad) < 3 * se
         assert val > rep.rhs - 3 * se
-
-    def test_sampler_required(self):
-        m = gaussian_meanvar_model()
-        est = EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=2.0)
-        with pytest.raises(ValueError, match="sampler"):
-            mc_error_moment(m, est, [0.0, 1.0], 10, 1)
 
 
 class TestQcrProduct:
@@ -415,11 +333,6 @@ class TestQcrProduct:
         assert all(gap > -1e-9 for gap, _ in gaps)
         min_gap, min_amp = min(gaps)
         assert min_amp == pytest.approx(0.01)
-
-    def test_alpha_validation(self):
-        g = grid_density(QGaussianParams(2.0, 2.0, 1.0, 1), count=2001)
-        with pytest.raises(ValueError):
-            qcr_product(g, 2.0, 1.0)
 
     def test_two_dimensional_equality(self):
         # radial: 801 radii on [0, 1.05 R]
@@ -484,19 +397,6 @@ class TestRegistry:
         assert est.alpha == 3.0 and est.h(np.array([0.7])) == 0.7
         assert np.array_equal(est.T([x]), x / divisor)
 
-    @pytest.mark.parametrize("name,kwargs,theta", [
-        ("gaussian-location", dict(n=1), 30.0),  # the density sits off the +-11 axis
-        ("escort-pair", dict(q=2.0, alpha=2.0), 3.0),  # off the +-1.55 axis
-    ])
-    def test_bounds_refuse_theta_off_the_grid(self, name, kwargs, theta):
-        m = MODEL_REGISTRY[name](**kwargs)
-        est = m.estimator(2.0)
-        for bound in (lambda: crm_bound_scalar(m, est, [theta]),
-                      lambda: crm_bound_quadratic(m, est, [theta]),
-                      lambda: crm_bound_general(m, est, [theta], [[1.0]])):
-            with pytest.raises(ValueError, match=r"f\(\.; theta=.*has mass"):
-                bound()
-
     def test_escort_pair_relation(self):
         # f ~ g^q pointwise up to the normalizing constant
         m = escort_pair_model(2.0, 2.0, 1.0)
@@ -504,42 +404,3 @@ class TestRegistry:
         gv = m.g_values([0.0])
         mq = m.quad(gv ** 2)
         assert np.allclose(fv, gv ** 2 / mq, atol=1e-10)
-
-
-NAN = float("nan")
-
-
-def _off_centre():
-    ax = Axis(-9.0, 11.0, 2001)
-    return density_from_callable(ax, lambda x: np.exp(-(x - 1.0) ** 2 / 2) / np.sqrt(2 * np.pi))
-
-
-#: a call with a NaN (or, with an off-centre density, q = 0) for one
-#: parameter -> that parameter's name
-REFUSALS = {
-    "qcr_product q=nan": (lambda: qcr_product(_off_centre(), NAN, 2.0), "q"),
-    "qcr_product q=0": (lambda: qcr_product(_off_centre(), 0.0, 2.0), "q"),
-    "qcr_product alpha=nan": (lambda: qcr_product(_off_centre(), 1.0, NAN), "alpha"),
-    "phi_fisher beta=nan": (lambda: phi_fisher(_off_centre(), 1.0, NAN), "beta"),
-    "i_fisher beta=nan": (lambda: i_fisher(_off_centre(), 2.0, NAN), "beta"),
-    "m_q q=nan": (lambda: m_q(_off_centre(), NAN), "q"),
-    "escort q=nan": (lambda: escort(_off_centre(), NAN), "q"),
-    "escort_inverse q=nan": (lambda: escort_inverse(_off_centre(), NAN), "q"),
-    "EstimatorSpec alpha=nan":
-        (lambda: EstimatorSpec(T=lambda c: c[0], h=lambda th: float(th[0]), alpha=NAN), "alpha"),
-    "crm_bound_general A=nan": (lambda: crm_bound_general(
-        gaussian_location_model(n=1), sample_mean_estimator(n=1), [0.0], [[NAN]]), "A"),
-    "barenblatt t=nan": (lambda: barenblatt(DiffusionParams(2.0, 2.0, 1), 1.0, [0.0], NAN), "t"),
-    "barenblatt_mass C=nan": (lambda: barenblatt_mass(DiffusionParams(2.0, 2.0, 1), NAN), "C"),
-}
-
-
-@pytest.mark.parametrize("case", REFUSALS)
-def test_validators_refuse_nan_up_front(case):
-    # a NaN fails `x <= bound` too, so each check is `not x > bound`; the
-    # parameters are checked before any work, a recentering among it
-    call, name = REFUSALS[case]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"^{name} must"):
-            call()

@@ -614,7 +614,7 @@ result = [sorted(at_state), sorted(loaded() - with_rng), list(perturb._CHOICE)]
 
 #: command rows refused with a usage error (exit 2); every other command
 #: row exits 0
-REFUSED = ("qcr --q abc", "qcr --grid-count 4000")
+REFUSED = ("qcr --q abc", "qcr --grid-count 4000", "info --grid-count 4003")
 
 #: what each run loads in a fresh interpreter: exactly which qfisher
 #: modules, which of UFUNCS, QUADPACK and ZEROS, whether it called
@@ -627,10 +627,11 @@ LOADS = {
     TRAJECTORIES: (EVERY, (QUADPACK, ZEROS), False, []),
     CRITERIA: (EVERY, (QUADPACK, ZEROS), True, []),
     DRAW: ((*DIFFUSE, "qfisher.perturb"), (), False, []),
-    # parsing, an argparse refusal and a resolve_config refusal load no numpy
+    # parsing, an argparse refusal and refusals of values load no numpy
     "--help": (BARE, (), False, []),
     "qcr --q abc": (BARE, (), False, []),
     "qcr --grid-count 4000": (BARE, (), False, []),
+    "info --grid-count 4003": (BARE, (), False, []),
     "info --family qgaussian --q 2 --alpha 2 --gamma 1": (INFO, (UFUNCS,), False, []),
     "info --n 2": (INFO, (UFUNCS,), False, []),
     "info --family uniform": (INFO, (), False, []),

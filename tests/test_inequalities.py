@@ -1,10 +1,13 @@
 """Stam inequality and minimum-Fisher variational characterizations."""
 
+import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from qfisher import inequalities
 from qfisher.core import Axis, GridDensity, Tolerances, density_from_callable, integrate, normalize
 from qfisher.inequalities import (
     min_fisher_fixed_entropy,
@@ -77,9 +80,6 @@ class TestStam:
     def test_hypothesis_guard(self):
         assert stam_hypothesis_ok(1.0, 2.0, 1)
         assert not stam_hypothesis_ok(0.3, 2.0, 1)  # n/(n+alpha) = 1/3 > 0.3
-        f = grid_density(QGaussianParams(0.75, 2.0, 1.0, 1), count=2001)
-        with pytest.raises(ValueError, match="hypothesis"):
-            stam_ratio(f, 0.3, 2.0)
 
     def test_beta_not_two_reference_matches_moment(self):
         q, beta = 2.0, 1.5
@@ -121,6 +121,18 @@ class TestMinFisherMoment:
                                      grid_count=2001)
         # repr, not ==: a NaN extra never equals itself
         assert repr(r1) == repr(r2)
+
+    @pytest.mark.parametrize("target", [1e9, 1e-9])
+    def test_moment_check_is_relative(self, target, monkeypatch):
+        # at 1e9 the dilated gamma misses by half an ulp of the target, more
+        # than 1e-8; at 1e-9 a doubled gamma misses by half the target
+        run = functools.partial(min_fisher_fixed_moment, 2.0, 2.0, target, seed=1,
+                                perturbation_count=5, grid_count=401)
+        assert run().extras["perturbations"] == 5
+        monkeypatch.setattr(inequalities, "gamma_for_moment",
+                            lambda p, moment: 2.0 * gamma_for_moment(p, moment))
+        with pytest.raises(ArithmeticError, match=re.escape(f"moment {target:g} by {target / 2:g}")):
+            run()
 
 
 class TestMinFisherEntropy:
@@ -178,10 +190,6 @@ class TestEqualityCaseConsistency:
         assert integrate(fp) == pytest.approx(1.0, abs=1e-10)
         from qfisher.info_measures import moment_abs
         assert moment_abs(fp, 2.0) == pytest.approx(0.2, abs=1e-9)
-        with pytest.raises(ValueError, match="amplitude"):
-            perturbed_density(p, bump, 1.5, "moment", 0.2)
-        with pytest.raises(ValueError, match="constraint"):
-            perturbed_density(p, bump, 0.1, "volume", 0.2)
 
 
 def test_reference_closed_form_is_scale_free():

@@ -215,11 +215,6 @@ class TestBaseSampleReuse:
         perturbed_density(p, keeps_output, 0.1, "moment", moment_alpha(p), 2001)
         assert all(a.flags.writeable for a in held)
 
-    def test_rejects_two_dimensional_reference(self):
-        bump, _ = bump_pair(8)
-        with pytest.raises(ValueError, match="1-D"):
-            perturbed_density(QGaussianParams(2.0, 2.0, 1.0, 2), bump, 0.1, "moment", 0.2)
-
 
 class TestFourierBump:
     # n_modes is the reference's mode count
@@ -417,13 +412,6 @@ class TestPerturbationBatchOracle:
         want = [i_fisher(fp, q, beta) for _, fp in ref_fit_rows]
         assert fit.shape == (len(want) // len(FIT_AMPLITUDES), len(FIT_AMPLITUDES))
         assert fit.ravel().tolist() == want
-
-    def test_rejects_empty_batch(self):
-        rng = np.random.default_rng(0)
-        for count, n_levels in ((0, 5), (5, 0), (-1, 3)):
-            with pytest.raises(ValueError, match="count >= 1 and n_levels >= 1"):
-                next(perturbation_batch(P_QCR, rng, count, n_levels, "moment", 0.2, 201))
-        assert_same_stream(rng, np.random.default_rng(0))
 
 
 class TestBatchBaseSampleReuse:
