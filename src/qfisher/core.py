@@ -40,8 +40,11 @@ class NonFiniteError(ValueError):
 class Tolerances:
     """Tolerance bundle used by the verification reports.
 
-    identity_rel:   relative tolerance for identity checks (1e-2 for checks
-                    coupled to the PDE solver, 1e-6 for pure quadrature).
+    identity_rel:   relative tolerance for identity checks.  Its only reader
+                    is `debruijn_check`, which every caller runs at
+                    `for_pde()`'s 1e-2, so the 1e-6 default is read nowhere.
+                    Folding the field waits for ROADMAP item 1(c), since
+                    `perfbench/workloads.py` calls `Tolerances.for_pde()`.
     inequality_slack: additive slack for inequality checks near equality.
     """
 

@@ -129,7 +129,9 @@ def score_g(model: ParametricModel, theta) -> np.ndarray:
 
     Set to 0 where g = 0.  Raises SingularScoreError when grad_theta f is
     materially nonzero strictly outside (one cell beyond) the support of g.
-    The zero-mean property E_g[psi] = 0 is enforced to 1e-6; a NaN mean fails it.
+    The zero-mean property E_g[psi] = 0 is enforced to 1e-6 of E_g|psi|; a
+    NaN mean fails it, and so does an infinite E_g|psi|, so no infinite
+    score passes.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     g = model.g_values(theta)
@@ -147,7 +149,7 @@ def score_g(model: ParametricModel, theta) -> np.ndarray:
             )
         psi[i][gpos] = fd[gpos] / g[gpos]
         mean = model.quad(psi[i] * g)
-        if not abs(mean) <= 1e-6 * max(1.0, model.quad(np.abs(psi[i]) * g)):
+        if not abs(mean) <= 1e-6 * max(1.0, model.quad(np.abs(psi[i]) * g)) < np.inf:
             raise ArithmeticError(
                 f"score component {i} fails zero-mean: E_g[psi] = {mean!r}"
             )

@@ -155,7 +155,6 @@ def i_fisher(f: GridDensity, q: float, beta: float, mq: float | None = None) -> 
 class PhiDiagnostic:
     value: float
     diverged: bool
-    trace: tuple[float, ...]  # phi at grid spacings 4h, 2h, h
 
 
 def phi_fisher_refined(f: GridDensity, q: float, beta: float) -> PhiDiagnostic:
@@ -186,7 +185,7 @@ def phi_fisher_refined(f: GridDensity, q: float, beta: float) -> PhiDiagnostic:
         diverged = False
     else:
         diverged = bot <= 0.0 or top / bot > 1.5
-    return PhiDiagnostic(value=float(fine), diverged=bool(diverged), trace=tuple(vals))
+    return PhiDiagnostic(value=float(fine), diverged=bool(diverged))
 
 
 class EscortDivergenceError(ValueError):

@@ -1,19 +1,16 @@
-"""CLI: config resolution, report formats, determinism, exit codes."""
+"""CLI: config resolution, refusals, report bytes, exit codes."""
 
 import ast
 import hashlib
 import importlib
 import json
 import math
-import re
 import shlex
 import sys
-import time
 import traceback
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qfisher import cli
@@ -28,50 +25,20 @@ from qfisher.cli import (
     main,
     resolve_config,
 )
+from qfisher.core import EQUALITY_TOL
 from qfisher.estimation import MODEL_REGISTRY, ParametricModel, gaussian_location_model
 from qfisher.reports import VerificationReport
+from test_hygiene import readme_lines, rowless
+from test_refusals import matches, unreached_refusals
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-class TestInfo:
-    def test_uniform_unit_interval_s2_zero(self, capsys):
-        code, out, _ = run_cli(capsys, "info", "--family", "uniform",
-                               "--lo", "0", "--hi", "1", "--q", "2")
-        assert code == EXIT_PASS
-        d = json.loads(out)
-        assert d["S_q"] == 0.0
-        assert d["M_q"] == pytest.approx(1.0)
-        assert d["divergence_flag"] is False
-        assert d["config"]["family"] == "uniform"
-
-    def test_qgaussian_fields(self, capsys):
-        code, out, _ = run_cli(capsys, "info", "--family", "qgaussian",
-                               "--q", "2", "--alpha", "2", "--gamma", "1")
-        assert code == EXIT_PASS
-        d = json.loads(out)
-        for key in ("M_q", "S_q", "H_q", "N_q", "phi", "I", "divergence_flag"):
-            assert key in d
-        assert d["I"] == pytest.approx(1.25, abs=1e-4)
-
-
-class TestDeterminism:
-    def test_qcr_byte_identical(self, capsys):
-        a = run_cli(capsys, "qcr", "--q", "2", "--alpha", "2", "--grid-count", "2001")
-        b = run_cli(capsys, "qcr", "--q", "2", "--alpha", "2", "--grid-count", "2001")
-        assert a == b and a[0] == EXIT_PASS
-
-    def test_minimize_byte_identical(self, capsys):
-        args = ("minimize", "--constraint", "moment", "--q", "2", "--alpha", "2",
-                "--target", "0.2", "--seed", "3", "--perturbations", "10",
-                "--grid-count", "2001")
-        a = run_cli(capsys, *args)
-        b = run_cli(capsys, *args)
-        assert a == b and a[0] == EXIT_PASS
 
 
 class TestConfigFile:
@@ -384,31 +351,22 @@ def reached_lines(tmp_path_factory):
     return reached
 
 
-def unreached_refusals(source: str, reached: set) -> list[str]:
-    """"line N" for each `raise UsageError` of `source` at a line not in
-    `reached`."""
-    lines = sorted(node.lineno for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                   and getattr(node.exc.func, "id", None) == "UsageError")
-    return [f"line {line}" for line in lines if line not in reached]
-
-
 def test_every_refusal_has_a_row(reached_lines):
     source = Path(cli.__file__).read_text()
-    assert unreached_refusals(source, reached_lines) == []
+    assert unreached_refusals(source, {"UsageError"}, reached_lines) == []
     # every line a case reached is one the source scan finds
-    assert unreached_refusals(source, set()) == [f"line {line}" for line in sorted(reached_lines)]
+    assert unreached_refusals(source, {"UsageError"}, set()) == sorted(reached_lines)
 
 
 def test_detects_refusal_without_a_row(reached_lines):
     source = ("def check(cfg):\n    if cfg['n'] > 2:\n        raise UsageError(\n"
               "            'n')\n    raise ValueError('x')\n"
               "def other(cfg):\n    raise UsageError('y') from None\n")
-    assert unreached_refusals(source, {7}) == ["line 3"]
+    assert unreached_refusals(source, {"UsageError"}, {7}) == [3]
     cli_source = Path(cli.__file__).read_text()
     planted = cli_source + "\n\ndef _planted(cfg):\n    raise UsageError('planted')\n"
-    assert unreached_refusals(planted, reached_lines) == [
-        f"line {len(cli_source.splitlines()) + 4}"]
+    assert unreached_refusals(planted, {"UsageError"}, reached_lines) == [
+        len(cli_source.splitlines()) + 4]
 
 
 def accepted_options(name, selector, value):
@@ -508,7 +466,7 @@ ECHOED = {
 def test_benchmark_and_readme_commands_resolve(tmp_path):
     # resolve only: a refused benchmark command fails the cli workload; the
     # resolved options are what the report's config echoes
-    argvs = benchmark_commands(tmp_path) + [line.split() for line in README_LINES]
+    argvs = benchmark_commands(tmp_path) + [line.split() for line in readme_lines(README)]
     assert len(argvs) == 8 + 7
     for argv in argvs:
         args = build_parser().parse_args(argv)
@@ -516,257 +474,238 @@ def test_benchmark_and_readme_commands_resolve(tmp_path):
             assert set(resolve_config(args, SUBCOMMANDS[argv[0]][1])) == ECHOED[argv[0]], argv
 
 
-class TestRadial:
-    @pytest.mark.parametrize("n", ["2", "3"])
-    def test_qcr_at_default_grid(self, n, capsys):
-        start = time.perf_counter()
-        code, out, _ = run_cli(capsys, "qcr", "--q", "1.5", "--alpha", "2", "--n", n)
-        assert time.perf_counter() - start < 5.0
-        assert code == EXIT_PASS
-        d = json.loads(out)
-        assert d["dim"] == float(n) and d["config"]["grid_count"] == 8001
-        assert d["product"] == pytest.approx(float(n), abs=1e-6)
 
-    def test_info_standard_normal_in_the_plane(self, capsys):
-        # N(0, I_2): H = ln(2 pi e), N = 2 pi e, I = 2
-        code, out, _ = run_cli(capsys, "info", "--n", "2", "--grid-count", "8001")
-        assert code == EXIT_PASS
-        d = json.loads(out)
-        assert d["H_q"] == pytest.approx(np.log(2 * np.pi * np.e), rel=1e-8)
-        assert d["N_q"] == pytest.approx(2 * np.pi * np.e, rel=1e-8)
-        assert d["I"] == pytest.approx(2.0, rel=1e-6)
-        assert d["divergence_flag"] is False
-
-    def test_stam_without_perturbations(self, capsys):
-        code, out, _ = run_cli(capsys, "stam", "--q", "2", "--beta", "2", "--n", "3")
-        assert code == EXIT_PASS
-        assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=1e-6)
+@pytest.mark.parametrize("mc, consistent, exit_code",
+                         [(0.6, True, EXIT_PASS), (0.4, False, EXIT_VERDICT)])
+def test_monte_carlo_verdict_gates_exit(mc, consistent, exit_code, capsys, monkeypatch):
+    # rhs = 1: an error moment 4 standard errors below it is consistent,
+    # 6 below is not, and fails the run while the bound itself passes
+    monkeypatch.setattr("qfisher.estimation.mc_error_moment",
+                        lambda model, est, theta, trials, seed: (mc, 0.1))
+    code, out, _ = run_cli(capsys, "crbound", "--model", "gaussian-location",
+                           "--trials", "100", "--seed", "4")
+    d = json.loads(out)
+    assert d["rhs"] == pytest.approx(1.0, abs=1e-6)
+    assert code == exit_code and d["passed"] is True and d["mc_consistent"] is consistent
 
 
-class TestNumericalErrors:
-    def test_fast_diffusion_exit_code(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "diffuse", "--m", "0.5", "--beta", "2",
-                               "--init", "gaussian", "--t0", "0", "--t-end", "0.01",
-                               "-o", str(tmp_path / "t.csv"))
-        assert code == EXIT_NUMERICAL
-        assert "fast-diffusion" in err
-
-    def test_step_budget_exit_code(self, capsys, tmp_path):
-        # (m, beta) = (2, 1.5) needs ~3e7 steps at the default grid: refused, not run
-        start = time.perf_counter()
-        code, _, err = run_cli(capsys, "diffuse", "--m", "2", "--beta", "1.5",
-                               "-o", str(tmp_path / "t.csv"))
-        assert code == EXIT_NUMERICAL
-        assert time.perf_counter() - start < 5.0
-        assert "budget" in err
-        assert not (tmp_path / "t.csv").exists()
-
-    def test_log_times_not_increasing_exit_code(self, capsys, tmp_path):
-        # refused before the first step, naming t0, t_end and n_logs
-        code, _, err = run_cli(capsys, "diffuse", "--t0", "1", "--t-end", "1.0000000000000002",
-                               "--n-logs", "201", "-o", str(tmp_path / "t.csv"))
-        assert code == EXIT_NUMERICAL
-        assert "t = 1.0 to t_end = 1.0000000000000002 over n_logs = 201" in err
-        assert not (tmp_path / "t.csv").exists()
-
-    def test_nonintegrable_params_exit_code(self, capsys):
-        # q < 1 needs alpha/(1-q) > n: violated at n = 2, q = 0.2, alpha = 1.5
-        code, _, err = run_cli(capsys, "qcr", "--q", "0.2", "--alpha", "1.5", "--n", "2")
-        assert code == EXIT_NUMERICAL
-        assert "integrable" in err
-
-    def test_unconverged_root_find_exit_code(self, capsys, monkeypatch):
-        # core.brentq raises RuntimeError when Brent's method does not converge
-        def brentq(*args):
-            raise RuntimeError("Failed to converge after 100 iterations")
-
-        monkeypatch.setattr("qfisher.qgaussian.brentq", brentq)
-        code, out, err = run_cli(capsys, "minimize", "--constraint", "entropy-power", "--seed", "1")
-        assert code == EXIT_NUMERICAL and out == ""
-        assert err == "numerical failure: Failed to converge after 100 iterations\n"
+def test_divergent_score_moment_is_reported(capsys, monkeypatch):
+    # the flagged report has no equality fit: exit 1 with the flag, no traceback
+    flagged = VerificationReport(0.5, math.nan, math.nan, False,
+                                 {"flag": "divergent-score-moment"})
+    monkeypatch.setattr("qfisher.estimation.crm_bound_scalar", lambda *args: flagged)
+    code, out, err = run_cli(capsys, "crbound")
+    d = json.loads(out)
+    assert code == EXIT_VERDICT and err == ""
+    assert d["flag"] == "divergent-score-moment" and d["passed"] is False
+    assert d["equality_residual"] is None and d["c_opt"] is None
 
 
-class TestDiffuse:
-    def test_csv_and_summary(self, capsys, tmp_path):
-        out_path = tmp_path / "traj.csv"
-        code, out, _ = run_cli(capsys, "diffuse", "--m", "1", "--beta", "2",
-                               "--init", "gaussian", "--t0", "0", "--t-end", "0.05",
-                               "--grid-lo", "-9", "--grid-hi", "9",
-                               "--grid-count", "1001", "--n-logs", "21",
-                               "-o", str(out_path))
-        assert code == EXIT_PASS
-        lines = out_path.read_text().strip().split("\n")
-        assert lines[0] == "t,mass,M_q,S_q,phi,dSdt_fd,rhs_identity,rel_err"
-        assert len(lines) == 22
-        summary = json.loads(out)
-        assert summary["debruijn_ok"] and summary["monotonicity_ok"]
+def test_unconverged_root_find_exit_code(capsys, monkeypatch):
+    # core.brentq raises RuntimeError when Brent's method does not converge
+    def brentq(*args):
+        raise RuntimeError("Failed to converge after 100 iterations")
 
-class TestCrbound:
-    def test_json_fields(self, capsys):
-        code, out, _ = run_cli(capsys, "crbound", "--model", "gaussian-location",
-                               "--trials", "20000", "--seed", "4")
-        assert code == EXIT_PASS
-        d = json.loads(out)
-        for key in ("lhs", "rhs", "gap", "equality_residual", "mc", "mc_se"):
-            assert key in d
-        assert d["lhs"] == pytest.approx(1.0, abs=1e-6)
-        assert d["mc_consistent"] is True
-
-    @pytest.mark.parametrize("mc, consistent, exit_code",
-                             [(0.6, True, EXIT_PASS), (0.4, False, EXIT_VERDICT)])
-    def test_monte_carlo_verdict_gates_exit(self, mc, consistent, exit_code, capsys,
-                                            monkeypatch):
-        # rhs = 1: an error moment 4 standard errors below it is consistent,
-        # 6 below is not, and fails the run while the bound itself passes
-        monkeypatch.setattr("qfisher.estimation.mc_error_moment",
-                            lambda model, est, theta, trials, seed: (mc, 0.1))
-        code, out, _ = run_cli(capsys, "crbound", "--model", "gaussian-location",
-                               "--trials", "100", "--seed", "4")
-        d = json.loads(out)
-        assert d["rhs"] == pytest.approx(1.0, abs=1e-6)
-        assert code == exit_code and d["passed"] is True and d["mc_consistent"] is consistent
-
-    def test_divergent_score_moment_is_reported(self, capsys, monkeypatch):
-        # the flagged report has no equality fit: exit 1 with the flag, no traceback
-        flagged = VerificationReport(0.5, math.nan, math.nan, False,
-                                     {"flag": "divergent-score-moment"})
-        monkeypatch.setattr("qfisher.estimation.crm_bound_scalar", lambda *args: flagged)
-        code, out, err = run_cli(capsys, "crbound")
-        d = json.loads(out)
-        assert code == EXIT_VERDICT and err == ""
-        assert d["flag"] == "divergent-score-moment" and d["passed"] is False
-        assert d["equality_residual"] is None and d["c_opt"] is None
-
-    def test_nan_mass_exit_code(self, capsys):
-        # n sigma^2 underflows to 0 or overflows to inf: refused, with no
-        # numpy warning, before a density of NaN mass or an axis is built
-        for sigma, var in (("1e-300", "0.0"), ("1e200", "inf")):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code, out, err = run_cli(capsys, "crbound", "--model", "gaussian-location",
-                                         "--sigma", sigma)
-            assert code == EXIT_NUMERICAL and out == ""
-            assert err == (f"numerical failure: sigma = {float(sigma)} gives the variance "
-                           f"n sigma^2 = {var}, which must be finite and > 0\n")
-
-    def test_escort_pair_names_the_q_it_refuses(self, capsys):
-        # f's index (2q - 1)/q is 0 at q = 1/2: the message used to name it as q
-        code, out, err = run_cli(capsys, "crbound", "--model", "escort-pair", "--q", "0.5")
-        assert code == EXIT_NUMERICAL and out == ""
-        assert err == ("numerical failure: the escort pair needs q > 1/2, where f's index "
-                       "(2q - 1)/q is positive; got q = 0.5\n")
-
-    def test_escort_pair_model(self, capsys):
-        code, out, _ = run_cli(capsys, "crbound", "--model", "escort-pair",
-                               "--q", "2", "--alpha", "2")
-        assert code == EXIT_PASS
-        d = json.loads(out)
-        assert d["lhs"] >= d["rhs"] - 1e-9
+    monkeypatch.setattr("qfisher.qgaussian.brentq", brentq)
+    code, out, err = run_cli(capsys, "minimize", "--constraint", "entropy-power", "--seed", "1")
+    assert code == EXIT_NUMERICAL and out == ""
+    assert err == "numerical failure: Failed to converge after 100 iterations\n"
 
 
-class TestStamCommand:
-    def test_report_shape(self, capsys):
-        code, out, _ = run_cli(capsys, "stam", "--q", "2", "--beta", "2",
-                               "--gamma", "1", "--grid-count", "2001",
-                               "--perturbations", "5", "--seed", "12")
-        assert code == EXIT_PASS
-        d = json.loads(out)
-        for key in ("value_G", "min_perturbed", "worst_gap", "verdict", "ratio"):
-            assert key in d
-        assert d["verdict"] is True
-        assert d["min_perturbed"] > 1.0
-
-
-def test_output_file_written(tmp_path, capsys):
-    out_path = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, "qcr", "--grid-count", "2001", "-o", str(out_path))
-    assert code == EXIT_PASS
-    assert out == ""
-    d = json.loads(out_path.read_text())
-    assert d["product"] == pytest.approx(1.0, abs=1e-4)
-
-
-#: sha256 of the stdout of each README `qfisher` line but `reproduce` (whose
-#: body test_acceptance pins), plus two crbound runs off the Gaussian model;
-#: the diffuse entry pins (stdout, CSV)
-REPORT_SHA256 = {
+#: every CLI run's outcome, by command line (split by shlex and run in an
+#: empty directory, where its -o name is written): its exit code, then for
+#: exit 0 or 1 the sha256 of stdout, or of (stdout, the -o file) where the
+#: line writes one, and for exit 3 the whole message after "numerical
+#: failure: ", or its start before a closing "...".  A row may end with
+#: closed-form readings of its JSON report (stdout, or the -o file where
+#: stdout is empty) as {key: (value, abs_tol)}.  Each subcommand's rows
+#: start with its README line, where it has one.
+OUTCOMES = {
+    # M_2 = 3/5, so I = (9/20)/(9/25) = 5/4
     "info --family qgaussian --q 2 --alpha 2 --gamma 1":
-        "0e68897c7d548196e6956a6fec99103ca0e584895dd04d76b9d3ad6fd96570f5",
+        (0, "0e68897c7d548196e6956a6fec99103ca0e584895dd04d76b9d3ad6fd96570f5",
+         {"I": (1.25, 1e-4)}),
+    # U(0, 1): S_2 = 0
+    "info --family uniform --lo 0 --hi 1 --q 2":
+        (0, "dbd52e7355d9c6428ac4efcf1570acfa2d036b036629b3f015f9a129e2e8e15e",
+         {"S_q": (0.0, 0.0), "M_q": (1.0, 1e-6), "divergence_flag": (False, 0)}),
+    # N(0, I_2): H = ln(2 pi e), N = 2 pi e, I = 2
+    "info --n 2 --grid-count 8001":
+        (0, "c3f82c8cebbc43b79dacefa32cdd69cd9a91fa7038126174c46298f8b395679f",
+         {"H_q": (math.log(2 * math.pi * math.e), 2.8e-8), "N_q": (2 * math.pi * math.e, 1.7e-7),
+          "I": (2.0, 2e-6), "divergence_flag": (False, 0)}),
+    # q < 1 needs alpha/(1-q) > n
+    "info --q 0.2 --alpha 1.5 --n 2":
+        (3, "not integrable: q < 1 requires alpha/(1-q) > n, got alpha/(1-q) = 1.875 <= n = 2"),
     "diffuse --m 2 --beta 2 --init barenblatt --t0 1 --t-end 2 -o traj.csv":
-        ("d8591ca8fa582b38f9d65355d333094ef63551189e1cf8a1cd9063b4024ce6a0",
-         "10db85419d4db63efe40586541dd3dda3fed0a7fb1c6356d64a0d0d58b3aa1f1"),
+        (0, ("d8591ca8fa582b38f9d65355d333094ef63551189e1cf8a1cd9063b4024ce6a0",
+             "10db85419d4db63efe40586541dd3dda3fed0a7fb1c6356d64a0d0d58b3aa1f1")),
+    "diffuse --m 1 --beta 2 --init gaussian --t0 0 --t-end 0.05 --grid-lo -9 --grid-hi 9 "
+    "--grid-count 1001 --n-logs 21 -o traj.csv":
+        (0, ("c2f6281ad91cc808a143ae991ce6ba7405d681e158fcba2920a427e47d632220",
+             "a2c34244881fb44cc9494673e69b3facaf0fa52b5ba68cb271e9e157695d51b2")),
+    # 51 nodes: de Bruijn reads 1.5e-2 off, over its 1e-2
+    "diffuse --grid-count 51 -o traj.csv":
+        (1, ("b23ab84dfd3f238707e774b4b90dc4be076afb421bd34cdb4b4d9003c54e04a2",
+             "2622a6cd5d43f6098a38f22b0d87dbb538b1b7c90bc93350698f165418980cbd")),
+    "diffuse --m 0.5 --beta 2 --init gaussian --t0 0 --t-end 0.01 -o traj.csv":
+        (3, "explicit solver requires m(beta-1) >= 1: the fast-diffusion range has unbounded "
+            "diffusivity where f -> 0"),
+    # refused before the first step
+    "diffuse --m 2 --beta 1.5 -o traj.csv":
+        (3, "about 3.03e+07 steps of dt = 3.30052e-08 needed to reach t = 2, over the budget "
+            "of 1000000 (dt is limited at node 499); coarsen the grid or shorten the run"),
+    "diffuse --t0 1 --t-end 1.0000000000000002 --n-logs 201 -o traj.csv":
+        (3, "log times from t = 1.0 to t_end = 1.0000000000000002 over n_logs = 201 rows are "
+            "not strictly increasing"),
     "crbound --model gaussian-location --n 3 --trials 100000 --seed 7":
-        "b945a9d3c5c115887b5fda0e3b5351fb9659d1d49b8e83faa480f5bedf99763c",
-    "qcr --q 1.5 --alpha 2 --gamma 1":
-        "d95fbcd252f8d06792a4271ed525a0a84ac748af1e9df494ecba6648338d76e5",
-    "stam --q 2 --beta 2 --gamma 1 --perturbations 20 --seed 7":
-        "5a49e0b41893e9f9a152a472c11b23ce2c54bade3f684af172be1e5a49441758",
-    "minimize --constraint moment --q 2 --alpha 2 --target 0.2 --seed 7":
-        "819ff11d16c25dfe4a9429a44de9427b5a3973d4f4f14a6390af7e15593c0004",
+        (0, "b945a9d3c5c115887b5fda0e3b5351fb9659d1d49b8e83faa480f5bedf99763c"),
+    "crbound --model gaussian-location --trials 20000 --seed 4":
+        (0, "a0c0af676c32f1f6a2ff0fc4bbb2d45e55cfab6fa8353832837d745eb1675f89",
+         {"lhs": (1.0, 1e-6)}),
     "crbound --model escort-pair --q 2 --alpha 2":
-        "0f6458a153dfdd7af4296f2bbd1693e952fd8bca376204c421a485bf94a59b10",
+        (0, "0f6458a153dfdd7af4296f2bbd1693e952fd8bca376204c421a485bf94a59b10"),
     "crbound --model qgaussian-location --q 1.5 --alpha 3":
-        "fe22f12ffb5f4728e8a2b9f3ae7196a7d8f76f302d4552f2ef2ce6d8d1396a74",
-}
-ROOT = Path(__file__).resolve().parents[1]
-README_LINES = re.findall(r"^qfisher (.*)$", (ROOT / "README.md").read_text(), re.M)
-
-
-def test_every_readme_report_is_pinned():
-    assert set(README_LINES) - {"reproduce -o summary.txt"} <= set(REPORT_SHA256)
-
-
-@pytest.mark.parametrize("line", sorted(REPORT_SHA256))
-def test_report_matches_pinned_bytes(line, capsys, tmp_path):
-    argv = line.split()
-    if "-o" in argv:
-        csv = tmp_path / argv[argv.index("-o") + 1]
-        argv[argv.index("-o") + 1] = str(csv)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == EXIT_PASS
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    if "-o" in argv:
-        digest = (digest, hashlib.sha256(csv.read_bytes()).hexdigest())
-    assert digest == REPORT_SHA256[line]
-
-
-#: sha256 of the qcr and stam README reports before they carried the
-#: equality fields
-PRE_EQUALITY_SHA256 = {
+        (0, "fe22f12ffb5f4728e8a2b9f3ae7196a7d8f76f302d4552f2ef2ce6d8d1396a74"),
+    # two draws read an error moment of 0.13, far below rhs = 1: the bound
+    # passes and mc_consistent fails
+    "crbound --model gaussian-location --trials 2 --seed 0":
+        (1, "0015cd14ca62890d8200afbf9c75e46541194431e122baf329e54d91f479338b"),
+    # n sigma^2 underflows to 0 or overflows to inf: refused, with no numpy
+    # warning, before a density of NaN mass or an axis is built
+    "crbound --model gaussian-location --sigma 1e-300":
+        (3, "sigma = 1e-300 gives the variance n sigma^2 = 0.0, which must be finite and > 0"),
+    "crbound --model gaussian-location --sigma 1e200":
+        (3, "sigma = 1e+200 gives the variance n sigma^2 = inf, which must be finite and > 0"),
+    # f's index (2q - 1)/q is 0 at q = 1/2
+    "crbound --model escort-pair --q 0.5":
+        (3, "the escort pair needs q > 1/2, where f's index (2q - 1)/q is positive; got q = 0.5"),
     "qcr --q 1.5 --alpha 2 --gamma 1":
-        "72a5cafd04dc99e16658479f51f59947ff298b312ef9862fca2414889e38bf0a",
-    "stam --q 2 --beta 2 --gamma 1 --perturbations 20 --seed 7":
-        "f96c67b7f7a6ac45782d551617bb3105c31c400f5482ce53cd135c3ecbc6b573",
-}
-
-
-@pytest.mark.parametrize("line", sorted(PRE_EQUALITY_SHA256))
-def test_equality_fields_only_add_to_the_report(line, capsys):
-    # with equality_gap and equality_passed cut, the report is the one
-    # these lines printed before the fields existed, byte for byte
-    code, out, _ = run_cli(capsys, *line.split())
-    assert code == EXIT_PASS
-    report = json.loads(out)
-    assert report.pop("equality_passed") is True and report.pop("equality_gap") < 1e-6
-    cut = json.dumps(report, sort_keys=True, allow_nan=True) + "\n"
-    assert hashlib.sha256(cut.encode()).hexdigest() == PRE_EQUALITY_SHA256[line]
-
-
-@pytest.mark.parametrize("line, passed", [
-    ("qcr --q 0.8 --alpha 2 --gamma 1", True),
-    ("qcr --q 1.5 --alpha 2 --n 3", True),
-    ("qcr --q 0.7 --alpha 2 --gamma 1", False),
-    ("qcr --q 0.4 --alpha 2 --gamma 1", False),
-    ("stam --q 0.7 --beta 2 --gamma 1", False),
-])
-def test_equality_check_sets_the_exit_code(line, passed, capsys):
+        (0, "d95fbcd252f8d06792a4271ed525a0a84ac748af1e9df494ecba6648338d76e5",
+         {"product": (1.0, 1e-6)}),
+    "qcr --grid-count 2001 -o report.json":
+        (0, ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+             "c663042dc9f1f95ff67c154992df3a19b419753b51982e3fcb8ac83c5b296efb"),
+         {"product": (1.0, 1e-4)}),
+    # radial: the product is n
+    "qcr --q 1.5 --alpha 2 --n 2":
+        (0, "dfcb62ab3150120f0a092762a54c188f5dc2c5a5cedabc5ecf178f83f605b9dc",
+         {"product": (2.0, 1e-6)}),
+    "qcr --q 1.5 --alpha 2 --n 3":
+        (0, "21b505422305fd458f0885f4d5883693b38bd7a00397f48b45d3c132b42578a5",
+         {"product": (3.0, 1e-6)}),
     # the q < 1 tail beyond the grid (ROADMAP item 14) puts the unperturbed
     # reading off equality: by 1.7e-5 at q = 0.8, 4.4e-4 at q = 0.7, and
-    # 811.6 at q = 0.4.  The inequality verdict holds at all of them
-    code, out, _ = run_cli(capsys, *line.split())
-    d = json.loads(out)
-    reading = d["product"] - d["dim"] if "product" in d else d["ratio"] - 1.0
-    assert d["equality_gap"] == abs(reading)
-    assert d["equality_passed"] is passed is (d["equality_gap"] < 1e-4)
-    assert d.get("passed", d.get("verdict")) is True
-    assert code == (EXIT_PASS if passed else EXIT_VERDICT)
+    # 811.6 at q = 0.4, which fail EQUALITY_TOL but for the first; the
+    # inequality verdict holds at all of them
+    "qcr --q 0.8 --alpha 2 --gamma 1":
+        (0, "f19043b5e5c1b95a605349c42aa6683736782989edca3bf098d0498dbafae470"),
+    "qcr --q 0.7 --alpha 2 --gamma 1":
+        (1, "a9431e81044b4f53e2e79bc6ff78b5a9a66dd019598fded8c6176442e51ae5fd"),
+    "qcr --q 0.4 --alpha 2 --gamma 1":
+        (1, "85bbb3f81dce40774396afa9c9209318fbd5c04eec687f519994248b7df43e8f"),
+    "qcr --q 0.2 --alpha 1.5 --n 2":
+        (3, "not integrable: q < 1 requires alpha/(1-q) > n, got alpha/(1-q) = 1.875 <= n = 2"),
+    "stam --q 2 --beta 2 --gamma 1 --perturbations 20 --seed 7":
+        (0, "5a49e0b41893e9f9a152a472c11b23ce2c54bade3f684af172be1e5a49441758",
+         {"ratio": (1.0, 1e-6)}),
+    "stam --q 2 --beta 2 --gamma 1 --grid-count 2001 --perturbations 5 --seed 12":
+        (0, "a2d911e6b3b0e33d3c7d69465a1d5b8618d5625a0fd05c92990ab3053c6544eb"),
+    "stam --q 2 --beta 2 --n 3":
+        (0, "06b780aa8187ca33b9ebc39c1a063727035d18b1b7fb1e2268b2a1c9cdd756c8",
+         {"ratio": (1.0, 1e-6)}),
+    "stam --q 0.7 --beta 2 --gamma 1":
+        (1, "76e4b45f9ff2ba2fe2b487aacbd0a5dc432636ba500076fc41ce962a987ad7d3"),
+    "stam --q 0.2 --beta 3 --n 2":
+        (3, "not integrable: q < 1 requires alpha/(1-q) > n, got alpha/(1-q) = 1.875 <= n = 2"),
+    "minimize --constraint moment --q 2 --alpha 2 --target 0.2 --seed 7":
+        (0, "819ff11d16c25dfe4a9429a44de9427b5a3973d4f4f14a6390af7e15593c0004"),
+    "minimize --constraint moment --q 2 --alpha 2 --target 0.2 --seed 3 --perturbations 10 "
+    "--grid-count 2001":
+        (0, "5c99022f1dc09d8d9e574f46dc1b59a8db54881ff4001b6b971f595a85b09e7e"),
+    # at q < 1, as in qcr: a perturbed I reads 2.4e-4 below I[G]
+    "minimize --constraint moment --q 0.7 --alpha 2 --target 0.2 --seed 1":
+        (1, "10f6d960124ff6a10339fdd59ac9108e7df8c959a8a84fd500045915e52ff54e"),
+    "minimize --q 0.3 --alpha 1.5 --seed 1":
+        (3, "divergent moment: q < 1 requires alpha/(1-q) > n + alpha, got alpha/(1-q) = "
+            "2.14286 <= n + alpha = 2.5"),
+}
+
+
+def sha256(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("line", OUTCOMES)
+def test_outcome(line, capsys, tmp_path, monkeypatch):
+    # run twice, the second time on warm caches, with warnings as errors:
+    # both runs give the same bytes
+    code, pin, *readings = OUTCOMES[line]
+    argv = shlex.split(line)
+    written = argv[argv.index("-o") + 1] if "-o" in argv else None
+    runs = []
+    for run_dir in (tmp_path / "first", tmp_path / "second"):
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_cli(capsys, *argv)
+        path = written and run_dir / written
+        runs.append((*got, path.read_bytes() if path and path.exists() else None))
+    assert runs[0] == runs[1]
+    got_code, out, err, report = runs[0]
+    assert got_code == code
+    if code == EXIT_NUMERICAL:
+        assert out == "" and report is None
+        assert err.endswith("\n") and matches(err[:-1], f"numerical failure: {pin}"), err
+        return
+    assert err == ""
+    assert (sha256(out) if written is None else (sha256(out), sha256(report))) == pin
+    report = json.loads(out or report)
+    for key, (value, tol) in (readings[0] if readings else {}).items():
+        assert abs(report[key] - value) <= tol, key
+    # the distance from the equality case, and its verdict
+    if argv[0] in ("qcr", "stam"):
+        reading = report["product"] - report["dim"] if argv[0] == "qcr" else report["ratio"] - 1.0
+        assert report["equality_gap"] == abs(reading)
+        assert report["equality_passed"] is (report["equality_gap"] < EQUALITY_TOL)
+
+
+def outcomeless(readme: str, source: str, rows) -> list[str]:
+    """README `qfisher` lines that are not rows, then "name: exit N" for each
+    exit code a subcommand must reach that none of its rows does: 0 and 3,
+    and 1 where a `return` of its handler in `source` names EXIT_VERDICT.
+    reproduce is exempt: its pinned suite reaches only exit 0."""
+    handlers = {node.name: node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef)}
+    missing = [line for line in rowless(readme, rows) if line.split()[0] != "reproduce"]
+    for name, (handler, _, _) in SUBCOMMANDS.items():
+        if name == "reproduce":
+            continue
+        named = {node.id for ret in ast.walk(handlers[handler.__name__])
+                 if isinstance(ret, ast.Return) for node in ast.walk(ret)
+                 if isinstance(node, ast.Name)}
+        needed = {EXIT_PASS, EXIT_NUMERICAL} | ({EXIT_VERDICT} if "EXIT_VERDICT" in named else set())
+        reached = {row[0] for line, row in rows.items() if line.split()[0] == name}
+        missing += [f"{name}: exit {code}" for code in sorted(needed - reached)]
+    return missing
+
+
+def test_every_outcome_has_a_row():
+    assert outcomeless(README, Path(cli.__file__).read_text(), OUTCOMES) == []
+
+
+def test_detects_outcome_without_a_row():
+    source = Path(cli.__file__).read_text()
+    kept = {line: row for line, row in OUTCOMES.items()
+            if line != "qcr --q 1.5 --alpha 2 --gamma 1"
+            and not (line.startswith("stam") and row[0] == EXIT_VERDICT)
+            and not (line.startswith("minimize") and row[0] == EXIT_NUMERICAL)}
+    assert outcomeless(README, source, kept) == [
+        "qcr --q 1.5 --alpha 2 --gamma 1", "stam: exit 1", "minimize: exit 3"]
+    # a handler that comes to return EXIT_VERDICT needs a row that exits 1
+    end_of_info = "    return EXIT_PASS\n\n\nDIFFUSE_DEFAULTS"
+    planted = source.replace(end_of_info, end_of_info.replace(
+        "EXIT_PASS", "EXIT_PASS if payload['I'] > 0 else EXIT_VERDICT"))
+    assert planted != source
+    assert outcomeless(README, planted, OUTCOMES) == ["info: exit 1"]

@@ -747,11 +747,15 @@ def test_loads(row, tmp_path):
     assert slots == memos[-1:]
 
 
+def readme_lines(readme: str) -> list[str]:
+    """The argv after `qfisher` of each README line that starts with it."""
+    return re.findall(r"^qfisher (.*)$", readme, re.M)
+
+
 def rowless(readme: str, rows) -> list[str]:
     """README `qfisher` lines (their argv) that are not rows, then the
     subcommands that no row runs."""
-    lines = re.findall(r"^qfisher (.*)$", readme, re.M)
-    return ([line for line in lines if line not in rows]
+    return ([line for line in readme_lines(readme) if line not in rows]
             + [name for name in SUBCOMMANDS if not any(row.split()[0] == name for row in rows)])
 
 

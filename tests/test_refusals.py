@@ -72,6 +72,16 @@ NAN_OFF_THETA = model(lambda x, th: normal(x) if th[0] == 0.0 else np.full_like(
 NAN_OFF_THETA.check_normalized([np.array([0.0])])
 #: f is infinite at the centre node for theta > 0, so the score is too
 SPIKED = model(lambda x, th: np.where((x == 0.0) & (th[0] > 0), INF, normal(x, th[0])), normal)
+#: f = g (1 + theta 1e200 x): the score 1e200 x is finite and of mean zero,
+#: and its square overflows
+OVERFLOWING = model(lambda x, th: normal(x) * (1.0 + th[0] * 1e200 * x), normal)
+
+
+def fisher_matrix_g_over_ignored(m, theta):
+    """fisher_matrix_g with numpy's overflow warning off, so that its own
+    finiteness check is what refuses."""
+    with np.errstate(over="ignore"):
+        return fisher_matrix_g(m, theta)
 
 
 #: every refusal whose check precedes the work it guards: (call, args,
@@ -230,7 +240,10 @@ VALUE_REFUSALS = [
                        (crm_bound_general, ([[1.0]],)))],
     (score_g, (NAN_OFF_THETA, [0.0]), "score component 0 fails zero-mean: E_g[psi] = nan",
      ArithmeticError),
-    (fisher_matrix_g, (SPIKED, [0.0]), "non-finite Fisher matrix array([[inf]])", ArithmeticError),
+    (score_g, (SPIKED, [0.0]), "score component 0 fails zero-mean: E_g[psi] = inf",
+     ArithmeticError),
+    (fisher_matrix_g_over_ignored, (OVERFLOWING, [0.0]), "non-finite Fisher matrix array([[inf]])",
+     ArithmeticError),
     (crm_bound_quadratic, (SUM_LOCATION, X_OF_THETA_0, [0.0, 0.0]),
      "singular Fisher matrix; null direction ...", ArithmeticError),
     # an estimator whose mean does not move with theta: eta' = 0
@@ -304,13 +317,13 @@ def reached():
     return sites
 
 
-def unreached_refusals(source: str, reached_lines) -> list[int]:
-    """The lines of `source` that raise one of REFUSAL_TYPES, are not in
-    `reached_lines`, and are not marked `# pragma: no cover`."""
+def unreached_refusals(source: str, names, reached_lines) -> list[int]:
+    """The lines of `source` that raise an exception type named in `names`,
+    are not in `reached_lines`, and are not marked `# pragma: no cover`."""
     text = source.splitlines()
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                  and getattr(node.exc.func, "id", None) in REFUSAL_TYPES
+                  and getattr(node.exc.func, "id", None) in names
                   and node.lineno not in reached_lines
                   and "pragma: no cover" not in text[node.lineno - 1])
 
@@ -320,7 +333,7 @@ def unreached_by(sites) -> dict:
     out = {}
     for path in (Path(module.__file__) for module in MODULES):
         lines = {line for name, line in sites if name == path.name}
-        if missed := unreached_refusals(path.read_text(), lines):
+        if missed := unreached_refusals(path.read_text(), REFUSAL_TYPES, lines):
             out[path.name] = missed
     return out
 
@@ -338,11 +351,11 @@ def test_detects_refusal_without_a_row(reached):
     source = ("def check(x):\n    if x:\n        raise ValueError(\n            'x')\n"
               "    raise NonFiniteError('y')  # pragma: no cover\n    raise ArithmeticError('z')\n"
               "    raise EscortDivergenceError('w')\n")
-    assert unreached_refusals(source, {7}) == [3]
+    assert unreached_refusals(source, REFUSAL_TYPES, {7}) == [3]
     source = Path(core.__file__).read_text()
     planted = source + "\n\ndef _planted():\n    raise ValueError('planted')\n"
     lines = {line for name, line in reached if name == "core.py"}
-    assert unreached_refusals(planted, lines) == [len(source.splitlines()) + 4]
+    assert unreached_refusals(planted, REFUSAL_TYPES, lines) == [len(source.splitlines()) + 4]
     # without the first row whose line no other row reaches, that line alone is unreached
     counts = collections.Counter(reached)
     i = next(i for i, site in enumerate(reached) if counts[site] == 1)
